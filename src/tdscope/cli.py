@@ -70,9 +70,8 @@ def main(argv=None):
         from threadpoolctl import threadpool_limits
     except ImportError:
         threadpool_limits = None
-        if threads != 1:
-            print("warning: threadpoolctl unavailable, thread cap not applied",
-                  file=sys.stderr)
+        print("warning: threadpoolctl unavailable, thread cap not applied",
+              file=sys.stderr)
     try:
         if threadpool_limits is not None:
             with threadpool_limits(limits=threads):

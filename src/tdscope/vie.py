@@ -1,24 +1,30 @@
 """Volume integral equation for the field gradient inside the scatterer.
 
 Collocation on the voxel grid: piecewise-constant vector densities, midpoint
-off-diagonal blocks hess_phi(x_i - x_j) h^3 and closed-form self blocks from
-cell_self_term.  The singular equation T h = (At - A) grad u is solved in the
-normalized variables eta = A^{-1/2} h,
+off-diagonal blocks hess_phi(x_i - x_j) h^3, closed-form self blocks from
+cell_self_term and subcell-averaged blocks between touching cells.  The
+singular equation T h = (At - A) grad u is solved in the normalized variables
+eta = A^{-1/2} h,
 
     (I - Q R_kappa) eta = 2 Q A^{1/2} grad u,      R_kappa = I + 2 A^{1/2} gradW A^{1/2},
 
 which is the conditioning-friendly form; h = A^{1/2} eta.  Vectors of length
 3N are voxel-major: x.reshape(N, 3).
 
-The assembled gradW is complex symmetric (blocks are even in x_i - x_j and
-each block is a symmetric Hessian), which makes R_kappa and the sigma-split
-system complex symmetric as well; reciprocity of scattered fields is exact
-for this discretization up to roundoff.
+Voxel centres lie on one lattice and every block of gradW depends only on
+the lattice offset between its two cells, so gradW is block-Toeplitz.  It is
+stored as one table of 3x3 blocks per offset, circulant-embedded on a box of
+twice the grid's lattice extent, in Fourier space: a product with gradW is a
+scatter to the box, an FFT, a blockwise 3x3 product and a gather, O(box log
+box) time and O(box) memory.  A dense system matrix is gathered from the
+table only for the LU path.  Each block is even in the offset and a symmetric
+Hessian, so gradW, R_kappa and the sigma-split system are complex symmetric;
+reciprocity of scattered fields is exact for this discretization up to
+roundoff.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +32,7 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .greens import cell_self_term, grad_phi, hess_phi
-from .materials import AnisoContrast, IsoContrast
+from .materials import IsoContrast
 
 __all__ = [
     "VieSystem",
@@ -43,6 +49,8 @@ __all__ = [
 
 VOXEL_CAP = 20000
 DIRECT_CAP = 3000
+NEAR_SUBDIV = 4  # subcells per axis averaged over for touching-cell blocks
+_BOX_AXES = (-3, -2, -1)
 
 
 @dataclass
@@ -52,17 +60,6 @@ class DensityField:
     values: np.ndarray
     grid: object = None
     residual: float = None
-
-
-def _block_left(mat, C):
-    """Multiply every 3x3 block of mat (3N x 3N) by C from the left."""
-    n3 = mat.shape[0]
-    return np.matmul(C, mat.reshape(n3 // 3, 3, n3)).reshape(n3, n3)
-
-
-def _block_right(mat, C):
-    n3 = mat.shape[1]
-    return np.matmul(mat.reshape(-1, n3 // 3, 3), C).reshape(mat.shape[0], n3)
 
 
 def _per_voxel(C, v):
@@ -101,6 +98,20 @@ def _sigma_parts(contrast):
     return contrast.sigma, contrast.q_mat
 
 
+def _system_factors(contrast, bg, form):
+    """(L, Rm, D) of the system matrix D + L gradW Rm, with 3x3 factors per voxel.
+
+    form='direct' gives I - Q R_kappa, form='sigma' gives I - sigma q R q^T sigma.
+    """
+    Q, Ah, _ = _contrast_parts(contrast, bg)
+    if form == "direct":
+        return -2.0 * Q @ Ah, Ah, np.eye(3) - Q
+    if form == "sigma":
+        sig, qm = _sigma_parts(contrast)
+        return -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig, np.eye(3) - sig @ qm @ qm.T @ sig
+    raise ValueError(f"unknown system form {form!r}")
+
+
 def _contrast_key(contrast):
     if isinstance(contrast, IsoContrast):
         return ("iso", contrast.a, contrast.beta)
@@ -109,11 +120,17 @@ def _contrast_key(contrast):
 
 @dataclass
 class VieSystem:
-    """Assembled discretization of grad W_kappa plus cached factorizations."""
+    """grad W_kappa on a voxel grid as an FFT offset table, plus cached factorizations.
+
+    index holds each cell's integer lattice position (N, 3); kernel_hat holds
+    the FFT over the box axes of the circulant-embedded block table, shape
+    (3, 3, *box).
+    """
 
     grid: object
     bg: object
-    gradW: np.ndarray
+    index: np.ndarray
+    kernel_hat: np.ndarray
     direct_cap: int = DIRECT_CAP
     _factor_cache: dict = field(default_factory=dict, repr=False)
 
@@ -121,149 +138,128 @@ class VieSystem:
     def n_cells(self):
         return self.grid.n_cells
 
+    def apply(self, v, left=None, right=None, diag=None):
+        """(diag + left gradW right) v, with 3x3 factors acting on each voxel.
+
+        v has shape (3N,), (N,3) or (3N,K); the result has the same shape.
+        Omitted factors are the identity (left, right) and zero (diag).
+        """
+        x = v.reshape(self.n_cells, 3, -1)
+        k = x.shape[2]
+        box = self.kernel_hat.shape[2:]
+        flat = np.ravel_multi_index(self.index.T, box)
+        buf = np.zeros((3, k, *box), dtype=complex)
+        buf.reshape(3, k, -1)[:, :, flat] = (x if right is None else right @ x).transpose(1, 2, 0)
+        buf = np.einsum("ab...,bk...->ak...", self.kernel_hat, np.fft.fftn(buf, axes=_BOX_AXES))
+        y = np.fft.ifftn(buf, axes=_BOX_AXES).reshape(3, k, -1)[:, :, flat].transpose(2, 0, 1)
+        if left is not None:
+            y = left @ y
+        if diag is not None:
+            y = y + diag @ x
+        return y.reshape(v.shape)
+
     def gradw_apply(self, v):
         """gradW v for v of shape (3N,), (N,3) or (3N,K)."""
-        if v.ndim == 2 and v.shape[1] == 3 and v.shape[0] == self.n_cells:
-            return (self.gradW @ v.reshape(-1)).reshape(-1, 3)
-        return self.gradW @ v
+        return self.apply(v)
 
     def r_apply(self, v):
         """R_kappa v = v + 2 A^{1/2} gradW A^{1/2} v (flat (3N,) or (3N,K))."""
-        a = self.bg.iso_a
-        if a is not None:
-            return v + (2.0 * a) * (self.gradW @ v)
         Ah = self.bg.sqrt_A
-        return v + 2.0 * _per_voxel(Ah, self.gradW @ _per_voxel(Ah, v))
+        return self.apply(v, 2.0 * Ah, Ah, np.eye(3))
 
-    def system_matrix(self, contrast, form="direct"):
-        """Dense (I - Q R_kappa) or, for form='sigma', (I - sigma q R q^T sigma)."""
-        Q, Ah, _ = _contrast_parts(contrast, self.bg)
-        n3 = self.gradW.shape[0]
-        if form == "direct":
-            L, Rm, D = -2.0 * Q @ Ah, Ah, np.eye(3) - Q
-        elif form == "sigma":
-            sig, qm = _sigma_parts(contrast)
-            L, Rm = -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig
-            D = np.eye(3) - sig @ qm @ qm.T @ sig
-        else:
-            raise ValueError(f"unknown system form {form!r}")
-        eye3 = np.eye(3)
-        if np.allclose(L, L[0, 0] * eye3) and np.allclose(Rm, Rm[0, 0] * eye3):
-            # scalar blocks: one scaling instead of blockwise products
-            mat = (L[0, 0] * Rm[0, 0]) * self.gradW
-        else:
-            mat = _block_right(_block_left(self.gradW, L), Rm)
-        idx = np.arange(n3)
-        for a in range(3):
-            for b in range(3):
-                if D[a, b] != 0.0:
-                    mat[idx[a::3], idx[b::3]] += D[a, b]
-        return mat
+    def dense(self, left=None, right=None, diag=None):
+        """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table."""
+        eye = np.eye(3)
+        left = eye if left is None else left
+        right = eye if right is None else right
+        table = np.fft.ifftn(self.kernel_hat, axes=_BOX_AXES)
+        box = table.shape[2:]
+        blocks = left @ np.moveaxis(table, (0, 1), (-2, -1)).reshape(-1, 3, 3) @ right
+        n = self.n_cells
+        mat = np.empty((n, 3, n, 3), dtype=complex)
+        rows = max(1, (1 << 18) // n)
+        for i0 in range(0, n, rows):
+            diff = self.index[i0 : i0 + rows, None, :] - self.index[None, :, :]
+            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
+            mat[i0 : i0 + rows] = blocks[off].transpose(0, 2, 1, 3)
+        if diag is not None:
+            cells = np.arange(n)
+            mat[cells, :, cells, :] += diag
+        return mat.reshape(3 * n, 3 * n)
 
     def _factorization(self, contrast, form):
         key = (_contrast_key(contrast), form)
         if key not in self._factor_cache:
-            mat = self.system_matrix(contrast, form)
+            mat = self.dense(*_system_factors(contrast, self.bg, form))
             self._factor_cache[key] = lu_factor(mat, overwrite_a=True, check_finite=False)
         return self._factor_cache[key]
 
 
-def assemble(grid, bg, voxel_cap=VOXEL_CAP, direct_cap=DIRECT_CAP, row_chunk=64,
-             near_subdiv=4):
-    """Dense collocation matrix of grad W_kappa on the voxel grid.
+def assemble(grid, bg, voxel_cap=VOXEL_CAP, direct_cap=DIRECT_CAP):
+    """grad W_kappa on the voxel grid as an FFT of its block-Toeplitz offset table.
 
-    Midpoint blocks hess_phi(x_i - x_j) h^3 off the diagonal, cell_self_term
-    on it.  Blocks of touching cells (first neighbor ring) are replaced by
-    subcell-averaged integrals (near_subdiv^3 midpoints): the plain midpoint
-    rule there inflates the discrete spectrum of R_0 well above its continuum
-    norm 1.  Set near_subdiv=0 to disable.
+    The table holds midpoint blocks hess_phi(o h) h^3 at every lattice offset
+    o != 0 and cell_self_term at o = 0.  Blocks of touching cells (the 26
+    offsets of the first neighbor ring) are subcell-averaged integrals
+    (NEAR_SUBDIV^3 midpoints): the plain midpoint rule there inflates the
+    discrete spectrum of R_0 well above its continuum norm 1.  The table is
+    circulant-embedded on a box of twice the grid's lattice extent per axis,
+    so an FFT convolution on the box reproduces every cell-pair block.  No
+    dense matrix is formed here; VieSystem.dense gathers one for LU.
     """
     n = grid.n_cells
     if n == 0:
         raise ValueError("grid is empty")
     if n > voxel_cap:
         raise MemoryError(f"{n} voxels exceed the cap {voxel_cap}; coarsen the grid")
-    centers = grid.centers
-    h3 = grid.cell_volume
-    gw = np.empty((3 * n, 3 * n), dtype=complex)
-    self_block = cell_self_term(bg, grid.h)
-    for i0 in range(0, n, row_chunk):
-        i1 = min(i0 + row_chunk, n)
-        diff = centers[i0:i1, None, :] - centers[None, :, :]
-        # placeholder on the diagonal; overwritten by the self block below
-        for i in range(i0, i1):
-            diff[i - i0, i, 0] = 1.0
-        blocks = hess_phi(bg, diff) * h3
-        for i in range(i0, i1):
-            blocks[i - i0, i] = self_block
-        gw[3 * i0 : 3 * i1] = blocks.transpose(0, 2, 1, 3).reshape(3 * (i1 - i0), 3 * n)
-    if near_subdiv:
-        _correct_near_blocks(gw, grid, bg, near_subdiv)
-    return VieSystem(grid=grid, bg=bg, gradW=gw, direct_cap=direct_cap)
-
-
-def _correct_near_blocks(gw, grid, bg, nsub):
-    """Subcell-averaged blocks for touching cells (symmetric, kernel is even)."""
-    c = grid.centers
     h = grid.h
-    t = (np.arange(nsub) + 0.5) / nsub - 0.5
-    off = np.array(list(itertools.product(t, t, t))) * h
-    key = np.round((c - c.min(axis=0)) / h).astype(int)
-    lut = {tuple(k): i for i, k in enumerate(key)}
-    shifts = [s for s in itertools.product((-1, 0, 1), repeat=3) if s != (0, 0, 0)]
-    pairs = []
-    for i, k in enumerate(key):
-        for s in shifts:
-            j = lut.get((k[0] + s[0], k[1] + s[1], k[2] + s[2]))
-            if j is not None and j > i:
-                pairs.append((i, j))
-    if not pairs:
-        return
-    pairs = np.array(pairs)
-    ar3 = np.arange(3)
-    for p0 in range(0, len(pairs), 8192):
-        pp = pairs[p0 : p0 + 8192]
-        pts = (c[pp[:, 0]] - c[pp[:, 1]])[:, None, :] - off[None, :, :]
-        blocks = hess_phi(bg, pts).mean(axis=1) * h**3
-        ri = 3 * pp[:, 0][:, None, None] + ar3[None, :, None]
-        cj = 3 * pp[:, 1][:, None, None] + ar3[None, None, :]
-        gw[ri, cj] = blocks
-        gw[cj.transpose(0, 2, 1), ri.transpose(0, 2, 1)] = blocks
-
-
-def _system_matvec(sys, contrast, form):
-    """Matrix-free application of the chosen system matrix."""
-    Q, Ah, _ = _contrast_parts(contrast, sys.bg)
-    if form == "sigma":
-        sig, qm = _sigma_parts(contrast)
-        left = sig @ qm @ Ah
-        right = Ah @ qm.T @ sig
-        diag = np.eye(3) - sig @ qm @ qm.T @ sig
-    else:
-        left = Q @ Ah
-        right = Ah
-        diag = np.eye(3) - Q
-
-    def matvec(v):
-        w = sys.gradW @ _per_voxel(right, v)
-        return _per_voxel(diag, v) - 2.0 * _per_voxel(left, w)
-
-    return matvec
+    c = grid.centers
+    index = np.round((c - c.min(axis=0)) / h).astype(int)
+    dims = index.max(axis=0) + 1
+    box = tuple(2 * dims)
+    # signed offset held at each box position: o mod box, o in [-dims, dims)
+    axes = [(np.arange(p) + d) % p - d for p, d in zip(box, dims)]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    table = np.empty((offsets.shape[0], 3, 3), dtype=complex)
+    far = np.any(offsets != 0, axis=1)
+    table[far] = hess_phi(bg, offsets[far] * h) * h**3
+    table[~far] = cell_self_term(bg, h)
+    t = ((np.arange(NEAR_SUBDIV) + 0.5) / NEAR_SUBDIV - 0.5) * h
+    sub = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    ring = np.flatnonzero(np.abs(offsets).max(axis=1) == 1)
+    pts = offsets[ring, None, :] * h - sub[None, :, :]
+    table[ring] = hess_phi(bg, pts).mean(axis=1) * h**3
+    table = np.moveaxis(table.reshape(*box, 3, 3), (-2, -1), (0, 1))
+    kernel_hat = np.fft.fftn(table, axes=_BOX_AXES)
+    return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat,
+                     direct_cap=direct_cap)
 
 
 def resolvent_solve(sys, contrast, rhs, form="direct"):
     """Solve (I - Q R_kappa) X = rhs (form='direct') or the sigma-split system.
 
     rhs: (3N,) or (3N, K).  Dense LU below the direct cap (cached per
-    contrast), residual-controlled GMRES above it.
+    contrast), residual-controlled GMRES above it.  Each LU batch is checked
+    by one seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT
+    apply, which also cross-checks the gathered matrix against the table.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    if sys.n_cells <= sys.direct_cap:
-        return lu_solve(sys._factorization(contrast, form), rhs, check_finite=False)
-    matvec = _system_matvec(sys, contrast, form)
-    n3 = sys.gradW.shape[0]
-    op = LinearOperator((n3, n3), matvec=matvec, dtype=complex)
+    n3 = 3 * sys.n_cells
     cols = rhs.reshape(n3, -1)
+    factors = _system_factors(contrast, sys.bg, form)
+
+    def matvec(v):
+        return sys.apply(v, *factors)
+
+    if sys.n_cells <= sys.direct_cap:
+        x = lu_solve(sys._factorization(contrast, form), rhs, check_finite=False)
+        r = np.random.default_rng(0).standard_normal(cols.shape[1])
+        br = cols @ r
+        num, den = np.linalg.norm(matvec(x.reshape(n3, -1) @ r) - br), np.linalg.norm(br)
+        if not num <= 1e-10 * den:
+            raise RuntimeError(f"LU solve residual probe {num / den:.3e} exceeds 1e-10")
+        return x
+    op = LinearOperator((n3, n3), matvec=matvec, dtype=complex)
     out = np.empty_like(cols)
     for k in range(cols.shape[1]):
         x, info = gmres(op, cols[:, k], rtol=1e-10, atol=0.0, restart=200, maxiter=100)
@@ -398,7 +394,7 @@ def operator_norm(sys, which="R_kappa", contrast=None, tol=1e-4, maxiter=1000, s
         return _per_voxel(right.conj().T, w)
 
     rng = np.random.default_rng(seed)
-    n3 = sys.gradW.shape[0]
+    n3 = 3 * sys.n_cells
     v = rng.standard_normal(n3) + 1j * rng.standard_normal(n3)
     v /= np.linalg.norm(v)
     sig_prev = 0.0

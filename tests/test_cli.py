@@ -4,6 +4,7 @@ import importlib
 import importlib.metadata
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,15 @@ def test_run_invalid_config_fails_before_work(tmp_path, capsys):
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_run_warns_when_thread_cap_unavailable(born_cfg, tmp_path, capsys, monkeypatch):
+    # the default one-thread cap needs threadpoolctl too, so its absence is reported
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.delenv("TDSCOPE_THREADS", raising=False)
+    assert main(["run", str(born_cfg), "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    assert "warning: threadpoolctl unavailable, thread cap not applied" in err
 
 
 def test_resolve_threads_precedence(monkeypatch):

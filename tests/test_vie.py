@@ -1,25 +1,35 @@
 """Volume integral equation: assembly, solves, radiation, operator norms."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from tdscope import (
     Background,
+    Ball,
     DensityField,
+    Ellipsoid,
+    SymTensor3,
+    Union,
     VieSystem,
+    aniso_contrast,
     apply_MB,
     assemble,
     born_density,
+    cell_self_term,
     grad_phi,
+    hess_phi,
     iso_contrast,
     operator_norm,
     phi,
     radiation_matrix,
     scattered_field,
     solve_density,
+    voxelize,
 )
+from tdscope.vie import _system_factors
 
 # power-iteration estimates on the h = 1/6 unit-kappa ball system (seed 0),
 # frozen against the dense singular values computed in-test
@@ -33,12 +43,72 @@ def unit_inc(n, axis=2):
     return g
 
 
+def dense_gradw_reference(grid, bg, nsub=4):
+    """Cell-pair collocation matrix of grad W: the oracle for the offset table.
+
+    Midpoint blocks hess_phi(x_i - x_j) h^3 off the diagonal, cell_self_term
+    on it, nsub^3-subcell averages for touching cells.
+    """
+    c, h, n = grid.centers, grid.h, grid.n_cells
+    diff = c[:, None, :] - c[None, :, :]
+    cells = np.arange(n)
+    diff[cells, cells] = 1.0  # placeholder, overwritten by the self block
+    blocks = hess_phi(bg, diff) * h**3
+    blocks[cells, cells] = cell_self_term(bg, h)
+    t = ((np.arange(nsub) + 0.5) / nsub - 0.5) * h
+    sub = np.array(list(itertools.product(t, t, t)))
+    touching = (np.abs(diff).max(axis=-1) < 1.5 * h) & (cells[:, None] != cells[None, :])
+    i, j = np.nonzero(touching)
+    blocks[i, j] = hess_phi(bg, diff[i, j][:, None, :] - sub).mean(axis=1) * h**3
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
+def _oracle_cases():
+    aniso = Background(A=SymTensor3.from_matrix([[1.3, 0.2, 0.0], [0.2, 0.9, 0.1],
+                                                 [0.0, 0.1, 1.1]]), kappa=1.5)
+    two_balls = Union((Ball(0.25, center=(-0.6, 0.0, 0.0)), Ball(0.25, center=(0.55, 0.3, 0.1))))
+    return {
+        "ball_h6": (voxelize(Ball(0.5), 1.0 / 6.0), Background.isotropic(a=1.0, kappa=1.0),
+                    iso_contrast(1.0, 2.0)),
+        "offcentre_ellipsoid_aniso": (
+            voxelize(Ellipsoid((0.5, 0.35, 0.3), center=(0.2, -0.1, 0.05)), 0.1),
+            aniso,
+            aniso_contrast(aniso.A, SymTensor3.diag(2.0, 0.7, 1.6)),
+        ),
+        "two_disjoint_balls": (voxelize(two_balls, 0.1), Background.isotropic(a=1.0, kappa=2.0),
+                               iso_contrast(1.0, 0.5)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_fft_operator_matches_dense_reference(case):
+    grid, bg, contrast = _oracle_cases()[case]
+    sys = assemble(grid, bg)
+    ref = dense_gradw_reference(grid, bg)
+    n = grid.n_cells
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3 * n, 3)) + 1j * rng.standard_normal((3 * n, 3))
+    want = ref @ x
+    assert np.linalg.norm(sys.gradw_apply(x) - want) < 1e-13 * np.linalg.norm(want)
+    ref4 = ref.reshape(n, 3, n, 3)
+    for form in ("direct", "sigma"):
+        L, Rm, D = _system_factors(contrast, bg, form)
+        want_mat = np.einsum("ab,ibjc,cd->iajd", L, ref4, Rm)
+        want_mat[np.arange(n), :, np.arange(n), :] += D
+        want_mat = want_mat.reshape(3 * n, 3 * n)
+        got = sys.dense(L, Rm, D)
+        assert np.linalg.norm(got - want_mat) < 1e-13 * np.linalg.norm(want_mat)
+        want = want_mat @ x
+        assert np.linalg.norm(sys.apply(x, L, Rm, D) - want) < 1e-13 * np.linalg.norm(want)
+
+
 def test_assemble_shape_and_symmetry(sys_h6):
     n3 = 3 * sys_h6.n_cells
-    assert sys_h6.gradW.shape == (n3, n3)
+    gradW = sys_h6.dense()
+    assert gradW.shape == (n3, n3)
     # kernel blocks are even in the separation, so the matrix is complex symmetric
-    asym = np.abs(sys_h6.gradW - sys_h6.gradW.T).max()
-    assert asym < 1e-13 * np.abs(sys_h6.gradW).max()
+    asym = np.abs(gradW - gradW.T).max()
+    assert asym < 1e-13 * np.abs(gradW).max()
 
 
 def test_assemble_voxel_cap(ball_grid_h8, bg_unit):
@@ -111,8 +181,8 @@ def test_operator_norms_frozen(sys_h6):
 
 def test_operator_norm_vs_dense_svd(sys_h6, bg_unit):
     c = iso_contrast(1.0, 2.0)
-    n3 = sys_h6.gradW.shape[0]
-    dense = np.eye(n3, dtype=complex) + 2.0 * bg_unit.iso_a * sys_h6.gradW
+    n3 = 3 * sys_h6.n_cells
+    dense = np.eye(n3, dtype=complex) + 2.0 * bg_unit.iso_a * sys_h6.dense()
     top = float(np.linalg.svd(c.q * dense, compute_uv=False)[0])
     est = operator_norm(sys_h6, which="qR_kappa", contrast=c)
     assert est <= top * (1.0 + 1e-9)
@@ -155,6 +225,20 @@ def test_gmres_path_matches_lu(sys_h6):
     iterative = dataclasses.replace(sys_h6, direct_cap=1, _factor_cache={})
     it_dens = solve_density(iterative, c, g).values
     np.testing.assert_allclose(it_dens, lu_dens, rtol=1e-7)
+
+
+def test_lu_residual_probe_catches_wrong_factorization(sys_h6):
+    c = iso_contrast(1.0, 2.0)
+    g = unit_inc(sys_h6.n_cells)
+    fresh = dataclasses.replace(sys_h6, _factor_cache={})
+    assert solve_density(fresh, c, g).residual < 1e-10
+    # swap in the factorization of another contrast under this contrast's key
+    other = dataclasses.replace(sys_h6, _factor_cache={})
+    other._factorization(iso_contrast(1.0, 3.0), "direct")
+    (key,) = fresh._factor_cache
+    fresh._factor_cache[key] = other._factor_cache.popitem()[1]
+    with pytest.raises(RuntimeError, match="residual probe"):
+        solve_density(fresh, c, g)
 
 
 def test_radiation_matrix_matches_scattered_field(sys_h6, rng):
