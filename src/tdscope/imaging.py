@@ -14,10 +14,13 @@ operator on the other:
 
     T(z) = -Re sum_ik (M_z)_ik < G_i(z,.), [M_B G_k(z,.)] >_{L^2(B)},
 
-with the conjugate on the left slot.  The maps evaluate this in the
-regime-specific factorized forms (scalar resolvent for isotropic media,
-sign-split sigma systems otherwise) and report the moderate-scatterer
-certificate plus the imaginary residue of the pre-Re pairing.
+with the conjugate on the left slot.  Every regime goes through one
+contraction: a direct-form resolvent solve gives the 3x3 response matrix
+S(z)_ij = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j > of the rows g_i
+of G(z, .), and T(z) = pref Re tr(c^T c S(z)), where the maps differ only in
+the scalar pref and the 3x3 trial factor c.  Each map reports the
+moderate-scatterer certificate plus the imaginary residue of the pre-Re
+pairing.
 
 The symmetry-restoring operator E multiplies surface-harmonic coefficients
 by -conj(h_n(kappa R)) / h_n(kappa R).  Traces use the real orthonormal
@@ -283,7 +286,7 @@ class KernelG:
 
         Quadrature mode accumulates one matrix product per node chunk, so the
         cost is a handful of dense multiplies rather than Z x N single-pair
-        integrals.
+        integrals.  The closed-form modes evaluate each pair through __call__.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -303,36 +306,8 @@ class KernelG:
                 pz = (pz * w[k0:k1, None, None]).reshape(k1 - k0, 3 * nz)
                 out += pz.conj().T @ py.reshape(k1 - k0, 3 * ny)
             return out
-        diff = ys[None, :, :] - zs[:, None, :]
-        d = np.linalg.norm(diff, axis=-1)
-        x = self.bg.kappa * d
-        safe = np.where(x > 0.0, x, 1.0)
-        bhat = diff / np.where(d > 0.0, d, 1.0)[..., None]
-        bb = bhat[..., :, None] * bhat[..., None, :]
-        eye = np.eye(3)
-        j0 = sph_bessel_j(0, x)
-        j1 = sph_bessel_j(1, x)
-        pp = eye - 3.0 * bb
-        kappa = self.bg.kappa
-        if self.mode == "farfield":
-            j1_over = np.where(x > 0.0, j1 / safe, 1.0 / 3.0)
-            g = (kappa**2 / (4.0 * np.pi)) * (
-                j0[..., None, None] * bb + j1_over[..., None, None] * pp
-            )
-            # at coincidence the two pieces combine to the isotropic limit
-            g[x == 0.0] = (kappa**2 / (12.0 * np.pi)) * eye
-            return g.transpose(0, 2, 1, 3).reshape(3 * zs.shape[0], 3 * ys.shape[0]).astype(complex)
-        R = self.surface.radius
-        j2 = sph_bessel_j(2, x)
-        j2_over = np.where(x > 0.0, j2 / safe, 0.0)
-        lead_coef = (1.0 + (kappa * R) ** 2) / (12.0 * np.pi * R**2)
-        g = lead_coef * (j0[..., None, None] * eye + j2[..., None, None] * pp).astype(complex)
-        corr = ((kappa * R + 1j) / (4.0 * np.pi * R**2)) * (
-            j1[..., None, None] * bb + (1j * kappa * R + 2.0) * j2_over[..., None, None] * pp
-        ) * (d[..., None, None] / R)
-        g -= corr
-        g[d == 0.0] = lead_coef * eye
-        return g.transpose(0, 2, 1, 3).reshape(3 * zs.shape[0], 3 * ys.shape[0])
+        table = np.array([[self(z, y) for y in ys] for z in zs])
+        return table.transpose(0, 2, 1, 3).reshape(3 * zs.shape[0], 3 * ys.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +393,6 @@ class TdMap:
     imag_residue: float
 
 
-def _finalize_map(points, raw, sys, certificate, kind, mode, signs):
-    re = raw.real
-    scale = float(np.abs(re).max()) if re.size else 0.0
-    resid = float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0
-    inside = np.asarray(sys.grid.shape.contains(points), dtype=bool)
-    return TdMap(
-        points=points,
-        values=re,
-        inside_B=inside,
-        certificate=float(certificate),
-        certificate_kind=kind,
-        kernel_mode=mode,
-        signs=signs,
-        imag_residue=resid,
-    )
-
-
 def _check_points(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -445,6 +403,54 @@ def _check_points(points):
 def _sign_pattern(sigma):
     """Diagonal of sigma^2 as floats in {1, -1, 0}."""
     return tuple(float(np.round(v.real)) for v in np.diagonal(sigma @ sigma))
+
+
+def _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
+                 kind, pref, c, signs):
+    """The T(z) contraction shared by every td_map_* regime.
+
+    With g_i the rows of G(z, .) sampled on the voxel grid, one direct-form
+    solve over 3Z columns gives the 3x3 response matrix
+
+        S(z)_ij = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j >
+
+    (conjugate on the left slot), and T(z) = pref Re tr(c^T c S(z)).  The
+    trial factor c is I for a scalar unit-ball trial and
+    D_z sigma_z q_z A^{1/2} for a tensor trial.  By the push-through identity
+    S is also the sign-split pairing with
+    A^{1/2} q^T sigma (I - sigma q R q^T sigma)^{-1} sigma q A^{1/2}.
+    kind is the operator_norm operator of the certificate, computed when
+    certificate is None.
+    """
+    pts = _check_points(points)
+    if certificate is None:
+        certificate = operator_norm(sys, which=kind, contrast=contrast)
+    kern = KernelG(surface=surface, bg=sys.bg, mode=kernel_mode)
+    g = kern.bundle(pts, sys.grid.centers)
+    q, ah, _ = _contrast_parts(contrast, sys.bg)
+    nz = pts.shape[0]
+    if pref == 0.0 or not np.any(q) or not np.any(c):
+        raw = np.zeros(nz, dtype=complex)
+    else:
+        # rows (3Z, 3N): A^{1/2} g_i per voxel (A^{1/2} is real symmetric);
+        # rebinding g frees the bare bundle before the solve
+        g = (g.reshape(-1, 3) @ ah).reshape(g.shape)
+        rhs = (g.reshape(-1, 3) @ q.T).reshape(g.shape)
+        x = resolvent_solve(sys, contrast, rhs.T, form="direct")
+        s = g.conj().reshape(nz, 3, -1) @ x.reshape(-1, nz, 3).transpose(1, 0, 2)
+        raw = pref * np.einsum("ij,zji->z", c.T @ c, s)
+    re = raw.real
+    scale = float(np.abs(re).max()) if re.size else 0.0
+    return TdMap(
+        points=pts,
+        values=re,
+        inside_B=np.asarray(sys.grid.shape.contains(pts), dtype=bool),
+        certificate=float(certificate),
+        certificate_kind=kind,
+        kernel_mode=kernel_mode,
+        signs=signs,
+        imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
+    )
 
 
 def td_map_iso(sys, contrast, trial, surface, points, kernel_mode="quadrature",
@@ -465,21 +471,10 @@ def td_map_iso(sys, contrast, trial, surface, points, kernel_mode="quadrature",
     for c in (contrast, trial):
         if abs(c.a - a) > 1e-12 * max(a, 1.0):
             raise ValueError("contrast background coefficient must match the system")
-    pts = _check_points(points)
-    if certificate is None:
-        certificate = operator_norm(sys, which="qR_kappa", contrast=contrast)
-    kern = KernelG(surface=surface, bg=sys.bg, mode=kernel_mode)
-    gall = kern.bundle(pts, sys.grid.centers)
-    q, q_z = contrast.q, trial.q
-    pref = -16.0 * np.pi * a**2 * q * q_z / (3.0 - q_z) * sys.grid.cell_volume
-    if q == 0.0 or q_z == 0.0:
-        raw = np.zeros(pts.shape[0], dtype=complex)
-    else:
-        x = resolvent_solve(sys, contrast, np.ascontiguousarray(gall.T), form="direct")
-        pair = np.einsum("rn,nr->r", gall.conj(), x)
-        raw = pref * pair.reshape(-1, 3).sum(axis=1)
-    signs = {"q": q, "q_z": q_z}
-    return _finalize_map(pts, raw, sys, certificate, "qR_kappa", kernel_mode, signs)
+    q_z = trial.q
+    pref = -16.0 * np.pi * a * q_z / (3.0 - q_z) * sys.grid.cell_volume
+    return _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
+                        "qR_kappa", pref, np.eye(3), {"q": contrast.q, "q_z": q_z})
 
 
 def td_map_aniso_iso(sys, contrast, trial, surface, points,
@@ -500,26 +495,12 @@ def td_map_aniso_iso(sys, contrast, trial, surface, points,
         raise ValueError("this regime needs an isotropic background")
     if abs(trial.a - a) > 1e-12 * max(a, 1.0):
         raise ValueError("trial background coefficient must match the system")
-    pts = _check_points(points)
-    sigma, qm = _sigma_parts(contrast)
-    if certificate is None:
-        certificate = operator_norm(sys, which="qRq", contrast=contrast)
-    kern = KernelG(surface=surface, bg=sys.bg, mode=kernel_mode)
-    gall = kern.bundle(pts, sys.grid.centers)
+    sigma, _ = _sigma_parts(contrast)
     q_z = trial.q
-    ah = sys.bg.sqrt_A
     pref = -16.0 * np.pi * a * q_z / (3.0 - q_z) * sys.grid.cell_volume
-    if q_z == 0.0 or not np.any(qm):
-        raw = np.zeros(pts.shape[0], dtype=complex)
-    else:
-        cols = np.ascontiguousarray(gall.T)
-        w = _per_voxel(sigma @ qm @ ah, cols)
-        wbar = _per_voxel(sigma.conj() @ qm @ ah, cols)
-        x = resolvent_solve(sys, contrast, w, form="sigma")
-        pair = np.einsum("nr,nr->r", wbar.conj(), x)
-        raw = pref * pair.reshape(-1, 3).sum(axis=1)
     signs = {"sigma2": _sign_pattern(sigma), "q_z": q_z}
-    return _finalize_map(pts, raw, sys, certificate, "qRq", kernel_mode, signs)
+    return _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
+                        "qRq", pref, np.eye(3), signs)
 
 
 def td_map_general(sys, contrast, trial, surface, points,
@@ -541,32 +522,14 @@ def td_map_general(sys, contrast, trial, surface, points,
         raise TypeError("trial must be a PolarizationTensor")
     if not np.allclose(trial.A.matrix, sys.bg.A.matrix, rtol=0.0, atol=1e-12):
         raise ValueError("trial background tensor must match the system")
-    pts = _check_points(points)
-    sigma, qm = _sigma_parts(contrast)
-    if certificate is None:
-        certificate = operator_norm(sys, which="qRq", contrast=contrast)
+    sigma, _ = _sigma_parts(contrast)
     d_z = trial.D_z if trial.D_z is not None else dz_factor(trial, mode="aniso")
     sz = np.diagonal(trial.sigma_z2)
     sigma_z = np.diag(np.where(sz > 0, 1.0 + 0j, np.where(sz < 0, 1j, 0.0 + 0j)))
     c = d_z @ sigma_z @ trial.q_mat @ trial.A.sqrt().matrix
-    kern = KernelG(surface=surface, bg=sys.bg, mode=kernel_mode)
-    gall = kern.bundle(pts, sys.grid.centers)
-    nz = pts.shape[0]
-    g3 = gall.reshape(nz, 3, -1)
-    k = np.einsum("pi,zin->zpn", c, g3).reshape(3 * nz, -1)
-    kbar = np.einsum("pi,zin->zpn", c.conj(), g3).reshape(3 * nz, -1)
-    ah = sys.bg.sqrt_A
-    pref = -4.0 * sys.grid.cell_volume
-    if not np.any(qm) or not np.any(c):
-        raw = np.zeros(nz, dtype=complex)
-    else:
-        w = _per_voxel(sigma @ qm @ ah, np.ascontiguousarray(k.T))
-        wbar = _per_voxel(sigma.conj() @ qm @ ah, np.ascontiguousarray(kbar.T))
-        x = resolvent_solve(sys, contrast, w, form="sigma")
-        pair = np.einsum("nr,nr->r", wbar.conj(), x)
-        raw = pref * pair.reshape(-1, 3).sum(axis=1)
     signs = {"sigma2": _sign_pattern(sigma), "sigma_z2": tuple(float(v) for v in sz)}
-    return _finalize_map(pts, raw, sys, certificate, "qRq", kernel_mode, signs)
+    return _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
+                        "qRq", -4.0 * sys.grid.cell_volume, c, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "sph_bessel_j",
     "sph_hankel1",
     "legendre_p",
-    "legendre_p_table",
     "real_spherical_harmonics",
     "complex_spherical_harmonics",
     "harmonics_table",
@@ -69,18 +68,6 @@ def legendre_p(n, t):
     for k in range(1, n):
         p, p_prev = ((2 * k + 1) * t * p - k * p_prev) / (k + 1), p
     return p
-
-
-def legendre_p_table(n_max, t):
-    """All P_n(t) for n = 0..n_max; shape (n_max+1,) + t.shape."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros((n_max + 1,) + t.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = t
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * t * out[k] - k * out[k - 1]) / (k + 1)
-    return out
 
 
 def _norm_assoc_legendre_table(n_max, ct, st):
@@ -342,7 +329,6 @@ class ScattererGrid:
     centers: np.ndarray
     h: float
     shape: object
-    contrast: object | None = None
 
     @property
     def n_cells(self):
@@ -360,11 +346,8 @@ class ScattererGrid:
     def centroid(self):
         return self.centers.mean(axis=0)
 
-    def with_contrast(self, contrast):
-        return ScattererGrid(self.centers, self.h, self.shape, contrast)
 
-
-def voxelize(shape, h=None, contrast=None):
+def voxelize(shape, h=None):
     """Voxelize a shape onto a cubic lattice of spacing h (default diam/20).
 
     The lattice is centered on the shape's bounding-box midpoint with cell
@@ -389,4 +372,4 @@ def voxelize(shape, h=None, contrast=None):
     centers = pts[inside]
     if centers.shape[0] == 0:
         raise ValueError("voxelization produced no cells (degenerate shape)")
-    return ScattererGrid(centers=centers, h=float(h), shape=shape, contrast=contrast)
+    return ScattererGrid(centers=centers, h=float(h), shape=shape)

@@ -63,14 +63,9 @@ class DensityField:
 
 
 def _per_voxel(C, v):
-    """Apply a 3x3 matrix to each voxel 3-vector of v ((N,3) or (3N,) or (3N,K))."""
-    if v.ndim == 1:
-        return (v.reshape(-1, 3) @ C.T).reshape(v.shape)
-    if v.ndim == 2 and v.shape[1] == 3:
-        return v @ C.T
-    # (3N, K): apply blockwise on the first axis
-    n3, k = v.shape
-    return np.einsum("ab,nbk->nak", C, v.reshape(n3 // 3, 3, k)).reshape(n3, k)
+    """Apply a 3x3 matrix to each voxel 3-vector of v, of shape (3N,) or (3N, K)."""
+    x = v.reshape(v.shape[0] // 3, 3, -1)
+    return np.einsum("ab,nbk->nak", C, x).reshape(v.shape)
 
 
 def _contrast_parts(contrast, bg):

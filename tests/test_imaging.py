@@ -11,6 +11,7 @@ from tdscope import (
     TdMap,
     aniso_contrast,
     apply_MB,
+    assemble,
     e_apply,
     e_multipliers,
     grad_phi,
@@ -23,6 +24,7 @@ from tdscope import (
     kernel_L,
     kernel_L_series,
     mz_ball_iso,
+    mz_ellipsoid,
     sphere_surface,
     synthesize_trace,
     td_finite_delta_check,
@@ -120,8 +122,9 @@ def test_kernel_G_asymptotic_overlap():
     assert np.abs(asym - quad).max() / np.linalg.norm(quad) < 5.0 * eta**alpha
 
 
-def test_kernel_bundle_matches_loop(surface_r5, bg_unit):
-    k = KernelG(surface_r5, bg_unit, mode="quadrature")
+@pytest.mark.parametrize("mode", ["quadrature", "farfield", "asymptotic"])
+def test_kernel_bundle_matches_loop(surface_r5, bg_unit, mode):
+    k = KernelG(surface_r5, bg_unit, mode=mode)
     zs = np.array([[0.5, 0.0, 0.0], [0.0, -0.8, 0.3]])
     ys = np.array([[0.1, 0.2, -0.1], [-0.4, 0.0, 0.6], [0.0, 0.9, 0.0]])
     table = k.bundle(zs, ys)
@@ -249,6 +252,47 @@ def test_td_map_negative_contrast_regimes_agree(sys_h6, small_map_setup):
     base = td_map_iso(sys_h6, a_iso, trial, surf, pts).values
     mixed = td_map_aniso_iso(sys_h6, a_tensor, trial, surf, pts).values
     np.testing.assert_allclose(mixed, base, rtol=1e-12)
+
+
+A_TILDE = SymTensor3.from_matrix([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 3.0]])
+
+
+def test_td_map_single_point_matches_map(sys_h6, small_map_setup):
+    # one sample point solves a (3N, 3) block; a non-scalar scatterer factor
+    # must still act voxel by voxel on it
+    surf, pts = small_map_setup
+    c = aniso_contrast(SymTensor3.identity(), A_TILDE)
+    trial = iso_contrast(1.0, 2.0)
+    full = td_map_aniso_iso(sys_h6, c, trial, surf, pts[:3])
+    one = td_map_aniso_iso(sys_h6, c, trial, surf, pts[1:2], certificate=full.certificate)
+    assert one.values[0] == pytest.approx(full.values[1], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bg_a, a_z",
+    [
+        (SymTensor3.identity(), A_TILDE),
+        (SymTensor3.identity(), SymTensor3.diag(0.5, 0.6, 0.4)),
+        (SymTensor3.diag(1.2, 0.9, 1.1), A_TILDE),
+    ],
+    ids=["stiffer", "softer", "aniso_background"],
+)
+def test_td_map_general_matches_mb_oracle(ball_grid_h6, small_map_setup, bg_a, a_z):
+    # T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k > with M_B through the
+    # sign-split system, an anisotropic scatterer and an ellipsoidal trial
+    surf, pts = small_map_setup
+    sys = assemble(ball_grid_h6, Background(A=bg_a, kappa=1.0))
+    c = aniso_contrast(bg_a, A_TILDE)
+    trial = mz_ellipsoid(bg_a, a_z, (0.3, 0.25, 0.2))
+    tmap = td_map_general(sys, c, trial, surf, pts)
+    gall = KernelG(surface=surf, bg=sys.bg).bundle(pts, sys.grid.centers)
+    n = sys.n_cells
+    for k in range(pts.shape[0]):
+        g = gall[3 * k : 3 * k + 3].reshape(3, n, 3)
+        mb = np.array([apply_MB(sys, c, g[j], path="symmetric").values for j in range(3)])
+        pair = np.einsum("inc,knc->ik", g.conj(), mb)
+        ref = -sys.grid.cell_volume * np.sum(trial.M_z * pair).real
+        assert tmap.values[k] == pytest.approx(ref, rel=1e-9)
 
 
 def test_td_map_matches_brute_pairing(sys_h6, small_map_setup):

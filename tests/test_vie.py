@@ -29,7 +29,7 @@ from tdscope import (
     solve_density,
     voxelize,
 )
-from tdscope.vie import _system_factors
+from tdscope.vie import _per_voxel, _system_factors
 
 # power-iteration estimates on the h = 1/6 unit-kappa ball system (seed 0),
 # frozen against the dense singular values computed in-test
@@ -272,3 +272,12 @@ def test_point_source_reciprocity(sys_h6, bg_unit):
 
 def test_vie_system_is_dataclass():
     assert dataclasses.is_dataclass(VieSystem)
+
+
+def test_per_voxel_applies_blockwise_for_three_columns():
+    # a (3N, 3) block of right-hand sides must not be read as an (N, 3) array
+    C = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    v = np.arange(18.0).reshape(6, 3)
+    by_column = np.column_stack([(v[:, k].reshape(2, 3) @ C.T).reshape(6) for k in range(3)])
+    np.testing.assert_array_equal(_per_voxel(C, v), by_column)
+    np.testing.assert_array_equal(_per_voxel(C, v[:, 0]), by_column[:, 0])
