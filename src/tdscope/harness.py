@@ -68,7 +68,6 @@ _SCHEMA = {
     "scatterer_A": ("vec", None),
     "resolution": ("int", 16),
     "surface_radius": ("float", 5.0),
-    "surface_radius_m": ("float", None),
     "aperture": ("float", None),
     "quad_order": ("int", None),
     "trial_a": ("float", 2.0),
@@ -197,14 +196,11 @@ def validate_config(cfg):
     if shape_ok:
         shape = _shape(cfg)
         reach = float(np.linalg.norm(shape.center)) + shape.diameter / 2.0
-        for key in ("surface_radius", "surface_radius_m"):
-            r = v[key]
-            if r is None:
-                continue
-            if r <= reach:
-                problems.append(
-                    f"{key} = {r} does not enclose the scatterer (reach {reach})"
-                )
+        r = v["surface_radius"]
+        if r <= reach:
+            problems.append(
+                f"surface_radius = {r} does not enclose the scatterer (reach {reach})"
+            )
     if v["aperture"] is not None and not 0.0 < v["aperture"] <= np.pi:
         problems.append("aperture must lie in (0, pi]")
     if v["study"] == "decay":
@@ -217,6 +213,8 @@ def validate_config(cfg):
                 problems.append(f"alpha {al} must lie in (0, 1)")
         if v["points_per_decade"] < 8:
             problems.append("points_per_decade must be >= 8")
+        if not all(0.0 < np.linalg.norm(ray) < np.inf for ray in v["rays"]):
+            problems.append("every ray needs a nonzero finite direction")
     for key in ("scatterer_A", "trial_A"):
         if v[key] is not None and len(v[key]) not in (3, 6):
             problems.append(f"{key} needs 3 (diagonal) or 6 (packed) entries")

@@ -15,12 +15,12 @@ operator on the other:
     T(z) = -Re sum_ik (M_z)_ik < G_i(z,.), [M_B G_k(z,.)] >_{L^2(B)},
 
 with the conjugate on the left slot.  Every regime goes through one
-contraction: a direct-form resolvent solve gives the 3x3 response matrix
-S(z)_ij = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j > of the rows g_i
-of G(z, .), and T(z) = pref Re tr(c^T c S(z)), where the maps differ only in
-the scalar pref and the 3x3 trial factor c.  Each map reports the
-moderate-scatterer certificate plus the imaginary residue of the pre-Re
-pairing.
+contraction: vie.solve_density applies M_B to the rows g_i of G(z, .) and
+gives the 3x3 response matrix S(z)_ij = 1/2 < g_i, M_B g_j >, and
+T(z) = pref Re tr(c^T c S(z)), where the maps differ only in the scalar pref
+and the 3x3 trial factor c.  The scattering matrices of the finite-size
+oracle solve through the same call.  Each map reports the moderate-scatterer
+certificate plus the imaginary residue of the pre-Re pairing.
 
 The symmetry-restoring operator E multiplies surface-harmonic coefficients
 by -conj(h_n(kappa R)) / h_n(kappa R).  Traces use the real orthonormal
@@ -49,13 +49,12 @@ from .specfun_quad import (
     Ball,
 )
 from .vie import (
-    _contrast_parts,
-    _per_voxel,
     _sigma_parts,
     assemble,
     operator_norm,
     radiation_matrix,
-    resolvent_solve,
+    resolvent_solve,  # unused here; the traced benchmark wraps imaging.resolvent_solve
+    solve_density,
 )
 
 __all__ = [
@@ -83,7 +82,8 @@ __all__ = [
 
 def _require_inside(surface, p, name):
     p = np.asarray(p, dtype=float)
-    if np.linalg.norm(p - surface.center) >= surface.radius:
+    # written so that a NaN coordinate fails too
+    if not np.linalg.norm(p - surface.center) < surface.radius:
         raise ValueError(f"{name} must lie strictly inside the surface sphere")
     return p
 
@@ -293,7 +293,7 @@ class KernelG:
         if self.mode == "quadrature":
             for pts, name in ((zs, "sample points"), (ys, "voxel centers")):
                 r = np.linalg.norm(pts - self.surface.center, axis=1)
-                if np.any(r >= self.surface.radius):
+                if not np.all(r < self.surface.radius):
                     raise ValueError(f"{name} must lie strictly inside the surface sphere")
             nodes = self.surface.nodes
             w = self.surface.weights
@@ -388,7 +388,6 @@ class TdMap:
     inside_B: np.ndarray
     certificate: float
     certificate_kind: str
-    kernel_mode: str
     signs: dict
     imag_residue: float
 
@@ -397,6 +396,8 @@ def _check_points(points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("sample points must have shape (Z, 3)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("sample points must be finite")
     return pts
 
 
@@ -405,14 +406,15 @@ def _sign_pattern(sigma):
     return tuple(float(np.round(v.real)) for v in np.diagonal(sigma @ sigma))
 
 
-def _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
-                 kind, pref, c, signs):
+def _td_contract(sys, contrast, surface, points, certificate, kind, pref, c, signs):
     """The T(z) contraction shared by every td_map_* regime.
 
-    With g_i the rows of G(z, .) sampled on the voxel grid, one direct-form
-    solve over 3Z columns gives the 3x3 response matrix
+    With g_i the rows of G(z, .) sampled on the voxel grid, solve_density
+    applies the solution operator M_B to all 3Z rows at once and gives the
+    3x3 response matrix
 
-        S(z)_ij = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j >
+        S(z)_ij = 1/2 < g_i, M_B g_j >
+                = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j >
 
     (conjugate on the left slot), and T(z) = pref Re tr(c^T c S(z)).  The
     trial factor c is I for a scalar unit-ball trial and
@@ -425,21 +427,12 @@ def _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
     pts = _check_points(points)
     if certificate is None:
         certificate = operator_norm(sys, which=kind, contrast=contrast)
-    kern = KernelG(surface=surface, bg=sys.bg, mode=kernel_mode)
-    g = kern.bundle(pts, sys.grid.centers)
-    q, ah, _ = _contrast_parts(contrast, sys.bg)
+    g = KernelG(surface=surface, bg=sys.bg).bundle(pts, sys.grid.centers)
     nz = pts.shape[0]
-    if pref == 0.0 or not np.any(q) or not np.any(c):
-        raw = np.zeros(nz, dtype=complex)
-    else:
-        # rows (3Z, 3N): A^{1/2} g_i per voxel (A^{1/2} is real symmetric);
-        # rebinding g frees the bare bundle before the solve
-        g = (g.reshape(-1, 3) @ ah).reshape(g.shape)
-        rhs = (g.reshape(-1, 3) @ q.T).reshape(g.shape)
-        x = resolvent_solve(sys, contrast, rhs.T, form="direct")
-        s = g.conj().reshape(nz, 3, -1) @ x.reshape(-1, nz, 3).transpose(1, 0, 2)
-        raw = pref * np.einsum("ij,zji->z", c.T @ c, s)
-    re = raw.real
+    h = solve_density(sys, contrast, g.reshape(3 * nz, -1, 3)).values
+    s = 0.5 * (g.conj().reshape(nz, 3, -1) @ h.reshape(nz, 3, -1).transpose(0, 2, 1))
+    raw = pref * np.einsum("ij,zji->z", c.T @ c, s)
+    re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
     scale = float(np.abs(re).max()) if re.size else 0.0
     return TdMap(
         points=pts,
@@ -447,14 +440,12 @@ def _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
         inside_B=np.asarray(sys.grid.shape.contains(pts), dtype=bool),
         certificate=float(certificate),
         certificate_kind=kind,
-        kernel_mode=kernel_mode,
         signs=signs,
         imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
     )
 
 
-def td_map_iso(sys, contrast, trial, surface, points, kernel_mode="quadrature",
-               certificate=None):
+def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
     """T(z) for a scalar scatterer and a scalar unit-ball trial inclusion.
 
     T(z) = -(16 pi a^2 q q_z / (3 - q_z)) h^3
@@ -473,16 +464,15 @@ def td_map_iso(sys, contrast, trial, surface, points, kernel_mode="quadrature",
             raise ValueError("contrast background coefficient must match the system")
     q_z = trial.q
     pref = -16.0 * np.pi * a * q_z / (3.0 - q_z) * sys.grid.cell_volume
-    return _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
+    return _td_contract(sys, contrast, surface, points, certificate,
                         "qR_kappa", pref, np.eye(3), {"q": contrast.q, "q_z": q_z})
 
 
-def td_map_aniso_iso(sys, contrast, trial, surface, points,
-                     kernel_mode="quadrature", certificate=None):
+def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
     """T(z) for an anisotropic scatterer in an isotropic background, scalar
     unit-ball trial.
 
-    The scatterer side goes through the sign-split system: with
+    The scatterer side equals the sign-split form: with
     w_i = sigma q_mat A^{1/2} g_i and the barred bundle using conj(sigma),
 
     T(z) = -(16 pi a q_z / (3 - q_z)) h^3
@@ -499,16 +489,15 @@ def td_map_aniso_iso(sys, contrast, trial, surface, points,
     q_z = trial.q
     pref = -16.0 * np.pi * a * q_z / (3.0 - q_z) * sys.grid.cell_volume
     signs = {"sigma2": _sign_pattern(sigma), "q_z": q_z}
-    return _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
+    return _td_contract(sys, contrast, surface, points, certificate,
                         "qRq", pref, np.eye(3), signs)
 
 
-def td_map_general(sys, contrast, trial, surface, points,
-                   kernel_mode="quadrature", certificate=None):
+def td_map_general(sys, contrast, trial, surface, points, certificate=None):
     """T(z) for tensor scatterer and tensor trial data.
 
     The trial side enters through C = D_z sigma_z q_z A^{1/2} (3x3), bundling
-    the rows of G; the scatterer side through the sign-split resolvent:
+    the rows of G; the scatterer side equals the sign-split form:
 
     k_p = sum_i C_pi g_i,       kbar_p = sum_i conj(C_pi) g_i,
     w_p = sigma q A^{1/2} k_p,  wbar_p = conj(sigma) q A^{1/2} kbar_p,
@@ -528,7 +517,7 @@ def td_map_general(sys, contrast, trial, surface, points,
     sigma_z = np.diag(np.where(sz > 0, 1.0 + 0j, np.where(sz < 0, 1j, 0.0 + 0j)))
     c = d_z @ sigma_z @ trial.q_mat @ trial.A.sqrt().matrix
     signs = {"sigma2": _sign_pattern(sigma), "sigma_z2": tuple(float(v) for v in sz)}
-    return _td_contract(sys, contrast, surface, points, kernel_mode, certificate,
+    return _td_contract(sys, contrast, surface, points, certificate,
                         "qRq", -4.0 * sys.grid.cell_volume, c, signs)
 
 
@@ -538,16 +527,12 @@ def td_map_general(sys, contrast, trial, surface, points,
 
 def _scatter_matrix(sys, contrast, nodes):
     """Scattered field at every node from a point source at every node (K x K)."""
-    q_mat, ah, da = _contrast_parts(contrast, sys.bg)
-    k = nodes.shape[0]
-    if not np.any(da):
-        return np.zeros((k, k), dtype=complex)
-    diff = sys.grid.centers[:, None, :] - nodes[None, :, :]
-    g = grad_phi(sys.bg, diff)
-    rhs = 2.0 * np.einsum("ab,jqb->jaq", q_mat @ ah, g).reshape(-1, k)
-    eta = resolvent_solve(sys, contrast, rhs, form="direct")
-    dens = _per_voxel(ah, eta)
-    return radiation_matrix(sys, nodes) @ dens
+    rad = radiation_matrix(sys, nodes)
+    k = rad.shape[0]
+    # row q of the radiation matrix is -h^3 times the incident gradient
+    # grad_phi(y - x_q) of a point source at node q
+    h = solve_density(sys, contrast, rad.reshape(k, -1, 3) / -sys.grid.cell_volume)
+    return rad @ h.values.reshape(k, -1).T
 
 
 def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,

@@ -59,12 +59,6 @@ class PolarizationTensor:
     q_z: float | None = None
     asymmetry: float = 0.0
 
-    def eig_signs(self, rel_tol=1e-10):
-        """Signs of the eigenvalues of M_z (0 below rel_tol of the largest)."""
-        lam = np.linalg.eigvalsh(self.M_z)
-        cut = rel_tol * max(np.abs(lam).max(), 1e-300)
-        return np.where(np.abs(lam) <= cut, 0.0, np.sign(lam))
-
 
 def _scalar_pair(A, A_z):
     """(a, a_z) if both tensors are scaled identities, else None."""

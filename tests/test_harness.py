@@ -97,6 +97,17 @@ def test_validate_config_shape_and_tensor_arity():
     assert validate_config(ok) == []
 
 
+def test_validate_config_flags_zero_length_rays():
+    problems = validate_config(cfg_from("study = decay\nrays = 1,0,0; 0,0,0\n"))
+    assert any("ray" in p for p in problems)
+    assert validate_config(cfg_from("study = decay\nrays = 1,0,0; 0,2,0\n")) == []
+
+
+def test_surface_radius_m_is_an_unknown_key():
+    with pytest.raises(ValueError, match="unknown key 'surface_radius_m'"):
+        cfg_from("study = sign\nsurface_radius_m = 6.0\n")
+
+
 def test_config_echo_and_overrides():
     cfg = cfg_from("study = sign\ntol_slope = 0.25\nrays = 1,0,0\n")
     echo = cfg.echo()

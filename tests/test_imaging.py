@@ -34,6 +34,7 @@ from tdscope import (
     truncation_order,
     surface_order_hint,
 )
+from tdscope.imaging import _scatter_matrix
 
 Z = np.array([1.5, -1.0, 2.0])
 Y = np.array([-2.0, 0.4, 0.8])
@@ -225,7 +226,6 @@ def test_td_map_iso_fields_and_signs(sys_h6, small_map_setup):
     assert tmap.certificate_kind == "qR_kappa"
     assert np.all(tmap.values < 0.0)
     assert tmap.inside_B.tolist() == [True, True, False, False]
-    assert tmap.kernel_mode == "quadrature"
     assert 0.0 <= tmap.imag_residue < 0.1
     flipped = td_map_iso(sys_h6, c, iso_contrast(1.0, 0.5), surf, pts)
     assert np.all(flipped.values > 0.0)
@@ -289,7 +289,7 @@ def test_td_map_general_matches_mb_oracle(ball_grid_h6, small_map_setup, bg_a, a
     n = sys.n_cells
     for k in range(pts.shape[0]):
         g = gall[3 * k : 3 * k + 3].reshape(3, n, 3)
-        mb = np.array([apply_MB(sys, c, g[j], path="symmetric").values for j in range(3)])
+        mb = np.array([apply_MB(sys, c, g[j]).values for j in range(3)])
         pair = np.einsum("inc,knc->ik", g.conj(), mb)
         ref = -sys.grid.cell_volume * np.sum(trial.M_z * pair).real
         assert tmap.values[k] == pytest.approx(ref, rel=1e-9)
@@ -312,7 +312,7 @@ def test_td_map_matches_brute_pairing(sys_h6, small_map_setup):
         total = 0.0
         for i in range(3):
             g = gall[3 * k + i].reshape(n, 3)
-            mb = apply_MB(sys_h6, c, g, path="symmetric").values
+            mb = apply_MB(sys_h6, c, g).values
             total += (np.sum(g.conj() * mb) / (2.0 * a * c.q)).real
         assert tmap.values[k] == pytest.approx(pref * total, rel=1e-9)
 
@@ -329,6 +329,37 @@ def test_td_map_input_guards(sys_h6, small_map_setup):
     bad_pt = mz_ball_iso(2.0, 1.0)
     with pytest.raises(ValueError):
         td_map_general(sys_h6, a_tensor, bad_pt, surf, pts)
+
+
+def test_nan_points_are_rejected(sys_h6, small_map_setup):
+    # a NaN coordinate compares False against the radius; it must still fail
+    surf, pts = small_map_setup
+    c = iso_contrast(1.0, 2.0)
+    bad = pts.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        td_map_iso(sys_h6, c, c, surf, bad)
+    with pytest.raises(ValueError):
+        KernelG(surface=surf, bg=sys_h6.bg).bundle(bad, sys_h6.grid.centers)
+    with pytest.raises(ValueError):
+        kernel_G(surf, sys_h6.bg, bad[1], pts[0])
+
+
+def test_scatter_matrix_matches_per_source_reference(ball_grid_h6):
+    # one stacked solve over all sources against one sign-split solve per
+    # point source, anisotropic scatterer in an anisotropic background
+    bg_a = SymTensor3.diag(1.2, 0.9, 1.1)
+    sys = assemble(ball_grid_h6, Background(A=bg_a, kappa=1.0))
+    c = aniso_contrast(bg_a, A_TILDE)
+    nodes = sphere_surface(3.0, 4).nodes
+    got = _scatter_matrix(sys, c, nodes)
+    centers = sys.grid.centers
+    to_nodes = grad_phi(sys.bg, nodes[:, None, :] - centers[None, :, :])
+    ref = np.empty((nodes.shape[0], nodes.shape[0]), dtype=complex)
+    for q, x in enumerate(nodes):
+        h = apply_MB(sys, c, grad_phi(sys.bg, centers - x)).values
+        ref[:, q] = sys.grid.cell_volume * np.einsum("pjc,jc->p", to_nodes, h)
+    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_finite_delta_smoke(sys_h6, small_map_setup):

@@ -29,6 +29,7 @@ from tdscope import (
     solve_density,
     voxelize,
 )
+from tdscope import vie
 from tdscope.vie import _per_voxel, _system_factors
 
 # power-iteration estimates on the h = 1/6 unit-kappa ball system (seed 0),
@@ -111,9 +112,10 @@ def test_assemble_shape_and_symmetry(sys_h6):
     assert asym < 1e-13 * np.abs(gradW).max()
 
 
-def test_assemble_voxel_cap(ball_grid_h8, bg_unit):
+def test_assemble_voxel_cap(ball_grid_h8, bg_unit, monkeypatch):
+    monkeypatch.setattr(vie, "VOXEL_CAP", 10)
     with pytest.raises(MemoryError):
-        assemble(ball_grid_h8, bg_unit, voxel_cap=10)
+        assemble(ball_grid_h8, bg_unit)
 
 
 def test_solve_density_residual_recorded(sys_h6):
@@ -131,6 +133,56 @@ def test_solve_density_input_guards(sys_h6):
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         solve_density(sys_h6, c, bad)
+    n = sys_h6.n_cells
+    for shape in ((n, 4), (2, n + 1, 3), (2, 2, n, 3)):
+        with pytest.raises(ValueError, match="shape"):
+            solve_density(sys_h6, c, np.ones(shape))
+
+
+A_TILDE = SymTensor3.from_matrix([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 3.0]])
+
+
+@pytest.mark.parametrize("path", ["lu", "gmres"])
+def test_solve_density_stacked_matches_per_field(sys_h6, rng, monkeypatch, path):
+    if path == "gmres":
+        monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    c = aniso_contrast(SymTensor3.identity(), A_TILDE)
+    shape = (4, sys_h6.n_cells, 3)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stacked = solve_density(sys_h6, c, g)
+    assert stacked.values.shape == shape
+    assert stacked.residual < (1e-10 if path == "lu" else 1e-8)
+    per = np.array([solve_density(sys_h6, c, gk).values for gk in g])
+    assert np.linalg.norm(stacked.values - per) <= 1e-12 * np.linalg.norm(per)
+
+
+def test_solve_density_single_field_residual_is_exact(sys_h6, rng):
+    # one field: ||T h - (At - A) g|| / ||(At - A) g|| with no random combination
+    c = aniso_contrast(SymTensor3.identity(), A_TILDE)
+    g = rng.standard_normal((sys_h6.n_cells, 3)) + 1j * rng.standard_normal((sys_h6.n_cells, 3))
+    dens = solve_density(sys_h6, c, g)
+    h = dens.values
+    d_a = A_TILDE.matrix - np.eye(3)
+    target = g @ d_a.T
+    want = np.linalg.norm(h - sys_h6.gradw_apply(h) @ d_a.T - target) / np.linalg.norm(target)
+    assert dens.residual == pytest.approx(want, rel=1e-12)
+
+
+def test_stacked_residual_catches_a_wrong_field(sys_h6, rng, monkeypatch):
+    # the random combination must see an error in any one of the K fields
+    c = iso_contrast(1.0, 2.0)
+    shape = (5, sys_h6.n_cells, 3)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    solve = vie.resolvent_solve
+
+    def corrupt_last(*args, **kwargs):
+        x = solve(*args, **kwargs).copy()
+        x[:, -1] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(vie, "resolvent_solve", corrupt_last)
+    with pytest.raises(RuntimeError, match="VIE residual"):
+        solve_density(sys_h6, c, g)
 
 
 def test_zero_contrast_short_circuit(sys_h6):
@@ -202,28 +254,26 @@ def test_apply_MB_paths_agree(sys_h6, rng):
     g = rng.standard_normal((sys_h6.n_cells, 3)) + 1j * rng.standard_normal(
         (sys_h6.n_cells, 3)
     )
-    direct = apply_MB(sys_h6, c, g, path="direct").values
-    symm = apply_MB(sys_h6, c, g, path="symmetric").values
+    direct = solve_density(sys_h6, c, g).values
+    symm = apply_MB(sys_h6, c, g).values
     np.testing.assert_allclose(symm, direct, rtol=1e-10)
-    with pytest.raises(ValueError):
-        apply_MB(sys_h6, c, g, path="nope")
 
 
 def test_apply_MB_negative_contrast_paths(sys_h6, rng):
     # sigma split goes imaginary for a_t < a; both routes must still agree
     c = iso_contrast(1.0, 0.5)
     g = rng.standard_normal((sys_h6.n_cells, 3)).astype(complex)
-    direct = apply_MB(sys_h6, c, g, path="direct").values
-    symm = apply_MB(sys_h6, c, g, path="symmetric").values
+    direct = solve_density(sys_h6, c, g).values
+    symm = apply_MB(sys_h6, c, g).values
     np.testing.assert_allclose(symm, direct, rtol=1e-10)
 
 
-def test_gmres_path_matches_lu(sys_h6):
+def test_gmres_path_matches_lu(sys_h6, monkeypatch):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
     lu_dens = solve_density(sys_h6, c, g).values
-    iterative = dataclasses.replace(sys_h6, direct_cap=1, _factor_cache={})
-    it_dens = solve_density(iterative, c, g).values
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    it_dens = solve_density(sys_h6, c, g).values
     np.testing.assert_allclose(it_dens, lu_dens, rtol=1e-7)
 
 
