@@ -4,7 +4,7 @@ The point value of the imaging functional is a quadratic form in the
 polarization tensor M_z of the trial inclusion. This demo computes M_z for
 a ball by closed form, as the spherical special case of the ellipsoid
 formula, and by solving the static volume equation on a voxel grid, then
-extracts the factor D_z used inside the functional.
+checks the weight -2 h^3 M_z that the imaging maps put on the response.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import numpy as np
 from tdscope import (
     Ball,
     SymTensor3,
-    dz_factor,
     mz_ball_iso,
     mz_ellipsoid,
     mz_general,
@@ -42,12 +41,14 @@ semi = (1.0, 1.0, 0.6)
 pt_flat = mz_ellipsoid(A, A_z, semi)
 print("\noblate ellipsoid", semi, "M_z diagonal:", np.diag(pt_flat.M_z))
 
-# The factor behind the functional: D_z^T D_z reconstructs M_z up to the
-# scalar (2 a q_z) in iso mode.
-D = dz_factor(pt_ball, mode="iso")
+# The maps weigh the 3x3 response S(z) by -2 h^3 M_z.  For the unit ball,
+# a = 1, that is the scalar prefactor -16 pi a q_z / (3 - q_z) h^3 times I.
+h3 = (1.0 / 6.0) ** 3
 q_z = 1.0 / 3.0  # beta_z / (beta_z + 2) at beta_z = 1
-recon = 2.0 * 1.0 * q_z * (D.T @ D)
-print("\nD_z reconstruction error:", np.abs(recon - pt_ball.M_z).max())
+weight = -2.0 * h3 * pt_ball.M_z
+scalar = -16.0 * np.pi * 1.0 * q_z / (3.0 - q_z) * h3
+print("\nmap weight against the scalar prefactor, relative error:",
+      np.abs(weight - scalar * np.eye(3)).max() / abs(scalar))
 
 # Rotation covariance: rotate the ellipsoid axes, M_z conjugates.
 th = 0.4

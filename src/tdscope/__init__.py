@@ -8,6 +8,8 @@ guarantees under a computable moderate-contrast certificate.
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .materials import (
     SymTensor3,
     IsoContrast,
@@ -15,7 +17,6 @@ from .materials import (
     iso_contrast,
     aniso_contrast,
     factor_Q,
-    choleski_sqrt,
 )
 from .specfun_quad import (
     SphereSurface,
@@ -60,7 +61,6 @@ from .polarization import (
     mz_ball_iso,
     mz_ellipsoid,
     mz_general,
-    dz_factor,
 )
 from .imaging import (
     KernelG,
@@ -97,4 +97,10 @@ from .harness import (
     run_oracle_suite,
     run_finite_delta_study,
     emit_outputs,
+)
+
+# the public surface: every name re-exported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 )

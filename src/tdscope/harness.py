@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .greens import Background, grad_phi, phi
 from .materials import IsoContrast, SymTensor3, aniso_contrast, iso_contrast
-from .polarization import mz_ellipsoid
+from .polarization import PolarizationTensor, mz_ellipsoid
 from .specfun_quad import Ball, Ellipsoid, sphere_surface, voxelize
 from .vie import (
     assemble,
@@ -122,6 +122,14 @@ class ExperimentConfig:
         }
 
 
+def _finite(text):
+    # range checks are comparisons, which NaN fails silently
+    val = float(text)
+    if not np.isfinite(val):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return val
+
+
 def _parse_value(key, text):
     kind, _ = _SCHEMA[key]
     text = text.strip()
@@ -130,16 +138,16 @@ def _parse_value(key, text):
     if kind == "int":
         return int(text)
     if kind == "float":
-        return float(text)
+        return _finite(text)
     if kind == "vec":
-        return tuple(float(t) for t in text.split(","))
+        return tuple(_finite(t) for t in text.split(","))
     if kind == "vec3":
-        vec = tuple(float(t) for t in text.split(","))
+        vec = tuple(_finite(t) for t in text.split(","))
         if len(vec) != 3:
             raise ValueError(f"expected 3 components, got {len(vec)}")
         return vec
     if kind == "vecs":
-        out = tuple(tuple(float(t) for t in part.split(",")) for part in text.split(";"))
+        out = tuple(tuple(_finite(t) for t in part.split(",")) for part in text.split(";"))
         if any(len(v) != 3 for v in out):
             raise ValueError("each entry needs 3 components")
         return out
@@ -360,9 +368,11 @@ def run_sign_study(cfg):
     """
     t0 = time.monotonic()
     bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    sys = _system(cfg, bg)
     contrast = _contrast(cfg, bg)
     trial = _trial(cfg, bg)
+    # + 0.0: matched media predict +0.0, not -0.0
+    expected = -_one_sign(contrast, "scatterer") * _one_sign(trial, "trial") + 0.0
+    sys = _system(cfg, bg)
     pts = _sample_points(cfg)
     order = imaging.surface_order_hint(
         cfg.kappa, float(np.linalg.norm(pts, axis=1).max()),
@@ -372,14 +382,10 @@ def run_sign_study(cfg):
     if isinstance(trial, IsoContrast):
         if isinstance(contrast, IsoContrast):
             tmap = imaging.td_map_iso(sys, contrast, trial, surf, pts)
-            expected = -np.sign(contrast.q) * np.sign(trial.q)
         else:
             tmap = imaging.td_map_aniso_iso(sys, contrast, trial, surf, pts)
-            expected = -_one_sign(tmap.signs["sigma2"], "scatterer") * np.sign(trial.q)
     else:
         tmap = imaging.td_map_general(sys, contrast, trial, surf, pts)
-        expected = (-_one_sign(tmap.signs["sigma2"], "scatterer")
-                    * _one_sign(tmap.signs["sigma_z2"], "trial"))
 
     results = {
         "certificate": tmap.certificate,
@@ -405,13 +411,16 @@ def run_sign_study(cfg):
                    tdmap=tmap)
 
 
-def _one_sign(diag, label):
-    vals = {int(v) for v in diag if v != 0}
-    if not vals:
-        return 0.0
-    if len(vals) != 1:
+def _one_sign(medium, label):
+    """sign(q) of a scalar contrast (0 for matched media), else the common
+    sign of sigma2, or of sigma_z2 for a trial tensor."""
+    if isinstance(medium, IsoContrast):
+        return float(np.sign(medium.q))
+    sigma2 = medium.sigma_z2 if isinstance(medium, PolarizationTensor) else medium.sigma2
+    vals = {int(v) for v in np.diagonal(sigma2) if v != 0}
+    if len(vals) > 1:
         raise ValueError(f"{label} contrast must be one-signed for the sign study")
-    return float(vals.pop())
+    return float(vals.pop()) if vals else 0.0
 
 
 def run_decay_study(cfg):

@@ -17,10 +17,10 @@ operator on the other:
 with the conjugate on the left slot.  Every regime goes through one
 contraction: vie.solve_density applies M_B to the rows g_i of G(z, .) and
 gives the 3x3 response matrix S(z)_ij = 1/2 < g_i, M_B g_j >, and
-T(z) = pref Re tr(c^T c S(z)), where the maps differ only in the scalar pref
-and the 3x3 trial factor c.  The scattering matrices of the finite-size
-oracle solve through the same call.  Each map reports the moderate-scatterer
-certificate plus the imaginary residue of the pre-Re pairing.
+T(z) = -2 h^3 Re tr(M_z S(z)), where the maps differ only in the trial's
+M_z.  The scattering matrices of the finite-size oracle solve through the
+same call.  Each map reports the moderate-scatterer certificate plus the
+imaginary residue of the pre-Re pairing.
 
 The symmetry-restoring operator E multiplies surface-harmonic coefficients
 by -conj(h_n(kappa R)) / h_n(kappa R).  Traces use the real orthonormal
@@ -38,7 +38,7 @@ import numpy as np
 
 from .greens import grad_phi, phi
 from .materials import IsoContrast
-from .polarization import PolarizationTensor, dz_factor
+from .polarization import PolarizationTensor, mz_ball_iso
 from .specfun_quad import (
     N_MAX,
     harmonics_table,
@@ -49,7 +49,6 @@ from .specfun_quad import (
     Ball,
 )
 from .vie import (
-    _sigma_parts,
     assemble,
     operator_norm,
     radiation_matrix,
@@ -185,14 +184,15 @@ def kernel_L(surface, bg, z, y):
     return complex(np.sum(surface.weights * pz.conj() * py))
 
 
-def kernel_L_series(R, kappa, z, y, n_trunc=None):
+def kernel_L_series(R, kappa, z, y):
     """Harmonic series for L on the closed sphere of radius R (kappa > 0).
 
     L = (kappa^2 R^2 / 4 pi) sum_n (2n+1) |h_n(kappa R)|^2
         j_n(kappa |z|) j_n(kappa |y|) P_n(zhat . yhat);
     the R^2 factor makes L(0,0) = 1/(4 pi) exactly.  Truncation: runs to at
-    least n_trunc (default ceil(kappa R) + 20) and stops once the last term
-    falls below 1e-14 of the running sum.
+    least ceil(kappa max(|z|, |y|)) + 20, past which the terms decay
+    geometrically whatever kappa R is, and stops once the last term falls
+    below 1e-14 of the running sum.
     """
     if kappa <= 0.0:
         raise ValueError("series form requires kappa > 0")
@@ -204,7 +204,7 @@ def kernel_L_series(R, kappa, z, y, n_trunc=None):
         raise ValueError("series requires |z|, |y| < R")
     t = 1.0 if rz == 0.0 or ry == 0.0 else float(np.dot(z, y) / (rz * ry))
     t = min(1.0, max(-1.0, t))
-    n_min = truncation_order(kappa, R) if n_trunc is None else int(n_trunc)
+    n_min = truncation_order(kappa, max(rz, ry))
     total = 0.0
     p_prev, p_cur = 1.0, t
     n = 0
@@ -229,15 +229,12 @@ def kernel_L_series(R, kappa, z, y, n_trunc=None):
     return (kappa**2 * R**2 / (4.0 * np.pi)) * total
 
 
-def kernel_G_from_L(R, kappa, z, y, step=None, order="zy"):
+def kernel_G_from_L(R, kappa, z, y):
     """G through mixed second differences of the L series, G_ij = d2 L / dz_i dy_j.
 
-    Central differences with default step lambda / 200.  order picks the
-    association of the four-point stencil ('zy' or 'yz'); the results differ
-    only by floating-point roundoff.
+    Central four-point differences with step lambda / 200.
     """
-    if step is None:
-        step = (2.0 * np.pi / kappa) / 200.0
+    step = (2.0 * np.pi / kappa) / 200.0
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.empty((3, 3), dtype=complex)
@@ -248,12 +245,7 @@ def kernel_G_from_L(R, kappa, z, y, step=None, order="zy"):
             lpm = kernel_L_series(R, kappa, z + step * eye[i], y - step * eye[j])
             lmp = kernel_L_series(R, kappa, z - step * eye[i], y + step * eye[j])
             lmm = kernel_L_series(R, kappa, z - step * eye[i], y - step * eye[j])
-            if order == "zy":
-                out[i, j] = ((lpp - lpm) - (lmp - lmm)) / (4.0 * step**2)
-            elif order == "yz":
-                out[i, j] = ((lpp - lmp) - (lpm - lmm)) / (4.0 * step**2)
-            else:
-                raise ValueError("order must be 'zy' or 'yz'")
+            out[i, j] = ((lpp - lpm) - (lmp - lmm)) / (4.0 * step**2)
     return out
 
 
@@ -388,7 +380,6 @@ class TdMap:
     inside_B: np.ndarray
     certificate: float
     certificate_kind: str
-    signs: dict
     imag_residue: float
 
 
@@ -401,12 +392,7 @@ def _check_points(points):
     return pts
 
 
-def _sign_pattern(sigma):
-    """Diagonal of sigma^2 as floats in {1, -1, 0}."""
-    return tuple(float(np.round(v.real)) for v in np.diagonal(sigma @ sigma))
-
-
-def _td_contract(sys, contrast, surface, points, certificate, kind, pref, c, signs):
+def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     """The T(z) contraction shared by every td_map_* regime.
 
     With g_i the rows of G(z, .) sampled on the voxel grid, solve_density
@@ -416,10 +402,9 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, pref, c, sig
         S(z)_ij = 1/2 < g_i, M_B g_j >
                 = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j >
 
-    (conjugate on the left slot), and T(z) = pref Re tr(c^T c S(z)).  The
-    trial factor c is I for a scalar unit-ball trial and
-    D_z sigma_z q_z A^{1/2} for a tensor trial.  By the push-through identity
-    S is also the sign-split pairing with
+    (conjugate on the left slot), and T(z) = -2 h^3 Re tr(M_z S(z)) with m_z
+    the trial's 3x3 polarization tensor.  By the push-through identity S is
+    also the sign-split pairing with
     A^{1/2} q^T sigma (I - sigma q R q^T sigma)^{-1} sigma q A^{1/2}.
     kind is the operator_norm operator of the certificate, computed when
     certificate is None.
@@ -431,7 +416,7 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, pref, c, sig
     nz = pts.shape[0]
     h = solve_density(sys, contrast, g.reshape(3 * nz, -1, 3)).values
     s = 0.5 * (g.conj().reshape(nz, 3, -1) @ h.reshape(nz, 3, -1).transpose(0, 2, 1))
-    raw = pref * np.einsum("ij,zji->z", c.T @ c, s)
+    raw = -2.0 * sys.grid.cell_volume * np.einsum("ij,zji->z", m_z, s)
     re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
     scale = float(np.abs(re).max()) if re.size else 0.0
     return TdMap(
@@ -440,7 +425,6 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, pref, c, sig
         inside_B=np.asarray(sys.grid.shape.contains(pts), dtype=bool),
         certificate=float(certificate),
         certificate_kind=kind,
-        signs=signs,
         imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
     )
 
@@ -452,7 +436,8 @@ def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
            Re sum_i < g_i(z), (I - q R_kappa)^{-1} g_i(z) >,
 
     with g_i the rows of G(z, .) sampled on the voxel grid and the conjugate
-    on the left slot of the pairing.
+    on the left slot of the pairing; the trial enters through
+    M_z = mz_ball_iso(a, beta_z).M_z.
     """
     if not isinstance(contrast, IsoContrast) or not isinstance(trial, IsoContrast):
         raise TypeError("td_map_iso needs IsoContrast scatterer and trial")
@@ -462,10 +447,8 @@ def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
     for c in (contrast, trial):
         if abs(c.a - a) > 1e-12 * max(a, 1.0):
             raise ValueError("contrast background coefficient must match the system")
-    q_z = trial.q
-    pref = -16.0 * np.pi * a * q_z / (3.0 - q_z) * sys.grid.cell_volume
     return _td_contract(sys, contrast, surface, points, certificate,
-                        "qR_kappa", pref, np.eye(3), {"q": contrast.q, "q_z": q_z})
+                        "qR_kappa", mz_ball_iso(a, trial.beta).M_z)
 
 
 def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
@@ -476,7 +459,9 @@ def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
     w_i = sigma q_mat A^{1/2} g_i and the barred bundle using conj(sigma),
 
     T(z) = -(16 pi a q_z / (3 - q_z)) h^3
-           Re sum_i < wbar_i, (I - sigma q R q^T sigma)^{-1} w_i >.
+           Re sum_i < wbar_i, (I - sigma q R q^T sigma)^{-1} w_i >,
+
+    that is M_z = mz_ball_iso(a, beta_z).M_z in the shared contraction.
     """
     if not isinstance(trial, IsoContrast):
         raise TypeError("trial must be IsoContrast (spherical isotropic)")
@@ -485,40 +470,26 @@ def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
         raise ValueError("this regime needs an isotropic background")
     if abs(trial.a - a) > 1e-12 * max(a, 1.0):
         raise ValueError("trial background coefficient must match the system")
-    sigma, _ = _sigma_parts(contrast)
-    q_z = trial.q
-    pref = -16.0 * np.pi * a * q_z / (3.0 - q_z) * sys.grid.cell_volume
-    signs = {"sigma2": _sign_pattern(sigma), "q_z": q_z}
     return _td_contract(sys, contrast, surface, points, certificate,
-                        "qRq", pref, np.eye(3), signs)
+                        "qRq", mz_ball_iso(a, trial.beta).M_z)
 
 
 def td_map_general(sys, contrast, trial, surface, points, certificate=None):
     """T(z) for tensor scatterer and tensor trial data.
 
-    The trial side enters through C = D_z sigma_z q_z A^{1/2} (3x3), bundling
-    the rows of G; the scatterer side equals the sign-split form:
+    T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k >
 
-    k_p = sum_i C_pi g_i,       kbar_p = sum_i conj(C_pi) g_i,
-    w_p = sigma q A^{1/2} k_p,  wbar_p = conj(sigma) q A^{1/2} kbar_p,
-    T(z) = -4 h^3 Re sum_p < wbar_p, (I - sigma q R q^T sigma)^{-1} w_p >.
-
-    trial is a PolarizationTensor; its factor D_z comes from dz_factor (one
-    -signed trial contrast).  For reversed surface nesting pass the
-    measurement sphere as the integration surface.
+    with M_z = trial.M_z, any symmetric tensor (a mixed-sign contrast
+    included), and M_B the scatterer's solution operator.  trial is a
+    PolarizationTensor in the system's background.  For reversed surface
+    nesting pass the measurement sphere as the integration surface.
     """
     if not isinstance(trial, PolarizationTensor):
         raise TypeError("trial must be a PolarizationTensor")
     if not np.allclose(trial.A.matrix, sys.bg.A.matrix, rtol=0.0, atol=1e-12):
         raise ValueError("trial background tensor must match the system")
-    sigma, _ = _sigma_parts(contrast)
-    d_z = trial.D_z if trial.D_z is not None else dz_factor(trial, mode="aniso")
-    sz = np.diagonal(trial.sigma_z2)
-    sigma_z = np.diag(np.where(sz > 0, 1.0 + 0j, np.where(sz < 0, 1j, 0.0 + 0j)))
-    c = d_z @ sigma_z @ trial.q_mat @ trial.A.sqrt().matrix
-    signs = {"sigma2": _sign_pattern(sigma), "sigma_z2": tuple(float(v) for v in sz)}
     return _td_contract(sys, contrast, surface, points, certificate,
-                        "qRq", -4.0 * sys.grid.cell_volume, c, signs)
+                        "qRq", trial.M_z)
 
 
 # ---------------------------------------------------------------------------

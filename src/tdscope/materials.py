@@ -23,7 +23,6 @@ __all__ = [
     "iso_contrast",
     "aniso_contrast",
     "factor_Q",
-    "choleski_sqrt",
 ]
 
 # packed storage order for the 6 independent entries of a symmetric 3x3
@@ -197,13 +196,3 @@ def aniso_contrast(A, A_tilde):
     return AnisoContrast(beta_t=beta_t, Q=Q, q_mat=q_mat, sigma2=sigma2,
                          A=A, A_tilde=A_tilde)
 
-
-def choleski_sqrt(M):
-    """Lower-triangular L with L L^T = M for SPD M; raises on pivot failure."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (3, 3) or np.abs(M - M.T).max() > 1e-10 * max(np.abs(M).max(), 1.0):
-        raise ValueError("M must be a symmetric 3x3 matrix")
-    try:
-        return np.linalg.cholesky(0.5 * (M + M.T))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("M is not positive definite") from exc

@@ -40,6 +40,13 @@ def test_validate_problems(tmp_path, capsys):
     assert "2 problem(s)" in captured.out
 
 
+def test_validate_rejects_nan(tmp_path, capsys):
+    p = tmp_path / "nan.cfg"
+    p.write_text("study = sign\nkappa = nan\n")
+    assert main(["validate", str(p)]) == 1
+    assert "bad value for kappa" in capsys.readouterr().err
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Experiment configs, study runners, and deterministic output emission."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from tdscope import harness
 from tdscope import (
     ExperimentConfig,
     STATUS_EXIT_CODES,
@@ -103,6 +105,15 @@ def test_validate_config_flags_zero_length_rays():
     assert validate_config(cfg_from("study = decay\nrays = 1,0,0; 0,2,0\n")) == []
 
 
+@pytest.mark.parametrize("line", ["kappa = nan", "grid_extent = nan",
+                                  "scatterer_A = 1, inf, 2", "rays = nan,0,0"])
+def test_parse_config_rejects_non_finite(line):
+    # NaN fails every range check of validate_config silently
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValueError, match=f"line 2: bad value for {key}"):
+        cfg_from(f"study = sign\n{line}\n")
+
+
 def test_surface_radius_m_is_an_unknown_key():
     with pytest.raises(ValueError, match="unknown key 'surface_radius_m'"):
         cfg_from("study = sign\nsurface_radius_m = 6.0\n")
@@ -168,7 +179,41 @@ def test_sign_study_neutral_on_zero_contrast():
     rep = run_study(cfg_from("study = sign\nscatterer_a = 1.0\nresolution = 8\ngrid_n = 3\n"))
     assert rep.status == "NEUTRAL"
     assert rep.results["sign_tally"] is None
+    # +0.0, not -0.0: report.json must not print a negative zero
+    assert math.copysign(1.0, rep.results["expected_sign"]) == 1.0
     assert STATUS_EXIT_CODES[rep.status] == 0
+
+
+def test_sign_study_neutral_on_matched_trial():
+    rep = run_study(cfg_from("study = sign\ntrial_a = 1.0\nresolution = 8\ngrid_n = 3\n"))
+    assert rep.status == "NEUTRAL"
+    assert math.copysign(1.0, rep.results["expected_sign"]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        ("scatterer_A = 2, 1.5, 3", -1.0),
+        ("scatterer_A = 2, 1.5, 3\ntrial_A = 2, 2.5, 1.5", -1.0),
+        ("scatterer_A = 0.5, 0.6, 0.4\ntrial_A = 2, 2.5, 1.5", 1.0),
+    ],
+    ids=["aniso_iso", "general", "general_softer"],
+)
+def test_sign_study_tensor_branches(lines, expected):
+    rep = run_study(cfg_from(f"study = sign\n{lines}\nresolution = 8\ngrid_n = 3\n"))
+    assert rep.status == "PASS"
+    assert rep.results["expected_sign"] == expected
+    assert rep.results["sign_tally"] == 1.0
+
+
+def test_sign_study_mixed_trial_raises_before_solving(monkeypatch):
+    def no_system(*args):
+        raise AssertionError("the system was assembled")
+
+    monkeypatch.setattr(harness, "_system", no_system)
+    cfg = cfg_from("study = sign\ntrial_A = 2, 0.5, 1.5\nresolution = 8\ngrid_n = 3\n")
+    with pytest.raises(ValueError, match="trial contrast must be one-signed"):
+        run_study(cfg)
 
 
 def test_sign_study_inconclusive_when_certificate_fails():

@@ -76,18 +76,17 @@ def test_kernel_L_series_origin():
 def test_kernel_L_series_guards():
     with pytest.raises(ValueError):
         kernel_L_series(5.0, 0.0, Z, Y)
-    with pytest.raises(ValueError):
-        kernel_L_series(50.0, 2.0, Z, Y)  # truncation would exceed the order cap
+    # kappa R = 100 lies past the order cap; the series is cut on kappa |z|
+    bg = Background.isotropic(1.0, 2.0)
+    surf = sphere_surface(50.0, surface_order_hint(2.0, np.linalg.norm(Z), np.linalg.norm(Y)))
+    lq = kernel_L(surf, bg, Z, Y)
+    assert abs(kernel_L_series(50.0, 2.0, Z, Y) - lq) < 1e-10 * abs(lq)
 
 
 def test_kernel_G_from_L(surface_r5, bg_unit):
     direct = kernel_G(surface_r5, bg_unit, Z, Y)
     via_l = kernel_G_from_L(5.0, 1.0, Z, Y)
     assert np.abs(via_l - direct).max() < 1e-4
-    swapped = kernel_G_from_L(5.0, 1.0, Z, Y, order="yz")
-    np.testing.assert_allclose(swapped, via_l, atol=1e-8)
-    with pytest.raises(ValueError):
-        kernel_G_from_L(5.0, 1.0, Z, Y, order="xy")
 
 
 def test_kernel_G_farfield_overlap():
@@ -278,20 +277,41 @@ def test_td_map_single_point_matches_map(sys_h6, small_map_setup):
     ids=["stiffer", "softer", "aniso_background"],
 )
 def test_td_map_general_matches_mb_oracle(ball_grid_h6, small_map_setup, bg_a, a_z):
-    # T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k > with M_B through the
-    # sign-split system, an anisotropic scatterer and an ellipsoidal trial
+    # an anisotropic scatterer and an ellipsoidal trial
     surf, pts = small_map_setup
     sys = assemble(ball_grid_h6, Background(A=bg_a, kappa=1.0))
     c = aniso_contrast(bg_a, A_TILDE)
     trial = mz_ellipsoid(bg_a, a_z, (0.3, 0.25, 0.2))
     tmap = td_map_general(sys, c, trial, surf, pts)
+    _assert_matches_mb_oracle(tmap, sys, c, surf, pts, trial.M_z)
+
+
+@pytest.mark.parametrize("a_tilde_z", [2.0, 0.5], ids=["q_z>0", "q_z<0"])
+@pytest.mark.parametrize("regime", ["iso", "aniso_iso"])
+def test_td_map_ball_trial_matches_mb_oracle(sys_h6, small_map_setup, regime, a_tilde_z):
+    # a scalar unit-ball trial enters through the closed-form M_z of the ball
+    surf, pts = small_map_setup
+    trial = iso_contrast(1.0, a_tilde_z)
+    if regime == "iso":
+        c = iso_contrast(1.0, 2.0)
+        tmap = td_map_iso(sys_h6, c, trial, surf, pts)
+    else:
+        c = aniso_contrast(SymTensor3.identity(), A_TILDE)
+        tmap = td_map_aniso_iso(sys_h6, c, trial, surf, pts)
+    m_z = mz_ball_iso(1.0, trial.beta).M_z
+    _assert_matches_mb_oracle(tmap, sys_h6, c, surf, pts, m_z)
+
+
+def _assert_matches_mb_oracle(tmap, sys, c, surf, pts, m_z):
+    # T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k > with M_B through the
+    # sign-split system, one apply_MB call per row of G
     gall = KernelG(surface=surf, bg=sys.bg).bundle(pts, sys.grid.centers)
     n = sys.n_cells
     for k in range(pts.shape[0]):
         g = gall[3 * k : 3 * k + 3].reshape(3, n, 3)
         mb = np.array([apply_MB(sys, c, g[j]).values for j in range(3)])
         pair = np.einsum("inc,knc->ik", g.conj(), mb)
-        ref = -sys.grid.cell_volume * np.sum(trial.M_z * pair).real
+        ref = -sys.grid.cell_volume * np.sum(m_z * pair).real
         assert tmap.values[k] == pytest.approx(ref, rel=1e-9)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tdscope import (
     SymTensor3,
     aniso_contrast,
-    choleski_sqrt,
     factor_Q,
     iso_contrast,
 )
@@ -108,18 +107,3 @@ def test_sigma_entries_unit_or_imaginary():
         c = aniso_contrast(random_spd(rng), random_spd(rng))
         for v in np.diagonal(c.sigma):
             assert v in (1.0 + 0j, 1j, 0.0 + 0j)
-
-
-def test_choleski_sqrt_roundtrip():
-    rng = np.random.default_rng(3)
-    m = random_spd(rng).matrix
-    low = choleski_sqrt(m)
-    np.testing.assert_allclose(low @ low.T, m, atol=1e-12)
-    assert np.allclose(np.triu(low, 1), 0.0)
-
-
-def test_choleski_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        choleski_sqrt(np.diag([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        choleski_sqrt(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -6,9 +6,7 @@ import pytest
 from tdscope import (
     Ball,
     Ellipsoid,
-    PolarizationTensor,
     SymTensor3,
-    dz_factor,
     mz_ball_iso,
     mz_ellipsoid,
     mz_general,
@@ -23,13 +21,11 @@ def test_ball_closed_form_exact():
     # unit trial ball, a = 1, beta_z = 1: M_z = pi I bit-exact
     pt = mz_ball_iso(1.0, 1.0)
     assert np.all(pt.M_z == np.pi * np.eye(3))
-    assert pt.q_z == pytest.approx(1.0 / 3.0)
 
 
 def test_ball_closed_form_sign():
     neg = mz_ball_iso(1.0, -0.5)
     assert np.all(np.diag(neg.M_z) < 0.0)
-    assert neg.q_z < 0.0
 
 
 def test_ball_scaling_in_a():
@@ -86,39 +82,3 @@ def test_general_volume_guard():
     pt = mz_general(IDENT, DOUBLE, coarse, vol_tol=1.0)
     assert pt.M_z.shape == (3, 3)
 
-
-def test_dz_factor_iso_roundtrip():
-    pt = mz_ball_iso(1.0, 1.0)
-    d = dz_factor(pt, mode="iso")
-    np.testing.assert_allclose(
-        d.T @ d, pt.M_z / (2.0 * pt.a * pt.q_z), atol=1e-12
-    )
-
-
-def test_dz_factor_aniso_roundtrip():
-    pt = mz_ellipsoid(IDENT, DOUBLE, (1.0, 1.3, 0.8))
-    d = dz_factor(pt, mode="aniso")
-    p = pt.q_mat @ pt.A.sqrt().matrix
-    eps = float(np.diagonal(pt.sigma_z2)[0])
-    middle = p.T @ (d.T @ d) @ p
-    np.testing.assert_allclose(middle, eps * pt.M_z / 2.0, atol=1e-10)
-
-
-def test_dz_factor_rejects_immoderate():
-    bad = PolarizationTensor(
-        M_z=np.diag([1.0, -1.0, 1.0]),
-        D_z=None,
-        sigma_z2=np.eye(3),
-        q_mat=np.eye(3),
-        A=IDENT,
-        a=1.0,
-        q_z=1.0 / 3.0,
-    )
-    with pytest.raises(ValueError):
-        dz_factor(bad, mode="iso")
-
-
-def test_dz_factor_needs_scalar_for_iso():
-    pt = mz_ellipsoid(IDENT, SymTensor3.diag(2.0, 3.0, 2.0), (1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        dz_factor(pt, mode="iso")
