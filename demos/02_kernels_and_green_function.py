@@ -3,8 +3,9 @@
 The imaging functional pairs gradients of a reduced Green function G built
 from near-field data on a closed sphere. This demo evaluates the free-space
 building blocks, then cross-checks G three independent ways: direct surface
-quadrature, second derivatives of the scalar kernel L computed as a spherical
-harmonic series, and the large-radius closed form.
+quadrature, the mixed second derivative of the scalar kernel L's spherical
+harmonic series taken term by term (the addition-theorem factor the maps
+use), and the large-radius closed form.
 """
 
 import numpy as np
@@ -46,13 +47,14 @@ G_quad = kernel_G(surf, bg, z, y)
 print("\nG(z, y) by surface quadrature, Frobenius:", np.linalg.norm(G_quad))
 print("largest imaginary part:", np.abs(G_quad.imag).max(), "(real by reciprocity)")
 
-# Route two: scalar kernel L, by series and by quadrature, then differentiate.
+# Route two: scalar kernel L, by series and by quadrature; G is its mixed
+# second derivative, differentiated analytically term by term.
 L_series = kernel_L_series(5.0, bg.kappa, z, y)
 L_quad = kernel_L(surf, bg, z, y)
 print("\nL series vs quadrature:", abs(L_series - L_quad))
 
 G_diff = kernel_G_from_L(5.0, bg.kappa, z, y)
-print("G from d2 L vs quadrature:", np.abs(G_diff - G_quad).max())
+print("G from d2 L (series) vs quadrature:", np.abs(G_diff - G_quad).max())
 
 # Route three: the far-pattern overlap limit for a large sphere.
 kappa = 1.0

@@ -28,6 +28,7 @@ from .specfun_quad import (
     sph_hankel1,
     legendre_p,
     harmonics_table,
+    regular_wave_gradients,
     real_spherical_harmonics,
     complex_spherical_harmonics,
     sphere_quadrature,

@@ -392,6 +392,8 @@ def run_sign_study(cfg):
         "certificate_kind": tmap.certificate_kind,
         "expected_sign": float(expected),
         "imag_residue": tmap.imag_residue,
+        "kernel_factor": tmap.kernel_factor,
+        "kernel_rank": tmap.kernel_rank,
         "n_samples": int(pts.shape[0]),
         "surface_order": surf.order,
     }
@@ -449,6 +451,7 @@ def run_decay_study(cfg):
     shape = _shape(cfg)
     center = np.asarray(shape.center)
     reach = shape.diameter / 2.0
+    factors = set()
 
     def slope_for(alpha):
         etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, cfg.points_per_decade)
@@ -468,6 +471,7 @@ def run_decay_study(cfg):
                 z = center + (reach + dist) * ray
                 tmap = imaging.td_map_iso(sys, contrast, trial, surf, z[None, :],
                                           certificate=cert)
+                factors.add(tmap.kernel_factor)
                 scale = ((1.0 + (cfg.kappa * radius) ** 2)
                          / (12.0 * np.pi * radius**2)) ** 2
                 raw = float(abs(tmap.values[0]))
@@ -497,6 +501,7 @@ def run_decay_study(cfg):
     for al in cfg.alpha_pair:
         s, _, _ = slope_for(al)
         pair.append({"alpha": al, "slope": s})
+    results["kernel_factor"] = ",".join(sorted(factors))
     if len(pair) >= 2:
         gap = abs(pair[0]["slope"] - pair[1]["slope"])
         results["alpha_pair"] = pair

@@ -4,9 +4,17 @@ The two-point kernel G correlates point-source gradients over the surface,
 
     G(z, y) = int_Gamma conj(grad Phi_kappa(s - z)) (x) grad Phi_kappa(s - y) ds,
 
-and is evaluated four independent ways: direct quadrature, a far-field
-closed form, a two-term large-sphere expansion, and second differences of
-the scalar correlation kernel L.  On a closed sphere G and L are real.
+and is evaluated independently by direct quadrature (kernel_G, the oracle),
+a far-field closed form, a two-term large-sphere expansion, and the
+addition-theorem series.  On a closed sphere G and L are real.
+
+KernelG factors G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) with one factor b of
+rank P.  On a closed sphere in an isotropic background the addition theorem
+gives the spectral factor b_p = sqrt(c_p) grad u_nm over the regular waves
+u_nm of specfun_quad.regular_wave_gradients, P = (n_max + 1)^2 with n_max
+set by the point sets, not by the surface radius; otherwise (cap apertures,
+anisotropic backgrounds, series past N_MAX) the node factor
+b_p = sqrt(w_p) grad Phi(s_p - x) integrates over the surface nodes.
 
 A topological-derivative map contracts G(z, .) over the true scatterer B
 with the trial polarization tensor on one side and the scatterer's solution
@@ -15,12 +23,14 @@ operator on the other:
     T(z) = -Re sum_ik (M_z)_ik < G_i(z,.), [M_B G_k(z,.)] >_{L^2(B)},
 
 with the conjugate on the left slot.  Every regime goes through one
-contraction: vie.solve_density applies M_B to the rows g_i of G(z, .) and
-gives the 3x3 response matrix S(z)_ij = 1/2 < g_i, M_B g_j >, and
-T(z) = -2 h^3 Re tr(M_z S(z)), where the maps differ only in the trial's
-M_z.  The scattering matrices of the finite-size oracle solve through the
-same call.  Each map reports the moderate-scatterer certificate plus the
-imaginary residue of the pre-Re pairing.
+contraction giving the 3x3 response matrix S(z)_ij = 1/2 < g_i, M_B g_j >
+for the rows g_i of G(z, .) and T(z) = -2 h^3 Re tr(M_z S(z)), where the
+maps differ only in the trial's M_z.  vie.solve_density applies M_B either
+to the P factor fields on the voxel grid, S(z) = b(z)^T T_m conj(b(z)) with
+T_m = 1/2 b^H M_B b, or to the 3Z rows of G, whichever is fewer.  The
+scattering matrices of the finite-size oracle solve through the same call.
+Each map reports the moderate-scatterer certificate, the kernel factor it
+used, and the imaginary residue of the pre-Re pairing.
 
 The symmetry-restoring operator E multiplies surface-harmonic coefficients
 by -conj(h_n(kappa R)) / h_n(kappa R).  Traces use the real orthonormal
@@ -35,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .greens import grad_phi, phi
 from .materials import IsoContrast
@@ -42,6 +53,8 @@ from .polarization import PolarizationTensor, mz_ball_iso
 from .specfun_quad import (
     N_MAX,
     harmonics_table,
+    log_odd_factorial,
+    regular_wave_gradients,
     sph_bessel_j,
     sph_hankel1,
     sphere_surface,
@@ -230,31 +243,136 @@ def kernel_L_series(R, kappa, z, y):
 
 
 def kernel_G_from_L(R, kappa, z, y):
-    """G through mixed second differences of the L series, G_ij = d2 L / dz_i dy_j.
+    """G_ij = d2 L / dz_i dy_j on the closed sphere of radius R (unit background).
 
-    Central four-point differences with step lambda / 200.
+    The mixed derivative of the L series taken term by term: the addition
+    theorem's spectral factor (see KernelG.factor) at a = 1, centred at the
+    origin, G = conj(b(z))^T b(y).  kappa = 0 is the static kernel.
     """
-    step = (2.0 * np.pi / kappa) / 200.0
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.empty((3, 3), dtype=complex)
-    eye = np.eye(3)
-    for i in range(3):
-        for j in range(3):
-            lpp = kernel_L_series(R, kappa, z + step * eye[i], y + step * eye[j])
-            lpm = kernel_L_series(R, kappa, z + step * eye[i], y - step * eye[j])
-            lmp = kernel_L_series(R, kappa, z - step * eye[i], y + step * eye[j])
-            lmm = kernel_L_series(R, kappa, z - step * eye[i], y - step * eye[j])
-            out[i, j] = ((lpp - lpm) - (lmp - lmm)) / (4.0 * step**2)
-    return out
+    reach = [float(np.linalg.norm(p)) for p in (z, y)]
+    if not max(reach) < R:
+        raise ValueError("series requires |z|, |y| < R")
+    fac = _spectral_factor(np.zeros(3), float(R), 1.0, float(kappa), *reach)
+    if fac is None:
+        raise ValueError(f"series truncation exceeds supported order {N_MAX}")
+    return fac(z[None, :])[:, 0].conj().T @ fac(y[None, :])[:, 0]
+
+
+# the tail of the addition-theorem series is cut once it has fallen by 1e-16
+_TAIL_EFOLDS = np.log(1e16)
+
+
+def _spectral_order(k, radius, reach_z, reach_y):
+    """Truncation degree of the addition-theorem series of G, or None past N_MAX.
+
+    Two tails are cut.  The Bessel tail of the inner point set falls off
+    past k min(reach) within about 10 (k reach)^{1/3} degrees (12 at the
+    least); past kR the terms shrink like (reach_z reach_y / R^2)^n, which
+    governs points close to the surface and the static kernel.
+    """
+    x = k * min(reach_z, reach_y)
+    n = x + max(12.0, 10.0 * np.cbrt(x))
+    q = reach_z * reach_y / radius**2
+    if q > 0.0:
+        n = max(n, _TAIL_EFOLDS / -np.log(q))
+    n = int(np.ceil(n))
+    return n if n <= N_MAX else None
+
+
+@dataclass(frozen=True)
+class _SpectralFactor:
+    """b_p(x) = sqrt(c_p) grad u_nm(x - center), p = n (n + 1) + m, n <= n_max.
+
+    half_log_c holds log sqrt(c_p) per row and degree the row's n.
+    """
+
+    center: np.ndarray
+    k: float
+    n_max: int
+    degree: np.ndarray
+    half_log_c: np.ndarray
+    kind = "spectral"
+
+    @property
+    def rank(self):
+        return self.degree.size
+
+    def __call__(self, pts):
+        d = pts - self.center
+        rho = float(np.linalg.norm(d, axis=1).max(initial=0.0)) or 1.0
+        # grad u(x) = rho^(n-1) grad u'(x / rho), u' the wave of wavenumber
+        # k rho: every factor stays of order one, whatever |x| and R are
+        grad = regular_wave_gradients(self.n_max, self.k * rho, d / rho)
+        scale = np.exp(self.half_log_c + (self.degree - 1.0) * np.log(rho))
+        return scale[:, None, None] * grad
+
+
+def _spectral_factor(center, radius, a, kappa, reach_z, reach_y):
+    """The addition-theorem factor of G on the closed sphere (center, radius)
+    in the background a I, for points within reach_z and reach_y of the
+    centre; None when the truncation or a coefficient is out of range.
+
+    With k = kappa / sqrt(a) and w_nm = (n + m)! (n - m)!,
+    c_nm = w_nm C_n, where C_n = (2n + 1) / (4 pi a^2) k^2 R^2 |h_n(kR)|^2
+    k^{2n} / ((2n + 1)!!)^2 for k > 0 and R^{-2n} / ((2n + 1) 4 pi a^2) at
+    k = 0 (its limit); all in logs.
+    """
+    k = kappa / np.sqrt(a)
+    n_max = _spectral_order(k, radius, reach_z, reach_y)
+    if n_max is None:
+        return None
+    degree = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    order = np.arange(degree.size) - degree * (degree + 1)
+    n = degree.astype(float)
+    log_w = gammaln(n + order + 1.0) + gammaln(n - order + 1.0)
+    if k > 0.0:
+        h = np.abs(sph_hankel1(np.arange(n_max + 1), k * radius))[degree]
+        log_c = (np.log((2.0 * n + 1.0) / (4.0 * np.pi * a * a))
+                 + 2.0 * (np.log(k * radius) + np.log(h) + n * np.log(k)
+                          - log_odd_factorial(n)))
+    else:
+        log_c = -2.0 * n * np.log(radius) - np.log((2.0 * n + 1.0) * 4.0 * np.pi * a * a)
+    half_log_c = 0.5 * (log_c + log_w)
+    if not np.all(np.isfinite(half_log_c)):
+        return None
+    return _SpectralFactor(center=np.asarray(center, dtype=float), k=float(k),
+                           n_max=n_max, degree=n, half_log_c=half_log_c)
+
+
+@dataclass(frozen=True)
+class _NodeFactor:
+    """b_p(x) = sqrt(w_p) grad Phi(s_p - x) over the surface nodes s_p."""
+
+    surface: object
+    bg: object
+    kind = "nodes"
+
+    @property
+    def rank(self):
+        return self.surface.weights.size
+
+    def __call__(self, pts):
+        nodes = self.surface.nodes
+        sw = np.sqrt(self.surface.weights)
+        out = np.empty((nodes.shape[0], pts.shape[0], 3), dtype=complex)
+        # node chunks of about 2^20 pairs bound grad_phi's temporaries
+        step = max(1, (1 << 20) // max(pts.shape[0], 1))
+        for k0 in range(0, nodes.shape[0], step):
+            k1 = min(k0 + step, nodes.shape[0])
+            out[k0:k1] = grad_phi(self.bg, nodes[k0:k1, None, :] - pts[None, :, :])
+            out[k0:k1] *= sw[k0:k1, None, None]
+        return out
 
 
 @dataclass(frozen=True)
 class KernelG:
     """G(z, y) evaluator with a fixed surface, background, and mode.
 
-    mode 'quadrature' integrates over the surface's node set (apertures
-    included); 'farfield' and 'asymptotic' use the closed-form expansions
+    mode 'quadrature' is the surface integral: __call__ is the node
+    quadrature kernel_G, and bundle goes through the kernel factor (see
+    factor).  'farfield' and 'asymptotic' use the closed-form expansions
     (isotropic unit background).
     """
 
@@ -273,31 +391,45 @@ class KernelG:
             return kernel_G_farfield(self.bg.kappa, z, y).astype(complex)
         return kernel_G_asymptotic(self.surface.radius, self.bg.kappa, z, y)
 
-    def bundle(self, zs, ys, node_chunk=2000):
+    def factor(self, zs, ys):
+        """The factor b of G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) for z in zs, y in ys.
+
+        Returns a callable b(pts) -> (rank, npts, 3) with attributes kind and
+        rank.  On a closed sphere (aperture None) in an isotropic background
+        it is the spectral factor of the addition theorem,
+        b_p = sqrt(c_p) grad u_nm, truncated for these two point sets,
+        as long as the truncation stays within N_MAX; otherwise it is the
+        node factor b_p = sqrt(w_p) grad Phi(s_p - x) of the surface rule.
+        Both point sets must lie strictly inside the sphere.
+        """
+        if self.mode != "quadrature":
+            raise ValueError("only the quadrature mode has a kernel factor")
+        surf = self.surface
+        reach = []
+        for pts, name in ((zs, "sample points"), (ys, "voxel centers")):
+            r = np.linalg.norm(pts - surf.center, axis=1)
+            if not np.all(r < surf.radius):
+                raise ValueError(f"{name} must lie strictly inside the surface sphere")
+            reach.append(float(r.max(initial=0.0)))
+        a = self.bg.iso_a
+        if surf.aperture is None and a is not None:
+            fac = _spectral_factor(surf.center, surf.radius, a, self.bg.kappa, *reach)
+            if fac is not None:
+                return fac
+        return _NodeFactor(surface=surf, bg=self.bg)
+
+    def bundle(self, zs, ys):
         """All-pairs table (3Z, 3N): row 3m+i holds G_i.(z_m, y_.) over ys.
 
-        Quadrature mode accumulates one matrix product per node chunk, so the
-        cost is a handful of dense multiplies rather than Z x N single-pair
-        integrals.  The closed-form modes evaluate each pair through __call__.
+        Quadrature mode is one product conj(b(zs))^T b(ys) of the kernel
+        factor.  The closed-form modes evaluate each pair through __call__.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         if self.mode == "quadrature":
-            for pts, name in ((zs, "sample points"), (ys, "voxel centers")):
-                r = np.linalg.norm(pts - self.surface.center, axis=1)
-                if not np.all(r < self.surface.radius):
-                    raise ValueError(f"{name} must lie strictly inside the surface sphere")
-            nodes = self.surface.nodes
-            w = self.surface.weights
-            nz, ny = zs.shape[0], ys.shape[0]
-            out = np.zeros((3 * nz, 3 * ny), dtype=complex)
-            for k0 in range(0, nodes.shape[0], node_chunk):
-                k1 = min(k0 + node_chunk, nodes.shape[0])
-                pz = grad_phi(self.bg, nodes[k0:k1, None, :] - zs[None, :, :])
-                py = grad_phi(self.bg, nodes[k0:k1, None, :] - ys[None, :, :])
-                pz = (pz * w[k0:k1, None, None]).reshape(k1 - k0, 3 * nz)
-                out += pz.conj().T @ py.reshape(k1 - k0, 3 * ny)
-            return out
+            fac = self.factor(zs, ys)
+            bz = fac(zs).reshape(fac.rank, -1)
+            return bz.conj().T @ fac(ys).reshape(fac.rank, -1)
         table = np.array([[self(z, y) for y in ys] for z in zs])
         return table.transpose(0, 2, 1, 3).reshape(3 * zs.shape[0], 3 * ys.shape[0])
 
@@ -373,6 +505,8 @@ class TdMap:
     a small radiative remainder otherwise).  inside_B flags samples lying in
     the true scatterer (they are evaluated, not excluded).  certificate is
     the moderate-scatterer operator norm named by certificate_kind.
+    kernel_factor ('spectral' or 'nodes') and kernel_rank (P or the node
+    count K) name the factor of G the contraction used.
     """
 
     points: np.ndarray
@@ -381,6 +515,8 @@ class TdMap:
     certificate: float
     certificate_kind: str
     imag_residue: float
+    kernel_factor: str
+    kernel_rank: int
 
 
 def _check_points(points):
@@ -395,9 +531,8 @@ def _check_points(points):
 def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     """The T(z) contraction shared by every td_map_* regime.
 
-    With g_i the rows of G(z, .) sampled on the voxel grid, solve_density
-    applies the solution operator M_B to all 3Z rows at once and gives the
-    3x3 response matrix
+    With g_i the rows of G(z, .) sampled on the voxel grid and M_B the
+    solution operator applied by solve_density, the 3x3 response matrix is
 
         S(z)_ij = 1/2 < g_i, M_B g_j >
                 = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j >
@@ -406,16 +541,32 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     the trial's 3x3 polarization tensor.  By the push-through identity S is
     also the sign-split pairing with
     A^{1/2} q^T sigma (I - sigma q R q^T sigma)^{-1} sigma q A^{1/2}.
+
+    The kernel factor b of KernelG.factor, of rank P, is built on the voxel
+    grid once.  With g_i(z) = sum_p conj(b_p(z)_i) b_p, S has two
+    associations, and the one with fewer solved fields is taken: for P < 3Z,
+    one solve of the P fields b_p gives T_m = 1/2 b^H M_B b (P x P) and
+    S(z) = b(z)^T T_m conj(b(z)); otherwise the 3Z rows of G are solved.
     kind is the operator_norm operator of the certificate, computed when
     certificate is None.
     """
     pts = _check_points(points)
     if certificate is None:
         certificate = operator_norm(sys, which=kind, contrast=contrast)
-    g = KernelG(surface=surface, bg=sys.bg).bundle(pts, sys.grid.centers)
-    nz = pts.shape[0]
-    h = solve_density(sys, contrast, g.reshape(3 * nz, -1, 3)).values
-    s = 0.5 * (g.conj().reshape(nz, 3, -1) @ h.reshape(nz, 3, -1).transpose(0, 2, 1))
+    centers = sys.grid.centers
+    fac = KernelG(surface=surface, bg=sys.bg).factor(pts, centers)
+    p, nz = fac.rank, pts.shape[0]
+    b_grid = fac(centers)
+    b_z = fac(pts).reshape(p, 3 * nz)
+    if p < 3 * nz:
+        h = solve_density(sys, contrast, b_grid).values
+        t_m = 0.5 * (b_grid.conj().reshape(p, -1) @ h.reshape(p, -1).T)
+        s = np.einsum("pzi,pzj->zij", b_z.reshape(p, nz, 3),
+                      (t_m @ b_z.conj()).reshape(p, nz, 3))
+    else:
+        g = b_z.conj().T @ b_grid.reshape(p, -1)
+        h = solve_density(sys, contrast, g.reshape(3 * nz, -1, 3)).values
+        s = 0.5 * (g.conj().reshape(nz, 3, -1) @ h.reshape(nz, 3, -1).transpose(0, 2, 1))
     raw = -2.0 * sys.grid.cell_volume * np.einsum("ij,zji->z", m_z, s)
     re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
     scale = float(np.abs(re).max()) if re.size else 0.0
@@ -426,6 +577,8 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
         certificate=float(certificate),
         certificate_kind=kind,
         imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
+        kernel_factor=fac.kind,
+        kernel_rank=int(p),
     )
 
 
@@ -536,7 +689,6 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
     t_val = float(tmap.values[0])
     nodes = surf.nodes
     w = surf.weights
-    u_b = _scatter_matrix(sys, contrast, nodes)
     tab = harmonics_table(n_max, surf.dirs, kind="real")
     en = np.repeat(e_multipliers(kappa, surf.radius, n_max),
                    2 * np.arange(n_max + 1) + 1)
@@ -545,7 +697,8 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
         coef = (tab * w[None, :]) @ u / surf.radius
         return tab.T @ (en[:, None] * coef) / surf.radius
 
-    eu_b = e_on_measurement(u_b)
+    # the K x K scattering matrices go straight into E: only E u is kept
+    eu_b = e_on_measurement(_scatter_matrix(sys, contrast, nodes))
     out = []
     for delta in deltas:
         delta = float(delta)
@@ -553,8 +706,7 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
             raise ValueError("delta must be positive")
         grid_d = voxelize(Ball(delta, center=tuple(z)), 2.0 * delta / cells_across)
         sys_d = assemble(grid_d, sys.bg)
-        u_d = _scatter_matrix(sys_d, trial, nodes)
-        eu_d = e_on_measurement(u_d)
+        eu_d = e_on_measurement(_scatter_matrix(sys_d, trial, nodes))
         lhs = -float(np.real(np.einsum("m,q,mq,mq->", w, w, eu_d.conj(), eu_b)))
         denom = delta**3 * t_val
         if denom == 0.0:

@@ -1,9 +1,10 @@
 """Special functions, sphere quadrature, and voxelization.
 
-Spherical Bessel/Hankel functions, Legendre polynomials and orthonormal
-spherical harmonics (real and complex bases), product quadrature rules on
-spheres and spherical caps, and cell-center voxelization of scatterer shapes
-onto a uniform cubic lattice.
+Spherical Bessel/Hankel functions, Legendre polynomials, orthonormal
+spherical harmonics (real and complex bases), gradients of the regular
+waves j_n Y_n^m in solid-harmonic form, product quadrature rules on spheres
+and spherical caps, and cell-center voxelization of scatterer shapes onto a
+uniform cubic lattice.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn, roots_legendre
+from scipy.special import gammaln, spherical_jn, spherical_yn, roots_legendre
 
 __all__ = [
     "N_MAX",
@@ -27,6 +28,7 @@ __all__ = [
     "complex_spherical_harmonics",
     "harmonics_table",
     "harmonic_index",
+    "regular_wave_gradients",
     "sphere_quadrature",
     "sphere_surface",
     "voxelize",
@@ -155,6 +157,99 @@ def real_spherical_harmonics(n, m, dirs):
     if abs(m) > n:
         raise ValueError("|m| must not exceed n")
     return harmonics_table(n, dirs, kind="real")[harmonic_index(n, m)]
+
+
+def log_odd_factorial(n):
+    """log (2n + 1)!! for n >= 0 (elementwise)."""
+    n = np.asarray(n, dtype=float)
+    return gammaln(2.0 * n + 2.0) - n * np.log(2.0) - gammaln(n + 1.0)
+
+
+def _radial_factors(n_top, kr):
+    """F_n = (2n + 1)!! j_n(kr) / (kr)^n for n = 0..n_top, shape (n_top + 1, npts).
+
+    F_n is entire in (kr)^2 with F_n(0) = 1.  Below kr = 1 its power series
+    sum_l (-(kr)^2 / 2)^l / (l! (2n + 3)(2n + 5)...(2n + 2l + 1)) is summed
+    until the terms drop below 1e-17 (F_n > 0.8 there, and nothing cancels);
+    above, j_n is scaled.
+    """
+    n = np.arange(n_top + 1, dtype=float)[:, None]
+    out = np.empty((n_top + 1, kr.size))
+    small = kr < 1.0
+    x = kr[small]
+    term = np.ones((n_top + 1, x.size))
+    series = term.copy()
+    l = 0
+    while np.abs(term).max(initial=0.0) > 1e-17:
+        l += 1
+        term = term * (-0.5 * x * x) / (l * (2.0 * n + 2.0 * l + 1.0))
+        series += term
+    out[:, small] = series
+    x = kr[~small]
+    # (2n + 1)!! / x^n as a running product: exp of its log loses 1e-14
+    out[:, ~small] = spherical_jn(n, x) * np.cumprod(
+        np.maximum(2.0 * n + 1.0, 1.0) / np.where(n > 0, x, 1.0), axis=0)
+    return out
+
+
+def regular_wave_gradients(n_max, k, x):
+    """Gradients of the regular waves u_n^m(x) = F_n(|x|) R_n^m(x), n <= n_max.
+
+    R_n^m are the scaled complex regular solid harmonics
+
+        R_0^0 = 1,   R_{n+1}^{n+1} = -(x + i y) / (2n + 2) R_n^n,
+        R_{n+1}^m = ((2n + 1) z R_n^m - |x|^2 R_{n-1}^m) / ((n + m + 1)(n - m + 1)),
+        R_n^{-m} = (-1)^m conj(R_n^m),
+
+    and F_n(r) = (2n + 1)!! j_n(k r) / (k r)^n, so that with
+    w_nm = (n + m)! (n - m)!
+
+        j_n(k |x|) Y_n^m(xhat) = k^n sqrt((2n + 1) w_nm / (4 pi)) / (2n + 1)!! u_n^m(x)
+
+    in the complex basis of harmonics_table.  The ladder dR_n^m/dz = R_{n-1}^m,
+    dR_n^m/dx = (R_{n-1}^{m+1} - R_{n-1}^{m-1}) / 2 and
+    dR_n^m/dy = -(i/2) (R_{n-1}^{m-1} + R_{n-1}^{m+1}), with F_n' = -k^2 r F_{n+1} / (2n + 3),
+    gives grad u = F_n grad R_n^m - k^2 / (2n + 3) F_{n+1} R_n^m x, with no pole and
+    no special case at x = 0.  At k = 0, u_n^m = R_n^m.
+
+    x: (npts, 3) relative to the expansion centre; k >= 0.  Returns
+    ((n_max + 1)^2, npts, 3), rows packed n (n + 1) + m like harmonics_table.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    npts = x.shape[0]
+    r2 = np.einsum("pi,pi->p", x, x)
+    # tab[n, m] = R_n^m for 0 <= m <= n; the zero entries m > n close the recurrence
+    tab = np.zeros((n_max + 1, n_max + 1, npts), dtype=complex)
+    tab[0, 0] = 1.0
+    w = x[:, 0] + 1j * x[:, 1]
+    for n in range(n_max):
+        m = np.arange(n + 1)
+        prev = tab[n - 1, : n + 1] if n else 0.0
+        tab[n + 1, : n + 1] = ((2 * n + 1) * x[:, 2] * tab[n, : n + 1] - r2 * prev) / (
+            (n + m + 1) * (n - m + 1))[:, None]
+        tab[n + 1, n + 1] = -w / (2 * n + 2) * tab[n, n]
+    deg = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    order = np.arange(deg.size) - deg * (deg + 1)
+    # packed R_n^m with one trailing zero row for the ladder's out-of-range reads
+    packed = np.zeros((deg.size + 1, npts), dtype=complex)
+    pos = tab[deg, np.abs(order)]  # R_n^{|m|}
+    packed[:-1] = np.where((order < 0)[:, None], ((-1.0) ** order)[:, None] * pos.conj(), pos)
+
+    def lower(m):
+        ok = (deg >= 1) & (np.abs(m) <= deg - 1)
+        return packed[np.where(ok, (deg - 1) * deg + m, deg.size)]
+
+    up, down = lower(order + 1), lower(order - 1)
+    f = _radial_factors(n_max + 1, np.sqrt(r2) * k)
+    f_n = f[deg]
+    radial = (k * k / (2 * deg + 3))[:, None] * f[deg + 1] * packed[:-1]
+    grad = np.empty((deg.size, npts, 3), dtype=complex)
+    grad[..., 0] = 0.5 * f_n * (up - down) - radial * x[:, 0]
+    grad[..., 1] = -0.5j * f_n * (down + up) - radial * x[:, 1]
+    grad[..., 2] = f_n * lower(order) - radial * x[:, 2]
+    return grad
 
 
 def sphere_quadrature(order, aperture=None):

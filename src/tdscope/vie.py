@@ -235,10 +235,13 @@ def assemble(grid, bg):
 def resolvent_solve(sys, contrast, rhs, form="direct"):
     """Solve (I - Q R_kappa) X = rhs (form='direct') or the sigma-split system.
 
-    rhs: (3N,) or (3N, K).  Dense LU below the direct cap (cached per
-    contrast), residual-controlled GMRES above it.  Each LU batch is checked
-    by one seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT
-    apply, which also cross-checks the gathered matrix against the table.
+    rhs: (3N,) or (3N, K), consumed: on the LU path a complex rhs in Fortran
+    order (or 1-D) is overwritten by the solution, which is returned in its
+    memory.  Dense LU below the direct cap (cached per contrast),
+    residual-controlled GMRES above it.  Each LU batch is checked by one
+    seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT apply,
+    which also cross-checks the gathered matrix against the table; B r is
+    formed before the solve.
     """
     rhs = np.asarray(rhs, dtype=complex)
     n3 = 3 * sys.n_cells
@@ -249,9 +252,10 @@ def resolvent_solve(sys, contrast, rhs, form="direct"):
         return sys.apply(v, *factors)
 
     if sys.n_cells <= DIRECT_CAP:
-        x = lu_solve(sys._factorization(contrast, form), rhs, check_finite=False)
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
+        x = lu_solve(sys._factorization(contrast, form), rhs, overwrite_b=True,
+                     check_finite=False)
         num, den = np.linalg.norm(matvec(x.reshape(n3, -1) @ r) - br), np.linalg.norm(br)
         if not num <= 1e-10 * den:
             raise RuntimeError(f"LU solve residual probe {num / den:.3e} exceeds 1e-10")

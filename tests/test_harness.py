@@ -251,6 +251,27 @@ def test_decay_study_small():
     assert rep.tol_overrides == {"tol_slope": 0.9, "tol_alpha_pair": 0.9}
 
 
+def test_sign_study_reports_kernel_factor(sign_report):
+    res = sign_report.results
+    assert res["kernel_factor"] == sign_report.tdmap.kernel_factor == "spectral"
+    assert res["kernel_rank"] == sign_report.tdmap.kernel_rank
+    n_max = int(round(np.sqrt(res["kernel_rank"]))) - 1
+    assert res["kernel_rank"] == (n_max + 1) ** 2
+
+
+def test_decay_study_needs_no_surface_quadrature(monkeypatch):
+    # closed sphere, isotropic background: every map takes the spectral
+    # factor, so no point-source gradient on a surface node is evaluated
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("surface quadrature evaluated")
+
+    monkeypatch.setattr(harness.imaging, "grad_phi", no_nodes)
+    rep = run_study(cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\n"
+                             "resolution = 6\ntol_slope = 9\ntol_alpha_pair = 9\n"))
+    assert rep.results["kernel_factor"] == "spectral"
+    assert len(rep.rays[0]) == 8
+
+
 def test_born_study_small():
     rep = run_study(cfg_from("study = born\nresolution = 8\nborn_q0 = 0.5\nborn_halvings = 2\n"))
     assert rep.status == "PASS"

@@ -34,6 +34,7 @@ from tdscope import (
     truncation_order,
     surface_order_hint,
 )
+from tdscope import imaging
 from tdscope.imaging import _scatter_matrix
 
 Z = np.array([1.5, -1.0, 2.0])
@@ -393,3 +394,119 @@ def test_finite_delta_smoke(sys_h6, small_map_setup):
     assert 0.5 < ratio < 1.5
     with pytest.raises(ValueError):
         td_finite_delta_check(sys_h6, c, trial, surf, z, deltas=(0.2,), cells_across=2)
+
+
+# ---------------------------------------------------------------------------
+# the kernel factor: spectral on closed spheres in isotropic media, nodes otherwise
+
+OFF_CENTER = (0.3, -0.2, 0.1)
+FACTOR_CASES = [(1.0, 1.0, None), (0.0, 1.0, None), (1.0, 2.0, OFF_CENTER),
+                (0.0, 2.0, OFF_CENTER)]
+
+
+def _force_nodes(monkeypatch):
+    monkeypatch.setattr(imaging, "_spectral_factor", lambda *args: None)
+
+
+@pytest.fixture(scope="module")
+def iso_systems_h8(ball_grid_h8):
+    return {(kappa, a): assemble(ball_grid_h8, Background.isotropic(a, kappa))
+            for kappa, a, _ in FACTOR_CASES}
+
+
+def _regime_map(regime, sys, surf, pts):
+    a = sys.bg.iso_a
+    if regime == "iso":
+        return td_map_iso(sys, iso_contrast(a, 2.0 * a), iso_contrast(a, 1.5 * a), surf, pts)
+    c = aniso_contrast(SymTensor3.scaled_identity(a), SymTensor3.from_matrix(a * A_TILDE.matrix))
+    if regime == "aniso_iso":
+        return td_map_aniso_iso(sys, c, iso_contrast(a, 0.5 * a), surf, pts)
+    trial = mz_ellipsoid(sys.bg.A, SymTensor3.diag(0.5 * a, 0.6 * a, 0.4 * a), (0.3, 0.25, 0.2))
+    return td_map_general(sys, c, trial, surf, pts)
+
+
+@pytest.mark.parametrize("regime", ["iso", "aniso_iso", "general"])
+@pytest.mark.parametrize("kappa, a, center", FACTOR_CASES,
+                         ids=["k1_a1", "k0_a1", "k1_a2_off", "k0_a2_off"])
+def test_spectral_and_node_factor_maps_agree(iso_systems_h8, monkeypatch, regime,
+                                             kappa, a, center):
+    # 125 points: the spectral map (P = 225 < 3Z) goes through T_m, the node
+    # map (K = 1800 > 3Z) through the bundle rows
+    sys = iso_systems_h8[(kappa, a)]
+    c = np.zeros(3) if center is None else np.asarray(center)
+    surf = sphere_surface(5.0, 30, center=c)
+    ax = np.linspace(-0.9, 0.9, 5)
+    pts = c + np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    spectral = _regime_map(regime, sys, surf, pts)
+    assert spectral.kernel_factor == "spectral"
+    assert spectral.kernel_rank < 3 * pts.shape[0]
+    _force_nodes(monkeypatch)
+    nodes = _regime_map(regime, sys, surf, pts)
+    assert (nodes.kernel_factor, nodes.kernel_rank) == ("nodes", surf.weights.size)
+    err = np.abs(spectral.values - nodes.values).max() / np.abs(nodes.values).max()
+    assert err <= 1e-12
+
+
+@pytest.mark.parametrize("radius, dist", [(100.0, 10.5), (1000.0, 126.0), (2.15e5, 40.3)])
+def test_factors_agree_at_decay_geometries(ball_grid_h8, monkeypatch, radius, dist):
+    # within the node quadrature's own error, read off its imaginary part
+    # (zero in exact arithmetic on a closed sphere)
+    bg = Background.isotropic(1.0, 1.0)
+    ys = ball_grid_h8.centers[::10]
+    zs = (dist * np.array([2.0, -1.0, 2.0]) / 3.0)[None, :]
+    surf = sphere_surface(radius, surface_order_hint(1.0, dist + 0.5, 0.5))
+    kern = KernelG(surf, bg)
+    assert kern.factor(zs, ys).kind == "spectral"
+    spectral = kern.bundle(zs, ys)
+    _force_nodes(monkeypatch)
+    nodes = kern.bundle(zs, ys)
+    scale = np.abs(nodes).max()
+    tol = max(1e-12, 10.0 * np.abs(nodes.imag).max() / scale)
+    assert np.abs(spectral - nodes).max() / scale <= tol
+
+
+def test_single_point_map_matches_many_point_map(sys_h8):
+    # Z = 1 solves the 3 rows of G, Z = 125 the P factor fields
+    surf = sphere_surface(5.0, 30)
+    ax = np.linspace(-1.0, 1.0, 5)
+    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    c = iso_contrast(1.0, 2.0)
+    trial = iso_contrast(1.0, 2.0)
+    full = td_map_iso(sys_h8, c, trial, surf, pts)
+    assert full.kernel_rank < 3 * pts.shape[0]
+    for k in (0, 37, 124):
+        one = td_map_iso(sys_h8, c, trial, surf, pts[k:k + 1], certificate=full.certificate)
+        assert one.kernel_rank > 3
+        assert one.values[0] == pytest.approx(full.values[k], rel=1e-13)
+
+
+def test_cap_and_anisotropic_background_take_node_factor(ball_grid_h6, sys_h6):
+    zs = np.array([[0.5, 0.0, 0.0], [0.0, -0.8, 0.3]])
+    ys = ball_grid_h6.centers[::20]
+    cap = sphere_surface(5.0, 24, aperture=2.0)
+    aniso = Background(A=SymTensor3.diag(1.2, 0.9, 1.1), kappa=1.0)
+    for surf, bg in ((cap, sys_h6.bg), (sphere_surface(5.0, 24), aniso)):
+        kern = KernelG(surf, bg)
+        fac = kern.factor(zs, ys)
+        assert (fac.kind, fac.rank) == ("nodes", surf.weights.size)
+        table = kern.bundle(zs, ys)
+        loop = np.block([[kernel_G(surf, bg, z, y) for y in ys] for z in zs])
+        np.testing.assert_allclose(table, loop, rtol=1e-12, atol=1e-15)
+    c = iso_contrast(1.0, 2.0)
+    tmap = td_map_iso(sys_h6, c, c, cap, zs)
+    assert (tmap.kernel_factor, tmap.kernel_rank) == ("nodes", cap.weights.size)
+
+
+def test_spectral_truncation_falls_back_near_the_surface(bg_unit):
+    # the geometric tail (|z| |y| / R^2)^n needs more than N_MAX degrees when
+    # both point sets reach close to the surface, and the node factor takes over
+    kern = KernelG(sphere_surface(1.0, 40), bg_unit)
+    near = np.array([[0.0, 0.0, 0.9]])
+    assert kern.factor(near, near).kind == "nodes"
+    mid = np.array([[0.0, 0.3, 0.0]])
+    assert kern.factor(mid, near).kind == "spectral"
+    # the peaked integrand needs a fine rule; its roundoff shows in Im G
+    quad = kernel_G(sphere_surface(1.0, 200), bg_unit, mid[0], near[0])
+    scale = np.abs(quad).max()
+    tol = max(1e-12, 10.0 * np.abs(quad.imag).max() / scale)
+    assert np.abs(kern.bundle(mid, near) - quad).max() / scale <= tol

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, spherical_jn
 
 from tdscope import (
     Ball,
@@ -13,6 +14,7 @@ from tdscope import (
     harmonics_table,
     legendre_p,
     real_spherical_harmonics,
+    regular_wave_gradients,
     sph_bessel_j,
     sph_hankel1,
     sphere_quadrature,
@@ -158,3 +160,40 @@ def test_voxelize_ellipsoid_volume():
     g = voxelize(Ellipsoid((0.5, 0.4, 0.3)), 1.0 / 24.0)
     vol = 4.0 / 3.0 * np.pi * 0.5 * 0.4 * 0.3
     assert abs(g.volume - vol) / vol < 0.03
+
+
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_regular_wave_gradients_match_finite_differences(k):
+    # grad u_n^m against central differences of j_n(k r) Y_n^m (r^n Y_n^m at
+    # k = 0), with j_n Y_n^m = k^n sqrt((2n+1) w_nm / 4 pi) / (2n+1)!! u_n^m
+    n_max = 6
+    pts = np.random.default_rng(11).uniform(-1.0, 1.0, (5, 3))
+    deg = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    m = np.arange(deg.size) - deg * (deg + 1)
+
+    def wave(p):
+        r = np.linalg.norm(p, axis=1)
+        radial = r[None, :] ** deg[:, None] if k == 0.0 else spherical_jn(deg[:, None], k * r)
+        return radial * harmonics_table(n_max, p / r[:, None], kind="complex")
+
+    log_norm = 0.5 * (np.log((2 * deg + 1) / (4.0 * np.pi))
+                      + gammaln(deg + m + 1) + gammaln(deg - m + 1))
+    if k > 0.0:
+        log_norm += deg * np.log(k) - (gammaln(2 * deg + 2) - deg * np.log(2.0)
+                                       - gammaln(deg + 1))
+    step = 1e-5
+    fd = np.stack([(wave(pts + step * e) - wave(pts - step * e)) / (2.0 * step)
+                   for e in np.eye(3)], axis=-1)
+    got = np.exp(log_norm)[:, None, None] * regular_wave_gradients(n_max, k, pts)
+    assert np.abs(got - fd).max() < 1e-9 * np.abs(fd).max()
+
+
+def test_regular_wave_gradients_at_the_origin():
+    # only the degree-1 waves have a gradient at x = 0: grad z = e_z and
+    # grad R_1^{+-1} = grad (-+(x +- i y) / 2)
+    g = regular_wave_gradients(4, 2.0, np.zeros((1, 3)))[:, 0]
+    want = np.zeros_like(g)
+    want[1] = [0.5, -0.5j, 0.0]   # R_1^{-1} = (x - i y) / 2
+    want[2] = [0.0, 0.0, 1.0]     # R_1^0 = z
+    want[3] = [-0.5, -0.5j, 0.0]  # R_1^1 = -(x + i y) / 2
+    np.testing.assert_array_equal(g, want)

@@ -291,6 +291,19 @@ def test_lu_residual_probe_catches_wrong_factorization(sys_h6):
         solve_density(fresh, c, g)
 
 
+@pytest.mark.parametrize("k", [None, 4], ids=["one", "stacked"])
+def test_resolvent_solve_lu_solves_in_place(sys_h6, rng, k):
+    # the LU path consumes its right-hand sides: the solution takes their memory
+    c = iso_contrast(1.0, 2.0)
+    shape = (3 * sys_h6.n_cells,) + (() if k is None else (k,))
+    rhs = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    b = rhs.copy()
+    x = vie.resolvent_solve(sys_h6, c, rhs)
+    assert np.shares_memory(x, rhs)
+    mat = sys_h6.dense(*_system_factors(c, sys_h6.bg, "direct"))
+    assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
 def test_radiation_matrix_matches_scattered_field(sys_h6, rng):
     c = iso_contrast(1.0, 2.0)
     dens = solve_density(sys_h6, c, unit_inc(sys_h6.n_cells))
