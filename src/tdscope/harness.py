@@ -211,6 +211,9 @@ def validate_config(cfg):
             )
     if v["aperture"] is not None and not 0.0 < v["aperture"] <= np.pi:
         problems.append("aperture must lie in (0, pi]")
+    if v["aperture"] is not None and v["study"] in ("decay", "finite_delta"):
+        problems.append(f"the {v['study']} study measures on closed spheres; "
+                        "aperture must be unset")
     if v["study"] == "decay":
         if not 0.0 < v["eta"] <= 0.1:
             problems.append("eta must lie in (0, 0.1]")
@@ -451,7 +454,7 @@ def run_decay_study(cfg):
     shape = _shape(cfg)
     center = np.asarray(shape.center)
     reach = shape.diameter / 2.0
-    factors = set()
+    factors, ranks = set(), set()
 
     def slope_for(alpha):
         etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, cfg.points_per_decade)
@@ -472,6 +475,7 @@ def run_decay_study(cfg):
                 tmap = imaging.td_map_iso(sys, contrast, trial, surf, z[None, :],
                                           certificate=cert)
                 factors.add(tmap.kernel_factor)
+                ranks.add(tmap.kernel_rank)
                 scale = ((1.0 + (cfg.kappa * radius) ** 2)
                          / (12.0 * np.pi * radius**2)) ** 2
                 raw = float(abs(tmap.values[0]))
@@ -502,6 +506,7 @@ def run_decay_study(cfg):
         s, _, _ = slope_for(al)
         pair.append({"alpha": al, "slope": s})
     results["kernel_factor"] = ",".join(sorted(factors))
+    results["kernel_rank"] = ",".join(str(r) for r in sorted(ranks))
     if len(pair) >= 2:
         gap = abs(pair[0]["slope"] - pair[1]["slope"])
         results["alpha_pair"] = pair

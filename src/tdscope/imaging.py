@@ -27,8 +27,12 @@ contraction giving the 3x3 response matrix S(z)_ij = 1/2 < g_i, M_B g_j >
 for the rows g_i of G(z, .) and T(z) = -2 h^3 Re tr(M_z S(z)), where the
 maps differ only in the trial's M_z.  vie.solve_density applies M_B either
 to the P factor fields on the voxel grid, S(z) = b(z)^T T_m conj(b(z)) with
-T_m = 1/2 b^H M_B b, or to the 3Z rows of G, whichever is fewer.  The
-scattering matrices of the finite-size oracle solve through the same call.
+T_m = 1/2 b^H M_B b, or to the 3Z rows of G.  The spectral factor always
+takes T_m = D T_w D: the response T_w of the unscaled regular waves is
+solved once and cached on the system, and the surface radius enters only
+through the diagonal D.  The node factor takes whichever association solves
+fewer fields.  The scattering matrices of the finite-size oracle solve
+through the same call.
 Each map reports the moderate-scatterer certificate, the kernel factor it
 used, and the imaginary residue of the pre-Re pairing.
 
@@ -281,6 +285,13 @@ def _spectral_order(k, radius, reach_z, reach_y):
     return n if n <= N_MAX else None
 
 
+def _half_pairing(sys, contrast, fields):
+    """1/2 f^H M_B f for P fields f of shape (P, N, 3): a (P, P) matrix."""
+    h = solve_density(sys, contrast, fields).values
+    p = fields.shape[0]
+    return 0.5 * (fields.conj().reshape(p, -1) @ h.reshape(p, -1).T)
+
+
 @dataclass(frozen=True)
 class _SpectralFactor:
     """b_p(x) = sqrt(c_p) grad u_nm(x - center), p = n (n + 1) + m, n <= n_max.
@@ -299,14 +310,37 @@ class _SpectralFactor:
     def rank(self):
         return self.degree.size
 
-    def __call__(self, pts):
-        d = pts - self.center
-        rho = float(np.linalg.norm(d, axis=1).max(initial=0.0)) or 1.0
+    def _rho(self, pts):
+        return float(np.linalg.norm(pts - self.center, axis=1).max(initial=0.0)) or 1.0
+
+    def _scale(self, rho):
+        """The diagonal D of b = D W at the point set's radius rho."""
+        return np.exp(self.half_log_c + (self.degree - 1.0) * np.log(rho))
+
+    def _waves(self, pts, rho):
         # grad u(x) = rho^(n-1) grad u'(x / rho), u' the wave of wavenumber
         # k rho: every factor stays of order one, whatever |x| and R are
-        grad = regular_wave_gradients(self.n_max, self.k * rho, d / rho)
-        scale = np.exp(self.half_log_c + (self.degree - 1.0) * np.log(rho))
-        return scale[:, None, None] * grad
+        return regular_wave_gradients(self.n_max, self.k * rho, (pts - self.center) / rho)
+
+    def __call__(self, pts):
+        rho = self._rho(pts)
+        return self._scale(rho)[:, None, None] * self._waves(pts, rho)
+
+    def response(self, sys, contrast):
+        """T_m = 1/2 b^H M_B b on the voxel grid, as D T_w D.
+
+        T_w = 1/2 W^H M_B W is the response of the unscaled waves W; it does
+        not depend on the surface radius and is solved once per system,
+        contrast, centre, k and n_max (the grid fixes rho).  R enters only
+        through D.
+        """
+        centers = sys.grid.centers
+        rho = self._rho(centers)
+        key = ("regular waves", tuple(self.center), self.k, self.n_max)
+        t_w = sys._response(contrast, key,
+                            lambda: _half_pairing(sys, contrast, self._waves(centers, rho)))
+        d = self._scale(rho)
+        return d[:, None] * t_w * d
 
 
 def _spectral_factor(center, radius, a, kappa, reach_z, reach_y):
@@ -352,6 +386,10 @@ class _NodeFactor:
     @property
     def rank(self):
         return self.surface.weights.size
+
+    def response(self, sys, contrast):
+        """T_m = 1/2 b^H M_B b on the voxel grid, solved for these nodes."""
+        return _half_pairing(sys, contrast, self(sys.grid.centers))
 
     def __call__(self, pts):
         nodes = self.surface.nodes
@@ -542,11 +580,14 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     also the sign-split pairing with
     A^{1/2} q^T sigma (I - sigma q R q^T sigma)^{-1} sigma q A^{1/2}.
 
-    The kernel factor b of KernelG.factor, of rank P, is built on the voxel
-    grid once.  With g_i(z) = sum_p conj(b_p(z)_i) b_p, S has two
-    associations, and the one with fewer solved fields is taken: for P < 3Z,
-    one solve of the P fields b_p gives T_m = 1/2 b^H M_B b (P x P) and
-    S(z) = b(z)^T T_m conj(b(z)); otherwise the 3Z rows of G are solved.
+    With g_i(z) = sum_p conj(b_p(z)_i) b_p for the kernel factor b of
+    KernelG.factor, of rank P, S has two associations.  Through the factor's
+    response T_m = 1/2 b^H M_B b (P x P) on the voxel grid,
+    S(z) = b(z)^T T_m conj(b(z)); otherwise the 3Z rows of G are solved.  The
+    spectral factor always takes T_m: its solved part, the regular-wave
+    response T_w, is cached on sys, so later maps with the same contrast,
+    centre and n_max only scale it (see _SpectralFactor.response).  The node
+    factor takes the association with fewer solved fields, T_m for P < 3Z.
     kind is the operator_norm operator of the certificate, computed when
     certificate is None.
     """
@@ -556,15 +597,14 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     centers = sys.grid.centers
     fac = KernelG(surface=surface, bg=sys.bg).factor(pts, centers)
     p, nz = fac.rank, pts.shape[0]
-    b_grid = fac(centers)
-    b_z = fac(pts).reshape(p, 3 * nz)
-    if p < 3 * nz:
-        h = solve_density(sys, contrast, b_grid).values
-        t_m = 0.5 * (b_grid.conj().reshape(p, -1) @ h.reshape(p, -1).T)
-        s = np.einsum("pzi,pzj->zij", b_z.reshape(p, nz, 3),
-                      (t_m @ b_z.conj()).reshape(p, nz, 3))
+    if fac.kind == "spectral" or p < 3 * nz:
+        t_m = fac.response(sys, contrast)
+        # b(z) only after the solve, whose fields are then freed (peak memory)
+        b_z = fac(pts)
+        s = np.einsum("pzi,pzj->zij", b_z,
+                      (t_m @ b_z.conj().reshape(p, -1)).reshape(p, nz, 3))
     else:
-        g = b_z.conj().T @ b_grid.reshape(p, -1)
+        g = fac(pts).reshape(p, 3 * nz).conj().T @ fac(centers).reshape(p, -1)
         h = solve_density(sys, contrast, g.reshape(3 * nz, -1, 3)).values
         s = 0.5 * (g.conj().reshape(nz, 3, -1) @ h.reshape(nz, 3, -1).transpose(0, 2, 1))
     raw = -2.0 * sys.grid.cell_volume * np.einsum("ij,zji->z", m_z, s)

@@ -10,6 +10,7 @@ uniform cubic lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln, spherical_jn, spherical_yn, roots_legendre
@@ -252,6 +253,16 @@ def regular_wave_gradients(n_max, k, x):
     return grad
 
 
+def _check_rule(order, aperture):
+    """theta_max of a product rule, once its order and aperture are valid."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    theta_max = np.pi if aperture is None else float(aperture)
+    if not 0.0 < theta_max <= np.pi:
+        raise ValueError("aperture must lie in (0, pi]")
+    return theta_max
+
+
 def sphere_quadrature(order, aperture=None):
     """Product quadrature on the unit sphere or a spherical cap.
 
@@ -263,11 +274,7 @@ def sphere_quadrature(order, aperture=None):
     Returns (dirs, weights): dirs (npts, 3) unit vectors, weights summing to
     the cap area.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    theta_max = np.pi if aperture is None else float(aperture)
-    if not 0.0 < theta_max <= np.pi:
-        raise ValueError("aperture must lie in (0, pi]")
+    theta_max = _check_rule(order, aperture)
     xg, wg = roots_legendre(order)
     lo = np.cos(theta_max)
     ct = 0.5 * (xg + 1.0) * (1.0 - lo) + lo
@@ -293,15 +300,33 @@ class SphereSurface:
     """Source or measurement sphere with an attached quadrature rule.
 
     nodes = center + radius * dirs; weights carry the surface measure
-    (they sum to the area of the possibly truncated sphere).
+    (they sum to the area of the possibly truncated sphere).  The rule is
+    built on first use of dirs or weights: the spectral kernel factor of a
+    closed sphere never reads it.
     """
 
     center: np.ndarray
     radius: float
-    dirs: np.ndarray
-    weights: np.ndarray
     order: int
     aperture: float | None = None
+
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ValueError("radius must be positive")
+        _check_rule(self.order, self.aperture)
+
+    @cached_property
+    def _rule(self):
+        dirs, w = sphere_quadrature(self.order, aperture=self.aperture)
+        return dirs, w * self.radius**2
+
+    @property
+    def dirs(self):
+        return self._rule[0]
+
+    @property
+    def weights(self):
+        return self._rule[1]
 
     @property
     def nodes(self):
@@ -314,14 +339,9 @@ class SphereSurface:
 
 def sphere_surface(radius, order, center=(0.0, 0.0, 0.0), aperture=None):
     """Build a SphereSurface of given radius with a product rule of given order."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    dirs, w = sphere_quadrature(order, aperture=aperture)
     return SphereSurface(
         center=np.asarray(center, dtype=float),
         radius=float(radius),
-        dirs=dirs,
-        weights=w * radius**2,
         order=int(order),
         aperture=aperture,
     )

@@ -119,11 +119,13 @@ def _contrast_key(contrast):
 
 @dataclass
 class VieSystem:
-    """grad W_kappa on a voxel grid as an FFT offset table, plus cached factorizations.
+    """grad W_kappa on a voxel grid as an FFT offset table, plus cached solves.
 
     index holds each cell's integer lattice position (N, 3); kernel_hat holds
     the FFT over the box axes of the circulant-embedded block table, shape
-    (3, 3, *box).
+    (3, 3, *box).  The system keeps what it has solved for a contrast: the LU
+    factors of its dense system matrix per form, and scatterer responses
+    (imaging's regular-wave response T_w) per caller-given key.
     """
 
     grid: object
@@ -131,6 +133,7 @@ class VieSystem:
     index: np.ndarray
     kernel_hat: np.ndarray
     _factor_cache: dict = field(default_factory=dict, repr=False)
+    _response_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_cells(self):
@@ -191,6 +194,18 @@ class VieSystem:
             mat = self.dense(*_system_factors(contrast, self.bg, form))
             self._factor_cache[key] = lu_factor(mat, overwrite_a=True, check_finite=False)
         return self._factor_cache[key]
+
+    def _response(self, contrast, key, solve):
+        """solve() once per contrast and key; the read-only result is kept.
+
+        key must name everything else the response depends on.
+        """
+        key = (_contrast_key(contrast), *key)
+        if key not in self._response_cache:
+            out = solve()
+            out.setflags(write=False)
+            self._response_cache[key] = out
+        return self._response_cache[key]
 
 
 def assemble(grid, bg):

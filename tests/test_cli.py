@@ -47,6 +47,17 @@ def test_validate_rejects_nan(tmp_path, capsys):
     assert "bad value for kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("study", ["decay", "finite_delta"])
+def test_validate_rejects_aperture_on_closed_sphere_studies(tmp_path, capsys, study):
+    # the decay study would ignore the aperture; finite_delta raised after assembly
+    p = tmp_path / "cap.cfg"
+    p.write_text(f"study = {study}\naperture = 1.0\n")
+    assert main(["validate", str(p)]) == 1
+    assert "aperture must be unset" in capsys.readouterr().err
+    p.write_text("study = sign\naperture = 1.0\n")
+    assert main(["validate", str(p)]) == 0
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
     assert "error:" in capsys.readouterr().err

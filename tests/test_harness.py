@@ -272,6 +272,19 @@ def test_decay_study_needs_no_surface_quadrature(monkeypatch):
     assert len(rep.rays[0]) == 8
 
 
+def test_decay_study_solves_the_scatterer_once(monkeypatch):
+    # every map shares the system, contrast, centre and n_max: one solve of
+    # the regular-wave response serves all 3 x 8 maps
+    calls = []
+    solve = harness.imaging.solve_density
+    monkeypatch.setattr(harness.imaging, "solve_density",
+                        lambda *a, **k: calls.append(a[2].shape) or solve(*a, **k))
+    rep = run_study(cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\n"
+                             "resolution = 6\ntol_slope = 9\ntol_alpha_pair = 9\n"))
+    assert len(calls) == 1
+    assert calls[0][0] == int(rep.results["kernel_rank"])
+
+
 def test_born_study_small():
     rep = run_study(cfg_from("study = born\nresolution = 8\nborn_q0 = 0.5\nborn_halvings = 2\n"))
     assert rep.status == "PASS"

@@ -414,15 +414,16 @@ def iso_systems_h8(ball_grid_h8):
             for kappa, a, _ in FACTOR_CASES}
 
 
-def _regime_map(regime, sys, surf, pts):
+def _regime_map(regime, sys, surf, pts, certificate=None):
     a = sys.bg.iso_a
     if regime == "iso":
-        return td_map_iso(sys, iso_contrast(a, 2.0 * a), iso_contrast(a, 1.5 * a), surf, pts)
+        return td_map_iso(sys, iso_contrast(a, 2.0 * a), iso_contrast(a, 1.5 * a), surf, pts,
+                          certificate)
     c = aniso_contrast(SymTensor3.scaled_identity(a), SymTensor3.from_matrix(a * A_TILDE.matrix))
     if regime == "aniso_iso":
-        return td_map_aniso_iso(sys, c, iso_contrast(a, 0.5 * a), surf, pts)
+        return td_map_aniso_iso(sys, c, iso_contrast(a, 0.5 * a), surf, pts, certificate)
     trial = mz_ellipsoid(sys.bg.A, SymTensor3.diag(0.5 * a, 0.6 * a, 0.4 * a), (0.3, 0.25, 0.2))
-    return td_map_general(sys, c, trial, surf, pts)
+    return td_map_general(sys, c, trial, surf, pts, certificate)
 
 
 @pytest.mark.parametrize("regime", ["iso", "aniso_iso", "general"])
@@ -466,13 +467,15 @@ def test_factors_agree_at_decay_geometries(ball_grid_h8, monkeypatch, radius, di
 
 
 def test_single_point_map_matches_many_point_map(sys_h8):
-    # Z = 1 solves the 3 rows of G, Z = 125 the P factor fields
-    surf = sphere_surface(5.0, 30)
+    # the node factor of a cap rule (K = 128 nodes): Z = 125 solves the K
+    # node fields (K < 3Z), Z = 1 the 3 rows of G
+    surf = sphere_surface(5.0, 8, aperture=2.0)
     ax = np.linspace(-1.0, 1.0, 5)
     pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     c = iso_contrast(1.0, 2.0)
     trial = iso_contrast(1.0, 2.0)
     full = td_map_iso(sys_h8, c, trial, surf, pts)
+    assert (full.kernel_factor, full.kernel_rank) == ("nodes", 128)
     assert full.kernel_rank < 3 * pts.shape[0]
     for k in (0, 37, 124):
         one = td_map_iso(sys_h8, c, trial, surf, pts[k:k + 1], certificate=full.certificate)
@@ -510,3 +513,63 @@ def test_spectral_truncation_falls_back_near_the_surface(bg_unit):
     scale = np.abs(quad).max()
     tol = max(1e-12, 10.0 * np.abs(quad.imag).max() / scale)
     assert np.abs(kern.bundle(mid, near) - quad).max() / scale <= tol
+
+
+# ---------------------------------------------------------------------------
+# the regular-wave response T_w, solved once per system and reused; every
+# system here is assembled in the test, so no response cached elsewhere leaks in
+
+
+def _rel_diff(got, want):
+    return np.abs(got.values - want.values).max() / np.abs(want.values).max()
+
+
+@pytest.mark.parametrize("regime", ["iso", "aniso_iso", "general"])
+@pytest.mark.parametrize("kappa, a, center", FACTOR_CASES,
+                         ids=["k1_a1", "k0_a1", "k1_a2_off", "k0_a2_off"])
+def test_map_on_a_used_system_matches_a_fresh_system(ball_grid_h8, monkeypatch, regime,
+                                                     kappa, a, center):
+    # the used system first serves a map of another n_max (R = 3), then the
+    # radii in turn, which share one cached response; each map must equal the
+    # map on a fresh system, and that one the node-factor map
+    bg = Background.isotropic(a, kappa)
+    c = np.zeros(3) if center is None else np.asarray(center)
+    ax = np.linspace(-0.9, 0.9, 3)
+    pts = c + np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    used = assemble(ball_grid_h8, bg)
+    first = _regime_map(regime, used, sphere_surface(3.0, 20, center=c), pts, 1.0)
+    for radius in (5.0, 100.0, 1000.0):
+        surf = sphere_surface(radius, 20, center=c)
+        reused = _regime_map(regime, used, surf, pts, 1.0)
+        assert reused.kernel_factor == "spectral"
+        assert reused.kernel_rank != first.kernel_rank
+        fresh_sys = assemble(ball_grid_h8, bg)
+        fresh = _regime_map(regime, fresh_sys, surf, pts, 1.0)
+        assert _rel_diff(reused, fresh) <= 1e-13
+        with monkeypatch.context() as m:
+            _force_nodes(m)
+            nodes = _regime_map(regime, fresh_sys, surf, pts, 1.0)
+        assert nodes.kernel_factor == "nodes"
+        assert _rel_diff(fresh, nodes) <= 1e-12
+
+
+def test_cached_response_is_keyed_by_contrast_centre_and_order(ball_grid_h8):
+    # on one system: contrast A, B, then A again; a second centre; points
+    # reaching further, which raise n_max
+    bg = Background.isotropic(1.0, 1.0)
+    used = assemble(ball_grid_h8, bg)
+    trial = iso_contrast(1.0, 1.5)
+    c_a, c_b = iso_contrast(1.0, 2.0), iso_contrast(1.0, 0.5)
+    ax = np.linspace(-0.6, 0.6, 3)
+    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+    off = np.asarray(OFF_CENTER)
+    surf, surf_off = sphere_surface(5.0, 20), sphere_surface(5.0, 20, center=off)
+    far = 4.0 * pts
+    ranks = []
+    for c, s, p in ((c_a, surf, pts), (c_b, surf, pts), (c_a, surf, pts),
+                    (c_a, surf_off, pts + off), (c_a, surf, far)):
+        got = td_map_iso(used, c, trial, s, p, certificate=1.0)
+        want = td_map_iso(assemble(ball_grid_h8, bg), c, trial, s, p, certificate=1.0)
+        assert _rel_diff(got, want) <= 1e-13
+        ranks.append(got.kernel_rank)
+    assert ranks[3] == ranks[0] < ranks[4]

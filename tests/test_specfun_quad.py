@@ -21,6 +21,7 @@ from tdscope import (
     sphere_surface,
     voxelize,
 )
+from tdscope import specfun_quad
 
 xs = st.floats(min_value=0.05, max_value=40.0, allow_nan=False)
 
@@ -128,6 +129,24 @@ def test_sphere_surface_weights_scale():
     np.testing.assert_allclose(np.linalg.norm(s.nodes, axis=1), 5.0)
     with pytest.raises(ValueError):
         sphere_surface(-1.0, 8)
+
+
+def test_sphere_surface_builds_its_rule_on_first_use(monkeypatch):
+    # a bad order or aperture fails at construction; the rule itself is
+    # built once, when dirs or weights are first read
+    for order, aperture in ((0, None), (8, 0.0), (8, 4.0)):
+        with pytest.raises(ValueError):
+            sphere_surface(5.0, order, aperture=aperture)
+    calls = []
+    rule = specfun_quad.sphere_quadrature
+    monkeypatch.setattr(specfun_quad, "sphere_quadrature",
+                        lambda *a, **k: calls.append(a) or rule(*a, **k))
+    s = sphere_surface(5.0, 16, center=(1.0, 0.0, 0.0), aperture=2.0)
+    assert calls == []
+    dirs, w = rule(16, aperture=2.0)
+    np.testing.assert_array_equal(s.weights, 25.0 * w)
+    np.testing.assert_array_equal(s.nodes, np.array([1.0, 0.0, 0.0]) + 5.0 * dirs)
+    assert len(calls) == 1
 
 
 def test_voxelize_volume_and_symmetry():
