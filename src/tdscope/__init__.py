@@ -83,6 +83,7 @@ from .imaging import (
     td_map_aniso_iso,
     td_map_general,
     td_finite_delta_check,
+    FiniteDeltaCheck,
 )
 from .harness import (
     STATUS_EXIT_CODES,

@@ -236,8 +236,17 @@ def validate_config(cfg):
             problems.append("deltas must be positive")
         if v["cells_across"] < 4:
             problems.append("cells_across must be >= 4")
+        reach = float(np.linalg.norm(v["delta_point"])) + max(v["deltas"])
+        if not reach < v["surface_radius"]:
+            problems.append(f"the largest trial ball reaches {reach} (|delta_point| + "
+                            f"max(deltas)); it must lie strictly inside surface_radius = "
+                            f"{v['surface_radius']}")
     if v["grid_n"] < 1 or v["grid_extent"] <= 0:
         problems.append("sampling grid needs grid_n >= 1 and grid_extent > 0")
+    if v["study"] == "sign" and not np.sqrt(3.0) * v["grid_extent"] < v["surface_radius"]:
+        problems.append(f"the sampling cube's corners reach {np.sqrt(3.0) * v['grid_extent']} "
+                        f"(sqrt(3) grid_extent); they must lie strictly inside "
+                        f"surface_radius = {v['surface_radius']}")
     if v["trial_a"] <= 0:
         problems.append("trial_a must be > 0")
     return problems
@@ -673,9 +682,10 @@ def run_finite_delta_study(cfg):
     order = imaging.surface_order_hint(cfg.kappa, 1.0, 1.0)
     surf = _surface(cfg, order)
     deltas = sorted(cfg.deltas, reverse=True)
-    pairs = imaging.td_finite_delta_check(sys, contrast, trial, surf,
+    check = imaging.td_finite_delta_check(sys, contrast, trial, surf,
                                           np.asarray(cfg.delta_point), deltas,
                                           cells_across=cfg.cells_across)
+    pairs = check.pairs
     ratios = [r for _, r in pairs]
     gaps = np.diff(ratios)
     monotone = bool(np.all(gaps >= -1e-9) or np.all(gaps <= 1e-9))
@@ -685,7 +695,11 @@ def run_finite_delta_study(cfg):
                abs(final - 1.0) <= cfg.tol_ratio),
         _check("ratio_monotone", ratios, None, monotone),
     ]
-    results = {"pairs": [[d, r] for d, r in pairs]}
+    results = {
+        "kernel_factor": check.kernel_factor,
+        "kernel_rank": check.kernel_rank,
+        "pairs": [[d, r] for d, r in pairs],
+    }
     return _report(cfg, "finite_delta", _status_from_checks(checks), checks,
                    results, t0)
 

@@ -31,17 +31,21 @@ T_m = 1/2 b^H M_B b, or to the 3Z rows of G.  The spectral factor always
 takes T_m = D T_w D: the response T_w of the unscaled regular waves is
 solved once and cached on the system, and the surface radius enters only
 through the diagonal D.  The node factor takes whichever association solves
-fewer fields.  The scattering matrices of the finite-size oracle solve
-through the same call.
+fewer fields.
 Each map reports the moderate-scatterer certificate, the kernel factor it
 used, and the imaginary residue of the pre-Re pairing.
+
+The finite-size check compares the misfit increment of an actual delta-ball
+against delta^3 T(z) through the same factor: both sides are pairings of
+the responses T_m of the scatterer and of the ball, each solved once.
 
 The symmetry-restoring operator E multiplies surface-harmonic coefficients
 by -conj(h_n(kappa R)) / h_n(kappa R).  Traces use the real orthonormal
 harmonic basis, so conjugating a function conjugates its coefficients; the
 -conj identity for point sources holds for coefficients in the radiating
 normalization (the h_0 expansion), where they are real multiples of
-h_n(kappa R).
+h_n(kappa R).  E is unimodular and diagonal in that basis, so it preserves
+the L^2 pairing of two traces.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from .specfun_quad import (
     regular_wave_gradients,
     sph_bessel_j,
     sph_hankel1,
-    sphere_surface,
+    sphere_surface,  # unused here; the traced benchmark wraps imaging.sphere_surface
     voxelize,
     Ball,
 )
@@ -93,6 +97,7 @@ __all__ = [
     "td_map_aniso_iso",
     "td_map_general",
     "td_finite_delta_check",
+    "FiniteDeltaCheck",
 ]
 
 
@@ -622,6 +627,23 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     )
 
 
+def _ball_trial_mz(sys, trial, contrast):
+    """M_z = mz_ball_iso(a, beta_z).M_z of a scalar unit-ball trial.
+
+    The system's background must be isotropic, a I, and the trial (and the
+    scatterer, when it is an IsoContrast) must be posed in it.
+    """
+    if not isinstance(trial, IsoContrast):
+        raise TypeError("trial must be IsoContrast (spherical isotropic)")
+    a = sys.bg.iso_a
+    if a is None:
+        raise ValueError("a scalar ball trial needs an isotropic background")
+    for c in (trial, contrast):
+        if isinstance(c, IsoContrast) and abs(c.a - a) > 1e-12 * max(a, 1.0):
+            raise ValueError("contrast background coefficient must match the system")
+    return mz_ball_iso(a, trial.beta).M_z
+
+
 def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
     """T(z) for a scalar scatterer and a scalar unit-ball trial inclusion.
 
@@ -632,16 +654,10 @@ def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
     on the left slot of the pairing; the trial enters through
     M_z = mz_ball_iso(a, beta_z).M_z.
     """
-    if not isinstance(contrast, IsoContrast) or not isinstance(trial, IsoContrast):
+    if not isinstance(contrast, IsoContrast):
         raise TypeError("td_map_iso needs IsoContrast scatterer and trial")
-    a = sys.bg.iso_a
-    if a is None:
-        raise ValueError("isotropic map needs an isotropic background")
-    for c in (contrast, trial):
-        if abs(c.a - a) > 1e-12 * max(a, 1.0):
-            raise ValueError("contrast background coefficient must match the system")
     return _td_contract(sys, contrast, surface, points, certificate,
-                        "qR_kappa", mz_ball_iso(a, trial.beta).M_z)
+                        "qR_kappa", _ball_trial_mz(sys, trial, contrast))
 
 
 def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
@@ -656,15 +672,8 @@ def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
 
     that is M_z = mz_ball_iso(a, beta_z).M_z in the shared contraction.
     """
-    if not isinstance(trial, IsoContrast):
-        raise TypeError("trial must be IsoContrast (spherical isotropic)")
-    a = sys.bg.iso_a
-    if a is None:
-        raise ValueError("this regime needs an isotropic background")
-    if abs(trial.a - a) > 1e-12 * max(a, 1.0):
-        raise ValueError("trial background coefficient must match the system")
     return _td_contract(sys, contrast, surface, points, certificate,
-                        "qRq", mz_ball_iso(a, trial.beta).M_z)
+                        "qRq", _ball_trial_mz(sys, trial, contrast))
 
 
 def td_map_general(sys, contrast, trial, surface, points, certificate=None):
@@ -690,7 +699,12 @@ def td_map_general(sys, contrast, trial, surface, points, certificate=None):
 
 
 def _scatter_matrix(sys, contrast, nodes):
-    """Scattered field at every node from a point source at every node (K x K)."""
+    """Scattered field at every node from a point source at every node (K x K).
+
+    The data-side reference of td_finite_delta_check: the tests pair these
+    node data, with and without E on the measurement index, against the
+    check's kernel-factor responses.
+    """
     rad = radiation_matrix(sys, nodes)
     k = rad.shape[0]
     # row q of the radiation matrix is -h^3 times the incident gradient
@@ -699,59 +713,66 @@ def _scatter_matrix(sys, contrast, nodes):
     return rad @ h.values.reshape(k, -1).T
 
 
+@dataclass(frozen=True)
+class FiniteDeltaCheck:
+    """Ratios LHS(delta) / (delta^3 T(z)), one (delta, ratio) pair per delta
+    in the order given, and the factor of G both sides used (as in TdMap)."""
+
+    pairs: list
+    kernel_factor: str
+    kernel_rank: int
+
+
 def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
                           cells_across=8):
     """Ratio of the finite-size misfit increment to delta^3 T(z) per delta.
 
     For each delta a trial ball of radius delta at z is voxelized
-    (cells_across cells over its diameter, at least 4), its scattering
-    matrix over the surface nodes computed, the symmetry-restoring operator
-    applied on the measurement index of both scattered matrices, and
+    (cells_across cells over its diameter, at least 4).  With u_B and
+    u_delta the scattered fields of the scatterer and of the ball for point
+    sources and measurements on the closed sphere, the misfit increment is
 
-        LHS(delta) = -Re iint conj(E u_delta) E u_B dm ds
+        LHS(delta) = -Re iint conj(E u_delta) E u_B dm ds.
 
-    compared against delta^3 T(z).  Ratios approach 1 as delta shrinks.
-    Surfaces of sources and measurements share one node set.
+    E is unimodular and diagonal in an orthonormal harmonic basis of the
+    measurement index, so it drops out of this pairing; its role is the
+    identity E[grad Phi(. - y)] = -conj grad Phi(. - y), which turns the
+    node data into (E u)_mq = 2 h^3 (T_m)_mq / sqrt(w_m w_q) for the node
+    factor of G, with T_m = 1/2 b^H M b the response of a grid.  The pairing
+    depends on G alone, so for one factor b of KernelG.factor over z and
+    every ball cell,
+
+        LHS(delta) = -4 h_B^3 h_delta^3 Re sum_pq conj(T_m^delta)_pq (T_m^B)_pq,
+        T(z) = -2 h_B^3 Re tr(M_z b(z)^T T_m^B conj(b(z))),
+
+    with M_z = mz_ball_iso(a, beta_z).M_z.  The scatterer and each ball are
+    solved once, for the factor's P fields.  Ratios approach 1 as delta
+    shrinks.  Every input is checked before the first solve.
     """
     if cells_across < 4:
         raise ValueError("trial ball resolution below 4 cells across")
     if surface.aperture is not None:
         raise ValueError("the finite-size check needs a closed sphere")
-    z = np.asarray(z, dtype=float)
-    kappa = sys.bg.kappa
-    n_max = truncation_order(kappa, surface.radius)
-    surf = sphere_surface(surface.radius, max(surface.order, n_max + 2),
-                          center=surface.center)
-    if isinstance(contrast, IsoContrast):
-        tmap = td_map_iso(sys, contrast, trial, surf, z[None, :])
-    else:
-        tmap = td_map_aniso_iso(sys, contrast, trial, surf, z[None, :])
-    t_val = float(tmap.values[0])
-    nodes = surf.nodes
-    w = surf.weights
-    tab = harmonics_table(n_max, surf.dirs, kind="real")
-    en = np.repeat(e_multipliers(kappa, surf.radius, n_max),
-                   2 * np.arange(n_max + 1) + 1)
-
-    def e_on_measurement(u):
-        coef = (tab * w[None, :]) @ u / surf.radius
-        return tab.T @ (en[:, None] * coef) / surf.radius
-
-    # the K x K scattering matrices go straight into E: only E u is kept
-    eu_b = e_on_measurement(_scatter_matrix(sys, contrast, nodes))
-    out = []
-    for delta in deltas:
-        delta = float(delta)
-        if delta <= 0.0:
-            raise ValueError("delta must be positive")
-        grid_d = voxelize(Ball(delta, center=tuple(z)), 2.0 * delta / cells_across)
-        sys_d = assemble(grid_d, sys.bg)
-        eu_d = e_on_measurement(_scatter_matrix(sys_d, trial, nodes))
-        lhs = -float(np.real(np.einsum("m,q,mq,mq->", w, w, eu_d.conj(), eu_b)))
+    deltas = [float(d) for d in deltas]
+    if not all(d > 0.0 for d in deltas):  # NaN fails too
+        raise ValueError("delta must be positive")
+    m_z = _ball_trial_mz(sys, trial, contrast)
+    z = _require_inside(surface, z, "z")
+    balls = [voxelize(Ball(d, center=tuple(z)), 2.0 * d / cells_across) for d in deltas]
+    pts = np.vstack([z[None, :], *(g.centers for g in balls)])
+    fac = KernelG(surface=surface, bg=sys.bg).factor(pts, sys.grid.centers)
+    h_b = sys.grid.cell_volume
+    t_b = fac.response(sys, contrast)
+    b_z = fac(z[None, :])[:, 0]
+    t_val = -2.0 * h_b * float(np.real(np.trace(m_z @ b_z.T @ t_b @ b_z.conj())))
+    pairs = []
+    for delta, grid_d in zip(deltas, balls):
+        t_d = fac.response(assemble(grid_d, sys.bg), trial)
+        lhs = -4.0 * h_b * grid_d.cell_volume * float(np.real(np.vdot(t_d, t_b)))
         denom = delta**3 * t_val
         if denom == 0.0:
             ratio = 0.0 if lhs == 0.0 else np.inf
         else:
             ratio = lhs / denom
-        out.append((delta, float(ratio)))
-    return out
+        pairs.append((delta, float(ratio)))
+    return FiniteDeltaCheck(pairs=pairs, kernel_factor=fac.kind, kernel_rank=int(fac.rank))

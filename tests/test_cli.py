@@ -58,6 +58,25 @@ def test_validate_rejects_aperture_on_closed_sphere_studies(tmp_path, capsys, st
     assert main(["validate", str(p)]) == 0
 
 
+@pytest.mark.parametrize("study, bad, good, problem", [
+    # the sampling cube's corners, sqrt(3) * 3.0 = 5.196, lie outside the radius-5 sphere
+    ("sign", "grid_extent = 3.0", "grid_extent = 2.8", "sampling cube's corners reach"),
+    # a delta-ball of radius 0.2 at 4.9 crosses the radius-5 sphere
+    ("finite_delta", "delta_point = 4.9, 0, 0", "delta_point = 4.7, 0, 0",
+     "largest trial ball reaches"),
+])
+def test_validate_rejects_samples_outside_the_surface(tmp_path, capsys, study, bad, good,
+                                                      problem):
+    p = tmp_path / "reach.cfg"
+    p.write_text(f"study = {study}\n{bad}\n")
+    assert main(["validate", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert "1 problem(s)" in captured.out
+    p.write_text(f"study = {study}\n{good}\n")
+    assert main(["validate", str(p)]) == 0
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
     assert "error:" in capsys.readouterr().err

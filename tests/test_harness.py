@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +319,42 @@ def test_finite_delta_study_small():
     names = [c["name"] for c in rep.checks]
     assert any("monotone" in n for n in names)
     assert any("ratio" in n for n in names)
+
+
+def test_finite_delta_study_solves_each_system_once(monkeypatch):
+    # one solve of the kernel factor's P fields for the scatterer and one per
+    # delta; no node data, no certificate, no map
+    from tdscope import imaging
+
+    solved = []
+    solve_density = imaging.solve_density
+
+    def counted(sys, contrast, g):
+        solved.append(np.shape(g)[0])
+        return solve_density(sys, contrast, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the finite-size check took the data-side route")
+
+    monkeypatch.setattr(imaging, "solve_density", counted)
+    for name in ("_scatter_matrix", "radiation_matrix", "harmonics_table", "e_multipliers",
+                 "sphere_surface", "td_map_iso", "td_map_aniso_iso", "td_map_general",
+                 "operator_norm", "grad_phi"):
+        monkeypatch.setattr(imaging, name, refuse)
+    rep = run_study(cfg_from(
+        "study = finite_delta\nresolution = 6\ndeltas = 0.2, 0.1\ncells_across = 4\n"
+        "tol_ratio = 0.5\n"))
+    res = rep.results
+    assert (res["kernel_factor"], res["kernel_rank"]) == ("spectral", 196)
+    assert solved == [res["kernel_rank"]] * 3
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    assert validate_config(load_config(path)) == []
 
 
 def test_report_json_shape(sign_report):

@@ -1,5 +1,7 @@
 """Imaging kernels, surface operator, and the topological-derivative maps."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,9 @@ from tdscope import (
     truncation_order,
     surface_order_hint,
 )
-from tdscope import imaging
+from tdscope import Ball, imaging, voxelize
 from tdscope.imaging import _scatter_matrix
+from tdscope.specfun_quad import harmonics_table
 
 Z = np.array([1.5, -1.0, 2.0])
 Y = np.array([-2.0, 0.4, 0.8])
@@ -389,11 +392,92 @@ def test_finite_delta_smoke(sys_h6, small_map_setup):
     trial = iso_contrast(1.0, 2.0)
     z = np.array([0.25, 0.1, -0.15])
     out = td_finite_delta_check(sys_h6, c, trial, surf, z, deltas=(0.2,), cells_across=4)
-    (delta, ratio), = out
+    (delta, ratio), = out.pairs
     assert delta == 0.2
     assert 0.5 < ratio < 1.5
     with pytest.raises(ValueError):
         td_finite_delta_check(sys_h6, c, trial, surf, z, deltas=(0.2,), cells_across=2)
+
+
+def test_finite_delta_checks_inputs_before_any_solve(sys_h6, small_map_setup, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled or solved before the inputs were checked")
+
+    monkeypatch.setattr(imaging, "assemble", refuse)
+    monkeypatch.setattr(imaging, "solve_density", refuse)
+    surf, _ = small_map_setup
+    c = iso_contrast(1.0, 2.0)
+    z = np.array([0.25, 0.1, -0.15])
+    with pytest.raises(ValueError, match="delta must be positive"):
+        td_finite_delta_check(sys_h6, c, c, surf, z, deltas=(0.2, -0.1))
+    with pytest.raises(ValueError, match="delta must be positive"):
+        td_finite_delta_check(sys_h6, c, c, surf, z, deltas=(0.2, np.nan))
+    with pytest.raises(ValueError, match="must match the system"):
+        td_finite_delta_check(sys_h6, c, iso_contrast(2.0, 4.0), surf, z, deltas=(0.2,))
+    with pytest.raises(ValueError, match="must match the system"):
+        td_finite_delta_check(sys_h6, iso_contrast(2.0, 4.0), c, surf, z, deltas=(0.2,))
+    with pytest.raises(TypeError):
+        td_finite_delta_check(sys_h6, c, mz_ball_iso(1.0, 1.0), surf, z, deltas=(0.2,))
+    with pytest.raises(ValueError, match="closed sphere"):
+        cap = sphere_surface(5.0, 24, aperture=1.0)
+        td_finite_delta_check(sys_h6, c, c, cap, z, deltas=(0.2,))
+    # the ball of radius 0.2 at |z| = 4.9 crosses the radius-5 sphere
+    with pytest.raises(ValueError, match="strictly inside"):
+        td_finite_delta_check(sys_h6, c, c, surf, [4.9, 0.0, 0.0], deltas=(0.2,))
+    aniso = SimpleNamespace(grid=sys_h6.grid, bg=Background(SymTensor3.diag(1.0, 2.0, 1.0), 1.0))
+    with pytest.raises(ValueError, match="isotropic background"):
+        td_finite_delta_check(aniso, c, c, surf, z, deltas=(0.2,))
+
+
+def _data_lhs(sys_b, contrast, sys_d, trial, surf, with_e):
+    """-Re sum_mq w_m w_q conj(u_delta) u_B from the K x K node data, with E on
+    the measurement index of both or without it."""
+    w = surf.weights
+    u_b = _scatter_matrix(sys_b, contrast, surf.nodes)
+    u_d = _scatter_matrix(sys_d, trial, surf.nodes)
+    if with_e:
+        k = sys_b.bg.kappa / np.sqrt(sys_b.bg.iso_a)
+        n_max = truncation_order(k, surf.radius)
+        assert surf.order >= n_max + 2
+        tab = harmonics_table(n_max, surf.dirs, kind="real")
+        en = np.repeat(e_multipliers(k, surf.radius, n_max), 2 * np.arange(n_max + 1) + 1)
+
+        def e_on_measurement(u):
+            # harmonic_trace, e_apply and synthesize_trace on every column
+            return tab.T @ (en[:, None] * ((tab * w) @ u)) / surf.radius**2
+
+        u_b, u_d = e_on_measurement(u_b), e_on_measurement(u_d)
+    return -float(np.real(np.einsum("m,q,mq,mq->", w, w, u_d.conj(), u_b)))
+
+
+@pytest.mark.parametrize("case", ["spectral", "nodes_aniso_a15"])
+def test_finite_delta_matches_node_data(ball_grid_h6, monkeypatch, case):
+    # the check's kernel-factor responses against the data-side route: the
+    # node scattering matrices of the scatterer and of the delta-ball
+    a, delta, cells = (1.0, 0.2, 4) if case == "spectral" else (1.5, 0.15, 4)
+    bg = Background.isotropic(a, 1.0)
+    sys = assemble(ball_grid_h6, bg)
+    z = np.array([0.25, 0.1, -0.15])
+    trial = iso_contrast(a, 2.0 * a)
+    if case == "spectral":
+        contrast = iso_contrast(a, 2.0 * a)
+        surf = sphere_surface(5.0, truncation_order(1.0, 5.0) + 2)
+        t_z = td_map_iso(sys, contrast, trial, surf, z[None, :]).values[0]
+    else:
+        _force_nodes(monkeypatch)
+        contrast = aniso_contrast(bg.A, SymTensor3.from_matrix(a * A_TILDE.matrix))
+        surf = sphere_surface(3.0, truncation_order(1.0 / np.sqrt(a), 3.0) + 2)
+        t_z = td_map_aniso_iso(sys, contrast, trial, surf, z[None, :]).values[0]
+    check = td_finite_delta_check(sys, contrast, trial, surf, z, deltas=(delta,),
+                                  cells_across=cells)
+    assert check.kernel_factor == case.split("_")[0]
+    if case != "spectral":
+        assert check.kernel_rank == surf.weights.size
+    (_, ratio), = check.pairs
+    sys_d = assemble(voxelize(Ball(delta, center=tuple(z)), 2.0 * delta / cells), bg)
+    for with_e in (True, False):
+        lhs = _data_lhs(sys, contrast, sys_d, trial, surf, with_e)
+        assert abs(lhs / (delta**3 * t_z) - ratio) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
