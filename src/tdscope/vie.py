@@ -20,19 +20,27 @@ the lattice offset between its two cells, so gradW is block-Toeplitz.  It is
 stored as one table of 3x3 blocks per offset, circulant-embedded on a box of
 twice the grid's lattice extent, in Fourier space: a product with gradW is a
 scatter to the box, an FFT, a blockwise 3x3 product and a gather, O(box log
-box) time and O(box) memory.  A dense system matrix is gathered from the
-table only for the LU path.  Each block is even in the offset and a symmetric
+box) time and O(box) memory.  Each block is even in the offset and a symmetric
 Hessian, so gradW, R_kappa and the sigma-split system are complex symmetric;
 reciprocity of scattered fields is exact for this discretization up to
-roundoff.
+roundoff.  The direct form is complex symmetric when Q is a scalar.
+
+Below DIRECT_CAP cells the system matrix is gathered from the table and
+factored once, in place, per contrast and form: Bunch-Kaufman LDL^T
+(zsytrf) when it is complex symmetric, solved as LAPACK's zsytrs2 with two
+level-3 triangular solves, and row-pivoted LU otherwise (the direct form of
+a non-scalar Q).  Above it the solve is matrix-free GMRES.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.blas import ztrsm
+from scipy.linalg.lapack import zsyconv, zsytrf, zsytrf_lwork
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .greens import cell_self_term, grad_phi, hess_phi
@@ -111,6 +119,101 @@ def _system_factors(contrast, bg, form):
     raise ValueError(f"unknown system form {form!r}")
 
 
+def _complex_symmetric(left, right, diag):
+    """Whether diag + left gradW right is complex symmetric, gradW being so.
+
+    Its block (i, j) is L B R with B = B^T the block of (j, i), so the matrix
+    is symmetric when L B R = R^T B L^T for every symmetric B: L is a multiple
+    of R^T (their outer product is symmetric, which also holds when either is
+    zero) and diag is symmetric.  That covers every sigma form and the direct
+    form of a scalar Q.
+    """
+    outer = np.outer(left, right.T)
+    return bool(np.linalg.norm(outer - outer.T) <= 1e-13 * np.linalg.norm(outer)
+                and np.linalg.norm(diag - diag.T) <= 1e-13 * np.linalg.norm(diag))
+
+
+@dataclass(frozen=True)
+class _LDLT:
+    """Bunch-Kaufman factor P L D L^T P^T of a complex-symmetric matrix.
+
+    factor is the unit lower triangle L in zsyconv form, held in the memory of
+    the factored matrix; perm applies the row interchanges P^T as one index
+    array; D^{-1}, with its 1x1 and 2x2 blocks, is x_i = dinv_i y_i + off_i
+    y_partner_i (partner_i = i and off_i = 0 on a 1x1 block).
+    """
+
+    factor: np.ndarray
+    perm: np.ndarray
+    dinv: np.ndarray
+    off: np.ndarray
+    partner: np.ndarray
+
+    @classmethod
+    def of(cls, mat, what):
+        """Factor the symmetric Fortran-ordered mat in place; what names it in errors."""
+        n = mat.shape[0]
+        lwork, _ = zsytrf_lwork(n, lower=1)  # scipy's default lwork = n is unblocked
+        ldl, ipiv, info = zsytrf(mat, lower=1, lwork=int(lwork.real), overwrite_a=1)
+        if info > 0:
+            raise RuntimeError(f"{what} is singular: LDL^T pivot {info} is exactly zero")
+        ldl, e, _ = zsyconv(ldl, ipiv, lower=1, overwrite_a=1)
+        perm = np.arange(n)
+        partner = np.arange(n)
+        d = np.diagonal(ldl)
+        dinv = 1.0 / np.where(ipiv > 0, d, 1.0)
+        off = np.zeros(n, dtype=complex)
+        k = 0
+        while k < n:
+            if ipiv[k] > 0:
+                p, k2 = ipiv[k] - 1, k
+            else:
+                # 2x2 block on rows k, k + 1, inverted as LAPACK's zsytrs2 does
+                p, k2 = -ipiv[k + 1] - 1, k + 1
+                akm1, ak = d[k] / e[k], d[k2] / e[k]
+                scale = 1.0 / (e[k] * (akm1 * ak - 1.0))
+                dinv[k], dinv[k2] = ak * scale, akm1 * scale
+                off[k] = off[k2] = -scale
+                partner[k], partner[k2] = k2, k
+            perm[[k2, p]] = perm[[p, k2]]
+            k = k2 + 1
+        return cls(ldl, perm, dinv, off, partner)
+
+    def solve(self, rhs):
+        """Solution of (n,) or (n, K) rhs, written into rhs when it is Fortran-ordered."""
+        b = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
+        b[:] = b[self.perm]
+        b = ztrsm(1.0, self.factor, b, lower=1, diag=1, overwrite_b=1)
+        b[:] = self.dinv[:, None] * b + self.off[:, None] * b[self.partner]
+        b = ztrsm(1.0, self.factor, b, lower=1, trans_a=1, diag=1, overwrite_b=1)
+        b[self.perm] = b.copy()
+        return b.reshape(rhs.shape)
+
+
+@dataclass(frozen=True)
+class _LU:
+    """Row-pivoted LU factor of M^T for a matrix M that is not symmetric."""
+
+    factor: np.ndarray
+    piv: np.ndarray
+
+    @classmethod
+    def of(cls, mat_t, what):
+        """Factor the Fortran-ordered mat_t = M^T in place; what names M in errors."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot raises below
+            lu, piv = lu_factor(mat_t, overwrite_a=True, check_finite=False)
+        zero = np.flatnonzero(np.diagonal(lu) == 0)
+        if zero.size:
+            raise RuntimeError(f"{what} is singular: LU pivot {zero[0] + 1} is exactly zero")
+        return cls(lu, piv)
+
+    def solve(self, rhs):
+        """Solution of M x = rhs, written into rhs when it is Fortran-ordered or 1-D."""
+        return lu_solve((self.factor, self.piv), rhs, trans=1, overwrite_b=True,
+                        check_finite=False)
+
+
 def _contrast_key(contrast):
     if isinstance(contrast, IsoContrast):
         return ("iso", contrast.a, contrast.beta)
@@ -123,9 +226,10 @@ class VieSystem:
 
     index holds each cell's integer lattice position (N, 3); kernel_hat holds
     the FFT over the box axes of the circulant-embedded block table, shape
-    (3, 3, *box).  The system keeps what it has solved for a contrast: the LU
-    factors of its dense system matrix per form, and scatterer responses
-    (imaging's regular-wave response T_w) per caller-given key.
+    (3, 3, *box).  The system keeps what it has solved for a contrast: the one
+    in-place factor of its dense system matrix per form (LDL^T when complex
+    symmetric, LU otherwise), and scatterer responses (imaging's regular-wave
+    response T_w) per caller-given key.
     """
 
     grid: object
@@ -189,10 +293,18 @@ class VieSystem:
         return mat.reshape(3 * n, 3 * n)
 
     def _factorization(self, contrast, form):
+        """The factor of the dense system matrix M of a contrast and form, cached.
+
+        dense() is C-ordered, so its transpose is M^T in Fortran order, which
+        LAPACK factors in place: LDL^T when M is complex symmetric (M^T = M),
+        LU of M^T otherwise.  Either way one 3N x 3N block is held.
+        """
         key = (_contrast_key(contrast), form)
         if key not in self._factor_cache:
-            mat = self.dense(*_system_factors(contrast, self.bg, form))
-            self._factor_cache[key] = lu_factor(mat, overwrite_a=True, check_finite=False)
+            factors = _system_factors(contrast, self.bg, form)
+            kind = _LDLT if _complex_symmetric(*factors) else _LU
+            what = f"the {form}-form system on {self.n_cells} cells"
+            self._factor_cache[key] = kind.of(self.dense(*factors).T, what)
         return self._factor_cache[key]
 
     def _response(self, contrast, key, solve):
@@ -218,7 +330,7 @@ def assemble(grid, bg):
     discrete spectrum of R_0 well above its continuum norm 1.  The table is
     circulant-embedded on a box of twice the grid's lattice extent per axis,
     so an FFT convolution on the box reproduces every cell-pair block.  No
-    dense matrix is formed here; VieSystem.dense gathers one for LU.
+    dense matrix is formed here; VieSystem.dense gathers one for the factor.
     """
     n = grid.n_cells
     if n == 0:
@@ -250,13 +362,15 @@ def assemble(grid, bg):
 def resolvent_solve(sys, contrast, rhs, form="direct"):
     """Solve (I - Q R_kappa) X = rhs (form='direct') or the sigma-split system.
 
-    rhs: (3N,) or (3N, K), consumed: on the LU path a complex rhs in Fortran
-    order (or 1-D) is overwritten by the solution, which is returned in its
-    memory.  Dense LU below the direct cap (cached per contrast),
-    residual-controlled GMRES above it.  Each LU batch is checked by one
-    seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT apply,
-    which also cross-checks the gathered matrix against the table; B r is
-    formed before the solve.
+    rhs: (3N,) or (3N, K), consumed: on the dense path a complex rhs in
+    Fortran order (or 1-D) is overwritten by the solution, which is returned
+    in its memory.  Below the direct cap the dense system matrix is factored
+    once per contrast and form, in place: LDL^T when it is complex symmetric,
+    LU otherwise; a singular factor raises before any solve.  Above the cap
+    the solve is residual-controlled GMRES.  Each dense batch is checked by
+    one seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT
+    apply, which also cross-checks the gathered matrix against the table;
+    B r is formed before the solve.
     """
     rhs = np.asarray(rhs, dtype=complex)
     n3 = 3 * sys.n_cells
@@ -269,11 +383,10 @@ def resolvent_solve(sys, contrast, rhs, form="direct"):
     if sys.n_cells <= DIRECT_CAP:
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
-        x = lu_solve(sys._factorization(contrast, form), rhs, overwrite_b=True,
-                     check_finite=False)
+        x = sys._factorization(contrast, form).solve(rhs)
         num, den = np.linalg.norm(matvec(x.reshape(n3, -1) @ r) - br), np.linalg.norm(br)
         if not num <= 1e-10 * den:
-            raise RuntimeError(f"LU solve residual probe {num / den:.3e} exceeds 1e-10")
+            raise RuntimeError(f"dense solve residual probe {num / den:.3e} exceeds 1e-10")
         return x
     op = LinearOperator((n3, n3), matvec=matvec, dtype=complex)
     out = np.empty_like(cols)
@@ -303,8 +416,8 @@ def solve_density(sys, contrast, incident_grad):
     2 A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g; h has the shape of g.  The
     residual ||T (h r) - (At - A)(g r)|| / ||(At - A)(g r)|| of the
     unnormalized equation is taken for one seeded random combination r of the
-    fields (r = 1 for a single field) and must stay below 1e-10 on the LU path
-    and 1e-8 on the GMRES path.
+    fields (r = 1 for a single field) and must stay below 1e-10 on the dense
+    path and 1e-8 on the GMRES path.
     """
     g = np.asarray(incident_grad, dtype=complex)
     if g.ndim not in (2, 3) or g.shape[-2:] != (sys.n_cells, 3):

@@ -304,6 +304,87 @@ def test_resolvent_solve_lu_solves_in_place(sys_h6, rng, k):
     assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
+# complex-symmetric systems, factored with LDL^T: q > 0, q < 0 with sigma = i I
+# (symmetric, not Hermitian), and the sigma form of a non-scalar contrast
+SYMMETRIC_SYSTEMS = {
+    "q_pos_direct": (iso_contrast(1.0, 2.0), "direct"),
+    "q_neg_direct": (iso_contrast(1.0, 0.5), "direct"),
+    "q_neg_sigma": (iso_contrast(1.0, 0.5), "sigma"),
+    "aniso_sigma": (aniso_contrast(SymTensor3.identity(), A_TILDE), "sigma"),
+}
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_SYSTEMS))
+def test_ldlt_solve_matches_dense_solve(sys_h6, rng, case, k):
+    contrast, form = SYMMETRIC_SYSTEMS[case]
+    sys = dataclasses.replace(sys_h6, _factor_cache={})
+    mat = sys.dense(*_system_factors(contrast, sys.bg, form))
+    shape = (3 * sys.n_cells, k)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.linalg.solve(mat, b)
+    x = vie.resolvent_solve(sys, contrast, np.asfortranarray(b), form=form)
+    assert isinstance(sys._factorization(contrast, form), vie._LDLT)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_ldlt_two_by_two_pivots(rng):
+    # a zero diagonal forces Bunch-Kaufman into 2x2 blocks of D
+    n = 12
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = a + a.T
+    a[np.arange(n), np.arange(n)] = 0.0
+    fac = vie._LDLT.of(np.asfortranarray(a), "test matrix")
+    assert np.any(fac.partner != np.arange(n))
+    b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    want = np.linalg.solve(a, b)
+    assert np.linalg.norm(fac.solve(b.copy(order="F")) - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(fac.solve(b[:, 0].copy()) - want[:, 0]) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_aniso_direct_form_takes_lu_and_matches_apply_MB(sys_h6, rng):
+    # I - Q R_kappa with a non-scalar Q is not symmetric: only LU runs on it
+    c = aniso_contrast(SymTensor3.identity(), A_TILDE)
+    sys = dataclasses.replace(sys_h6, _factor_cache={})
+    g = rng.standard_normal((sys.n_cells, 3)) + 1j * rng.standard_normal((sys.n_cells, 3))
+    direct = solve_density(sys, c, g).values
+    symm = apply_MB(sys, c, g).values
+    assert isinstance(sys._factorization(c, "direct"), vie._LU)
+    assert isinstance(sys._factorization(c, "sigma"), vie._LDLT)
+    assert np.linalg.norm(symm - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize(
+    "contrast, form",
+    [(aniso_contrast(SymTensor3.identity(), A_TILDE), "direct"),
+     SYMMETRIC_SYSTEMS["q_pos_direct"], SYMMETRIC_SYSTEMS["q_neg_sigma"]],
+    ids=["aniso_direct", "q_pos_direct", "q_neg_sigma"],
+)
+def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, contrast, form):
+    # one 3N x 3N block: the factor lives in the memory dense() returned
+    gathered = []
+    dense = VieSystem.dense
+
+    def keep(self, *args):
+        gathered.append(dense(self, *args))
+        return gathered[-1]
+
+    monkeypatch.setattr(VieSystem, "dense", keep)
+    fac = dataclasses.replace(sys_h6, _factor_cache={})._factorization(contrast, form)
+    assert np.shares_memory(fac.factor, gathered[0])
+
+
+@pytest.mark.parametrize("diag, method", [(np.zeros((3, 3)), "LDL"), (np.eye(3, k=1), "LU")],
+                         ids=["symmetric", "general"])
+def test_singular_system_raises_before_solve(sys_h6, monkeypatch, diag, method):
+    zero = np.zeros((3, 3))
+    monkeypatch.setattr(vie, "_system_factors", lambda contrast, bg, form: (zero, zero, diag))
+    sys = dataclasses.replace(sys_h6, _factor_cache={})
+    want = f"direct-form system on {sys.n_cells} cells is singular: {method}"
+    with pytest.raises(RuntimeError, match=want):
+        solve_density(sys, iso_contrast(1.0, 2.0), unit_inc(sys.n_cells))
+
+
 def test_radiation_matrix_matches_scattered_field(sys_h6, rng):
     c = iso_contrast(1.0, 2.0)
     dens = solve_density(sys_h6, c, unit_inc(sys_h6.n_cells))
