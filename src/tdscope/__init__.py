@@ -53,7 +53,6 @@ from .vie import (
     born_density,
     scattered_field,
     radiation_matrix,
-    apply_MB,
     resolvent_solve,
     operator_norm,
 )

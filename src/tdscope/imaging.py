@@ -25,13 +25,12 @@ operator on the other:
 with the conjugate on the left slot.  Every regime goes through one
 contraction giving the 3x3 response matrix S(z)_ij = 1/2 < g_i, M_B g_j >
 for the rows g_i of G(z, .) and T(z) = -2 h^3 Re tr(M_z S(z)), where the
-maps differ only in the trial's M_z.  vie.solve_density applies M_B either
-to the P factor fields on the voxel grid, S(z) = b(z)^T T_m conj(b(z)) with
-T_m = 1/2 b^H M_B b, or to the 3Z rows of G.  The spectral factor always
-takes T_m = D T_w D: the response T_w of the unscaled regular waves is
-solved once and cached on the system, and the surface radius enters only
-through the diagonal D.  The node factor takes whichever association solves
-fewer fields.
+maps differ only in the trial's M_z.  vie.solve_density applies M_B to the
+P factor fields on the voxel grid, and S(z) = b(z)^T T_m conj(b(z)) with
+the factor's response T_m = 1/2 b^H M_B b.  The spectral factor takes
+T_m = D T_w D: the response T_w of the unscaled regular waves is solved
+once and cached on the system, and the surface radius enters only through
+the diagonal D.  The node factor solves its K node fields for each map.
 Each map reports the moderate-scatterer certificate, the kernel factor it
 used, and the imaginary residue of the pre-Re pairing.
 
@@ -581,37 +580,28 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
                 = < g_i, A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g_j >
 
     (conjugate on the left slot), and T(z) = -2 h^3 Re tr(M_z S(z)) with m_z
-    the trial's 3x3 polarization tensor.  By the push-through identity S is
-    also the sign-split pairing with
-    A^{1/2} q^T sigma (I - sigma q R q^T sigma)^{-1} sigma q A^{1/2}.
+    the trial's 3x3 polarization tensor.  solve_density applies M_B through
+    the sign-split system, which by the push-through identity gives the same
+    pairing with A^{1/2} q^T sigma (I - sigma q R q^T sigma)^{-1} sigma q A^{1/2}.
 
     With g_i(z) = sum_p conj(b_p(z)_i) b_p for the kernel factor b of
-    KernelG.factor, of rank P, S has two associations.  Through the factor's
-    response T_m = 1/2 b^H M_B b (P x P) on the voxel grid,
-    S(z) = b(z)^T T_m conj(b(z)); otherwise the 3Z rows of G are solved.  The
-    spectral factor always takes T_m: its solved part, the regular-wave
-    response T_w, is cached on sys, so later maps with the same contrast,
-    centre and n_max only scale it (see _SpectralFactor.response).  The node
-    factor takes the association with fewer solved fields, T_m for P < 3Z.
+    KernelG.factor, of rank P, S(z) = b(z)^T T_m conj(b(z)) through the
+    factor's response T_m = 1/2 b^H M_B b (P x P) on the voxel grid.  The
+    spectral factor's solved part, the regular-wave response T_w, is cached
+    on sys, so later maps with the same contrast, centre and n_max only scale
+    it (see _SpectralFactor.response); the node factor solves its K fields.
     kind is the operator_norm operator of the certificate, computed when
     certificate is None.
     """
     pts = _check_points(points)
     if certificate is None:
         certificate = operator_norm(sys, which=kind, contrast=contrast)
-    centers = sys.grid.centers
-    fac = KernelG(surface=surface, bg=sys.bg).factor(pts, centers)
+    fac = KernelG(surface=surface, bg=sys.bg).factor(pts, sys.grid.centers)
     p, nz = fac.rank, pts.shape[0]
-    if fac.kind == "spectral" or p < 3 * nz:
-        t_m = fac.response(sys, contrast)
-        # b(z) only after the solve, whose fields are then freed (peak memory)
-        b_z = fac(pts)
-        s = np.einsum("pzi,pzj->zij", b_z,
-                      (t_m @ b_z.conj().reshape(p, -1)).reshape(p, nz, 3))
-    else:
-        g = fac(pts).reshape(p, 3 * nz).conj().T @ fac(centers).reshape(p, -1)
-        h = solve_density(sys, contrast, g.reshape(3 * nz, -1, 3)).values
-        s = 0.5 * (g.conj().reshape(nz, 3, -1) @ h.reshape(nz, 3, -1).transpose(0, 2, 1))
+    t_m = fac.response(sys, contrast)
+    # b(z) only after the solve, whose fields are then freed (peak memory)
+    b_z = fac(pts)
+    s = np.einsum("pzi,pzj->zij", b_z, (t_m @ b_z.conj().reshape(p, -1)).reshape(p, nz, 3))
     raw = -2.0 * sys.grid.cell_volume * np.einsum("ij,zji->z", m_z, s)
     re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
     scale = float(np.abs(re).max()) if re.size else 0.0

@@ -3,17 +3,18 @@
 Collocation on the voxel grid: piecewise-constant vector densities, midpoint
 off-diagonal blocks hess_phi(x_i - x_j) h^3, closed-form self blocks from
 cell_self_term and subcell-averaged blocks between touching cells.  The
-singular equation T h = (At - A) grad u is solved in the normalized variables
-eta = A^{-1/2} h,
+singular equation T h = (At - A) grad u is solved through the sign split
+Q = q^T sigma^2 q of the contrast (materials.factor_Q),
 
-    (I - Q R_kappa) eta = 2 Q A^{1/2} grad u,      R_kappa = I + 2 A^{1/2} gradW A^{1/2},
+    (I - sigma q R_kappa q^T sigma) x = 2 sigma q A^{1/2} grad u,    h = A^{1/2} q^T sigma x,
 
-which is the conditioning-friendly form; h = A^{1/2} eta.  solve_density is
-the one direct-form solution operator h = M_B g of the package: it takes one
-field or K stacked fields and checks the residual of the unnormalized
-equation.  apply_MB reaches the same operator through the sign-split system
-and is kept as its independent reference.  Vectors of length 3N are
-voxel-major: x.reshape(N, 3).
+with R_kappa = I + 2 A^{1/2} gradW A^{1/2}.  By the push-through identity
+this h is that of the normalized direct form (I - Q R_kappa) eta =
+2 Q A^{1/2} grad u, h = A^{1/2} eta, and for a scalar q the two system
+matrices coincide.  solve_density is the solution operator h = M_B g of the
+package: it takes one field or K stacked fields and checks the residual of
+the unnormalized equation.  Vectors of length 3N are voxel-major:
+x.reshape(N, 3).
 
 Voxel centres lie on one lattice and every block of gradW depends only on
 the lattice offset between its two cells, so gradW is block-Toeplitz.  It is
@@ -21,24 +22,25 @@ stored as one table of 3x3 blocks per offset, circulant-embedded on a box of
 twice the grid's lattice extent, in Fourier space: a product with gradW is a
 scatter to the box, an FFT, a blockwise 3x3 product and a gather, O(box log
 box) time and O(box) memory.  Each block is even in the offset and a symmetric
-Hessian, so gradW, R_kappa and the sigma-split system are complex symmetric;
-reciprocity of scattered fields is exact for this discretization up to
-roundoff.  The direct form is complex symmetric when Q is a scalar.
+Hessian, so gradW, R_kappa and the system matrix are complex symmetric for
+every contrast; reciprocity of scattered fields is exact for this
+discretization up to roundoff.
 
 Below DIRECT_CAP cells the system matrix is gathered from the table and
-factored once, in place, per contrast and form: Bunch-Kaufman LDL^T
-(zsytrf) when it is complex symmetric, solved as LAPACK's zsytrs2 with two
-level-3 triangular solves, and row-pivoted LU otherwise (the direct form of
-a non-scalar Q).  Above it the solve is matrix-free GMRES.
+factored once per contrast, in place, with Bunch-Kaufman LDL^T (zsytrf),
+and solved as LAPACK's zsytrs2 with two level-3 triangular solves.  Above
+it the solve is matrix-free GMRES.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import (
+    lu_factor,  # unused here; the traced benchmark wraps vie.lu_factor
+    lu_solve,  # unused here; the traced benchmark wraps vie.lu_solve
+)
 from scipy.linalg.blas import ztrsm
 from scipy.linalg.lapack import zsyconv, zsytrf, zsytrf_lwork
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -54,7 +56,6 @@ __all__ = [
     "born_density",
     "scattered_field",
     "radiation_matrix",
-    "apply_MB",
     "resolvent_solve",
     "operator_norm",
 ]
@@ -105,32 +106,15 @@ def _sigma_parts(contrast):
     return contrast.sigma, contrast.q_mat
 
 
-def _system_factors(contrast, bg, form):
-    """(L, Rm, D) of the system matrix D + L gradW Rm, with 3x3 factors per voxel.
+def _system_factors(contrast, bg):
+    """(L, Rm, D) of I - sigma q R_kappa q^T sigma = D + L gradW Rm, 3x3 per voxel.
 
-    form='direct' gives I - Q R_kappa, form='sigma' gives I - sigma q R q^T sigma.
+    L = -2 sigma q A^{1/2} is -2 Rm^T and D is symmetric, so the matrix is
+    complex symmetric whenever gradW is.
     """
-    Q, Ah, _ = _contrast_parts(contrast, bg)
-    if form == "direct":
-        return -2.0 * Q @ Ah, Ah, np.eye(3) - Q
-    if form == "sigma":
-        sig, qm = _sigma_parts(contrast)
-        return -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig, np.eye(3) - sig @ qm @ qm.T @ sig
-    raise ValueError(f"unknown system form {form!r}")
-
-
-def _complex_symmetric(left, right, diag):
-    """Whether diag + left gradW right is complex symmetric, gradW being so.
-
-    Its block (i, j) is L B R with B = B^T the block of (j, i), so the matrix
-    is symmetric when L B R = R^T B L^T for every symmetric B: L is a multiple
-    of R^T (their outer product is symmetric, which also holds when either is
-    zero) and diag is symmetric.  That covers every sigma form and the direct
-    form of a scalar Q.
-    """
-    outer = np.outer(left, right.T)
-    return bool(np.linalg.norm(outer - outer.T) <= 1e-13 * np.linalg.norm(outer)
-                and np.linalg.norm(diag - diag.T) <= 1e-13 * np.linalg.norm(diag))
+    _, Ah, _ = _contrast_parts(contrast, bg)
+    sig, qm = _sigma_parts(contrast)
+    return -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig, np.eye(3) - sig @ qm @ qm.T @ sig
 
 
 @dataclass(frozen=True)
@@ -190,30 +174,6 @@ class _LDLT:
         return b.reshape(rhs.shape)
 
 
-@dataclass(frozen=True)
-class _LU:
-    """Row-pivoted LU factor of M^T for a matrix M that is not symmetric."""
-
-    factor: np.ndarray
-    piv: np.ndarray
-
-    @classmethod
-    def of(cls, mat_t, what):
-        """Factor the Fortran-ordered mat_t = M^T in place; what names M in errors."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)  # a zero pivot raises below
-            lu, piv = lu_factor(mat_t, overwrite_a=True, check_finite=False)
-        zero = np.flatnonzero(np.diagonal(lu) == 0)
-        if zero.size:
-            raise RuntimeError(f"{what} is singular: LU pivot {zero[0] + 1} is exactly zero")
-        return cls(lu, piv)
-
-    def solve(self, rhs):
-        """Solution of M x = rhs, written into rhs when it is Fortran-ordered or 1-D."""
-        return lu_solve((self.factor, self.piv), rhs, trans=1, overwrite_b=True,
-                        check_finite=False)
-
-
 def _contrast_key(contrast):
     if isinstance(contrast, IsoContrast):
         return ("iso", contrast.a, contrast.beta)
@@ -227,9 +187,8 @@ class VieSystem:
     index holds each cell's integer lattice position (N, 3); kernel_hat holds
     the FFT over the box axes of the circulant-embedded block table, shape
     (3, 3, *box).  The system keeps what it has solved for a contrast: the one
-    in-place factor of its dense system matrix per form (LDL^T when complex
-    symmetric, LU otherwise), and scatterer responses (imaging's regular-wave
-    response T_w) per caller-given key.
+    in-place LDL^T factor of its dense system matrix, and scatterer responses
+    (imaging's regular-wave response T_w) per caller-given key.
     """
 
     grid: object
@@ -292,19 +251,18 @@ class VieSystem:
             mat[cells, :, cells, :] += diag
         return mat.reshape(3 * n, 3 * n)
 
-    def _factorization(self, contrast, form):
-        """The factor of the dense system matrix M of a contrast and form, cached.
+    def _factorization(self, contrast):
+        """The LDL^T factor of the dense system matrix M of a contrast, cached.
 
-        dense() is C-ordered, so its transpose is M^T in Fortran order, which
-        LAPACK factors in place: LDL^T when M is complex symmetric (M^T = M),
-        LU of M^T otherwise.  Either way one 3N x 3N block is held.
+        dense() is C-ordered and M is complex symmetric, so its transpose is M
+        in Fortran order, which LAPACK factors in place: one 3N x 3N block is
+        held.
         """
-        key = (_contrast_key(contrast), form)
+        key = _contrast_key(contrast)
         if key not in self._factor_cache:
-            factors = _system_factors(contrast, self.bg, form)
-            kind = _LDLT if _complex_symmetric(*factors) else _LU
-            what = f"the {form}-form system on {self.n_cells} cells"
-            self._factor_cache[key] = kind.of(self.dense(*factors).T, what)
+            what = f"the system on {self.n_cells} cells"
+            mat = self.dense(*_system_factors(contrast, self.bg))
+            self._factor_cache[key] = _LDLT.of(mat.T, what)
         return self._factor_cache[key]
 
     def _response(self, contrast, key, solve):
@@ -359,23 +317,23 @@ def assemble(grid, bg):
     return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat)
 
 
-def resolvent_solve(sys, contrast, rhs, form="direct"):
-    """Solve (I - Q R_kappa) X = rhs (form='direct') or the sigma-split system.
+def resolvent_solve(sys, contrast, rhs):
+    """Solve (I - sigma q R_kappa q^T sigma) X = rhs for the contrast's sign split.
 
     rhs: (3N,) or (3N, K), consumed: on the dense path a complex rhs in
     Fortran order (or 1-D) is overwritten by the solution, which is returned
     in its memory.  Below the direct cap the dense system matrix is factored
-    once per contrast and form, in place: LDL^T when it is complex symmetric,
-    LU otherwise; a singular factor raises before any solve.  Above the cap
-    the solve is residual-controlled GMRES.  Each dense batch is checked by
-    one seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT
-    apply, which also cross-checks the gathered matrix against the table;
-    B r is formed before the solve.
+    once per contrast with LDL^T, in place; a singular factor raises before
+    any solve.  Above the cap the solve is residual-controlled GMRES.  Each
+    dense batch is checked by one seeded Freivalds probe
+    ||M (X r) - B r|| / ||B r|| through the FFT apply, which also
+    cross-checks the gathered matrix against the table; B r is formed before
+    the solve.
     """
     rhs = np.asarray(rhs, dtype=complex)
     n3 = 3 * sys.n_cells
     cols = rhs.reshape(n3, -1)
-    factors = _system_factors(contrast, sys.bg, form)
+    factors = _system_factors(contrast, sys.bg)
 
     def matvec(v):
         return sys.apply(v, *factors)
@@ -383,7 +341,7 @@ def resolvent_solve(sys, contrast, rhs, form="direct"):
     if sys.n_cells <= DIRECT_CAP:
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
-        x = sys._factorization(contrast, form).solve(rhs)
+        x = sys._factorization(contrast).solve(rhs)
         num, den = np.linalg.norm(matvec(x.reshape(n3, -1) @ r) - br), np.linalg.norm(br)
         if not num <= 1e-10 * den:
             raise RuntimeError(f"dense solve residual probe {num / den:.3e} exceeds 1e-10")
@@ -412,8 +370,10 @@ def born_density(contrast, incident_grad, grid=None):
 def solve_density(sys, contrast, incident_grad):
     """Solve T h = (At - A) g for one field g (N, 3) or K stacked fields (K, N, 3).
 
-    This is the direct-form solution operator h = M_B g =
-    2 A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g; h has the shape of g.  The
+    This is the solution operator h = M_B g =
+    2 A^{1/2} (I - Q R_kappa)^{-1} Q A^{1/2} g, solved on the sign-split
+    system as 2 A^{1/2} q^T sigma (I - sigma q R_kappa q^T sigma)^{-1}
+    sigma q A^{1/2} g; h has the shape of g.  The
     residual ||T (h r) - (At - A)(g r)|| / ||(At - A)(g r)|| of the
     unnormalized equation is taken for one seeded random combination r of the
     fields (r = 1 for a single field) and must stay below 1e-10 on the dense
@@ -424,17 +384,18 @@ def solve_density(sys, contrast, incident_grad):
         raise ValueError("incident_grad must have shape (n_cells, 3) or (K, n_cells, 3)")
     if not np.all(np.isfinite(g)):
         raise ValueError("incident_grad must be finite")
-    Q, Ah, dA = _contrast_parts(contrast, sys.bg)
+    _, Ah, dA = _contrast_parts(contrast, sys.bg)
     if not np.any(dA):
         return DensityField(values=np.zeros_like(g), grid=sys.grid, residual=0.0)
+    sig, qm = _sigma_parts(contrast)
     rows = g.reshape(-1, 3 * sys.n_cells)
     # the (3N, K) right-hand sides are the transpose of (K, 3N) rows: Fortran
-    # order, which lu_solve takes without a reordering copy; they are dropped
-    # before h is formed so that at most two K x 3N blocks are held here
-    rhs = (rows.reshape(-1, 3) @ (2.0 * Q @ Ah).T).reshape(rows.shape)
-    eta = resolvent_solve(sys, contrast, rhs.T).T
+    # order, which the LDL^T solve overwrites without a reordering copy; they
+    # are dropped before h is formed so that at most two K x 3N blocks are held
+    rhs = (rows.reshape(-1, 3) @ (2.0 * sig @ qm @ Ah).T).reshape(rows.shape)
+    x = resolvent_solve(sys, contrast, rhs.T).T
     del rhs
-    h = (eta.reshape(-1, 3) @ Ah.T).reshape(g.shape)
+    h = (x.reshape(-1, 3) @ (Ah @ qm.T @ sig).T).reshape(g.shape)
     k = rows.shape[0]
     r = np.random.default_rng(0).standard_normal(k) if g.ndim == 3 else np.ones(1)
     gr = (r @ rows).reshape(-1, 3)
@@ -447,27 +408,6 @@ def solve_density(sys, contrast, incident_grad):
     if res > tol:
         raise RuntimeError(f"VIE residual {res:.3e} exceeds {tol:.0e}")
     return DensityField(values=h, grid=sys.grid, residual=res)
-
-
-def apply_MB(sys, contrast, g):
-    """Solution operator h = M_B g through the sign-split system,
-
-        M_B = 2 (A^{1/2} q^T) sigma (I - sigma q R q^T sigma)^{-1} sigma (q A^{1/2}),
-
-    algebraically equal to the direct form of solve_density but solved with a
-    different assembled matrix: the independent reference for it.
-    """
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (sys.n_cells, 3):
-        raise ValueError("g must have shape (n_cells, 3)")
-    _, Ah, dA = _contrast_parts(contrast, sys.bg)
-    if not np.any(dA):
-        return DensityField(values=np.zeros_like(g), grid=sys.grid, residual=0.0)
-    sig, qm = _sigma_parts(contrast)
-    rhs = 2.0 * (g @ (sig @ qm @ Ah).T).reshape(-1)
-    x = resolvent_solve(sys, contrast, rhs, form="sigma")
-    h = _per_voxel(Ah @ qm.T @ sig, x).reshape(-1, 3)
-    return DensityField(values=h, grid=sys.grid, residual=None)
 
 
 def radiation_matrix(sys, points):

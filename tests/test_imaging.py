@@ -12,7 +12,6 @@ from tdscope import (
     SymTensor3,
     TdMap,
     aniso_contrast,
-    apply_MB,
     assemble,
     e_apply,
     e_multipliers,
@@ -280,19 +279,21 @@ def test_td_map_single_point_matches_map(sys_h6, small_map_setup):
     ],
     ids=["stiffer", "softer", "aniso_background"],
 )
-def test_td_map_general_matches_mb_oracle(ball_grid_h6, small_map_setup, bg_a, a_z):
+def test_td_map_general_matches_mb_oracle(ball_grid_h6, small_map_setup, mb_reference, bg_a,
+                                          a_z):
     # an anisotropic scatterer and an ellipsoidal trial
     surf, pts = small_map_setup
     sys = assemble(ball_grid_h6, Background(A=bg_a, kappa=1.0))
     c = aniso_contrast(bg_a, A_TILDE)
     trial = mz_ellipsoid(bg_a, a_z, (0.3, 0.25, 0.2))
     tmap = td_map_general(sys, c, trial, surf, pts)
-    _assert_matches_mb_oracle(tmap, sys, c, surf, pts, trial.M_z)
+    _assert_matches_mb_oracle(tmap, sys, c, surf, pts, trial.M_z, mb_reference)
 
 
 @pytest.mark.parametrize("a_tilde_z", [2.0, 0.5], ids=["q_z>0", "q_z<0"])
 @pytest.mark.parametrize("regime", ["iso", "aniso_iso"])
-def test_td_map_ball_trial_matches_mb_oracle(sys_h6, small_map_setup, regime, a_tilde_z):
+def test_td_map_ball_trial_matches_mb_oracle(sys_h6, small_map_setup, mb_reference, regime,
+                                             a_tilde_z):
     # a scalar unit-ball trial enters through the closed-form M_z of the ball
     surf, pts = small_map_setup
     trial = iso_contrast(1.0, a_tilde_z)
@@ -303,25 +304,26 @@ def test_td_map_ball_trial_matches_mb_oracle(sys_h6, small_map_setup, regime, a_
         c = aniso_contrast(SymTensor3.identity(), A_TILDE)
         tmap = td_map_aniso_iso(sys_h6, c, trial, surf, pts)
     m_z = mz_ball_iso(1.0, trial.beta).M_z
-    _assert_matches_mb_oracle(tmap, sys_h6, c, surf, pts, m_z)
+    _assert_matches_mb_oracle(tmap, sys_h6, c, surf, pts, m_z, mb_reference)
 
 
-def _assert_matches_mb_oracle(tmap, sys, c, surf, pts, m_z):
-    # T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k > with M_B through the
-    # sign-split system, one apply_MB call per row of G
+def _assert_matches_mb_oracle(tmap, sys, c, surf, pts, m_z, mb_reference):
+    # T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k > with M_B from the dense
+    # direct form, applied to every row of G
     gall = KernelG(surface=surf, bg=sys.bg).bundle(pts, sys.grid.centers)
     n = sys.n_cells
+    rows = gall.reshape(-1, n, 3)
+    mb_rows = mb_reference(sys, c, rows)
     for k in range(pts.shape[0]):
-        g = gall[3 * k : 3 * k + 3].reshape(3, n, 3)
-        mb = np.array([apply_MB(sys, c, g[j]).values for j in range(3)])
+        g, mb = rows[3 * k : 3 * k + 3], mb_rows[3 * k : 3 * k + 3]
         pair = np.einsum("inc,knc->ik", g.conj(), mb)
         ref = -sys.grid.cell_volume * np.sum(m_z * pair).real
         assert tmap.values[k] == pytest.approx(ref, rel=1e-9)
 
 
-def test_td_map_matches_brute_pairing(sys_h6, small_map_setup):
-    # independent route: the resolvent pairing rewritten through the solution
-    # operator M_B on the sigma-split system, (I - q R)^{-1} g = M_B g / (2 a q)
+def test_td_map_matches_brute_pairing(sys_h6, small_map_setup, mb_reference):
+    # independent route: the resolvent pairing rewritten through the dense
+    # direct-form solution operator M_B, (I - q R)^{-1} g = M_B g / (2 a q)
     surf, pts = small_map_setup
     c = iso_contrast(1.0, 2.0)
     trial = iso_contrast(1.0, 2.0)
@@ -336,7 +338,7 @@ def test_td_map_matches_brute_pairing(sys_h6, small_map_setup):
         total = 0.0
         for i in range(3):
             g = gall[3 * k + i].reshape(n, 3)
-            mb = apply_MB(sys_h6, c, g).values
+            mb = mb_reference(sys_h6, c, g)
             total += (np.sum(g.conj() * mb) / (2.0 * a * c.q)).real
         assert tmap.values[k] == pytest.approx(pref * total, rel=1e-9)
 
@@ -369,9 +371,9 @@ def test_nan_points_are_rejected(sys_h6, small_map_setup):
         kernel_G(surf, sys_h6.bg, bad[1], pts[0])
 
 
-def test_scatter_matrix_matches_per_source_reference(ball_grid_h6):
-    # one stacked solve over all sources against one sign-split solve per
-    # point source, anisotropic scatterer in an anisotropic background
+def test_scatter_matrix_matches_per_source_reference(ball_grid_h6, mb_reference):
+    # one stacked solve over all sources against one dense direct-form solve
+    # per point source, anisotropic scatterer in an anisotropic background
     bg_a = SymTensor3.diag(1.2, 0.9, 1.1)
     sys = assemble(ball_grid_h6, Background(A=bg_a, kappa=1.0))
     c = aniso_contrast(bg_a, A_TILDE)
@@ -381,7 +383,7 @@ def test_scatter_matrix_matches_per_source_reference(ball_grid_h6):
     to_nodes = grad_phi(sys.bg, nodes[:, None, :] - centers[None, :, :])
     ref = np.empty((nodes.shape[0], nodes.shape[0]), dtype=complex)
     for q, x in enumerate(nodes):
-        h = apply_MB(sys, c, grad_phi(sys.bg, centers - x)).values
+        h = mb_reference(sys, c, grad_phi(sys.bg, centers - x))
         ref[:, q] = sys.grid.cell_volume * np.einsum("pjc,jc->p", to_nodes, h)
     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -515,8 +517,8 @@ def _regime_map(regime, sys, surf, pts, certificate=None):
                          ids=["k1_a1", "k0_a1", "k1_a2_off", "k0_a2_off"])
 def test_spectral_and_node_factor_maps_agree(iso_systems_h8, monkeypatch, regime,
                                              kappa, a, center):
-    # 125 points: the spectral map (P = 225 < 3Z) goes through T_m, the node
-    # map (K = 1800 > 3Z) through the bundle rows
+    # 125 points: the spectral map contracts its P = 225 wave response T_m,
+    # the node map its K = 1800 node response
     sys = iso_systems_h8[(kappa, a)]
     c = np.zeros(3) if center is None else np.asarray(center)
     surf = sphere_surface(5.0, 30, center=c)
@@ -551,8 +553,8 @@ def test_factors_agree_at_decay_geometries(ball_grid_h8, monkeypatch, radius, di
 
 
 def test_single_point_map_matches_many_point_map(sys_h8):
-    # the node factor of a cap rule (K = 128 nodes): Z = 125 solves the K
-    # node fields (K < 3Z), Z = 1 the 3 rows of G
+    # the node factor of a cap rule (K = 128 nodes): Z = 125 points and each
+    # single point contract the same node response T_m
     surf = sphere_surface(5.0, 8, aperture=2.0)
     ax = np.linspace(-1.0, 1.0, 5)
     pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)

@@ -15,7 +15,6 @@ from tdscope import (
     Union,
     VieSystem,
     aniso_contrast,
-    apply_MB,
     assemble,
     born_density,
     cell_self_term,
@@ -91,16 +90,14 @@ def test_fft_operator_matches_dense_reference(case):
     x = rng.standard_normal((3 * n, 3)) + 1j * rng.standard_normal((3 * n, 3))
     want = ref @ x
     assert np.linalg.norm(sys.gradw_apply(x) - want) < 1e-13 * np.linalg.norm(want)
-    ref4 = ref.reshape(n, 3, n, 3)
-    for form in ("direct", "sigma"):
-        L, Rm, D = _system_factors(contrast, bg, form)
-        want_mat = np.einsum("ab,ibjc,cd->iajd", L, ref4, Rm)
-        want_mat[np.arange(n), :, np.arange(n), :] += D
-        want_mat = want_mat.reshape(3 * n, 3 * n)
-        got = sys.dense(L, Rm, D)
-        assert np.linalg.norm(got - want_mat) < 1e-13 * np.linalg.norm(want_mat)
-        want = want_mat @ x
-        assert np.linalg.norm(sys.apply(x, L, Rm, D) - want) < 1e-13 * np.linalg.norm(want)
+    L, Rm, D = _system_factors(contrast, bg)
+    want_mat = np.einsum("ab,ibjc,cd->iajd", L, ref.reshape(n, 3, n, 3), Rm)
+    want_mat[np.arange(n), :, np.arange(n), :] += D
+    want_mat = want_mat.reshape(3 * n, 3 * n)
+    got = sys.dense(L, Rm, D)
+    assert np.linalg.norm(got - want_mat) < 1e-13 * np.linalg.norm(want_mat)
+    want = want_mat @ x
+    assert np.linalg.norm(sys.apply(x, L, Rm, D) - want) < 1e-13 * np.linalg.norm(want)
 
 
 def test_assemble_shape_and_symmetry(sys_h6):
@@ -249,23 +246,28 @@ def test_operator_norm_scales_with_q(sys_h6):
     assert small / big == pytest.approx(q_small / q_big, rel=1e-6)
 
 
-def test_apply_MB_paths_agree(sys_h6, rng):
-    c = iso_contrast(1.0, 2.0)
-    g = rng.standard_normal((sys_h6.n_cells, 3)) + 1j * rng.standard_normal(
-        (sys_h6.n_cells, 3)
-    )
-    direct = solve_density(sys_h6, c, g).values
-    symm = apply_MB(sys_h6, c, g).values
-    np.testing.assert_allclose(symm, direct, rtol=1e-10)
+# solve_density (sign-split system, LDL^T) against the dense direct form of the
+# test-side reference: q > 0; q < 0, where sigma = i I while the direct form
+# stays real; and a mixed-sign tensor contrast in an anisotropic background,
+# where sigma has 1 and i entries and I - Q R_kappa is not symmetric
+BG_ANISO = SymTensor3.diag(1.2, 0.9, 1.1)
+MB_CASES = {
+    "q_pos": (None, iso_contrast(1.0, 2.0)),
+    "q_neg": (None, iso_contrast(1.0, 0.5)),
+    "aniso_mixed_sign": (BG_ANISO, aniso_contrast(BG_ANISO, SymTensor3.from_matrix(
+        [[2.0, 0.3, 0.0], [0.3, 0.6, 0.1], [0.0, 0.1, 1.5]]))),
+}
 
 
-def test_apply_MB_negative_contrast_paths(sys_h6, rng):
-    # sigma split goes imaginary for a_t < a; both routes must still agree
-    c = iso_contrast(1.0, 0.5)
-    g = rng.standard_normal((sys_h6.n_cells, 3)).astype(complex)
-    direct = solve_density(sys_h6, c, g).values
-    symm = apply_MB(sys_h6, c, g).values
-    np.testing.assert_allclose(symm, direct, rtol=1e-10)
+@pytest.mark.parametrize("case", sorted(MB_CASES))
+def test_solve_density_matches_dense_mb_reference(sys_h6, rng, mb_reference, case):
+    bg_a, c = MB_CASES[case]
+    sys = sys_h6 if bg_a is None else assemble(sys_h6.grid, Background(A=bg_a, kappa=1.0))
+    if bg_a is not None:
+        assert sorted(np.diagonal(c.sigma2)) == [-1.0, 1.0, 1.0]
+    g = rng.standard_normal((sys.n_cells, 3)) + 1j * rng.standard_normal((sys.n_cells, 3))
+    got = solve_density(sys, c, g).values
+    np.testing.assert_allclose(got, mb_reference(sys, c, g), rtol=1e-10)
 
 
 def test_gmres_path_matches_lu(sys_h6, monkeypatch):
@@ -277,14 +279,14 @@ def test_gmres_path_matches_lu(sys_h6, monkeypatch):
     np.testing.assert_allclose(it_dens, lu_dens, rtol=1e-7)
 
 
-def test_lu_residual_probe_catches_wrong_factorization(sys_h6):
+def test_dense_residual_probe_catches_wrong_factorization(sys_h6):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
     fresh = dataclasses.replace(sys_h6, _factor_cache={})
     assert solve_density(fresh, c, g).residual < 1e-10
     # swap in the factorization of another contrast under this contrast's key
     other = dataclasses.replace(sys_h6, _factor_cache={})
-    other._factorization(iso_contrast(1.0, 3.0), "direct")
+    other._factorization(iso_contrast(1.0, 3.0))
     (key,) = fresh._factor_cache
     fresh._factor_cache[key] = other._factor_cache.popitem()[1]
     with pytest.raises(RuntimeError, match="residual probe"):
@@ -292,39 +294,38 @@ def test_lu_residual_probe_catches_wrong_factorization(sys_h6):
 
 
 @pytest.mark.parametrize("k", [None, 4], ids=["one", "stacked"])
-def test_resolvent_solve_lu_solves_in_place(sys_h6, rng, k):
-    # the LU path consumes its right-hand sides: the solution takes their memory
+def test_resolvent_solve_dense_path_solves_in_place(sys_h6, rng, k):
+    # the dense path consumes its right-hand sides: the solution takes their memory
     c = iso_contrast(1.0, 2.0)
     shape = (3 * sys_h6.n_cells,) + (() if k is None else (k,))
     rhs = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     b = rhs.copy()
     x = vie.resolvent_solve(sys_h6, c, rhs)
     assert np.shares_memory(x, rhs)
-    mat = sys_h6.dense(*_system_factors(c, sys_h6.bg, "direct"))
+    mat = sys_h6.dense(*_system_factors(c, sys_h6.bg))
     assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-# complex-symmetric systems, factored with LDL^T: q > 0, q < 0 with sigma = i I
-# (symmetric, not Hermitian), and the sigma form of a non-scalar contrast
+# the complex-symmetric system of each kind of contrast, factored with LDL^T:
+# q > 0, q < 0 with sigma = i I (symmetric, not Hermitian), and a non-scalar Q
 SYMMETRIC_SYSTEMS = {
-    "q_pos_direct": (iso_contrast(1.0, 2.0), "direct"),
-    "q_neg_direct": (iso_contrast(1.0, 0.5), "direct"),
-    "q_neg_sigma": (iso_contrast(1.0, 0.5), "sigma"),
-    "aniso_sigma": (aniso_contrast(SymTensor3.identity(), A_TILDE), "sigma"),
+    "q_pos": iso_contrast(1.0, 2.0),
+    "q_neg": iso_contrast(1.0, 0.5),
+    "aniso": aniso_contrast(SymTensor3.identity(), A_TILDE),
 }
 
 
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("case", sorted(SYMMETRIC_SYSTEMS))
 def test_ldlt_solve_matches_dense_solve(sys_h6, rng, case, k):
-    contrast, form = SYMMETRIC_SYSTEMS[case]
+    contrast = SYMMETRIC_SYSTEMS[case]
     sys = dataclasses.replace(sys_h6, _factor_cache={})
-    mat = sys.dense(*_system_factors(contrast, sys.bg, form))
+    mat = sys.dense(*_system_factors(contrast, sys.bg))
     shape = (3 * sys.n_cells, k)
     b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.linalg.solve(mat, b)
-    x = vie.resolvent_solve(sys, contrast, np.asfortranarray(b), form=form)
-    assert isinstance(sys._factorization(contrast, form), vie._LDLT)
+    x = vie.resolvent_solve(sys, contrast, np.asfortranarray(b))
+    assert isinstance(sys._factorization(contrast), vie._LDLT)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -342,25 +343,8 @@ def test_ldlt_two_by_two_pivots(rng):
     assert np.linalg.norm(fac.solve(b[:, 0].copy()) - want[:, 0]) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_aniso_direct_form_takes_lu_and_matches_apply_MB(sys_h6, rng):
-    # I - Q R_kappa with a non-scalar Q is not symmetric: only LU runs on it
-    c = aniso_contrast(SymTensor3.identity(), A_TILDE)
-    sys = dataclasses.replace(sys_h6, _factor_cache={})
-    g = rng.standard_normal((sys.n_cells, 3)) + 1j * rng.standard_normal((sys.n_cells, 3))
-    direct = solve_density(sys, c, g).values
-    symm = apply_MB(sys, c, g).values
-    assert isinstance(sys._factorization(c, "direct"), vie._LU)
-    assert isinstance(sys._factorization(c, "sigma"), vie._LDLT)
-    assert np.linalg.norm(symm - direct) <= 1e-10 * np.linalg.norm(direct)
-
-
-@pytest.mark.parametrize(
-    "contrast, form",
-    [(aniso_contrast(SymTensor3.identity(), A_TILDE), "direct"),
-     SYMMETRIC_SYSTEMS["q_pos_direct"], SYMMETRIC_SYSTEMS["q_neg_sigma"]],
-    ids=["aniso_direct", "q_pos_direct", "q_neg_sigma"],
-)
-def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, contrast, form):
+@pytest.mark.parametrize("case", sorted(SYMMETRIC_SYSTEMS))
+def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, case):
     # one 3N x 3N block: the factor lives in the memory dense() returned
     gathered = []
     dense = VieSystem.dense
@@ -370,17 +354,17 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, contr
         return gathered[-1]
 
     monkeypatch.setattr(VieSystem, "dense", keep)
-    fac = dataclasses.replace(sys_h6, _factor_cache={})._factorization(contrast, form)
+    fac = dataclasses.replace(sys_h6, _factor_cache={})._factorization(SYMMETRIC_SYSTEMS[case])
+    assert isinstance(fac, vie._LDLT)
     assert np.shares_memory(fac.factor, gathered[0])
 
 
-@pytest.mark.parametrize("diag, method", [(np.zeros((3, 3)), "LDL"), (np.eye(3, k=1), "LU")],
-                         ids=["symmetric", "general"])
-def test_singular_system_raises_before_solve(sys_h6, monkeypatch, diag, method):
+@pytest.mark.parametrize("diag", [np.zeros((3, 3))], ids=["symmetric"])
+def test_singular_system_raises_before_solve(sys_h6, monkeypatch, diag):
     zero = np.zeros((3, 3))
-    monkeypatch.setattr(vie, "_system_factors", lambda contrast, bg, form: (zero, zero, diag))
+    monkeypatch.setattr(vie, "_system_factors", lambda contrast, bg: (zero, zero, diag))
     sys = dataclasses.replace(sys_h6, _factor_cache={})
-    want = f"direct-form system on {sys.n_cells} cells is singular: {method}"
+    want = f"system on {sys.n_cells} cells is singular: LDL"
     with pytest.raises(RuntimeError, match=want):
         solve_density(sys, iso_contrast(1.0, 2.0), unit_inc(sys.n_cells))
 
