@@ -315,12 +315,32 @@ SYMMETRIC_SYSTEMS = {
 }
 
 
+# the LDL^T solve against a dense solve of a reference matrix: "sigma" is the
+# gathered sign-split system itself, "direct" is I - Q R_kappa, which for a
+# scalar q of either sign is the same matrix
+LDLT_SOLVE_CASES = {
+    "q_pos_direct": ("q_pos", "direct"),
+    "q_neg_direct": ("q_neg", "direct"),
+    "q_neg_sigma": ("q_neg", "sigma"),
+    "aniso_sigma": ("aniso", "sigma"),
+}
+
+
+def _reference_matrix(sys, contrast, form):
+    if form == "sigma":
+        return sys.dense(*_system_factors(contrast, sys.bg))
+    # I - Q R = I - Q - 2 Q A^{1/2} gradW A^{1/2}
+    Q, Ah, _ = vie._contrast_parts(contrast, sys.bg)
+    return sys.dense(-2.0 * Q @ Ah, Ah, np.eye(3) - Q)
+
+
 @pytest.mark.parametrize("k", [1, 4])
-@pytest.mark.parametrize("case", sorted(SYMMETRIC_SYSTEMS))
+@pytest.mark.parametrize("case", sorted(LDLT_SOLVE_CASES))
 def test_ldlt_solve_matches_dense_solve(sys_h6, rng, case, k):
-    contrast = SYMMETRIC_SYSTEMS[case]
+    system, form = LDLT_SOLVE_CASES[case]
+    contrast = SYMMETRIC_SYSTEMS[system]
     sys = dataclasses.replace(sys_h6, _factor_cache={})
-    mat = sys.dense(*_system_factors(contrast, sys.bg))
+    mat = _reference_matrix(sys, contrast, form)
     shape = (3 * sys.n_cells, k)
     b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.linalg.solve(mat, b)
