@@ -19,12 +19,16 @@ x.reshape(N, 3).
 Voxel centres lie on one lattice and every block of gradW depends only on
 the lattice offset between its two cells, so gradW is block-Toeplitz.  It is
 stored as one table of 3x3 blocks per offset, circulant-embedded on a box of
-twice the grid's lattice extent, in Fourier space: a product with gradW is a
-scatter to the box, an FFT, a blockwise 3x3 product and a gather, O(box log
-box) time and O(box) memory.  Each block is even in the offset and a symmetric
-Hessian, so gradW, R_kappa and the system matrix are complex symmetric for
-every contrast; reciprocity of scattered fields is exact for this
-discretization up to roundoff.
+twice the grid's lattice extent, in Fourier space.  A product with gradW
+scatters the density to the first half of each box axis, transforms one axis
+at a time (the last axis only on the lines that hold data, the middle one
+only on the occupied slabs, the first one on the full box), multiplies by
+the 3x3 symbol, transforms back in the reverse order, skipping the half of
+each axis that is never read, and gathers: O(box log box) time and O(box)
+memory.  Each block is even in the offset and a symmetric Hessian, so gradW,
+R_kappa and the system matrix are complex symmetric for every contrast;
+reciprocity of scattered fields is exact for this discretization up to
+roundoff.
 
 Below DIRECT_CAP cells the system matrix is gathered from the table and
 factored once per contrast, in place, with Bunch-Kaufman LDL^T (zsytrf),
@@ -37,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import fft, ifft
 from scipy.linalg import (
     lu_factor,  # unused here; the traced benchmark wraps vie.lu_factor
     lu_solve,  # unused here; the traced benchmark wraps vie.lu_solve
@@ -73,12 +78,6 @@ class DensityField:
     values: np.ndarray
     grid: object = None
     residual: float = None
-
-
-def _per_voxel(C, v):
-    """Apply a 3x3 matrix to each voxel 3-vector of v, of shape (3N,) or (3N, K)."""
-    x = v.reshape(v.shape[0] // 3, 3, -1)
-    return np.einsum("ab,nbk->nak", C, x).reshape(v.shape)
 
 
 def _contrast_parts(contrast, bg):
@@ -205,31 +204,58 @@ class VieSystem:
     def apply(self, v, left=None, right=None, diag=None):
         """(diag + left gradW right) v, with 3x3 factors acting on each voxel.
 
-        v has shape (3N,), (N,3) or (3N,K); the result has the same shape.
-        Omitted factors are the identity (left, right) and zero (diag).
+        v has shape (3N,), (N,3) or (3N,K); the result has the same shape and
+        v is not written to.  Omitted factors are the identity (left, right)
+        and zero (diag).  The density is scattered to the first half
+        (d0, d1, d2) of the box, so the forward transform runs the last axis
+        on those d0*d1 lines only, the middle axis on the d0 slabs and the
+        first axis on the full box.  The symbol is applied as nine
+        multiply-adds with kernel_hat[a, b], and the inverse transform runs
+        the axes in reverse order, dropping the half of each axis that the
+        gather does not read before transforming the next.
         """
         x = v.reshape(self.n_cells, 3, -1)
         k = x.shape[2]
-        box = self.kernel_hat.shape[2:]
-        flat = np.ravel_multi_index(self.index.T, box)
-        buf = np.zeros((3, k, *box), dtype=complex)
-        buf.reshape(3, k, -1)[:, :, flat] = (x if right is None else right @ x).transpose(1, 2, 0)
-        buf = np.einsum("ab...,bk...->ak...", self.kernel_hat, np.fft.fftn(buf, axes=_BOX_AXES))
-        y = np.fft.ifftn(buf, axes=_BOX_AXES).reshape(3, k, -1)[:, :, flat].transpose(2, 0, 1)
+        kh = self.kernel_hat
+        p0, p1, p2 = kh.shape[2:]
+        cells = (slice(None), slice(None), *self.index.T)
+        xt = x.transpose(1, 2, 0).reshape(3, -1)
+        src = xt if right is None else right @ xt
+        buf = np.zeros((3, k, p0 // 2, p1 // 2, p2 // 2), dtype=complex)
+        buf[cells] = src.reshape(3, k, -1)
+        buf = fft(buf, n=p2, axis=-1, overwrite_x=True)
+        buf = fft(buf, n=p1, axis=-2, overwrite_x=True)
+        buf = fft(buf, n=p0, axis=-3, overwrite_x=True)
+        out = np.empty_like(buf)
+        tmp = np.empty_like(out[0])
+        for a in range(3):
+            np.multiply(kh[a, 0], buf[0], out=out[a])
+            for b in (1, 2):
+                np.multiply(kh[a, b], buf[b], out=tmp)
+                out[a] += tmp
+        out = ifft(out, axis=-3, overwrite_x=True)[:, :, : p0 // 2]
+        out = ifft(out, axis=-2, overwrite_x=True)[:, :, :, : p1 // 2]
+        out = ifft(out, axis=-1, overwrite_x=True)[..., : p2 // 2]
+        y = out[cells].reshape(3, -1)
         if left is not None:
             y = left @ y
         if diag is not None:
-            y = y + diag @ x
-        return y.reshape(v.shape)
+            y += diag @ xt
+        return y.reshape(3, k, -1).transpose(2, 0, 1).reshape(v.shape)
 
     def gradw_apply(self, v):
         """gradW v for v of shape (3N,), (N,3) or (3N,K)."""
         return self.apply(v)
 
-    def r_apply(self, v):
-        """R_kappa v = v + 2 A^{1/2} gradW A^{1/2} v (flat (3N,) or (3N,K))."""
+    def r_apply(self, v, left=None, right=None):
+        """left R_kappa right v, R_kappa = I + 2 A^{1/2} gradW A^{1/2}, as one apply.
+
+        v is flat (3N,) or (3N,K); omitted 3x3 factors are the identity.
+        """
         Ah = self.bg.sqrt_A
-        return self.apply(v, 2.0 * Ah, Ah, np.eye(3))
+        left = np.eye(3) if left is None else left
+        right = np.eye(3) if right is None else right
+        return self.apply(v, 2.0 * left @ Ah, Ah @ right, left @ right)
 
     def dense(self, left=None, right=None, diag=None):
         """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table."""
@@ -464,13 +490,11 @@ def operator_norm(sys, which="R_kappa", contrast=None):
         raise ValueError(f"unknown operator {which!r}")
 
     def mv(v):
-        return _per_voxel(left, sys.r_apply(_per_voxel(right, v)))
+        return sys.r_apply(v, left, right)
 
     def rmv(v):
-        # adjoint factors; R_kappa is complex symmetric so R^H w = conj(R conj(w))
-        w = _per_voxel(left.conj().T, v)
-        w = np.conj(sys.r_apply(np.conj(w)))
-        return _per_voxel(right.conj().T, w)
+        # R_kappa is complex symmetric, so (left R right)^H v = conj(right^T R left^T conj(v))
+        return np.conj(sys.r_apply(np.conj(v), right.T, left.T))
 
     rng = np.random.default_rng(0)
     n3 = 3 * sys.n_cells

@@ -29,7 +29,7 @@ from tdscope import (
     voxelize,
 )
 from tdscope import vie
-from tdscope.vie import _per_voxel, _system_factors
+from tdscope.vie import _system_factors
 
 # power-iteration estimates on the h = 1/6 unit-kappa ball system (seed 0),
 # frozen against the dense singular values computed in-test
@@ -88,16 +88,46 @@ def test_fft_operator_matches_dense_reference(case):
     n = grid.n_cells
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3 * n, 3)) + 1j * rng.standard_normal((3 * n, 3))
-    want = ref @ x
-    assert np.linalg.norm(sys.gradw_apply(x) - want) < 1e-13 * np.linalg.norm(want)
     L, Rm, D = _system_factors(contrast, bg)
     want_mat = np.einsum("ab,ibjc,cd->iajd", L, ref.reshape(n, 3, n, 3), Rm)
     want_mat[np.arange(n), :, np.arange(n), :] += D
     want_mat = want_mat.reshape(3 * n, 3 * n)
     got = sys.dense(L, Rm, D)
     assert np.linalg.norm(got - want_mat) < 1e-13 * np.linalg.norm(want_mat)
-    want = want_mat @ x
-    assert np.linalg.norm(sys.apply(x, L, Rm, D) - want) < 1e-13 * np.linalg.norm(want)
+    # every accepted input shape: one flat column, one (N, 3) field, K columns
+    for v in (x[:, 0], x[:, 0].reshape(n, 3), x):
+        want = (ref @ v.reshape(3 * n, -1)).reshape(v.shape)
+        got = sys.gradw_apply(v)
+        assert got.shape == v.shape
+        assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+        want = (want_mat @ v.reshape(3 * n, -1)).reshape(v.shape)
+        got = sys.apply(v, L, Rm, D)
+        assert got.shape == v.shape
+        assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
+def test_apply_leaves_its_input_unchanged(sys_h6, rng):
+    # GMRES hands apply its own Krylov vectors: the transforms work on copies
+    c = iso_contrast(1.0, 2.0)
+    factors = _system_factors(c, sys_h6.bg)
+    for shape in ((3 * sys_h6.n_cells,), (3 * sys_h6.n_cells, 4)):
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        before = v.copy()
+        sys_h6.apply(v, *factors)
+        sys_h6.r_apply(v, factors[0], factors[1])
+        np.testing.assert_array_equal(v, before)
+
+
+def test_one_cell_grid_matches_dense_reference(bg_unit, rng):
+    # a single cell embeds in a 2^3 box: each half axis has length 1
+    grid = voxelize(Ball(0.5), 1.0 / 6.0)
+    grid = dataclasses.replace(grid, centers=grid.centers[:1])
+    sys = assemble(grid, bg_unit)
+    assert sys.kernel_hat.shape == (3, 3, 2, 2, 2)
+    ref = dense_gradw_reference(grid, bg_unit)
+    x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    want = ref @ x
+    assert np.linalg.norm(sys.gradw_apply(x) - want) < 1e-13 * np.linalg.norm(want)
 
 
 def test_assemble_shape_and_symmetry(sys_h6):
@@ -139,7 +169,7 @@ def test_solve_density_input_guards(sys_h6):
 A_TILDE = SymTensor3.from_matrix([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 3.0]])
 
 
-@pytest.mark.parametrize("path", ["lu", "gmres"])
+@pytest.mark.parametrize("path", ["dense", "gmres"])
 def test_solve_density_stacked_matches_per_field(sys_h6, rng, monkeypatch, path):
     if path == "gmres":
         monkeypatch.setattr(vie, "DIRECT_CAP", 1)
@@ -148,7 +178,7 @@ def test_solve_density_stacked_matches_per_field(sys_h6, rng, monkeypatch, path)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     stacked = solve_density(sys_h6, c, g)
     assert stacked.values.shape == shape
-    assert stacked.residual < (1e-10 if path == "lu" else 1e-8)
+    assert stacked.residual < (1e-10 if path == "dense" else 1e-8)
     per = np.array([solve_density(sys_h6, c, gk).values for gk in g])
     assert np.linalg.norm(stacked.values - per) <= 1e-12 * np.linalg.norm(per)
 
@@ -238,6 +268,31 @@ def test_operator_norm_vs_dense_svd(sys_h6, bg_unit):
     assert abs(est - top) / top < 2e-2
 
 
+# power-iteration estimates for a tensor contrast in an anisotropic background
+# (seed 0), frozen from the per-voxel form that applied each factor separately;
+# a power iteration whose adjoint swaps the two factors still lands within
+# 0.4% (qR_kappa) and 1.6% (qRq) of the dense top singular value
+NORM_TENSOR = {"qR_kappa": 0.4462473254473686, "qRq": 0.4455693810394928}
+
+
+@pytest.mark.parametrize("which", sorted(NORM_TENSOR))
+def test_operator_norm_tensor_factors_vs_dense_svd(ball_grid_h6, which):
+    bg_a = SymTensor3.diag(1.2, 0.9, 1.1)
+    sys = assemble(ball_grid_h6, Background(A=bg_a, kappa=1.0))
+    c = aniso_contrast(bg_a, A_TILDE)
+    n = sys.n_cells
+    ah = sys.bg.sqrt_A
+    r = 2.0 * np.einsum("ab,ibjc,cd->iajd", ah, sys.dense().reshape(n, 3, n, 3), ah)
+    r[np.arange(n), :, np.arange(n), :] += np.eye(3)
+    left, right = (c.Q, np.eye(3)) if which == "qR_kappa" else (c.q_mat, c.q_mat.T)
+    op = np.einsum("ab,ibjc,cd->iajd", left, r, right).reshape(3 * n, 3 * n)
+    top = float(np.linalg.svd(op, compute_uv=False)[0])
+    est = operator_norm(sys, which=which, contrast=c)
+    assert est <= top * (1.0 + 1e-9)
+    assert abs(est - top) / top < 2e-2
+    assert est == pytest.approx(NORM_TENSOR[which], rel=1e-9)
+
+
 def test_operator_norm_scales_with_q(sys_h6):
     big = operator_norm(sys_h6, which="qR_kappa", contrast=iso_contrast(1.0, 2.0))
     small = operator_norm(sys_h6, which="qR_kappa", contrast=iso_contrast(1.0, 1.4))
@@ -270,13 +325,13 @@ def test_solve_density_matches_dense_mb_reference(sys_h6, rng, mb_reference, cas
     np.testing.assert_allclose(got, mb_reference(sys, c, g), rtol=1e-10)
 
 
-def test_gmres_path_matches_lu(sys_h6, monkeypatch):
+def test_gmres_path_matches_dense(sys_h6, monkeypatch):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
-    lu_dens = solve_density(sys_h6, c, g).values
+    dense_dens = solve_density(sys_h6, c, g).values
     monkeypatch.setattr(vie, "DIRECT_CAP", 1)
     it_dens = solve_density(sys_h6, c, g).values
-    np.testing.assert_allclose(it_dens, lu_dens, rtol=1e-7)
+    np.testing.assert_allclose(it_dens, dense_dens, rtol=1e-7)
 
 
 def test_dense_residual_probe_catches_wrong_factorization(sys_h6):
@@ -422,10 +477,20 @@ def test_vie_system_is_dataclass():
     assert dataclasses.is_dataclass(VieSystem)
 
 
-def test_per_voxel_applies_blockwise_for_three_columns():
+def test_apply_factors_act_blockwise_on_three_columns(sys_h6, bg_unit):
     # a (3N, 3) block of right-hand sides must not be read as an (N, 3) array
     C = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
-    v = np.arange(18.0).reshape(6, 3)
-    by_column = np.column_stack([(v[:, k].reshape(2, 3) @ C.T).reshape(6) for k in range(3)])
-    np.testing.assert_array_equal(_per_voxel(C, v), by_column)
-    np.testing.assert_array_equal(_per_voxel(C, v[:, 0]), by_column[:, 0])
+    n = sys_h6.n_cells
+    gradw = dense_gradw_reference(sys_h6.grid, bg_unit).reshape(n, 3, n, 3)
+    cases = (
+        (gradw, lambda v: sys_h6.apply(v, C, C.T, C @ C.T)),
+        # C R_kappa C^T = C C^T + C (2 a gradW) C^T, since A^{1/2} = sqrt(a) I
+        (2.0 * bg_unit.iso_a * gradw, lambda v: sys_h6.r_apply(v, C, C.T)),
+    )
+    v = np.arange(9.0 * n).reshape(3 * n, 3)
+    for blocks, op in cases:
+        mat = np.einsum("ab,ibjc,cd->iajd", C, blocks, C.T)
+        mat[np.arange(n), :, np.arange(n), :] += C @ C.T
+        by_column = np.column_stack([mat.reshape(3 * n, 3 * n) @ v[:, k] for k in range(3)])
+        for got, want in ((op(v), by_column), (op(v[:, 0]), by_column[:, 0])):
+            assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
