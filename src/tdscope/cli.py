@@ -78,7 +78,7 @@ def main(argv=None):
                 report = harness.run_study(cfg)
         else:
             report = harness.run_study(cfg)
-    except (RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -231,6 +231,8 @@ def validate_config(cfg):
             problems.append(f"{key} needs 3 (diagonal) or 6 (packed) entries")
     if v["study"] == "born" and not 0.0 < abs(v["born_q0"]) < 1.0:
         problems.append("born_q0 must lie in (-1, 1), nonzero")
+    if v["study"] == "born" and v["born_halvings"] < 1:
+        problems.append("born_halvings must be >= 1: the study checks at least one halving ratio")
     if v["study"] == "finite_delta":
         if any(d <= 0 for d in v["deltas"]):
             problems.append("deltas must be positive")
@@ -654,16 +656,16 @@ def _reciprocity_error(cfg, bg):
     rng = np.random.default_rng(cfg.seed)
     shape = _shape(cfg)
     center = np.asarray(shape.center)
-    rad = 2.0 * shape.diameter
+    u = rng.normal(size=(10, 2, 3))
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    x = center + 2.0 * shape.diameter * u
+    # fields 2p and 2p + 1 are the point sources at x[p, 1] and x[p, 0]
+    g = grad_phi(bg, sys.grid.centers - x[:, ::-1].reshape(-1, 1, 3))
+    h = solve_density(sys, contrast, g).values
     worst = 0.0
-    for _ in range(10):
-        u = rng.normal(size=(2, 3))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        x1, x2 = center + rad * u[0], center + rad * u[1]
-        h12 = solve_density(sys, contrast, grad_phi(bg, sys.grid.centers - x2))
-        h21 = solve_density(sys, contrast, grad_phi(bg, sys.grid.centers - x1))
-        u12 = scattered_field(sys, h12, x1[None, :])[0]
-        u21 = scattered_field(sys, h21, x2[None, :])[0]
+    for p in range(10):
+        u12 = scattered_field(sys, h[2 * p], x[p, 0])
+        u21 = scattered_field(sys, h[2 * p + 1], x[p, 1])
         denom = max(abs(u12), abs(u21))
         if denom > 0:
             worst = max(worst, abs(u12 - u21) / denom)

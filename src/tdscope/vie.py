@@ -30,10 +30,11 @@ R_kappa and the system matrix are complex symmetric for every contrast;
 reciprocity of scattered fields is exact for this discretization up to
 roundoff.
 
-Below DIRECT_CAP cells the system matrix is gathered from the table and
-factored once per contrast, in place, with Bunch-Kaufman LDL^T (zsytrf),
-and solved as LAPACK's zsytrs2 with two level-3 triangular solves.  Above
-it the solve is matrix-free GMRES.
+Below DIRECT_CAP cells each solve gathers the system matrix from the table,
+factors it in place with Bunch-Kaufman LDL^T (zsytrf), solves as LAPACK's
+zsytrs2 with two level-3 triangular solves and drops the factor: one 3N x 3N
+block is held at a time, whatever the number of contrasts.  Above the cap
+the solve is matrix-free GMRES.
 """
 
 from __future__ import annotations
@@ -181,20 +182,19 @@ def _contrast_key(contrast):
 
 @dataclass
 class VieSystem:
-    """grad W_kappa on a voxel grid as an FFT offset table, plus cached solves.
+    """grad W_kappa on a voxel grid as an FFT offset table, plus cached responses.
 
     index holds each cell's integer lattice position (N, 3); kernel_hat holds
     the FFT over the box axes of the circulant-embedded block table, shape
-    (3, 3, *box).  The system keeps what it has solved for a contrast: the one
-    in-place LDL^T factor of its dense system matrix, and scatterer responses
-    (imaging's regular-wave response T_w) per caller-given key.
+    (3, 3, *box).  The system keeps scatterer responses (imaging's
+    regular-wave response T_w) per contrast and caller-given key, never a
+    dense factor.
     """
 
     grid: object
     bg: object
     index: np.ndarray
     kernel_hat: np.ndarray
-    _factor_cache: dict = field(default_factory=dict, repr=False)
     _response_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -243,10 +243,6 @@ class VieSystem:
             y += diag @ xt
         return y.reshape(3, k, -1).transpose(2, 0, 1).reshape(v.shape)
 
-    def gradw_apply(self, v):
-        """gradW v for v of shape (3N,), (N,3) or (3N,K)."""
-        return self.apply(v)
-
     def r_apply(self, v, left=None, right=None):
         """left R_kappa right v, R_kappa = I + 2 A^{1/2} gradW A^{1/2}, as one apply.
 
@@ -278,18 +274,14 @@ class VieSystem:
         return mat.reshape(3 * n, 3 * n)
 
     def _factorization(self, contrast):
-        """The LDL^T factor of the dense system matrix M of a contrast, cached.
+        """A fresh LDL^T factor of the dense system matrix M of a contrast.
 
         dense() is C-ordered and M is complex symmetric, so its transpose is M
-        in Fortran order, which LAPACK factors in place: one 3N x 3N block is
-        held.
+        in Fortran order, which LAPACK factors in place: the factor is the one
+        3N x 3N block, and nothing keeps it once the caller drops it.
         """
-        key = _contrast_key(contrast)
-        if key not in self._factor_cache:
-            what = f"the system on {self.n_cells} cells"
-            mat = self.dense(*_system_factors(contrast, self.bg))
-            self._factor_cache[key] = _LDLT.of(mat.T, what)
-        return self._factor_cache[key]
+        what = f"the system on {self.n_cells} cells"
+        return _LDLT.of(self.dense(*_system_factors(contrast, self.bg)).T, what)
 
     def _response(self, contrast, key, solve):
         """solve() once per contrast and key; the read-only result is kept.
@@ -349,7 +341,7 @@ def resolvent_solve(sys, contrast, rhs):
     rhs: (3N,) or (3N, K), consumed: on the dense path a complex rhs in
     Fortran order (or 1-D) is overwritten by the solution, which is returned
     in its memory.  Below the direct cap the dense system matrix is factored
-    once per contrast with LDL^T, in place; a singular factor raises before
+    with LDL^T, in place, for this call only; a singular factor raises before
     any solve.  Above the cap the solve is residual-controlled GMRES.  Each
     dense batch is checked by one seeded Freivalds probe
     ||M (X r) - B r|| / ||B r|| through the FFT apply, which also
@@ -427,7 +419,7 @@ def solve_density(sys, contrast, incident_grad):
     gr = (r @ rows).reshape(-1, 3)
     hr = (r @ h.reshape(rows.shape)).reshape(-1, 3)
     target = gr @ dA.T
-    num = np.linalg.norm(hr - sys.gradw_apply(hr) @ dA.T - target)
+    num = np.linalg.norm(hr - sys.apply(hr) @ dA.T - target)
     den = np.linalg.norm(target)
     res = float(num / den) if den > 0.0 else 0.0
     tol = 1e-10 if sys.n_cells <= DIRECT_CAP else 1e-8

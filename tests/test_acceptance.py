@@ -154,7 +154,7 @@ def test_criterion_06_static_physics():
     dens = solve_density(sys, c, g)
     factor = float(dens.values[:, 2].real.mean())
     factor_err = abs(factor - 0.75) / 0.75
-    action = float(sys.gradw_apply(g)[:, 2].real.mean())
+    action = float(sys.apply(g)[:, 2].real.mean())
     eshelby_err = abs(action + 1.0 / 3.0) * 3.0
     closed = float(np.abs(eshelby_tensor(bg) - np.eye(3) / 3.0).max())
     r0 = operator_norm(sys, which="R_kappa", contrast=c)

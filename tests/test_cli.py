@@ -77,6 +77,17 @@ def test_validate_rejects_samples_outside_the_surface(tmp_path, capsys, study, b
     assert main(["validate", str(p)]) == 0
 
 
+@pytest.mark.parametrize("halvings", [-1, 0])
+def test_validate_rejects_born_without_a_halving(tmp_path, capsys, halvings):
+    # -1 left the study no contrast to certify; 0 let it PASS with no halving ratio checked
+    p = tmp_path / "halvings.cfg"
+    p.write_text(f"study = born\nborn_halvings = {halvings}\n")
+    assert main(["validate", str(p)]) == 1
+    assert "born_halvings must be >= 1" in capsys.readouterr().err
+    p.write_text("study = born\nborn_halvings = 1\n")
+    assert main(["validate", str(p)]) == 0
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -125,6 +136,17 @@ def test_run_invalid_config_fails_before_work(tmp_path, capsys):
     p.write_text("study = born\nborn_q0 = 0\n")
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_memory_error_is_clean(born_cfg, tmp_path, capsys, monkeypatch):
+    # a grid above the voxel cap is an error message and exit 1, not a traceback
+    from tdscope import vie
+
+    monkeypatch.setattr(vie, "VOXEL_CAP", 10)
+    assert main(["run", str(born_cfg), "--out", str(tmp_path / "o")]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and last.endswith("exceed the cap 10; coarsen the grid")
     assert not (tmp_path / "o").exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from tdscope import harness
 from tdscope import (
+    Background,
     ExperimentConfig,
     STATUS_EXIT_CODES,
     emit_outputs,
@@ -430,3 +431,19 @@ def test_decay_ray_csv(tmp_path):
     assert len(lines) >= 11
     dist, mag, normed = lines[1].split(",")
     assert float(dist) > 0.0 and float(mag) > 0.0 and float(normed) > 0.0
+
+
+def test_reciprocity_error_is_one_stacked_solve(monkeypatch):
+    # the 10 random source/receiver pairs are 20 fields of one solve
+    shapes = []
+    solve = harness.solve_density
+
+    def count(sys, contrast, g):
+        shapes.append(g.shape)
+        return solve(sys, contrast, g)
+
+    monkeypatch.setattr(harness, "solve_density", count)
+    cfg = cfg_from("study = oracle\nresolution = 8\n")
+    bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
+    assert harness._reciprocity_error(cfg, bg) < 1e-12
+    assert len(shapes) == 1 and shapes[0][0] == 20

@@ -12,6 +12,7 @@ from tdscope import (
     mz_general,
     voxelize,
 )
+from tdscope import polarization
 
 IDENT = SymTensor3.identity()
 DOUBLE = SymTensor3.scaled_identity(2.0)
@@ -71,6 +72,21 @@ def test_general_matches_ellipsoid_route():
     closed = mz_ellipsoid(IDENT, DOUBLE, axes).M_z
     rel = np.abs(pt.M_z - closed).max() / np.abs(closed).max()
     assert rel < 0.05
+
+
+def test_general_is_one_stacked_solve(monkeypatch):
+    # the three canonical fields go to the solver as one (3, N, 3) stack
+    shapes = []
+    solve = polarization.solve_density
+
+    def count(sys, contrast, g):
+        shapes.append(g.shape)
+        return solve(sys, contrast, g)
+
+    monkeypatch.setattr(polarization, "solve_density", count)
+    grid = voxelize(Ball(1.0), 0.25)
+    mz_general(IDENT, DOUBLE, grid, vol_tol=1.0)
+    assert shapes == [(3, grid.n_cells, 3)]
 
 
 def test_general_volume_guard():

@@ -97,7 +97,7 @@ def test_fft_operator_matches_dense_reference(case):
     # every accepted input shape: one flat column, one (N, 3) field, K columns
     for v in (x[:, 0], x[:, 0].reshape(n, 3), x):
         want = (ref @ v.reshape(3 * n, -1)).reshape(v.shape)
-        got = sys.gradw_apply(v)
+        got = sys.apply(v)
         assert got.shape == v.shape
         assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
         want = (want_mat @ v.reshape(3 * n, -1)).reshape(v.shape)
@@ -127,7 +127,7 @@ def test_one_cell_grid_matches_dense_reference(bg_unit, rng):
     ref = dense_gradw_reference(grid, bg_unit)
     x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     want = ref @ x
-    assert np.linalg.norm(sys.gradw_apply(x) - want) < 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(sys.apply(x) - want) < 1e-13 * np.linalg.norm(want)
 
 
 def test_assemble_shape_and_symmetry(sys_h6):
@@ -191,7 +191,7 @@ def test_solve_density_single_field_residual_is_exact(sys_h6, rng):
     h = dens.values
     d_a = A_TILDE.matrix - np.eye(3)
     target = g @ d_a.T
-    want = np.linalg.norm(h - sys_h6.gradw_apply(h) @ d_a.T - target) / np.linalg.norm(target)
+    want = np.linalg.norm(h - sys_h6.apply(h) @ d_a.T - target) / np.linalg.norm(target)
     assert dens.residual == pytest.approx(want, rel=1e-12)
 
 
@@ -242,7 +242,7 @@ def test_static_interior_gradient_factor(sys_static_h8):
 def test_static_self_action_third(sys_static_h8):
     # grad W_0 applied to a constant field over the ball averages to -1/3
     g = unit_inc(sys_static_h8.n_cells)
-    act = sys_static_h8.gradw_apply(g)
+    act = sys_static_h8.apply(g)
     assert act[:, 2].real.mean() == pytest.approx(-1.0 / 3.0, rel=1e-10)
     # transverse components cancel only on average over the symmetric grid
     assert np.abs(act[:, (0, 1)].mean(axis=0)).max() < 1e-13
@@ -334,18 +334,43 @@ def test_gmres_path_matches_dense(sys_h6, monkeypatch):
     np.testing.assert_allclose(it_dens, dense_dens, rtol=1e-7)
 
 
-def test_dense_residual_probe_catches_wrong_factorization(sys_h6):
+def test_dense_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
-    fresh = dataclasses.replace(sys_h6, _factor_cache={})
-    assert solve_density(fresh, c, g).residual < 1e-10
-    # swap in the factorization of another contrast under this contrast's key
-    other = dataclasses.replace(sys_h6, _factor_cache={})
-    other._factorization(iso_contrast(1.0, 3.0))
-    (key,) = fresh._factor_cache
-    fresh._factor_cache[key] = other._factor_cache.popitem()[1]
+    assert solve_density(sys_h6, c, g).residual < 1e-10
+    # factor the matrix of another contrast in place of this contrast's
+    dense = VieSystem.dense
+    other = _system_factors(iso_contrast(1.0, 3.0), sys_h6.bg)
+    monkeypatch.setattr(VieSystem, "dense", lambda self, *args: dense(self, *other))
     with pytest.raises(RuntimeError, match="residual probe"):
-        solve_density(fresh, c, g)
+        solve_density(sys_h6, c, g)
+
+
+def _arrays_reachable(obj, seen=None):
+    """Every ndarray reachable from obj through containers and instance attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays_reachable(item, seen)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_reachable(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays_reachable(vars(obj), seen)
+
+
+def test_system_holds_no_dense_block_after_solves(sys_h6):
+    # each dense solve drops its factor: no 3N x 3N block outlives it
+    g = unit_inc(sys_h6.n_cells)
+    for c in (iso_contrast(1.0, 2.0), iso_contrast(1.0, 0.5)):
+        assert solve_density(sys_h6, c, g).residual < 1e-10
+    sizes = [a.size for a in _arrays_reachable(vars(sys_h6))]
+    assert sizes and (3 * sys_h6.n_cells) ** 2 not in sizes
 
 
 @pytest.mark.parametrize("k", [None, 4], ids=["one", "stacked"])
@@ -394,13 +419,11 @@ def _reference_matrix(sys, contrast, form):
 def test_ldlt_solve_matches_dense_solve(sys_h6, rng, case, k):
     system, form = LDLT_SOLVE_CASES[case]
     contrast = SYMMETRIC_SYSTEMS[system]
-    sys = dataclasses.replace(sys_h6, _factor_cache={})
-    mat = _reference_matrix(sys, contrast, form)
-    shape = (3 * sys.n_cells, k)
+    mat = _reference_matrix(sys_h6, contrast, form)
+    shape = (3 * sys_h6.n_cells, k)
     b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.linalg.solve(mat, b)
-    x = vie.resolvent_solve(sys, contrast, np.asfortranarray(b))
-    assert isinstance(sys._factorization(contrast), vie._LDLT)
+    x = vie.resolvent_solve(sys_h6, contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -429,7 +452,7 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, case)
         return gathered[-1]
 
     monkeypatch.setattr(VieSystem, "dense", keep)
-    fac = dataclasses.replace(sys_h6, _factor_cache={})._factorization(SYMMETRIC_SYSTEMS[case])
+    fac = sys_h6._factorization(SYMMETRIC_SYSTEMS[case])
     assert isinstance(fac, vie._LDLT)
     assert np.shares_memory(fac.factor, gathered[0])
 
@@ -438,10 +461,9 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, case)
 def test_singular_system_raises_before_solve(sys_h6, monkeypatch, diag):
     zero = np.zeros((3, 3))
     monkeypatch.setattr(vie, "_system_factors", lambda contrast, bg: (zero, zero, diag))
-    sys = dataclasses.replace(sys_h6, _factor_cache={})
-    want = f"system on {sys.n_cells} cells is singular: LDL"
+    want = f"system on {sys_h6.n_cells} cells is singular: LDL"
     with pytest.raises(RuntimeError, match=want):
-        solve_density(sys, iso_contrast(1.0, 2.0), unit_inc(sys.n_cells))
+        solve_density(sys_h6, iso_contrast(1.0, 2.0), unit_inc(sys_h6.n_cells))
 
 
 def test_radiation_matrix_matches_scattered_field(sys_h6, rng):
