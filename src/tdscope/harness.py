@@ -32,7 +32,7 @@ from .vie import (
     scattered_field,
     solve_density,
 )
-from . import imaging
+from . import imaging, vie
 
 __all__ = [
     "ExperimentConfig",
@@ -209,6 +209,15 @@ def validate_config(cfg):
             problems.append(
                 f"surface_radius = {r} does not enclose the scatterer (reach {reach})"
             )
+        if v["resolution"] >= 4:
+            try:
+                n = voxelize(shape, shape.diameter / v["resolution"]).n_cells
+            except ValueError as exc:
+                problems.append(str(exc))
+            else:
+                if n > vie.VOXEL_CAP:
+                    problems.append(f"resolution = {v['resolution']} gives {n} voxels, "
+                                    f"which exceed the cap {vie.VOXEL_CAP}; coarsen the grid")
     if v["aperture"] is not None and not 0.0 < v["aperture"] <= np.pi:
         problems.append("aperture must lie in (0, pi]")
     if v["aperture"] is not None and v["study"] in ("decay", "finite_delta"):

@@ -30,11 +30,23 @@ R_kappa and the system matrix are complex symmetric for every contrast;
 reciprocity of scattered fields is exact for this discretization up to
 roundoff.
 
-Below DIRECT_CAP cells each solve gathers the system matrix from the table,
-factors it in place with Bunch-Kaufman LDL^T (zsytrf), solves as LAPACK's
-zsytrs2 with two level-3 triangular solves and drops the factor: one 3N x 3N
-block is held at a time, whatever the number of contrasts.  Above the cap
-the solve is matrix-free GMRES.
+Below DIRECT_CAP cells each solve gathers the system matrix from the table
+one block at a time under the grid's mirror group.  An axis is a mirror axis
+when reversing the cells' lattice positions along it maps the cell set onto
+itself with no cell on the plane, and flipping the sign of that component
+commutes with A and, up to a sign per unknown, with the 3x3 system factors;
+voxelize centres its lattice on the shape, so a ball or an axis-aligned
+ellipsoid in a diagonal background has s = 3 mirror axes.  The system matrix
+then commutes with the 2^s mirror maps, and in the symmetry-adapted basis it
+splits into 2^s complex-symmetric blocks of 3N / 2^s rows, one per character
+of Z2^s.  Only the orbit representatives' rows are gathered (N^2 / 2^s cell
+pairs) and combined into the blocks by a Hadamard transform over the group.
+Each block is factored in place with Bunch-Kaufman LDL^T (zsytrf), the
+right-hand sides are projected onto the blocks, solved as LAPACK's zsytrs2
+does with two level-3 triangular solves and mapped back, and the factors are
+dropped: a solve holds 16 (3N)^2 / 2^s bytes of factors, whatever the number
+of contrasts.  With no mirror axis (s = 0) the one block is the whole system.
+Above the cap the solve is matrix-free GMRES.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, ifft
 from scipy.linalg import (
+    hadamard,
     lu_factor,  # unused here; the traced benchmark wraps vie.lu_factor
     lu_solve,  # unused here; the traced benchmark wraps vie.lu_solve
 )
@@ -174,6 +187,91 @@ class _LDLT:
         return b.reshape(rhs.shape)
 
 
+def _mirror_orbits(index, A, left, right, diag):
+    """(axes, cells, signs) of the mirror group Z2^s of diag + left gradW right.
+
+    Axis k is a mirror axis when reversing the lattice positions index (N, 3)
+    along k maps the cell set onto itself with no cell on the plane (an even
+    extent), the flip S_k of component k commutes with A (so gradW commutes
+    with the mirror), and a sign diagonal T_k carries the factors across it:
+    T_k left S_k = left, S_k right T_k = right and T_k diag T_k = diag.  The
+    unknowns live in the eigenbasis of the contrast, so T_k is S_k with its
+    -1 moved to the row of left that holds component k.  Any other axis is
+    dropped, which keeps the blocks exact.  Bit t of a group element g flips
+    axes[t].  cells (2^s, N / 2^s) holds the image g r of each orbit
+    representative r, a cell in the lower half of every mirror axis
+    (cells[0] are the representatives); signs (2^s, 3) holds T_g.
+    """
+    dims = index.max(axis=0) + 1
+    where = np.full(dims, -1)
+    where[tuple(index.T)] = np.arange(index.shape[0])
+    occupied = where >= 0
+    axes, flips = [], []
+    for k in range(3):
+        s = np.ones(3)
+        s[k] = -1.0
+        t = np.where(left[:, k] == 0, 1.0, -1.0)
+        if (dims[k] % 2 == 0 and np.array_equal(np.flip(occupied, axis=k), occupied)
+                and np.array_equal(s[:, None] * A * s, A)
+                and np.array_equal(t[:, None] * left * s, left)
+                and np.array_equal(s[:, None] * right * t, right)
+                and np.array_equal(t[:, None] * diag * t, diag)):
+            axes.append(k)
+            flips.append(t)
+    rep = index[np.all(index[:, axes] < dims[axes] // 2, axis=1)]
+    cells, signs = [], []
+    for g in range(1 << len(axes)):
+        pos, sign = rep.copy(), np.ones(3)
+        for bit, (k, t) in enumerate(zip(axes, flips)):
+            if g >> bit & 1:
+                pos[:, k] = dims[k] - 1 - pos[:, k]
+                sign *= t
+        cells.append(where[tuple(pos.T)])
+        signs.append(sign)
+    return tuple(axes), np.array(cells), np.array(signs)
+
+
+def _block_name(axes, c):
+    """'x+ y- z+': block c's parity under each mirror, + for even; 'single' if s = 0."""
+    return " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(axes)) or "single"
+
+
+@dataclass(frozen=True)
+class _BlockLDLT:
+    """LDL^T factors of a system matrix M that commutes with its mirror group Z2^s.
+
+    axes, cells and signs are those of _mirror_orbits.  Block c is
+    B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives r, r',
+    with the character chi_c(g) = (-1)^popcount(c & g), row c of the
+    Sylvester Hadamard matrix; blocks[c] is its _LDLT.
+    """
+
+    axes: tuple
+    cells: np.ndarray
+    signs: np.ndarray
+    blocks: tuple
+
+    def solve(self, rhs):
+        """Solution of (3N,) or (3N, K) rhs, written into rhs when it is Fortran-ordered.
+
+        The projection of rhs onto block c is sum_g chi_c(g) T_g rhs(g r); the
+        solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.
+        """
+        group, n = self.cells.shape
+        had = hadamard(group, dtype=float)
+        x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
+        cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
+        # (2^s, K, n, 3): block c's right-hand sides are y[c].reshape(K, 3n).T,
+        # Fortran-ordered, so each block solve runs in place
+        y = np.tensordot(had, cols[:, self.cells] * self.signs[:, None, :], axes=(1, 1))
+        for c, fac in enumerate(self.blocks):
+            fac.solve(y[c].reshape(y.shape[1], -1).T)
+        y = np.tensordot(had, y, axes=(1, 0))
+        y *= self.signs[:, None, None, :] / group
+        cols[:, self.cells] = y.transpose(1, 0, 2, 3)
+        return x.reshape(rhs.shape)
+
+
 def _contrast_key(contrast):
     if isinstance(contrast, IsoContrast):
         return ("iso", contrast.a, contrast.beta)
@@ -253,14 +351,18 @@ class VieSystem:
         right = np.eye(3) if right is None else right
         return self.apply(v, 2.0 * left @ Ah, Ah @ right, left @ right)
 
+    def _offset_blocks(self, left, right):
+        """(blocks, box): left K(o) right for every box offset o, flat (prod(box), 3, 3)."""
+        table = np.fft.ifftn(self.kernel_hat, axes=_BOX_AXES)
+        blocks = left @ np.moveaxis(table, (0, 1), (-2, -1)).reshape(-1, 3, 3) @ right
+        return blocks, table.shape[2:]
+
     def dense(self, left=None, right=None, diag=None):
         """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table."""
         eye = np.eye(3)
         left = eye if left is None else left
         right = eye if right is None else right
-        table = np.fft.ifftn(self.kernel_hat, axes=_BOX_AXES)
-        box = table.shape[2:]
-        blocks = left @ np.moveaxis(table, (0, 1), (-2, -1)).reshape(-1, 3, 3) @ right
+        blocks, box = self._offset_blocks(left, right)
         n = self.n_cells
         mat = np.empty((n, 3, n, 3), dtype=complex)
         rows = max(1, (1 << 18) // n)
@@ -273,15 +375,49 @@ class VieSystem:
             mat[cells, :, cells, :] += diag
         return mat.reshape(3 * n, 3 * n)
 
-    def _factorization(self, contrast):
-        """A fresh LDL^T factor of the dense system matrix M of a contrast.
+    def _gather_blocks(self, cells, signs, left, right, diag):
+        """The 2^s blocks sum_g chi_c(g) M(r, g r') T_g of M = diag + left gradW right.
 
-        dense() is C-ordered and M is complex symmetric, so its transpose is M
-        in Fortran order, which LAPACK factors in place: the factor is the one
-        3N x 3N block, and nothing keeps it once the caller drops it.
+        cells and signs are those of _mirror_orbits.  Rows of the orbit
+        representatives are gathered against every cell from the offset
+        table, a chunk of representatives at a time, and combined by the
+        Hadamard transform over g; the diagonal term enters every block.
+        Returns (2^s, 3n, 3n) for n representatives, each block C-ordered.
         """
-        what = f"the system on {self.n_cells} cells"
-        return _LDLT.of(self.dense(*_system_factors(contrast, self.bg)).T, what)
+        blocks, box = self._offset_blocks(left, right)
+        group, n = cells.shape
+        had = hadamard(group, dtype=float)
+        pos = self.index[cells]
+        out = np.empty((group, n, 3, n, 3), dtype=complex)
+        rows = max(1, (1 << 12) // (group * n))
+        for i0 in range(0, n, rows):
+            diff = pos[0, None, i0 : i0 + rows, None, :] - pos[:, None, :, :]
+            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
+            m = blocks[off]  # (2^s, rows, n, 3, 3): M(r, g r') for r in the chunk
+            m *= signs[:, None, None, None, :]
+            m = (had @ m.reshape(group, -1)).reshape(m.shape)
+            out[:, i0 : i0 + rows] = m.transpose(0, 1, 3, 2, 4)
+        reps = np.arange(n)
+        out[:, reps, :, reps, :] += diag
+        return out.reshape(group, 3 * n, 3 * n)
+
+    def _factorization(self, contrast):
+        """A fresh blocked LDL^T factor of the dense system matrix of a contrast.
+
+        Each gathered block is C-ordered and complex symmetric, so its
+        transpose is the block in Fortran order, which LAPACK factors in
+        place: the factors are the gathered blocks' memory, and nothing keeps
+        them once the caller drops them.
+        """
+        factors = _system_factors(contrast, self.bg)
+        axes, cells, signs = _mirror_orbits(self.index, self.bg.A.matrix, *factors)
+        blocks = self._gather_blocks(cells, signs, *factors)
+        rows = blocks.shape[1]
+        fac = tuple(
+            _LDLT.of(block.T, f"the {_block_name(axes, c)} block ({rows} rows) "
+                              f"of the system on {self.n_cells} cells")
+            for c, block in enumerate(blocks))
+        return _BlockLDLT(axes, cells, signs, fac)
 
     def _response(self, contrast, key, solve):
         """solve() once per contrast and key; the read-only result is kept.
@@ -340,13 +476,13 @@ def resolvent_solve(sys, contrast, rhs):
 
     rhs: (3N,) or (3N, K), consumed: on the dense path a complex rhs in
     Fortran order (or 1-D) is overwritten by the solution, which is returned
-    in its memory.  Below the direct cap the dense system matrix is factored
-    with LDL^T, in place, for this call only; a singular factor raises before
-    any solve.  Above the cap the solve is residual-controlled GMRES.  Each
-    dense batch is checked by one seeded Freivalds probe
-    ||M (X r) - B r|| / ||B r|| through the FFT apply, which also
-    cross-checks the gathered matrix against the table; B r is formed before
-    the solve.
+    in its memory.  Below the direct cap each block of the dense system
+    matrix under its mirror group is factored with LDL^T, in place, for this
+    call only; a singular block raises before any solve.  Above the cap the
+    solve is residual-controlled GMRES.  Each dense batch is checked by one
+    seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT apply,
+    which also cross-checks the gathered blocks against the table; B r is
+    formed before the solve.
     """
     rhs = np.asarray(rhs, dtype=complex)
     n3 = 3 * sys.n_cells

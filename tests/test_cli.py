@@ -40,6 +40,19 @@ def test_validate_problems(tmp_path, capsys):
     assert "2 problem(s)" in captured.out
 
 
+@pytest.mark.parametrize("text, problem", [
+    # 33,552 cells: run would stop at assembly, after validate said "ok"
+    ("study = born\nresolution = 40\n", "which exceed the cap 20000; coarsen the grid"),
+    ("study = sign\nscatterer_shape = ellipsoid\nscatterer_semi_axes = 0.5, 0.5, 0.05\n"
+     "resolution = 4\n", "resolution too coarse"),
+], ids=["over_voxel_cap", "too_coarse"])
+def test_validate_voxelizes_the_scatterer(tmp_path, capsys, text, problem):
+    p = tmp_path / "grid.cfg"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 1
+    assert problem in capsys.readouterr().err
+
+
 def test_validate_rejects_nan(tmp_path, capsys):
     p = tmp_path / "nan.cfg"
     p.write_text("study = sign\nkappa = nan\n")

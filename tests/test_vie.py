@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,10 +339,11 @@ def test_dense_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
     assert solve_density(sys_h6, c, g).residual < 1e-10
-    # factor the matrix of another contrast in place of this contrast's
-    dense = VieSystem.dense
+    # factor the blocks of another contrast in place of this contrast's
+    gather = VieSystem._gather_blocks
     other = _system_factors(iso_contrast(1.0, 3.0), sys_h6.bg)
-    monkeypatch.setattr(VieSystem, "dense", lambda self, *args: dense(self, *other))
+    monkeypatch.setattr(VieSystem, "_gather_blocks",
+                        lambda self, cells, signs, *args: gather(self, cells, signs, *other))
     with pytest.raises(RuntimeError, match="residual probe"):
         solve_density(sys_h6, c, g)
 
@@ -443,25 +445,114 @@ def test_ldlt_two_by_two_pivots(rng):
 
 @pytest.mark.parametrize("case", sorted(SYMMETRIC_SYSTEMS))
 def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, case):
-    # one 3N x 3N block: the factor lives in the memory dense() returned
+    # the factors live in the memory of the gathered blocks, and no 3N x 3N
+    # array is allocated besides them: the ball's blocks are an eighth of one
     gathered = []
-    dense = VieSystem.dense
+    gather = VieSystem._gather_blocks
 
     def keep(self, *args):
-        gathered.append(dense(self, *args))
+        gathered.append(gather(self, *args))
         return gathered[-1]
 
-    monkeypatch.setattr(VieSystem, "dense", keep)
-    fac = sys_h6._factorization(SYMMETRIC_SYSTEMS[case])
-    assert isinstance(fac, vie._LDLT)
-    assert np.shares_memory(fac.factor, gathered[0])
+    monkeypatch.setattr(VieSystem, "_gather_blocks", keep)
+    tracemalloc.start()
+    try:
+        fac = sys_h6._factorization(SYMMETRIC_SYSTEMS[case])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(fac, vie._BlockLDLT)
+    (blocks,) = gathered
+    assert len(fac.blocks) == blocks.shape[0] == 2 ** len(fac.axes)
+    for block, part in zip(blocks, fac.blocks):
+        assert isinstance(part, vie._LDLT)
+        assert np.shares_memory(part.factor, block)
+    full = 16 * (3 * sys_h6.n_cells) ** 2
+    assert peak < blocks.nbytes + full
+    if case != "aniso":
+        assert fac.axes == (0, 1, 2) and peak < full
+
+
+BLOCK_3x4x4 = np.stack(np.meshgrid(np.arange(3), np.arange(4), np.arange(4), indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+
+
+def test_mirror_axes_drop_each_axis_that_breaks_a_condition(sys_h8):
+    # the ball's cell set is symmetric on every axis; an xy coupling in A or in
+    # any system factor leaves only the z mirror
+    eye = np.eye(3)
+    xy = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for k in range(-1, 4):
+        mats = [xy if j == k else eye for j in range(4)]
+        axes, cells, signs = vie._mirror_orbits(sys_h8.index, *mats)
+        assert axes == ((0, 1, 2) if k == -1 else (2,))
+        # each orbit has 2^s distinct cells, and the orbits cover the grid
+        assert np.array_equal(np.sort(cells.ravel()), np.arange(sys_h8.n_cells))
+    # factors whose rows hold the components in another order: the z mirror
+    # flips the sign of row 0 of the unknowns, not of component 2
+    perm = eye[[2, 0, 1]]
+    axes, _, signs = vie._mirror_orbits(sys_h8.index, eye, perm, perm.T, eye)
+    assert axes == (0, 1, 2)
+    np.testing.assert_array_equal(signs[[1, 2, 4]], [[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
+    axes, cells, _ = vie._mirror_orbits(BLOCK_3x4x4, eye, eye, eye, eye)
+    assert axes == (1, 2)
+    assert np.array_equal(np.sort(cells.ravel()), np.arange(len(BLOCK_3x4x4)))
+
+
+def _mirror_case_systems():
+    """(grid, background, contrast, mirror axes): symmetric and broken grids at resolution 8."""
+    iso = Background.isotropic(a=1.0, kappa=1.0)
+    xy = Background(A=SymTensor3.from_matrix([[1.3, 0.2, 0.0], [0.2, 0.9, 0.0],
+                                               [0.0, 0.0, 1.1]]), kappa=1.0)
+    full = Background(A=SymTensor3.from_matrix([[1.3, 0.2, 0.1], [0.2, 0.9, 0.1],
+                                                 [0.1, 0.1, 1.1]]), kappa=1.0)
+    ball = voxelize(Ball(0.5), 1.0 / 8.0)
+    ellipsoid = voxelize(Ellipsoid((0.5, 0.35, 0.3), center=(0.2, -0.1, 0.05)), 1.0 / 8.0)
+    xy_tensor = SymTensor3.from_matrix([[2.0, 0.3, 0.0], [0.3, 1.5, 0.0], [0.0, 0.0, 1.6]])
+    return {
+        "ball_q_pos": (ball, iso, iso_contrast(1.0, 2.0), (0, 1, 2)),
+        "ball_q_neg": (ball, iso, iso_contrast(1.0, 0.5), (0, 1, 2)),
+        "offcentre_ellipsoid": (ellipsoid, iso, iso_contrast(1.0, 2.0), (0, 1, 2)),
+        "xy_background": (ball, xy, aniso_contrast(xy.A, SymTensor3.diag(2.0, 1.5, 1.6)), (2,)),
+        "xy_tensor_contrast": (ball, iso, aniso_contrast(iso.A, xy_tensor), (2,)),
+        "coupled_background": (ball, full, aniso_contrast(full.A, SymTensor3.diag(2.0, 1.5, 1.6)),
+                               ()),
+        # mixed signs, and factors whose rows are the eigenvectors in another order
+        "diagonal_tensor_contrast": (ball, iso,
+                                     aniso_contrast(iso.A, SymTensor3.diag(2.0, 0.7, 1.6)),
+                                     (0, 1, 2)),
+        # one removed cell leaves no mirror of the ball's cell set
+        "ball_less_one_cell": (dataclasses.replace(ball, centers=ball.centers[1:]), iso,
+                               iso_contrast(1.0, 2.0), ()),
+        # a 3 x 4 x 4 block: its middle x slab lies on the x mirror plane
+        "odd_extent_block": (dataclasses.replace(ball, centers=BLOCK_3x4x4 / 8.0), iso,
+                             iso_contrast(1.0, 2.0), (1, 2)),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("case", sorted(_mirror_case_systems()))
+def test_blocked_solve_matches_dense_solve(rng, case, k):
+    grid, bg, contrast, axes = _mirror_case_systems()[case]
+    sys = assemble(grid, bg)
+    fac = sys._factorization(contrast)
+    assert fac.axes == axes
+    rows = 3 * sys.n_cells // 2 ** len(axes)
+    assert [part.factor.shape for part in fac.blocks] == [(rows, rows)] * 2 ** len(axes)
+    shape = (3 * sys.n_cells, k)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.linalg.solve(sys.dense(*_system_factors(contrast, bg)), b)
+    x = fac.solve(np.asfortranarray(b))
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("diag", [np.zeros((3, 3))], ids=["symmetric"])
 def test_singular_system_raises_before_solve(sys_h6, monkeypatch, diag):
     zero = np.zeros((3, 3))
     monkeypatch.setattr(vie, "_system_factors", lambda contrast, bg: (zero, zero, diag))
-    want = f"system on {sys_h6.n_cells} cells is singular: LDL"
+    rows = 3 * sys_h6.n_cells // 8
+    want = (rf"the x\+ y\+ z\+ block \({rows} rows\) of the system on {sys_h6.n_cells} cells "
+            "is singular: LDL")
     with pytest.raises(RuntimeError, match=want):
         solve_density(sys_h6, iso_contrast(1.0, 2.0), unit_inc(sys_h6.n_cells))
 
