@@ -311,7 +311,9 @@ def _surface(cfg, order):
 
 
 def _sample_points(cfg):
-    ax = np.linspace(-cfg.grid_extent, cfg.grid_extent, cfg.grid_n)
+    # one point per axis is the cube's centre, not its corner
+    extent = cfg.grid_extent if cfg.grid_n > 1 else 0.0
+    ax = np.linspace(-extent, extent, cfg.grid_n)
     return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
 
 

@@ -12,8 +12,12 @@ KernelG factors G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) with one factor b of
 rank P.  On a closed sphere in an isotropic background the addition theorem
 gives the spectral factor b_p = sqrt(c_p) grad u_nm over the regular waves
 u_nm of specfun_quad.regular_wave_gradients, P = (n_max + 1)^2 with n_max
-set by the point sets, not by the surface radius; otherwise (cap apertures,
-anisotropic backgrounds, series past N_MAX) the node factor
+set by the point sets, not by the surface radius.  The identity holds in
+any unitary basis of the waves, and the factor uses the real one (Re and Im
+of each +-m pair, see _SpectralFactor): b is real, and each wave is even or
+odd under every coordinate mirror through the centre, so vie solves it in
+one mirror block of a grid symmetric about that centre.  Otherwise (cap
+apertures, anisotropic backgrounds, series past N_MAX) the node factor
 b_p = sqrt(w_p) grad Phi(s_p - x) integrates over the surface nodes.
 
 A topological-derivative map contracts G(z, .) over the true scatterer B
@@ -298,9 +302,17 @@ def _half_pairing(sys, contrast, fields):
 
 @dataclass(frozen=True)
 class _SpectralFactor:
-    """b_p(x) = sqrt(c_p) grad u_nm(x - center), p = n (n + 1) + m, n <= n_max.
+    """b_p(x) = sqrt(c_p) grad v_p(x - center), p = n (n + 1) + m, n <= n_max.
 
-    half_log_c holds log sqrt(c_p) per row and degree the row's n.
+    v_p are the regular waves in their real basis: u_n0 for m = 0,
+    sqrt(2) Re u_nm for m > 0 and sqrt(2) Im u_n|m| for m < 0.  As
+    u_n^-m = (-1)^m conj(u_n^m), this is a unitary change of basis within
+    each +-m pair of the complex waves, and c_nm = w_nm C_n is even in m, so
+    the diagonal D = sqrt(c) commutes with it: G = b(z)^T b(y) and every
+    map are those of the complex basis, up to roundoff.  Re and Im
+    of u_nm carry cos(m phi) and sin(m phi), so each v_p is even or odd under
+    each coordinate mirror through the centre.  half_log_c holds
+    log sqrt(c_p) per row and degree the row's n.
     """
 
     center: np.ndarray
@@ -324,7 +336,14 @@ class _SpectralFactor:
     def _waves(self, pts, rho):
         # grad u(x) = rho^(n-1) grad u'(x / rho), u' the wave of wavenumber
         # k rho: every factor stays of order one, whatever |x| and R are
-        return regular_wave_gradients(self.n_max, self.k * rho, (pts - self.center) / rho)
+        w = regular_wave_gradients(self.n_max, self.k * rho, (pts - self.center) / rho)
+        n = self.degree.astype(int)
+        m = np.arange(n.size) - n * (n + 1)
+        out = w.real.copy()
+        # row (n, -m) takes the imaginary part of u_n^m, the row m above it
+        out[m < 0] = w.imag[(n * (n + 1) - m)[m < 0]]
+        out[m != 0] *= np.sqrt(2.0)
+        return out
 
     def __call__(self, pts):
         rho = self._rho(pts)
@@ -439,7 +458,8 @@ class KernelG:
         Returns a callable b(pts) -> (rank, npts, 3) with attributes kind and
         rank.  On a closed sphere (aperture None) in an isotropic background
         it is the spectral factor of the addition theorem,
-        b_p = sqrt(c_p) grad u_nm, truncated for these two point sets,
+        b_p = sqrt(c_p) grad v_p over the real regular waves v_p (see
+        _SpectralFactor), truncated for these two point sets,
         as long as the truncation stays within N_MAX; otherwise it is the
         node factor b_p = sqrt(w_p) grad Phi(s_p - x) of the surface rule.
         Both point sets must lie strictly inside the sphere.

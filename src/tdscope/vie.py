@@ -42,10 +42,12 @@ splits into 2^s complex-symmetric blocks of 3N / 2^s rows, one per character
 of Z2^s.  Only the orbit representatives' rows are gathered (N^2 / 2^s cell
 pairs) and combined into the blocks by a Hadamard transform over the group.
 Each block is factored in place with Bunch-Kaufman LDL^T (zsytrf), the
-right-hand sides are projected onto the blocks, solved as LAPACK's zsytrs2
-does with two level-3 triangular solves and mapped back, and the factors are
-dropped: a solve holds 16 (3N)^2 / 2^s bytes of factors, whatever the number
-of contrasts.  With no mirror axis (s = 0) the one block is the whole system.
+right-hand sides are routed to the blocks that carry them (a column of
+definite parity under every mirror, such as a real regular wave about the
+lattice centre, to one block), solved as LAPACK's zsytrs2 does with two
+level-3 triangular solves and mapped back, and the factors are dropped: a
+solve holds 16 (3N)^2 / 2^s bytes of factors, whatever the number of
+contrasts.  With no mirror axis (s = 0) the one block is the whole system.
 Above the cap the solve is matrix-free GMRES.
 """
 
@@ -232,6 +234,12 @@ def _mirror_orbits(index, A, left, right, diag):
     return tuple(axes), np.array(cells), np.array(signs)
 
 
+# a block's share of a column at or below this fraction of the column's largest
+# share is roundoff (about 1e-17 for a column of definite parity), far below
+# the 1e-10 residual probe, and the block does not solve the column
+_LEAK = 1e-14
+
+
 def _block_name(axes, c):
     """'x+ y- z+': block c's parity under each mirror, + for even; 'single' if s = 0."""
     return " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(axes)) or "single"
@@ -256,17 +264,27 @@ class _BlockLDLT:
         """Solution of (3N,) or (3N, K) rhs, written into rhs when it is Fortran-ordered.
 
         The projection of rhs onto block c is sum_g chi_c(g) T_g rhs(g r); the
-        solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.
+        solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.  Each column is
+        routed to the blocks that carry it: a block whose share of the column
+        is at most _LEAK times the column's largest share holds roundoff only,
+        and its part of the solution is zero.  A column of definite parity
+        under every mirror is solved in one block, an all-zero column in none.
         """
         group, n = self.cells.shape
         had = hadamard(group, dtype=float)
         x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
         cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
-        # (2^s, K, n, 3): block c's right-hand sides are y[c].reshape(K, 3n).T,
-        # Fortran-ordered, so each block solve runs in place
+        # (2^s, K, n, 3): block c's share of column k is y[c, k]
         y = np.tensordot(had, cols[:, self.cells] * self.signs[:, None, :], axes=(1, 1))
+        flat = y.reshape(group, y.shape[1], -1).view(float)
+        share = np.einsum("cki,cki->ck", flat, flat)  # squared norm per block and column
+        carried = share > _LEAK**2 * share.max(axis=0)
         for c, fac in enumerate(self.blocks):
-            fac.solve(y[c].reshape(y.shape[1], -1).T)
+            part = y[c, carried[c]]  # a C-ordered copy, solved in place
+            if part.size:
+                fac.solve(part.reshape(part.shape[0], -1).T)
+            y[c] = 0.0
+            y[c, carried[c]] = part
         y = np.tensordot(had, y, axes=(1, 0))
         y *= self.signs[:, None, None, :] / group
         cols[:, self.cells] = y.transpose(1, 0, 2, 3)
@@ -532,22 +550,33 @@ def solve_density(sys, contrast, incident_grad):
     residual ||T (h r) - (At - A)(g r)|| / ||(At - A)(g r)|| of the
     unnormalized equation is taken for one seeded random combination r of the
     fields (r = 1 for a single field) and must stay below 1e-10 on the dense
-    path and 1e-8 on the GMRES path.
+    path and 1e-8 on the GMRES path.  Real fields stay real: no complex copy
+    of them is made besides the right-hand sides.
     """
-    g = np.asarray(incident_grad, dtype=complex)
+    g = np.asarray(incident_grad)
+    if not np.iscomplexobj(g):
+        g = np.asarray(g, dtype=float)
     if g.ndim not in (2, 3) or g.shape[-2:] != (sys.n_cells, 3):
         raise ValueError("incident_grad must have shape (n_cells, 3) or (K, n_cells, 3)")
     if not np.all(np.isfinite(g)):
         raise ValueError("incident_grad must be finite")
     _, Ah, dA = _contrast_parts(contrast, sys.bg)
     if not np.any(dA):
-        return DensityField(values=np.zeros_like(g), grid=sys.grid, residual=0.0)
+        return DensityField(values=np.zeros(g.shape, dtype=complex), grid=sys.grid,
+                            residual=0.0)
     sig, qm = _sigma_parts(contrast)
     rows = g.reshape(-1, 3 * sys.n_cells)
+    lift = 2.0 * sig @ qm @ Ah
     # the (3N, K) right-hand sides are the transpose of (K, 3N) rows: Fortran
     # order, which the LDL^T solve overwrites without a reordering copy; they
     # are dropped before h is formed so that at most two K x 3N blocks are held
-    rhs = (rows.reshape(-1, 3) @ (2.0 * sig @ qm @ Ah).T).reshape(rows.shape)
+    if np.iscomplexobj(g):
+        rhs = rows.reshape(-1, 3) @ lift.T
+    else:
+        # one real product gives the interleaved real and imaginary parts
+        lift = np.stack([lift.real.T, lift.imag.T], axis=-1).reshape(3, 6)
+        rhs = (rows.reshape(-1, 3) @ lift).view(complex)
+    rhs = rhs.reshape(rows.shape)
     x = resolvent_solve(sys, contrast, rhs.T).T
     del rhs
     h = (x.reshape(-1, 3) @ (Ah @ qm.T @ sig).T).reshape(g.shape)

@@ -132,6 +132,16 @@ def test_config_echo_and_overrides():
         cfg.nonsense
 
 
+def test_sample_points_span_the_cube_and_one_point_is_its_centre():
+    pts = harness._sample_points(cfg_from("study = sign\ngrid_n = 3\ngrid_extent = 0.5\n"))
+    assert pts.shape == (27, 3)
+    np.testing.assert_array_equal(pts[0], [-0.5, -0.5, -0.5])
+    np.testing.assert_array_equal(pts[13], [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(pts[-1], [0.5, 0.5, 0.5])
+    one = harness._sample_points(cfg_from("study = sign\ngrid_n = 1\ngrid_extent = 0.5\n"))
+    np.testing.assert_array_equal(one, [[0.0, 0.0, 0.0]])
+
+
 def test_exit_code_table():
     assert STATUS_EXIT_CODES == {
         "PASS": 0,

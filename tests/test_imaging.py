@@ -26,6 +26,7 @@ from tdscope import (
     kernel_L_series,
     mz_ball_iso,
     mz_ellipsoid,
+    solve_density,
     sphere_surface,
     synthesize_trace,
     td_finite_delta_check,
@@ -37,7 +38,7 @@ from tdscope import (
 )
 from tdscope import Ball, imaging, voxelize
 from tdscope.imaging import _scatter_matrix
-from tdscope.specfun_quad import harmonics_table
+from tdscope.specfun_quad import harmonics_table, regular_wave_gradients
 
 Z = np.array([1.5, -1.0, 2.0])
 Y = np.array([-2.0, 0.4, 0.8])
@@ -659,3 +660,70 @@ def test_cached_response_is_keyed_by_contrast_centre_and_order(ball_grid_h8):
         assert _rel_diff(got, want) <= 1e-13
         ranks.append(got.kernel_rank)
     assert ranks[3] == ranks[0] < ranks[4]
+
+
+# ---------------------------------------------------------------------------
+# the spectral factor in the real basis of the regular waves
+
+
+def _complex_factor(fac, pts):
+    """sqrt(c_p) grad u_nm(x - centre) in the complex basis of the waves, unscaled."""
+    w = regular_wave_gradients(fac.n_max, fac.k, pts - fac.center)
+    return np.exp(fac.half_log_c)[:, None, None] * w
+
+
+def test_spectral_factor_is_real_and_factors_G(surface_r5, bg_unit):
+    fac = KernelG(surface_r5, bg_unit).factor(Z[None, :], Y[None, :])
+    assert fac.kind == "spectral"
+    bz, by = fac(Z[None, :])[:, 0], fac(Y[None, :])[:, 0]
+    assert np.isrealobj(bz) and np.isrealobj(by)
+    g = bz.T @ by
+    ref = kernel_G_from_L(5.0, 1.0, Z, Y)
+    assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+    cz, cy = _complex_factor(fac, Z[None, :])[:, 0], _complex_factor(fac, Y[None, :])[:, 0]
+    gc = cz.conj().T @ cy
+    assert np.abs(g - gc).max() <= 1e-13 * np.abs(gc).max()
+
+
+def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg_unit):
+    sys = assemble(ball_grid_h6, bg_unit)
+    centers = sys.grid.centers
+    fac = KernelG(sphere_surface(5.0, 20), bg_unit).factor(centers, centers)
+    rho = fac._rho(centers)
+    waves = fac._waves(centers, rho)
+    assert np.isrealobj(waves)
+    # each wave is even or odd under each coordinate mirror S_k through the
+    # centre: W(S_k x) = +-S_k W(x); bit k of its class is set when odd
+    scale = np.abs(waves).max(axis=(1, 2))
+    cls = np.zeros(fac.rank, dtype=int)
+    for k in range(3):
+        s = np.ones(3)
+        s[k] = -1.0
+        mirrored = fac._waves(centers * s, rho) * s
+        even = np.abs(mirrored - waves).max(axis=(1, 2))
+        odd = np.abs(mirrored + waves).max(axis=(1, 2))
+        assert np.all(np.minimum(even, odd) <= 1e-13 * scale)
+        cls += (odd < even) << k
+    assert fac.rank == 196
+    assert np.bincount(cls, minlength=8).tolist() == [28, 28, 28, 21, 28, 21, 21, 21]
+    t_w = imaging._half_pairing(sys, iso_contrast(1.0, 2.0), waves)
+    off = cls[:, None] != cls[None, :]
+    assert np.abs(t_w[off]).max() <= 1e-14 * np.abs(t_w).max()
+
+
+def test_td_map_iso_matches_a_complex_basis_reference(ball_grid_h6, bg_unit, small_map_setup):
+    surf, pts = small_map_setup
+    sys = assemble(ball_grid_h6, bg_unit)
+    c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
+    tmap = td_map_iso(sys, c, trial, surf, pts, certificate=1.0)
+    assert tmap.kernel_factor == "spectral"
+    fac = KernelG(surf, bg_unit).factor(pts, sys.grid.centers)
+    b = _complex_factor(fac, sys.grid.centers)
+    p = fac.rank
+    h = solve_density(sys, c, b).values
+    t_m = 0.5 * b.conj().reshape(p, -1) @ h.reshape(p, -1).T
+    bz = _complex_factor(fac, pts)
+    s = np.einsum("pzi,pq,qzj->zij", bz, t_m, bz.conj())
+    m_z = mz_ball_iso(1.0, trial.beta).M_z
+    want = -2.0 * sys.grid.cell_volume * np.einsum("ij,zji->z", m_z, s).real
+    assert np.abs(tmap.values - want).max() <= 1e-12 * np.abs(want).max()

@@ -30,6 +30,7 @@ from tdscope import (
     voxelize,
 )
 from tdscope import vie
+from tdscope.specfun_quad import regular_wave_gradients
 from tdscope.vie import _system_factors
 
 # Golub-Kahan-Lanczos estimates on the h = 1/6 unit-kappa ball system (seed 0),
@@ -221,6 +222,24 @@ def test_zero_contrast_short_circuit(sys_h6):
     dens = solve_density(sys_h6, iso_contrast(1.0, 1.0), unit_inc(sys_h6.n_cells))
     assert np.all(dens.values == 0.0)
     assert dens.residual == 0.0
+
+
+@pytest.mark.parametrize("case", ["iso", "aniso"])
+def test_solve_density_real_fields_match_their_complex_copy(sys_h6, rng, case):
+    c = iso_contrast(1.0, 2.0) if case == "iso" else aniso_contrast(SymTensor3.identity(),
+                                                                     A_TILDE)
+    g = rng.standard_normal((4, sys_h6.n_cells, 3))
+    real, cplx = solve_density(sys_h6, c, g), solve_density(sys_h6, c, g.astype(complex))
+    assert real.values.dtype == complex
+    np.testing.assert_allclose(real.values, cplx.values, rtol=1e-15, atol=0.0)
+    assert real.residual == pytest.approx(cplx.residual, rel=1e-12)
+
+
+def test_zero_contrast_gives_complex_zeros_for_real_fields(sys_h6):
+    g = np.ones((2, sys_h6.n_cells, 3))
+    dens = solve_density(sys_h6, iso_contrast(1.0, 1.0), g)
+    assert dens.values.dtype == complex and dens.values.shape == g.shape
+    assert not np.any(dens.values)
 
 
 def test_born_limit(sys_h6):
@@ -609,6 +628,108 @@ def test_blocked_solve_matches_dense_solve(rng, case, k):
     want = np.linalg.solve(sys.dense(*_system_factors(contrast, bg)), b)
     x = fac.solve(np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.fixture()
+def block_rhs(monkeypatch):
+    """(block, copy of its right-hand sides (3n, k)) for every _LDLT.solve call."""
+    calls = []
+    solve = vie._LDLT.solve
+
+    def spy(self, rhs):
+        calls.append((self, rhs.reshape(rhs.shape[0], -1).copy()))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(vie._LDLT, "solve", spy)
+    return calls
+
+
+def _parity_projection(field, index, c):
+    """The part of field (N, 3) of parity class c: for each bit k of c set, odd
+    under the mirror of lattice axis k (v(S_k x) = -S_k v(x)), else even."""
+    dims = index.max(axis=0) + 1
+    where = np.full(dims, -1)
+    where[tuple(index.T)] = np.arange(len(index))
+    out = np.zeros_like(field)
+    for g in range(8):
+        pos, flip = index.copy(), np.ones(3)
+        for k in range(3):
+            if g >> k & 1:
+                pos[:, k] = dims[k] - 1 - pos[:, k]
+                flip[k] = -1.0
+        out += (-1) ** bin(c & g).count("1") * flip * field[where[tuple(pos.T)]]
+    return out / 8.0
+
+
+def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(sys_h6, rng, block_rhs):
+    # class c gets c % 3 + 1 columns of definite parity; a generic column, an
+    # all-zero column and a class-0 column with a faint (1e-9) class-5 part
+    # ride along, and the columns are shuffled
+    contrast = iso_contrast(1.0, 2.0)
+    fac = sys_h6._factorization(contrast)
+    assert fac.axes == (0, 1, 2)
+    n, index = sys_h6.n_cells, sys_h6.index
+    classes = [c for c in range(8) for _ in range(c % 3 + 1)]
+    fields = [_parity_projection(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
+                                 index, c) for c in classes]
+    fields += [rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)), np.zeros((n, 3)),
+               fields[classes.index(0)] + 1e-9 * fields[classes.index(5)]]
+    order = rng.permutation(len(fields))
+    fields = [fields[i] for i in order]
+    b = np.stack([f.reshape(-1) for f in fields], axis=1)
+    want = np.linalg.solve(sys_h6.dense(*_system_factors(contrast, sys_h6.bg)), b)
+    x = fac.solve(np.asfortranarray(b))
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert not np.any(x[:, order == len(fields) - 2])
+    faint = order == len(fields) - 1
+    assert np.linalg.norm(x[:, faint] - want[:, faint]) <= 1e-12 * np.linalg.norm(want[:, faint])
+    # block c receives 8 v_c(r) on the orbit representatives r for exactly the
+    # columns v whose class-c part v_c is more than roundoff, in their order
+    reps = fac.cells[0]
+    assert np.array_equal(reps, np.flatnonzero(np.all(index < (index.max(axis=0) + 1) // 2,
+                                                       axis=1)))
+    assert [blk for blk, _ in block_rhs] == list(fac.blocks)
+    for c, (_, got) in enumerate(block_rhs):
+        parts = [(_parity_projection(f, index, c), f) for f in fields]
+        want_rhs = np.stack([8.0 * v[reps].reshape(-1) for v, f in parts
+                             if np.linalg.norm(v) > 1e-12 * np.linalg.norm(f)], axis=1)
+        assert got.shape[1] == classes.count(c) + 1 + (c in (0, 5))
+        assert np.linalg.norm(got - want_rhs) <= 1e-12 * np.linalg.norm(want_rhs)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.15)],
+                         ids=["centred", "off_centre"])
+def test_regular_waves_reach_one_block_only_about_the_ball_centre(bg_unit, block_rhs, center):
+    # the real parts of the regular waves about the origin have a definite
+    # parity under each mirror of a ball centred there, and none about an
+    # off-centre ball's mirrors
+    sys = assemble(voxelize(Ball(0.5, center=center), 1.0 / 6.0), bg_unit)
+    waves = regular_wave_gradients(3, 1.0, sys.grid.centers)[1:].real
+    dens = solve_density(sys, iso_contrast(1.0, 2.0), waves)
+    assert dens.residual < 1e-10
+    counts = [rhs.shape[1] for _, rhs in block_rhs]
+    if any(center):
+        assert counts == [len(waves)] * 8
+    else:
+        assert sum(counts) == len(waves)
+
+
+def test_real_fields_are_solved_without_a_complex_copy(sys_h6):
+    # besides the right-hand sides, solving the centred ball's real waves
+    # allocates no complex copy of the P x 3N stack: its peak is that of the
+    # same waves passed in complex
+    waves = regular_wave_gradients(7, 1.0, sys_h6.grid.centers)[1:].real.copy()
+    as_complex = waves.astype(complex)
+    contrast = iso_contrast(1.0, 2.0)
+    peaks = []
+    for g in (waves, as_complex):
+        tracemalloc.start()
+        try:
+            solve_density(sys_h6, contrast, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] + as_complex.nbytes // 2
 
 
 @pytest.mark.parametrize("diag", [np.zeros((3, 3))], ids=["symmetric"])
