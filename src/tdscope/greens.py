@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import elliprd
 
 from .materials import SymTensor3
 
@@ -166,28 +166,22 @@ def pde_residual(bg, x, h=1e-3):
     return float(np.abs(res))
 
 
-def depolarization_factors(semi_axes, tol=1e-13):
+def depolarization_factors(semi_axes):
     """Classical depolarization factors N_i of an ellipsoid (static, unit medium).
 
     N_i = (s1 s2 s3 / 2) * int_0^inf dt / ((t + s_i^2) Delta(t)),
     Delta = sqrt(prod (t + s_j^2)); they are scale invariant and sum to 1.
+    The integral is Carlson's symmetric R_D (DLMF 19.16.5, 19.33):
+    N_i = (s1 s2 s3 / 3) R_D(s_j^2, s_k^2, s_i^2).
     """
     s = np.asarray(semi_axes, dtype=float)
     if np.any(s <= 0.0):
         raise ValueError("semi-axes must be positive")
-    s = s / np.max(s)  # scale invariance; improves conditioning of the quadrature
+    s = s / np.max(s)  # scale invariance; the sphere test below is relative
     if np.ptp(s) < 1e-12:
         return np.full(3, 1.0 / 3.0)
-    out = np.empty(3)
-    pref = 0.5 * np.prod(s)
-    for i in range(3):
-        def integrand(t, i=i):
-            d = np.sqrt((t + s[0] ** 2) * (t + s[1] ** 2) * (t + s[2] ** 2))
-            return 1.0 / ((t + s[i] ** 2) * d)
-
-        val, _ = quad(integrand, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-        out[i] = pref * val
-    return out
+    s2 = s**2
+    return np.prod(s) / 3.0 * elliprd(np.roll(s2, -1), np.roll(s2, -2), s2)
 
 
 def eshelby_tensor(bg, semi_axes=None, axes=None):

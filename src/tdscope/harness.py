@@ -192,15 +192,22 @@ def validate_config(cfg):
         problems.append("kappa must be >= 0")
     if v["background_a"] <= 0:
         problems.append("background_a must be > 0")
-    if v["scatterer_shape"] not in ("ball", "ellipsoid"):
+    shape_ok = False
+    if v["scatterer_shape"] == "ball":
+        shape_ok = v["scatterer_radius"] > 0
+        if not shape_ok:
+            problems.append("scatterer_radius must be > 0")
+    elif v["scatterer_shape"] == "ellipsoid":
+        if v["scatterer_semi_axes"] is None:
+            problems.append("ellipsoid scatterer needs scatterer_semi_axes")
+        elif min(v["scatterer_semi_axes"]) <= 0:
+            problems.append("scatterer_semi_axes must be positive")
+        else:
+            shape_ok = True
+    else:
         problems.append("scatterer_shape must be ball or ellipsoid")
-    if v["scatterer_shape"] == "ellipsoid" and v["scatterer_semi_axes"] is None:
-        problems.append("ellipsoid scatterer needs scatterer_semi_axes")
     if v["resolution"] < 4:
         problems.append("resolution must be >= 4 cells across the diameter")
-    shape_ok = v["scatterer_shape"] == "ball" or (
-        v["scatterer_shape"] == "ellipsoid" and v["scatterer_semi_axes"] is not None
-    )
     if shape_ok:
         shape = _shape(cfg)
         reach = float(np.linalg.norm(shape.center)) + shape.diameter / 2.0
@@ -218,6 +225,8 @@ def validate_config(cfg):
                 if n > vie.VOXEL_CAP:
                     problems.append(f"resolution = {v['resolution']} gives {n} voxels, "
                                     f"which exceed the cap {vie.VOXEL_CAP}; coarsen the grid")
+    if v["quad_order"] is not None and v["quad_order"] < 1:
+        problems.append("quad_order must be >= 1")
     if v["aperture"] is not None and not 0.0 < v["aperture"] <= np.pi:
         problems.append("aperture must lie in (0, pi]")
     if v["aperture"] is not None and v["study"] in ("decay", "finite_delta"):
@@ -236,8 +245,14 @@ def validate_config(cfg):
         if not all(0.0 < np.linalg.norm(ray) < np.inf for ray in v["rays"]):
             problems.append("every ray needs a nonzero finite direction")
     for key in ("scatterer_A", "trial_A"):
-        if v[key] is not None and len(v[key]) not in (3, 6):
+        if v[key] is None:
+            continue
+        if len(v[key]) not in (3, 6):
             problems.append(f"{key} needs 3 (diagonal) or 6 (packed) entries")
+        elif not _tensor_from_vec(v[key]).is_positive_definite():
+            problems.append(f"{key} must be positive definite")
+    if v["trial_A"] is not None and min(v["trial_semi_axes"]) <= 0:
+        problems.append("trial_semi_axes must be positive")
     if v["study"] == "born" and not 0.0 < abs(v["born_q0"]) < 1.0:
         problems.append("born_q0 must lie in (-1, 1), nonzero")
     if v["study"] == "born" and v["born_halvings"] < 1:
@@ -258,6 +273,8 @@ def validate_config(cfg):
         problems.append(f"the sampling cube's corners reach {np.sqrt(3.0) * v['grid_extent']} "
                         f"(sqrt(3) grid_extent); they must lie strictly inside "
                         f"surface_radius = {v['surface_radius']}")
+    if v["scatterer_a"] <= 0:
+        problems.append("scatterer_a must be > 0")
     if v["trial_a"] <= 0:
         problems.append("trial_a must be > 0")
     return problems
@@ -303,11 +320,11 @@ def _system(cfg, bg):
     return assemble(grid, bg)
 
 
-def _surface(cfg, order):
+def _surface(cfg, radius, order):
+    """The measurement sphere of the given radius; quad_order overrides order."""
     if cfg.quad_order is not None:
         order = cfg.quad_order
-    return sphere_surface(cfg.surface_radius, order,
-                          aperture=cfg.aperture)
+    return sphere_surface(radius, order, aperture=cfg.aperture)
 
 
 def _sample_points(cfg):
@@ -402,7 +419,7 @@ def run_sign_study(cfg):
     order = imaging.surface_order_hint(
         cfg.kappa, float(np.linalg.norm(pts, axis=1).max()),
         float(np.linalg.norm(sys.grid.centers, axis=1).max()))
-    surf = _surface(cfg, order)
+    surf = _surface(cfg, cfg.surface_radius, order)
 
     if isinstance(trial, IsoContrast):
         if isinstance(contrast, IsoContrast):
@@ -490,9 +507,7 @@ def run_decay_study(cfg):
             for etap, dist in zip(etas, dists):
                 radius = shape.diameter / etap
                 order = imaging.surface_order_hint(cfg.kappa, dist + reach, reach)
-                if cfg.quad_order is not None:
-                    order = cfg.quad_order
-                surf = sphere_surface(radius, order)
+                surf = _surface(cfg, radius, order)
                 z = center + (reach + dist) * ray
                 tmap = imaging.td_map_iso(sys, contrast, trial, surf, z[None, :],
                                           certificate=cert)
@@ -693,7 +708,7 @@ def run_finite_delta_study(cfg):
     if not hasattr(trial, "q"):
         raise ValueError("the finite-size study uses a scalar trial")
     order = imaging.surface_order_hint(cfg.kappa, 1.0, 1.0)
-    surf = _surface(cfg, order)
+    surf = _surface(cfg, cfg.surface_radius, order)
     deltas = sorted(cfg.deltas, reverse=True)
     check = imaging.td_finite_delta_check(sys, contrast, trial, surf,
                                           np.asarray(cfg.delta_point), deltas,

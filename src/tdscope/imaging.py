@@ -6,7 +6,9 @@ The two-point kernel G correlates point-source gradients over the surface,
 
 and is evaluated independently by direct quadrature (kernel_G, the oracle),
 a far-field closed form, a two-term large-sphere expansion, and the
-addition-theorem series.  On a closed sphere G and L are real.
+addition-theorem series.  On a closed sphere G and L are real.  The maps
+reach G through one route, KernelG; the oracle study calls the other
+evaluators directly.
 
 KernelG factors G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) with one factor b of
 rank P.  On a closed sphere in an isotropic background the addition theorem
@@ -429,28 +431,17 @@ class _NodeFactor:
 
 @dataclass(frozen=True)
 class KernelG:
-    """G(z, y) evaluator with a fixed surface, background, and mode.
+    """G(z, y) over a fixed surface and background, through its kernel factor.
 
-    mode 'quadrature' is the surface integral: __call__ is the node
-    quadrature kernel_G, and bundle goes through the kernel factor (see
-    factor).  'farfield' and 'asymptotic' use the closed-form expansions
-    (isotropic unit background).
+    factor gives b with G(z, y) = sum_p conj(b_p(z)) (x) b_p(y), and bundle
+    the all-pairs table from it.  The node quadrature kernel_G is the
+    oracle; the closed forms kernel_G_farfield and kernel_G_asymptotic are
+    evaluated directly.
     """
 
     surface: object
     bg: object
-    mode: str = "quadrature"
-
-    def __post_init__(self):
-        if self.mode not in ("quadrature", "farfield", "asymptotic"):
-            raise ValueError(f"unknown kernel mode {self.mode!r}")
-
-    def __call__(self, z, y):
-        if self.mode == "quadrature":
-            return kernel_G(self.surface, self.bg, z, y)
-        if self.mode == "farfield":
-            return kernel_G_farfield(self.bg.kappa, z, y).astype(complex)
-        return kernel_G_asymptotic(self.surface.radius, self.bg.kappa, z, y)
+    mode = "quadrature"  # unused here; the traced benchmark's pair counter reads it
 
     def factor(self, zs, ys):
         """The factor b of G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) for z in zs, y in ys.
@@ -464,8 +455,6 @@ class KernelG:
         node factor b_p = sqrt(w_p) grad Phi(s_p - x) of the surface rule.
         Both point sets must lie strictly inside the sphere.
         """
-        if self.mode != "quadrature":
-            raise ValueError("only the quadrature mode has a kernel factor")
         surf = self.surface
         reach = []
         for pts, name in ((zs, "sample points"), (ys, "voxel centers")):
@@ -483,17 +472,13 @@ class KernelG:
     def bundle(self, zs, ys):
         """All-pairs table (3Z, 3N): row 3m+i holds G_i.(z_m, y_.) over ys.
 
-        Quadrature mode is one product conj(b(zs))^T b(ys) of the kernel
-        factor.  The closed-form modes evaluate each pair through __call__.
+        One product conj(b(zs))^T b(ys) of the kernel factor.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if self.mode == "quadrature":
-            fac = self.factor(zs, ys)
-            bz = fac(zs).reshape(fac.rank, -1)
-            return bz.conj().T @ fac(ys).reshape(fac.rank, -1)
-        table = np.array([[self(z, y) for y in ys] for z in zs])
-        return table.transpose(0, 2, 1, 3).reshape(3 * zs.shape[0], 3 * ys.shape[0])
+        fac = self.factor(zs, ys)
+        bz = fac(zs).reshape(fac.rank, -1)
+        return bz.conj().T @ fac(ys).reshape(fac.rank, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -377,22 +377,16 @@ class VieSystem:
         return blocks, table.shape[2:]
 
     def dense(self, left=None, right=None, diag=None):
-        """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table."""
+        """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table.
+
+        It is the one block of the one-element mirror group (see _gather_blocks).
+        """
         eye = np.eye(3)
         left = eye if left is None else left
         right = eye if right is None else right
-        blocks, box = self._offset_blocks(left, right)
-        n = self.n_cells
-        mat = np.empty((n, 3, n, 3), dtype=complex)
-        rows = max(1, (1 << 18) // n)
-        for i0 in range(0, n, rows):
-            diff = self.index[i0 : i0 + rows, None, :] - self.index[None, :, :]
-            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
-            mat[i0 : i0 + rows] = blocks[off].transpose(0, 2, 1, 3)
-        if diag is not None:
-            cells = np.arange(n)
-            mat[cells, :, cells, :] += diag
-        return mat.reshape(3 * n, 3 * n)
+        diag = np.zeros((3, 3)) if diag is None else diag
+        cells = np.arange(self.n_cells)[None]
+        return self._gather_blocks(cells, np.ones((1, 3)), left, right, diag)[0]
 
     def _gather_blocks(self, cells, signs, left, right, diag):
         """The 2^s blocks sum_g chi_c(g) M(r, g r') T_g of M = diag + left gradW right.
@@ -461,7 +455,8 @@ def assemble(grid, bg):
     discrete spectrum of R_0 well above its continuum norm 1.  The table is
     circulant-embedded on a box of twice the grid's lattice extent per axis,
     so an FFT convolution on the box reproduces every cell-pair block.  No
-    dense matrix is formed here; VieSystem.dense gathers one for the factor.
+    dense matrix is formed here; each dense solve gathers its mirror blocks
+    from the table (VieSystem._gather_blocks).
     """
     n = grid.n_cells
     if n == 0:

@@ -1,8 +1,12 @@
-"""Every exported name resolves, and every demo imports only exported names."""
+"""Every exported name resolves, every demo imports only exported names, and the
+package imports no scipy subpackage it does not use."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,14 @@ def test_demo_imports_are_exported(path):
     ]
     assert imported, "demo imports nothing from tdscope"
     assert [n for n in imported if n not in tdscope.__all__] == []
+
+
+def test_import_leaves_out_integrate_and_optimize():
+    # a fresh interpreter: this one has loaded whatever other tests needed
+    env = {**os.environ, "PYTHONPATH": str(Path(tdscope.__file__).resolve().parents[1])}
+    code = ("import sys, tdscope; "
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -97,6 +97,31 @@ def test_depolarization_sum_rule():
         assert np.all(got > 0.0)
 
 
+def _depolarization_by_quadrature(semi_axes):
+    # the defining integral, N_i = (s1 s2 s3 / 2) int_0^inf dt / ((t + s_i^2) Delta(t))
+    from scipy.integrate import quad
+
+    s = np.asarray(semi_axes, dtype=float)
+    out = np.empty(3)
+    for i in range(3):
+        def integrand(t, i=i):
+            return 1.0 / ((t + s[i] ** 2) * np.sqrt(np.prod(t + s**2)))
+
+        val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-15, epsrel=1e-13, limit=200)
+        out[i] = 0.5 * np.prod(s) * val
+    return out
+
+
+def test_depolarization_matches_the_defining_integral():
+    rng = np.random.default_rng(5)
+    extremes = [(1.0, 1.0, 0.02), (1.0, 1.0, 50.0), (1.0, 0.02, 0.02), (1.0, 50.0, 50.0),
+                (0.02, 1.0, 0.4), (50.0, 1.0, 3.0)]
+    for axes in [tuple(rng.uniform(0.1, 2.0, 3)) for _ in range(20)] + extremes:
+        got = depolarization_factors(axes)
+        np.testing.assert_allclose(got, _depolarization_by_quadrature(axes),
+                                   rtol=0.0, atol=1e-12, err_msg=str(axes))
+
+
 def test_eshelby_ball_is_third_identity():
     bg = Background.isotropic(a=1.0, kappa=0.0)
     np.testing.assert_allclose(eshelby_tensor(bg), np.eye(3) / 3.0, atol=1e-12)

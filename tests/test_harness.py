@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,27 @@ def test_validate_config_shape_and_tensor_arity():
     assert validate_config(cfg_from("study = sign\nscatterer_A = 1, 2\n"))
     ok = cfg_from("study = sign\nscatterer_A = 2, 2, 3\n")
     assert validate_config(ok) == []
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("quad_order = 0", "quad_order"),
+    ("quad_order = -3", "quad_order"),
+    ("scatterer_a = 0", "scatterer_a"),
+    ("scatterer_a = -1", "scatterer_a"),
+    ("scatterer_A = 1, -1, 2", "scatterer_A"),
+    ("scatterer_A = 1, 1, 1, 2, 0, 0", "scatterer_A"),
+    ("trial_A = 1, 1, 0", "trial_A"),
+    ("trial_A = 2, 2, 2\ntrial_semi_axes = 1, 0, 1", "trial_semi_axes"),
+    ("scatterer_radius = 0", "scatterer_radius"),
+    ("scatterer_radius = -0.5", "scatterer_radius"),
+    ("scatterer_shape = ellipsoid\nscatterer_semi_axes = 0.5, -0.3, 0.4", "scatterer_semi_axes"),
+])
+def test_validate_config_rejects_what_run_rejects(lines, key):
+    # each of these passed validation and then failed (or warned) in the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        problems = validate_config(cfg_from(f"study = sign\n{lines}\n"))
+    assert len(problems) == 1 and problems[0].startswith(key + " "), problems
 
 
 def test_validate_config_flags_zero_length_rays():

@@ -126,9 +126,8 @@ def test_kernel_G_asymptotic_overlap():
     assert np.abs(asym - quad).max() / np.linalg.norm(quad) < 5.0 * eta**alpha
 
 
-@pytest.mark.parametrize("mode", ["quadrature", "farfield", "asymptotic"])
-def test_kernel_bundle_matches_loop(surface_r5, bg_unit, mode):
-    k = KernelG(surface_r5, bg_unit, mode=mode)
+def test_kernel_bundle_matches_loop(surface_r5, bg_unit):
+    k = KernelG(surface_r5, bg_unit)
     zs = np.array([[0.5, 0.0, 0.0], [0.0, -0.8, 0.3]])
     ys = np.array([[0.1, 0.2, -0.1], [-0.4, 0.0, 0.6], [0.0, 0.9, 0.0]])
     table = k.bundle(zs, ys)
@@ -137,19 +136,10 @@ def test_kernel_bundle_matches_loop(surface_r5, bg_unit, mode):
         for j, y in enumerate(ys):
             np.testing.assert_allclose(
                 table[3 * i : 3 * i + 3, 3 * j : 3 * j + 3],
-                k(z, y),
+                kernel_G(surface_r5, bg_unit, z, y),
                 rtol=1e-12,
                 atol=1e-15,
             )
-
-
-def test_kernel_modes_dispatch(surface_r5, bg_unit):
-    far = KernelG(surface_r5, bg_unit, mode="farfield")
-    np.testing.assert_allclose(far(Z, Y), kernel_G_farfield(1.0, Z, Y), rtol=1e-14)
-    asy = KernelG(surface_r5, bg_unit, mode="asymptotic")
-    np.testing.assert_allclose(asy(Z, Y), kernel_G_asymptotic(5.0, 1.0, Z, Y), rtol=1e-14)
-    with pytest.raises(ValueError):
-        KernelG(surface_r5, bg_unit, mode="series")
 
 
 def test_truncation_and_order_hint():
@@ -329,7 +319,7 @@ def test_td_map_matches_brute_pairing(sys_h6, small_map_setup, mb_reference):
     c = iso_contrast(1.0, 2.0)
     trial = iso_contrast(1.0, 2.0)
     tmap = td_map_iso(sys_h6, c, trial, surf, pts)
-    kern = KernelG(surface=surf, bg=sys_h6.bg, mode="quadrature")
+    kern = KernelG(surface=surf, bg=sys_h6.bg)
     gall = kern.bundle(pts, sys_h6.grid.centers)
     a = sys_h6.bg.iso_a
     pref = -16.0 * np.pi * a**2 * c.q * trial.q / (3.0 - trial.q)
