@@ -262,6 +262,11 @@ def validate_config(cfg):
             problems.append("deltas must be positive")
         if v["cells_across"] < 4:
             problems.append("cells_across must be >= 4")
+        elif all(d > 0 for d in v["deltas"]):
+            try:
+                imaging._trial_balls(v["delta_point"], v["deltas"], v["cells_across"])
+            except MemoryError as exc:
+                problems.append(str(exc))
         reach = float(np.linalg.norm(v["delta_point"])) + max(v["deltas"])
         if not reach < v["surface_radius"]:
             problems.append(f"the largest trial ball reaches {reach} (|delta_point| + "

@@ -74,6 +74,7 @@ from .specfun_quad import (
     voxelize,
     Ball,
 )
+from . import vie
 from .vie import (
     assemble,
     operator_norm,
@@ -708,6 +709,17 @@ def _scatter_matrix(sys, contrast, nodes):
     return rad @ h.values.reshape(k, -1).T
 
 
+def _trial_balls(z, deltas, cells_across):
+    """Trial balls of radius delta at z, cells_across cells over each diameter;
+    MemoryError when one has more voxels than vie.VOXEL_CAP."""
+    balls = [voxelize(Ball(d, center=tuple(z)), 2.0 * d / cells_across) for d in deltas]
+    n = max(g.n_cells for g in balls)
+    if n > vie.VOXEL_CAP:
+        raise MemoryError(f"cells_across = {cells_across} gives a trial ball {n} voxels, "
+                          f"which exceed the cap {vie.VOXEL_CAP}; lower cells_across")
+    return balls
+
+
 @dataclass(frozen=True)
 class FiniteDeltaCheck:
     """Ratios LHS(delta) / (delta^3 T(z)), one (delta, ratio) pair per delta
@@ -753,7 +765,7 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
         raise ValueError("delta must be positive")
     m_z = _ball_trial_mz(sys, trial, contrast)
     z = _require_inside(surface, z, "z")
-    balls = [voxelize(Ball(d, center=tuple(z)), 2.0 * d / cells_across) for d in deltas]
+    balls = _trial_balls(z, deltas, cells_across)
     pts = np.vstack([z[None, :], *(g.centers for g in balls)])
     fac = KernelG(surface=surface, bg=sys.bg).factor(pts, sys.grid.centers)
     h_b = sys.grid.cell_volume

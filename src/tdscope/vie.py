@@ -41,14 +41,14 @@ then commutes with the 2^s mirror maps, and in the symmetry-adapted basis it
 splits into 2^s complex-symmetric blocks of 3N / 2^s rows, one per character
 of Z2^s.  Only the orbit representatives' rows are gathered (N^2 / 2^s cell
 pairs) and combined into the blocks by a Hadamard transform over the group.
-Each block is factored in place with Bunch-Kaufman LDL^T (zsytrf), the
+Each block is factored and solved by one zsysv call (Bunch-Kaufman LDL^T,
+then LAPACK's level-3 zsytrs2) in the memory of the gathered block: the
 right-hand sides are routed to the blocks that carry them (a column of
 definite parity under every mirror, such as a real regular wave about the
-lattice centre, to one block), solved as LAPACK's zsytrs2 does with two
-level-3 triangular solves and mapped back, and the factors are dropped: a
-solve holds 16 (3N)^2 / 2^s bytes of factors, whatever the number of
-contrasts.  With no mirror axis (s = 0) the one block is the whole system.
-Above the cap the solve is matrix-free GMRES.
+lattice centre, to one block), solved in place and mapped back, and the
+factors are dropped: a solve holds 16 (3N)^2 / 2^s bytes of factors, whatever
+the number of contrasts.  With no mirror axis (s = 0) the one block is the
+whole system.  Above the cap the solve is matrix-free GMRES.
 """
 
 from __future__ import annotations
@@ -63,8 +63,7 @@ from scipy.linalg import (
     lu_factor,  # unused here; the traced benchmark wraps vie.lu_factor
     lu_solve,  # unused here; the traced benchmark wraps vie.lu_solve
 )
-from scipy.linalg.blas import ztrsm
-from scipy.linalg.lapack import zsyconv, zsytrf, zsytrf_lwork
+from scipy.linalg.lapack import zsysv, zsysv_lwork
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .greens import cell_self_term, grad_phi, hess_phi
@@ -133,63 +132,6 @@ def _system_factors(contrast, bg):
     return -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig, np.eye(3) - sig @ qm @ qm.T @ sig
 
 
-@dataclass(frozen=True)
-class _LDLT:
-    """Bunch-Kaufman factor P L D L^T P^T of a complex-symmetric matrix.
-
-    factor is the unit lower triangle L in zsyconv form, held in the memory of
-    the factored matrix; perm applies the row interchanges P^T as one index
-    array; D^{-1}, with its 1x1 and 2x2 blocks, is x_i = dinv_i y_i + off_i
-    y_partner_i (partner_i = i and off_i = 0 on a 1x1 block).
-    """
-
-    factor: np.ndarray
-    perm: np.ndarray
-    dinv: np.ndarray
-    off: np.ndarray
-    partner: np.ndarray
-
-    @classmethod
-    def of(cls, mat, what):
-        """Factor the symmetric Fortran-ordered mat in place; what names it in errors."""
-        n = mat.shape[0]
-        lwork, _ = zsytrf_lwork(n, lower=1)  # scipy's default lwork = n is unblocked
-        ldl, ipiv, info = zsytrf(mat, lower=1, lwork=int(lwork.real), overwrite_a=1)
-        if info > 0:
-            raise RuntimeError(f"{what} is singular: LDL^T pivot {info} is exactly zero")
-        ldl, e, _ = zsyconv(ldl, ipiv, lower=1, overwrite_a=1)
-        perm = np.arange(n)
-        partner = np.arange(n)
-        d = np.diagonal(ldl)
-        dinv = 1.0 / np.where(ipiv > 0, d, 1.0)
-        off = np.zeros(n, dtype=complex)
-        k = 0
-        while k < n:
-            if ipiv[k] > 0:
-                p, k2 = ipiv[k] - 1, k
-            else:
-                # 2x2 block on rows k, k + 1, inverted as LAPACK's zsytrs2 does
-                p, k2 = -ipiv[k + 1] - 1, k + 1
-                akm1, ak = d[k] / e[k], d[k2] / e[k]
-                scale = 1.0 / (e[k] * (akm1 * ak - 1.0))
-                dinv[k], dinv[k2] = ak * scale, akm1 * scale
-                off[k] = off[k2] = -scale
-                partner[k], partner[k2] = k2, k
-            perm[[k2, p]] = perm[[p, k2]]
-            k = k2 + 1
-        return cls(ldl, perm, dinv, off, partner)
-
-    def solve(self, rhs):
-        """Solution of (n,) or (n, K) rhs, written into rhs when it is Fortran-ordered."""
-        b = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
-        b[:] = b[self.perm]
-        b = ztrsm(1.0, self.factor, b, lower=1, diag=1, overwrite_b=1)
-        b[:] = self.dinv[:, None] * b + self.off[:, None] * b[self.partner]
-        b = ztrsm(1.0, self.factor, b, lower=1, trans_a=1, diag=1, overwrite_b=1)
-        b[self.perm] = b.copy()
-        return b.reshape(rhs.shape)
-
-
 def _mirror_orbits(index, A, left, right, diag):
     """(axes, cells, signs) of the mirror group Z2^s of diag + left gradW right.
 
@@ -245,50 +187,48 @@ def _block_name(axes, c):
     return " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(axes)) or "single"
 
 
-@dataclass(frozen=True)
-class _BlockLDLT:
-    """LDL^T factors of a system matrix M that commutes with its mirror group Z2^s.
+def _blocked_solve(blocks, axes, cells, signs, rhs, what):
+    """Solution of M X = rhs, block by block, for M that commutes with its mirror group Z2^s.
 
-    axes, cells and signs are those of _mirror_orbits.  Block c is
-    B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives r, r',
-    with the character chi_c(g) = (-1)^popcount(c & g), row c of the
-    Sylvester Hadamard matrix; blocks[c] is its _LDLT.
+    axes, cells and signs are those of _mirror_orbits, and blocks[c] is
+    B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives r, r'
+    (VieSystem._gather_blocks), with chi_c(g) = (-1)^popcount(c & g) row c of
+    the Sylvester Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is
+    overwritten by the solution when it is Fortran-ordered (or 1-D); what
+    names M in errors.  Block c's share of rhs is sum_g chi_c(g) T_g rhs(g r),
+    and the solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.  A block
+    whose share of a column is at most _LEAK times the column's largest share
+    holds roundoff and does not solve it, so a column of definite parity under
+    every mirror is solved in one block and an all-zero column in none.  Each
+    block is factored in its own memory and solves its columns in place in one
+    zsysv call, also when it carries none, so a singular block raises naming
+    it, before rhs is written.
     """
-
-    axes: tuple
-    cells: np.ndarray
-    signs: np.ndarray
-    blocks: tuple
-
-    def solve(self, rhs):
-        """Solution of (3N,) or (3N, K) rhs, written into rhs when it is Fortran-ordered.
-
-        The projection of rhs onto block c is sum_g chi_c(g) T_g rhs(g r); the
-        solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.  Each column is
-        routed to the blocks that carry it: a block whose share of the column
-        is at most _LEAK times the column's largest share holds roundoff only,
-        and its part of the solution is zero.  A column of definite parity
-        under every mirror is solved in one block, an all-zero column in none.
-        """
-        group, n = self.cells.shape
-        had = hadamard(group, dtype=float)
-        x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
-        cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
-        # (2^s, K, n, 3): block c's share of column k is y[c, k]
-        y = np.tensordot(had, cols[:, self.cells] * self.signs[:, None, :], axes=(1, 1))
-        flat = y.reshape(group, y.shape[1], -1).view(float)
-        share = np.einsum("cki,cki->ck", flat, flat)  # squared norm per block and column
-        carried = share > _LEAK**2 * share.max(axis=0)
-        for c, fac in enumerate(self.blocks):
-            part = y[c, carried[c]]  # a C-ordered copy, solved in place
-            if part.size:
-                fac.solve(part.reshape(part.shape[0], -1).T)
-            y[c] = 0.0
-            y[c, carried[c]] = part
-        y = np.tensordot(had, y, axes=(1, 0))
-        y *= self.signs[:, None, None, :] / group
-        cols[:, self.cells] = y.transpose(1, 0, 2, 3)
-        return x.reshape(rhs.shape)
+    group = cells.shape[0]
+    rows = blocks.shape[1]
+    lwork, _ = zsysv_lwork(rows, lower=1)  # scipy's default lwork = n is unblocked
+    had = hadamard(group, dtype=float)
+    x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
+    cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
+    # (2^s, K, n, 3): block c's share of column k is y[c, k]
+    y = np.tensordot(had, cols[:, cells] * signs[:, None, :], axes=(1, 1))
+    flat = y.reshape(group, y.shape[1], -1).view(float)
+    share = np.einsum("cki,cki->ck", flat, flat)  # squared norm per block and column
+    carried = share > _LEAK**2 * share.max(axis=0)
+    for c, block in enumerate(blocks):
+        part = y[c, carried[c]]  # a C-ordered copy, solved in place
+        # the C-ordered symmetric block is its own transpose in Fortran order
+        *_, info = zsysv(block.T, part.reshape(part.shape[0], rows).T, lwork=int(lwork.real),
+                         lower=1, overwrite_a=1, overwrite_b=1)
+        if info > 0:
+            raise RuntimeError(f"the {_block_name(axes, c)} block ({rows} rows) of {what} "
+                               f"is singular: LDL^T pivot {info} is exactly zero")
+        y[c] = 0.0
+        y[c, carried[c]] = part
+    y = np.tensordot(had, y, axes=(1, 0))
+    y *= signs[:, None, None, :] / group
+    cols[:, cells] = y.transpose(1, 0, 2, 3)
+    return x.reshape(rhs.shape)
 
 
 def _contrast_key(contrast):
@@ -414,23 +354,14 @@ class VieSystem:
         out[:, reps, :, reps, :] += diag
         return out.reshape(group, 3 * n, 3 * n)
 
-    def _factorization(self, contrast):
-        """A fresh blocked LDL^T factor of the dense system matrix of a contrast.
-
-        Each gathered block is C-ordered and complex symmetric, so its
-        transpose is the block in Fortran order, which LAPACK factors in
-        place: the factors are the gathered blocks' memory, and nothing keeps
-        them once the caller drops them.
-        """
+    def _dense_solve(self, contrast, rhs):
+        """_blocked_solve of the contrast's system matrix for rhs (3N,) or (3N, K);
+        the blocks are gathered for this call only and factored in place."""
         factors = _system_factors(contrast, self.bg)
         axes, cells, signs = _mirror_orbits(self.index, self.bg.A.matrix, *factors)
         blocks = self._gather_blocks(cells, signs, *factors)
-        rows = blocks.shape[1]
-        fac = tuple(
-            _LDLT.of(block.T, f"the {_block_name(axes, c)} block ({rows} rows) "
-                              f"of the system on {self.n_cells} cells")
-            for c, block in enumerate(blocks))
-        return _BlockLDLT(axes, cells, signs, fac)
+        return _blocked_solve(blocks, axes, cells, signs, rhs,
+                              f"the system on {self.n_cells} cells")
 
     def _response(self, contrast, key, solve):
         """solve() once per contrast and key; the read-only result is kept.
@@ -492,11 +423,11 @@ def resolvent_solve(sys, contrast, rhs):
     Fortran order (or 1-D) is overwritten by the solution, which is returned
     in its memory.  Below the direct cap each block of the dense system
     matrix under its mirror group is factored with LDL^T, in place, for this
-    call only; a singular block raises before any solve.  Above the cap the
-    solve is residual-controlled GMRES.  Each dense batch is checked by one
-    seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT apply,
-    which also cross-checks the gathered blocks against the table; B r is
-    formed before the solve.
+    call only; a singular block raises naming the block, with rhs untouched.
+    Above the cap the solve is residual-controlled GMRES.  Each dense batch is
+    checked by one seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through
+    the FFT apply, which also cross-checks the gathered blocks against the
+    table; B r is formed before the solve.
     """
     rhs = np.asarray(rhs, dtype=complex)
     n3 = 3 * sys.n_cells
@@ -509,7 +440,7 @@ def resolvent_solve(sys, contrast, rhs):
     if sys.n_cells <= DIRECT_CAP:
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
-        x = sys._factorization(contrast).solve(rhs)
+        x = sys._dense_solve(contrast, rhs)
         num, den = np.linalg.norm(matvec(x.reshape(n3, -1) @ r) - br), np.linalg.norm(br)
         if not num <= 1e-10 * den:
             raise RuntimeError(f"dense solve residual probe {num / den:.3e} exceeds 1e-10")

@@ -45,7 +45,10 @@ def test_validate_problems(tmp_path, capsys):
     ("study = born\nresolution = 40\n", "which exceed the cap 20000; coarsen the grid"),
     ("study = sign\nscatterer_shape = ellipsoid\nscatterer_semi_axes = 0.5, 0.5, 0.05\n"
      "resolution = 4\n", "resolution too coarse"),
-], ids=["over_voxel_cap", "too_coarse"])
+    # 33,552 cells in each trial ball: run solved the scatterer, then stopped at the ball
+    ("study = finite_delta\ncells_across = 40\n",
+     "gives a trial ball 33552 voxels, which exceed the cap 20000; lower cells_across"),
+], ids=["over_voxel_cap", "too_coarse", "trial_ball_over_voxel_cap"])
 def test_validate_voxelizes_the_scatterer(tmp_path, capsys, text, problem):
     p = tmp_path / "grid.cfg"
     p.write_text(text)

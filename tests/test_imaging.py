@@ -420,6 +420,9 @@ def test_finite_delta_checks_inputs_before_any_solve(sys_h6, small_map_setup, mo
     aniso = SimpleNamespace(grid=sys_h6.grid, bg=Background(SymTensor3.diag(1.0, 2.0, 1.0), 1.0))
     with pytest.raises(ValueError, match="isotropic background"):
         td_finite_delta_check(aniso, c, c, surf, z, deltas=(0.2,))
+    # 40 cells across give each trial ball 33,552 voxels, above the cap of 20,000
+    with pytest.raises(MemoryError, match="33552 voxels, which exceed the cap 20000"):
+        td_finite_delta_check(sys_h6, c, c, surf, z, deltas=(0.2, 0.1), cells_across=40)
 
 
 def _data_lhs(sys_b, contrast, sys_d, trial, surf, with_e):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -513,24 +514,54 @@ def test_ldlt_solve_matches_dense_solve(sys_h6, rng, case, k):
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_ldlt_two_by_two_pivots(rng):
+@pytest.fixture()
+def block_rhs(monkeypatch):
+    """One record per zsysv call: the block a, its right-hand sides b (3n, k), a
+    copy of b taken before the call, the lwork passed, and the pivots ipiv and
+    solution x returned."""
+    calls = []
+    zsysv = vie.zsysv
+
+    def spy(a, b, **kwargs):
+        call = SimpleNamespace(a=a, b=b, rhs=b.copy(), lwork=kwargs.get("lwork"))
+        calls.append(call)
+        out = zsysv(a, b, **kwargs)
+        call.ipiv, call.x = out[1], out[2]
+        return out
+
+    monkeypatch.setattr(vie, "zsysv", spy)
+    return calls
+
+
+def _blocked_solve_single(mat, rhs):
+    """_blocked_solve of a symmetric mat on the one-element mirror group."""
+    cells = np.arange(mat.shape[0] // 3)[None]
+    return vie._blocked_solve(mat[None].copy(), (), cells, np.ones((1, 3)), rhs, "test matrix")
+
+
+def test_ldlt_two_by_two_pivots(rng, block_rhs):
     # a zero diagonal forces Bunch-Kaufman into 2x2 blocks of D
     n = 12
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = a + a.T
     a[np.arange(n), np.arange(n)] = 0.0
-    fac = vie._LDLT.of(np.asfortranarray(a), "test matrix")
-    assert np.any(fac.partner != np.arange(n))
     b = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     want = np.linalg.solve(a, b)
-    assert np.linalg.norm(fac.solve(b.copy(order="F")) - want) <= 1e-12 * np.linalg.norm(want)
-    assert np.linalg.norm(fac.solve(b[:, 0].copy()) - want[:, 0]) <= 1e-12 * np.linalg.norm(want)
+    got = _blocked_solve_single(a, b.copy(order="F"))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    got = _blocked_solve_single(a, b[:, 0].copy())
+    assert np.linalg.norm(got - want[:, 0]) <= 1e-12 * np.linalg.norm(want)
+    # a 2x2 block of D is marked by negative pivots
+    assert [call.rhs.shape for call in block_rhs] == [(n, 3), (n, 1)]
+    assert all(np.any(call.ipiv < 0) for call in block_rhs)
 
 
 @pytest.mark.parametrize("case", sorted(SYMMETRIC_SYSTEMS))
-def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, case):
-    # the factors live in the memory of the gathered blocks, and no 3N x 3N
-    # array is allocated besides them: the ball's blocks are an eighth of one
+def test_factorization_overwrites_the_gathered_matrix(sys_h6, rng, monkeypatch, block_rhs,
+                                                     case):
+    # each block is factored in the memory of its gathered block and solves its
+    # columns in the memory of its right-hand sides, and no 3N x 3N array is
+    # allocated besides the blocks: the ball's blocks are an eighth of one
     gathered = []
     gather = VieSystem._gather_blocks
 
@@ -539,22 +570,31 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, monkeypatch, case)
         return gathered[-1]
 
     monkeypatch.setattr(VieSystem, "_gather_blocks", keep)
+    b = np.asfortranarray(rng.standard_normal((3 * sys_h6.n_cells, 1)) + 0j)
     tracemalloc.start()
     try:
-        fac = sys_h6._factorization(SYMMETRIC_SYSTEMS[case])
+        sys_h6._dense_solve(SYMMETRIC_SYSTEMS[case], b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(fac, vie._BlockLDLT)
     (blocks,) = gathered
-    assert len(fac.blocks) == blocks.shape[0] == 2 ** len(fac.axes)
-    for block, part in zip(blocks, fac.blocks):
-        assert isinstance(part, vie._LDLT)
-        assert np.shares_memory(part.factor, block)
+    assert len(block_rhs) == blocks.shape[0]
+    for block, call in zip(blocks, block_rhs):
+        assert np.shares_memory(call.a, block)
+        assert np.shares_memory(call.x, call.b)
     full = 16 * (3 * sys_h6.n_cells) ** 2
     assert peak < blocks.nbytes + full
     if case != "aniso":
-        assert fac.axes == (0, 1, 2) and peak < full
+        assert blocks.shape[0] == 8 and peak < full
+
+
+def test_blocked_factor_gets_its_workspace(sys_h6, block_rhs):
+    # scipy's default lwork = n runs the unblocked factor, about half as fast
+    solve_density(sys_h6, iso_contrast(1.0, 2.0), unit_inc(sys_h6.n_cells))
+    assert len(block_rhs) == 8
+    for call in block_rhs:
+        lwork, info = vie.zsysv_lwork(call.a.shape[0], lower=1)
+        assert info == 0 and call.lwork is not None and call.lwork >= lwork.real
 
 
 BLOCK_3x4x4 = np.stack(np.meshgrid(np.arange(3), np.arange(4), np.arange(4), indexing="ij"),
@@ -616,32 +656,18 @@ def _mirror_case_systems():
 
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("case", sorted(_mirror_case_systems()))
-def test_blocked_solve_matches_dense_solve(rng, case, k):
+def test_blocked_solve_matches_dense_solve(rng, block_rhs, case, k):
     grid, bg, contrast, axes = _mirror_case_systems()[case]
     sys = assemble(grid, bg)
-    fac = sys._factorization(contrast)
-    assert fac.axes == axes
-    rows = 3 * sys.n_cells // 2 ** len(axes)
-    assert [part.factor.shape for part in fac.blocks] == [(rows, rows)] * 2 ** len(axes)
+    factors = _system_factors(contrast, bg)
+    assert vie._mirror_orbits(sys.index, bg.A.matrix, *factors)[0] == axes
     shape = (3 * sys.n_cells, k)
     b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = np.linalg.solve(sys.dense(*_system_factors(contrast, bg)), b)
-    x = fac.solve(np.asfortranarray(b))
+    want = np.linalg.solve(sys.dense(*factors), b)
+    x = sys._dense_solve(contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-
-
-@pytest.fixture()
-def block_rhs(monkeypatch):
-    """(block, copy of its right-hand sides (3n, k)) for every _LDLT.solve call."""
-    calls = []
-    solve = vie._LDLT.solve
-
-    def spy(self, rhs):
-        calls.append((self, rhs.reshape(rhs.shape[0], -1).copy()))
-        return solve(self, rhs)
-
-    monkeypatch.setattr(vie._LDLT, "solve", spy)
-    return calls
+    rows = 3 * sys.n_cells // 2 ** len(axes)
+    assert [call.a.shape for call in block_rhs] == [(rows, rows)] * 2 ** len(axes)
 
 
 def _parity_projection(field, index, c):
@@ -666,8 +692,9 @@ def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(sys_h6, rn
     # all-zero column and a class-0 column with a faint (1e-9) class-5 part
     # ride along, and the columns are shuffled
     contrast = iso_contrast(1.0, 2.0)
-    fac = sys_h6._factorization(contrast)
-    assert fac.axes == (0, 1, 2)
+    factors = _system_factors(contrast, sys_h6.bg)
+    axes, cells, _ = vie._mirror_orbits(sys_h6.index, sys_h6.bg.A.matrix, *factors)
+    assert axes == (0, 1, 2)
     n, index = sys_h6.n_cells, sys_h6.index
     classes = [c for c in range(8) for _ in range(c % 3 + 1)]
     fields = [_parity_projection(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
@@ -677,19 +704,19 @@ def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(sys_h6, rn
     order = rng.permutation(len(fields))
     fields = [fields[i] for i in order]
     b = np.stack([f.reshape(-1) for f in fields], axis=1)
-    want = np.linalg.solve(sys_h6.dense(*_system_factors(contrast, sys_h6.bg)), b)
-    x = fac.solve(np.asfortranarray(b))
+    want = np.linalg.solve(sys_h6.dense(*factors), b)
+    x = sys_h6._dense_solve(contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert not np.any(x[:, order == len(fields) - 2])
     faint = order == len(fields) - 1
     assert np.linalg.norm(x[:, faint] - want[:, faint]) <= 1e-12 * np.linalg.norm(want[:, faint])
     # block c receives 8 v_c(r) on the orbit representatives r for exactly the
     # columns v whose class-c part v_c is more than roundoff, in their order
-    reps = fac.cells[0]
+    reps = cells[0]
     assert np.array_equal(reps, np.flatnonzero(np.all(index < (index.max(axis=0) + 1) // 2,
                                                        axis=1)))
-    assert [blk for blk, _ in block_rhs] == list(fac.blocks)
-    for c, (_, got) in enumerate(block_rhs):
+    assert len(block_rhs) == 8
+    for c, got in enumerate(call.rhs for call in block_rhs):
         parts = [(_parity_projection(f, index, c), f) for f in fields]
         want_rhs = np.stack([8.0 * v[reps].reshape(-1) for v, f in parts
                              if np.linalg.norm(v) > 1e-12 * np.linalg.norm(f)], axis=1)
@@ -707,7 +734,7 @@ def test_regular_waves_reach_one_block_only_about_the_ball_centre(bg_unit, block
     waves = regular_wave_gradients(3, 1.0, sys.grid.centers)[1:].real
     dens = solve_density(sys, iso_contrast(1.0, 2.0), waves)
     assert dens.residual < 1e-10
-    counts = [rhs.shape[1] for _, rhs in block_rhs]
+    counts = [call.rhs.shape[1] for call in block_rhs]
     if any(center):
         assert counts == [len(waves)] * 8
     else:
@@ -733,14 +760,45 @@ def test_real_fields_are_solved_without_a_complex_copy(sys_h6):
 
 
 @pytest.mark.parametrize("diag", [np.zeros((3, 3))], ids=["symmetric"])
-def test_singular_system_raises_before_solve(sys_h6, monkeypatch, diag):
+def test_singular_system_raises_before_solve(sys_h6, rng, monkeypatch, diag):
+    # the error names the block, and the caller's right-hand sides come back unchanged
     zero = np.zeros((3, 3))
     monkeypatch.setattr(vie, "_system_factors", lambda contrast, bg: (zero, zero, diag))
-    rows = 3 * sys_h6.n_cells // 8
-    want = (rf"the x\+ y\+ z\+ block \({rows} rows\) of the system on {sys_h6.n_cells} cells "
-            "is singular: LDL")
+    shape = (3 * sys_h6.n_cells, 4)
+    rhs = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    b = rhs.copy()
+    want = (rf"the x\+ y\+ z\+ block \({shape[0] // 8} rows\) of the system on "
+            rf"{sys_h6.n_cells} cells is singular: LDL\^T pivot 1 is exactly zero")
+    with pytest.raises(RuntimeError, match=want):
+        vie.resolvent_solve(sys_h6, iso_contrast(1.0, 2.0), rhs)
+    np.testing.assert_array_equal(rhs, b)
     with pytest.raises(RuntimeError, match=want):
         solve_density(sys_h6, iso_contrast(1.0, 2.0), unit_inc(sys_h6.n_cells))
+
+
+def test_blocks_that_carry_no_column_are_factored(sys_h6, rng, monkeypatch, block_rhs):
+    # one even column is solved in block 0 alone, yet every block is factored:
+    # a singular x- y- z- block raises after block 0 has solved the column,
+    # and the caller's column is left as it was
+    contrast = iso_contrast(1.0, 2.0)
+    n = sys_h6.n_cells
+    field = _parity_projection(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
+                               sys_h6.index, 0)
+    vie.resolvent_solve(sys_h6, contrast, field.reshape(-1).copy())
+    assert [call.rhs.shape[1] for call in block_rhs] == [1] + [0] * 7
+    gather = VieSystem._gather_blocks
+
+    def zero_last(self, *args):
+        blocks = gather(self, *args)
+        blocks[-1] = 0.0
+        return blocks
+
+    monkeypatch.setattr(VieSystem, "_gather_blocks", zero_last)
+    rhs = field.reshape(-1)
+    b = rhs.copy()
+    with pytest.raises(RuntimeError, match=r"the x- y- z- block .* is singular"):
+        vie.resolvent_solve(sys_h6, contrast, rhs)
+    np.testing.assert_array_equal(rhs, b)
 
 
 def test_radiation_matrix_matches_scattered_field(sys_h6, rng):
