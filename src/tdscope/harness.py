@@ -247,10 +247,19 @@ def validate_config(cfg):
     for key in ("scatterer_A", "trial_A"):
         if v[key] is None:
             continue
-        if len(v[key]) not in (3, 6):
+        what = key.split("_")[0]
+        if v["study"] == "decay" or (v["study"], key) == ("finite_delta", "trial_A"):
+            problems.append(f"{key} must be unset: the {v['study']} study takes a scalar {what}")
+        elif len(v[key]) not in (3, 6):
             problems.append(f"{key} needs 3 (diagonal) or 6 (packed) entries")
         elif not _tensor_from_vec(v[key]).is_positive_definite():
             problems.append(f"{key} must be positive definite")
+        elif v["study"] == "sign" and v["background_a"] > 0:
+            try:
+                _one_sign(aniso_contrast(SymTensor3.scaled_identity(v["background_a"]),
+                                         _tensor_from_vec(v[key])), what)
+            except ValueError as exc:
+                problems.append(f"{key} gives a mixed-sign contrast: {exc}")
     if v["trial_A"] is not None and min(v["trial_semi_axes"]) <= 0:
         problems.append("trial_semi_axes must be positive")
     if v["study"] == "born" and not 0.0 < abs(v["born_q0"]) < 1.0:

@@ -15,12 +15,13 @@ rank P.  On a closed sphere in an isotropic background the addition theorem
 gives the spectral factor b_p = sqrt(c_p) grad u_nm over the regular waves
 u_nm of specfun_quad.regular_wave_gradients, P = (n_max + 1)^2 with n_max
 set by the point sets, not by the surface radius.  The identity holds in
-any unitary basis of the waves, and the factor uses the real one (Re and Im
-of each +-m pair, see _SpectralFactor): b is real, and each wave is even or
-odd under every coordinate mirror through the centre, so vie solves it in
-one mirror block of a grid symmetric about that centre.  Otherwise (cap
-apertures, anisotropic backgrounds, series past N_MAX) the node factor
-b_p = sqrt(w_p) grad Phi(s_p - x) integrates over the surface nodes.
+any unitary basis of the waves, and the factor uses the real basis of
+harmonics_table(kind="real"), sign (-1)^m included (see _SpectralFactor):
+b is real, and each wave is even or odd under every coordinate mirror
+through the centre, so vie solves it in one mirror block of a grid
+symmetric about that centre.  Otherwise (cap apertures, anisotropic
+backgrounds, series past N_MAX) the node factor b_p = sqrt(w_p)
+grad Phi(s_p - x) integrates over the surface nodes.
 
 A topological-derivative map contracts G(z, .) over the true scatterer B
 with the trial polarization tensor on one side and the scatterer's solution
@@ -65,7 +66,10 @@ from .materials import IsoContrast
 from .polarization import PolarizationTensor, mz_ball_iso
 from .specfun_quad import (
     N_MAX,
+    _degree_order,
+    _real_basis,
     harmonics_table,
+    legendre_p,
     log_odd_factorial,
     regular_wave_gradients,
     sph_bessel_j,
@@ -234,27 +238,14 @@ def kernel_L_series(R, kappa, z, y):
     t = min(1.0, max(-1.0, t))
     n_min = truncation_order(kappa, max(rz, ry))
     total = 0.0
-    p_prev, p_cur = 1.0, t
-    n = 0
-    while True:
-        if n > N_MAX:
-            raise ValueError(f"series truncation exceeds supported order {N_MAX}")
-        pn = 1.0 if n == 0 else (t if n == 1 else p_cur)
-        hn = sph_hankel1(n, kappa * R)
-        term = (
-            (2 * n + 1)
-            * float(np.abs(hn)) ** 2
-            * float(sph_bessel_j(n, kappa * rz))
-            * float(sph_bessel_j(n, kappa * ry))
-            * pn
-        )
+    for n in range(N_MAX + 1):
+        term = ((2 * n + 1) * float(np.abs(sph_hankel1(n, kappa * R))) ** 2
+                * float(sph_bessel_j(n, kappa * rz)) * float(sph_bessel_j(n, kappa * ry))
+                * float(legendre_p(n, t)))
         total += term
         if n >= n_min and abs(term) < 1e-14 * max(abs(total), 1e-300):
-            break
-        if n >= 1:
-            p_prev, p_cur = p_cur, ((2 * n + 1) * t * p_cur - n * p_prev) / (n + 1)
-        n += 1
-    return (kappa**2 * R**2 / (4.0 * np.pi)) * total
+            return (kappa**2 * R**2 / (4.0 * np.pi)) * total
+    raise ValueError(f"series truncation exceeds supported order {N_MAX}")
 
 
 def kernel_G_from_L(R, kappa, z, y):
@@ -307,46 +298,40 @@ def _half_pairing(sys, contrast, fields):
 class _SpectralFactor:
     """b_p(x) = sqrt(c_p) grad v_p(x - center), p = n (n + 1) + m, n <= n_max.
 
-    v_p are the regular waves in their real basis: u_n0 for m = 0,
-    sqrt(2) Re u_nm for m > 0 and sqrt(2) Im u_n|m| for m < 0.  As
+    v_p are the regular waves in the real basis of
+    harmonics_table(kind="real"): u_n0 for m = 0, sqrt(2) (-1)^m Re u_nm for
+    m > 0 and sqrt(2) (-1)^m Im u_n|m| for m < 0.  As
     u_n^-m = (-1)^m conj(u_n^m), this is a unitary change of basis within
     each +-m pair of the complex waves, and c_nm = w_nm C_n is even in m, so
     the diagonal D = sqrt(c) commutes with it: G = b(z)^T b(y) and every
     map are those of the complex basis, up to roundoff.  Re and Im
     of u_nm carry cos(m phi) and sin(m phi), so each v_p is even or odd under
     each coordinate mirror through the centre.  half_log_c holds
-    log sqrt(c_p) per row and degree the row's n.
+    log sqrt(c_p) per row.
     """
 
     center: np.ndarray
     k: float
     n_max: int
-    degree: np.ndarray
     half_log_c: np.ndarray
     kind = "spectral"
 
     @property
     def rank(self):
-        return self.degree.size
+        return self.half_log_c.size
 
     def _rho(self, pts):
         return float(np.linalg.norm(pts - self.center, axis=1).max(initial=0.0)) or 1.0
 
     def _scale(self, rho):
         """The diagonal D of b = D W at the point set's radius rho."""
-        return np.exp(self.half_log_c + (self.degree - 1.0) * np.log(rho))
+        return np.exp(self.half_log_c + (_degree_order(self.n_max)[0] - 1.0) * np.log(rho))
 
     def _waves(self, pts, rho):
         # grad u(x) = rho^(n-1) grad u'(x / rho), u' the wave of wavenumber
         # k rho: every factor stays of order one, whatever |x| and R are
-        w = regular_wave_gradients(self.n_max, self.k * rho, (pts - self.center) / rho)
-        n = self.degree.astype(int)
-        m = np.arange(n.size) - n * (n + 1)
-        out = w.real.copy()
-        # row (n, -m) takes the imaginary part of u_n^m, the row m above it
-        out[m < 0] = w.imag[(n * (n + 1) - m)[m < 0]]
-        out[m != 0] *= np.sqrt(2.0)
-        return out
+        return _real_basis(
+            regular_wave_gradients(self.n_max, self.k * rho, (pts - self.center) / rho))
 
     def __call__(self, pts):
         rho = self._rho(pts)
@@ -383,12 +368,10 @@ def _spectral_factor(center, radius, a, kappa, reach_z, reach_y):
     n_max = _spectral_order(k, radius, reach_z, reach_y)
     if n_max is None:
         return None
-    degree = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
-    order = np.arange(degree.size) - degree * (degree + 1)
-    n = degree.astype(float)
-    log_w = gammaln(n + order + 1.0) + gammaln(n - order + 1.0)
+    n, m = _degree_order(n_max)
+    log_w = gammaln(n + m + 1.0) + gammaln(n - m + 1.0)
     if k > 0.0:
-        h = np.abs(sph_hankel1(np.arange(n_max + 1), k * radius))[degree]
+        h = np.abs(sph_hankel1(np.arange(n_max + 1), k * radius))[n]
         log_c = (np.log((2.0 * n + 1.0) / (4.0 * np.pi * a * a))
                  + 2.0 * (np.log(k * radius) + np.log(h) + n * np.log(k)
                           - log_odd_factorial(n)))
@@ -398,7 +381,7 @@ def _spectral_factor(center, radius, a, kappa, reach_z, reach_y):
     if not np.all(np.isfinite(half_log_c)):
         return None
     return _SpectralFactor(center=np.asarray(center, dtype=float), k=float(k),
-                           n_max=n_max, degree=n, half_log_c=half_log_c)
+                           n_max=n_max, half_log_c=half_log_c)
 
 
 @dataclass(frozen=True)
@@ -509,6 +492,9 @@ def harmonic_trace(surface, values, n_max=None):
         raise ValueError("harmonic traces need a closed sphere")
     if n_max is None:
         n_max = surface.order - 1
+    if n_max > surface.order - 1:
+        raise ValueError(f"n_max = {n_max} exceeds order - 1 = {surface.order - 1}, "
+                         "the degree the surface rule integrates exactly")
     values = np.asarray(values, dtype=complex)
     if values.shape != (surface.dirs.shape[0],):
         raise ValueError("values must be sampled at the surface nodes")
@@ -536,8 +522,8 @@ def e_multipliers(kappa, radius, n_max):
 def e_apply(trace, surface, kappa):
     """Apply E coefficient-wise; every multiplier is unimodular."""
     en = e_multipliers(kappa, surface.radius, trace.n_max)
-    full = np.repeat(en, 2 * np.arange(trace.n_max + 1) + 1)
-    return HarmonicTrace(coeffs=full * trace.coeffs, n_max=trace.n_max)
+    return HarmonicTrace(coeffs=en[_degree_order(trace.n_max)[0]] * trace.coeffs,
+                         n_max=trace.n_max)
 
 
 # ---------------------------------------------------------------------------

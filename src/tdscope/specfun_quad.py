@@ -2,13 +2,15 @@
 
 Spherical Bessel/Hankel functions, Legendre polynomials, orthonormal
 spherical harmonics (real and complex bases), gradients of the regular
-waves j_n Y_n^m in solid-harmonic form, product quadrature rules on spheres
-and spherical caps, and cell-center voxelization of scatterer shapes onto a
-uniform cubic lattice.
+waves j_n Y_n^m, product quadrature rules on spheres and spherical caps,
+and cell-center voxelization of scatterer shapes onto a uniform cubic
+lattice.  The harmonics and the waves both come from one recurrence, that
+of the scaled regular solid harmonics R_n^m, in one packed (n, m) layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,47 +75,58 @@ def legendre_p(n, t):
     return p
 
 
-def _norm_assoc_legendre_table(n_max, ct, st):
-    """Orthonormal associated Legendre P~_n^m(cos theta) for 0 <= m <= n <= n_max.
-
-    Normalization is the spherical-harmonic one: Y_n^m = P~_n^m e^{i m phi},
-    Condon-Shortley phase included.  Returns array (n_max+1, n_max+1, npts)
-    indexed [n, m]; entries with m > n stay zero.  The recurrence operates on
-    normalized values throughout, which keeps it stable to high order.
-    """
-    ct = np.asarray(ct, dtype=float)
-    st = np.asarray(st, dtype=float)
-    npts = ct.shape
-    tab = np.zeros((n_max + 1, n_max + 1) + npts)
-    tab[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    # diagonal: P~_m^m = -sqrt((2m+1)/(2m)) * st * P~_{m-1}^{m-1}
-    for m in range(1, n_max + 1):
-        tab[m, m] = -np.sqrt((2 * m + 1.0) / (2.0 * m)) * st * tab[m - 1, m - 1]
-    # off-diagonal upward in n
-    for m in range(0, n_max):
-        if m + 1 <= n_max:
-            tab[m + 1, m] = np.sqrt(2 * m + 3.0) * ct * tab[m, m]
-        for n in range(m + 2, n_max + 1):
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-            tab[n, m] = a * (ct * tab[n - 1, m] - b * tab[n - 2, m])
-    return tab
-
-
 def harmonic_index(n, m):
     """Flat index of (n, m) in the packed harmonic layout n*(n+1)+m."""
     return n * (n + 1) + m
 
 
-def _dirs_to_angles(dirs):
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    r = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(r - 1.0) > 1e-10):
-        raise ValueError("directions must be unit vectors")
-    ct = np.clip(dirs[:, 2], -1.0, 1.0)
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    phi = np.arctan2(dirs[:, 1], dirs[:, 0])
-    return ct, st, phi
+def _degree_order(n_max):
+    """Degree n and order m of each row n (n + 1) + m of the packed layout."""
+    deg = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
+    return deg, np.arange(deg.size) - deg * (deg + 1)
+
+
+def _solid_harmonics(n_max, x):
+    """Scaled complex regular solid harmonics R_n^m(x), rows packed n (n + 1) + m.
+
+        R_0^0 = 1,   R_{n+1}^{n+1} = -(x + i y) / (2n + 2) R_n^n,
+        R_{n+1}^m = ((2n + 1) z R_n^m - |x|^2 R_{n-1}^m) / ((n + m + 1)(n - m + 1)),
+        R_n^{-m} = (-1)^m conj(R_n^m)
+
+    (Epton & Dembart, SIAM J. Sci. Comput. 16, 1995), so that
+    r^n Y_n^m(xhat) = sqrt((2n + 1) (n + m)! (n - m)! / (4 pi)) R_n^m(x) with
+    the Condon-Shortley phase.  x: (npts, 3).  Returns ((n_max + 1)^2, npts).
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    deg, order = _degree_order(n_max)
+    den = ((deg + order) * (deg - order))[:, None]
+    r2 = np.einsum("pi,pi->p", x, x)
+    w = x[:, 0] + 1j * x[:, 1]
+    out = np.empty((deg.size, x.shape[0]), dtype=complex)
+    out[0] = 1.0
+    for n in range(n_max):
+        # rows m = 0..n of degrees n - 1, n and n + 1; R_{n-1}^n = 0
+        cur, nxt = n * (n + 1), (n + 1) * (n + 2)
+        out[nxt : nxt + n + 1] = (2 * n + 1) * x[:, 2] * out[cur : cur + n + 1]
+        out[nxt : nxt + n] -= r2 * out[cur - 2 * n : cur - n]
+        out[nxt : nxt + n + 1] /= den[nxt : nxt + n + 1]
+        out[nxt + n + 1] = -w / (2 * n + 2) * out[cur + n]
+    neg = order < 0
+    out[neg] = ((-1.0) ** order[neg])[:, None] * out[harmonic_index(deg, -order)[neg]].conj()
+    return out
+
+
+def _real_basis(rows):
+    """Packed rows f^0, sqrt(2) (-1)^m Re f^m (m > 0) and sqrt(2) (-1)^m Im f^|m|
+    (m < 0) of packed complex rows f; reads only rows.real and rows.imag."""
+    deg, order = _degree_order(math.isqrt(rows.shape[0]) - 1)
+    neg = order < 0
+    out = rows.real.copy()
+    out[neg] = rows.imag[harmonic_index(deg, -order)[neg]]
+    sign = np.where(order == 0, 1.0, np.sqrt(2.0) * (-1.0) ** order)
+    out *= sign.reshape((-1,) + (1,) * (out.ndim - 1))
+    return out
 
 
 def harmonics_table(n_max, dirs, kind="complex"):
@@ -121,29 +134,25 @@ def harmonics_table(n_max, dirs, kind="complex"):
 
     Returns array ((n_max+1)^2, npts), rows packed as n*(n+1)+m.  kind
     'complex' gives the standard orthonormal basis with Condon-Shortley
-    phase; 'real' gives the orthonormal real basis (cosine branch for m > 0,
-    sine branch for m < 0).  Both satisfy the addition theorem
-    sum_m Y_n^m(u) conj(Y_n^m(v)) = (2n+1)/(4 pi) P_n(u.v).
+    phase; 'real' gives the orthonormal real basis sqrt(2) (-1)^m Re Y_n^m
+    for m > 0 and sqrt(2) (-1)^m Im Y_n^|m| for m < 0.  Both satisfy the
+    addition theorem sum_m Y_n^m(u) conj(Y_n^m(v)) = (2n+1)/(4 pi) P_n(u.v).
+    The harmonics are the solid harmonics R_n^m of the unit directions,
+    sqrt((2n + 1) (n + m)! (n - m)! / (4 pi)) R_n^m(dir).
     """
-    ct, st, phi = _dirs_to_angles(dirs)
-    plm = _norm_assoc_legendre_table(n_max, ct, st)
-    npts = ct.shape[0]
-    dtype = complex if kind == "complex" else float
-    out = np.zeros(((n_max + 1) ** 2, npts), dtype=dtype)
-    for n in range(n_max + 1):
-        out[harmonic_index(n, 0)] = plm[n, 0]
-        for m in range(1, n + 1):
-            if kind == "complex":
-                e = np.exp(1j * m * phi)
-                out[harmonic_index(n, m)] = plm[n, m] * e
-                out[harmonic_index(n, -m)] = (-1.0) ** m * plm[n, m] * np.conj(e)
-            elif kind == "real":
-                s2 = np.sqrt(2.0) * (-1.0) ** m * plm[n, m]
-                out[harmonic_index(n, m)] = s2 * np.cos(m * phi)
-                out[harmonic_index(n, -m)] = s2 * np.sin(m * phi)
-            else:
-                raise ValueError("kind must be 'complex' or 'real'")
-    return out
+    if kind not in ("complex", "real"):
+        raise ValueError("kind must be 'complex' or 'real'")
+    if n_max > 150:
+        # sqrt((2n)!) overflows past degree 150, where R_n^n leaves the normal range
+        raise ValueError("n_max must be <= 150")
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-10):
+        raise ValueError("directions must be unit vectors")
+    out = _solid_harmonics(n_max, dirs)
+    n, m = _degree_order(n_max)
+    out *= np.exp(0.5 * (np.log((2.0 * n + 1.0) / (4.0 * np.pi))
+                         + gammaln(n + m + 1.0) + gammaln(n - m + 1.0)))[:, None]
+    return out if kind == "complex" else _real_basis(out)
 
 
 def complex_spherical_harmonics(n, m, dirs):
@@ -196,12 +205,7 @@ def _radial_factors(n_top, kr):
 def regular_wave_gradients(n_max, k, x):
     """Gradients of the regular waves u_n^m(x) = F_n(|x|) R_n^m(x), n <= n_max.
 
-    R_n^m are the scaled complex regular solid harmonics
-
-        R_0^0 = 1,   R_{n+1}^{n+1} = -(x + i y) / (2n + 2) R_n^n,
-        R_{n+1}^m = ((2n + 1) z R_n^m - |x|^2 R_{n-1}^m) / ((n + m + 1)(n - m + 1)),
-        R_n^{-m} = (-1)^m conj(R_n^m),
-
+    R_n^m are the scaled complex regular solid harmonics of _solid_harmonics
     and F_n(r) = (2n + 1)!! j_n(k r) / (k r)^n, so that with
     w_nm = (n + m)! (n - m)!
 
@@ -217,26 +221,11 @@ def regular_wave_gradients(n_max, k, x):
     ((n_max + 1)^2, npts, 3), rows packed n (n + 1) + m like harmonics_table.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
     npts = x.shape[0]
-    r2 = np.einsum("pi,pi->p", x, x)
-    # tab[n, m] = R_n^m for 0 <= m <= n; the zero entries m > n close the recurrence
-    tab = np.zeros((n_max + 1, n_max + 1, npts), dtype=complex)
-    tab[0, 0] = 1.0
-    w = x[:, 0] + 1j * x[:, 1]
-    for n in range(n_max):
-        m = np.arange(n + 1)
-        prev = tab[n - 1, : n + 1] if n else 0.0
-        tab[n + 1, : n + 1] = ((2 * n + 1) * x[:, 2] * tab[n, : n + 1] - r2 * prev) / (
-            (n + m + 1) * (n - m + 1))[:, None]
-        tab[n + 1, n + 1] = -w / (2 * n + 2) * tab[n, n]
-    deg = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)
-    order = np.arange(deg.size) - deg * (deg + 1)
     # packed R_n^m with one trailing zero row for the ladder's out-of-range reads
-    packed = np.zeros((deg.size + 1, npts), dtype=complex)
-    pos = tab[deg, np.abs(order)]  # R_n^{|m|}
-    packed[:-1] = np.where((order < 0)[:, None], ((-1.0) ** order)[:, None] * pos.conj(), pos)
+    packed = np.vstack([_solid_harmonics(n_max, x), np.zeros((1, npts))])
+    deg, order = _degree_order(n_max)
+    r2 = np.einsum("pi,pi->p", x, x)
 
     def lower(m):
         ok = (deg >= 1) & (np.abs(m) <= deg - 1)

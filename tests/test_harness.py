@@ -123,6 +123,26 @@ def test_validate_config_rejects_what_run_rejects(lines, key):
     assert len(problems) == 1 and problems[0].startswith(key + " "), problems
 
 
+@pytest.mark.parametrize("study, line, key", [
+    ("sign", "trial_A = 0.5, 2, 2", "trial_A"),
+    ("sign", "scatterer_A = 0.5, 2, 2", "scatterer_A"),
+    ("decay", "scatterer_A = 2, 2, 3", "scatterer_A"),
+    ("decay", "trial_A = 2, 2, 3", "trial_A"),
+    ("finite_delta", "trial_A = 2, 2, 3", "trial_A"),
+])
+def test_validate_config_rejects_contrasts_the_study_rejects(study, line, key):
+    # each passed validation, and run then stopped with exit 1: a mixed-sign
+    # contrast in the sign study, a tensor where the study takes a scalar
+    problems = validate_config(cfg_from(f"study = {study}\n{line}\n"))
+    assert len(problems) == 1 and problems[0].startswith(key + " "), problems
+
+
+def test_validate_config_keeps_the_contrasts_each_study_runs():
+    both = "scatterer_A = 2, 2, 3\ntrial_A = 1.5, 3, 2\n"
+    assert validate_config(cfg_from(f"study = sign\n{both}")) == []
+    assert validate_config(cfg_from("study = finite_delta\nscatterer_A = 2, 2, 3\n")) == []
+
+
 def test_validate_config_flags_zero_length_rays():
     problems = validate_config(cfg_from("study = decay\nrays = 1,0,0; 0,0,0\n"))
     assert any("ray" in p for p in problems)

@@ -170,6 +170,18 @@ def test_harmonic_trace_needs_closed_sphere(bg_unit):
         harmonic_trace(cap, np.ones(cap.nodes.shape[0]))
 
 
+def test_harmonic_trace_rejects_degrees_the_rule_cannot_integrate():
+    # past order - 1 the product rule no longer integrates Y_n Y_n' exactly
+    # and Parseval fails: for these values on an order-6 sphere the
+    # coefficient norm read 2.084 at n_max = 12 against a surface norm of 1.384
+    surf = sphere_surface(1.0, 6)
+    values = np.cos(3.0 * surf.dirs[:, 0]) * surf.dirs[:, 2]
+    surface_norm = np.sqrt(np.sum(surf.weights * values**2))
+    assert harmonic_trace(surf, values, n_max=5).norm() <= surface_norm
+    with pytest.raises(ValueError, match="n_max = 12 exceeds"):
+        harmonic_trace(surf, values, n_max=12)
+
+
 def test_e_multipliers_unimodular():
     en = e_multipliers(1.0, 5.0, 40)
     assert np.abs(np.abs(en) - 1.0).max() < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, spherical_jn
+from scipy.special import gammaln, sph_harm_y, spherical_jn
 
 from tdscope import (
     Ball,
@@ -113,6 +113,54 @@ def test_harmonics_orthonormal_under_quadrature():
     tab = harmonics_table(8, dirs, kind="real")
     gram = (tab * w) @ tab.T
     np.testing.assert_allclose(gram, np.eye(tab.shape[0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_harmonics_table_matches_scipy(kind):
+    # entry by entry against scipy's sph_harm_y (Condon-Shortley phase); the
+    # real basis is sqrt(2) (-1)^m Re Y_n^m for m > 0 and sqrt(2) (-1)^m
+    # Im Y_n^|m| for m < 0.  The addition theorem and the Gram test hold under
+    # any per-row sign or mixing within a degree; this test does not.  Both
+    # tables stay within 2.3e-13 of the reference at n <= 60 (max |Y| about 3),
+    # so 1e-12 leaves a margin of 4.
+    n_max = 60
+    rng = np.random.default_rng(19)
+    dirs = np.vstack([rng.standard_normal((40, 3)), np.eye(3), -np.eye(3)])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    theta = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2.0 * np.pi)
+    n = np.repeat(np.arange(n_max + 1), 2 * np.arange(n_max + 1) + 1)[:, None]
+    m = np.arange(n.size)[:, None] - n * (n + 1)
+    if kind == "complex":
+        want = sph_harm_y(n, m, theta, phi)
+    else:
+        y = sph_harm_y(n, np.abs(m), theta, phi)
+        sign = np.sqrt(2.0) * (-1.0) ** m
+        want = np.where(m > 0, sign * y.real, np.where(m < 0, sign * y.imag, y.real))
+    got = harmonics_table(n_max, dirs, kind=kind)
+    assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [0, 3])
+def test_harmonics_table_rejects_an_unknown_kind(n_max):
+    with pytest.raises(ValueError, match="kind must be 'complex' or 'real'"):
+        harmonics_table(n_max, np.array([[0.0, 0.0, 1.0]]), kind="bogus")
+
+
+def test_harmonics_table_input_checks():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        harmonics_table(-1, np.array([[0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        regular_wave_gradients(-1, 1.0, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="directions must be unit vectors"):
+        harmonics_table(2, np.array([[0.0, 0.0, 1.1]]))
+    # the normalization of degree 151 overflows; degree 150 still holds the
+    # addition theorem on the equator, where R_n^n is smallest
+    with pytest.raises(ValueError, match="n_max must be <= 150"):
+        harmonics_table(151, np.array([[0.0, 0.0, 1.0]]))
+    top = harmonics_table(150, np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]]))[150**2:]
+    np.testing.assert_allclose(np.sum(np.abs(top) ** 2, axis=0), 301 / (4.0 * np.pi),
+                               rtol=1e-12)
 
 
 def test_single_harmonic_entries():
