@@ -6,10 +6,13 @@ Its outgoing fundamental solution is
     Phi_kappa(r) = e^{i kappa rho} / (4 pi sqrt(det A) rho),   rho = |A^{-1/2} r|,
 
 the standard change-of-variables reduction to the unit-coefficient Helmholtz
-kernel.  At kappa = 0 it is the anisotropic static kernel; for A = a I it
-reads e^{i (kappa/sqrt(a)) |r|} / (4 pi a |r|), so with a = 1 the classical
-e^{i kappa |r|}/(4 pi |r|).  Correctness of the dynamic anisotropic form is
-enforced by the finite-difference PDE residual check, not assumed.
+kernel.  Each kernel below is one formula for every SPD A and kappa >= 0,
+through grad rho = A^{-1/2} u, u = A^{-1/2} r / rho; there is no isotropic
+or static branch.  At kappa = 0 it is the anisotropic static kernel; for
+A = a I it reads e^{i (kappa/sqrt(a)) |r|} / (4 pi a |r|), so with a = 1 the
+classical e^{i kappa |r|}/(4 pi |r|).  Correctness of the dynamic
+anisotropic form is enforced by the finite-difference PDE residual check,
+not assumed.
 
 Also provides the voxel self-interaction block of the discretized grad W_kappa:
 static Eshelby part on the volume-equivalent ball plus the closed-form ball
@@ -47,11 +50,9 @@ class Background:
         if not isinstance(self.A, SymTensor3):
             object.__setattr__(self, "A", SymTensor3.from_matrix(self.A))
         self.A.require_spd("A")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be >= 0")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be finite and >= 0")
         w, v = np.linalg.eigh(self.A.matrix)
-        object.__setattr__(self, "_eigvals", w)
-        object.__setattr__(self, "_eigvecs", v)
         object.__setattr__(self, "_sqrt", (v * np.sqrt(w)) @ v.T)
         object.__setattr__(self, "_inv_sqrt", (v / np.sqrt(w)) @ v.T)
         object.__setattr__(self, "_inv", (v / w) @ v.T)
@@ -87,11 +88,7 @@ class Background:
 
 def _mapped(bg, r):
     """rho-frame coordinates A^{-1/2} r and their norms."""
-    r = np.asarray(r, dtype=float)
-    if bg.iso_a is not None:
-        rm = r / np.sqrt(bg.iso_a)
-    else:
-        rm = r @ bg.inv_sqrt_A
+    rm = np.asarray(r, dtype=float) @ bg.inv_sqrt_A
     rho = np.sqrt(np.einsum("...i,...i->...", rm, rm))
     if np.any(rho == 0.0):
         raise ValueError("fundamental solution is singular at r = 0")
@@ -110,12 +107,8 @@ def grad_phi(bg, r):
     # d/drho [e^{ik rho}/(4 pi rho)] = e^{ik rho} (ik rho - 1)/(4 pi rho^2)
     fp = np.exp(1j * bg.kappa * rho) * (1j * bg.kappa * rho - 1.0) / (4.0 * np.pi * rho**2)
     fac = fp / (np.sqrt(bg.det_A) * rho)
-    # grad rho = A^{-1} r / rho = A^{-1/2} (rm / rho)
-    if bg.iso_a is not None:
-        grad_rho_scaled = rm / np.sqrt(bg.iso_a)
-    else:
-        grad_rho_scaled = rm @ bg.inv_sqrt_A
-    return fac[..., None] * grad_rho_scaled
+    # rho grad rho = A^{-1} r = A^{-1/2} rm
+    return fac[..., None] * (rm @ bg.inv_sqrt_A)
 
 
 def hess_phi(bg, r):
@@ -126,15 +119,15 @@ def hess_phi(bg, r):
     # radial profile f(rho) = e^{ik rho}/(4 pi rho)
     fpp = e * (2.0 - 2j * k * rho - (k * rho) ** 2) / (4.0 * np.pi * rho**3)
     fp_over = e * (1j * k * rho - 1.0) / (4.0 * np.pi * rho**3)
-    u = rm / rho[..., None]
-    uu = u[..., :, None] * u[..., None, :]
-    eye = np.eye(3)
-    H = fpp[..., None, None] * uu + fp_over[..., None, None] * (eye - uu)
-    if bg.iso_a is not None:
-        return H / (bg.iso_a * np.sqrt(bg.det_A))
-    return np.einsum("ij,...jk,kl->...il", bg.inv_sqrt_A, H, bg.inv_sqrt_A) / np.sqrt(
-        bg.det_A
-    )
+    # H = f'' g g^T + (f'/rho)(A^{-1} - g g^T), g = grad rho = A^{-1/2} rm / rho,
+    # formed in place: the peak memory of assembly is here
+    g = rm @ bg.inv_sqrt_A
+    g /= rho[..., None]
+    gg = g[..., :, None] * g[..., None, :]
+    H = fp_over[..., None, None] * (bg.inv_A - gg)
+    H += fpp[..., None, None] * gg
+    H /= np.sqrt(bg.det_A)
+    return H
 
 
 def pde_residual(bg, x, h=1e-3):
@@ -216,12 +209,10 @@ def cell_self_term(bg, h):
     Returned unscaled (the off-diagonal assembly convention carries h^3; this
     block is the O(1) cell integral itself).
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     S = eshelby_tensor(bg)
     static = -S @ bg.inv_A
-    if bg.kappa == 0.0:
-        return static.astype(complex)
     # mapped volume-equivalent ball radius: cell volume h^3 maps to h^3/sqrt(det A)
     rho_eq = (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0) * h / bg.det_A ** (1.0 / 6.0)
     x = bg.kappa * rho_eq

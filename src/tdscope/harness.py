@@ -498,11 +498,11 @@ def run_decay_study(cfg):
     """
     t0 = time.monotonic()
     bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    sys = _system(cfg, bg)
     contrast = _contrast(cfg, bg)
     trial = _trial(cfg, bg)
     if not hasattr(contrast, "q") or not hasattr(trial, "q"):
         raise ValueError("the decay study uses scalar contrasts")
+    sys = _system(cfg, bg)
     cert = operator_norm(sys, which="qR_kappa", contrast=contrast)
     shape = _shape(cfg)
     center = np.asarray(shape.center)
@@ -716,11 +716,11 @@ def run_finite_delta_study(cfg):
     """Finite-size misfit increments against delta^3 T(z)."""
     t0 = time.monotonic()
     bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    sys = _system(cfg, bg)
     contrast = _contrast(cfg, bg)
     trial = _trial(cfg, bg)
     if not hasattr(trial, "q"):
         raise ValueError("the finite-size study uses a scalar trial")
+    sys = _system(cfg, bg)
     order = imaging.surface_order_hint(cfg.kappa, 1.0, 1.0)
     surf = _surface(cfg, cfg.surface_radius, order)
     deltas = sorted(cfg.deltas, reverse=True)

@@ -463,6 +463,8 @@ def voxelize(shape, h=None):
     feature = getattr(shape, "min_feature", diam)
     if h is None:
         h = diam / 20.0
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     if not h < feature / 4.0 + 1e-12:
         raise ValueError("resolution too coarse: need h < min feature size / 4")
     lo, hi = shape.bbox

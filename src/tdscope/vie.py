@@ -97,28 +97,18 @@ class DensityField:
 
 
 def _contrast_parts(contrast, bg):
-    """(Q, sqrtA, dA) as 3x3 arrays: contrast factor, A^{1/2}, and At - A."""
+    """(Q, sigma, q_mat, dA) as 3x3 arrays: the contrast factor, its sign split
+    Q = q_mat^T sigma^2 q_mat, and At - A.  The contrast must live in bg."""
     if isinstance(contrast, IsoContrast):
-        a = contrast.a
+        a, q = contrast.a, contrast.q
         if bg.iso_a is None or abs(bg.iso_a - a) > 1e-12 * max(a, 1.0):
             raise ValueError("isotropic contrast requires background A = a I")
         eye = np.eye(3)
-        return contrast.q * eye, np.sqrt(a) * eye, a * contrast.beta * eye
-    Q = contrast.Q
-    dA = contrast.A_tilde.matrix - contrast.A.matrix
+        sigma = np.eye(3, dtype=complex) * (1.0 if q >= 0.0 else 1j)
+        return q * eye, sigma, np.sqrt(abs(q)) * eye, a * contrast.beta * eye
     if not np.allclose(contrast.A.matrix, bg.A.matrix, rtol=0.0, atol=1e-12):
         raise ValueError("contrast.A must match the background tensor")
-    return Q, bg.sqrt_A, dA
-
-
-def _sigma_parts(contrast):
-    """(sigma, q_mat) of the sign-split factorization Q = q^T sigma^2 q."""
-    if isinstance(contrast, IsoContrast):
-        q = contrast.q
-        sigma = np.eye(3, dtype=complex) * (1.0 if q >= 0.0 else 1j)
-        q_mat = np.sqrt(abs(q)) * np.eye(3)
-        return sigma, q_mat
-    return contrast.sigma, contrast.q_mat
+    return contrast.Q, contrast.sigma, contrast.q_mat, contrast.A_tilde.matrix - contrast.A.matrix
 
 
 def _system_factors(contrast, bg):
@@ -127,8 +117,8 @@ def _system_factors(contrast, bg):
     L = -2 sigma q A^{1/2} is -2 Rm^T and D is symmetric, so the matrix is
     complex symmetric whenever gradW is.
     """
-    _, Ah, _ = _contrast_parts(contrast, bg)
-    sig, qm = _sigma_parts(contrast)
+    _, sig, qm, _ = _contrast_parts(contrast, bg)
+    Ah = bg.sqrt_A
     return -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig, np.eye(3) - sig @ qm @ qm.T @ sig
 
 
@@ -229,12 +219,6 @@ def _blocked_solve(blocks, axes, cells, signs, rhs, what):
     y *= signs[:, None, None, :] / group
     cols[:, cells] = y.transpose(1, 0, 2, 3)
     return x.reshape(rhs.shape)
-
-
-def _contrast_key(contrast):
-    if isinstance(contrast, IsoContrast):
-        return ("iso", contrast.a, contrast.beta)
-    return ("aniso", contrast.A.packed, contrast.A_tilde.packed)
 
 
 @dataclass
@@ -366,9 +350,11 @@ class VieSystem:
     def _response(self, contrast, key, solve):
         """solve() once per contrast and key; the read-only result is kept.
 
-        key must name everything else the response depends on.
+        The contrast enters the key as the bytes of its split matrices, which
+        are all that a solve reads of it; key must name everything else the
+        response depends on.
         """
-        key = (_contrast_key(contrast), *key)
+        key = (*(m.tobytes() for m in _contrast_parts(contrast, self.bg)), *key)
         if key not in self._response_cache:
             out = solve()
             out.setflags(write=False)
@@ -486,13 +472,13 @@ def solve_density(sys, contrast, incident_grad):
         raise ValueError("incident_grad must have shape (n_cells, 3) or (K, n_cells, 3)")
     if not np.all(np.isfinite(g)):
         raise ValueError("incident_grad must be finite")
-    _, Ah, dA = _contrast_parts(contrast, sys.bg)
+    *_, dA = _contrast_parts(contrast, sys.bg)
     if not np.any(dA):
         return DensityField(values=np.zeros(g.shape, dtype=complex), grid=sys.grid,
                             residual=0.0)
-    sig, qm = _sigma_parts(contrast)
+    left, right, _ = _system_factors(contrast, sys.bg)
     rows = g.reshape(-1, 3 * sys.n_cells)
-    lift = 2.0 * sig @ qm @ Ah
+    lift = -left
     # the (3N, K) right-hand sides are the transpose of (K, 3N) rows: Fortran
     # order, which the LDL^T solve overwrites without a reordering copy; they
     # are dropped before h is formed so that at most two K x 3N blocks are held
@@ -505,7 +491,7 @@ def solve_density(sys, contrast, incident_grad):
     rhs = rhs.reshape(rows.shape)
     x = resolvent_solve(sys, contrast, rhs.T).T
     del rhs
-    h = (x.reshape(-1, 3) @ (Ah @ qm.T @ sig).T).reshape(g.shape)
+    h = (x.reshape(-1, 3) @ right.T).reshape(g.shape)
     k = rows.shape[0]
     r = np.random.default_rng(0).standard_normal(k) if g.ndim == 3 else np.ones(1)
     gr = (r @ rows).reshape(-1, 3)
@@ -568,16 +554,11 @@ def operator_norm(sys, which="R_kappa", contrast=None):
     eye = np.eye(3)
     if which == "R_kappa":
         left, right = eye, eye
-    elif which == "qR_kappa":
+    elif which in ("qR_kappa", "qRq"):
         if contrast is None:
-            raise ValueError("qR_kappa needs a contrast")
-        Q, _, _ = _contrast_parts(contrast, sys.bg)
-        left, right = Q, eye
-    elif which == "qRq":
-        if contrast is None:
-            raise ValueError("qRq needs a contrast")
-        _, qm = _sigma_parts(contrast)
-        left, right = qm, qm.T
+            raise ValueError(f"{which} needs a contrast")
+        Q, _, qm, _ = _contrast_parts(contrast, sys.bg)
+        left, right = (Q, eye) if which == "qR_kappa" else (qm, qm.T)
     else:
         raise ValueError(f"unknown operator {which!r}")
 

@@ -39,29 +39,73 @@ def test_phi_singular_at_origin():
         phi(bg, np.zeros(3))
 
 
+# a diagonal, a full SPD (off-diagonal entries) and a scaled isotropic A
+KERNEL_BACKGROUNDS = {
+    "diag": SymTensor3.diag(1.0, 2.0, 0.5),
+    "full": SymTensor3.from_matrix([[1.4, 0.3, -0.2], [0.3, 0.8, 0.25], [-0.2, 0.25, 1.9]]),
+    "iso_a2": SymTensor3.scaled_identity(2.0),
+}
+
+
 def test_grad_phi_matches_finite_differences():
-    bg = Background(A=SymTensor3.diag(1.0, 2.0, 0.5), kappa=1.2)
     r = np.array([0.4, -0.7, 0.55])
-    g = grad_phi(bg, r)
     eps = 1e-6
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = eps
-        fd = (phi(bg, r + e) - phi(bg, r - e)) / (2.0 * eps)
-        assert g[k] == pytest.approx(fd, rel=1e-7)
+    for A in KERNEL_BACKGROUNDS.values():
+        bg = Background(A=A, kappa=1.2)
+        g = grad_phi(bg, r)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = eps
+            fd = (phi(bg, r + e) - phi(bg, r - e)) / (2.0 * eps)
+            assert g[k] == pytest.approx(fd, rel=1e-7), A
 
 
 def test_hess_phi_matches_finite_differences():
-    bg = Background(A=SymTensor3.diag(1.0, 2.0, 0.5), kappa=1.2)
     r = np.array([0.4, -0.7, 0.55])
-    hess = hess_phi(bg, r)
-    np.testing.assert_allclose(hess, hess.T, atol=1e-12 * np.abs(hess).max())
     eps = 1e-5
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = eps
-        fd = (grad_phi(bg, r + e) - grad_phi(bg, r - e)) / (2.0 * eps)
-        np.testing.assert_allclose(hess[:, k], fd, rtol=1e-6)
+    for A in KERNEL_BACKGROUNDS.values():
+        bg = Background(A=A, kappa=1.2)
+        hess = hess_phi(bg, r)
+        np.testing.assert_allclose(hess, hess.T, atol=1e-12 * np.abs(hess).max())
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = eps
+            fd = (grad_phi(bg, r + e) - grad_phi(bg, r - e)) / (2.0 * eps)
+            np.testing.assert_allclose(hess[:, k], fd, rtol=1e-6, err_msg=str(A))
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.7])
+def test_hess_phi_matches_the_two_sided_form(rng, kappa):
+    # reference: A^{-1/2} (f'' u u^T + f'/rho (I - u u^T)) A^{-1/2} / sqrt(det A),
+    # u = A^{-1/2} r / rho, written out independently of hess_phi's g = grad rho form
+    bg = Background(A=KERNEL_BACKGROUNDS["full"], kappa=kappa)
+    w, v = np.linalg.eigh(bg.A.matrix)
+    inv_sqrt = (v / np.sqrt(w)) @ v.T
+    r = rng.standard_normal((200, 3))
+    rm = r @ inv_sqrt
+    rho = np.linalg.norm(rm, axis=-1)
+    e = np.exp(1j * kappa * rho)
+    fpp = e * (2.0 - 2j * kappa * rho - (kappa * rho) ** 2) / (4.0 * np.pi * rho**3)
+    fp_over = e * (1j * kappa * rho - 1.0) / (4.0 * np.pi * rho**3)
+    u = rm / rho[:, None]
+    uu = u[:, :, None] * u[:, None, :]
+    inner = fpp[:, None, None] * uu + fp_over[:, None, None] * (np.eye(3) - uu)
+    want = np.einsum("ij,njk,kl->nil", inv_sqrt, inner, inv_sqrt) / np.sqrt(np.prod(w))
+    got = hess_phi(bg, r)
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, -1.0, np.inf])
+def test_background_rejects_a_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+        Background.isotropic(1.0, kappa)
+
+
+@pytest.mark.parametrize("h", [np.nan, 0.0, -0.1, np.inf])
+def test_cell_self_term_rejects_a_bad_h(h):
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        cell_self_term(Background.isotropic(1.0, 1.0), h)
 
 
 def test_grad_odd_hess_even():

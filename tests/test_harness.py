@@ -270,6 +270,21 @@ def test_sign_study_mixed_trial_raises_before_solving(monkeypatch):
         run_study(cfg)
 
 
+@pytest.mark.parametrize("runner, lines, message", [
+    (harness.run_decay_study, "study = decay\nscatterer_A = 2, 2, 3",
+     "the decay study uses scalar contrasts"),
+    (harness.run_finite_delta_study, "study = finite_delta\ntrial_A = 2, 2, 3",
+     "the finite-size study uses a scalar trial"),
+], ids=["decay", "finite_delta"])
+def test_scalar_runners_reject_a_tensor_before_assembling(monkeypatch, runner, lines, message):
+    calls = []
+    assemble = harness.assemble
+    monkeypatch.setattr(harness, "assemble", lambda *args: calls.append(args) or assemble(*args))
+    with pytest.raises(ValueError, match=message):
+        runner(cfg_from(f"{lines}\nresolution = 8\n"))
+    assert calls == []
+
+
 def test_sign_study_inconclusive_when_certificate_fails():
     rep = run_study(
         cfg_from("study = sign\nkappa = 3.0\nscatterer_a = 100.0\nresolution = 8\ngrid_n = 3\n")

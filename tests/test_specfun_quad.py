@@ -210,6 +210,13 @@ def test_voxelize_guards():
         voxelize(Ball(0.5), 0.3)  # coarser than feature/4
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
+def test_voxelize_rejects_a_non_positive_h(h):
+    # h = 0 used to overflow and then report a degenerate shape
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        voxelize(Ball(0.5), h)
+
+
 def test_shapes_contain():
     ball = Ball(1.0, center=(1.0, 0.0, 0.0))
     assert ball.contains(np.array([[1.5, 0.0, 0.0]]))[0]

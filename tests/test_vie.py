@@ -379,6 +379,25 @@ def test_operator_norm_of_matched_contrast_is_zero(sys_h6, r_applies):
     assert len(r_applies) == 1
 
 
+# a contrast of another background: a = 3 against the a = 1 system, and a
+# tensor contrast whose A is not the system's
+FOREIGN_CONTRASTS = {
+    "iso": (iso_contrast(3.0, 6.0), "isotropic contrast requires background A = a I"),
+    "aniso": (aniso_contrast(SymTensor3.diag(1.2, 0.9, 1.1), SymTensor3.diag(2.0, 2.0, 3.0)),
+              "contrast.A must match the background tensor"),
+}
+
+
+@pytest.mark.parametrize("which", ["qR_kappa", "qRq"])
+@pytest.mark.parametrize("kind", sorted(FOREIGN_CONTRASTS))
+def test_operator_norm_rejects_a_contrast_of_another_background(sys_h6, kind, which):
+    contrast, message = FOREIGN_CONTRASTS[kind]
+    with pytest.raises(ValueError, match=message):
+        operator_norm(sys_h6, which=which, contrast=contrast)
+    with pytest.raises(ValueError, match=message):
+        solve_density(sys_h6, contrast, unit_inc(sys_h6.n_cells))
+
+
 def test_operator_norm_scales_with_q(sys_h6):
     big = operator_norm(sys_h6, which="qR_kappa", contrast=iso_contrast(1.0, 2.0))
     small = operator_norm(sys_h6, which="qR_kappa", contrast=iso_contrast(1.0, 1.4))
@@ -497,7 +516,7 @@ def _reference_matrix(sys, contrast, form):
     if form == "sigma":
         return sys.dense(*_system_factors(contrast, sys.bg))
     # I - Q R = I - Q - 2 Q A^{1/2} gradW A^{1/2}
-    Q, Ah, _ = vie._contrast_parts(contrast, sys.bg)
+    Q, Ah = vie._contrast_parts(contrast, sys.bg)[0], sys.bg.sqrt_A
     return sys.dense(-2.0 * Q @ Ah, Ah, np.eye(3) - Q)
 
 
