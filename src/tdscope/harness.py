@@ -244,6 +244,7 @@ def validate_config(cfg):
             problems.append("points_per_decade must be >= 8")
         if not all(0.0 < np.linalg.norm(ray) < np.inf for ray in v["rays"]):
             problems.append("every ray needs a nonzero finite direction")
+        problems += _matched_media(cfg)
     for key in ("scatterer_A", "trial_A"):
         if v[key] is None:
             continue
@@ -481,6 +482,16 @@ def _one_sign(medium, label):
     return float(vals.pop()) if vals else 0.0
 
 
+def _matched_media(cfg):
+    """Problems for a scatterer or trial with zero contrast: T vanishes at
+    every sample, and the decay study has nothing to fit."""
+    a = cfg.background_a
+    return [f"{key} = {cfg.values[key]} equals background_a: the decay study needs "
+            f"a nonzero {key.split('_')[0]} contrast"
+            for key in ("scatterer_a", "trial_a")
+            if a > 0 and cfg.values[key] > 0 and iso_contrast(a, cfg.values[key]).q == 0.0]
+
+
 def run_decay_study(cfg):
     """Log-log decay of |T| under the two-scale window scaling.
 
@@ -495,6 +506,10 @@ def run_decay_study(cfg):
     factor is constant to O((kappa R)^-2), so the slope is the raw one; at
     kappa = 0 it removes the pure R^-4 dilution of a growing non-radiating
     sphere, leaving the distance dependence the study is after.
+
+    All samples of one window exponent are mapped by one call of
+    imaging._td_map_spheres, which pairs the one solved wave response of
+    the scatterer against the waves of every sample at once.
     """
     t0 = time.monotonic()
     bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
@@ -502,6 +517,9 @@ def run_decay_study(cfg):
     trial = _trial(cfg, bg)
     if not hasattr(contrast, "q") or not hasattr(trial, "q"):
         raise ValueError("the decay study uses scalar contrasts")
+    matched = _matched_media(cfg)
+    if matched:
+        raise ValueError(matched[0])
     sys = _system(cfg, bg)
     cert = operator_norm(sys, which="qR_kappa", contrast=contrast)
     shape = _shape(cfg)
@@ -513,25 +531,19 @@ def run_decay_study(cfg):
         etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, cfg.points_per_decade)
                                   / (1.0 - alpha))
         dists = shape.diameter * etas ** (-(1.0 - alpha))
-        per_ray = []
-        for ray in cfg.rays:
-            ray = np.asarray(ray, dtype=float)
-            ray = ray / np.linalg.norm(ray)
-            rows = []
-            for etap, dist in zip(etas, dists):
-                radius = shape.diameter / etap
-                order = imaging.surface_order_hint(cfg.kappa, dist + reach, reach)
-                surf = _surface(cfg, radius, order)
-                z = center + (reach + dist) * ray
-                tmap = imaging.td_map_iso(sys, contrast, trial, surf, z[None, :],
-                                          certificate=cert)
-                factors.add(tmap.kernel_factor)
-                ranks.add(tmap.kernel_rank)
-                scale = ((1.0 + (cfg.kappa * radius) ** 2)
-                         / (12.0 * np.pi * radius**2)) ** 2
-                raw = float(abs(tmap.values[0]))
-                rows.append((float(dist), raw, raw / scale))
-            per_ray.append(rows)
+        radii = shape.diameter / etas
+        surfs = [_surface(cfg, radius, imaging.surface_order_hint(cfg.kappa, dist + reach, reach))
+                 for radius, dist in zip(radii, dists)]
+        rays = np.array([ray / np.linalg.norm(ray) for ray in np.asarray(cfg.rays, dtype=float)])
+        zs = center + (reach + dists)[None, :, None] * rays[:, None, :]
+        values, used = imaging._td_map_spheres(sys, contrast, trial, surfs * len(rays),
+                                               zs.reshape(-1, 3), certificate=cert)
+        factors.update(kind for kind, _ in used)
+        ranks.update(rank for _, rank in used)
+        scale = ((1.0 + (cfg.kappa * radii) ** 2) / (12.0 * np.pi * radii**2)) ** 2
+        per_ray = [[(float(dist), float(raw), float(raw / sc))
+                    for dist, raw, sc in zip(dists, row, scale)]
+                   for row in np.abs(values).reshape(len(rays), -1)]
         usable = [(d, v) for rows in per_ray for d, _, v in rows if v > 0.0]
         if len(usable) < 8:
             raise ValueError("decay study has fewer than 8 usable points")

@@ -37,7 +37,9 @@ P factor fields on the voxel grid, and S(z) = b(z)^T T_m conj(b(z)) with
 the factor's response T_m = 1/2 b^H M_B b.  The spectral factor takes
 T_m = D T_w D: the response T_w of the unscaled regular waves is solved
 once and cached on the system, and the surface radius enters only through
-the diagonal D.  The node factor solves its K node fields for each map.
+the diagonal D, so _td_map_spheres maps sample points that each lie on
+their own sphere with one pairing against T_w per centre and n_max.  The
+node factor solves its K node fields for each map.
 Each map reports the moderate-scatterer certificate, the kernel factor it
 used, and the imaginary residue of the pre-Re pairing.
 
@@ -307,7 +309,8 @@ class _SpectralFactor:
     map are those of the complex basis, up to roundoff.  Re and Im
     of u_nm carry cos(m phi) and sin(m phi), so each v_p is even or odd under
     each coordinate mirror through the centre.  half_log_c holds
-    log sqrt(c_p) per row.
+    log sqrt(c_p) per row; _td_map_spheres keeps one column per sphere
+    radius and folds it into the waves itself.
     """
 
     center: np.ndarray
@@ -318,7 +321,7 @@ class _SpectralFactor:
 
     @property
     def rank(self):
-        return self.half_log_c.size
+        return self.half_log_c.shape[0]
 
     def _rho(self, pts):
         return float(np.linalg.norm(pts - self.center, axis=1).max(initial=0.0)) or 1.0
@@ -337,47 +340,65 @@ class _SpectralFactor:
         rho = self._rho(pts)
         return self._scale(rho)[:, None, None] * self._waves(pts, rho)
 
+    def wave_response(self, sys, contrast):
+        """T_w = 1/2 W^H M_B W of the unscaled waves W on the voxel grid,
+        scaled by the grid's reach from the centre.
+
+        T_w does not depend on the surface radius; it is solved once per
+        system, contrast, centre, k and n_max (the grid fixes its reach) and
+        kept on sys.
+        """
+        centers = sys.grid.centers
+        key = ("regular waves", tuple(self.center), self.k, self.n_max)
+        return sys._response(contrast, key, lambda: _half_pairing(
+            sys, contrast, self._waves(centers, self._rho(centers))))
+
     def response(self, sys, contrast):
         """T_m = 1/2 b^H M_B b on the voxel grid, as D T_w D.
 
-        T_w = 1/2 W^H M_B W is the response of the unscaled waves W; it does
-        not depend on the surface radius and is solved once per system,
-        contrast, centre, k and n_max (the grid fixes rho).  R enters only
-        through D.
+        T_w is the cached response of wave_response; the surface radius
+        enters only through D.  _td_map_spheres pairs T_w itself against
+        waves that carry both diagonals, c (rho_grid rho_z)^(n-1).
         """
-        centers = sys.grid.centers
-        rho = self._rho(centers)
-        key = ("regular waves", tuple(self.center), self.k, self.n_max)
-        t_w = sys._response(contrast, key,
-                            lambda: _half_pairing(sys, contrast, self._waves(centers, rho)))
-        d = self._scale(rho)
-        return d[:, None] * t_w * d
+        d = self._scale(self._rho(sys.grid.centers))
+        return d[:, None] * self.wave_response(sys, contrast) * d
+
+
+def _half_log_c(n_max, k, a, radii):
+    """log sqrt(c_p) of the addition-theorem factor for each packed row
+    p < (n_max + 1)^2 (rows) and sphere radius R (columns), background a I.
+
+    With w_nm = (n + m)! (n - m)!, c_nm = w_nm C_n, where C_n = (2n + 1) /
+    (4 pi a^2) k^2 R^2 |h_n(kR)|^2 k^{2n} / ((2n + 1)!!)^2 for k > 0 and
+    R^{-2n} / ((2n + 1) 4 pi a^2) at k = 0 (its limit); all in logs, with
+    one sph_hankel1 call over (n, R).  Non-finite where |h_n(kR)| leaves the
+    floating-point range.
+    """
+    radii = np.asarray(radii, dtype=float)
+    n, m = _degree_order(n_max)
+    log_w = gammaln(n + m + 1.0) + gammaln(n - m + 1.0)
+    if k > 0.0:
+        h = np.abs(sph_hankel1(np.arange(n_max + 1)[:, None], k * radii))[n]
+        log_c = (np.log((2.0 * n + 1.0) / (4.0 * np.pi * a * a))[:, None]
+                 + 2.0 * (np.log(k * radii) + np.log(h) + (n * np.log(k))[:, None]
+                          - log_odd_factorial(n)[:, None]))
+    else:
+        log_c = ((-2.0 * n)[:, None] * np.log(radii)
+                 - np.log((2.0 * n + 1.0) * 4.0 * np.pi * a * a)[:, None])
+    return 0.5 * (log_c + log_w[:, None])
 
 
 def _spectral_factor(center, radius, a, kappa, reach_z, reach_y):
     """The addition-theorem factor of G on the closed sphere (center, radius)
     in the background a I, for points within reach_z and reach_y of the
     centre; None when the truncation or a coefficient is out of range.
-
-    With k = kappa / sqrt(a) and w_nm = (n + m)! (n - m)!,
-    c_nm = w_nm C_n, where C_n = (2n + 1) / (4 pi a^2) k^2 R^2 |h_n(kR)|^2
-    k^{2n} / ((2n + 1)!!)^2 for k > 0 and R^{-2n} / ((2n + 1) 4 pi a^2) at
-    k = 0 (its limit); all in logs.
+    k = kappa / sqrt(a); the coefficients are those of _half_log_c.
     """
     k = kappa / np.sqrt(a)
     n_max = _spectral_order(k, radius, reach_z, reach_y)
     if n_max is None:
         return None
-    n, m = _degree_order(n_max)
-    log_w = gammaln(n + m + 1.0) + gammaln(n - m + 1.0)
-    if k > 0.0:
-        h = np.abs(sph_hankel1(np.arange(n_max + 1), k * radius))[n]
-        log_c = (np.log((2.0 * n + 1.0) / (4.0 * np.pi * a * a))
-                 + 2.0 * (np.log(k * radius) + np.log(h) + n * np.log(k)
-                          - log_odd_factorial(n)))
-    else:
-        log_c = -2.0 * n * np.log(radius) - np.log((2.0 * n + 1.0) * 4.0 * np.pi * a * a)
-    half_log_c = 0.5 * (log_c + log_w)
+    half_log_c = _half_log_c(n_max, k, a, [radius])[:, 0]
     if not np.all(np.isfinite(half_log_c)):
         return None
     return _SpectralFactor(center=np.asarray(center, dtype=float), k=float(k),
@@ -562,6 +583,14 @@ def _check_points(points):
     return pts
 
 
+def _pair(b_z, t_m, m_z, h3):
+    """-2 h^3 tr(M_z S(z)) per sample before Re, S(z) = b(z)^T T_m conj(b(z)),
+    for the factor b_z of shape (P, Z, 3) and its (P, P) response T_m."""
+    p, nz = b_z.shape[:2]
+    s = np.einsum("pzi,pzj->zij", b_z, (t_m @ b_z.conj().reshape(p, -1)).reshape(p, nz, 3))
+    return -2.0 * h3 * np.einsum("ij,zji->z", m_z, s)
+
+
 def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     """The T(z) contraction shared by every td_map_* regime.
 
@@ -578,23 +607,21 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
 
     With g_i(z) = sum_p conj(b_p(z)_i) b_p for the kernel factor b of
     KernelG.factor, of rank P, S(z) = b(z)^T T_m conj(b(z)) through the
-    factor's response T_m = 1/2 b^H M_B b (P x P) on the voxel grid.  The
-    spectral factor's solved part, the regular-wave response T_w, is cached
-    on sys, so later maps with the same contrast, centre and n_max only scale
-    it (see _SpectralFactor.response); the node factor solves its K fields.
-    kind is the operator_norm operator of the certificate, computed when
-    certificate is None.
+    factor's response T_m = 1/2 b^H M_B b (P x P) on the voxel grid, paired
+    by _pair.  The spectral factor's solved part, the regular-wave response
+    T_w, is cached on sys, so later maps with the same contrast, centre and
+    n_max only scale it (see _SpectralFactor.response); the node factor
+    solves its K fields.  _td_map_spheres pairs the same T_w for samples on
+    spheres of several radii.  kind is the operator_norm operator of the
+    certificate, computed when certificate is None.
     """
     pts = _check_points(points)
     if certificate is None:
         certificate = operator_norm(sys, which=kind, contrast=contrast)
     fac = KernelG(surface=surface, bg=sys.bg).factor(pts, sys.grid.centers)
-    p, nz = fac.rank, pts.shape[0]
     t_m = fac.response(sys, contrast)
     # b(z) only after the solve, whose fields are then freed (peak memory)
-    b_z = fac(pts)
-    s = np.einsum("pzi,pzj->zij", b_z, (t_m @ b_z.conj().reshape(p, -1)).reshape(p, nz, 3))
-    raw = -2.0 * sys.grid.cell_volume * np.einsum("ij,zji->z", m_z, s)
+    raw = _pair(fac(pts), t_m, m_z, sys.grid.cell_volume)
     re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
     scale = float(np.abs(re).max()) if re.size else 0.0
     return TdMap(
@@ -605,7 +632,7 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
         certificate_kind=kind,
         imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
         kernel_factor=fac.kind,
-        kernel_rank=int(p),
+        kernel_rank=int(fac.rank),
     )
 
 
@@ -674,6 +701,75 @@ def td_map_general(sys, contrast, trial, surface, points, certificate=None):
         raise ValueError("trial background tensor must match the system")
     return _td_contract(sys, contrast, surface, points, certificate,
                         "qRq", trial.M_z)
+
+
+def _td_map_spheres(sys, contrast, trial, surfaces, points, certificate=None):
+    """td_map_iso of each sample point z_i on its own sphere surfaces[i]:
+    the values T(z_i) and each sample's (kernel_factor, kernel_rank).
+
+    Samples keep the truncation n_max of their own map and are grouped by
+    centre and n_max, which key the cached wave response T_w.  Per group one
+    regular_wave_gradients call gives the waves W(z_i), scaled by the
+    group's reach rho, and _pair contracts D_i W(z_i) against T_w, where
+    D_i = c(R_i) (rho_grid rho)^(n-1) folds the two diagonals of D T_w D and
+    D b(z); c(R) comes from one sph_hankel1 call over (n, R).  A sample that
+    KernelG.factor would give the node factor (truncation past N_MAX,
+    coefficients out of range, capped sphere, anisotropic background) takes
+    td_map_iso itself.  Points are checked before the first solve and each
+    D before its group's solve: one not finite, or zero at degree 1 (the
+    dipole), is an error rather than a NaN or a vanishing T.
+    """
+    if not isinstance(contrast, IsoContrast):
+        raise TypeError("td_map_iso needs IsoContrast scatterer and trial")
+    m_z = _ball_trial_mz(sys, trial, contrast)
+    pts = _check_points(points)
+    if len(surfaces) != pts.shape[0]:
+        raise ValueError("one surface per sample point")
+    a, grid = sys.bg.iso_a, sys.grid.centers
+    k = sys.bg.kappa / np.sqrt(a) if a is not None else None
+    grid_reach, order = {}, []
+    for surf, z in zip(surfaces, pts):
+        c = tuple(surf.center)
+        if c not in grid_reach:
+            grid_reach[c] = float(np.linalg.norm(grid - surf.center, axis=1).max(initial=0.0))
+        reach_z = float(np.linalg.norm(z - surf.center))
+        if not reach_z < surf.radius:
+            raise ValueError("sample points must lie strictly inside the surface sphere")
+        if not grid_reach[c] < surf.radius:
+            raise ValueError("voxel centers must lie strictly inside the surface sphere")
+        spectral = surf.aperture is None and a is not None
+        order.append(_spectral_order(k, surf.radius, reach_z, grid_reach[c]) if spectral else None)
+    spec = [i for i, n in enumerate(order) if n is not None]
+    if spec:
+        half_log_c = _half_log_c(max(order[i] for i in spec), k, a,
+                                 [surfaces[i].radius for i in spec])
+    groups = {}
+    for j, i in enumerate(spec):
+        if np.all(np.isfinite(half_log_c[:(order[i] + 1) ** 2, j])):
+            groups.setdefault((tuple(surfaces[i].center), order[i]), []).append((i, j))
+    raw = np.zeros(pts.shape[0], dtype=complex)
+    used = [None] * pts.shape[0]
+    for (c, n_max), members in groups.items():
+        idx, cols = (list(t) for t in zip(*members))
+        fac = _SpectralFactor(center=np.asarray(c), k=float(k), n_max=n_max,
+                              half_log_c=half_log_c[:(n_max + 1) ** 2, cols])
+        rho = fac._rho(pts[idx])
+        deg = _degree_order(n_max)[0]
+        d = np.exp(2.0 * fac.half_log_c + ((deg - 1.0) * np.log(fac._rho(grid) * rho))[:, None])
+        if not (np.all(np.isfinite(d)) and np.all(d[1:4] > 0.0)):
+            raise ValueError("spectral coefficients out of floating-point range "
+                             "for the sample spheres")
+        t_w = fac.wave_response(sys, contrast)
+        raw[idx] = _pair(d[:, :, None] * fac._waves(pts[idx], rho), t_w, m_z,
+                         sys.grid.cell_volume)
+        for i in idx:
+            used[i] = (fac.kind, fac.rank)
+    values = raw.real + 0.0  # +0.0 for matched media, as in _td_contract
+    for i in (i for i, u in enumerate(used) if u is None):
+        tmap = td_map_iso(sys, contrast, trial, surfaces[i], pts[i:i + 1], certificate)
+        values[i] = tmap.values[0]
+        used[i] = (tmap.kernel_factor, tmap.kernel_rank)
+    return values, used
 
 
 # ---------------------------------------------------------------------------

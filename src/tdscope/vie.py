@@ -509,9 +509,12 @@ def solve_density(sys, contrast, incident_grad):
 def radiation_matrix(sys, points):
     """Evaluation operator (M, 3N): row p maps h to W_kappa[h](x_p).
 
-    Points must lie outside every voxel (Chebyshev distance >= h/2).
+    Points must be finite and lie outside every voxel (Chebyshev distance
+    >= h/2).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
     centers = sys.grid.centers
     h3 = sys.grid.cell_volume
     half = 0.5 * sys.grid.h

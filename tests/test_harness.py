@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -342,8 +343,9 @@ def test_decay_study_needs_no_surface_quadrature(monkeypatch):
 
 
 def test_decay_study_solves_the_scatterer_once(monkeypatch):
-    # every map shares the system, contrast, centre and n_max: one solve of
-    # the regular-wave response serves all 3 x 8 maps
+    # every sample shares the system, contrast, centre and n_max: one solve
+    # of the regular-wave response serves the 3 x 8 samples of all three
+    # window exponents
     calls = []
     solve = harness.imaging.solve_density
     monkeypatch.setattr(harness.imaging, "solve_density",
@@ -352,6 +354,63 @@ def test_decay_study_solves_the_scatterer_once(monkeypatch):
                              "resolution = 6\ntol_slope = 9\ntol_alpha_pair = 9\n"))
     assert len(calls) == 1
     assert calls[0][0] == int(rep.results["kernel_rank"])
+
+
+def test_decay_study_evaluates_waves_once_per_window_exponent(monkeypatch):
+    # one call for the grid's waves (one n_max), then one per window
+    # exponent for the 2 x 8 samples of both rays
+    calls = []
+    waves = harness.imaging.regular_wave_gradients
+    monkeypatch.setattr(harness.imaging, "regular_wave_gradients",
+                        lambda n, k, x: calls.append(len(x)) or waves(n, k, x))
+    cfg = cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\nresolution = 6\n"
+                   "rays = 1, 0, 0; 0, 1, 1\ntol_slope = 9\ntol_alpha_pair = 9\n")
+    rep = run_study(cfg)
+    assert rep.results["kernel_factor"] == "spectral"
+    assert "," not in rep.results["kernel_rank"]
+    n_cells = harness._system(cfg, harness.Background.isotropic(1.0, 1.0)).n_cells
+    assert calls == [n_cells, 16, 16, 16]
+
+
+def test_decay_study_falls_back_to_single_maps(monkeypatch):
+    # samples on spheres below R = 50 are made to pass N_MAX: each takes its
+    # own node-factor map (quad_order 10, 200 nodes), and every sample of the
+    # fitted sweep equals its td_map_iso value
+    order = harness.imaging._spectral_order
+    monkeypatch.setattr(harness.imaging, "_spectral_order",
+                        lambda k, radius, *reach: None if radius < 50.0 else order(k, radius, *reach))
+    cfg = cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\nresolution = 6\n"
+                   "quad_order = 10\ntol_slope = 9\ntol_alpha_pair = 9\n")
+    rep = run_study(cfg)
+    assert rep.results["kernel_factor"] == "nodes,spectral"
+    bg = harness.Background.isotropic(1.0, 1.0)
+    sys, contrast, trial = harness._system(cfg, bg), harness._contrast(cfg, bg), harness._trial(cfg, bg)
+    etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, 8) / (1.0 - cfg.alpha))
+    kinds = []
+    for etap, (dist, raw, _) in zip(etas, rep.rays[0]):
+        tmap = harness.imaging.td_map_iso(sys, contrast, trial, harness._surface(cfg, 1.0 / etap, 0),
+                                          np.array([[0.5 + dist, 0.0, 0.0]]),
+                                          certificate=rep.results["certificate"])
+        kinds.append(tmap.kernel_factor)
+        assert raw == pytest.approx(abs(tmap.values[0]), rel=1e-12)
+    assert kinds == ["nodes"] * 2 + ["spectral"] * 6
+
+
+@pytest.mark.parametrize("key", ["scatterer_a", "trial_a"])
+def test_decay_study_rejects_matched_media_before_assembling(monkeypatch, key):
+    # a zero contrast makes T vanish at every sample; the run used to
+    # assemble and solve before failing on "fewer than 8 usable points"
+    cfg = cfg_from(f"study = decay\n{key} = 1.0\nresolution = 8\n")
+    problems = harness.validate_config(cfg)
+    assert len(problems) == 1 and problems[0].startswith(f"{key} = 1.0")
+    calls = []
+    assemble = harness.assemble
+    monkeypatch.setattr(harness, "assemble", lambda *args: calls.append(args) or assemble(*args))
+    with pytest.raises(ValueError, match=re.escape(problems[0])):
+        harness.run_decay_study(cfg)
+    with pytest.raises(ValueError, match=re.escape(problems[0])):
+        run_study(cfg)
+    assert calls == []
 
 
 def test_born_study_small():

@@ -668,6 +668,106 @@ def test_cached_response_is_keyed_by_contrast_centre_and_order(ball_grid_h8):
 
 
 # ---------------------------------------------------------------------------
+# one contraction for sample points on spheres of several radii (the decay
+# sweep), against one td_map_iso call per sample
+
+
+def _per_sample(sys, contrast, trial, surfs, pts):
+    maps = [td_map_iso(sys, contrast, trial, s, z[None, :], certificate=1.0)
+            for s, z in zip(surfs, pts)]
+    return (np.array([m.values[0] for m in maps]),
+            [(m.kernel_factor, m.kernel_rank) for m in maps])
+
+
+def _decay_sweep(kappa):
+    """A window sweep at alpha = 0.5 on three rays from a ball of radius 0.5
+    (distances over one decade, radii over two), then the three sphere
+    geometries of test_factors_agree_at_decay_geometries."""
+    etas = 0.01 * 10.0 ** -np.linspace(0.0, 2.0, 8)
+    dists = etas ** -0.5
+    rays = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, -1.0]])
+    surfs = [sphere_surface(1.0 / e, surface_order_hint(kappa, d + 0.5, 0.5))
+             for e, d in zip(etas, dists)] * len(rays)
+    pts = list(((0.5 + dists)[None, :, None] * rays[:, None, :]).reshape(-1, 3))
+    for radius, dist in ((100.0, 10.5), (1000.0, 126.0), (2.15e5, 40.3)):
+        surfs.append(sphere_surface(radius, surface_order_hint(kappa, dist + 0.5, 0.5)))
+        pts.append(dist * np.array([2.0, -1.0, 2.0]) / 3.0)
+    return surfs, np.array(pts)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0], ids=["k1", "k0"])
+def test_sphere_route_matches_per_sample_maps(sys_h8, sys_static_h8, kappa):
+    sys = sys_h8 if kappa > 0.0 else sys_static_h8
+    c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
+    surfs, pts = _decay_sweep(kappa)
+    got, used = imaging._td_map_spheres(sys, c, trial, surfs, pts, certificate=1.0)
+    want, want_used = _per_sample(sys, c, trial, surfs, pts)
+    assert used == want_used
+    assert {kind for kind, _ in used} == {"spectral"}
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_sphere_route_groups_by_centre_and_order_and_falls_back(sys_h8):
+    # two centres, two truncations, a cap rule and a point close to its
+    # sphere (past N_MAX): four spectral groups and two node maps
+    c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
+    off = np.array([0.2, -0.1, 0.1])
+    surfs = [sphere_surface(r, 20, center=ctr) for ctr in (np.zeros(3), off)
+             for r in (3.0, 40.0)]
+    surfs += [sphere_surface(5.0, 8, aperture=2.0), sphere_surface(0.6, 12)]
+    pts = np.array([[1.0, 0.5, 0.0], [0.0, 3.0, 1.0], [0.0, 0.3, -1.5], [2.0, 2.0, 2.0],
+                    [0.5, 0.0, 0.5], [0.0, 0.0, 0.59]])
+    surfs, pts = surfs * 2, np.vstack([pts, -pts])
+    got, used = imaging._td_map_spheres(sys_h8, c, trial, surfs, pts, certificate=1.0)
+    want, want_used = _per_sample(sys_h8, c, trial, surfs, pts)
+    assert used == want_used
+    assert [kind for kind, _ in used[:6]] == ["spectral"] * 4 + ["nodes"] * 2
+    assert len({rank for _, rank in used[:4]}) >= 2
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_sphere_route_coefficients_out_of_range(sys_h8, monkeypatch):
+    c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
+    # the first ray of the sweep, on rules of 200 nodes for the node maps
+    surfs, pts = _decay_sweep(1.0)
+    surfs, pts = [sphere_surface(s.radius, 10) for s in surfs[:8]], pts[:8]
+    half_log_c = imaging._half_log_c
+    # non-finite coefficients past a radius: those samples, like their
+    # single maps, take the node factor
+    with monkeypatch.context() as m:
+        m.setattr(imaging, "_half_log_c", lambda n_max, k, a, radii: np.where(
+            np.asarray(radii) > 2000.0, np.inf, half_log_c(n_max, k, a, radii)))
+        got, used = imaging._td_map_spheres(sys_h8, c, trial, surfs, pts, certificate=1.0)
+        want, want_used = _per_sample(sys_h8, c, trial, surfs, pts)
+    assert used == want_used
+    assert [kind for kind, _ in used] == ["spectral"] * 5 + ["nodes"] * 3
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # finite coefficients whose folded diagonal underflows: an error, not a zero map
+    monkeypatch.setattr(imaging, "_half_log_c", lambda *args: half_log_c(*args) - 400.0)
+    with pytest.raises(ValueError, match="out of floating-point range"):
+        imaging._td_map_spheres(sys_h8, c, trial, surfs, pts, certificate=1.0)
+
+
+def test_sphere_route_checks_every_point_before_solving(sys_h8, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the checks")
+
+    monkeypatch.setattr(imaging, "solve_density", no_solve)
+    c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
+    surfs = [sphere_surface(5.0, 20), sphere_surface(5.0, 20)]
+    good = np.array([1.0, 0.0, 0.0])
+    for pts, surfs_, match in (
+            ([good, [0.0, 5.0, 0.0]], surfs, "sample points must lie strictly inside"),
+            ([good, [np.nan, 0.0, 0.0]], surfs, "sample points must be finite"),
+            ([good, [0.1, 0.0, 0.0]], [surfs[0], sphere_surface(0.4, 20)], "voxel centers must"),
+            ([good], surfs, "one surface per sample point")):
+        with pytest.raises(ValueError, match=match):
+            imaging._td_map_spheres(sys_h8, c, trial, surfs_, np.array(pts), certificate=1.0)
+    with pytest.raises(TypeError):
+        imaging._td_map_spheres(sys_h8, c, mz_ball_iso(1.0, 0.5), surfs, np.array([good, good]))
+
+
+# ---------------------------------------------------------------------------
 # the spectral factor in the real basis of the regular waves
 
 

@@ -833,6 +833,16 @@ def test_radiation_matrix_matches_scattered_field(sys_h6, rng):
     assert raw == pytest.approx(direct[0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_radiation_matrix_rejects_non_finite_points(sys_h6, bad):
+    dens = np.ones((sys_h6.n_cells, 3), dtype=complex)
+    pts = np.array([[2.0, 0.5, -1.0], [bad, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="evaluation points must be finite"):
+        radiation_matrix(sys_h6, pts)
+    with pytest.raises(ValueError, match="evaluation points must be finite"):
+        scattered_field(sys_h6, dens, pts[1])
+
+
 def test_point_source_reciprocity(sys_h6, bg_unit):
     # total field symmetry under source/receiver exchange
     c = iso_contrast(1.0, 2.0)
