@@ -1,8 +1,8 @@
-"""Command line: run a study config or validate its schema.
+"""Command line: run a study config or check it without running.
 
 `tdscope run <config> [--out DIR] [--threads N] [--seed S]` executes the
 study named in the config and writes report.json plus any CSV outputs.
-`tdscope validate <config>` only parses and schema-checks.  Exit codes:
+`tdscope validate <config>` runs the checks of the study's set-up.  Exit codes:
 0 all PASS (or NEUTRAL), 2 any FAIL, 3 INCONCLUSIVE certificate, 1 error.
 """
 
@@ -43,7 +43,7 @@ def main(argv=None):
                       help="BLAS thread cap (default 1, or TDSCOPE_THREADS)")
     runp.add_argument("--seed", type=int, default=None,
                       help="override the config seed")
-    valp = sub.add_parser("validate", help="schema-check a config file")
+    valp = sub.add_parser("validate", help="check a config without running it")
     valp.add_argument("config")
     args = parser.parse_args(argv)
 
@@ -78,7 +78,7 @@ def main(argv=None):
                 report = harness.run_study(cfg)
         else:
             report = harness.run_study(cfg)
-    except (RuntimeError, ValueError, MemoryError) as exc:
+    except (RuntimeError, ValueError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,6 @@ __all__ = [
 ]
 
 STATUS_EXIT_CODES = {"PASS": 0, "NEUTRAL": 0, "FAIL": 2, "INCONCLUSIVE": 3}
-
-_STUDIES = ("sign", "decay", "born", "oracle", "finite_delta")
 
 # key -> (type, default); vec values are comma-separated floats, vecs entries
 # are semicolon-separated vec triples
@@ -92,6 +91,66 @@ _SCHEMA = {
     "tol_ratio": ("float", 0.1),
     "tol_born": ("float", 0.2),
 }
+
+
+def _reach(c):
+    """|scatterer_center| + the largest semi-axis, -inf for invalid shape keys."""
+    half = {"ball": (c.scatterer_radius,), "ellipsoid": c.scatterer_semi_axes}
+    half = half.get(c.scatterer_shape) or (0.0,)
+    return float(np.linalg.norm(c.scatterer_center)) + max(half) if min(half) > 0 else -np.inf
+
+
+# Range checks on the parsed values alone: each row gives its problem or a
+# false value.  What needs a model object (contrasts, grids, sample spheres,
+# trial balls) is checked by the study's set-up once every row passes.
+_RANGES = (
+    lambda c: c.study not in _STUDY and f"study must be one of {tuple(_STUDY)}, got {c.study!r}",
+    lambda c: c.kappa < 0 and "kappa must be >= 0",
+    lambda c: c.background_a <= 0 and "background_a must be > 0",
+    lambda c: c.scatterer_shape == "ball" and c.scatterer_radius <= 0
+        and "scatterer_radius must be > 0",
+    lambda c: c.scatterer_shape == "ellipsoid" and c.scatterer_semi_axes is None
+        and "ellipsoid scatterer needs scatterer_semi_axes",
+    lambda c: c.scatterer_shape == "ellipsoid" and min(c.scatterer_semi_axes or [1]) <= 0
+        and "scatterer_semi_axes must be positive",
+    lambda c: c.scatterer_shape not in ("ball", "ellipsoid")
+        and "scatterer_shape must be ball or ellipsoid",
+    lambda c: c.resolution < 4 and "resolution must be >= 4 cells across the diameter",
+    lambda c: not c.surface_radius > _reach(c)
+        and f"surface_radius = {c.surface_radius} does not enclose the scatterer "
+            f"(reach {_reach(c)})",
+    lambda c: c.quad_order is not None and c.quad_order < 1 and "quad_order must be >= 1",
+    lambda c: c.aperture is not None and not 0.0 < c.aperture <= np.pi
+        and "aperture must lie in (0, pi]",
+    lambda c: c.aperture is not None and c.study in ("decay", "finite_delta")
+        and f"the {c.study} study measures on closed spheres; aperture must be unset",
+    lambda c: c.study == "decay" and not 0.0 < c.eta <= 0.1 and "eta must lie in (0, 0.1]",
+    lambda c: c.study == "decay" and len(c.alpha_pair) != 2
+        and "alpha_pair needs exactly 2 values",
+    lambda c: c.study == "decay" and not all(0.0 < al < 1.0 for al in (c.alpha, *c.alpha_pair))
+        and "alpha and each alpha_pair value must lie in (0, 1)",
+    lambda c: c.study == "decay" and c.points_per_decade < 8 and "points_per_decade must be >= 8",
+    lambda c: c.study == "decay" and not all(0.0 < np.linalg.norm(r) < np.inf for r in c.rays)
+        and "every ray needs a nonzero finite direction",
+    lambda c: c.trial_A is not None and min(c.trial_semi_axes) <= 0
+        and "trial_semi_axes must be positive",
+    lambda c: c.study == "born" and not 0.0 < abs(c.born_q0) < 1.0
+        and "born_q0 must lie in (-1, 1), nonzero",
+    lambda c: c.study == "born" and c.born_halvings < 1
+        and "born_halvings must be >= 1: the study checks at least one halving ratio",
+    lambda c: c.study == "finite_delta" and min(c.deltas) <= 0 and "deltas must be positive",
+    lambda c: c.study == "finite_delta" and c.cells_across < 4 and "cells_across must be >= 4",
+    lambda c: c.study == "finite_delta"
+        and not (reach := float(np.linalg.norm(c.delta_point)) + max(c.deltas)) < c.surface_radius
+        and f"the largest trial ball reaches {reach} (|delta_point| + max(deltas)); it must lie "
+            f"strictly inside surface_radius = {c.surface_radius}",
+    lambda c: (c.grid_n < 1 or c.grid_extent <= 0)
+        and "sampling grid needs grid_n >= 1 and grid_extent > 0",
+    lambda c: c.study == "sign"
+        and not (reach := np.sqrt(3.0) * c.grid_extent) < c.surface_radius
+        and f"the sampling cube's corners reach {reach} (sqrt(3) grid_extent); they must lie "
+            f"strictly inside surface_radius = {c.surface_radius}",
+)
 
 
 @dataclass(frozen=True)
@@ -183,120 +242,36 @@ def load_config(path):
 
 
 def validate_config(cfg):
-    """List of problems; empty means the config is runnable."""
-    problems = []
-    v = cfg.values
-    if v["study"] not in _STUDIES:
-        problems.append(f"study must be one of {_STUDIES}, got {v['study']!r}")
-    if v["kappa"] < 0:
-        problems.append("kappa must be >= 0")
-    if v["background_a"] <= 0:
-        problems.append("background_a must be > 0")
-    shape_ok = False
-    if v["scatterer_shape"] == "ball":
-        shape_ok = v["scatterer_radius"] > 0
-        if not shape_ok:
-            problems.append("scatterer_radius must be > 0")
-    elif v["scatterer_shape"] == "ellipsoid":
-        if v["scatterer_semi_axes"] is None:
-            problems.append("ellipsoid scatterer needs scatterer_semi_axes")
-        elif min(v["scatterer_semi_axes"]) <= 0:
-            problems.append("scatterer_semi_axes must be positive")
-        else:
-            shape_ok = True
-    else:
-        problems.append("scatterer_shape must be ball or ellipsoid")
-    if v["resolution"] < 4:
-        problems.append("resolution must be >= 4 cells across the diameter")
-    if shape_ok:
-        shape = _shape(cfg)
-        reach = float(np.linalg.norm(shape.center)) + shape.diameter / 2.0
-        r = v["surface_radius"]
-        if r <= reach:
-            problems.append(
-                f"surface_radius = {r} does not enclose the scatterer (reach {reach})"
-            )
-        if v["resolution"] >= 4:
-            try:
-                n = voxelize(shape, shape.diameter / v["resolution"]).n_cells
-            except ValueError as exc:
-                problems.append(str(exc))
-            else:
-                if n > vie.VOXEL_CAP:
-                    problems.append(f"resolution = {v['resolution']} gives {n} voxels, "
-                                    f"which exceed the cap {vie.VOXEL_CAP}; coarsen the grid")
-    if v["quad_order"] is not None and v["quad_order"] < 1:
-        problems.append("quad_order must be >= 1")
-    if v["aperture"] is not None and not 0.0 < v["aperture"] <= np.pi:
-        problems.append("aperture must lie in (0, pi]")
-    if v["aperture"] is not None and v["study"] in ("decay", "finite_delta"):
-        problems.append(f"the {v['study']} study measures on closed spheres; "
-                        "aperture must be unset")
-    if v["study"] == "decay":
-        if not 0.0 < v["eta"] <= 0.1:
-            problems.append("eta must lie in (0, 0.1]")
-        if len(v["alpha_pair"]) != 2:
-            problems.append("alpha_pair needs exactly 2 values")
-        for al in (v["alpha"], *v["alpha_pair"]):
-            if not 0.0 < al < 1.0:
-                problems.append(f"alpha {al} must lie in (0, 1)")
-        if v["points_per_decade"] < 8:
-            problems.append("points_per_decade must be >= 8")
-        if not all(0.0 < np.linalg.norm(ray) < np.inf for ray in v["rays"]):
-            problems.append("every ray needs a nonzero finite direction")
-        problems += _matched_media(cfg)
-    for key in ("scatterer_A", "trial_A"):
-        if v[key] is None:
-            continue
-        what = key.split("_")[0]
-        if v["study"] == "decay" or (v["study"], key) == ("finite_delta", "trial_A"):
-            problems.append(f"{key} must be unset: the {v['study']} study takes a scalar {what}")
-        elif len(v[key]) not in (3, 6):
-            problems.append(f"{key} needs 3 (diagonal) or 6 (packed) entries")
-        elif not _tensor_from_vec(v[key]).is_positive_definite():
-            problems.append(f"{key} must be positive definite")
-        elif v["study"] == "sign" and v["background_a"] > 0:
-            try:
-                _one_sign(aniso_contrast(SymTensor3.scaled_identity(v["background_a"]),
-                                         _tensor_from_vec(v[key])), what)
-            except ValueError as exc:
-                problems.append(f"{key} gives a mixed-sign contrast: {exc}")
-    if v["trial_A"] is not None and min(v["trial_semi_axes"]) <= 0:
-        problems.append("trial_semi_axes must be positive")
-    if v["study"] == "born" and not 0.0 < abs(v["born_q0"]) < 1.0:
-        problems.append("born_q0 must lie in (-1, 1), nonzero")
-    if v["study"] == "born" and v["born_halvings"] < 1:
-        problems.append("born_halvings must be >= 1: the study checks at least one halving ratio")
-    if v["study"] == "finite_delta":
-        if any(d <= 0 for d in v["deltas"]):
-            problems.append("deltas must be positive")
-        if v["cells_across"] < 4:
-            problems.append("cells_across must be >= 4")
-        elif all(d > 0 for d in v["deltas"]):
-            try:
-                imaging._trial_balls(v["delta_point"], v["deltas"], v["cells_across"])
-            except MemoryError as exc:
-                problems.append(str(exc))
-        reach = float(np.linalg.norm(v["delta_point"])) + max(v["deltas"])
-        if not reach < v["surface_radius"]:
-            problems.append(f"the largest trial ball reaches {reach} (|delta_point| + "
-                            f"max(deltas)); it must lie strictly inside surface_radius = "
-                            f"{v['surface_radius']}")
-    if v["grid_n"] < 1 or v["grid_extent"] <= 0:
-        problems.append("sampling grid needs grid_n >= 1 and grid_extent > 0")
-    if v["study"] == "sign" and not np.sqrt(3.0) * v["grid_extent"] < v["surface_radius"]:
-        problems.append(f"the sampling cube's corners reach {np.sqrt(3.0) * v['grid_extent']} "
-                        f"(sqrt(3) grid_extent); they must lie strictly inside "
-                        f"surface_radius = {v['surface_radius']}")
-    if v["scatterer_a"] <= 0:
-        problems.append("scatterer_a must be > 0")
-    if v["trial_a"] <= 0:
-        problems.append("trial_a must be > 0")
+    """List of problems; empty means the config is runnable.
+
+    Once every row of _RANGES passes, the study's set-up, the one its runner
+    starts with, adds its error as the last problem: a config passes exactly
+    when its run reaches the first assembly or kernel evaluation.
+    """
+    problems = [p for p in (row(cfg) for row in _RANGES) if p]
+    if not problems:
+        try:
+            _STUDY[cfg.study][0](cfg)
+        except (ValueError, MemoryError) as exc:
+            problems.append(str(exc))
     return problems
 
 
 # ---------------------------------------------------------------------------
 # config -> model objects
+
+
+@contextmanager
+def _building(cfg, *keys):
+    """Build model objects from the values of keys: a ValueError, or a number
+    out of floating-point range, becomes a ValueError that names them."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (ValueError, ArithmeticError) as exc:
+        why = exc if isinstance(exc, ValueError) else "out of floating-point range"
+        named = ", ".join(f"{key} = {cfg.values[key]}" for key in keys)
+        raise ValueError(f"{named}: {why}") from None
 
 
 def _shape(cfg):
@@ -307,32 +282,45 @@ def _shape(cfg):
 
 
 def _tensor_from_vec(vec):
-    vec = tuple(vec)
-    if len(vec) == 3:
-        return SymTensor3.diag(*vec)
-    if len(vec) == 6:
-        return SymTensor3(packed=vec)
-    raise ValueError("tensor values need 3 (diagonal) or 6 (packed) entries")
+    if len(vec) not in (3, 6):
+        raise ValueError("tensor values need 3 (diagonal) or 6 (packed) entries")
+    return SymTensor3.diag(*vec) if len(vec) == 3 else SymTensor3(packed=tuple(vec))
 
 
 def _contrast(cfg, bg):
     if cfg.scatterer_A is not None:
-        return aniso_contrast(bg.A, _tensor_from_vec(cfg.scatterer_A))
-    return iso_contrast(cfg.background_a, cfg.scatterer_a)
+        with _building(cfg, "scatterer_A"):
+            return aniso_contrast(bg.A, _tensor_from_vec(cfg.scatterer_A))
+    with _building(cfg, "scatterer_a", "background_a"):
+        return iso_contrast(cfg.background_a, cfg.scatterer_a)
 
 
 def _trial(cfg, bg):
     """IsoContrast for scalar trials, PolarizationTensor for tensor trials."""
     if cfg.trial_A is not None:
-        return mz_ellipsoid(bg.A, _tensor_from_vec(cfg.trial_A),
-                            tuple(cfg.trial_semi_axes))
-    return iso_contrast(cfg.background_a, cfg.trial_a)
+        with _building(cfg, "trial_A", "trial_semi_axes"):
+            return mz_ellipsoid(bg.A, _tensor_from_vec(cfg.trial_A), tuple(cfg.trial_semi_axes))
+    with _building(cfg, "trial_a", "background_a"):
+        return iso_contrast(cfg.background_a, cfg.trial_a)
 
 
-def _system(cfg, bg):
+def _media(cfg):
+    """The background, the scatterer's contrast and the trial."""
+    with _building(cfg, "background_a", "kappa"):
+        bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
+    return bg, _contrast(cfg, bg), _trial(cfg, bg)
+
+
+def _grid(cfg):
+    """The scatterer's voxel grid; MemoryError past vie.VOXEL_CAP cells."""
     shape = _shape(cfg)
-    grid = voxelize(shape, shape.diameter / cfg.resolution)
-    return assemble(grid, bg)
+    size = "scatterer_radius" if cfg.scatterer_shape == "ball" else "scatterer_semi_axes"
+    with _building(cfg, size, "scatterer_center", "resolution"):
+        grid = voxelize(shape, shape.diameter / cfg.resolution)
+    if grid.n_cells > vie.VOXEL_CAP:
+        raise MemoryError(f"resolution = {cfg.resolution} gives {grid.n_cells} voxels, "
+                          f"which exceed the cap {vie.VOXEL_CAP}; coarsen the grid")
+    return grid
 
 
 def _surface(cfg, radius, order):
@@ -347,6 +335,19 @@ def _sample_points(cfg):
     extent = cfg.grid_extent if cfg.grid_n > 1 else 0.0
     ax = np.linspace(-extent, extent, cfg.grid_n)
     return np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _one_sign(medium, key):
+    """sign(q) of a scalar contrast (0 for matched media), else the common
+    sign of sigma2, or of sigma_z2 for a trial tensor; key names the tensor."""
+    if isinstance(medium, IsoContrast):
+        return float(np.sign(medium.q))
+    sigma2 = medium.sigma_z2 if isinstance(medium, PolarizationTensor) else medium.sigma2
+    vals = {int(v) for v in np.diagonal(sigma2) if v != 0}
+    if len(vals) > 1:
+        raise ValueError(f"{key} gives a mixed-sign contrast: the {key.split('_')[0]} "
+                         "contrast must be one-signed for the sign study")
+    return float(vals.pop()) if vals else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +372,8 @@ class StudyReport:
 
     def to_json_dict(self):
         # wall clock stays out: emitted reports are byte-stable across reruns
-        return {
-            "study": self.study,
-            "status": self.status,
-            "checks": self.checks,
-            "results": self.results,
-            "config": self.config,
-            "tol_overrides": self.tol_overrides,
-            "version": self.version,
-            "seed": self.seed,
-            "kappa_diam": self.kappa_diam,
-            "kappa_R": self.kappa_R,
-        }
+        return {k: v for k, v in vars(self).items()
+                if k not in ("wall_clock_s", "tdmap", "rays")}
 
 
 def _check(name, value, tol, passed):
@@ -394,26 +385,32 @@ def _status_from_checks(checks):
 
 
 def _report(cfg, study, status, checks, results, t0, tdmap=None, rays=None):
-    shape = _shape(cfg)
     return StudyReport(
-        study=study,
-        status=status,
-        checks=checks,
-        results=results,
-        config=cfg.echo(),
-        tol_overrides=cfg.overrides(),
-        version=__version__,
-        seed=cfg.seed,
-        kappa_diam=cfg.kappa * shape.diameter,
-        kappa_R=cfg.kappa * cfg.surface_radius,
-        wall_clock_s=time.monotonic() - t0,
-        tdmap=tdmap,
-        rays=list(rays or []),
-    )
+        study=study, status=status, checks=checks, results=results, config=cfg.echo(),
+        tol_overrides=cfg.overrides(), version=__version__, seed=cfg.seed,
+        kappa_diam=cfg.kappa * _shape(cfg).diameter, kappa_R=cfg.kappa * cfg.surface_radius,
+        wall_clock_s=time.monotonic() - t0, tdmap=tdmap, rays=list(rays or []))
 
 
 # ---------------------------------------------------------------------------
-# studies
+# studies: each runner starts with its set-up, which validate_config runs too.
+# A set-up builds the run's cheap objects, with no assembly and no solve, and
+# raises ValueError or MemoryError on the first problem.
+
+
+def _sign_setup(cfg):
+    """Media, predicted sign, grid, sample points and surface."""
+    bg, contrast, trial = _media(cfg)
+    # + 0.0: matched media predict +0.0, not -0.0
+    expected = -_one_sign(contrast, "scatterer_A") * _one_sign(trial, "trial_A") + 0.0
+    grid = _grid(cfg)
+    with _building(cfg, "kappa", "grid_extent"):
+        pts = _sample_points(cfg)
+        order = imaging.surface_order_hint(
+            cfg.kappa, float(np.linalg.norm(pts, axis=1).max()),
+            float(np.linalg.norm(grid.centers, axis=1).max()))
+        surf = _surface(cfg, cfg.surface_radius, order)
+    return bg, contrast, trial, expected, grid, pts, surf
 
 
 def run_sign_study(cfg):
@@ -424,17 +421,8 @@ def run_sign_study(cfg):
     zero contrast is NEUTRAL.
     """
     t0 = time.monotonic()
-    bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    contrast = _contrast(cfg, bg)
-    trial = _trial(cfg, bg)
-    # + 0.0: matched media predict +0.0, not -0.0
-    expected = -_one_sign(contrast, "scatterer") * _one_sign(trial, "trial") + 0.0
-    sys = _system(cfg, bg)
-    pts = _sample_points(cfg)
-    order = imaging.surface_order_hint(
-        cfg.kappa, float(np.linalg.norm(pts, axis=1).max()),
-        float(np.linalg.norm(sys.grid.centers, axis=1).max()))
-    surf = _surface(cfg, cfg.surface_radius, order)
+    bg, contrast, trial, expected, grid, pts, surf = _sign_setup(cfg)
+    sys = assemble(grid, bg)
 
     if isinstance(trial, IsoContrast):
         if isinstance(contrast, IsoContrast):
@@ -470,26 +458,35 @@ def run_sign_study(cfg):
                    tdmap=tmap)
 
 
-def _one_sign(medium, label):
-    """sign(q) of a scalar contrast (0 for matched media), else the common
-    sign of sigma2, or of sigma_z2 for a trial tensor."""
-    if isinstance(medium, IsoContrast):
-        return float(np.sign(medium.q))
-    sigma2 = medium.sigma_z2 if isinstance(medium, PolarizationTensor) else medium.sigma2
-    vals = {int(v) for v in np.diagonal(sigma2) if v != 0}
-    if len(vals) > 1:
-        raise ValueError(f"{label} contrast must be one-signed for the sign study")
-    return float(vals.pop()) if vals else 0.0
-
-
-def _matched_media(cfg):
-    """Problems for a scatterer or trial with zero contrast: T vanishes at
-    every sample, and the decay study has nothing to fit."""
-    a = cfg.background_a
-    return [f"{key} = {cfg.values[key]} equals background_a: the decay study needs "
-            f"a nonzero {key.split('_')[0]} contrast"
-            for key in ("scatterer_a", "trial_a")
-            if a > 0 and cfg.values[key] > 0 and iso_contrast(a, cfg.values[key]).q == 0.0]
+def _decay_setup(cfg):
+    """Media, grid, and per window exponent in (alpha, *alpha_pair) the sample
+    distances, their aperture scales, and every ray's spheres and points."""
+    for key in ("scatterer_A", "trial_A"):
+        if cfg.values[key] is not None:
+            raise ValueError(f"{key} must be unset: the decay study uses scalar contrasts")
+    bg, contrast, trial = _media(cfg)
+    for key, medium in (("scatterer_a", contrast), ("trial_a", trial)):
+        if medium.q == 0.0:
+            # T vanishes at every sample: nothing to fit
+            raise ValueError(f"{key} = {cfg.values[key]} equals background_a: the decay study "
+                             f"needs a nonzero {key.split('_')[0]} contrast")
+    grid = _grid(cfg)
+    shape = _shape(cfg)
+    center, reach = np.asarray(shape.center), shape.diameter / 2.0
+    rays = np.array([ray / np.linalg.norm(ray) for ray in np.asarray(cfg.rays, dtype=float)])
+    sweeps = []
+    for key, alpha in [("alpha", cfg.alpha)] + [("alpha_pair", al) for al in cfg.alpha_pair]:
+        with _building(cfg, key, "eta", "kappa"):
+            etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, cfg.points_per_decade)
+                                      / (1.0 - alpha))
+            dists = shape.diameter * etas ** (-(1.0 - alpha))
+            radii = shape.diameter / etas
+            scale = ((1.0 + (cfg.kappa * radii) ** 2) / (12.0 * np.pi * radii**2)) ** 2
+            surfs = [_surface(cfg, r, imaging.surface_order_hint(cfg.kappa, d + reach, reach))
+                     for r, d in zip(radii, dists)]
+            zs = center + (reach + dists)[None, :, None] * rays[:, None, :]
+        sweeps.append((dists, scale, surfs * len(rays), zs.reshape(-1, 3)))
+    return bg, contrast, trial, grid, sweeps
 
 
 def run_decay_study(cfg):
@@ -512,38 +509,19 @@ def run_decay_study(cfg):
     the scatterer against the waves of every sample at once.
     """
     t0 = time.monotonic()
-    bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    contrast = _contrast(cfg, bg)
-    trial = _trial(cfg, bg)
-    if not hasattr(contrast, "q") or not hasattr(trial, "q"):
-        raise ValueError("the decay study uses scalar contrasts")
-    matched = _matched_media(cfg)
-    if matched:
-        raise ValueError(matched[0])
-    sys = _system(cfg, bg)
+    bg, contrast, trial, grid, sweeps = _decay_setup(cfg)
+    sys = assemble(grid, bg)
     cert = operator_norm(sys, which="qR_kappa", contrast=contrast)
-    shape = _shape(cfg)
-    center = np.asarray(shape.center)
-    reach = shape.diameter / 2.0
     factors, ranks = set(), set()
 
-    def slope_for(alpha):
-        etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, cfg.points_per_decade)
-                                  / (1.0 - alpha))
-        dists = shape.diameter * etas ** (-(1.0 - alpha))
-        radii = shape.diameter / etas
-        surfs = [_surface(cfg, radius, imaging.surface_order_hint(cfg.kappa, dist + reach, reach))
-                 for radius, dist in zip(radii, dists)]
-        rays = np.array([ray / np.linalg.norm(ray) for ray in np.asarray(cfg.rays, dtype=float)])
-        zs = center + (reach + dists)[None, :, None] * rays[:, None, :]
-        values, used = imaging._td_map_spheres(sys, contrast, trial, surfs * len(rays),
-                                               zs.reshape(-1, 3), certificate=cert)
+    def slope_for(dists, scale, surfs, zs):
+        values, used = imaging._td_map_spheres(sys, contrast, trial, surfs, zs,
+                                               certificate=cert)
         factors.update(kind for kind, _ in used)
         ranks.update(rank for _, rank in used)
-        scale = ((1.0 + (cfg.kappa * radii) ** 2) / (12.0 * np.pi * radii**2)) ** 2
         per_ray = [[(float(dist), float(raw), float(raw / sc))
                     for dist, raw, sc in zip(dists, row, scale)]
-                   for row in np.abs(values).reshape(len(rays), -1)]
+                   for row in np.abs(values).reshape(len(cfg.rays), -1)]
         usable = [(d, v) for rows in per_ray for d, _, v in rows if v > 0.0]
         if len(usable) < 8:
             raise ValueError("decay study has fewer than 8 usable points")
@@ -552,7 +530,7 @@ def run_decay_study(cfg):
         (slope, _), cov = np.polyfit(logd, logv, 1, cov=True)
         return float(slope), float(np.sqrt(cov[0, 0])), per_ray
 
-    slope, stderr, per_ray = slope_for(cfg.alpha)
+    slope, stderr, per_ray = slope_for(*sweeps[0])
     expected = -2.0 if cfg.kappa > 0 else 0.0
     checks = [_check(f"slope in {expected}+-{cfg.tol_slope}", slope, cfg.tol_slope,
                      abs(slope - expected) <= cfg.tol_slope)]
@@ -564,10 +542,8 @@ def run_decay_study(cfg):
         "slope_stderr": stderr,
         "expected_slope": expected,
     }
-    pair = []
-    for al in cfg.alpha_pair:
-        s, _, _ = slope_for(al)
-        pair.append({"alpha": al, "slope": s})
+    pair = [{"alpha": al, "slope": slope_for(*sweep)[0]}
+            for al, sweep in zip(cfg.alpha_pair, sweeps[1:])]
     results["kernel_factor"] = ",".join(sorted(factors))
     results["kernel_rank"] = ",".join(str(r) for r in sorted(ranks))
     if len(pair) >= 2:
@@ -580,6 +556,18 @@ def run_decay_study(cfg):
                    rays=per_ray)
 
 
+def _born_setup(cfg):
+    """Background, grid and (q, contrast) per halving of q."""
+    grid = _grid(cfg)
+    a, contrasts, q = cfg.background_a, [], cfg.born_q0
+    with _building(cfg, "born_q0", "background_a", "kappa"):
+        bg = Background.isotropic(a=a, kappa=cfg.kappa)
+        for _ in range(cfg.born_halvings + 1):
+            contrasts.append((q, iso_contrast(a, a * (1.0 + 2.0 * q / (1.0 - q)))))
+            q /= 2.0
+    return bg, grid, contrasts
+
+
 def run_born_study(cfg):
     """Single-pass density error against the full solve over halved contrasts.
 
@@ -588,8 +576,8 @@ def run_born_study(cfg):
     shrinks the error by a factor in [1.5, 3].
     """
     t0 = time.monotonic()
-    bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    sys = _system(cfg, bg)
+    bg, grid, contrasts = _born_setup(cfg)
+    sys = assemble(grid, bg)
     r_norm = operator_norm(sys, which="R_kappa")
     centers = sys.grid.centers
     if cfg.kappa > 0:
@@ -597,28 +585,20 @@ def run_born_study(cfg):
         g = (1j * cfg.kappa * np.exp(1j * cfg.kappa * centers @ d))[:, None] * d
     else:
         g = np.tile(np.array([0.0, 0.0, 1.0]), (centers.shape[0], 1)).astype(complex)
-    qs, errors, certs = [], [], []
-    q = cfg.born_q0
-    for _ in range(cfg.born_halvings + 1):
-        beta = 2.0 * q / (1.0 - q)
-        contrast = iso_contrast(cfg.background_a, cfg.background_a * (1.0 + beta))
+    errors = []
+    for _, contrast in contrasts:
         full = solve_density(sys, contrast, g)
         born = born_density(contrast, g, grid=sys.grid)
-        err = float(np.linalg.norm(born.values - full.values)
-                    / np.linalg.norm(full.values))
-        qs.append(q)
-        errors.append(err)
-        certs.append(abs(q) * r_norm)
-        q /= 2.0
+        errors.append(float(np.linalg.norm(born.values - full.values)
+                            / np.linalg.norm(full.values)))
+    qs = [q for q, _ in contrasts]
+    certs = [abs(q) * r_norm for q in qs]
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     checks = [
         _check("certificate<1 at q0", certs[0], 1.0, certs[0] < 1.0),
-        _check("born_error>tol at q0", errors[0], cfg.tol_born,
-               errors[0] > cfg.tol_born),
-    ]
-    for i, r in enumerate(ratios):
-        checks.append(_check(f"halving_ratio_{i} in [1.5,3]", r, (1.5, 3.0),
-                             1.5 <= r <= 3.0))
+        _check("born_error>tol at q0", errors[0], cfg.tol_born, errors[0] > cfg.tol_born),
+    ] + [_check(f"halving_ratio_{i} in [1.5,3]", r, (1.5, 3.0), 1.5 <= r <= 3.0)
+         for i, r in enumerate(ratios)]
     results = {
         "q": qs,
         "born_error": errors,
@@ -629,12 +609,20 @@ def run_born_study(cfg):
     return _report(cfg, "born", _status_from_checks(checks), checks, results, t0)
 
 
+def _oracle_setup(cfg):
+    """Background of the kernel checks; grid and contrast of the reciprocity
+    check.  The run builds the spheres: the first one, which the first
+    kernel_G call uses, is valid once the rows of _RANGES pass."""
+    with _building(cfg, "kappa"):
+        bg = Background.isotropic(a=1.0, kappa=cfg.kappa if cfg.kappa > 0 else 1.0)
+    return bg, _grid(cfg), _contrast(cfg, bg)
+
+
 def run_oracle_suite(cfg):
     """Cross-checks of every kernel route, the E operator, and reciprocity."""
     t0 = time.monotonic()
-    kappa = cfg.kappa if cfg.kappa > 0 else 1.0
-    bg = Background.isotropic(a=1.0, kappa=kappa)
-    R = cfg.surface_radius
+    bg, grid, contrast = _oracle_setup(cfg)
+    kappa, R = bg.kappa, cfg.surface_radius
     base_order = cfg.quad_order if cfg.quad_order is not None else 30
     scale = min(1.0 / kappa, R / 4.0)
     z = np.array([1.5, -1.0, 2.0]) * scale
@@ -693,7 +681,7 @@ def run_oracle_suite(cfg):
     val = float(np.abs(g_cap - g_quad).max() / np.abs(g_quad).max())
     checks.append(_check("aperture_pi_closed_identity", val, 1e-12, val <= 1e-12))
 
-    val = _reciprocity_error(cfg, bg)
+    val = _reciprocity_error(cfg, assemble(grid, bg), contrast)
     checks.append(_check("reciprocity_random_pairs", val, 1e-3, val < 1e-3))
 
     results = {c["name"]: c["value"] for c in checks}
@@ -701,10 +689,8 @@ def run_oracle_suite(cfg):
     return _report(cfg, "oracle", _status_from_checks(checks), checks, results, t0)
 
 
-def _reciprocity_error(cfg, bg):
+def _reciprocity_error(cfg, sys, contrast):
     """Max relative asymmetry of source/receiver swaps over random pairs."""
-    sys = _system(cfg, bg)
-    contrast = _contrast(cfg, bg)
     rng = np.random.default_rng(cfg.seed)
     shape = _shape(cfg)
     center = np.asarray(shape.center)
@@ -712,7 +698,7 @@ def _reciprocity_error(cfg, bg):
     u /= np.linalg.norm(u, axis=2, keepdims=True)
     x = center + 2.0 * shape.diameter * u
     # fields 2p and 2p + 1 are the point sources at x[p, 1] and x[p, 0]
-    g = grad_phi(bg, sys.grid.centers - x[:, ::-1].reshape(-1, 1, 3))
+    g = grad_phi(sys.bg, sys.grid.centers - x[:, ::-1].reshape(-1, 1, 3))
     h = solve_density(sys, contrast, g).values
     worst = 0.0
     for p in range(10):
@@ -724,17 +710,25 @@ def _reciprocity_error(cfg, bg):
     return float(worst)
 
 
+def _finite_delta_setup(cfg):
+    """Media, grid and surface; the trial balls are voxelized only to hold
+    them to vie.VOXEL_CAP."""
+    if cfg.trial_A is not None:
+        raise ValueError("trial_A must be unset: the finite-size study uses a scalar trial")
+    bg, contrast, trial = _media(cfg)
+    grid = _grid(cfg)
+    with _building(cfg, "kappa"):
+        surf = _surface(cfg, cfg.surface_radius, imaging.surface_order_hint(cfg.kappa, 1.0, 1.0))
+    with _building(cfg, "deltas", "delta_point", "cells_across"):
+        imaging._trial_balls(cfg.delta_point, cfg.deltas, cfg.cells_across)
+    return bg, contrast, trial, grid, surf
+
+
 def run_finite_delta_study(cfg):
     """Finite-size misfit increments against delta^3 T(z)."""
     t0 = time.monotonic()
-    bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    contrast = _contrast(cfg, bg)
-    trial = _trial(cfg, bg)
-    if not hasattr(trial, "q"):
-        raise ValueError("the finite-size study uses a scalar trial")
-    sys = _system(cfg, bg)
-    order = imaging.surface_order_hint(cfg.kappa, 1.0, 1.0)
-    surf = _surface(cfg, cfg.surface_radius, order)
+    bg, contrast, trial, grid, surf = _finite_delta_setup(cfg)
+    sys = assemble(grid, bg)
     deltas = sorted(cfg.deltas, reverse=True)
     check = imaging.td_finite_delta_check(sys, contrast, trial, surf,
                                           np.asarray(cfg.delta_point), deltas,
@@ -758,20 +752,23 @@ def run_finite_delta_study(cfg):
                    results, t0)
 
 
-_RUNNERS = {
-    "sign": run_sign_study,
-    "decay": run_decay_study,
-    "born": run_born_study,
-    "oracle": run_oracle_suite,
-    "finite_delta": run_finite_delta_study,
+# study -> (set-up, runner)
+_STUDY = {
+    "sign": (_sign_setup, run_sign_study),
+    "decay": (_decay_setup, run_decay_study),
+    "born": (_born_setup, run_born_study),
+    "oracle": (_oracle_setup, run_oracle_suite),
+    "finite_delta": (_finite_delta_setup, run_finite_delta_study),
 }
 
 
 def run_study(cfg):
-    problems = validate_config(cfg)
+    """The rows of _RANGES, then the study's runner, whose set-up is the rest
+    of validate_config."""
+    problems = [p for p in (row(cfg) for row in _RANGES) if p]
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
-    return _RUNNERS[cfg.study](cfg)
+    return _STUDY[cfg.study][1](cfg)
 
 
 # ---------------------------------------------------------------------------

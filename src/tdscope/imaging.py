@@ -282,7 +282,7 @@ def _spectral_order(k, radius, reach_z, reach_y):
     """
     x = k * min(reach_z, reach_y)
     n = x + max(12.0, 10.0 * np.cbrt(x))
-    q = reach_z * reach_y / radius**2
+    q = (reach_z / radius) * (reach_y / radius)
     if q > 0.0:
         n = max(n, _TAIL_EFOLDS / -np.log(q))
     n = int(np.ceil(n))

@@ -300,8 +300,8 @@ class SphereSurface:
     aperture: float | None = None
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
         _check_rule(self.order, self.aperture)
 
     @cached_property

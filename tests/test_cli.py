@@ -166,6 +166,16 @@ def test_run_memory_error_is_clean(born_cfg, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_arithmetic_error_is_clean(tmp_path, capsys):
+    # kappa R = 5e-6 overflows the L series of the oracle study; an
+    # OverflowError is an error message and exit 1, not a traceback
+    p = tmp_path / "oracle.cfg"
+    p.write_text("study = oracle\nkappa = 1e-6\n")
+    assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_warns_when_thread_cap_unavailable(born_cfg, tmp_path, capsys, monkeypatch):
     # the default one-thread cap needs threadpoolctl too, so its absence is reported
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tdscope import harness
 from tdscope import (
@@ -150,6 +152,106 @@ def test_validate_config_flags_zero_length_rays():
     assert validate_config(cfg_from("study = decay\nrays = 1,0,0; 0,2,0\n")) == []
 
 
+# Boundary values of every schema key but study, kept cheap to build: quad_order <= 60
+# (a rule of order m has 2 m^2 nodes) and kappa <= 10.  None leaves a key
+# unset.
+BOUNDARY = {
+    "kappa": (-1.0, 0.0, 1e-6, 1e-5, 1.0, 10.0),
+    "background_a": (-1.0, 0.0, 1e-300, 2.0, 1e300),
+    "scatterer_shape": ("ball", "ellipsoid", "cube"),
+    "scatterer_radius": (-0.5, 0.0, 1e-300, 0.5, 1e200),
+    "scatterer_semi_axes": (None, (0.5, 0.4, 0.3), (0.5, 0.5, 0.05), (1.0, -1.0, 1.0),
+                            (1e200, 1.0, 1.0)),
+    "scatterer_center": ((0.0, 0.0, 0.0), (0.1, 0.0, 0.0), (1e200, 0.0, 0.0)),
+    "scatterer_a": (-1.0, 0.0, 1e-300, 1.0, 0.5, 1e308),
+    "scatterer_A": (None, (2.0, 2.0, 3.0), (0.5, 2.0, 2.0), (1.0, -1.0, 2.0), (1.0, 2.0),
+                    (2.0, 2.0, 3.0, 0.0, 0.0, 0.0), (1e308, 1.0, 1.0)),
+    "resolution": (3, 4, 6, 40),
+    "surface_radius": (-1.0, 1e-300, 0.3, 5.0, 1e200, 1e300),
+    "aperture": (None, -1.0, 0.0, 1.0, np.pi, 4.0),
+    "quad_order": (None, -3, 0, 1, 60),
+    "trial_a": (0.0, 1e-300, 1.0, 0.5, 1e308),
+    "trial_A": (None, (1.5, 3.0, 2.0), (2.0, 0.5, 1.5), (1.0, 1.0, 0.0), (1e308, 1.0, 1.0)),
+    "trial_semi_axes": ((1.0, 0.0, 1.0), (1e-300, 1.0, 1.0), (1e200, 1.0, 1.0)),
+    "grid_extent": (0.0, 1e-300, 1.0, 3.0, 1e200),
+    "grid_n": (0, 1, 2, 3),
+    "eta": (0.0, 1e-200, 0.01, 0.1, 0.5),
+    "alpha": (0.0, 1e-300, 0.5, 0.9999, 1.0),
+    "alpha_pair": ((0.3, 0.7), (0.3, 0.5, 0.7), (0.9999, 0.5), (1e-300, 0.5)),
+    "rays": (((0.0, 0.0, 0.0),), ((1e-300, 0.0, 0.0),), ((1e300, 1e300, 0.0),),
+             ((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))),
+    "points_per_decade": (7, 8, 60),
+    "born_q0": (-1.0, -0.5, 0.0, 1e-300, 0.9999999999999999, 1.0),
+    "born_halvings": (-1, 0, 1, 60),
+    "deltas": ((0.2, -0.1), (0.0,), (1e-300,), (0.2, 0.1, 0.05), (1e200,)),
+    "delta_point": ((0.2, 0.05, -0.1), (4.9, 0.0, 0.0), (1e200, 0.0, 0.0)),
+    "cells_across": (3, 4, 8, 40),
+    "seed": (0, 7),
+    "out": ("", "elsewhere"),
+    "tol_slope": (0.0, 0.3),
+    "tol_alpha_pair": (0.0, 0.2),
+    "tol_ratio": (0.0, 0.1),
+    "tol_born": (0.0, 0.2),
+}
+STUDIES = ("sign", "decay", "born", "oracle", "finite_delta")
+
+
+def config_text(values):
+    def text(v):
+        if isinstance(v, tuple):
+            sep = "; " if isinstance(v[0], tuple) else ", "
+            return sep.join(text(e) for e in v)
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return "".join(f"{k} = {text(v)}\n" for k, v in values.items() if v is not None)
+
+
+@st.composite
+def boundary_configs(draw):
+    """A study and up to five other keys at boundary values."""
+    keys = draw(st.lists(st.sampled_from(sorted(BOUNDARY)), max_size=5, unique=True))
+    values = {"study": draw(st.sampled_from(STUDIES))}
+    values.update((k, draw(st.sampled_from(BOUNDARY[k]))) for k in keys)
+    return values
+
+
+class Reached(Exception):
+    """Raised in place of the first assembly or kernel evaluation of a run."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(boundary_configs())
+@example({"study": "finite_delta", "deltas": (1e-300,)})
+@example({"study": "decay", "background_a": 1e-300})
+@example({"study": "sign", "scatterer_a": 1e308})
+@example({"study": "sign", "scatterer_radius": 1e200})
+@example({"study": "sign", "scatterer_radius": 1e200, "surface_radius": 1e201})
+@example({"study": "decay", "alpha": 0.9999})
+def test_validate_passes_exactly_the_configs_whose_run_reaches_assembly(values):
+    # validate never raises on a parsed config, and says ok exactly when the
+    # run gets past its set-up; a run that stops first raises ValueError or
+    # MemoryError, never another error
+    cfg = cfg_from(config_text(values))
+    problems = validate_config(cfg)
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "assemble", reached)
+        mp.setattr(harness.imaging, "kernel_G", reached)
+        try:
+            run_study(cfg)
+        except Reached:
+            assert problems == []
+        except (ValueError, MemoryError) as exc:
+            assert problems != [], exc
+        else:
+            raise AssertionError("the run returned without assembling")
+
+
 @pytest.mark.parametrize("line", ["kappa = nan", "grid_extent = nan",
                                   "scatterer_A = 1, inf, 2", "rays = nan,0,0"])
 def test_parse_config_rejects_non_finite(line):
@@ -265,7 +367,7 @@ def test_sign_study_mixed_trial_raises_before_solving(monkeypatch):
     def no_system(*args):
         raise AssertionError("the system was assembled")
 
-    monkeypatch.setattr(harness, "_system", no_system)
+    monkeypatch.setattr(harness, "assemble", no_system)
     cfg = cfg_from("study = sign\ntrial_A = 2, 0.5, 1.5\nresolution = 8\ngrid_n = 3\n")
     with pytest.raises(ValueError, match="trial contrast must be one-signed"):
         run_study(cfg)
@@ -368,7 +470,7 @@ def test_decay_study_evaluates_waves_once_per_window_exponent(monkeypatch):
     rep = run_study(cfg)
     assert rep.results["kernel_factor"] == "spectral"
     assert "," not in rep.results["kernel_rank"]
-    n_cells = harness._system(cfg, harness.Background.isotropic(1.0, 1.0)).n_cells
+    n_cells = harness._grid(cfg).n_cells
     assert calls == [n_cells, 16, 16, 16]
 
 
@@ -384,7 +486,8 @@ def test_decay_study_falls_back_to_single_maps(monkeypatch):
     rep = run_study(cfg)
     assert rep.results["kernel_factor"] == "nodes,spectral"
     bg = harness.Background.isotropic(1.0, 1.0)
-    sys, contrast, trial = harness._system(cfg, bg), harness._contrast(cfg, bg), harness._trial(cfg, bg)
+    sys = harness.assemble(harness._grid(cfg), bg)
+    contrast, trial = harness._contrast(cfg, bg), harness._trial(cfg, bg)
     etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, 8) / (1.0 - cfg.alpha))
     kinds = []
     for etap, (dist, raw, _) in zip(etas, rep.rays[0]):
@@ -474,6 +577,23 @@ def test_finite_delta_study_solves_each_system_once(monkeypatch):
     res = rep.results
     assert (res["kernel_factor"], res["kernel_rank"]) == ("spectral", 196)
     assert solved == [res["kernel_rank"]] * 3
+
+
+@pytest.mark.parametrize("text", [
+    SIGN_SMALL,
+    "study = decay\neta = 0.05\npoints_per_decade = 8\nresolution = 6\n"
+    "tol_slope = 9\ntol_alpha_pair = 9\n",
+    "study = born\nresolution = 8\n",
+    "study = finite_delta\nresolution = 6\ndeltas = 0.2, 0.1\ncells_across = 4\n",
+], ids=["sign", "decay", "born", "finite_delta"])
+def test_run_voxelizes_the_scatterer_once(monkeypatch, text):
+    # the set-up's grid is the one assembled: the range rows voxelize nothing
+    shapes = []
+    voxelize = harness.voxelize
+    monkeypatch.setattr(harness, "voxelize",
+                        lambda shape, h: shapes.append(shape) or voxelize(shape, h))
+    run_study(cfg_from(text))
+    assert shapes == [harness._shape(cfg_from(text))]
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.cfg"))
@@ -571,5 +691,6 @@ def test_reciprocity_error_is_one_stacked_solve(monkeypatch):
     monkeypatch.setattr(harness, "solve_density", count)
     cfg = cfg_from("study = oracle\nresolution = 8\n")
     bg = Background.isotropic(a=cfg.background_a, kappa=cfg.kappa)
-    assert harness._reciprocity_error(cfg, bg) < 1e-12
+    sys = harness.assemble(harness._grid(cfg), bg)
+    assert harness._reciprocity_error(cfg, sys, harness._contrast(cfg, bg)) < 1e-12
     assert len(shapes) == 1 and shapes[0][0] == 20

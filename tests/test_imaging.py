@@ -607,6 +607,17 @@ def test_spectral_truncation_falls_back_near_the_surface(bg_unit):
     assert np.abs(kern.bundle(mid, near) - quad).max() / scale <= tol
 
 
+def test_spectral_truncation_on_a_sphere_past_r_squared_overflow(sys_h6):
+    # R^2 overflows past R = 1.3e154; the tail ratio (|z| / R) (|y| / R)
+    # underflows to 0 instead, leaving the Bessel tail to set the degree
+    assert imaging._spectral_order(1.0, 1e200, 0.5, 0.5) == 13
+    c = iso_contrast(1.0, 2.0)
+    pts = np.array([[0.3, -0.2, 0.1]])
+    far, farther = (td_map_iso(sys_h6, c, c, sphere_surface(r, 20), pts) for r in (1e100, 1e200))
+    assert farther.kernel_factor == "spectral"
+    assert farther.values[0] == pytest.approx(far.values[0], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the regular-wave response T_w, solved once per system and reused; every
 # system here is assembled in the test, so no response cached elsewhere leaks in
