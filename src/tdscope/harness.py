@@ -316,7 +316,10 @@ def _grid(cfg):
     shape = _shape(cfg)
     size = "scatterer_radius" if cfg.scatterer_shape == "ball" else "scatterer_semi_axes"
     with _building(cfg, size, "scatterer_center", "resolution"):
-        grid = voxelize(shape, shape.diameter / cfg.resolution)
+        try:
+            grid = voxelize(shape, shape.diameter / cfg.resolution, cap=vie.VOXEL_CAP)
+        except MemoryError as exc:
+            raise MemoryError(f"resolution = {cfg.resolution}: {exc}; coarsen the grid") from None
     if grid.n_cells > vie.VOXEL_CAP:
         raise MemoryError(f"resolution = {cfg.resolution} gives {grid.n_cells} voxels, "
                           f"which exceed the cap {vie.VOXEL_CAP}; coarsen the grid")

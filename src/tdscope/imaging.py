@@ -241,9 +241,13 @@ def kernel_L_series(R, kappa, z, y):
     n_min = truncation_order(kappa, max(rz, ry))
     total = 0.0
     for n in range(N_MAX + 1):
-        term = ((2 * n + 1) * float(np.abs(sph_hankel1(n, kappa * R))) ** 2
-                * float(sph_bessel_j(n, kappa * rz)) * float(sph_bessel_j(n, kappa * ry))
-                * float(legendre_p(n, t)))
+        try:
+            term = ((2 * n + 1) * float(np.abs(sph_hankel1(n, kappa * R))) ** 2
+                    * float(sph_bessel_j(n, kappa * rz)) * float(sph_bessel_j(n, kappa * ry))
+                    * float(legendre_p(n, t)))
+        except OverflowError:
+            raise ValueError(f"kernel_L_series: |h_{n}(kappa R)|^2 overflows at "
+                             f"kappa R = {kappa * R:.3g}") from None
         total += term
         if n >= n_min and abs(term) < 1e-14 * max(abs(total), 1e-300):
             return (kappa**2 * R**2 / (4.0 * np.pi)) * total
@@ -794,7 +798,11 @@ def _scatter_matrix(sys, contrast, nodes):
 def _trial_balls(z, deltas, cells_across):
     """Trial balls of radius delta at z, cells_across cells over each diameter;
     MemoryError when one has more voxels than vie.VOXEL_CAP."""
-    balls = [voxelize(Ball(d, center=tuple(z)), 2.0 * d / cells_across) for d in deltas]
+    try:
+        balls = [voxelize(Ball(d, center=tuple(z)), 2.0 * d / cells_across, cap=vie.VOXEL_CAP)
+                 for d in deltas]
+    except MemoryError as exc:
+        raise MemoryError(f"cells_across = {cells_across}: {exc}; lower cells_across") from None
     n = max(g.n_cells for g in balls)
     if n > vie.VOXEL_CAP:
         raise MemoryError(f"cells_across = {cells_across} gives a trial ball {n} voxels, "
@@ -834,9 +842,10 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
         LHS(delta) = -4 h_B^3 h_delta^3 Re sum_pq conj(T_m^delta)_pq (T_m^B)_pq,
         T(z) = -2 h_B^3 Re tr(M_z b(z)^T T_m^B conj(b(z))),
 
-    with M_z = mz_ball_iso(a, beta_z).M_z.  The scatterer and each ball are
-    solved once, for the factor's P fields.  Ratios approach 1 as delta
-    shrinks.  Every input is checked before the first solve.
+    with M_z = mz_ball_iso(a, beta_z).M_z, T(z) paired by _pair as in every
+    map.  The scatterer and each ball are solved once, for the factor's P
+    fields.  Ratios approach 1 as delta shrinks.  Every input is checked
+    before the first solve.
     """
     if cells_across < 4:
         raise ValueError("trial ball resolution below 4 cells across")
@@ -852,8 +861,7 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
     fac = KernelG(surface=surface, bg=sys.bg).factor(pts, sys.grid.centers)
     h_b = sys.grid.cell_volume
     t_b = fac.response(sys, contrast)
-    b_z = fac(z[None, :])[:, 0]
-    t_val = -2.0 * h_b * float(np.real(np.trace(m_z @ b_z.T @ t_b @ b_z.conj())))
+    t_val = float(_pair(fac(z[None, :]), t_b, m_z, h_b)[0].real)
     pairs = []
     for delta, grid_d in zip(deltas, balls):
         t_d = fac.response(assemble(grid_d, sys.bg), trial)

@@ -451,13 +451,16 @@ class ScattererGrid:
         return self.centers.mean(axis=0)
 
 
-def voxelize(shape, h=None):
+def voxelize(shape, h=None, cap=None):
     """Voxelize a shape onto a cubic lattice of spacing h (default diam/20).
 
     The lattice is centered on the shape's bounding-box midpoint with cell
     centers at half-integer offsets, so centered symmetric shapes voxelize to
     point sets symmetric about their center (exact zero centroid).  A cell
-    belongs to the grid iff its center lies in the shape.
+    belongs to the grid iff its center lies in the shape.  With a cap on the
+    cells, a lattice of more than 8 cap points raises MemoryError before it
+    is built: a ball or an ellipsoid fills about pi/6 of its box, so such a
+    lattice holds well over cap cells.
     """
     diam = shape.diameter
     feature = getattr(shape, "min_feature", diam)
@@ -470,7 +473,12 @@ def voxelize(shape, h=None):
     lo, hi = shape.bbox
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    n_half = np.ceil(half / h).astype(int)
+    n_half = np.ceil(half / h)
+    points = float(np.prod(2.0 * n_half))
+    if cap is not None and points > 8 * cap:
+        raise MemoryError(f"h = {h:.3g} gives a lattice of {points:.3g} points, whose voxels "
+                          f"would exceed the cap {cap}")
+    n_half = n_half.astype(int)
     axes = [mid[k] + h * (np.arange(-n_half[k], n_half[k]) + 0.5) for k in range(3)]
     xs, ys, zs = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)

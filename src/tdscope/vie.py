@@ -31,24 +31,36 @@ reciprocity of scattered fields is exact for this discretization up to
 roundoff.
 
 Below DIRECT_CAP cells each solve gathers the system matrix from the table
-one block at a time under the grid's mirror group.  An axis is a mirror axis
-when reversing the cells' lattice positions along it maps the cell set onto
-itself with no cell on the plane, and flipping the sign of that component
-commutes with A and, up to a sign per unknown, with the 3x3 system factors;
-voxelize centres its lattice on the shape, so a ball or an axis-aligned
-ellipsoid in a diagonal background has s = 3 mirror axes.  The system matrix
-then commutes with the 2^s mirror maps, and in the symmetry-adapted basis it
-splits into 2^s complex-symmetric blocks of 3N / 2^s rows, one per character
-of Z2^s.  Only the orbit representatives' rows are gathered (N^2 / 2^s cell
-pairs) and combined into the blocks by a Hadamard transform over the group.
-Each block is factored and solved by one zsysv call (Bunch-Kaufman LDL^T,
-then LAPACK's level-3 zsytrs2) in the memory of the gathered block: the
-right-hand sides are routed to the blocks that carry them (a column of
-definite parity under every mirror, such as a real regular wave about the
-lattice centre, to one block), solved in place and mapped back, and the
-factors are dropped: a solve holds 16 (3N)^2 / 2^s bytes of factors, whatever
-the number of contrasts.  With no mirror axis (s = 0) the one block is the
-whole system.  Above the cap the solve is matrix-free GMRES.
+under the grid's group of signed axis permutations (_orbits).  An axis is a
+mirror axis when reversing the cells' lattice positions along it maps the
+cell set onto itself with no cell on the plane, and flipping the sign of
+that component commutes with A and, up to a sign per unknown, with the 3x3
+system factors; an axis permutation counts when it maps the cell set onto
+itself and commutes with A and, up to the same move of the unknowns' rows,
+with the factors.  voxelize centres its lattice on the shape, so a ball in
+an isotropic background keeps all 48 signed permutations (the cube group),
+an ellipsoid with two equal semi-axes keeps the 8 mirrors and one swap, and
+one with three distinct semi-axes or a tensor contrast the 8 mirrors.  The
+mirrors Z2^s split the system into 2^s complex-symmetric blocks B_c of
+3n = 3N / 2^s rows, one per character c.  An axis permutation p maps c to
+p(c) with B_p(c) = U_p B_c U_p^T for a permutation U_p of the unknowns, so
+only one block per class of characters is formed, and a member's columns
+are solved by its class representative as further columns.  The stabilizer
+of the representative (all of S3, a swap, or nothing) splits its block
+again, one block per irreducible representation: A1, A2 and E (whose two
+rows share one block) for S3, even and odd for a swap (_Split).  Only the
+rows of the cells holding an orbit representative of the permutations are
+gathered, for every character (about N^2 / 2^s / |H| cell pairs), and
+combined by a Hadamard transform over the mirrors; the irrep blocks are
+formed from those rows through fixed small matrices per orbit type.  For
+the ball at resolution 14 (3N = 4,416) that is 10 blocks of at most 290
+rows instead of 8 of 552.  Each block is factored and solved by one zsysv
+call (Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own
+memory: the right-hand sides are routed to the blocks that carry them (a
+column of definite parity under every mirror, such as a real regular wave
+about the lattice centre, to one class), solved in place and mapped back,
+and the factors are dropped.  With no symmetry the one block is the whole
+system.  Above the cap the solve is matrix-free GMRES.
 """
 
 from __future__ import annotations
@@ -59,7 +71,6 @@ import numpy as np
 from scipy.fft import fft, ifft
 from scipy.linalg import (
     eigvalsh_tridiagonal,
-    hadamard,
     lu_factor,  # unused here; the traced benchmark wraps vie.lu_factor
     lu_solve,  # unused here; the traced benchmark wraps vie.lu_solve
 )
@@ -122,8 +133,267 @@ def _system_factors(contrast, bg):
     return -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig, np.eye(3) - sig @ qm @ qm.T @ sig
 
 
-def _mirror_orbits(index, A, left, right, diag):
-    """(axes, cells, signs) of the mirror group Z2^s of diag + left gradW right.
+# the six axis permutations p (axis k goes to axis p[k]): identity, the three
+# swaps, the two 3-cycles
+_AXIS_PERMS = ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1))
+# E of S3: the permutation matrices restricted to the plane normal to (1, 1, 1)
+_E_PLANE = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T / np.sqrt([2.0, 6.0])
+
+
+@dataclass
+class _Split:
+    """The irreducible representations of a stabilizer H of axis permutations
+    acting on the class representative's 3n unknowns by permutations U(h).
+
+    Irrep rho of dimension d has real orthogonal matrices D(h).  For each
+    orbit representative u (the smallest unknown of its orbit, with
+    stabilizer K) and each w of an orthonormal basis of the vectors that
+    D(k) fixes for every k in K, the vectors v_l = nu^-1 sum_h (D(h) w)_l
+    e_{h u}, nu = sqrt(|K| |H| / d), are orthonormal, and v_l is row l of
+    one copy of rho: U(h) v_l = sum_l' D_l'l(h) v_l'.  Orbits whose
+    representatives have the same stabilizer are of one type, held as
+    (E, F, G): the orbits' unknowns E (n_t, |O|) in the order in which h
+    first reaches them, the fixed small matrix F (|O|, columns) of every
+    v_l on them, irrep by irrep and row by row, and per irrep G = (|H| /
+    d nu) W^T (r, d) for the r vectors w.  A block B that commutes with
+    U(h) acts on the row-l vectors V_l of rho as one matrix B_rho =
+    V_0^T B V_0, and because (B v)(h u) = sum_l D_0l(h) (B v_l)(u) for a
+    row-0 v,
+
+        B_rho[(u, w), :] = sum_l G[w, l] B[u, :] V_l,
+
+    so only the representatives' rows of B are needed, those of reps.
+    """
+
+    names: tuple
+    dims: tuple
+    reps: np.ndarray  # the orbit representatives, type by type
+    types: list
+    # per irrep, per type: (orbits n_t, vectors r, first column of F, the slice
+    # of the irrep's coordinates that the type holds, ordered by orbit, then w)
+    layout: list = field(init=False)
+    # per type: F and F^T acting on interleaved real and imaginary parts
+    real: list = field(init=False)
+
+    def __post_init__(self):
+        self.layout = [[] for _ in self.dims]
+        stops = [0] * len(self.dims)
+        for e, _, gs in self.types:
+            off = 0
+            for r, (d, g) in enumerate(zip(self.dims, gs)):
+                w = g.shape[0]
+                sl = slice(stops[r], stops[r] + w * e.shape[0])
+                self.layout[r].append((e.shape[0], w, off, sl))
+                stops[r], off = sl.stop, off + d * w
+        self.real = [(_interleave(f), _interleave(f.T)) for _, f, _ in self.types]
+
+    @classmethod
+    def of(cls, perm_axes, perm_cells, perm_comps):
+        """The _Split of the group of perm_axes (|H|, 3) acting on the unknowns
+        by the cell maps perm_cells (|H|, n) and row maps perm_comps (|H|, 3)."""
+        order, n = perm_cells.shape
+        mats = np.moveaxis(np.eye(3)[:, perm_axes], 1, 0)  # P, P[p[k], k] = 1
+        irreps = [np.ones((order, 1, 1))]
+        names = ("",)
+        if order > 1:
+            irreps.append(np.linalg.det(mats).round()[:, None, None])
+            names = ("even", "odd")
+        if order == 6:
+            irreps.append(_E_PLANE.T @ mats @ _E_PLANE)
+            names = ("A1", "A2", "E")
+        img = (3 * perm_cells[:, :, None] + perm_comps[:, None, :]).reshape(order, -1).T
+        reps = np.flatnonzero(img.min(axis=1) == np.arange(3 * n))
+        # the stabilizer of each representative, as the bits of its elements
+        kind = (img[reps] == reps[:, None]) @ (1 << np.arange(order))
+        types, ordered = [], []
+        for key in np.unique(kind):
+            stab = key >> np.arange(order) & 1 == 1
+            sel = reps[kind == key]
+            ordered.append(sel)
+            first = np.sort(np.unique(img[sel[0]], return_index=True)[1])
+            slot = np.argmax(img[sel[0], :, None] == img[sel[0], first], axis=1)
+            fs, gs = [], []
+            for mat in irreps:
+                d = mat.shape[1]
+                val, vec = np.linalg.eigh(mat[stab].mean(axis=0))
+                w = vec[:, val > 0.5]
+                nu = np.sqrt(stab.sum() * order / d)
+                f = np.zeros((len(first), d, w.shape[1]))
+                np.add.at(f, slot, mat @ w / nu)
+                fs.append(f.reshape(len(first), -1))
+                gs.append(order / (d * nu) * w.T)
+            types.append((img[sel][:, first], np.concatenate(fs, axis=1), gs))
+        return cls(names, tuple(m.shape[1] for m in irreps), np.concatenate(ordered), types)
+
+    def sizes(self):
+        """Rows of each irrep's block."""
+        return [types[-1][3].stop for types in self.layout]
+
+    def project(self, sources):
+        """Coordinates on every V_l of the rows of sources: (d, k, m) per irrep, C-ordered.
+
+        A source (x, ks, perm) stands for the rows ks of x (K, 3n) (all rows
+        if ks is None) with unknown u read at perm[u] (at u if perm is None);
+        the sources' rows follow one another.
+        """
+        rows = [len(x) if ks is None else len(ks) for x, ks, _ in sources]
+        out = [np.empty((d, sum(rows), m), dtype=complex) for d, m in zip(self.dims, self.sizes())]
+        for t, ((e, _, _), (f, _)) in enumerate(zip(self.types, self.real)):
+            start = 0
+            for (x, ks, perm), k in zip(sources, rows):
+                prod = (_take(x, ks, e if perm is None else perm[e]).view(float)
+                        .reshape(-1, f.shape[0]) @ f).view(complex).reshape(k, *e.shape)
+                for coords, d, types in zip(out, self.dims, self.layout):
+                    n_t, w, off, sl = types[t]
+                    for l in range(d):
+                        coords[l, start : start + k, sl].reshape(k, n_t, w)[...] = (
+                            prod[:, :, off + l * w : off + (l + 1) * w])
+                start += k
+        return out
+
+    def blocks(self, rows):
+        """The irrep blocks B_rho from the rows (len(reps), 3n) of B at reps."""
+        if len(self.names) == 1:
+            return [rows]
+        bv = self.project([(rows, None, None)])  # B[u, :] V_l
+        out = []
+        for r, (m, types) in enumerate(zip(self.sizes(), self.layout)):
+            block = np.empty((m, m), dtype=complex)
+            start = 0
+            for (_, _, gs), (n_t, w, _, sl) in zip(self.types, types):
+                block[sl] = np.einsum("wl,lnm->nwm", gs[r], bv[r][:, start : start + n_t]
+                                      ).reshape(n_t * w, m)
+                start += n_t
+            out.append(block)
+        return out
+
+    def unproject(self, parts, targets):
+        """Write sum over irreps and rows l of V_l parts[r][l] to targets, the
+        inverse of project on sources of the same form."""
+        k = parts[0].shape[1]
+        for t, ((e, f, _), (_, f_t)) in enumerate(zip(self.types, self.real)):
+            coords = np.empty((k, e.shape[0], f.shape[1]), dtype=complex)
+            for part, d, types in zip(parts, self.dims, self.layout):
+                n_t, w, off, sl = types[t]
+                for l in range(d):
+                    coords[:, :, off + l * w : off + (l + 1) * w] = (
+                        part[l, :, sl].reshape(k, n_t, w))
+            values = (coords.view(float).reshape(-1, f_t.shape[0]) @ f_t).view(complex)
+            values = values.reshape(k, *e.shape)
+            start = 0
+            for x, ks, perm in targets:
+                idx = e if perm is None else perm[e]
+                stop = start + (len(x) if ks is None else len(ks))
+                if ks is None:
+                    x[:, idx] = values[start:stop]
+                else:
+                    x[ks[:, None, None], idx] = values[start:stop]
+                start = stop
+
+
+def _interleave(f):
+    """f acting on interleaved real and imaginary parts: kron(f, I_2)."""
+    out = np.zeros((2 * f.shape[0], 2 * f.shape[1]))
+    out[0::2, 0::2] = out[1::2, 1::2] = f
+    return out
+
+
+def _take(x, ks, idx):
+    """x[ks][:, idx] (all rows if ks is None) as a new C-ordered array."""
+    out = np.take(x, idx, axis=1) if ks is None else x[ks[:, None, None], idx]
+    return np.ascontiguousarray(out)
+
+
+class _Group:
+    """The signed-permutation group of a system: the mirrors Z2^s and the axis permutations H.
+
+    axes, cells (2^s, n) and signs (2^s, 3) are the mirror group's (see
+    _orbits).  perm_axes (|H|, 3), perm_cells (|H|, n) and perm_comps (|H|, 3)
+    hold each permutation p (identity first), its image of each orbit
+    representative (as a position in cells[0]) and its map T_p of the
+    unknowns' rows; unknown 3 j + i of the representatives goes to
+    img[h, 3 j + i].  p maps the mirror character c to image[h, c], whose
+    bit for axis p[k] is c's bit for axis k, and B_p(c) = U_p B_c U_p^T.
+    classes holds one (c, stabilizer, members) per orbit of characters, with
+    each member b = p(c) and the index h of one such p; splits holds the
+    _Split of each stabilizer.  Only the rows of the cells in rows, those
+    holding the smallest unknown of each H-orbit, are gathered, for every
+    character: row h u of B_c is row u of B_p^-1(c), permuted.
+    """
+
+    def __init__(self, axes, cells, signs, perm_axes, perm_cells, perm_comps):
+        self.axes, self.cells, self.signs = axes, cells, signs
+        self.perm_axes, self.perm_cells, self.perm_comps = perm_axes, perm_cells, perm_comps
+        s = len(axes)
+        order = len(perm_axes)
+        bit = [[axes.index(p[k]) for k in axes] for p in perm_axes]
+        self.image = np.array([[sum((c >> t & 1) << b[t] for t in range(s))
+                                for c in range(1 << s)] for b in bit])
+        self.img = (3 * perm_cells[:, :, None] + perm_comps[:, None, :]).reshape(order, -1)
+        self.inverse = np.array([next(j for j, q in enumerate(perm_axes)
+                                      if np.array_equal(q[p], [0, 1, 2])) for p in perm_axes])
+        self.orbit_rep = self.img.min(axis=0)
+        self.rows = np.unique(self.orbit_rep // 3)
+
+        def stab(c):
+            return tuple(np.flatnonzero(self.image[:, c] == c).tolist())
+
+        self.classes, self.splits, seen = [], {}, set()
+        for c in range(1 << s):
+            if c in seen:
+                continue
+            orbit = sorted(set(self.image[:, c].tolist()))
+            seen.update(orbit)
+            # the representative whose stabilizer comes first, so that classes
+            # with the same stabilizer share one split
+            rep = min(orbit, key=lambda b: (stab(b), b))
+            members = [(b, int(np.argmax(self.image[:, rep] == b))) for b in orbit if b != rep]
+            key = stab(rep)
+            self.classes.append((rep, key, members))
+            if key not in self.splits:
+                self.splits[key] = _Split.of(*(m[list(key)] for m in (
+                    self.perm_axes, self.perm_cells, self.perm_comps)))
+
+    @classmethod
+    def trivial(cls, n):
+        """The one-element group of n cells."""
+        ident = np.arange(3)[None]
+        return cls((), np.arange(n)[None], np.ones((1, 3)), ident, np.arange(n)[None], ident)
+
+    def class_rows(self, gathered, c, reps):
+        """Rows reps of B_c from the gathered rows (2^s, 3 len(rows), 3n) of every B_b."""
+        u0 = self.orbit_rep[reps]
+        h = np.argmax(self.img[:, u0] == reps, axis=0)  # h u0 = u
+        h_inv = self.inverse[h]
+        pos = 3 * np.searchsorted(self.rows, u0 // 3) + u0 % 3
+        # B_c[h u0, w] = B_b[u0, h^-1 w] with b = h^-1(c)
+        return gathered[self.image[h_inv, c][:, None], pos[:, None], self.img[h_inv]]
+
+    def describe(self):
+        """The group in words: its mirrors, its axis permutations and its order."""
+        words = [f"mirrors {' '.join('xyz'[k] for k in self.axes)}"] if self.axes else []
+        if len(self.perm_axes) == 6:
+            words.append("all axis permutations")
+        elif len(self.perm_axes) == 2:
+            a, b = np.flatnonzero(self.perm_axes[1] != np.arange(3))
+            words.append(f"the swap {'xyz'[a]} <-> {'xyz'[b]}")
+        order = len(self.perm_axes) << len(self.axes)
+        return f"{', '.join(words) or 'no symmetry'} ({order} elements)"
+
+    def block_names(self):
+        """(name, rows) of each block in solve order: the class representative's
+        parity under each mirror and the irrep of its stabilizer."""
+        out = []
+        for c, key, _ in self.classes:
+            split = self.splits[key]
+            parity = " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(self.axes))
+            for name, rows in zip(split.names, split.sizes()):
+                out.append((" ".join(filter(None, (parity, name))) or "single", rows))
+        return out
+
+
+def _orbits(index, A, left, right, diag):
+    """The _Group of signed axis permutations of diag + left gradW right.
 
     Axis k is a mirror axis when reversing the lattice positions index (N, 3)
     along k maps the cell set onto itself with no cell on the plane (an even
@@ -136,6 +406,14 @@ def _mirror_orbits(index, A, left, right, diag):
     axes[t].  cells (2^s, N / 2^s) holds the image g r of each orbit
     representative r, a cell in the lower half of every mirror axis
     (cells[0] are the representatives); signs (2^s, 3) holds T_g.
+
+    An axis permutation p (axis k to axis p[k], P its 3x3 matrix) counts when
+    it maps the cell set onto itself, P A P^T = A, it maps the mirror axes
+    onto themselves, and T_p, P with its rows moved to the rows of left that
+    hold the components, carries the factors (T_p left P^T = left, P right
+    T_p^T = right, T_p diag T_p^T = diag) and the mirrors' signs (T_p T_k
+    T_p^T = T_p[k]).  The permutations that count form a group; it is kept
+    when it is all of S3 or a single swap, and is the identity otherwise.
     """
     dims = index.max(axis=0) + 1
     where = np.full(dims, -1)
@@ -163,61 +441,122 @@ def _mirror_orbits(index, A, left, right, diag):
                 sign *= t
         cells.append(where[tuple(pos.T)])
         signs.append(sign)
-    return tuple(axes), np.array(cells), np.array(signs)
+    # the row of left holding each component, when each row holds one
+    nz = left != 0
+    holder = (np.argmax(nz, axis=0) if np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
+              else np.arange(3))
+    at_rep = np.full(index.shape[0], -1)
+    at_rep[cells[0]] = np.arange(len(cells[0]))
+    kept = []
+    for p in map(np.array, _AXIS_PERMS):
+        inv = np.argsort(p)
+        comp = holder[p[np.argsort(holder)]]  # T_p: row i to row comp[i]
+        cinv = np.argsort(comp)
+        if (np.array_equal(dims[p], dims) and sorted(p[axes]) == axes
+                and np.array_equal(A[np.ix_(inv, inv)], A)
+                and np.array_equal(left[np.ix_(cinv, inv)], left)
+                and np.array_equal(right[np.ix_(inv, cinv)], right)
+                and np.array_equal(diag[np.ix_(cinv, cinv)], diag)
+                and np.all(where[tuple(index[:, inv].T)] >= 0)):
+            kept.append((p, at_rep[where[tuple(rep[:, inv].T)]], comp))
+    if len(kept) not in (2, 6):
+        kept = kept[:1]
+    return _Group(tuple(axes), np.array(cells), np.array(signs),
+                  *(np.array(m) for m in zip(*kept)))
 
 
-# a block's share of a column at or below this fraction of the column's largest
-# share is roundoff (about 1e-17 for a column of definite parity), far below
-# the 1e-10 residual probe, and the block does not solve the column
+# a share of a column at or below this fraction of the column's largest
+# character share is roundoff (about 1e-17 for a column of definite parity),
+# far below the 1e-10 residual probe, and is not solved
 _LEAK = 1e-14
 
 
-def _block_name(axes, c):
-    """'x+ y- z+': block c's parity under each mirror, + for even; 'single' if s = 0."""
-    return " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(axes)) or "single"
+def _walsh(y):
+    """y[c] <- sum_g chi_c(g) y[g] over the first axis of length 2^s, in place:
+    the Sylvester Hadamard transform in s butterfly passes."""
+    h = 1
+    while h < len(y):
+        for i in range(0, len(y), 2 * h):
+            a, b = y[i : i + h], y[i + h : i + 2 * h]
+            diff = a - b
+            a += b
+            b[...] = diff
+        h *= 2
+    return y
 
 
-def _blocked_solve(blocks, axes, cells, signs, rhs, what):
-    """Solution of M X = rhs, block by block, for M that commutes with its mirror group Z2^s.
+def _blocked_solve(blocks, group, rhs, what):
+    """Solution of M X = rhs, block by block, for M that commutes with its _Group.
 
-    axes, cells and signs are those of _mirror_orbits, and blocks[c] is
-    B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives r, r'
-    (VieSystem._gather_blocks), with chi_c(g) = (-1)^popcount(c & g) row c of
-    the Sylvester Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is
-    overwritten by the solution when it is Fortran-ordered (or 1-D); what
-    names M in errors.  Block c's share of rhs is sum_g chi_c(g) T_g rhs(g r),
-    and the solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.  A block
-    whose share of a column is at most _LEAK times the column's largest share
-    holds roundoff and does not solve it, so a column of definite parity under
-    every mirror is solved in one block and an all-zero column in none.  Each
-    block is factored in its own memory and solves its columns in place in one
-    zsysv call, also when it carries none, so a singular block raises naming
-    it, before rhs is written.
+    blocks are those of VieSystem._gather_blocks, in the order of
+    group.block_names(): for each class (c, stabilizer, members) the irrep
+    blocks of B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives
+    r, r', with chi_c(g) = (-1)^popcount(c & g) row c of the Sylvester
+    Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is overwritten by
+    the solution when it is Fortran-ordered (or 1-D); what names M in errors.
+    Character c's share of rhs is y_c = sum_g chi_c(g) T_g rhs(g r), and the
+    solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.  A member b =
+    p(c) of a class has B_b = U_p B_c U_p^T, so U_p^T y_b is solved with B_c
+    as further columns and x_b = U_p x.  Each class's columns are split by
+    the irreps of its stabilizer (_Split.project), and each row l of an
+    irrep is a further column of the irrep's block.  A share of a column at
+    most _LEAK times the column's largest character share is roundoff and is
+    not solved: a column of definite parity under every mirror reaches one
+    class, one of definite symmetry one block, and an all-zero column none.
+    Each block is factored in its own memory and solves its columns in place
+    in one zsysv call, also when it carries none, so a singular block raises
+    naming it, before rhs is written.
     """
-    group = cells.shape[0]
-    rows = blocks.shape[1]
-    lwork, _ = zsysv_lwork(rows, lower=1)  # scipy's default lwork = n is unblocked
-    had = hadamard(group, dtype=float)
     x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
-    cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
-    # (2^s, K, n, 3): block c's share of column k is y[c, k]
-    y = np.tensordot(had, cols[:, cells] * signs[:, None, :], axes=(1, 1))
-    flat = y.reshape(group, y.shape[1], -1).view(float)
-    share = np.einsum("cki,cki->ck", flat, flat)  # squared norm per block and column
-    carried = share > _LEAK**2 * share.max(axis=0)
-    for c, block in enumerate(blocks):
-        part = y[c, carried[c]]  # a C-ordered copy, solved in place
+    k = x.shape[1]
+    cols = x.T.reshape(k, -1, 3)  # (K, N, 3), a view of x
+    # (2^s, K, n, 3): character c's share of column k is y[c, k]
+    y = np.empty((group.cells.shape[0], k, *group.cells.shape[1:], 3), dtype=complex)
+    for g, (cells, sign) in enumerate(zip(group.cells, group.signs)):
+        np.multiply(cols[:, cells], sign, out=y[g])
+    _walsh(y)
+    flat = y.reshape(len(y), k, -1)  # (2^s, K, 3n), a view of y
+    share = np.einsum("cki,cki->ck", flat.view(float), flat.view(float))  # squared norms
+    floor = _LEAK**2 * share.max(axis=0)
+    reach = share > floor
+    routes, parts, origins = [], [], []  # per class: its sources; per block
+    for c, key, members in group.classes:
+        route = []
+        for b, h in [(c, 0)] + members:
+            ks = np.flatnonzero(reach[b])
+            route.append((flat[b], None if len(ks) == k else ks, group.img[h] if h else None))
+        # (d, K_c, m) per irrep: row l of irrep r of the class's column j is parts[r][l, j]
+        split_parts = group.splits[key].project(route)
+        parts += split_parts
+        origins += [np.concatenate([np.arange(k) if ks is None else ks
+                                    for _, ks, _ in route])] * len(split_parts)
+        routes.append(route)
+    for (name, rows), block, part, origin in zip(group.block_names(), blocks, parts, origins):
+        if rows == 0:
+            continue
+        keep = np.einsum("lkm,lkm->lk", part.view(float), part.view(float)) > floor[origin]
+        every = keep.all()
+        # the columns to solve, in place: part itself or a C-ordered copy
+        b = part.reshape(-1, rows) if every else part[keep]
+        lwork, _ = zsysv_lwork(rows, lower=1)  # scipy's default lwork = n is unblocked
         # the C-ordered symmetric block is its own transpose in Fortran order
-        *_, info = zsysv(block.T, part.reshape(part.shape[0], rows).T, lwork=int(lwork.real),
-                         lower=1, overwrite_a=1, overwrite_b=1)
+        *_, info = zsysv(block.T, b.T, lwork=int(lwork.real), lower=1, overwrite_a=1,
+                         overwrite_b=1)
         if info > 0:
-            raise RuntimeError(f"the {_block_name(axes, c)} block ({rows} rows) of {what} "
-                               f"is singular: LDL^T pivot {info} is exactly zero")
-        y[c] = 0.0
-        y[c, carried[c]] = part
-    y = np.tensordot(had, y, axes=(1, 0))
-    y *= signs[:, None, None, :] / group
-    cols[:, cells] = y.transpose(1, 0, 2, 3)
+            raise RuntimeError(f"the {name} block ({rows} rows) of {what} is singular: "
+                               f"LDL^T pivot {info} is exactly zero")
+        if not every:
+            part[~keep] = 0.0
+            part[keep] = b
+    y[~reach] = 0.0
+    solved = iter(parts)
+    for route, (c, key, _) in zip(routes, group.classes):
+        split = group.splits[key]
+        split.unproject([next(solved) for _ in split.names], route)
+    _walsh(y)
+    y *= group.signs[:, None, None, :] / len(y)
+    for cells, part in zip(group.cells, y):
+        cols[:, cells] = part
     return x.reshape(rhs.shape)
 
 
@@ -297,55 +636,65 @@ class VieSystem:
     def _offset_blocks(self, left, right):
         """(blocks, box): left K(o) right for every box offset o, flat (prod(box), 3, 3)."""
         table = np.fft.ifftn(self.kernel_hat, axes=_BOX_AXES)
-        blocks = left @ np.moveaxis(table, (0, 1), (-2, -1)).reshape(-1, 3, 3) @ right
-        return blocks, table.shape[2:]
+        table = np.tensordot(left, table.reshape(3, 3, -1), axes=(1, 0))
+        return np.einsum("aco,cd->oad", table, right), self.kernel_hat.shape[2:]
 
     def dense(self, left=None, right=None, diag=None):
         """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table.
 
-        It is the one block of the one-element mirror group (see _gather_blocks).
+        It is the one block of the one-element group (see _gather_blocks).
         """
         eye = np.eye(3)
         left = eye if left is None else left
         right = eye if right is None else right
         diag = np.zeros((3, 3)) if diag is None else diag
-        cells = np.arange(self.n_cells)[None]
-        return self._gather_blocks(cells, np.ones((1, 3)), left, right, diag)[0]
+        return self._gather_blocks(_Group.trivial(self.n_cells), left, right, diag)[0]
 
-    def _gather_blocks(self, cells, signs, left, right, diag):
-        """The 2^s blocks sum_g chi_c(g) M(r, g r') T_g of M = diag + left gradW right.
+    def _gather_blocks(self, group, left, right, diag):
+        """The irrep blocks of M = diag + left gradW right under its _Group, in solve order.
 
-        cells and signs are those of _mirror_orbits.  Rows of the orbit
-        representatives are gathered against every cell from the offset
-        table, a chunk of representatives at a time, and combined by the
+        The rows of B_c = sum_g chi_c(g) M(r, g r') T_g at the cells group.rows
+        are gathered for every character c against every representative r'
+        from the offset table, a chunk of rows at a time, and combined by the
         Hadamard transform over g; the diagonal term enters every block.
-        Returns (2^s, 3n, 3n) for n representatives, each block C-ordered.
+        Each class then takes the rows its _Split needs (_Group.class_rows)
+        and the split forms the irrep blocks from them.  With no axis
+        permutation every row is gathered and block c is B_c itself.  Each
+        block is C-ordered.
         """
-        blocks, box = self._offset_blocks(left, right)
-        group, n = cells.shape
-        had = hadamard(group, dtype=float)
-        pos = self.index[cells]
-        out = np.empty((group, n, 3, n, 3), dtype=complex)
-        rows = max(1, (1 << 12) // (group * n))
-        for i0 in range(0, n, rows):
-            diff = pos[0, None, i0 : i0 + rows, None, :] - pos[:, None, :, :]
+        table, box = self._offset_blocks(left, right)
+        group_size, n = group.cells.shape
+        pos = self.index[group.cells]  # (2^s, n, 3)
+        rows = group.rows
+        out = np.empty((group_size, len(rows), 3, n, 3), dtype=complex)
+        chunk = max(1, (1 << 12) // (group_size * n))
+        for i0 in range(0, len(rows), chunk):
+            diff = pos[0, rows[i0 : i0 + chunk], None, :] - pos[:, None, :, :]
             off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
-            m = blocks[off]  # (2^s, rows, n, 3, 3): M(r, g r') for r in the chunk
-            m *= signs[:, None, None, None, :]
-            m = (had @ m.reshape(group, -1)).reshape(m.shape)
-            out[:, i0 : i0 + rows] = m.transpose(0, 1, 3, 2, 4)
-        reps = np.arange(n)
-        out[:, reps, :, reps, :] += diag
-        return out.reshape(group, 3 * n, 3 * n)
+            m = table[off]  # (2^s, chunk, n, 3, 3): M(r, g r') for r in the chunk
+            m *= group.signs[:, None, None, None, :]
+            out[:, i0 : i0 + chunk] = _walsh(m).transpose(0, 1, 3, 2, 4)
+        out[:, np.arange(len(rows)), :, rows, :] += diag
+        out = out.reshape(group_size, 3 * len(rows), 3 * n)
+        if len(group.perm_axes) == 1:
+            return list(out)
+        return [b for c, key, _ in group.classes
+                for b in group.splits[key].blocks(
+                    group.class_rows(out, c, group.splits[key].reps))]
 
     def _dense_solve(self, contrast, rhs):
         """_blocked_solve of the contrast's system matrix for rhs (3N,) or (3N, K);
         the blocks are gathered for this call only and factored in place."""
         factors = _system_factors(contrast, self.bg)
-        axes, cells, signs = _mirror_orbits(self.index, self.bg.A.matrix, *factors)
-        blocks = self._gather_blocks(cells, signs, *factors)
-        return _blocked_solve(blocks, axes, cells, signs, rhs,
-                              f"the system on {self.n_cells} cells")
+        group = _orbits(self.index, self.bg.A.matrix, *factors)
+        blocks = self._gather_blocks(group, *factors)
+        return _blocked_solve(blocks, group, rhs, f"the system on {self.n_cells} cells")
+
+    def symmetry(self, contrast):
+        """(group, blocks) of a dense solve for the contrast: the group that
+        _orbits finds, in words, and (name, rows) of each block it factors."""
+        group = _orbits(self.index, self.bg.A.matrix, *_system_factors(contrast, self.bg))
+        return group.describe(), group.block_names()
 
     def _response(self, contrast, key, solve):
         """solve() once per contrast and key; the read-only result is kept.
@@ -407,9 +756,10 @@ def resolvent_solve(sys, contrast, rhs):
 
     rhs: (3N,) or (3N, K), consumed: on the dense path a complex rhs in
     Fortran order (or 1-D) is overwritten by the solution, which is returned
-    in its memory.  Below the direct cap each block of the dense system
-    matrix under its mirror group is factored with LDL^T, in place, for this
-    call only; a singular block raises naming the block, with rhs untouched.
+    in its memory.  Below the direct cap each irreducible block of the dense
+    system matrix under its group of signed axis permutations (_orbits) is
+    factored with LDL^T, in place, for this call only; a singular block
+    raises naming its class and irrep, with rhs untouched.
     Above the cap the solve is residual-controlled GMRES.  Each dense batch is
     checked by one seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through
     the FFT apply, which also cross-checks the gathered blocks against the

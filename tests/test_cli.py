@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,24 @@ def test_validate_voxelizes_the_scatterer(tmp_path, capsys, text, problem):
     p = tmp_path / "grid.cfg"
     p.write_text(text)
     assert main(["validate", str(p)]) == 1
+    assert problem in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("study = born\nresolution = 5000\n",
+     "resolution = 5000: h = 0.0002 gives a lattice of 1.25e+11 points, whose voxels would "
+     "exceed the cap 20000; coarsen the grid"),
+    ("study = finite_delta\ncells_across = 5000\n",
+     "cells_across = 5000: h = 8e-05 gives a lattice of 1.25e+11 points, whose voxels would "
+     "exceed the cap 20000; lower cells_across"),
+], ids=["resolution", "cells_across"])
+def test_validate_bounds_the_lattice_before_building_it(tmp_path, capsys, text, problem):
+    # a 5000^3 lattice would need several TB; validate reports the cap at once
+    p = tmp_path / "huge.cfg"
+    p.write_text(text)
+    t0 = time.monotonic()
+    assert main(["validate", str(p)]) == 1
+    assert time.monotonic() - t0 < 1.0
     assert problem in capsys.readouterr().err
 
 
@@ -167,12 +186,13 @@ def test_run_memory_error_is_clean(born_cfg, tmp_path, capsys, monkeypatch):
 
 
 def test_run_arithmetic_error_is_clean(tmp_path, capsys):
-    # kappa R = 5e-6 overflows the L series of the oracle study; an
-    # OverflowError is an error message and exit 1, not a traceback
+    # kappa R = 5e-6 overflows the L series of the oracle study: an error
+    # message naming the series and kappa R, and exit 1, not a traceback
     p = tmp_path / "oracle.cfg"
     p.write_text("study = oracle\nkappa = 1e-6\n")
     assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: kernel_L_series: ") and last.endswith("kappa R = 5e-06")
     assert not (tmp_path / "o").exists()
 
 

@@ -591,7 +591,7 @@ def test_run_voxelizes_the_scatterer_once(monkeypatch, text):
     shapes = []
     voxelize = harness.voxelize
     monkeypatch.setattr(harness, "voxelize",
-                        lambda shape, h: shapes.append(shape) or voxelize(shape, h))
+                        lambda shape, h, **kw: shapes.append(shape) or voxelize(shape, h, **kw))
     run_study(cfg_from(text))
     assert shapes == [harness._shape(cfg_from(text))]
 

@@ -80,6 +80,14 @@ def test_kernel_L_series_origin():
 def test_kernel_L_series_guards():
     with pytest.raises(ValueError):
         kernel_L_series(5.0, 0.0, Z, Y)
+
+
+def test_kernel_L_series_names_itself_when_a_term_overflows():
+    # the oracle study's points at kappa = 1e-6: the series needs degrees whose
+    # |h_n(kappa R)|^2 passes the float range
+    z, y = np.array([1.5, -1.0, 2.0]) * 1.25, np.array([-2.0, 0.4, 0.8]) * 1.25
+    with pytest.raises(ValueError, match=r"kernel_L_series: .* overflows at kappa R = 5e-06"):
+        kernel_L_series(5.0, 1e-6, z, y)
     # kappa R = 100 lies past the order cap; the series is cut on kappa |z|
     bg = Background.isotropic(1.0, 2.0)
     surf = sphere_surface(50.0, surface_order_hint(2.0, np.linalg.norm(Z), np.linalg.norm(Y)))

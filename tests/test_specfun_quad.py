@@ -210,6 +210,15 @@ def test_voxelize_guards():
         voxelize(Ball(0.5), 0.3)  # coarser than feature/4
 
 
+def test_voxelize_bounds_the_lattice_before_building_it():
+    # h = 1e-4 asks for a 10^4-point lattice per axis (16 TB of centres); more
+    # than 8 cap lattice points raise at once, a lattice within it is built
+    with pytest.raises(MemoryError, match=r"lattice of 1e\+12 points, .* exceed the cap 20000"):
+        voxelize(Ball(0.5), 1e-4, cap=20000)
+    grid = voxelize(Ball(0.5), 1.0 / 16.0, cap=16**3 // 8)
+    assert grid.n_cells > 16**3 // 8
+
+
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
 def test_voxelize_rejects_a_non_positive_h(h):
     # h = 0 used to overflow and then report a degenerate shape

@@ -447,7 +447,7 @@ def test_dense_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
     gather = VieSystem._gather_blocks
     other = _system_factors(iso_contrast(1.0, 3.0), sys_h6.bg)
     monkeypatch.setattr(VieSystem, "_gather_blocks",
-                        lambda self, cells, signs, *args: gather(self, cells, signs, *other))
+                        lambda self, group, *args: gather(self, group, *other))
     with pytest.raises(RuntimeError, match="residual probe"):
         solve_density(sys_h6, c, g)
 
@@ -553,9 +553,9 @@ def block_rhs(monkeypatch):
 
 
 def _blocked_solve_single(mat, rhs):
-    """_blocked_solve of a symmetric mat on the one-element mirror group."""
-    cells = np.arange(mat.shape[0] // 3)[None]
-    return vie._blocked_solve(mat[None].copy(), (), cells, np.ones((1, 3)), rhs, "test matrix")
+    """_blocked_solve of a symmetric mat on the one-element group."""
+    group = vie._Group.trivial(mat.shape[0] // 3)
+    return vie._blocked_solve([mat.copy()], group, rhs, "test matrix")
 
 
 def test_ldlt_two_by_two_pivots(rng, block_rhs):
@@ -580,7 +580,7 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, rng, monkeypatch, 
                                                      case):
     # each block is factored in the memory of its gathered block and solves its
     # columns in the memory of its right-hand sides, and no 3N x 3N array is
-    # allocated besides the blocks: the ball's blocks are an eighth of one
+    # allocated besides the blocks: the ball's ten blocks hold far less than one
     gathered = []
     gather = VieSystem._gather_blocks
 
@@ -597,20 +597,20 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, rng, monkeypatch, 
     finally:
         tracemalloc.stop()
     (blocks,) = gathered
-    assert len(block_rhs) == blocks.shape[0]
+    assert len(block_rhs) == len(blocks)
     for block, call in zip(blocks, block_rhs):
         assert np.shares_memory(call.a, block)
         assert np.shares_memory(call.x, call.b)
     full = 16 * (3 * sys_h6.n_cells) ** 2
-    assert peak < blocks.nbytes + full
+    assert peak < sum(block.nbytes for block in blocks) + full
     if case != "aniso":
-        assert blocks.shape[0] == 8 and peak < full
+        assert len(blocks) == 10 and peak < full
 
 
 def test_blocked_factor_gets_its_workspace(sys_h6, block_rhs):
     # scipy's default lwork = n runs the unblocked factor, about half as fast
     solve_density(sys_h6, iso_contrast(1.0, 2.0), unit_inc(sys_h6.n_cells))
-    assert len(block_rhs) == 8
+    assert len(block_rhs) == 10
     for call in block_rhs:
         lwork, info = vie.zsysv_lwork(call.a.shape[0], lower=1)
         assert info == 0 and call.lwork is not None and call.lwork >= lwork.real
@@ -627,23 +627,57 @@ def test_mirror_axes_drop_each_axis_that_breaks_a_condition(sys_h8):
     xy = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     for k in range(-1, 4):
         mats = [xy if j == k else eye for j in range(4)]
-        axes, cells, signs = vie._mirror_orbits(sys_h8.index, *mats)
+        group = vie._orbits(sys_h8.index, *mats)
+        axes, cells = group.axes, group.cells
         assert axes == ((0, 1, 2) if k == -1 else (2,))
         # each orbit has 2^s distinct cells, and the orbits cover the grid
         assert np.array_equal(np.sort(cells.ravel()), np.arange(sys_h8.n_cells))
     # factors whose rows hold the components in another order: the z mirror
     # flips the sign of row 0 of the unknowns, not of component 2
     perm = eye[[2, 0, 1]]
-    axes, _, signs = vie._mirror_orbits(sys_h8.index, eye, perm, perm.T, eye)
-    assert axes == (0, 1, 2)
-    np.testing.assert_array_equal(signs[[1, 2, 4]], [[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
-    axes, cells, _ = vie._mirror_orbits(BLOCK_3x4x4, eye, eye, eye, eye)
-    assert axes == (1, 2)
-    assert np.array_equal(np.sort(cells.ravel()), np.arange(len(BLOCK_3x4x4)))
+    group = vie._orbits(sys_h8.index, eye, perm, perm.T, eye)
+    assert group.axes == (0, 1, 2)
+    np.testing.assert_array_equal(group.signs[[1, 2, 4]], [[1, -1, 1], [1, 1, -1], [-1, 1, 1]])
+    group = vie._orbits(BLOCK_3x4x4, eye, eye, eye, eye)
+    assert group.axes == (1, 2)
+    assert np.array_equal(np.sort(group.cells.ravel()), np.arange(len(BLOCK_3x4x4)))
+
+
+def _perms(group):
+    return sorted(map(tuple, group.perm_axes.tolist()))
+
+
+ALL_PERMS = sorted(itertools.permutations(range(3)))
+
+
+def test_axis_permutations_drop_each_one_that_breaks_a_condition(sys_h8):
+    # the ball keeps all six axis permutations; a z entry apart in A or in any
+    # system factor leaves only the x <-> y swap
+    eye = np.eye(3)
+    zz = np.diag([1.0, 1.0, 2.0])
+    for k in range(-1, 4):
+        mats = [zz if j == k else eye for j in range(4)]
+        group = vie._orbits(sys_h8.index, *mats)
+        assert group.axes == (0, 1, 2)
+        assert _perms(group) == (ALL_PERMS if k == -1 else [(0, 1, 2), (1, 0, 2)])
+    # factors whose rows hold the components in another order: the
+    # permutations move the unknowns' rows with them
+    perm = eye[[2, 0, 1]]
+    group = vie._orbits(sys_h8.index, eye, perm, perm.T, eye)
+    assert _perms(group) == ALL_PERMS
+    swap = group.perm_axes.tolist().index([1, 0, 2])
+    # x <-> y moves components 0 and 1, which rows 1 and 2 of the unknowns hold
+    assert group.perm_comps[swap].tolist() == [0, 2, 1]
+    # a cell set symmetric under y <-> z only, and one under the 3-cycles only
+    # (not a group the split knows: the identity is kept)
+    assert _perms(vie._orbits(BLOCK_3x4x4, eye, eye, eye, eye)) == [(0, 1, 2), (0, 2, 1)]
+    chiral = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert _perms(vie._orbits(chiral, eye, eye, eye, eye)) == [(0, 1, 2)]
 
 
 def _mirror_case_systems():
-    """(grid, background, contrast, mirror axes): symmetric and broken grids at resolution 8."""
+    """(grid, background, contrast, mirror axes, axis permutations): symmetric
+    and broken grids at resolution 8."""
     iso = Background.isotropic(a=1.0, kappa=1.0)
     xy = Background(A=SymTensor3.from_matrix([[1.3, 0.2, 0.0], [0.2, 0.9, 0.0],
                                                [0.0, 0.0, 1.1]]), kappa=1.0)
@@ -652,41 +686,64 @@ def _mirror_case_systems():
     ball = voxelize(Ball(0.5), 1.0 / 8.0)
     ellipsoid = voxelize(Ellipsoid((0.5, 0.35, 0.3), center=(0.2, -0.1, 0.05)), 1.0 / 8.0)
     xy_tensor = SymTensor3.from_matrix([[2.0, 0.3, 0.0], [0.3, 1.5, 0.0], [0.0, 0.0, 1.6]])
+    diagonal = aniso_contrast(iso.A, SymTensor3.diag(2.0, 0.7, 1.6))
+    one = [(0, 1, 2)]
     return {
-        "ball_q_pos": (ball, iso, iso_contrast(1.0, 2.0), (0, 1, 2)),
-        "ball_q_neg": (ball, iso, iso_contrast(1.0, 0.5), (0, 1, 2)),
-        "offcentre_ellipsoid": (ellipsoid, iso, iso_contrast(1.0, 2.0), (0, 1, 2)),
-        "xy_background": (ball, xy, aniso_contrast(xy.A, SymTensor3.diag(2.0, 1.5, 1.6)), (2,)),
-        "xy_tensor_contrast": (ball, iso, aniso_contrast(iso.A, xy_tensor), (2,)),
+        "ball_q_pos": (ball, iso, iso_contrast(1.0, 2.0), (0, 1, 2), ALL_PERMS),
+        "ball_q_neg": (ball, iso, iso_contrast(1.0, 0.5), (0, 1, 2), ALL_PERMS),
+        # two equal semi-axes: the x <-> y swap
+        "equal_axes_ellipsoid": (voxelize(Ellipsoid((0.5, 0.5, 0.3)), 1.0 / 8.0), iso,
+                                 iso_contrast(1.0, 2.0), (0, 1, 2), [(0, 1, 2), (1, 0, 2)]),
+        "offcentre_ellipsoid": (ellipsoid, iso, iso_contrast(1.0, 2.0), (0, 1, 2), one),
+        "ellipsoid_tensor_contrast": (ellipsoid, iso, diagonal, (0, 1, 2), one),
+        "xy_background": (ball, xy, aniso_contrast(xy.A, SymTensor3.diag(2.0, 1.5, 1.6)), (2,),
+                          one),
+        "xy_tensor_contrast": (ball, iso, aniso_contrast(iso.A, xy_tensor), (2,), one),
         "coupled_background": (ball, full, aniso_contrast(full.A, SymTensor3.diag(2.0, 1.5, 1.6)),
-                               ()),
+                               (), one),
         # mixed signs, and factors whose rows are the eigenvectors in another order
-        "diagonal_tensor_contrast": (ball, iso,
-                                     aniso_contrast(iso.A, SymTensor3.diag(2.0, 0.7, 1.6)),
-                                     (0, 1, 2)),
-        # one removed cell leaves no mirror of the ball's cell set
+        "diagonal_tensor_contrast": (ball, iso, diagonal, (0, 1, 2), one),
+        # two equal eigenvalues keep the swap of their axes, which moves the
+        # unknowns' rows that hold them; the second has sigma = i on the y row
+        "equal_eigenvalues_contrast": (ball, iso, aniso_contrast(iso.A, SymTensor3.diag(
+            2.0, 2.0, 1.6)), (0, 1, 2), [(0, 1, 2), (1, 0, 2)]),
+        "equal_eigenvalues_mixed_signs": (ball, iso, aniso_contrast(iso.A, SymTensor3.diag(
+            2.0, 0.5, 2.0)), (0, 1, 2), [(0, 1, 2), (2, 1, 0)]),
+        # one removed cell leaves no mirror and no axis permutation of the
+        # ball's cell set
         "ball_less_one_cell": (dataclasses.replace(ball, centers=ball.centers[1:]), iso,
-                               iso_contrast(1.0, 2.0), ()),
+                               iso_contrast(1.0, 2.0), (), one),
         # a 3 x 4 x 4 block: its middle x slab lies on the x mirror plane
         "odd_extent_block": (dataclasses.replace(ball, centers=BLOCK_3x4x4 / 8.0), iso,
-                             iso_contrast(1.0, 2.0), (1, 2)),
+                             iso_contrast(1.0, 2.0), (1, 2), [(0, 1, 2), (0, 2, 1)]),
     }
 
 
 @pytest.mark.parametrize("k", [1, 4])
 @pytest.mark.parametrize("case", sorted(_mirror_case_systems()))
 def test_blocked_solve_matches_dense_solve(rng, block_rhs, case, k):
-    grid, bg, contrast, axes = _mirror_case_systems()[case]
+    grid, bg, contrast, axes, perms = _mirror_case_systems()[case]
     sys = assemble(grid, bg)
     factors = _system_factors(contrast, bg)
-    assert vie._mirror_orbits(sys.index, bg.A.matrix, *factors)[0] == axes
+    group = vie._orbits(sys.index, bg.A.matrix, *factors)
+    assert group.axes == axes and _perms(group) == perms
     shape = (3 * sys.n_cells, k)
     b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.linalg.solve(sys.dense(*factors), b)
     x = sys._dense_solve(contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
-    rows = 3 * sys.n_cells // 2 ** len(axes)
-    assert [call.a.shape for call in block_rhs] == [(rows, rows)] * 2 ** len(axes)
+    shapes = [call.a.shape for call in block_rhs]
+    assert shapes == [(rows, rows) for _, rows in group.block_names()]
+    if len(perms) == 1:
+        rows = 3 * sys.n_cells // 2 ** len(axes)
+        assert shapes == [(rows, rows)] * 2 ** len(axes)
+    else:
+        # each class solves for its members: the blocks' rows, counted once per
+        # member and irrep dimension, are the 3N unknowns
+        total = sum((1 + len(members)) * d * rows for _, key, members in group.classes
+                    for d, rows in zip(group.splits[key].dims, group.splits[key].sizes()))
+        assert total == 3 * sys.n_cells
+        assert max(rows for _, rows in group.block_names()) <= 3 * sys.n_cells // 2 ** len(axes)
 
 
 def _parity_projection(field, index, c):
@@ -706,15 +763,30 @@ def _parity_projection(field, index, c):
     return out / 8.0
 
 
-def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(sys_h6, rng, block_rhs):
+def _symmetric_projection(field, index):
+    """The part of field (N, 3) invariant under all 48 signed axis permutations
+    of a grid with that symmetry: v(P x) = P v(x) for each of them."""
+    dims = index.max(axis=0) + 1
+    where = np.full(dims, -1)
+    where[tuple(index.T)] = np.arange(len(index))
+    even = _parity_projection(field, index, 0)
+    # the cell at x' takes P v(x) from the cell at x, x'[p[k]] = x[k]
+    return sum(even[where[tuple(index[:, p].T)]][:, np.argsort(p)]
+               for p in map(list, itertools.permutations(range(3)))) / 6.0
+
+
+def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(rng, block_rhs):
     # class c gets c % 3 + 1 columns of definite parity; a generic column, an
     # all-zero column and a class-0 column with a faint (1e-9) class-5 part
-    # ride along, and the columns are shuffled
+    # ride along, and the columns are shuffled.  The centred ellipsoid with
+    # three distinct semi-axes has the eight mirrors and no axis permutation.
+    sys = assemble(voxelize(Ellipsoid((0.5, 0.4, 0.3)), 1.0 / 8.0),
+                   Background.isotropic(a=1.0, kappa=1.0))
     contrast = iso_contrast(1.0, 2.0)
-    factors = _system_factors(contrast, sys_h6.bg)
-    axes, cells, _ = vie._mirror_orbits(sys_h6.index, sys_h6.bg.A.matrix, *factors)
-    assert axes == (0, 1, 2)
-    n, index = sys_h6.n_cells, sys_h6.index
+    factors = _system_factors(contrast, sys.bg)
+    group = vie._orbits(sys.index, sys.bg.A.matrix, *factors)
+    assert group.axes == (0, 1, 2) and len(group.perm_axes) == 1
+    n, index = sys.n_cells, sys.index
     classes = [c for c in range(8) for _ in range(c % 3 + 1)]
     fields = [_parity_projection(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
                                  index, c) for c in classes]
@@ -723,15 +795,15 @@ def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(sys_h6, rn
     order = rng.permutation(len(fields))
     fields = [fields[i] for i in order]
     b = np.stack([f.reshape(-1) for f in fields], axis=1)
-    want = np.linalg.solve(sys_h6.dense(*factors), b)
-    x = sys_h6._dense_solve(contrast, np.asfortranarray(b))
+    want = np.linalg.solve(sys.dense(*factors), b)
+    x = sys._dense_solve(contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert not np.any(x[:, order == len(fields) - 2])
     faint = order == len(fields) - 1
     assert np.linalg.norm(x[:, faint] - want[:, faint]) <= 1e-12 * np.linalg.norm(want[:, faint])
     # block c receives 8 v_c(r) on the orbit representatives r for exactly the
     # columns v whose class-c part v_c is more than roundoff, in their order
-    reps = cells[0]
+    reps = group.cells[0]
     assert np.array_equal(reps, np.flatnonzero(np.all(index < (index.max(axis=0) + 1) // 2,
                                                        axis=1)))
     assert len(block_rhs) == 8
@@ -743,15 +815,39 @@ def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(sys_h6, rn
         assert np.linalg.norm(got - want_rhs) <= 1e-12 * np.linalg.norm(want_rhs)
 
 
+def test_group_solve_routes_a_member_column_through_its_class(sys_h6, rng, block_rhs):
+    # on the ball, a column odd under the x mirror only belongs to the class of
+    # x+ y+ z-, whose representative solves it as the image under the axis
+    # permutation that takes z to x, split between the even and odd blocks of
+    # the x <-> y swap that fixes that class; the other eight blocks are idle
+    contrast = iso_contrast(1.0, 2.0)
+    factors = _system_factors(contrast, sys_h6.bg)
+    group = vie._orbits(sys_h6.index, sys_h6.bg.A.matrix, *factors)
+    names = [name for name, _ in group.block_names()]
+    assert names == ["x+ y+ z+ A1", "x+ y+ z+ A2", "x+ y+ z+ E", "x+ y+ z- even",
+                     "x+ y+ z- odd", "x- y- z+ even", "x- y- z+ odd", "x- y- z- A1",
+                     "x- y- z- A2", "x- y- z- E"]
+    n = sys_h6.n_cells
+    field = _parity_projection(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
+                               sys_h6.index, 1)
+    b = field.reshape(-1, 1)
+    want = np.linalg.solve(sys_h6.dense(*factors), b)
+    x = sys_h6._dense_solve(contrast, np.asfortranarray(b))
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert [call.rhs.shape[1] for call in block_rhs] == [0, 0, 0, 1, 1, 0, 0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.2, -0.1, 0.15)],
                          ids=["centred", "off_centre"])
 def test_regular_waves_reach_one_block_only_about_the_ball_centre(bg_unit, block_rhs, center):
     # the real parts of the regular waves about the origin have a definite
     # parity under each mirror of a ball centred there, and none about an
-    # off-centre ball's mirrors
+    # off-centre ball's mirrors.  The diagonal tensor contrast keeps the eight
+    # mirrors and no axis permutation, so each parity is one block.
     sys = assemble(voxelize(Ball(0.5, center=center), 1.0 / 6.0), bg_unit)
+    contrast = aniso_contrast(bg_unit.A, SymTensor3.diag(2.0, 0.7, 1.6))
     waves = regular_wave_gradients(3, 1.0, sys.grid.centers)[1:].real
-    dens = solve_density(sys, iso_contrast(1.0, 2.0), waves)
+    dens = solve_density(sys, contrast, waves)
     assert dens.residual < 1e-10
     counts = [call.rhs.shape[1] for call in block_rhs]
     if any(center):
@@ -780,13 +876,16 @@ def test_real_fields_are_solved_without_a_complex_copy(sys_h6):
 
 @pytest.mark.parametrize("diag", [np.zeros((3, 3))], ids=["symmetric"])
 def test_singular_system_raises_before_solve(sys_h6, rng, monkeypatch, diag):
-    # the error names the block, and the caller's right-hand sides come back unchanged
+    # the error names the block, its class and irrep, and the caller's
+    # right-hand sides come back unchanged
     zero = np.zeros((3, 3))
     monkeypatch.setattr(vie, "_system_factors", lambda contrast, bg: (zero, zero, diag))
     shape = (3 * sys_h6.n_cells, 4)
     rhs = np.asfortranarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     b = rhs.copy()
-    want = (rf"the x\+ y\+ z\+ block \({shape[0] // 8} rows\) of the system on "
+    (name, rows), *_ = vie._orbits(sys_h6.index, np.eye(3), zero, zero, diag).block_names()
+    assert (name, rows) == ("x+ y+ z+ A1", 11)
+    want = (rf"the x\+ y\+ z\+ A1 block \(11 rows\) of the system on "
             rf"{sys_h6.n_cells} cells is singular: LDL\^T pivot 1 is exactly zero")
     with pytest.raises(RuntimeError, match=want):
         vie.resolvent_solve(sys_h6, iso_contrast(1.0, 2.0), rhs)
@@ -796,26 +895,26 @@ def test_singular_system_raises_before_solve(sys_h6, rng, monkeypatch, diag):
 
 
 def test_blocks_that_carry_no_column_are_factored(sys_h6, rng, monkeypatch, block_rhs):
-    # one even column is solved in block 0 alone, yet every block is factored:
-    # a singular x- y- z- block raises after block 0 has solved the column,
-    # and the caller's column is left as it was
+    # one fully symmetric column is solved in block 0 alone, yet every block is
+    # factored: a singular x- y- z- E block raises after block 0 has solved the
+    # column, and the caller's column is left as it was
     contrast = iso_contrast(1.0, 2.0)
     n = sys_h6.n_cells
-    field = _parity_projection(rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)),
-                               sys_h6.index, 0)
+    field = _symmetric_projection(
+        rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)), sys_h6.index)
     vie.resolvent_solve(sys_h6, contrast, field.reshape(-1).copy())
-    assert [call.rhs.shape[1] for call in block_rhs] == [1] + [0] * 7
+    assert [call.rhs.shape[1] for call in block_rhs] == [1] + [0] * 9
     gather = VieSystem._gather_blocks
 
     def zero_last(self, *args):
         blocks = gather(self, *args)
-        blocks[-1] = 0.0
+        blocks[-1][...] = 0.0
         return blocks
 
     monkeypatch.setattr(VieSystem, "_gather_blocks", zero_last)
     rhs = field.reshape(-1)
     b = rhs.copy()
-    with pytest.raises(RuntimeError, match=r"the x- y- z- block .* is singular"):
+    with pytest.raises(RuntimeError, match=r"the x- y- z- E block .* is singular"):
         vie.resolvent_solve(sys_h6, contrast, rhs)
     np.testing.assert_array_equal(rhs, b)
 
