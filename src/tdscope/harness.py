@@ -14,6 +14,7 @@ to a separate timing sidecar so reruns stay comparable byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -138,6 +139,12 @@ _RANGES = (
         and "born_q0 must lie in (-1, 1), nonzero",
     lambda c: c.study == "born" and c.born_halvings < 1
         and "born_halvings must be >= 1: the study checks at least one halving ratio",
+    # the Born error at the smallest q is about q: 1e-6 keeps it two decades
+    # above the 1e-8 residual bound of a GMRES solve
+    lambda c: c.study == "born" and c.born_halvings >= 1 and c.born_q0 != 0.0
+        and math.ldexp(abs(c.born_q0), -c.born_halvings) < 1e-6
+        and f"born_halvings = {c.born_halvings} halves born_q0 = {c.born_q0} below 1e-6 in "
+            f"magnitude, where roundoff swamps the Born error",
     lambda c: c.study == "finite_delta" and min(c.deltas) <= 0 and "deltas must be positive",
     lambda c: c.study == "finite_delta" and c.cells_across < 4 and "cells_across must be >= 4",
     lambda c: c.study == "finite_delta"
@@ -326,11 +333,28 @@ def _grid(cfg):
     return grid
 
 
+# Surface nodes a quad_order may ask for.  A rule of order m has 2 m^2 nodes;
+# a node factor holds grad Phi at every node for every cell and solves one
+# right-hand side per node, so the cap keeps the node count near the rank of
+# the largest spectral factor, (150 + 1)^2 = 22,801 waves at the degree limit
+# of specfun_quad: order 128, exact through degree 255.
+_NODE_CAP = 2 * 128**2
+
+
+def _quad_order(cfg, order):
+    """quad_order if set, else order; MemoryError naming quad_order past _NODE_CAP
+    nodes, raised before any rule is built."""
+    if cfg.quad_order is None:
+        return order
+    if 2 * cfg.quad_order**2 > _NODE_CAP:
+        raise MemoryError(f"quad_order = {cfg.quad_order} asks for {2 * cfg.quad_order**2} "
+                          f"nodes per surface, above the cap {_NODE_CAP}; lower it")
+    return cfg.quad_order
+
+
 def _surface(cfg, radius, order):
     """The measurement sphere of the given radius; quad_order overrides order."""
-    if cfg.quad_order is not None:
-        order = cfg.quad_order
-    return sphere_surface(radius, order, aperture=cfg.aperture)
+    return sphere_surface(radius, _quad_order(cfg, order), aperture=cfg.aperture)
 
 
 def _sample_points(cfg):
@@ -613,20 +637,20 @@ def run_born_study(cfg):
 
 
 def _oracle_setup(cfg):
-    """Background of the kernel checks; grid and contrast of the reciprocity
-    check.  The run builds the spheres: the first one, which the first
-    kernel_G call uses, is valid once the rows of _RANGES pass."""
+    """Background and base quadrature order of the kernel checks; grid and
+    contrast of the reciprocity check.  The run builds the spheres: the first
+    one, which the first kernel_G call uses, is valid once the rows of _RANGES
+    pass."""
     with _building(cfg, "kappa"):
         bg = Background.isotropic(a=1.0, kappa=cfg.kappa if cfg.kappa > 0 else 1.0)
-    return bg, _grid(cfg), _contrast(cfg, bg)
+    return bg, _quad_order(cfg, 30), _grid(cfg), _contrast(cfg, bg)
 
 
 def run_oracle_suite(cfg):
     """Cross-checks of every kernel route, the E operator, and reciprocity."""
     t0 = time.monotonic()
-    bg, grid, contrast = _oracle_setup(cfg)
+    bg, base_order, grid, contrast = _oracle_setup(cfg)
     kappa, R = bg.kappa, cfg.surface_radius
-    base_order = cfg.quad_order if cfg.quad_order is not None else 30
     scale = min(1.0 / kappa, R / 4.0)
     z = np.array([1.5, -1.0, 2.0]) * scale
     y = np.array([-2.0, 0.4, 0.8]) * scale
@@ -651,9 +675,7 @@ def run_oracle_suite(cfg):
 
     rz = float(np.linalg.norm(z))
     ry = float(np.linalg.norm(y))
-    ff_order = cfg.quad_order
-    if ff_order is None:
-        ff_order = imaging.surface_order_hint(kappa, rz, ry) + 20
+    ff_order = _quad_order(cfg, imaging.surface_order_hint(kappa, rz, ry) + 20)
     surf_far = sphere_surface(500.0 / kappa, ff_order)
     g_far_q = imaging.kernel_G(surf_far, bg, z, y)
     g_far = imaging.kernel_G_farfield(kappa, z, y)

@@ -19,16 +19,17 @@ x.reshape(N, 3).
 Voxel centres lie on one lattice and every block of gradW depends only on
 the lattice offset between its two cells, so gradW is block-Toeplitz.  It is
 stored as one table of 3x3 blocks per offset, circulant-embedded on a box of
-twice the grid's lattice extent, in Fourier space.  A product with gradW
-scatters the density to the first half of each box axis, transforms one axis
-at a time (the last axis only on the lines that hold data, the middle one
-only on the occupied slabs, the first one on the full box), multiplies by
-the 3x3 symbol, transforms back in the reverse order, skipping the half of
-each axis that is never read, and gathers: O(box log box) time and O(box)
-memory.  Each block is even in the offset and a symmetric Hessian, so gradW,
-R_kappa and the system matrix are complex symmetric for every contrast;
-reciprocity of scattered fields is exact for this discretization up to
-roundoff.
+twice the grid's lattice extent, in Fourier space, where only the 6 distinct
+entries of each symmetric block are kept.  A product with gradW scatters the
+density to the first half of each box axis, transforms one axis at a time
+(the last axis only on the lines that hold data, the middle one only on the
+occupied slabs, the first one on the full box), multiplies by the 3x3
+symbol in place, one cache-sized slab of the first axis at a time,
+transforms back in the reverse order, skipping the half of each axis that
+is never read, and gathers: O(box log box) time and O(box) memory.  Each
+block is even in the offset and a symmetric Hessian, so gradW, R_kappa and
+the system matrix are complex symmetric for every contrast; reciprocity of
+scattered fields is exact for this discretization up to roundoff.
 
 Below DIRECT_CAP cells each solve gathers the system matrix from the table
 under the grid's group of signed axis permutations (_orbits).  An axis is a
@@ -78,7 +79,7 @@ from scipy.linalg.lapack import zsysv, zsysv_lwork
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .greens import cell_self_term, grad_phi, hess_phi
-from .materials import IsoContrast
+from .materials import _PACK, IsoContrast
 
 __all__ = [
     "VieSystem",
@@ -96,6 +97,8 @@ VOXEL_CAP = 20000
 DIRECT_CAP = 3000
 NEAR_SUBDIV = 4  # subcells per axis averaged over for touching-cell blocks
 _BOX_AXES = (-3, -2, -1)
+# row of kernel_hat holding entry (a, b) of the symmetric 3x3 symbol
+_UNPACK = np.array([[_PACK.index((min(a, b), max(a, b))) for b in range(3)] for a in range(3)])
 
 
 @dataclass
@@ -564,17 +567,21 @@ def _blocked_solve(blocks, group, rhs, what):
 class VieSystem:
     """grad W_kappa on a voxel grid as an FFT offset table, plus cached responses.
 
-    index holds each cell's integer lattice position (N, 3); kernel_hat holds
-    the FFT over the box axes of the circulant-embedded block table, shape
-    (3, 3, *box).  The system keeps scatterer responses (imaging's
-    regular-wave response T_w) per contrast and caller-given key, never a
-    dense factor.
+    index holds each cell's integer lattice position (N, 3).  kernel_hat
+    holds the FFT over the box axes of the circulant-embedded block table,
+    packed: the 6 distinct entries of the symmetric 3x3 symbol in the order
+    of materials._PACK, shape (6, *box).  flat holds each cell's position in
+    the scatter layout of apply, the box's first halves (d0, d1) of the first
+    two axes by the whole last axis, flattened.  The system keeps scatterer
+    responses (imaging's regular-wave response T_w) per contrast and
+    caller-given key, never a dense factor.
     """
 
     grid: object
     bg: object
     index: np.ndarray
     kernel_hat: np.ndarray
+    flat: np.ndarray
     _response_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -586,37 +593,47 @@ class VieSystem:
 
         v has shape (3N,), (N,3) or (3N,K); the result has the same shape and
         v is not written to.  Omitted factors are the identity (left, right)
-        and zero (diag).  The density is scattered to the first half
-        (d0, d1, d2) of the box, so the forward transform runs the last axis
-        on those d0*d1 lines only, the middle axis on the d0 slabs and the
-        first axis on the full box.  The symbol is applied as nine
-        multiply-adds with kernel_hat[a, b], and the inverse transform runs
-        the axes in reverse order, dropping the half of each axis that the
-        gather does not read before transforming the next.
+        and zero (diag).  The density is scattered through flat into a
+        zeroed (3, K, d0, d1, p2) buffer, so the forward transform runs the
+        last axis in place on those d0*d1 lines, the middle axis on the d0
+        slabs and the first axis on the full box.  The symbol is applied in
+        place, a slab of the first box axis at a time: entry (a, b) is row
+        _UNPACK[a, b] of kernel_hat, and out_a = K_a0 x_0 + K_a1 x_1 + K_a2 x_2
+        is summed in that order.  The inverse transform runs the axes in
+        reverse order, dropping the half of each of the first two axes that
+        the gather does not read before transforming the next, and flat
+        gathers the result.
         """
         x = v.reshape(self.n_cells, 3, -1)
         k = x.shape[2]
         kh = self.kernel_hat
-        p0, p1, p2 = kh.shape[2:]
-        cells = (slice(None), slice(None), *self.index.T)
+        p0, p1, p2 = kh.shape[1:]
+        d0, d1 = p0 // 2, p1 // 2
         xt = x.transpose(1, 2, 0).reshape(3, -1)
         src = xt if right is None else right @ xt
-        buf = np.zeros((3, k, p0 // 2, p1 // 2, p2 // 2), dtype=complex)
-        buf[cells] = src.reshape(3, k, -1)
-        buf = fft(buf, n=p2, axis=-1, overwrite_x=True)
+        buf = np.zeros((3, k, d0 * d1 * p2), dtype=complex)
+        buf[:, :, self.flat] = src.reshape(3, k, -1)
+        buf = fft(buf.reshape(3, k, d0, d1, p2), axis=-1, overwrite_x=True)
         buf = fft(buf, n=p1, axis=-2, overwrite_x=True)
         buf = fft(buf, n=p0, axis=-3, overwrite_x=True)
-        out = np.empty_like(buf)
-        tmp = np.empty_like(out[0])
-        for a in range(3):
-            np.multiply(kh[a, 0], buf[0], out=out[a])
-            for b in (1, 2):
-                np.multiply(kh[a, b], buf[b], out=tmp)
-                out[a] += tmp
-        out = ifft(out, axis=-3, overwrite_x=True)[:, :, : p0 // 2]
-        out = ifft(out, axis=-2, overwrite_x=True)[:, :, :, : p1 // 2]
-        out = ifft(out, axis=-1, overwrite_x=True)[..., : p2 // 2]
-        y = out[cells].reshape(3, -1)
+        # slabs of about 2^13 box points per column keep their arrays in cache
+        step = min(p0, max(1, (1 << 13) // (p1 * p2)))
+        acc = np.empty((3, k, step, p1, p2), dtype=complex)
+        tmp = np.empty_like(acc[0])
+        for i0 in range(0, p0, step):
+            i1 = min(i0 + step, p0)
+            xs, ks, ys = buf[:, :, i0:i1], kh[:, i0:i1], acc[:, :, : i1 - i0]
+            t = tmp[:, : i1 - i0]
+            for a, rows in enumerate(_UNPACK):
+                np.multiply(ks[rows[0]], xs[0], out=ys[a])
+                for b in (1, 2):
+                    np.multiply(ks[rows[b]], xs[b], out=t)
+                    ys[a] += t
+            xs[...] = ys
+        out = ifft(buf, axis=-3, overwrite_x=True)[:, :, :d0]
+        out = ifft(out, axis=-2, overwrite_x=True)[:, :, :, :d1]
+        out = ifft(out, axis=-1, overwrite_x=True)
+        y = out.reshape(3, k, -1)[:, :, self.flat].reshape(3, -1)
         if left is not None:
             y = left @ y
         if diag is not None:
@@ -635,9 +652,9 @@ class VieSystem:
 
     def _offset_blocks(self, left, right):
         """(blocks, box): left K(o) right for every box offset o, flat (prod(box), 3, 3)."""
-        table = np.fft.ifftn(self.kernel_hat, axes=_BOX_AXES)
-        table = np.tensordot(left, table.reshape(3, 3, -1), axes=(1, 0))
-        return np.einsum("aco,cd->oad", table, right), self.kernel_hat.shape[2:]
+        table = np.fft.ifftn(self.kernel_hat, axes=_BOX_AXES).reshape(6, -1)[_UNPACK]
+        table = np.tensordot(left, table, axes=(1, 0))
+        return np.einsum("aco,cd->oad", table, right), self.kernel_hat.shape[1:]
 
     def dense(self, left=None, right=None, diag=None):
         """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table.
@@ -720,9 +737,12 @@ def assemble(grid, bg):
     (NEAR_SUBDIV^3 midpoints): the plain midpoint rule there inflates the
     discrete spectrum of R_0 well above its continuum norm 1.  The table is
     circulant-embedded on a box of twice the grid's lattice extent per axis,
-    so an FFT convolution on the box reproduces every cell-pair block.  No
-    dense matrix is formed here; each dense solve gathers its mirror blocks
-    from the table (VieSystem._gather_blocks).
+    so an FFT convolution on the box reproduces every cell-pair block.  Each
+    block is symmetric, so only its 6 distinct entries are transformed, in
+    materials._PACK order, an off-diagonal one as 1/2 (K_ab + K_ba): the
+    entry itself wherever the block is bitwise symmetric, as it is in an
+    isotropic background.  No dense matrix is formed here; each dense solve
+    gathers its mirror blocks from the table (VieSystem._gather_blocks).
     """
     n = grid.n_cells
     if n == 0:
@@ -746,9 +766,17 @@ def assemble(grid, bg):
     ring = np.flatnonzero(np.abs(offsets).max(axis=1) == 1)
     pts = offsets[ring, None, :] * h - sub[None, :, :]
     table[ring] = hess_phi(bg, pts).mean(axis=1) * h**3
-    table = np.moveaxis(table.reshape(*box, 3, 3), (-2, -1), (0, 1))
-    kernel_hat = np.fft.fftn(table, axes=_BOX_AXES)
-    return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat)
+    a, b = np.array(_PACK).T
+    packed = 0.5 * (table[:, a, b] + table[:, b, a])
+    kernel_hat = np.fft.fftn(packed.T.reshape(6, *box), axes=_BOX_AXES)
+    # the cells in apply's scatter layout (d0, d1, p2) = (dims[0], dims[1], box[2])
+    flat = (index[:, 0] * dims[1] + index[:, 1]) * box[2] + index[:, 2]
+    return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat, flat=flat)
+
+
+def _dense_path(sys):
+    """Whether resolvent_solve takes the dense path on this system, not GMRES."""
+    return sys.n_cells <= DIRECT_CAP
 
 
 def resolvent_solve(sys, contrast, rhs):
@@ -773,7 +801,7 @@ def resolvent_solve(sys, contrast, rhs):
     def matvec(v):
         return sys.apply(v, *factors)
 
-    if sys.n_cells <= DIRECT_CAP:
+    if _dense_path(sys):
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
         x = sys._dense_solve(contrast, rhs)
@@ -850,7 +878,7 @@ def solve_density(sys, contrast, incident_grad):
     num = np.linalg.norm(hr - sys.apply(hr) @ dA.T - target)
     den = np.linalg.norm(target)
     res = float(num / den) if den > 0.0 else 0.0
-    tol = 1e-10 if sys.n_cells <= DIRECT_CAP else 1e-8
+    tol = 1e-10 if _dense_path(sys) else 1e-8
     if res > tol:
         raise RuntimeError(f"VIE residual {res:.3e} exceeds {tol:.0e}")
     return DensityField(values=h, grid=sys.grid, residual=res)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdscope import harness
+from tdscope import harness, specfun_quad
 from tdscope import (
     Background,
     ExperimentConfig,
@@ -144,6 +144,43 @@ def test_validate_config_keeps_the_contrasts_each_study_runs():
     both = "scatterer_A = 2, 2, 3\ntrial_A = 1.5, 3, 2\n"
     assert validate_config(cfg_from(f"study = sign\n{both}")) == []
     assert validate_config(cfg_from("study = finite_delta\nscatterer_A = 2, 2, 3\n")) == []
+
+
+def test_validate_config_bounds_born_halvings():
+    # born_halvings = 60 validated, and the run then reported NaN and FAILed on
+    # roundoff ratios from halving 50 on; |born_q0| 2^-halvings must stay >= 1e-6
+    problems = validate_config(cfg_from("study = born\nborn_halvings = 60\n"))
+    assert len(problems) == 1 and problems[0].startswith("born_halvings "), problems
+    assert validate_config(cfg_from("study = born\nborn_halvings = 19\n"))  # 0.5 / 2^19
+    assert validate_config(cfg_from("study = born\nborn_halvings = 18\n")) == []
+    assert validate_config(cfg_from("study = born\nborn_q0 = -0.001\nborn_halvings = 10\n"))
+    with pytest.raises(ValueError, match="born_halvings = 60"):
+        run_study(cfg_from("study = born\nborn_halvings = 60\n"))
+
+
+def test_born_moderate_config_keeps_validating():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "demos" / "configs"
+                      / "born_moderate.cfg")
+    assert validate_config(cfg) == []
+    more = dict(cfg.values, born_halvings=cfg.born_halvings + 5)
+    assert validate_config(ExperimentConfig(values=more)) == []
+
+
+@pytest.mark.parametrize("study", ["sign", "decay", "oracle", "finite_delta"])
+def test_quad_order_is_capped_before_any_rule_is_built(study, monkeypatch):
+    # quad_order = 100000 validated; a node path would then have built 2e10 nodes
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr(specfun_quad, "sphere_quadrature", no_rule)
+    cfg = cfg_from(f"study = {study}\nquad_order = 100000\n")
+    problems = validate_config(cfg)
+    assert len(problems) == 1 and problems[0].startswith("quad_order "), problems
+    with pytest.raises(MemoryError, match="quad_order = 100000"):
+        run_study(cfg)
+    top = int(np.sqrt(harness._NODE_CAP / 2))
+    assert validate_config(cfg_from(f"study = {study}\nquad_order = {top}\n")) == []
+    assert validate_config(cfg_from(f"study = {study}\nquad_order = {top + 1}\n"))
 
 
 def test_validate_config_flags_zero_length_rays():

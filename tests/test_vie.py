@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.fft import fft, ifft
 
 from tdscope import (
     Background,
@@ -130,11 +131,132 @@ def test_one_cell_grid_matches_dense_reference(bg_unit, rng):
     grid = voxelize(Ball(0.5), 1.0 / 6.0)
     grid = dataclasses.replace(grid, centers=grid.centers[:1])
     sys = assemble(grid, bg_unit)
-    assert sys.kernel_hat.shape == (3, 3, 2, 2, 2)
+    assert sys.kernel_hat.shape == (6, 2, 2, 2)
     ref = dense_gradw_reference(grid, bg_unit)
     x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     want = ref @ x
     assert np.linalg.norm(sys.apply(x) - want) < 1e-13 * np.linalg.norm(want)
+
+
+def nine_entry_symbol(sys):
+    """kernel_hat in its former unpacked layout, (3, 3, *box): the FFT of every
+    entry of every block of the circulant-embedded table, each 3x3 block taken
+    from hess_phi, cell_self_term and the subcell averages as evaluated, with
+    no symmetrization."""
+    grid, bg = sys.grid, sys.bg
+    box = sys.kernel_hat.shape[1:]
+    axes = [(np.arange(p) + p // 2) % p - p // 2 for p in box]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    h = grid.h
+    table = np.empty((offsets.shape[0], 3, 3), dtype=complex)
+    far = np.any(offsets != 0, axis=1)
+    table[far] = hess_phi(bg, offsets[far] * h) * h**3
+    table[~far] = cell_self_term(bg, h)
+    t = ((np.arange(vie.NEAR_SUBDIV) + 0.5) / vie.NEAR_SUBDIV - 0.5) * h
+    sub = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    ring = np.flatnonzero(np.abs(offsets).max(axis=1) == 1)
+    table[ring] = hess_phi(bg, offsets[ring, None, :] * h - sub[None, :, :]).mean(axis=1) * h**3
+    table = np.moveaxis(table.reshape(*box, 3, 3), (-2, -1), (0, 1))
+    return np.fft.fftn(table, axes=(-3, -2, -1))
+
+
+def nine_product_apply(kh, index, v, left=None, right=None, diag=None):
+    """The former apply: a full np.zeros scatter on the half box through three
+    index arrays, the transforms padding each axis, and nine products with
+    the (3, 3, *box) symbol kh."""
+    n = index.shape[0]
+    x = v.reshape(n, 3, -1)
+    k = x.shape[2]
+    p0, p1, p2 = kh.shape[2:]
+    cells = (slice(None), slice(None), *index.T)
+    xt = x.transpose(1, 2, 0).reshape(3, -1)
+    src = xt if right is None else right @ xt
+    buf = np.zeros((3, k, p0 // 2, p1 // 2, p2 // 2), dtype=complex)
+    buf[cells] = src.reshape(3, k, -1)
+    buf = fft(buf, n=p2, axis=-1, overwrite_x=True)
+    buf = fft(buf, n=p1, axis=-2, overwrite_x=True)
+    buf = fft(buf, n=p0, axis=-3, overwrite_x=True)
+    out = np.empty_like(buf)
+    tmp = np.empty_like(out[0])
+    for a in range(3):
+        np.multiply(kh[a, 0], buf[0], out=out[a])
+        for b in (1, 2):
+            np.multiply(kh[a, b], buf[b], out=tmp)
+            out[a] += tmp
+    out = ifft(out, axis=-3, overwrite_x=True)[:, :, : p0 // 2]
+    out = ifft(out, axis=-2, overwrite_x=True)[:, :, :, : p1 // 2]
+    out = ifft(out, axis=-1, overwrite_x=True)[..., : p2 // 2]
+    y = out[cells].reshape(3, -1)
+    if left is not None:
+        y = left @ y
+    if diag is not None:
+        y += diag @ xt
+    return y.reshape(3, k, -1).transpose(2, 0, 1).reshape(v.shape)
+
+
+COUPLED_BG = Background(A=SymTensor3.from_matrix([[1.3, 0.2, 0.0], [0.2, 0.9, 0.1],
+                                                  [0.0, 0.1, 1.1]]), kappa=1.5)
+# two small balls far apart along the (0, 1, 1) diagonal: a box of
+# (8, 48, 48), swept in slabs of 3, 3 and 2 of its first axis
+TWO_BALLS = Union((Ball(0.1, center=(0.0, -0.5, -0.5)), Ball(0.1, center=(0.0, 0.5, 0.5))))
+
+
+def _columns_and_factors(n, k, rng):
+    x = rng.standard_normal((3 * n, k)) + 1j * rng.standard_normal((3 * n, k))
+    f = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+    return (x[:, 0] if k == 1 else x), f
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("case", ["ball_h8", "two_balls"])
+def test_apply_is_bitwise_the_nine_product_apply_in_isotropic_media(case, k, rng):
+    # an isotropic block is bitwise symmetric, so its packed symbol holds the
+    # very entries of the nine-entry one and the sweep sums them in the same order
+    shape = voxelize(Ball(0.5), 1.0 / 8.0) if case == "ball_h8" else voxelize(TWO_BALLS, 0.05)
+    sys = assemble(shape, Background.isotropic(a=1.0, kappa=1.0))
+    kh = nine_entry_symbol(sys)
+    np.testing.assert_array_equal(kh, np.swapaxes(kh, 0, 1))
+    x, f = _columns_and_factors(sys.n_cells, k, rng)
+    for factors in ((), tuple(f)):
+        np.testing.assert_array_equal(sys.apply(x, *factors),
+                                      nine_product_apply(kh, sys.index, x, *factors))
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_apply_matches_the_nine_product_apply_for_a_coupled_background(k, rng):
+    # off the axes hess_phi is symmetric only up to roundoff; the packed
+    # symbol holds the mean of the two entries
+    sys = assemble(voxelize(TWO_BALLS, 0.05), COUPLED_BG)
+    kh = nine_entry_symbol(sys)
+    assert not np.array_equal(kh, np.swapaxes(kh, 0, 1))
+    x, f = _columns_and_factors(sys.n_cells, k, rng)
+    for factors in ((), tuple(f)):
+        want = nine_product_apply(kh, sys.index, x, *factors)
+        got = sys.apply(x, *factors)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("case", ["coupled_A", "distinct_semi_axes", "off_centre", "two_balls"])
+def test_apply_matches_dense(case, k, rng):
+    # apply reads the packed symbol through the flat index and the slab sweep,
+    # dense through the inverse transform and _UNPACK: the two must agree
+    bg = COUPLED_BG if case == "coupled_A" else Background.isotropic(a=1.0, kappa=1.0)
+    shape = {
+        "coupled_A": Ball(0.5),
+        "distinct_semi_axes": Ellipsoid((0.5, 0.35, 0.25)),
+        "off_centre": Ellipsoid((0.5, 0.35, 0.25), center=(0.3, -0.2, 0.1)),
+        "two_balls": TWO_BALLS,
+    }[case]
+    grid = voxelize(shape, 0.05 if case == "two_balls" else 0.1)
+    sys = assemble(grid, bg)
+    if case != "coupled_A":
+        assert len(set(sys.kernel_hat.shape[1:])) > 1
+    x, (L, Rm, D) = _columns_and_factors(sys.n_cells, k, rng)
+    want = (sys.dense(L, Rm, D) @ x.reshape(3 * sys.n_cells, -1)).reshape(x.shape)
+    got = sys.apply(x, L, Rm, D)
+    assert got.shape == x.shape
+    assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
 
 
 def test_assemble_shape_and_symmetry(sys_h6):
