@@ -333,22 +333,14 @@ def _grid(cfg):
     return grid
 
 
-# Surface nodes a quad_order may ask for.  A rule of order m has 2 m^2 nodes;
-# a node factor holds grad Phi at every node for every cell and solves one
-# right-hand side per node, so the cap keeps the node count near the rank of
-# the largest spectral factor, (150 + 1)^2 = 22,801 waves at the degree limit
-# of specfun_quad: order 128, exact through degree 255.
-_NODE_CAP = 2 * 128**2
-
-
 def _quad_order(cfg, order):
-    """quad_order if set, else order; MemoryError naming quad_order past _NODE_CAP
-    nodes, raised before any rule is built."""
+    """quad_order if set, else order; MemoryError naming quad_order past the
+    node factor's cap imaging._NODE_CAP, raised before any rule is built."""
     if cfg.quad_order is None:
         return order
-    if 2 * cfg.quad_order**2 > _NODE_CAP:
+    if 2 * cfg.quad_order**2 > imaging._NODE_CAP:
         raise MemoryError(f"quad_order = {cfg.quad_order} asks for {2 * cfg.quad_order**2} "
-                          f"nodes per surface, above the cap {_NODE_CAP}; lower it")
+                          f"nodes per surface, above the cap {imaging._NODE_CAP}; lower it")
     return cfg.quad_order
 
 
@@ -422,7 +414,8 @@ def _report(cfg, study, status, checks, results, t0, tdmap=None, rays=None):
 # ---------------------------------------------------------------------------
 # studies: each runner starts with its set-up, which validate_config runs too.
 # A set-up builds the run's cheap objects, with no assembly and no solve, and
-# raises ValueError or MemoryError on the first problem.
+# raises ValueError or MemoryError on the first problem.  A set-up whose run
+# maps picks its kernel factors too, which refuses a node factor past the cap.
 
 
 def _sign_setup(cfg):
@@ -437,6 +430,7 @@ def _sign_setup(cfg):
             cfg.kappa, float(np.linalg.norm(pts, axis=1).max()),
             float(np.linalg.norm(grid.centers, axis=1).max()))
         surf = _surface(cfg, cfg.surface_radius, order)
+        imaging._kernel_factors(bg, [(surf, pts)], grid.centers)
     return bg, contrast, trial, expected, grid, pts, surf
 
 
@@ -487,7 +481,8 @@ def run_sign_study(cfg):
 
 def _decay_setup(cfg):
     """Media, grid, and per window exponent in (alpha, *alpha_pair) the sample
-    distances, their aperture scales, and every ray's spheres and points."""
+    distances, their aperture scales, and per distance its sphere's kernel
+    factor and its points, one per ray."""
     for key in ("scatterer_A", "trial_A"):
         if cfg.values[key] is not None:
             raise ValueError(f"{key} must be unset: the decay study uses scalar contrasts")
@@ -512,7 +507,9 @@ def _decay_setup(cfg):
             surfs = [_surface(cfg, r, imaging.surface_order_hint(cfg.kappa, d + reach, reach))
                      for r, d in zip(radii, dists)]
             zs = center + (reach + dists)[None, :, None] * rays[:, None, :]
-        sweeps.append((dists, scale, surfs * len(rays), zs.reshape(-1, 3)))
+            pts = [zs[:, j] for j in range(len(surfs))]
+            facs = imaging._kernel_factors(bg, list(zip(surfs, pts)), grid.centers)
+        sweeps.append((dists, scale, facs, pts))
     return bg, contrast, trial, grid, sweeps
 
 
@@ -532,23 +529,23 @@ def run_decay_study(cfg):
     sphere, leaving the distance dependence the study is after.
 
     All samples of one window exponent are mapped by one call of
-    imaging._td_map_spheres, which pairs the one solved wave response of
-    the scatterer against the waves of every sample at once.
+    imaging._contract, which pairs the one solved wave response of the
+    scatterer against the waves of every sample at once.
     """
     t0 = time.monotonic()
     bg, contrast, trial, grid, sweeps = _decay_setup(cfg)
     sys = assemble(grid, bg)
     cert = operator_norm(sys, which="qR_kappa", contrast=contrast)
+    m_z = imaging._ball_trial_mz(sys, trial, contrast)
     factors, ranks = set(), set()
 
-    def slope_for(dists, scale, surfs, zs):
-        values, used = imaging._td_map_spheres(sys, contrast, trial, surfs, zs,
-                                               certificate=cert)
-        factors.update(kind for kind, _ in used)
-        ranks.update(rank for _, rank in used)
+    def slope_for(dists, scale, facs, pts):
+        values = imaging._contract(sys, contrast, m_z, facs, pts)
+        factors.update(fac.kind for fac in facs)
+        ranks.update(fac.rank for fac in facs)
         per_ray = [[(float(dist), float(raw), float(raw / sc))
                     for dist, raw, sc in zip(dists, row, scale)]
-                   for row in np.abs(values).reshape(len(cfg.rays), -1)]
+                   for row in np.abs(values.real).reshape(len(pts), -1).T]
         usable = [(d, v) for rows in per_ray for d, _, v in rows if v > 0.0]
         if len(usable) < 8:
             raise ValueError("decay study has fewer than 8 usable points")
@@ -737,7 +734,7 @@ def _reciprocity_error(cfg, sys, contrast):
 
 def _finite_delta_setup(cfg):
     """Media, grid and surface; the trial balls are voxelized only to hold
-    them to vie.VOXEL_CAP."""
+    them to vie.VOXEL_CAP and to pick the check's kernel factor."""
     if cfg.trial_A is not None:
         raise ValueError("trial_A must be unset: the finite-size study uses a scalar trial")
     bg, contrast, trial = _media(cfg)
@@ -745,7 +742,9 @@ def _finite_delta_setup(cfg):
     with _building(cfg, "kappa"):
         surf = _surface(cfg, cfg.surface_radius, imaging.surface_order_hint(cfg.kappa, 1.0, 1.0))
     with _building(cfg, "deltas", "delta_point", "cells_across"):
-        imaging._trial_balls(cfg.delta_point, cfg.deltas, cfg.cells_across)
+        balls = imaging._trial_balls(cfg.delta_point, cfg.deltas, cfg.cells_across)
+        pts = np.vstack([cfg.delta_point, *(g.centers for g in balls)])
+        imaging._kernel_factors(bg, [(surf, pts)], grid.centers)
     return bg, contrast, trial, grid, surf
 
 

@@ -7,8 +7,8 @@ The two-point kernel G correlates point-source gradients over the surface,
 and is evaluated independently by direct quadrature (kernel_G, the oracle),
 a far-field closed form, a two-term large-sphere expansion, and the
 addition-theorem series.  On a closed sphere G and L are real.  The maps
-reach G through one route, KernelG; the oracle study calls the other
-evaluators directly.
+reach G through one route, the factor builder _kernel_factors behind
+KernelG; the oracle study calls the other evaluators directly.
 
 KernelG factors G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) with one factor b of
 rank P.  On a closed sphere in an isotropic background the addition theorem
@@ -37,9 +37,8 @@ P factor fields on the voxel grid, and S(z) = b(z)^T T_m conj(b(z)) with
 the factor's response T_m = 1/2 b^H M_B b.  The spectral factor takes
 T_m = D T_w D: the response T_w of the unscaled regular waves is solved
 once and cached on the system, and the surface radius enters only through
-the diagonal D, so _td_map_spheres maps sample points that each lie on
-their own sphere with one pairing against T_w per centre and n_max.  The
-node factor solves its K node fields for each map.
+the diagonal D, so _contract maps samples on many spheres with one pairing
+against T_w per centre and n_max; a node factor solves its K node fields.
 Each map reports the moderate-scatterer certificate, the kernel factor it
 used, and the imaginary residue of the pre-Re pairing.
 
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .greens import grad_phi, phi
+from .greens import Background, grad_phi, phi
 from .materials import IsoContrast
 from .polarization import PolarizationTensor, mz_ball_iso
 from .specfun_quad import (
@@ -76,7 +75,7 @@ from .specfun_quad import (
     regular_wave_gradients,
     sph_bessel_j,
     sph_hankel1,
-    sphere_surface,  # unused here; the traced benchmark wraps imaging.sphere_surface
+    sphere_surface,
     voxelize,
     Ball,
 )
@@ -258,18 +257,18 @@ def kernel_G_from_L(R, kappa, z, y):
     """G_ij = d2 L / dz_i dy_j on the closed sphere of radius R (unit background).
 
     The mixed derivative of the L series taken term by term: the addition
-    theorem's spectral factor (see KernelG.factor) at a = 1, centred at the
+    theorem's spectral factor (see _kernel_factors) at a = 1, centred at the
     origin, G = conj(b(z))^T b(y).  kappa = 0 is the static kernel.
     """
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    reach = [float(np.linalg.norm(p)) for p in (z, y)]
-    if not max(reach) < R:
+    z = np.asarray(z, dtype=float)[None, :]
+    y = np.asarray(y, dtype=float)[None, :]
+    if not max(np.linalg.norm(z), np.linalg.norm(y)) < R:
         raise ValueError("series requires |z|, |y| < R")
-    fac = _spectral_factor(np.zeros(3), float(R), 1.0, float(kappa), *reach)
-    if fac is None:
+    # order 1: the spectral factor never reads the surface rule
+    fac, = _kernel_factors(Background.isotropic(1.0, float(kappa)), [(sphere_surface(R, 1), z)], y)
+    if fac.kind != "spectral":
         raise ValueError(f"series truncation exceeds supported order {N_MAX}")
-    return fac(z[None, :])[:, 0].conj().T @ fac(y[None, :])[:, 0]
+    return fac(z)[:, 0].conj().T @ fac(y)[:, 0]
 
 
 # the tail of the addition-theorem series is cut once it has fallen by 1e-16
@@ -313,8 +312,7 @@ class _SpectralFactor:
     map are those of the complex basis, up to roundoff.  Re and Im
     of u_nm carry cos(m phi) and sin(m phi), so each v_p is even or odd under
     each coordinate mirror through the centre.  half_log_c holds
-    log sqrt(c_p) per row; _td_map_spheres keeps one column per sphere
-    radius and folds it into the waves itself.
+    log sqrt(c_p) per row, for the sphere radius the factor was built for.
     """
 
     center: np.ndarray
@@ -361,8 +359,8 @@ class _SpectralFactor:
         """T_m = 1/2 b^H M_B b on the voxel grid, as D T_w D.
 
         T_w is the cached response of wave_response; the surface radius
-        enters only through D.  _td_map_spheres pairs T_w itself against
-        waves that carry both diagonals, c (rho_grid rho_z)^(n-1).
+        enters only through D.  _contract pairs T_w itself against waves
+        that carry both diagonals, c (rho_grid rho_z)^(n-1).
         """
         d = self._scale(self._rho(sys.grid.centers))
         return d[:, None] * self.wave_response(sys, contrast) * d
@@ -392,21 +390,58 @@ def _half_log_c(n_max, k, a, radii):
     return 0.5 * (log_c + log_w[:, None])
 
 
-def _spectral_factor(center, radius, a, kappa, reach_z, reach_y):
-    """The addition-theorem factor of G on the closed sphere (center, radius)
-    in the background a I, for points within reach_z and reach_y of the
-    centre; None when the truncation or a coefficient is out of range.
-    k = kappa / sqrt(a); the coefficients are those of _half_log_c.
+# Surface nodes a node factor may read.  A rule of order m has 2 m^2 nodes;
+# a node factor holds grad Phi at every node for every cell and solves one
+# right-hand side per node, so the cap keeps the node count near the rank of
+# the largest spectral factor, (150 + 1)^2 = 22,801 waves at the degree limit
+# of specfun_quad: order 128, exact through degree 255.
+_NODE_CAP = 2 * 128**2
+
+
+def _kernel_factors(bg, spheres, ys):
+    """The factor b of G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) on each sphere
+    of spheres, (surface, zs) pairs, for z in zs and y in the voxel centres ys.
+
+    Every z must be finite, and both point sets lie strictly inside each
+    sphere.  On a closed sphere (aperture None) in an isotropic background
+    a I, the factor is the spectral factor of the addition theorem,
+    b_p = sqrt(c_p) grad v_p over the real regular waves v_p (see
+    _SpectralFactor), truncated for the sphere's two point sets, as long as
+    the truncation stays within N_MAX and every c_p in floating-point range;
+    one _half_log_c call gives the c_p of every such sphere, k = kappa /
+    sqrt(a).  Otherwise it is the node factor b_p = sqrt(w_p)
+    grad Phi(s_p - x) of the surface rule, and a rule of more than _NODE_CAP
+    nodes, counted as 2 order^2, is a MemoryError.  Nothing is solved and no
+    rule is built.
     """
-    k = kappa / np.sqrt(a)
-    n_max = _spectral_order(k, radius, reach_z, reach_y)
-    if n_max is None:
-        return None
-    half_log_c = _half_log_c(n_max, k, a, [radius])[:, 0]
-    if not np.all(np.isfinite(half_log_c)):
-        return None
-    return _SpectralFactor(center=np.asarray(center, dtype=float), k=float(k),
-                           n_max=n_max, half_log_c=half_log_c)
+    a = bg.iso_a
+    k = bg.kappa / np.sqrt(a) if a is not None else None
+    orders = []
+    for surf, zs in spheres:
+        reach = []
+        for pts, name in ((_check_points(zs), "sample points"), (ys, "voxel centers")):
+            r = float(np.linalg.norm(pts - surf.center, axis=1).max(initial=0.0))
+            if not r < surf.radius:  # NaN fails too
+                raise ValueError(f"{name} must lie strictly inside the surface sphere")
+            reach.append(r)
+        closed = surf.aperture is None and a is not None
+        orders.append(_spectral_order(k, surf.radius, *reach) if closed else None)
+    spec, cols = [i for i, n in enumerate(orders) if n is not None], {}
+    if spec:
+        half_log_c = _half_log_c(max(orders[i] for i in spec), k, a,
+                                 [spheres[i][0].radius for i in spec])
+        cols = {i: half_log_c[:(orders[i] + 1) ** 2, j] for j, i in enumerate(spec)}
+    factors = []
+    for i, (surf, _) in enumerate(spheres):
+        if i in cols and np.all(np.isfinite(cols[i])):
+            factors.append(_SpectralFactor(center=np.asarray(surf.center, dtype=float),
+                                           k=float(k), n_max=orders[i], half_log_c=cols[i]))
+        elif 2 * surf.order**2 > _NODE_CAP:
+            raise MemoryError(f"a node factor on a surface of order {surf.order} reads "
+                              f"{2 * surf.order**2} nodes, above the cap {_NODE_CAP}")
+        else:
+            factors.append(_NodeFactor(surface=surf, bg=bg))
+    return factors
 
 
 @dataclass(frozen=True)
@@ -456,27 +491,9 @@ class KernelG:
         """The factor b of G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) for z in zs, y in ys.
 
         Returns a callable b(pts) -> (rank, npts, 3) with attributes kind and
-        rank.  On a closed sphere (aperture None) in an isotropic background
-        it is the spectral factor of the addition theorem,
-        b_p = sqrt(c_p) grad v_p over the real regular waves v_p (see
-        _SpectralFactor), truncated for these two point sets,
-        as long as the truncation stays within N_MAX; otherwise it is the
-        node factor b_p = sqrt(w_p) grad Phi(s_p - x) of the surface rule.
-        Both point sets must lie strictly inside the sphere.
+        rank, as _kernel_factors picks it.
         """
-        surf = self.surface
-        reach = []
-        for pts, name in ((zs, "sample points"), (ys, "voxel centers")):
-            r = np.linalg.norm(pts - surf.center, axis=1)
-            if not np.all(r < surf.radius):
-                raise ValueError(f"{name} must lie strictly inside the surface sphere")
-            reach.append(float(r.max(initial=0.0)))
-        a = self.bg.iso_a
-        if surf.aperture is None and a is not None:
-            fac = _spectral_factor(surf.center, surf.radius, a, self.bg.kappa, *reach)
-            if fac is not None:
-                return fac
-        return _NodeFactor(surface=surf, bg=self.bg)
+        return _kernel_factors(self.bg, [(self.surface, zs)], ys)[0]
 
     def bundle(self, zs, ys):
         """All-pairs table (3Z, 3N): row 3m+i holds G_i.(z_m, y_.) over ys.
@@ -595,8 +612,9 @@ def _pair(b_z, t_m, m_z, h3):
     return -2.0 * h3 * np.einsum("ij,zji->z", m_z, s)
 
 
-def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
-    """The T(z) contraction shared by every td_map_* regime.
+def _contract(sys, contrast, m_z, facs, pts):
+    """T(z) before Re for the samples pts[i] of each kernel factor facs[i],
+    picked by _kernel_factors for the voxel centres of sys, in that order.
 
     With g_i the rows of G(z, .) sampled on the voxel grid and M_B the
     solution operator applied by solve_density, the 3x3 response matrix is
@@ -610,22 +628,52 @@ def _td_contract(sys, contrast, surface, points, certificate, kind, m_z):
     pairing with A^{1/2} q^T sigma (I - sigma q R q^T sigma)^{-1} sigma q A^{1/2}.
 
     With g_i(z) = sum_p conj(b_p(z)_i) b_p for the kernel factor b of
-    KernelG.factor, of rank P, S(z) = b(z)^T T_m conj(b(z)) through the
+    _kernel_factors, of rank P, S(z) = b(z)^T T_m conj(b(z)) through the
     factor's response T_m = 1/2 b^H M_B b (P x P) on the voxel grid, paired
-    by _pair.  The spectral factor's solved part, the regular-wave response
-    T_w, is cached on sys, so later maps with the same contrast, centre and
-    n_max only scale it (see _SpectralFactor.response); the node factor
-    solves its K fields.  _td_map_spheres pairs the same T_w for samples on
-    spheres of several radii.  kind is the operator_norm operator of the
-    certificate, computed when certificate is None.
+    by _pair; the samples of one factor share its truncation.  The
+    spectral spheres are grouped by centre and n_max, which key the
+    regular-wave response T_w cached on sys; per group one
+    regular_wave_gradients call gives the waves W(z), scaled by their reach
+    rho, and _pair contracts D W(z) against T_w, where
+    D = c(R) (rho_grid rho)^(n-1) folds the two diagonals of D T_w D and
+    D b(z).  Each node factor solves its K node fields once.  Each D is
+    checked before its group's solve: one not finite, or zero at degree 1
+    (the dipole), is an error.
     """
+    owner = np.repeat(np.arange(len(pts)), [len(zs) for zs in pts])
+    zs, h3 = np.vstack(pts), sys.grid.cell_volume
+    raw, groups = np.empty(len(zs), dtype=complex), {}
+    for i, fac in enumerate(facs):
+        key = (tuple(fac.center), fac.n_max) if fac.kind == "spectral" else i
+        groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        fac, at = facs[members[0]], np.isin(owner, members)
+        if fac.kind == "nodes":
+            t_m = fac.response(sys, contrast)
+            raw[at] = _pair(fac(zs[at]), t_m, m_z, h3)
+            continue
+        rho = fac._rho(zs[at])
+        log_rho = (_degree_order(fac.n_max)[0] - 1.0) * np.log(fac._rho(sys.grid.centers) * rho)
+        d = np.exp(2.0 * np.stack([facs[i].half_log_c for i in members], axis=1)
+                   + log_rho[:, None])
+        if not (np.all(np.isfinite(d)) and np.all(d[1:4] > 0.0)):
+            raise ValueError("spectral coefficients out of floating-point range "
+                             "for the sample spheres")
+        t_w = fac.wave_response(sys, contrast)
+        d = np.repeat(d, [len(pts[i]) for i in members], axis=1)[:, :, None]
+        # the sample waves only after the solve, whose fields are then freed
+        raw[at] = _pair(fac._waves(zs[at], rho) * d, t_w, m_z, h3)
+    return raw
+
+
+def _td_map(sys, contrast, surface, points, certificate, kind, m_z):
+    """The TdMap of one td_map_* regime's samples on one sphere, with the
+    certificate of operator_norm's operator kind computed when None."""
     pts = _check_points(points)
     if certificate is None:
         certificate = operator_norm(sys, which=kind, contrast=contrast)
-    fac = KernelG(surface=surface, bg=sys.bg).factor(pts, sys.grid.centers)
-    t_m = fac.response(sys, contrast)
-    # b(z) only after the solve, whose fields are then freed (peak memory)
-    raw = _pair(fac(pts), t_m, m_z, sys.grid.cell_volume)
+    fac, = _kernel_factors(sys.bg, [(surface, pts)], sys.grid.centers)
+    raw = _contract(sys, contrast, m_z, [fac], [pts])
     re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
     scale = float(np.abs(re).max()) if re.size else 0.0
     return TdMap(
@@ -669,7 +717,7 @@ def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
     """
     if not isinstance(contrast, IsoContrast):
         raise TypeError("td_map_iso needs IsoContrast scatterer and trial")
-    return _td_contract(sys, contrast, surface, points, certificate,
+    return _td_map(sys, contrast, surface, points, certificate,
                         "qR_kappa", _ball_trial_mz(sys, trial, contrast))
 
 
@@ -685,7 +733,7 @@ def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
 
     that is M_z = mz_ball_iso(a, beta_z).M_z in the shared contraction.
     """
-    return _td_contract(sys, contrast, surface, points, certificate,
+    return _td_map(sys, contrast, surface, points, certificate,
                         "qRq", _ball_trial_mz(sys, trial, contrast))
 
 
@@ -703,77 +751,8 @@ def td_map_general(sys, contrast, trial, surface, points, certificate=None):
         raise TypeError("trial must be a PolarizationTensor")
     if not np.allclose(trial.A.matrix, sys.bg.A.matrix, rtol=0.0, atol=1e-12):
         raise ValueError("trial background tensor must match the system")
-    return _td_contract(sys, contrast, surface, points, certificate,
+    return _td_map(sys, contrast, surface, points, certificate,
                         "qRq", trial.M_z)
-
-
-def _td_map_spheres(sys, contrast, trial, surfaces, points, certificate=None):
-    """td_map_iso of each sample point z_i on its own sphere surfaces[i]:
-    the values T(z_i) and each sample's (kernel_factor, kernel_rank).
-
-    Samples keep the truncation n_max of their own map and are grouped by
-    centre and n_max, which key the cached wave response T_w.  Per group one
-    regular_wave_gradients call gives the waves W(z_i), scaled by the
-    group's reach rho, and _pair contracts D_i W(z_i) against T_w, where
-    D_i = c(R_i) (rho_grid rho)^(n-1) folds the two diagonals of D T_w D and
-    D b(z); c(R) comes from one sph_hankel1 call over (n, R).  A sample that
-    KernelG.factor would give the node factor (truncation past N_MAX,
-    coefficients out of range, capped sphere, anisotropic background) takes
-    td_map_iso itself.  Points are checked before the first solve and each
-    D before its group's solve: one not finite, or zero at degree 1 (the
-    dipole), is an error rather than a NaN or a vanishing T.
-    """
-    if not isinstance(contrast, IsoContrast):
-        raise TypeError("td_map_iso needs IsoContrast scatterer and trial")
-    m_z = _ball_trial_mz(sys, trial, contrast)
-    pts = _check_points(points)
-    if len(surfaces) != pts.shape[0]:
-        raise ValueError("one surface per sample point")
-    a, grid = sys.bg.iso_a, sys.grid.centers
-    k = sys.bg.kappa / np.sqrt(a) if a is not None else None
-    grid_reach, order = {}, []
-    for surf, z in zip(surfaces, pts):
-        c = tuple(surf.center)
-        if c not in grid_reach:
-            grid_reach[c] = float(np.linalg.norm(grid - surf.center, axis=1).max(initial=0.0))
-        reach_z = float(np.linalg.norm(z - surf.center))
-        if not reach_z < surf.radius:
-            raise ValueError("sample points must lie strictly inside the surface sphere")
-        if not grid_reach[c] < surf.radius:
-            raise ValueError("voxel centers must lie strictly inside the surface sphere")
-        spectral = surf.aperture is None and a is not None
-        order.append(_spectral_order(k, surf.radius, reach_z, grid_reach[c]) if spectral else None)
-    spec = [i for i, n in enumerate(order) if n is not None]
-    if spec:
-        half_log_c = _half_log_c(max(order[i] for i in spec), k, a,
-                                 [surfaces[i].radius for i in spec])
-    groups = {}
-    for j, i in enumerate(spec):
-        if np.all(np.isfinite(half_log_c[:(order[i] + 1) ** 2, j])):
-            groups.setdefault((tuple(surfaces[i].center), order[i]), []).append((i, j))
-    raw = np.zeros(pts.shape[0], dtype=complex)
-    used = [None] * pts.shape[0]
-    for (c, n_max), members in groups.items():
-        idx, cols = (list(t) for t in zip(*members))
-        fac = _SpectralFactor(center=np.asarray(c), k=float(k), n_max=n_max,
-                              half_log_c=half_log_c[:(n_max + 1) ** 2, cols])
-        rho = fac._rho(pts[idx])
-        deg = _degree_order(n_max)[0]
-        d = np.exp(2.0 * fac.half_log_c + ((deg - 1.0) * np.log(fac._rho(grid) * rho))[:, None])
-        if not (np.all(np.isfinite(d)) and np.all(d[1:4] > 0.0)):
-            raise ValueError("spectral coefficients out of floating-point range "
-                             "for the sample spheres")
-        t_w = fac.wave_response(sys, contrast)
-        raw[idx] = _pair(d[:, :, None] * fac._waves(pts[idx], rho), t_w, m_z,
-                         sys.grid.cell_volume)
-        for i in idx:
-            used[i] = (fac.kind, fac.rank)
-    values = raw.real + 0.0  # +0.0 for matched media, as in _td_contract
-    for i in (i for i, u in enumerate(used) if u is None):
-        tmap = td_map_iso(sys, contrast, trial, surfaces[i], pts[i:i + 1], certificate)
-        values[i] = tmap.values[0]
-        used[i] = (tmap.kernel_factor, tmap.kernel_rank)
-    return values, used
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 import warnings
 from pathlib import Path
 
@@ -178,9 +179,35 @@ def test_quad_order_is_capped_before_any_rule_is_built(study, monkeypatch):
     assert len(problems) == 1 and problems[0].startswith("quad_order "), problems
     with pytest.raises(MemoryError, match="quad_order = 100000"):
         run_study(cfg)
-    top = int(np.sqrt(harness._NODE_CAP / 2))
+    top = int(np.sqrt(harness.imaging._NODE_CAP / 2))
     assert validate_config(cfg_from(f"study = {study}\nquad_order = {top}\n")) == []
     assert validate_config(cfg_from(f"study = {study}\nquad_order = {top + 1}\n"))
+
+
+@pytest.mark.parametrize("text, order", [
+    ("kappa = 10000\naperture = 1.0\n", 11254),
+    # the closed sphere's spectral truncation passes N_MAX: the node factor again
+    ("kappa = 10000\n", 11254),
+    ("kappa = 100\naperture = 1.0\n", 145),
+], ids=["cap", "closed", "cap_order_145"])
+def test_node_factor_of_a_derived_order_is_capped_before_assembling(text, order, monkeypatch):
+    # the surface order comes from kappa, not quad_order: 2 order^2 nodes
+    # past the cap are refused by the set-up, before any rule or assembly
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr(specfun_quad, "sphere_quadrature", no_rule)
+    cfg = cfg_from(f"study = sign\n{text}")
+    t0 = time.monotonic()
+    problems = validate_config(cfg)
+    assert time.monotonic() - t0 < 1.0
+    assert problems == [f"a node factor on a surface of order {order} reads {2 * order**2} "
+                        f"nodes, above the cap {harness.imaging._NODE_CAP}"]
+    calls = []
+    monkeypatch.setattr(harness, "assemble", lambda *args: calls.append(args))
+    with pytest.raises(MemoryError, match=f"order {order} reads"):
+        run_study(cfg)
+    assert calls == []
 
 
 def test_validate_config_flags_zero_length_rays():
@@ -512,9 +539,9 @@ def test_decay_study_evaluates_waves_once_per_window_exponent(monkeypatch):
 
 
 def test_decay_study_falls_back_to_single_maps(monkeypatch):
-    # samples on spheres below R = 50 are made to pass N_MAX: each takes its
-    # own node-factor map (quad_order 10, 200 nodes), and every sample of the
-    # fitted sweep equals its td_map_iso value
+    # samples on spheres below R = 50 are made to pass N_MAX: each such
+    # sphere takes the node factor (quad_order 10, 200 nodes), and every
+    # sample of the fitted sweep equals its td_map_iso value
     order = harness.imaging._spectral_order
     monkeypatch.setattr(harness.imaging, "_spectral_order",
                         lambda k, radius, *reach: None if radius < 50.0 else order(k, radius, *reach))

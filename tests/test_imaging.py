@@ -101,6 +101,15 @@ def test_kernel_G_from_L(surface_r5, bg_unit):
     assert np.abs(via_l - direct).max() < 1e-4
 
 
+def test_kernel_G_from_L_refuses_a_truncation_past_n_max():
+    # (|z| |y| / R^2)^n = 0.98^n needs about 1,800 degrees to fall by 1e-16
+    with pytest.raises(ValueError, match="series truncation exceeds supported order 60"):
+        kernel_G_from_L(1.0, 1.0, (0.0, 0.0, 0.99), (0.0, 0.99, 0.0))
+    # a negative kappa used to give the static kernel
+    with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+        kernel_G_from_L(5.0, -1.0, Z, Y)
+
+
 def test_kernel_G_farfield_overlap():
     kappa, R = 1.0, 500.0
     bg = Background.isotropic(1.0, kappa)
@@ -505,7 +514,7 @@ FACTOR_CASES = [(1.0, 1.0, None), (0.0, 1.0, None), (1.0, 2.0, OFF_CENTER),
 
 
 def _force_nodes(monkeypatch):
-    monkeypatch.setattr(imaging, "_spectral_factor", lambda *args: None)
+    monkeypatch.setattr(imaging, "_spectral_order", lambda *args: None)
 
 
 @pytest.fixture(scope="module")
@@ -691,36 +700,50 @@ def test_cached_response_is_keyed_by_contrast_centre_and_order(ball_grid_h8):
 # sweep), against one td_map_iso call per sample
 
 
-def _per_sample(sys, contrast, trial, surfs, pts):
+def _contract(sys, contrast, trial, spheres):
+    """imaging._contract for a scalar ball trial, as the decay study calls it:
+    Re T per sample in order, and each sample's (kernel_factor, kernel_rank)."""
+    m_z = imaging._ball_trial_mz(sys, trial, contrast)
+    facs = imaging._kernel_factors(sys.bg, spheres, sys.grid.centers)
+    raw = imaging._contract(sys, contrast, m_z, facs, [zs for _, zs in spheres])
+    return raw.real, [(fac.kind, fac.rank) for fac, (_, zs) in zip(facs, spheres) for _ in zs]
+
+
+def _own_spheres(surfs, pts):
+    """Each sample on its own sphere, with its own truncation."""
+    return [(surf, z[None, :]) for surf, z in zip(surfs, pts)]
+
+
+def _per_sample(sys, contrast, trial, spheres):
     maps = [td_map_iso(sys, contrast, trial, s, z[None, :], certificate=1.0)
-            for s, z in zip(surfs, pts)]
+            for s, zs in spheres for z in zs]
     return (np.array([m.values[0] for m in maps]),
             [(m.kernel_factor, m.kernel_rank) for m in maps])
 
 
 def _decay_sweep(kappa):
     """A window sweep at alpha = 0.5 on three rays from a ball of radius 0.5
-    (distances over one decade, radii over two), then the three sphere
-    geometries of test_factors_agree_at_decay_geometries."""
+    (distances over one decade, radii over two), one sphere per distance
+    shared by the rays, then the three sphere geometries of
+    test_factors_agree_at_decay_geometries."""
     etas = 0.01 * 10.0 ** -np.linspace(0.0, 2.0, 8)
     dists = etas ** -0.5
     rays = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.0, -1.0]])
-    surfs = [sphere_surface(1.0 / e, surface_order_hint(kappa, d + 0.5, 0.5))
-             for e, d in zip(etas, dists)] * len(rays)
-    pts = list(((0.5 + dists)[None, :, None] * rays[:, None, :]).reshape(-1, 3))
+    spheres = [(sphere_surface(1.0 / e, surface_order_hint(kappa, d + 0.5, 0.5)),
+                (0.5 + d) * rays) for e, d in zip(etas, dists)]
     for radius, dist in ((100.0, 10.5), (1000.0, 126.0), (2.15e5, 40.3)):
-        surfs.append(sphere_surface(radius, surface_order_hint(kappa, dist + 0.5, 0.5)))
-        pts.append(dist * np.array([2.0, -1.0, 2.0]) / 3.0)
-    return surfs, np.array(pts)
+        spheres.append((sphere_surface(radius, surface_order_hint(kappa, dist + 0.5, 0.5)),
+                        dist * np.array([[2.0, -1.0, 2.0]]) / 3.0))
+    return spheres
 
 
 @pytest.mark.parametrize("kappa", [1.0, 0.0], ids=["k1", "k0"])
 def test_sphere_route_matches_per_sample_maps(sys_h8, sys_static_h8, kappa):
     sys = sys_h8 if kappa > 0.0 else sys_static_h8
     c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
-    surfs, pts = _decay_sweep(kappa)
-    got, used = imaging._td_map_spheres(sys, c, trial, surfs, pts, certificate=1.0)
-    want, want_used = _per_sample(sys, c, trial, surfs, pts)
+    spheres = _decay_sweep(kappa)
+    got, used = _contract(sys, c, trial, spheres)
+    want, want_used = _per_sample(sys, c, trial, spheres)
     assert used == want_used
     assert {kind for kind, _ in used} == {"spectral"}
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -728,7 +751,9 @@ def test_sphere_route_matches_per_sample_maps(sys_h8, sys_static_h8, kappa):
 
 def test_sphere_route_groups_by_centre_and_order_and_falls_back(sys_h8):
     # two centres, two truncations, a cap rule and a point close to its
-    # sphere (past N_MAX): four spectral groups and two node maps
+    # sphere (past N_MAX): four spectral groups and two node maps; +-pts
+    # about the off-centre spheres reach differently, so each sample has
+    # its own sphere
     c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
     off = np.array([0.2, -0.1, 0.1])
     surfs = [sphere_surface(r, 20, center=ctr) for ctr in (np.zeros(3), off)
@@ -736,35 +761,56 @@ def test_sphere_route_groups_by_centre_and_order_and_falls_back(sys_h8):
     surfs += [sphere_surface(5.0, 8, aperture=2.0), sphere_surface(0.6, 12)]
     pts = np.array([[1.0, 0.5, 0.0], [0.0, 3.0, 1.0], [0.0, 0.3, -1.5], [2.0, 2.0, 2.0],
                     [0.5, 0.0, 0.5], [0.0, 0.0, 0.59]])
-    surfs, pts = surfs * 2, np.vstack([pts, -pts])
-    got, used = imaging._td_map_spheres(sys_h8, c, trial, surfs, pts, certificate=1.0)
-    want, want_used = _per_sample(sys_h8, c, trial, surfs, pts)
+    spheres = _own_spheres(surfs * 2, np.vstack([pts, -pts]))
+    got, used = _contract(sys_h8, c, trial, spheres)
+    want, want_used = _per_sample(sys_h8, c, trial, spheres)
     assert used == want_used
     assert [kind for kind, _ in used[:6]] == ["spectral"] * 4 + ["nodes"] * 2
     assert len({rank for _, rank in used[:4]}) >= 2
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def test_sphere_route_solves_each_node_sphere_once(ball_grid_h8, bg_unit, monkeypatch):
+    # three samples on a cap rule share one node response, two on a closed
+    # sphere one wave response T_w: two solves, where one node solve per
+    # sample would make four
+    sys = assemble(ball_grid_h8, bg_unit)
+    c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
+    cap, closed = sphere_surface(5.0, 8, aperture=2.0), sphere_surface(5.0, 20)
+    spheres = [(cap, np.array([[0.5, 0.0, 0.5], [1.0, -0.5, 0.0], [-0.3, 0.2, 1.2]])),
+               (closed, np.array([[1.0, 0.5, 0.0], [0.0, -2.0, 1.0]]))]
+    solved = []
+    solve = imaging.solve_density
+    monkeypatch.setattr(imaging, "solve_density",
+                        lambda s, ctr, g: solved.append(np.shape(g)[0]) or solve(s, ctr, g))
+    got, used = _contract(sys, c, trial, spheres)
+    assert sorted(solved) == sorted([used[-1][1], cap.weights.size])
+    assert [kind for kind, _ in used] == ["nodes"] * 3 + ["spectral"] * 2
+    monkeypatch.setattr(imaging, "solve_density", solve)
+    want, want_used = _per_sample(sys, c, trial, spheres)
+    assert used == want_used
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def test_sphere_route_coefficients_out_of_range(sys_h8, monkeypatch):
     c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
     # the first ray of the sweep, on rules of 200 nodes for the node maps
-    surfs, pts = _decay_sweep(1.0)
-    surfs, pts = [sphere_surface(s.radius, 10) for s in surfs[:8]], pts[:8]
+    spheres = [(sphere_surface(s.radius, 10), zs[:1]) for s, zs in _decay_sweep(1.0)[:8]]
     half_log_c = imaging._half_log_c
     # non-finite coefficients past a radius: those samples, like their
     # single maps, take the node factor
     with monkeypatch.context() as m:
         m.setattr(imaging, "_half_log_c", lambda n_max, k, a, radii: np.where(
             np.asarray(radii) > 2000.0, np.inf, half_log_c(n_max, k, a, radii)))
-        got, used = imaging._td_map_spheres(sys_h8, c, trial, surfs, pts, certificate=1.0)
-        want, want_used = _per_sample(sys_h8, c, trial, surfs, pts)
+        got, used = _contract(sys_h8, c, trial, spheres)
+        want, want_used = _per_sample(sys_h8, c, trial, spheres)
     assert used == want_used
     assert [kind for kind, _ in used] == ["spectral"] * 5 + ["nodes"] * 3
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
     # finite coefficients whose folded diagonal underflows: an error, not a zero map
     monkeypatch.setattr(imaging, "_half_log_c", lambda *args: half_log_c(*args) - 400.0)
     with pytest.raises(ValueError, match="out of floating-point range"):
-        imaging._td_map_spheres(sys_h8, c, trial, surfs, pts, certificate=1.0)
+        _contract(sys_h8, c, trial, spheres)
 
 
 def test_sphere_route_checks_every_point_before_solving(sys_h8, monkeypatch):
@@ -779,11 +825,12 @@ def test_sphere_route_checks_every_point_before_solving(sys_h8, monkeypatch):
             ([good, [0.0, 5.0, 0.0]], surfs, "sample points must lie strictly inside"),
             ([good, [np.nan, 0.0, 0.0]], surfs, "sample points must be finite"),
             ([good, [0.1, 0.0, 0.0]], [surfs[0], sphere_surface(0.4, 20)], "voxel centers must"),
-            ([good], surfs, "one surface per sample point")):
+            ([good, [0.1, 0.0]], surfs, r"sample points must have shape \(Z, 3\)")):
+        spheres = [(s, np.array(z)[None, :]) for s, z in zip(surfs_, pts)]
         with pytest.raises(ValueError, match=match):
-            imaging._td_map_spheres(sys_h8, c, trial, surfs_, np.array(pts), certificate=1.0)
+            _contract(sys_h8, c, trial, spheres)
     with pytest.raises(TypeError):
-        imaging._td_map_spheres(sys_h8, c, mz_ball_iso(1.0, 0.5), surfs, np.array([good, good]))
+        _contract(sys_h8, c, mz_ball_iso(1.0, 0.5), _own_spheres(surfs, np.array([good, good])))
 
 
 # ---------------------------------------------------------------------------
