@@ -32,13 +32,14 @@ operator on the other:
 with the conjugate on the left slot.  Every regime goes through one
 contraction giving the 3x3 response matrix S(z)_ij = 1/2 < g_i, M_B g_j >
 for the rows g_i of G(z, .) and T(z) = -2 h^3 Re tr(M_z S(z)), where the
-maps differ only in the trial's M_z.  vie.solve_density applies M_B to the
-P factor fields on the voxel grid, and S(z) = b(z)^T T_m conj(b(z)) with
-the factor's response T_m = 1/2 b^H M_B b.  The spectral factor takes
-T_m = D T_w D: the response T_w of the unscaled regular waves is solved
-once and cached on the system, and the surface radius enters only through
-the diagonal D, so _contract maps samples on many spheres with one pairing
-against T_w per centre and n_max; a node factor solves its K node fields.
+maps differ only in the trial's M_z.  S(z) = b(z)^T T_m conj(b(z)) with
+the factor's response T_m = 1/2 b^H M_B b of its P fields on the voxel
+grid, which vie._half_pairing forms inside the blocks of the dense solve.
+The spectral factor takes T_m = D T_w D: the response T_w of the unscaled
+regular waves is solved once and cached on the system, and the surface
+radius enters only through the diagonal D, so _contract maps samples on
+many spheres with one pairing against T_w per centre and n_max; a node
+factor solves its K node fields.
 Each map reports the moderate-scatterer certificate, the kernel factor it
 used, and the imaginary residue of the pre-Re pairing.
 
@@ -81,6 +82,7 @@ from .specfun_quad import (
 )
 from . import vie
 from .vie import (
+    _half_pairing,
     assemble,
     operator_norm,
     radiation_matrix,
@@ -292,13 +294,6 @@ def _spectral_order(k, radius, reach_z, reach_y):
     return n if n <= N_MAX else None
 
 
-def _half_pairing(sys, contrast, fields):
-    """1/2 f^H M_B f for P fields f of shape (P, N, 3): a (P, P) matrix."""
-    h = solve_density(sys, contrast, fields).values
-    p = fields.shape[0]
-    return 0.5 * (fields.conj().reshape(p, -1) @ h.reshape(p, -1).T)
-
-
 @dataclass(frozen=True)
 class _SpectralFactor:
     """b_p(x) = sqrt(c_p) grad v_p(x - center), p = n (n + 1) + m, n <= n_max.
@@ -348,7 +343,10 @@ class _SpectralFactor:
 
         T_w does not depend on the surface radius; it is solved once per
         system, contrast, centre, k and n_max (the grid fixes its reach) and
-        kept on sys.
+        kept on sys.  vie._half_pairing pairs the waves inside the blocks of
+        the dense solve: about the grid's centre each real wave reaches the
+        blocks of one mirror character, and pairs of waves of different
+        characters are exact zeros.
         """
         centers = sys.grid.centers
         key = ("regular waves", tuple(self.center), self.k, self.n_max)
@@ -416,14 +414,16 @@ def _kernel_factors(bg, spheres, ys):
     """
     a = bg.iso_a
     k = bg.kappa / np.sqrt(a) if a is not None else None
-    orders = []
+    orders, voxel_reach = [], {}  # the voxel centres' reach per distinct centre
     for surf, zs in spheres:
-        reach = []
-        for pts, name in ((_check_points(zs), "sample points"), (ys, "voxel centers")):
-            r = float(np.linalg.norm(pts - surf.center, axis=1).max(initial=0.0))
+        centre = tuple(np.asarray(surf.center, dtype=float))
+        if centre not in voxel_reach:
+            voxel_reach[centre] = float(np.linalg.norm(ys - centre, axis=1).max(initial=0.0))
+        reach = [float(np.linalg.norm(_check_points(zs) - centre, axis=1).max(initial=0.0)),
+                 voxel_reach[centre]]
+        for r, name in zip(reach, ("sample points", "voxel centers")):
             if not r < surf.radius:  # NaN fails too
                 raise ValueError(f"{name} must lie strictly inside the surface sphere")
-            reach.append(r)
         closed = surf.aperture is None and a is not None
         orders.append(_spectral_order(k, surf.radius, *reach) if closed else None)
     spec, cols = [i for i, n in enumerate(orders) if n is not None], {}
@@ -457,7 +457,8 @@ class _NodeFactor:
         return self.surface.weights.size
 
     def response(self, sys, contrast):
-        """T_m = 1/2 b^H M_B b on the voxel grid, solved for these nodes."""
+        """T_m = 1/2 b^H M_B b on the voxel grid, solved for these nodes and
+        paired inside the blocks of the dense solve (vie._half_pairing)."""
         return _half_pairing(sys, contrast, self(sys.grid.centers))
 
     def __call__(self, pts):

@@ -59,9 +59,13 @@ rows instead of 8 of 552.  Each block is factored and solved by one zsysv
 call (Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own
 memory: the right-hand sides are routed to the blocks that carry them (a
 column of definite parity under every mirror, such as a real regular wave
-about the lattice centre, to one class), solved in place and mapped back,
-and the factors are dropped.  With no symmetry the one block is the whole
-system.  Above the cap the solve is matrix-free GMRES.
+about the lattice centre, to one class), solved in place and, by
+solve_density, mapped back, and the factors are dropped.  The response
+1/2 F^H M_B F of P fields (_half_pairing) is paired inside the blocks
+instead: each block's solutions against its own projected fields, so only
+one seeded combination of the solved columns is mapped back, for the
+residual checks.  With no symmetry the one block is the whole system.
+Above the cap the solve is matrix-free GMRES.
 """
 
 from __future__ import annotations
@@ -96,6 +100,11 @@ __all__ = [
 VOXEL_CAP = 20000
 DIRECT_CAP = 3000
 NEAR_SUBDIV = 4  # subcells per axis averaged over for touching-cell blocks
+# assemble makes the far blocks of at least this many box offsets at once.
+# NumPy reuses the memory of temporaries of 256 KiB and more, 2^14 complex
+# values, and such an in-place product rounds differently, so chunks of at
+# least 2^14 offsets keep the bits of one call on all of them.
+_ASSEMBLE_CHUNK = 1 << 14
 _BOX_AXES = (-3, -2, -1)
 # row of kernel_hat holding entry (a, b) of the symmetric 3x3 symbol
 _UNPACK = np.array([[_PACK.index((min(a, b), max(a, b))) for b in range(3)] for a in range(3)])
@@ -488,56 +497,65 @@ def _walsh(y):
     return y
 
 
-def _blocked_solve(blocks, group, rhs, what):
-    """Solution of M X = rhs, block by block, for M that commutes with its _Group.
-
-    blocks are those of VieSystem._gather_blocks, in the order of
-    group.block_names(): for each class (c, stabilizer, members) the irrep
-    blocks of B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives
-    r, r', with chi_c(g) = (-1)^popcount(c & g) row c of the Sylvester
-    Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is overwritten by
-    the solution when it is Fortran-ordered (or 1-D); what names M in errors.
-    Character c's share of rhs is y_c = sum_g chi_c(g) T_g rhs(g r), and the
-    solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell g r.  A member b =
-    p(c) of a class has B_b = U_p B_c U_p^T, so U_p^T y_b is solved with B_c
-    as further columns and x_b = U_p x.  Each class's columns are split by
-    the irreps of its stabilizer (_Split.project), and each row l of an
-    irrep is a further column of the irrep's block.  A share of a column at
-    most _LEAK times the column's largest character share is roundoff and is
-    not solved: a column of definite parity under every mirror reaches one
-    class, one of definite symmetry one block, and an all-zero column none.
-    Each block is factored in its own memory and solves its columns in place
-    in one zsysv call, also when it carries none, so a singular block raises
-    naming it, before rhs is written.
-    """
-    x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
-    k = x.shape[1]
-    cols = x.T.reshape(k, -1, 3)  # (K, N, 3), a view of x
-    # (2^s, K, n, 3): character c's share of column k is y[c, k]
+def _shares(group, cols, lift=None):
+    """The character shares (2^s, K, 3n) of the columns cols (K, N, 3): y_c =
+    sum_g chi_c(g) T_g cols(g r) over the orbit representatives r.  With a
+    3x3 lift, those of lift applied per voxel to cols (see _lifted), formed
+    one group element at a time."""
+    k = cols.shape[0]
     y = np.empty((group.cells.shape[0], k, *group.cells.shape[1:], 3), dtype=complex)
     for g, (cells, sign) in enumerate(zip(group.cells, group.signs)):
-        np.multiply(cols[:, cells], sign, out=y[g])
-    _walsh(y)
-    flat = y.reshape(len(y), k, -1)  # (2^s, K, 3n), a view of y
-    share = np.einsum("cki,cki->ck", flat.view(float), flat.view(float))  # squared norms
+        if lift is None:
+            np.multiply(cols[:, cells], sign, out=y[g])
+        else:
+            y[g] = _lifted(cols[:, cells], sign[:, None] * lift)
+    return _walsh(y).reshape(len(y), k, -1)
+
+
+def _reach(flat):
+    """(reach, floor) of the shares flat (2^s, K, 3n): whether character c's
+    share of column k is solved, and each column's _LEAK floor on squared
+    norms."""
+    share = np.einsum("cki,cki->ck", flat.view(float), flat.view(float))
     floor = _LEAK**2 * share.max(axis=0)
-    reach = share > floor
-    routes, parts, origins = [], [], []  # per class: its sources; per block
+    return share > floor, floor
+
+
+def _route(group, flat, reach):
+    """The forward route of the shares flat (2^s, K, 3n): (routes, parts, origins).
+
+    routes holds per class its members' (b, ks, perm): character b, the
+    columns ks that reach it (None for all) and the map U_p of its unknowns
+    (None for the representative).  parts holds per block the (d, K_c, m)
+    coordinates of _Split.project, row l of the class's column j at [l, j],
+    the members' columns one after another; origins holds per block the
+    column of each j.
+    """
+    k = flat.shape[1]
+    routes, parts, origins = [], [], []
     for c, key, members in group.classes:
         route = []
         for b, h in [(c, 0)] + members:
             ks = np.flatnonzero(reach[b])
-            route.append((flat[b], None if len(ks) == k else ks, group.img[h] if h else None))
-        # (d, K_c, m) per irrep: row l of irrep r of the class's column j is parts[r][l, j]
-        split_parts = group.splits[key].project(route)
+            route.append((b, None if len(ks) == k else ks, group.img[h] if h else None))
+        split_parts = group.splits[key].project([(flat[b], ks, perm) for b, ks, perm in route])
         parts += split_parts
         origins += [np.concatenate([np.arange(k) if ks is None else ks
                                     for _, ks, _ in route])] * len(split_parts)
         routes.append(route)
-    for (name, rows), block, part, origin in zip(group.block_names(), blocks, parts, origins):
+    return routes, parts, origins
+
+
+def _solve_blocks(blocks, group, parts, floors, what):
+    """Solve each block's parts in place, one zsysv call per block.
+
+    floors holds per block the _LEAK floor of each of its columns; a column
+    whose share at or below it is roundoff is left out and its solution set to 0.
+    """
+    for (name, rows), block, part, floor in zip(group.block_names(), blocks, parts, floors):
         if rows == 0:
             continue
-        keep = np.einsum("lkm,lkm->lk", part.view(float), part.view(float)) > floor[origin]
+        keep = np.einsum("lkm,lkm->lk", part.view(float), part.view(float)) > floor
         every = keep.all()
         # the columns to solve, in place: part itself or a C-ordered copy
         b = part.reshape(-1, rows) if every else part[keep]
@@ -551,15 +569,55 @@ def _blocked_solve(blocks, group, rhs, what):
         if not every:
             part[~keep] = 0.0
             part[keep] = b
-    y[~reach] = 0.0
+
+
+def _map_back(group, parts, routes, flat, cols):
+    """The backward route: unproject parts to the shares flat (2^s, K, 3n),
+    which hold zeros where no column was routed, and write
+    2^-s sum_c chi_c(g) T_g x_c(r) to cols (K, N, 3) at each cell g r."""
     solved = iter(parts)
-    for route, (c, key, _) in zip(routes, group.classes):
+    for route, (_, key, _) in zip(routes, group.classes):
         split = group.splits[key]
-        split.unproject([next(solved) for _ in split.names], route)
-    _walsh(y)
+        split.unproject([next(solved) for _ in split.names],
+                        [(flat[b], ks, perm) for b, ks, perm in route])
+    y = _walsh(flat.reshape(*flat.shape[:2], -1, 3))
     y *= group.signs[:, None, None, :] / len(y)
     for cells, part in zip(group.cells, y):
         cols[:, cells] = part
+
+
+def _blocked_solve(blocks, group, rhs, what):
+    """Solution of M X = rhs, block by block, for M that commutes with its _Group.
+
+    blocks are those of VieSystem._gather_blocks, in the order of
+    group.block_names(): for each class (c, stabilizer, members) the irrep
+    blocks of B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives
+    r, r', with chi_c(g) = (-1)^popcount(c & g) row c of the Sylvester
+    Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is overwritten by
+    the solution when it is Fortran-ordered (or 1-D); what names M in errors.
+    Three stages: the forward route, the block solves and the backward route.
+    Character c's share of rhs is y_c = sum_g chi_c(g) T_g rhs(g r)
+    (_shares), and the solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell
+    g r (_map_back).  A member b = p(c) of a class has B_b = U_p B_c U_p^T,
+    so U_p^T y_b is solved with B_c as further columns and x_b = U_p x.  Each
+    class's columns are split by the irreps of its stabilizer
+    (_Split.project), and each row l of an irrep is a further column of the
+    irrep's block (_route).  A share of a column at most _LEAK times the
+    column's largest character share is roundoff and is not solved: a
+    column of definite parity under every mirror reaches one class, one of
+    definite symmetry one block, and an all-zero column none.  Each block is
+    factored in its own memory and solves its columns in place in one zsysv
+    call, also when it carries none, so a singular block raises naming it,
+    before rhs is written (_solve_blocks).
+    """
+    x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
+    cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
+    flat = _shares(group, cols)
+    reach, floor = _reach(flat)
+    routes, parts, origins = _route(group, flat, reach)
+    _solve_blocks(blocks, group, parts, [floor[o] for o in origins], what)
+    flat[~reach] = 0.0
+    _map_back(group, parts, routes, flat, cols)
     return x.reshape(rhs.shape)
 
 
@@ -757,18 +815,25 @@ def assemble(grid, bg):
     # signed offset held at each box position: o mod box, o in [-dims, dims)
     axes = [(np.arange(p) + d) % p - d for p, d in zip(box, dims)]
     offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    table = np.empty((offsets.shape[0], 3, 3), dtype=complex)
-    far = np.any(offsets != 0, axis=1)
-    table[far] = hess_phi(bg, offsets[far] * h) * h**3
-    table[~far] = cell_self_term(bg, h)
+    a, b = np.array(_PACK).T
+
+    def pack(blocks):
+        return (0.5 * (blocks[:, a, b] + blocks[:, b, a])).T
+
+    m = offsets.shape[0]
+    packed = np.empty((6, m), dtype=complex)
+    # offset 0 is box position 0; the far blocks after it are made a chunk at
+    # a time and packed as they are made
+    packed[:, :1] = pack(cell_self_term(bg, h)[None])
+    stops = np.linspace(1, m, max(1, (m - 1) // _ASSEMBLE_CHUNK) + 1).astype(int)
+    for i0, i1 in zip(stops[:-1], stops[1:]):
+        packed[:, i0:i1] = pack(hess_phi(bg, offsets[i0:i1] * h) * h**3)
     t = ((np.arange(NEAR_SUBDIV) + 0.5) / NEAR_SUBDIV - 0.5) * h
     sub = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
     ring = np.flatnonzero(np.abs(offsets).max(axis=1) == 1)
     pts = offsets[ring, None, :] * h - sub[None, :, :]
-    table[ring] = hess_phi(bg, pts).mean(axis=1) * h**3
-    a, b = np.array(_PACK).T
-    packed = 0.5 * (table[:, a, b] + table[:, b, a])
-    kernel_hat = np.fft.fftn(packed.T.reshape(6, *box), axes=_BOX_AXES)
+    packed[:, ring] = pack(hess_phi(bg, pts).mean(axis=1) * h**3)
+    kernel_hat = np.fft.fftn(packed.reshape(6, *box), axes=_BOX_AXES)
     # the cells in apply's scatter layout (d0, d1, p2) = (dims[0], dims[1], box[2])
     flat = (index[:, 0] * dims[1] + index[:, 1]) * box[2] + index[:, 2]
     return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat, flat=flat)
@@ -777,6 +842,15 @@ def assemble(grid, bg):
 def _dense_path(sys):
     """Whether resolvent_solve takes the dense path on this system, not GMRES."""
     return sys.n_cells <= DIRECT_CAP
+
+
+def _probe(sys, factors, xr, br):
+    """The seeded Freivalds probe of a dense batch: ||M xr - br|| / ||br|| <=
+    1e-10 through the FFT apply, for the combined column xr = X r of the
+    solutions and br = B r of the right-hand sides."""
+    num, den = np.linalg.norm(sys.apply(xr, *factors) - br), np.linalg.norm(br)
+    if not num <= 1e-10 * den:
+        raise RuntimeError(f"dense solve residual probe {num / den:.3e} exceeds 1e-10")
 
 
 def resolvent_solve(sys, contrast, rhs):
@@ -805,9 +879,7 @@ def resolvent_solve(sys, contrast, rhs):
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
         x = sys._dense_solve(contrast, rhs)
-        num, den = np.linalg.norm(matvec(x.reshape(n3, -1) @ r) - br), np.linalg.norm(br)
-        if not num <= 1e-10 * den:
-            raise RuntimeError(f"dense solve residual probe {num / den:.3e} exceeds 1e-10")
+        _probe(sys, factors, x.reshape(n3, -1) @ r, br)
         return x
     op = LinearOperator((n3, n3), matvec=matvec, dtype=complex)
     out = np.empty_like(cols)
@@ -830,6 +902,47 @@ def born_density(contrast, incident_grad, grid=None):
     return DensityField(values=vals, grid=grid, residual=None)
 
 
+def _checked_fields(sys, incident_grad):
+    """incident_grad as a float or complex array of shape (N, 3) or (K, N, 3),
+    all finite."""
+    g = np.asarray(incident_grad)
+    if not np.iscomplexobj(g):
+        g = np.asarray(g, dtype=float)
+    if g.ndim not in (2, 3) or g.shape[-2:] != (sys.n_cells, 3):
+        raise ValueError("incident_grad must have shape (n_cells, 3) or (K, n_cells, 3)")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("incident_grad must be finite")
+    return g
+
+
+def _lifted(rows, lift):
+    """lift applied to each voxel's 3-vector of rows (..., 3N) or (..., N, 3),
+    as a complex array of the same shape.
+
+    Real rows are not copied to complex: one real product gives the
+    interleaved real and imaginary parts.
+    """
+    if np.iscomplexobj(rows):
+        out = rows.reshape(-1, 3) @ lift.T
+    else:
+        lift = np.stack([lift.real.T, lift.imag.T], axis=-1).reshape(3, 6)
+        out = (rows.reshape(-1, 3) @ lift).view(complex)
+    return out.reshape(rows.shape)
+
+
+def _residual(sys, dA, hr, gr):
+    """||T hr - (At - A) gr|| / ||(At - A) gr|| for one density hr (N, 3) and
+    its field gr; an error above 1e-10 on the dense path, 1e-8 on GMRES."""
+    target = gr @ dA.T
+    num = np.linalg.norm(hr - sys.apply(hr) @ dA.T - target)
+    den = np.linalg.norm(target)
+    res = float(num / den) if den > 0.0 else 0.0
+    tol = 1e-10 if _dense_path(sys) else 1e-8
+    if res > tol:
+        raise RuntimeError(f"VIE residual {res:.3e} exceeds {tol:.0e}")
+    return res
+
+
 def solve_density(sys, contrast, incident_grad):
     """Solve T h = (At - A) g for one field g (N, 3) or K stacked fields (K, N, 3).
 
@@ -843,30 +956,17 @@ def solve_density(sys, contrast, incident_grad):
     path and 1e-8 on the GMRES path.  Real fields stay real: no complex copy
     of them is made besides the right-hand sides.
     """
-    g = np.asarray(incident_grad)
-    if not np.iscomplexobj(g):
-        g = np.asarray(g, dtype=float)
-    if g.ndim not in (2, 3) or g.shape[-2:] != (sys.n_cells, 3):
-        raise ValueError("incident_grad must have shape (n_cells, 3) or (K, n_cells, 3)")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("incident_grad must be finite")
+    g = _checked_fields(sys, incident_grad)
     *_, dA = _contrast_parts(contrast, sys.bg)
     if not np.any(dA):
         return DensityField(values=np.zeros(g.shape, dtype=complex), grid=sys.grid,
                             residual=0.0)
     left, right, _ = _system_factors(contrast, sys.bg)
     rows = g.reshape(-1, 3 * sys.n_cells)
-    lift = -left
     # the (3N, K) right-hand sides are the transpose of (K, 3N) rows: Fortran
     # order, which the LDL^T solve overwrites without a reordering copy; they
     # are dropped before h is formed so that at most two K x 3N blocks are held
-    if np.iscomplexobj(g):
-        rhs = rows.reshape(-1, 3) @ lift.T
-    else:
-        # one real product gives the interleaved real and imaginary parts
-        lift = np.stack([lift.real.T, lift.imag.T], axis=-1).reshape(3, 6)
-        rhs = (rows.reshape(-1, 3) @ lift).view(complex)
-    rhs = rhs.reshape(rows.shape)
+    rhs = _lifted(rows, -left)
     x = resolvent_solve(sys, contrast, rhs.T).T
     del rhs
     h = (x.reshape(-1, 3) @ right.T).reshape(g.shape)
@@ -874,14 +974,88 @@ def solve_density(sys, contrast, incident_grad):
     r = np.random.default_rng(0).standard_normal(k) if g.ndim == 3 else np.ones(1)
     gr = (r @ rows).reshape(-1, 3)
     hr = (r @ h.reshape(rows.shape)).reshape(-1, 3)
-    target = gr @ dA.T
-    num = np.linalg.norm(hr - sys.apply(hr) @ dA.T - target)
-    den = np.linalg.norm(target)
-    res = float(num / den) if den > 0.0 else 0.0
-    tol = 1e-10 if _dense_path(sys) else 1e-8
-    if res > tol:
-        raise RuntimeError(f"VIE residual {res:.3e} exceeds {tol:.0e}")
-    return DensityField(values=h, grid=sys.grid, residual=res)
+    return DensityField(values=h, grid=sys.grid, residual=_residual(sys, dA, hr, gr))
+
+
+def _half_pairing(sys, contrast, fields):
+    """1/2 F^H M_B F for P fields F (P, N, 3): a (P, P) matrix, paired in the
+    blocks of the dense solve.
+
+    With lift = -L = 2 Rm^T of _system_factors and X = M^-1 (lift F) the
+    solutions of the sign-split system M, M_B F = Rm X, so
+
+        1/2 F^H M_B F = 1/4 (lift conj(F))^T M^-1 (lift F).
+
+    The change to block coordinates (the Hadamard transform up to its 2^s,
+    the _Split bases and the members' permutations U_p) is real orthogonal,
+    so this is 1/4 2^-s sum B^T X over the blocks and, within a block, over
+    each (class member, irrep row) segment of its columns, B the block's
+    projected lift conj(F) and X its solutions.  Only the first two stages of
+    _blocked_solve run: the forward route (_shares, _route) and the block
+    solves; for real F, B is a copy of the projected right-hand sides, for
+    complex F lift conj(F) goes through the same route.  The full-layout
+    right-hand sides and shares are dropped once projected, and of the P
+    solved columns only the seeded combination X r is mapped back
+    (_map_back), for the Freivalds probe of resolvent_solve and the residual
+    of solve_density, with their tolerances.  On the GMRES path the one
+    block is the full layout of the one-element group, whose coordinates are
+    the unknowns themselves, and resolvent_solve gives X.  Pairs of columns
+    that share no segment (waves of different mirror characters) are exact
+    zeros.
+    """
+    g = _checked_fields(sys, fields)
+    k, n = g.shape[0], sys.n_cells
+    *_, dA = _contrast_parts(contrast, sys.bg)
+    if not np.any(dA):
+        return np.zeros((k, k), dtype=complex)
+    factors = _system_factors(contrast, sys.bg)
+    lift = -factors[0]
+    r = np.random.default_rng(0).standard_normal(k)
+    gr = np.tensordot(r, g, axes=1)
+    dense = _dense_path(sys)
+    if dense:
+        group = _orbits(sys.index, sys.bg.A.matrix, *factors)
+        flat = _shares(group, g, lift)
+        reach, floor = _reach(flat)
+        routes, parts, origins = _route(group, flat, reach)
+        del flat
+        if np.iscomplexobj(g):
+            paired = _route(group, _shares(group, g.conj(), lift), reach)[1]
+        else:
+            paired = [part.copy() for part in parts]
+        _solve_blocks(sys._gather_blocks(group, *factors), group, parts,
+                      [floor[o] for o in origins], f"the system on {n} cells")
+    else:
+        group, routes = _Group.trivial(n), [[(0, None, None)]]
+        rows = g.reshape(k, -1)
+        rhs = _lifted(rows, lift)
+        # GMRES leaves its right-hand sides as they are
+        paired = [(_lifted(rows.conj(), lift) if np.iscomplexobj(g) else rhs)[None]]
+        parts = [resolvent_solve(sys, contrast, rhs.T).T[None]]
+        del rhs
+    out = np.zeros((k, k), dtype=complex)
+    combined = []  # per block, row l of member i's share of X r at [l, i]
+    blocks = iter(zip(paired, parts))
+    for route, (_, key, _) in zip(routes, group.classes):
+        for _ in group.splits[key].names:
+            left, sol = next(blocks)
+            comb = np.empty((sol.shape[0], len(route), sol.shape[2]), dtype=complex)
+            start = 0
+            for i, (_, ks, _) in enumerate(route):
+                seg = slice(start, start + (k if ks is None else len(ks)))
+                at = slice(None) if ks is None else np.ix_(ks, ks)
+                out[at] += sum(bl @ xl.T for bl, xl in zip(left[:, seg], sol[:, seg]))
+                comb[:, i] = (r if ks is None else r[ks]) @ sol[:, seg]
+                start = seg.stop
+            combined.append(comb)
+    out *= 0.25 / len(group.cells)
+    xr = np.empty((n, 3), dtype=complex)
+    _map_back(group, combined, [[(b, None, perm) for b, _, perm in route] for route in routes],
+              np.empty((len(group.cells), 1, 3 * group.cells.shape[1]), dtype=complex), xr[None])
+    if dense:
+        _probe(sys, factors, xr.reshape(-1), _lifted(gr, lift).reshape(-1))
+    _residual(sys, dA, xr @ factors[1].T, gr)
+    return out
 
 
 def radiation_matrix(sys, points):

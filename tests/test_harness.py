@@ -513,8 +513,8 @@ def test_decay_study_solves_the_scatterer_once(monkeypatch):
     # of the regular-wave response serves the 3 x 8 samples of all three
     # window exponents
     calls = []
-    solve = harness.imaging.solve_density
-    monkeypatch.setattr(harness.imaging, "solve_density",
+    solve = harness.imaging._half_pairing
+    monkeypatch.setattr(harness.imaging, "_half_pairing",
                         lambda *a, **k: calls.append(a[2].shape) or solve(*a, **k))
     rep = run_study(cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\n"
                              "resolution = 6\ntol_slope = 9\ntol_alpha_pair = 9\n"))
@@ -621,19 +621,19 @@ def test_finite_delta_study_solves_each_system_once(monkeypatch):
     from tdscope import imaging
 
     solved = []
-    solve_density = imaging.solve_density
+    half_pairing = imaging._half_pairing
 
     def counted(sys, contrast, g):
         solved.append(np.shape(g)[0])
-        return solve_density(sys, contrast, g)
+        return half_pairing(sys, contrast, g)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the finite-size check took the data-side route")
 
-    monkeypatch.setattr(imaging, "solve_density", counted)
-    for name in ("_scatter_matrix", "radiation_matrix", "harmonics_table", "e_multipliers",
-                 "sphere_surface", "td_map_iso", "td_map_aniso_iso", "td_map_general",
-                 "operator_norm", "grad_phi"):
+    monkeypatch.setattr(imaging, "_half_pairing", counted)
+    for name in ("solve_density", "_scatter_matrix", "radiation_matrix", "harmonics_table",
+                 "e_multipliers", "sphere_surface", "td_map_iso", "td_map_aniso_iso",
+                 "td_map_general", "operator_norm", "grad_phi"):
         monkeypatch.setattr(imaging, name, refuse)
     rep = run_study(cfg_from(
         "study = finite_delta\nresolution = 6\ndeltas = 0.2, 0.1\ncells_across = 4\n"

@@ -426,7 +426,7 @@ def test_finite_delta_checks_inputs_before_any_solve(sys_h6, small_map_setup, mo
         raise AssertionError("assembled or solved before the inputs were checked")
 
     monkeypatch.setattr(imaging, "assemble", refuse)
-    monkeypatch.setattr(imaging, "solve_density", refuse)
+    monkeypatch.setattr(imaging, "_half_pairing", refuse)
     surf, _ = small_map_setup
     c = iso_contrast(1.0, 2.0)
     z = np.array([0.25, 0.1, -0.15])
@@ -780,13 +780,13 @@ def test_sphere_route_solves_each_node_sphere_once(ball_grid_h8, bg_unit, monkey
     spheres = [(cap, np.array([[0.5, 0.0, 0.5], [1.0, -0.5, 0.0], [-0.3, 0.2, 1.2]])),
                (closed, np.array([[1.0, 0.5, 0.0], [0.0, -2.0, 1.0]]))]
     solved = []
-    solve = imaging.solve_density
-    monkeypatch.setattr(imaging, "solve_density",
+    solve = imaging._half_pairing
+    monkeypatch.setattr(imaging, "_half_pairing",
                         lambda s, ctr, g: solved.append(np.shape(g)[0]) or solve(s, ctr, g))
     got, used = _contract(sys, c, trial, spheres)
     assert sorted(solved) == sorted([used[-1][1], cap.weights.size])
     assert [kind for kind, _ in used] == ["nodes"] * 3 + ["spectral"] * 2
-    monkeypatch.setattr(imaging, "solve_density", solve)
+    monkeypatch.setattr(imaging, "_half_pairing", solve)
     want, want_used = _per_sample(sys, c, trial, spheres)
     assert used == want_used
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -817,7 +817,7 @@ def test_sphere_route_checks_every_point_before_solving(sys_h8, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the checks")
 
-    monkeypatch.setattr(imaging, "solve_density", no_solve)
+    monkeypatch.setattr(imaging, "_half_pairing", no_solve)
     c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
     surfs = [sphere_surface(5.0, 20), sphere_surface(5.0, 20)]
     good = np.array([1.0, 0.0, 0.0])
@@ -878,8 +878,9 @@ def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg
     assert fac.rank == 196
     assert np.bincount(cls, minlength=8).tolist() == [28, 28, 28, 21, 28, 21, 21, 21]
     t_w = imaging._half_pairing(sys, iso_contrast(1.0, 2.0), waves)
+    # pairs of waves of different characters are never formed: exact zeros
     off = cls[:, None] != cls[None, :]
-    assert np.abs(t_w[off]).max() <= 1e-14 * np.abs(t_w).max()
+    assert np.all(t_w[off] == 0.0) and np.all(t_w[~off] != 0.0)
 
 
 def test_td_map_iso_matches_a_complex_basis_reference(ball_grid_h6, bg_unit, small_map_setup):

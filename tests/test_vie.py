@@ -32,7 +32,7 @@ from tdscope import (
     voxelize,
 )
 from tdscope import vie
-from tdscope.specfun_quad import regular_wave_gradients
+from tdscope.specfun_quad import _real_basis, regular_wave_gradients
 from tdscope.vie import _system_factors
 
 # Golub-Kahan-Lanczos estimates on the h = 1/6 unit-kappa ball system (seed 0),
@@ -272,6 +272,33 @@ def test_assemble_voxel_cap(ball_grid_h8, bg_unit, monkeypatch):
     monkeypatch.setattr(vie, "VOXEL_CAP", 10)
     with pytest.raises(MemoryError):
         assemble(ball_grid_h8, bg_unit)
+
+
+def test_assemble_in_chunks_keeps_the_bits_of_one_call(ball_grid_h6, bg_unit, monkeypatch):
+    # the far blocks are made a chunk of box offsets at a time; on the h6
+    # ball's box of 1,728 offsets, chunks of about 100 give the symbol of one
+    # call on all of them, bit for bit
+    want = assemble(ball_grid_h6, bg_unit).kernel_hat
+    monkeypatch.setattr(vie, "_ASSEMBLE_CHUNK", 100)
+    assert np.array_equal(assemble(ball_grid_h6, bg_unit).kernel_hat, want)
+
+
+def test_assemble_peak_memory_on_a_large_box(bg_unit, monkeypatch):
+    # the 36^3 box of a resolution-18 ball (46,656 offsets) is made in two
+    # chunks, with the bits of one call and a tracemalloc peak below 5 times
+    # the symbol it keeps (one call on every offset peaked at 6.9 times it,
+    # two chunks at 3.8 times)
+    grid = voxelize(Ball(0.5), 1.0 / 18.0)
+    tracemalloc.start()
+    try:
+        kernel_hat = assemble(grid, bg_unit).kernel_hat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel_hat.shape == (6, 36, 36, 36)
+    assert peak < 5 * kernel_hat.nbytes
+    monkeypatch.setattr(vie, "_ASSEMBLE_CHUNK", 1 << 30)
+    assert np.array_equal(assemble(grid, bg_unit).kernel_hat, kernel_hat)
 
 
 def test_solve_density_residual_recorded(sys_h6):
@@ -572,6 +599,98 @@ def test_dense_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
                         lambda self, group, *args: gather(self, group, *other))
     with pytest.raises(RuntimeError, match="residual probe"):
         solve_density(sys_h6, c, g)
+
+
+# systems of the block pairing 1/2 F^H M_B F: (grid, background, contrast,
+# centre of the regular waves F, order of the group the dense solve finds)
+def _pairing_cases():
+    iso = Background.isotropic(a=1.0, kappa=1.0)
+    ball = voxelize(Ball(0.5), 1.0 / 6.0)
+    origin = (0.0, 0.0, 0.0)
+    return {
+        "centred_ball": (ball, iso, iso_contrast(1.0, 2.0), origin, 48),
+        "one_swap_ellipsoid": (voxelize(Ellipsoid((0.5, 0.5, 0.3)), 1.0 / 8.0), iso,
+                               iso_contrast(1.0, 2.0), origin, 16),
+        "distinct_axes_ellipsoid": (voxelize(Ellipsoid((0.5, 0.4, 0.3)), 1.0 / 8.0), iso,
+                                    iso_contrast(1.0, 0.5), origin, 8),
+        # sigma = i on the y row; the x <-> z swap of the equal eigenvalues stays
+        "sigma_i_tensor_contrast": (ball, iso, aniso_contrast(iso.A, SymTensor3.diag(
+            2.0, 0.5, 2.0)), origin, 16),
+        # waves about another centre reach every block
+        "off_centre_fields": (ball, iso, iso_contrast(1.0, 2.0), (0.2, -0.1, 0.15), 48),
+        "no_mirror_axis": (dataclasses.replace(ball, centers=ball.centers[1:]), iso,
+                           iso_contrast(1.0, 2.0), origin, 1),
+    }
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("case", sorted(_pairing_cases()) + ["gmres"])
+def test_half_pairing_matches_the_dense_reference(mb_reference, block_rhs, monkeypatch, case,
+                                                  kind):
+    # 1/2 F^H M_B F paired in the blocks against the test-side dense solve,
+    # for the real and the complex basis of the regular waves of degree <= 5;
+    # "gmres" is the centred ball above DIRECT_CAP
+    grid, bg, contrast, centre, order = _pairing_cases()["centred_ball" if case == "gmres"
+                                                          else case]
+    sys = assemble(grid, bg)
+    assert sys.symmetry(contrast)[0].endswith(f"({order} elements)")
+    waves = regular_wave_gradients(5, 1.0, grid.centers - np.asarray(centre))
+    fields = _real_basis(waves) if kind == "real" else waves
+    if case == "gmres":
+        monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    got = vie._half_pairing(sys, contrast, fields)
+    p = len(fields)
+    want = 0.5 * fields.conj().reshape(p, -1) @ mb_reference(sys, contrast, fields).reshape(p, -1).T
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if case == "off_centre_fields":
+        assert block_rhs and all(call.rhs.shape[1] > 0 for call in block_rhs)
+    assert (not block_rhs) == (case == "gmres")
+
+
+def test_half_pairing_maps_back_one_column(sys_h6, monkeypatch):
+    # the solved columns stay in the blocks: only the seeded combination X r
+    # goes back to the full layout, for the probe and the residual
+    calls = []
+    map_back = vie._map_back
+
+    def spy(group, parts, routes, flat, cols):
+        calls.append(cols.shape)
+        return map_back(group, parts, routes, flat, cols)
+
+    monkeypatch.setattr(vie, "_map_back", spy)
+    waves = _real_basis(regular_wave_gradients(5, 1.0, sys_h6.grid.centers))
+    vie._half_pairing(sys_h6, iso_contrast(1.0, 2.0), waves)
+    assert calls == [(1, sys_h6.n_cells, 3)]
+
+
+def test_pairing_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
+    c = iso_contrast(1.0, 2.0)
+    waves = _real_basis(regular_wave_gradients(3, 1.0, sys_h6.grid.centers))
+    vie._half_pairing(sys_h6, c, waves)
+    # factor the blocks of another contrast in place of this contrast's
+    gather = VieSystem._gather_blocks
+    other = _system_factors(iso_contrast(1.0, 3.0), sys_h6.bg)
+    monkeypatch.setattr(VieSystem, "_gather_blocks",
+                        lambda self, group, *args: gather(self, group, *other))
+    with pytest.raises(RuntimeError, match="residual probe"):
+        vie._half_pairing(sys_h6, c, waves)
+
+
+def test_half_pairing_peak_memory(sys_h6):
+    # the pairing of the h6 ball's 196 real waves holds neither their complex
+    # right-hand sides in the full layout nor a full-layout solution: its
+    # tracemalloc peak stays below 2.4 times the waves' bytes in complex (the
+    # route through solve_density and a P x 3N product peaked at 2.97 times
+    # them, the block pairing at 1.77 times)
+    waves = _real_basis(regular_wave_gradients(13, 1.0, sys_h6.grid.centers))
+    assert waves.shape == (196, sys_h6.n_cells, 3)
+    tracemalloc.start()
+    try:
+        vie._half_pairing(sys_h6, iso_contrast(1.0, 2.0), waves)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * 16 * waves.size
 
 
 def _arrays_reachable(obj, seen=None):
