@@ -610,8 +610,8 @@ def run_born_study(cfg):
     else:
         g = np.tile(np.array([0.0, 0.0, 1.0]), (centers.shape[0], 1)).astype(complex)
     errors = []
-    for _, contrast in contrasts:
-        full = solve_density(sys, contrast, g)
+    fulls = solve_density(sys, [contrast for _, contrast in contrasts], g)
+    for (_, contrast), full in zip(contrasts, fulls):
         born = born_density(contrast, g, grid=sys.grid)
         errors.append(float(np.linalg.norm(born.values - full.values)
                             / np.linalg.norm(full.values)))

@@ -65,11 +65,18 @@ solve_density, mapped back, and the factors are dropped.  The response
 instead: each block's solutions against its own projected fields, so only
 one seeded combination of the solved columns is mapped back, for the
 residual checks.  With no symmetry the one block is the whole system.
-Above the cap the solve is matrix-free GMRES.
+
+Above the cap the solve is matrix-free GMRES (_gmres): modified
+Gram-Schmidt Arnoldi on the FFT apply, restarted after _GMRES_BASIS vectors.
+One Krylov basis serves every shift alpha I + beta A of its operator, so a
+sequence of scalar contrasts of one background, (I - q_j R_kappa) y_j =
+A^{1/2} g, costs one basis of R_kappa per field instead of one run per
+contrast (solve_density with a sequence, as the born study calls it).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +85,13 @@ from scipy.linalg import (
     eigvalsh_tridiagonal,
     lu_factor,  # unused here; the traced benchmark wraps vie.lu_factor
     lu_solve,  # unused here; the traced benchmark wraps vie.lu_solve
+    solve_triangular,
 )
 from scipy.linalg.lapack import zsysv, zsysv_lwork
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import (
+    LinearOperator,  # unused here; the traced benchmark wraps vie.LinearOperator
+    gmres,  # unused here; the traced benchmark wraps vie.gmres
+)
 
 from .greens import cell_self_term, grad_phi, hess_phi
 from .materials import _PACK, IsoContrast
@@ -99,6 +110,10 @@ __all__ = [
 
 VOXEL_CAP = 20000
 DIRECT_CAP = 3000
+# _gmres keeps at most this many basis vectors per cycle and runs at most this
+# many cycles per shift
+_GMRES_BASIS = 200
+_GMRES_CYCLES = 100
 NEAR_SUBDIV = 4  # subcells per axis averaged over for touching-cell blocks
 # assemble makes the far blocks of at least this many box offsets at once.
 # NumPy reuses the memory of temporaries of 256 KiB and more, 2^14 complex
@@ -481,19 +496,31 @@ def _orbits(index, A, left, right, diag):
 # character share is roundoff (about 1e-17 for a column of definite parity),
 # far below the 1e-10 residual probe, and is not solved
 _LEAK = 1e-14
+# values of y per chunk of _walsh's second axis (1 MiB of complex values)
+_WALSH_CHUNK = 1 << 16
 
 
 def _walsh(y):
     """y[c] <- sum_g chi_c(g) y[g] over the first axis of length 2^s, in place:
-    the Sylvester Hadamard transform in s butterfly passes."""
-    h = 1
-    while h < len(y):
-        for i in range(0, len(y), 2 * h):
-            a, b = y[i : i + h], y[i + h : i + 2 * h]
-            diff = a - b
-            a += b
-            b[...] = diff
-        h *= 2
+    the Sylvester Hadamard transform in s butterfly passes.
+
+    The passes run over chunks of the second axis of about _WALSH_CHUNK
+    values, so the butterfly's temporary holds at most half a chunk (or half
+    of one index of the second axis) and does not grow with that axis.  Each
+    value only meets additions and subtractions, in the same order, so the
+    result is bitwise that of one pass over the whole array.
+    """
+    step = max(1, _WALSH_CHUNK // max(1, y[:, :1].size))
+    for k in range(0, y.shape[1], step):
+        part = y[:, k : k + step]
+        h = 1
+        while h < len(part):
+            for i in range(0, len(part), 2 * h):
+                a, b = part[i : i + h], part[i + h : i + 2 * h]
+                diff = a - b
+                a += b
+                b[...] = diff
+            h *= 2
     return y
 
 
@@ -853,6 +880,83 @@ def _probe(sys, factors, xr, br):
         raise RuntimeError(f"dense solve residual probe {num / den:.3e} exceeds 1e-10")
 
 
+def _gmres(matvec, b, shifts):
+    """GMRES for every shift at once: the minimal-residual solutions x_j of
+    (alpha_j I + beta_j A) x_j = b, one row of an (S, n) array per shift
+    (alpha_j, beta_j), where matvec(v) returns A v as a new array.
+
+    Shifted systems share one Krylov space.  One Arnoldi basis of A from b
+    (modified Gram-Schmidt), A V_m = V_{m+1} H_m, gives (alpha I + beta A) V_m
+    = V_{m+1} (alpha I + beta H_m) for every shift, and each shift solves its
+    small least-squares problem with its own Givens rotations, from which it
+    also reads its residual norm.  A shift stops once that residual is at most
+    1e-10 ||b||, and the cycle ends when every shift has stopped or when the
+    basis holds _GMRES_BASIS vectors; on an invariant Krylov space every
+    residual is roundoff.  Every shift is solved on the final basis.  A
+    shift still above the tolerance then continues alone, restarted from its
+    iterate with its true residual, for at most _GMRES_CYCLES cycles in all;
+    past that it raises with the residual it reached.  b = 0 gives x = 0.
+    """
+    size_b = np.linalg.norm(b)
+    tol = 1e-10 * size_b
+    if tol == 0.0:
+        return np.zeros((len(shifts), b.size), dtype=complex)
+
+    def cycle(r, shifts):
+        alpha, beta = np.array(shifts, dtype=complex).T[:, :, None]
+        m = _GMRES_BASIS
+        basis = np.empty((m + 1, r.size), dtype=complex)
+        tri = np.zeros((len(alpha), m, m), dtype=complex)  # the R of each shift's QR
+        rot = np.zeros((2, len(alpha), m), dtype=complex)  # cosine and sine of each rotation
+        top = np.zeros((len(alpha), m + 1), dtype=complex)  # Q^H of each least-squares rhs
+        top[:, 0] = np.linalg.norm(r)
+        basis[0] = r / top[0, 0]
+        for j in range(m):
+            w = matvec(basis[j])
+            h = np.empty(j + 2, dtype=complex)
+            for i in range(j + 1):
+                h[i] = np.vdot(basis[i], w)
+                w -= h[i] * basis[i]
+            h[j + 1] = np.linalg.norm(w)
+            col = beta * h
+            col[:, j] += alpha[:, 0]
+            for i in range(j):
+                c, s = rot[:, :, i]
+                col[:, i], col[:, i + 1] = (c * col[:, i] + s * col[:, i + 1],
+                                            c * col[:, i + 1] - s.conj() * col[:, i])
+            a, d = col[:, j], col[:, j + 1]
+            mag_a, mag = np.abs(a), np.hypot(np.abs(a), np.abs(d))
+            phase = np.divide(a, mag_a, out=np.ones_like(a), where=mag_a > 0.0)
+            c = np.divide(mag_a, mag, out=np.ones_like(mag), where=mag > 0.0)
+            s = np.divide(phase * d.conj(), mag, out=np.zeros_like(a), where=mag > 0.0)
+            rot[:, :, j] = c, s
+            tri[:, : j + 1, j] = col[:, : j + 1]
+            tri[:, j, j] = phase * mag
+            top[:, j + 1] = -s.conj() * top[:, j]
+            top[:, j] *= c
+            res = np.abs(top[:, j + 1])
+            if np.all(res <= tol):
+                break
+            basis[j + 1] = w / h[j + 1].real
+        k = j + 1
+        y = np.array([solve_triangular(t[:k, :k], g[:k]) for t, g in zip(tri, top)])
+        return y @ basis[:k], res
+
+    x, res = cycle(b, shifts)
+    for j in np.flatnonzero(res > tol):
+        alpha, beta = shifts[j]
+        for cycles in range(1, _GMRES_CYCLES + 1):
+            r = b - alpha * x[j] - beta * matvec(x[j])
+            err = np.linalg.norm(r)
+            if err <= tol or cycles == _GMRES_CYCLES:
+                break
+            x[j] += cycle(r, [shifts[j]])[0][0]
+        if err > tol:
+            raise RuntimeError(f"GMRES stalled after {_GMRES_CYCLES} cycles of at most "
+                               f"{_GMRES_BASIS} vectors: residual {err / size_b:.3e}")
+    return x
+
+
 def resolvent_solve(sys, contrast, rhs):
     """Solve (I - sigma q R_kappa q^T sigma) X = rhs for the contrast's sign split.
 
@@ -861,34 +965,27 @@ def resolvent_solve(sys, contrast, rhs):
     in its memory.  Below the direct cap each irreducible block of the dense
     system matrix under its group of signed axis permutations (_orbits) is
     factored with LDL^T, in place, for this call only; a singular block
-    raises naming its class and irrep, with rhs untouched.
-    Above the cap the solve is residual-controlled GMRES.  Each dense batch is
-    checked by one seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through
-    the FFT apply, which also cross-checks the gathered blocks against the
-    table; B r is formed before the solve.
+    raises naming its class and irrep, with rhs untouched.  Each dense batch
+    is checked by one seeded Freivalds probe ||M (X r) - B r|| / ||B r||
+    through the FFT apply, which also cross-checks the gathered blocks
+    against the table; B r is formed before the solve.  Above the cap each
+    column is solved by _gmres with the one shift (0, 1) on the system
+    matrix M, to a residual of 1e-10 ||b||, restarted after _GMRES_BASIS
+    vectors and raising after _GMRES_CYCLES cycles.
     """
     rhs = np.asarray(rhs, dtype=complex)
     n3 = 3 * sys.n_cells
     cols = rhs.reshape(n3, -1)
     factors = _system_factors(contrast, sys.bg)
-
-    def matvec(v):
-        return sys.apply(v, *factors)
-
     if _dense_path(sys):
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
         x = sys._dense_solve(contrast, rhs)
         _probe(sys, factors, x.reshape(n3, -1) @ r, br)
         return x
-    op = LinearOperator((n3, n3), matvec=matvec, dtype=complex)
     out = np.empty_like(cols)
     for k in range(cols.shape[1]):
-        x, info = gmres(op, cols[:, k], rtol=1e-10, atol=0.0, restart=200, maxiter=100)
-        if info != 0:
-            res = np.linalg.norm(matvec(x) - cols[:, k]) / np.linalg.norm(cols[:, k])
-            raise RuntimeError(f"GMRES stalled (info={info}, residual {res:.3e})")
-        out[:, k] = x
+        out[:, k] = _gmres(lambda v: sys.apply(v, *factors), cols[:, k], [(0.0, 1.0)])[0]
     return out.reshape(rhs.shape)
 
 
@@ -955,7 +1052,20 @@ def solve_density(sys, contrast, incident_grad):
     fields (r = 1 for a single field) and must stay below 1e-10 on the dense
     path and 1e-8 on the GMRES path.  Real fields stay real: no complex copy
     of them is made besides the right-hand sides.
+
+    contrast may also be a sequence of IsoContrasts of the system's
+    background; the result is then a list of DensityFields, one per contrast.
+    On the dense path each contrast is solved on its own.  On the GMRES path
+    the sign split of a scalar q is the scalar s = sigma q^{1/2}, s^2 = q, so
+    h_j = 2 q_j A^{1/2} y_j with (I - q_j R_kappa) y_j = A^{1/2} g: shifted
+    copies of one operator.  Each field runs one _gmres on R_kappa (r_apply)
+    from A^{1/2} g with the shifts (1, -q_j): one Arnoldi basis of at most
+    _GMRES_BASIS vectors for all of them, after which a shift still above
+    1e-10 continues alone from its iterate.  Each h_j keeps its own residual
+    check.  Any other contrast in a sequence raises ValueError before a solve.
     """
+    if isinstance(contrast, Sequence):
+        return _solve_contrasts(sys, contrast, incident_grad)
     g = _checked_fields(sys, incident_grad)
     *_, dA = _contrast_parts(contrast, sys.bg)
     if not np.any(dA):
@@ -970,11 +1080,37 @@ def solve_density(sys, contrast, incident_grad):
     x = resolvent_solve(sys, contrast, rhs.T).T
     del rhs
     h = (x.reshape(-1, 3) @ right.T).reshape(g.shape)
+    return _density(sys, dA, g, h)
+
+
+def _density(sys, dA, g, h):
+    """The DensityField of densities h for fields g, both (N, 3) or (K, N, 3),
+    with the residual of one seeded random combination (r = 1 for one field)."""
+    rows = g.reshape(-1, 3 * sys.n_cells)
     k = rows.shape[0]
     r = np.random.default_rng(0).standard_normal(k) if g.ndim == 3 else np.ones(1)
     gr = (r @ rows).reshape(-1, 3)
     hr = (r @ h.reshape(rows.shape)).reshape(-1, 3)
     return DensityField(values=h, grid=sys.grid, residual=_residual(sys, dA, hr, gr))
+
+
+def _solve_contrasts(sys, contrasts, incident_grad):
+    """solve_density for a sequence of IsoContrasts of sys's background."""
+    if not contrasts:
+        raise ValueError("a sequence of contrasts must hold at least one contrast")
+    if not all(isinstance(c, IsoContrast) for c in contrasts):
+        raise ValueError("a sequence of contrasts must hold IsoContrasts only")
+    d_as = [_contrast_parts(c, sys.bg)[3] for c in contrasts]
+    g = _checked_fields(sys, incident_grad)
+    if _dense_path(sys):
+        return [solve_density(sys, c, g) for c in contrasts]
+    ah = sys.bg.sqrt_A
+    shifts = [(1.0, -c.q) for c in contrasts]
+    # y (contrasts, K, 3N): one shifted solve per field
+    y = np.stack([_gmres(sys.r_apply, b, shifts)
+                  for b in _lifted(g.reshape(-1, 3 * sys.n_cells), ah)], axis=1)
+    return [_density(sys, dA, g, (yc.reshape(-1, 3) @ (2.0 * c.q * ah).T).reshape(g.shape))
+            for c, dA, yc in zip(contrasts, d_as, y)]
 
 
 def _half_pairing(sys, contrast, fields):

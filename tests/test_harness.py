@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdscope import harness, specfun_quad
+from tdscope import harness, specfun_quad, vie
 from tdscope import (
     Background,
     ExperimentConfig,
@@ -591,6 +591,21 @@ def test_born_study_small():
     ratios = rep.results["halving_ratios"]
     assert len(ratios) == 2
     assert all(1.5 <= r <= 3.0 for r in ratios)
+
+
+def test_born_study_solves_every_contrast_in_one_call(monkeypatch):
+    # above DIRECT_CAP the halved contrasts share one shifted GMRES solve; the
+    # errors agree with the dense path's
+    text = "study = born\nresolution = 8\nborn_q0 = 0.5\nborn_halvings = 2\n"
+    dense = run_study(cfg_from(text)).results
+    calls, solve = [], harness.solve_density
+    monkeypatch.setattr(harness, "solve_density",
+                        lambda sys, c, g: calls.append(c) or solve(sys, c, g))
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    rep = run_study(cfg_from(text))
+    assert rep.status == "PASS"
+    assert len(calls) == 1 and [c.q for c in calls[0]] == pytest.approx(rep.results["q"])
+    np.testing.assert_allclose(rep.results["born_error"], dense["born_error"], rtol=1e-7)
 
 
 def test_finite_delta_study_small():

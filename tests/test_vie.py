@@ -588,6 +588,177 @@ def test_gmres_path_matches_dense(sys_h6, monkeypatch):
     np.testing.assert_allclose(it_dens, dense_dens, rtol=1e-7)
 
 
+def _count_applies(monkeypatch):
+    """A list that grows by one at every VieSystem.apply call."""
+    calls, apply = [], VieSystem.apply
+    monkeypatch.setattr(VieSystem, "apply", lambda self, *args: calls.append(1) or apply(self,
+                                                                                         *args))
+    return calls
+
+
+def _halved_contrasts(q0):
+    """IsoContrasts of a = 1 with q = q0, q0 / 2 and q0 / 4."""
+    return [iso_contrast(1.0, 1.0 + 2.0 * q / (1.0 - q)) for q in (q0, q0 / 2, q0 / 4)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("q0", [0.5, -0.5], ids=["q_pos", "q_neg"])
+def test_shared_shifted_solve_matches_per_contrast_dense_solves(sys_h6, rng, monkeypatch, q0, k):
+    # one Arnoldi basis of R_kappa per field serves every contrast (sigma = i
+    # for q < 0); it costs at most the largest single-contrast solve plus one
+    # residual apply per contrast
+    contrasts = _halved_contrasts(q0)
+    assert [c.q for c in contrasts] == pytest.approx([q0, q0 / 2, q0 / 4])
+    shape = (k, sys_h6.n_cells, 3) if k > 1 else (sys_h6.n_cells, 3)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dense = [solve_density(sys_h6, c, g).values for c in contrasts]
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    calls = _count_applies(monkeypatch)
+    singles = []
+    for c in contrasts:
+        calls.clear()
+        solve_density(sys_h6, c, g)
+        singles.append(len(calls))
+    calls.clear()
+    shared = solve_density(sys_h6, contrasts, g)
+    assert len(calls) <= max(singles) + len(contrasts)
+    assert len(shared) == len(contrasts)
+    for c, dens, want in zip(contrasts, shared, dense):
+        assert isinstance(dens, DensityField) and dens.values.shape == shape
+        assert dens.residual < 1e-8
+        np.testing.assert_allclose(dens.values, want, rtol=1e-7, atol=1e-7 * np.abs(want).max())
+        if k == 1:  # each density's own residual, with no random combination
+            target = g * c.beta
+            res = (np.linalg.norm(dens.values - sys_h6.apply(dens.values) * c.beta - target)
+                   / np.linalg.norm(target))
+            assert dens.residual == pytest.approx(res, rel=1e-12)
+
+
+def test_shared_solve_checks_each_contrast_residual(sys_h6, monkeypatch):
+    # an error in the solution of one shift is caught by its own residual
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    gmres = vie._gmres
+
+    def corrupt_last(*args):
+        x = gmres(*args)
+        x[-1] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(vie, "_gmres", corrupt_last)
+    with pytest.raises(RuntimeError, match="VIE residual"):
+        solve_density(sys_h6, _halved_contrasts(0.5), unit_inc(sys_h6.n_cells))
+
+
+def test_contrast_sequence_on_the_dense_path_is_the_per_contrast_solves(sys_h6, rng):
+    contrasts = _halved_contrasts(0.5) + [iso_contrast(1.0, 1.0)]
+    g = rng.standard_normal((2, sys_h6.n_cells, 3))
+    for got, c in zip(solve_density(sys_h6, tuple(contrasts), g), contrasts, strict=True):
+        want = solve_density(sys_h6, c, g)
+        assert np.array_equal(got.values, want.values) and got.residual == want.residual
+
+
+@pytest.mark.parametrize("path", ["dense", "gmres"])
+@pytest.mark.parametrize("bad", ["tensor", "other_background", "empty"])
+def test_contrast_sequence_is_checked_before_any_apply(sys_h6, monkeypatch, path, bad):
+    if path == "gmres":
+        monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    extra = {"tensor": [aniso_contrast(SymTensor3.identity(), A_TILDE)],
+             "other_background": [iso_contrast(2.0, 3.0)], "empty": None}[bad]
+    contrasts = [] if extra is None else _halved_contrasts(0.5) + extra
+    calls = _count_applies(monkeypatch)
+    with pytest.raises(ValueError):
+        solve_density(sys_h6, contrasts, unit_inc(sys_h6.n_cells))
+    assert calls == []
+
+
+def test_gmres_stall_raises_with_its_residual(sys_h6, monkeypatch):
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    monkeypatch.setattr(vie, "_GMRES_BASIS", 2)
+    monkeypatch.setattr(vie, "_GMRES_CYCLES", 2)
+    g = unit_inc(sys_h6.n_cells)
+    for contrast in (iso_contrast(1.0, 2.0), _halved_contrasts(0.5)):
+        with pytest.raises(RuntimeError, match=r"GMRES stalled .* residual \d\.\d{3}e-0\d"):
+            solve_density(sys_h6, contrast, g)
+
+
+def test_gmres_restarts_a_shift_that_outgrows_the_basis(sys_h6, monkeypatch):
+    # with 5 vectors a cycle, shifts that need more continue alone from their
+    # iterate and still reach the dense solution
+    contrasts = _halved_contrasts(0.5)
+    g = unit_inc(sys_h6.n_cells)
+    dense = [solve_density(sys_h6, c, g).values for c in contrasts]
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    calls = _count_applies(monkeypatch)
+    solve_density(sys_h6, contrasts[0], g)
+    assert len(calls) > 5 + 1  # one cycle of 5 vectors would not do
+    monkeypatch.setattr(vie, "_GMRES_BASIS", 5)
+    for dens, want in zip(solve_density(sys_h6, contrasts, g), dense):
+        assert dens.residual < 1e-8
+        np.testing.assert_allclose(dens.values, want, rtol=1e-7, atol=1e-7 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("basis", [200, 4])
+def test_gmres_solves_every_shift_of_a_small_matrix(rng, monkeypatch, basis):
+    # complex shifts of a 40 x 40 matrix against dense solves; with 4 vectors a
+    # cycle every shift is restarted
+    monkeypatch.setattr(vie, "_GMRES_BASIS", basis)
+    n = 40
+    a = 2.0 * np.eye(n) + 0.2 * (rng.standard_normal((n, n))
+                                 + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shifts = [(0.0, 1.0), (1.0, -0.3), (2.0, 0.5j), (1.0, 0.0)]
+    x = vie._gmres(lambda v: a @ v, b, shifts)
+    for (alpha, beta), xj in zip(shifts, x, strict=True):
+        m = alpha * np.eye(n) + beta * a
+        assert np.linalg.norm(m @ xj - b) <= 1e-10 * np.linalg.norm(b)
+        np.testing.assert_allclose(xj, np.linalg.solve(m, b), rtol=1e-8)
+    assert not np.any(vie._gmres(lambda v: a @ v, np.zeros(n, dtype=complex), shifts))
+
+
+def test_gmres_stops_on_an_invariant_krylov_space():
+    # b spans three eigenvectors of a diagonal A: the third Arnoldi step finds
+    # the space invariant, and every shift is solved exactly there
+    a = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    b = np.array([1.0, 1.0, 1.0, 0.0, 0.0], dtype=complex)
+    calls = []
+    x = vie._gmres(lambda v: calls.append(1) or a * v, b, [(0.0, 1.0), (1.0, -0.1)])
+    assert len(calls) == 3
+    np.testing.assert_allclose(x, [b / a, b / (1.0 - 0.1 * a)], rtol=1e-13, atol=1e-15)
+
+
+def _walsh_one_pass(y):
+    """The Hadamard transform in one butterfly pass over the whole array."""
+    h = 1
+    while h < len(y):
+        for i in range(0, len(y), 2 * h):
+            a, b = y[i : i + h], y[i + h : i + 2 * h]
+            diff = a - b
+            a += b
+            b[...] = diff
+        h *= 2
+    return y
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_walsh_runs_in_chunks_with_the_bits_of_one_pass(rng, monkeypatch, chunk):
+    # the butterfly works a chunk of columns at a time: its extra memory stays
+    # below a sixteenth of y (a whole pass needed half of it) and the result is
+    # bitwise the one-pass transform
+    if chunk is not None:
+        monkeypatch.setattr(vie, "_WALSH_CHUNK", chunk)
+    shape = (8, 512, 64, 3)
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = _walsh_one_pass(y.copy())
+    tracemalloc.start()
+    try:
+        got = vie._walsh(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is y and np.array_equal(y, want)
+    assert peak < y.nbytes / 16
+
+
 def test_dense_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
