@@ -294,6 +294,12 @@ def _spectral_order(k, radius, reach_z, reach_y):
     return n if n <= N_MAX else None
 
 
+# (wave, point) pairs per regular_wave_gradients call of _SpectralFactor._waves:
+# about 1 MiB per complex temporary, and the voxel grids of the decay and
+# finite-delta studies (196 waves on 280 cells) in one call
+_WAVE_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class _SpectralFactor:
     """b_p(x) = sqrt(c_p) grad v_p(x - center), p = n (n + 1) + m, n <= n_max.
@@ -328,10 +334,28 @@ class _SpectralFactor:
         return np.exp(self.half_log_c + (_degree_order(self.n_max)[0] - 1.0) * np.log(rho))
 
     def _waves(self, pts, rho):
-        # grad u(x) = rho^(n-1) grad u'(x / rho), u' the wave of wavenumber
-        # k rho: every factor stays of order one, whatever |x| and R are
-        return _real_basis(
-            regular_wave_gradients(self.n_max, self.k * rho, (pts - self.center) / rho))
+        """The real waves grad v_p at pts, of wavenumber k rho at (pts - center) / rho:
+        (P, len(pts), 3).
+
+        grad u(x) = rho^(n-1) grad u'(x / rho), u' the wave of wavenumber
+        k rho: every factor stays of order one, whatever |x| and R are.  The
+        waves are written to one real array, a chunk of about _WAVE_CHUNK
+        (wave, point) pairs at a time, so the complex waves of
+        regular_wave_gradients and their temporaries are held for one chunk
+        only.  The array is made once the first chunk's call has returned,
+        so an input of one chunk peaks no higher than the call alone.  Each
+        point's waves are computed from that point alone, so the result is
+        bitwise that of one call on every point.
+        """
+        x = (pts - self.center) / rho
+        step = max(1, _WAVE_CHUNK // self.rank)
+        for i in range(0, max(len(x), 1), step):
+            waves = regular_wave_gradients(self.n_max, self.k * rho, x[i : i + step])
+            if i == 0:
+                out = np.empty((self.rank, len(x), 3))
+            _real_basis(waves, out=out[:, i : i + step])
+            del waves  # before the next chunk's call
+        return out
 
     def __call__(self, pts):
         rho = self._rho(pts)
@@ -410,17 +434,30 @@ def _kernel_factors(bg, spheres, ys):
     sqrt(a).  Otherwise it is the node factor b_p = sqrt(w_p)
     grad Phi(s_p - x) of the surface rule, and a rule of more than _NODE_CAP
     nodes, counted as 2 order^2, is a MemoryError.  Nothing is solved and no
-    rule is built.
+    rule is built.  The sample points of every sphere are checked by one
+    _check_points call and their reaches taken from one norm; when that
+    check fails, the spheres are checked one by one, so the error is that of
+    the first sphere that fails.
     """
     a = bg.iso_a
     k = bg.kappa / np.sqrt(a) if a is not None else None
+    pts = [np.atleast_2d(np.asarray(zs, dtype=float)) for _, zs in spheres]
+    centres = np.array([surf.center for surf, _ in spheres], dtype=float).reshape(-1, 3)
+    try:  # one check and one norm for the sample points of every sphere
+        flat = _check_points(np.concatenate(pts))
+        owner = np.repeat(np.arange(len(pts)), [len(z) for z in pts])
+        sample_reach = np.zeros(len(pts))
+        with np.errstate(invalid="ignore"):  # a NaN centre's reach stays NaN, as in max()
+            np.maximum.at(sample_reach, owner, np.linalg.norm(flat - centres[owner], axis=1))
+    except ValueError:  # some sphere's points fail: check sphere by sphere, below
+        sample_reach = None
     orders, voxel_reach = [], {}  # the voxel centres' reach per distinct centre
-    for surf, zs in spheres:
-        centre = tuple(np.asarray(surf.center, dtype=float))
+    for i, (surf, _) in enumerate(spheres):
+        centre = tuple(centres[i])
         if centre not in voxel_reach:
             voxel_reach[centre] = float(np.linalg.norm(ys - centre, axis=1).max(initial=0.0))
-        reach = [float(np.linalg.norm(_check_points(zs) - centre, axis=1).max(initial=0.0)),
-                 voxel_reach[centre]]
+        reach = [float(np.linalg.norm(_check_points(pts[i]) - centre, axis=1).max(initial=0.0)
+                       if sample_reach is None else sample_reach[i]), voxel_reach[centre]]
         for r, name in zip(reach, ("sample points", "voxel centers")):
             if not r < surf.radius:  # NaN fails too
                 raise ValueError(f"{name} must lie strictly inside the surface sphere")

@@ -117,12 +117,16 @@ def _solid_harmonics(n_max, x):
     return out
 
 
-def _real_basis(rows):
+def _real_basis(rows, out=None):
     """Packed rows f^0, sqrt(2) (-1)^m Re f^m (m > 0) and sqrt(2) (-1)^m Im f^|m|
-    (m < 0) of packed complex rows f; reads only rows.real and rows.imag."""
+    (m < 0) of packed complex rows f; reads only rows.real and rows.imag.
+    Written to out, a real array of the shape of rows, when it is given."""
     deg, order = _degree_order(math.isqrt(rows.shape[0]) - 1)
     neg = order < 0
-    out = rows.real.copy()
+    if out is None:
+        out = rows.real.copy()
+    else:
+        out[...] = rows.real
     out[neg] = rows.imag[harmonic_index(deg, -order)[neg]]
     sign = np.where(order == 0, 1.0, np.sqrt(2.0) * (-1.0) ** order)
     out *= sign.reshape((-1,) + (1,) * (out.ndim - 1))

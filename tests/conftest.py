@@ -1,5 +1,7 @@
 """Shared fixtures: small assembled systems reused across test modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ def dense_mb_reference(sys, contrast, g):
     fields = np.asarray(g, dtype=complex).reshape(-1, n, 3)
     eta = np.linalg.solve(mat.reshape(3 * n, 3 * n), 2.0 * (fields @ qah.T).reshape(-1, 3 * n).T)
     return (eta.T.reshape(-1, n, 3) @ ah.T).reshape(np.shape(g))
+
+
+def peak_bytes(fn, *args):
+    """(fn(*args), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,9 @@ from tdscope import (
 )
 from tdscope import Ball, imaging, voxelize
 from tdscope.imaging import _scatter_matrix
-from tdscope.specfun_quad import harmonics_table, regular_wave_gradients
+from tdscope.specfun_quad import _real_basis, harmonics_table, regular_wave_gradients
+
+from conftest import peak_bytes
 
 Z = np.array([1.5, -1.0, 2.0])
 Y = np.array([-2.0, 0.4, 0.8])
@@ -833,6 +835,33 @@ def test_sphere_route_checks_every_point_before_solving(sys_h8, monkeypatch):
         _contract(sys_h8, c, mz_ball_iso(1.0, 0.5), _own_spheres(surfs, np.array([good, good])))
 
 
+def test_kernel_factors_check_every_sphere_in_one_call(bg_unit, monkeypatch):
+    # the samples of all spheres go through one _check_points call, and when
+    # one fails, the error is that of the first sphere that fails, whatever
+    # the later spheres hold
+    ys = voxelize(Ball(0.5), 1.0 / 6.0).centers
+    s5, s04 = sphere_surface(5.0, 20), sphere_surface(0.4, 20)
+    good, outside, nan = [[1.0, 0.0, 0.0]], [[0.0, 5.0, 0.0]], [[np.nan, 0.0, 0.0]]
+    calls = []
+    check = imaging._check_points
+
+    def spy(points):
+        calls.append(np.shape(points))
+        return check(points)
+
+    monkeypatch.setattr(imaging, "_check_points", spy)
+    facs = imaging._kernel_factors(bg_unit, [(s5, good), (s5, np.zeros((0, 3))), (s5, good)], ys)
+    assert [fac.kind for fac in facs] == ["spectral"] * 3 and calls == [(2, 3)]
+    for spheres, match in (
+            ([(s5, outside), (s5, nan)], "sample points must lie strictly inside"),
+            ([(s5, good), (s5, nan), (s5, outside)], "sample points must be finite"),
+            ([(s04, [[0.1, 0.0, 0.0]]), (s5, [[0.1, 0.0]])], "voxel centers must"),
+            ([(s5, [[0.1, 0.0]]), (s04, [[0.1, 0.0, 0.0]])], r"must have shape \(Z, 3\)"),
+            ([(s5, outside), (s5, np.zeros((1, 1, 3)))], "sample points must lie strictly")):
+        with pytest.raises(ValueError, match=match):
+            imaging._kernel_factors(bg_unit, spheres, ys)
+
+
 # ---------------------------------------------------------------------------
 # the spectral factor in the real basis of the regular waves
 
@@ -881,6 +910,63 @@ def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg
     # pairs of waves of different characters are never formed: exact zeros
     off = cls[:, None] != cls[None, :]
     assert np.all(t_w[off] == 0.0) and np.all(t_w[~off] != 0.0)
+
+
+def _one_call_waves(fac, pts, rho):
+    return _real_basis(regular_wave_gradients(fac.n_max, fac.k * rho, (pts - fac.center) / rho))
+
+
+@pytest.mark.parametrize("chunk", [None, 49 * 6])
+@pytest.mark.parametrize("k", [0.0, 1.3])
+def test_spectral_waves_are_filled_in_chunks_with_the_bits_of_one_call(monkeypatch, k, chunk):
+    # 1,001 points, the expansion centre among them, go through
+    # regular_wave_gradients a chunk at a time: 334 points per call at the
+    # default (196 waves), 6 with the smaller chunk (49 waves), neither a
+    # divisor of 1,001; the real waves are bitwise those of one call
+    n_max = 13 if chunk is None else 6
+    if chunk is not None:
+        monkeypatch.setattr(imaging, "_WAVE_CHUNK", chunk)
+    fac = imaging._SpectralFactor(center=np.array([0.1, -0.2, 0.05]), k=k, n_max=n_max,
+                                  half_log_c=np.zeros((n_max + 1) ** 2))
+    rng = np.random.default_rng(11)
+    pts = fac.center + rng.uniform(-1.0, 1.0, (1001, 3)) * rng.uniform(0.0, 1.0, (1001, 1))
+    pts[500] = fac.center
+    rho = fac._rho(pts)
+    calls = []
+    waves = imaging.regular_wave_gradients
+
+    def spy(n, kk, x):
+        calls.append(len(x))
+        return waves(n, kk, x)
+
+    monkeypatch.setattr(imaging, "regular_wave_gradients", spy)
+    got = fac._waves(pts, rho)
+    step = 334 if chunk is None else 6
+    assert calls == [step] * (1001 // step) + [1001 % step]
+    assert np.array_equal(got, _one_call_waves(fac, pts, rho))
+
+
+@pytest.mark.parametrize("resolution", [14, 8])
+def test_spectral_waves_peak_memory(bg_unit, resolution):
+    # the 196 real waves on the 1,472 cells of the resolution-14 ball (6.9 MB)
+    # never hold the complex waves of every point: the tracemalloc peak stays
+    # below 2.7 times the real waves (one call on every point peaked at 6.4
+    # times them, chunks of 334 points at 2.5 times, and at 2.9 times when a
+    # chunk's complex waves lived through the next call).  The 280 cells of
+    # the resolution-8 ball take one call, and the real array is made after
+    # it returns, so the peak is that of the one call (made before it, the
+    # array added its 1.3 MB)
+    centers = voxelize(Ball(0.5), 1.0 / resolution).centers
+    fac = KernelG(sphere_surface(5.0, 20), bg_unit).factor(centers, centers)
+    rho = fac._rho(centers)
+    waves, peak = peak_bytes(fac._waves, centers, rho)
+    want, one_call = peak_bytes(_one_call_waves, fac, centers, rho)
+    assert waves.shape == (196, len(centers), 3) and waves.dtype == float
+    assert np.array_equal(waves, want)
+    if resolution == 14:
+        assert peak < 2.7 * waves.nbytes
+    else:
+        assert peak < 1.01 * one_call
 
 
 def test_td_map_iso_matches_a_complex_basis_reference(ball_grid_h6, bg_unit, small_map_setup):

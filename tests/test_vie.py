@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +33,8 @@ from tdscope import (
 from tdscope import vie
 from tdscope.specfun_quad import _real_basis, regular_wave_gradients
 from tdscope.vie import _system_factors
+
+from conftest import peak_bytes
 
 # Golub-Kahan-Lanczos estimates on the h = 1/6 unit-kappa ball system (seed 0),
 # frozen against the dense singular values computed in-test.  The power iteration
@@ -289,12 +290,8 @@ def test_assemble_peak_memory_on_a_large_box(bg_unit, monkeypatch):
     # the symbol it keeps (one call on every offset peaked at 6.9 times it,
     # two chunks at 3.8 times)
     grid = voxelize(Ball(0.5), 1.0 / 18.0)
-    tracemalloc.start()
-    try:
-        kernel_hat = assemble(grid, bg_unit).kernel_hat
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sys, peak = peak_bytes(assemble, grid, bg_unit)
+    kernel_hat = sys.kernel_hat
     assert kernel_hat.shape == (6, 36, 36, 36)
     assert peak < 5 * kernel_hat.nbytes
     monkeypatch.setattr(vie, "_ASSEMBLE_CHUNK", 1 << 30)
@@ -749,12 +746,7 @@ def test_walsh_runs_in_chunks_with_the_bits_of_one_pass(rng, monkeypatch, chunk)
     shape = (8, 512, 64, 3)
     y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = _walsh_one_pass(y.copy())
-    tracemalloc.start()
-    try:
-        got = vie._walsh(y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = peak_bytes(vie._walsh, y)
     assert got is y and np.array_equal(y, want)
     assert peak < y.nbytes / 16
 
@@ -855,13 +847,83 @@ def test_half_pairing_peak_memory(sys_h6):
     # them, the block pairing at 1.77 times)
     waves = _real_basis(regular_wave_gradients(13, 1.0, sys_h6.grid.centers))
     assert waves.shape == (196, sys_h6.n_cells, 3)
-    tracemalloc.start()
-    try:
-        vie._half_pairing(sys_h6, iso_contrast(1.0, 2.0), waves)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(vie._half_pairing, sys_h6, iso_contrast(1.0, 2.0), waves)
     assert peak < 2.4 * 16 * waves.size
+
+
+def _gather_blocks_materialised(sys, group, left, right, diag):
+    """The irrep blocks of diag + left gradW right cut from the gathered rows
+    (2^s, 3 len(group.rows), 3n) of every character, formed all at once.
+
+    Rows reps of B_c are read at B_b[u0, h^-1 w] with u0 the orbit
+    representative of u = h u0 and b = h^-1(c); with no axis permutation
+    block c is B_c itself.
+    """
+    table, box = sys._offset_blocks(left, right)
+    group_size, n = group.cells.shape
+    pos = sys.index[group.cells]
+    rows = group.rows
+    diff = pos[0, rows][None, :, None, :] - pos[:, None, :, :]
+    m = table[np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")]
+    m *= group.signs[:, None, None, None, :]
+    out = _walsh_one_pass(m).transpose(0, 1, 3, 2, 4).copy()
+    out[:, np.arange(len(rows)), :, rows, :] += diag
+    out = out.reshape(group_size, 3 * len(rows), 3 * n)
+    if len(group.perm_axes) == 1:
+        return list(out)
+    blocks = []
+    for c, key, _ in group.classes:
+        split = group.splits[key]
+        u0 = group.orbit_rep[split.reps]
+        h_inv = group.inverse[np.argmax(group.img[:, u0] == split.reps, axis=0)]
+        at = 3 * np.searchsorted(rows, u0 // 3) + u0 % 3
+        blocks += split.blocks(out[group.image[h_inv, c][:, None], at[:, None],
+                                   group.img[h_inv]])
+    return blocks
+
+
+def _group_and_factors(sys, contrast):
+    factors = _system_factors(contrast, sys.bg)
+    return vie._orbits(sys.index, sys.bg.A.matrix, *factors), factors
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("case", ["centred_ball", "one_swap_ellipsoid", "sigma_i_tensor_contrast",
+                                  "distinct_axes_ellipsoid", "no_mirror_axis"])
+def test_gather_blocks_match_the_materialised_gather(monkeypatch, case, chunk):
+    # the class rows filled a chunk of gathered rows at a time (one row per
+    # chunk with chunk = 1) give bitwise the blocks cut from every gathered
+    # row at once: under the cube group, the mirrors and one swap (of the
+    # axes, and of the unknowns' rows with a tensor contrast), the mirrors
+    # alone and the one-element group
+    if chunk is not None:
+        monkeypatch.setattr(vie, "_GATHER_CHUNK", chunk)
+    grid, bg, contrast, _, order = _pairing_cases()[case]
+    sys = assemble(grid, bg)
+    group, factors = _group_and_factors(sys, contrast)
+    assert len(group.perm_axes) << len(group.axes) == order
+    got = sys._gather_blocks(group, *factors)
+    want = _gather_blocks_materialised(sys, group, *factors)
+    assert [len(b) for b in got] == [rows for _, rows in group.block_names()]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.flags.c_contiguous and np.array_equal(a, b)
+
+
+def test_gather_blocks_peak_memory_on_the_resolution_14_ball(bg_unit):
+    # the gathered rows of all eight characters are never held: the class rows
+    # are filled a chunk at a time and each class's rows are dropped once its
+    # blocks are formed, so the tracemalloc peak stays below those rows plus
+    # the blocks (9.7 + 6.5 MB; the materialised gather peaked at 28.0 MB,
+    # the chunked one at 14.9 MB), with the same bits
+    sys = assemble(voxelize(Ball(0.5), 1.0 / 14.0), bg_unit)
+    group, factors = _group_and_factors(sys, iso_contrast(1.0, 2.0))
+    blocks, peak = peak_bytes(sys._gather_blocks, group, *factors)
+    assert len(group.perm_axes) << len(group.axes) == 48
+    rows = 16 * len(group.cells) * 3 * len(group.rows) * 3 * group.cells.shape[1]
+    assert peak < rows + sum(block.nbytes for block in blocks)
+    want = _gather_blocks_materialised(sys, group, *factors)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, want))
 
 
 def _arrays_reachable(obj, seen=None):
@@ -1002,12 +1064,7 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, rng, monkeypatch, 
 
     monkeypatch.setattr(VieSystem, "_gather_blocks", keep)
     b = np.asfortranarray(rng.standard_normal((3 * sys_h6.n_cells, 1)) + 0j)
-    tracemalloc.start()
-    try:
-        sys_h6._dense_solve(SYMMETRIC_SYSTEMS[case], b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(sys_h6._dense_solve, SYMMETRIC_SYSTEMS[case], b)
     (blocks,) = gathered
     assert len(block_rhs) == len(blocks)
     for block, call in zip(blocks, block_rhs):
@@ -1275,14 +1332,7 @@ def test_real_fields_are_solved_without_a_complex_copy(sys_h6):
     waves = regular_wave_gradients(7, 1.0, sys_h6.grid.centers)[1:].real.copy()
     as_complex = waves.astype(complex)
     contrast = iso_contrast(1.0, 2.0)
-    peaks = []
-    for g in (waves, as_complex):
-        tracemalloc.start()
-        try:
-            solve_density(sys_h6, contrast, g)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_bytes(solve_density, sys_h6, contrast, g)[1] for g in (waves, as_complex)]
     assert peaks[0] < peaks[1] + as_complex.nbytes // 2
 
 
