@@ -434,30 +434,17 @@ def _kernel_factors(bg, spheres, ys):
     sqrt(a).  Otherwise it is the node factor b_p = sqrt(w_p)
     grad Phi(s_p - x) of the surface rule, and a rule of more than _NODE_CAP
     nodes, counted as 2 order^2, is a MemoryError.  Nothing is solved and no
-    rule is built.  The sample points of every sphere are checked by one
-    _check_points call and their reaches taken from one norm; when that
-    check fails, the spheres are checked one by one, so the error is that of
-    the first sphere that fails.
+    rule is built.
     """
     a = bg.iso_a
     k = bg.kappa / np.sqrt(a) if a is not None else None
-    pts = [np.atleast_2d(np.asarray(zs, dtype=float)) for _, zs in spheres]
-    centres = np.array([surf.center for surf, _ in spheres], dtype=float).reshape(-1, 3)
-    try:  # one check and one norm for the sample points of every sphere
-        flat = _check_points(np.concatenate(pts))
-        owner = np.repeat(np.arange(len(pts)), [len(z) for z in pts])
-        sample_reach = np.zeros(len(pts))
-        with np.errstate(invalid="ignore"):  # a NaN centre's reach stays NaN, as in max()
-            np.maximum.at(sample_reach, owner, np.linalg.norm(flat - centres[owner], axis=1))
-    except ValueError:  # some sphere's points fail: check sphere by sphere, below
-        sample_reach = None
     orders, voxel_reach = [], {}  # the voxel centres' reach per distinct centre
-    for i, (surf, _) in enumerate(spheres):
-        centre = tuple(centres[i])
+    for surf, zs in spheres:
+        centre = tuple(np.asarray(surf.center, dtype=float))
         if centre not in voxel_reach:
             voxel_reach[centre] = float(np.linalg.norm(ys - centre, axis=1).max(initial=0.0))
-        reach = [float(np.linalg.norm(_check_points(pts[i]) - centre, axis=1).max(initial=0.0)
-                       if sample_reach is None else sample_reach[i]), voxel_reach[centre]]
+        reach = [float(np.linalg.norm(_check_points(zs) - centre, axis=1).max(initial=0.0)),
+                 voxel_reach[centre]]
         for r, name in zip(reach, ("sample points", "voxel centers")):
             if not r < surf.radius:  # NaN fails too
                 raise ValueError(f"{name} must lie strictly inside the surface sphere")

@@ -767,24 +767,21 @@ class VieSystem:
         are gathered for every character c against every representative r'
         from the offset table, a chunk of rows at a time, and combined by the
         Hadamard transform over g; the diagonal term enters every block.
-        With no axis permutation every row is gathered and block c is B_c
-        itself.  Otherwise each chunk's rows go straight to the rows that
-        each class's _Split needs (_Group.class_rows), so the rows of all 2^s
-        characters are never held at once; once every chunk is in, the
-        offset table is dropped, and each class's split forms its irrep
-        blocks and drops the class's rows before the next class.  Each block
-        is C-ordered.
+        Each chunk's rows go straight to the rows that each class's _Split
+        needs (_Group.class_rows), so the rows of all 2^s characters are
+        never held at once.  Once every chunk is in, the offset table is
+        dropped.  Class by class, the rows read through an axis permutation
+        then have their columns permuted, and the split forms the irrep
+        blocks and drops the class's rows before the next class.  With no
+        axis permutation every class is one character c, all rows are
+        gathered and its block is B_c itself.  Each block is C-ordered.
         """
         table, box = self._offset_blocks(left, right)
         group_size, n = group.cells.shape
         pos = self.index[group.cells]  # (2^s, n, 3)
         rows = group.rows
-        mirrors_only = len(group.perm_axes) == 1
-        if mirrors_only:
-            out = np.empty((group_size, len(rows), 3, n, 3), dtype=complex)
-        else:
-            sources = [group.class_rows(c, group.splits[key].reps) for c, key, _ in group.classes]
-            class_rows = [np.empty((len(p), 3 * n), dtype=complex) for _, p, _ in sources]
+        sources = [group.class_rows(c, group.splits[key].reps) for c, key, _ in group.classes]
+        class_rows = [np.empty((len(p), 3 * n), dtype=complex) for _, p, _ in sources]
         chunk = max(1, _GATHER_CHUNK // (group_size * n))
         for i0 in range(0, len(rows), chunk):
             at = rows[i0 : i0 + chunk]
@@ -794,19 +791,16 @@ class VieSystem:
             m *= group.signs[:, None, None, None, :]
             m = _walsh(m).transpose(0, 1, 3, 2, 4)
             m[:, np.arange(len(at)), :, at, :] += diag
-            if mirrors_only:
-                out[:, i0 : i0 + chunk] = m
-                continue
             m = m.reshape(group_size, 3 * len(at), 3 * n)
             for (b, p, h_inv), dest in zip(sources, class_rows):
                 j = np.flatnonzero((p >= 3 * i0) & (p < 3 * (i0 + len(at))))
-                dest[j] = m[b[j, None], p[j, None] - 3 * i0, group.img[h_inv[j]]]
-        if mirrors_only:
-            return list(out.reshape(group_size, 3 * len(rows), 3 * n))
+                dest[j] = m[b[j], p[j] - 3 * i0]
         del table
         blocks = []
-        for t, (_, key, _) in enumerate(group.classes):
+        for t, ((_, _, h_inv), (_, key, _)) in enumerate(zip(sources, group.classes)):
             class_rows[t], rows_c = None, class_rows[t]
+            k = np.flatnonzero(h_inv)  # rows read through an axis permutation (0 is the identity)
+            rows_c[k] = np.take_along_axis(rows_c[k], group.img[h_inv[k]], axis=1)
             blocks += group.splits[key].blocks(rows_c)
         return blocks
 

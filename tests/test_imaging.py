@@ -835,29 +835,21 @@ def test_sphere_route_checks_every_point_before_solving(sys_h8, monkeypatch):
         _contract(sys_h8, c, mz_ball_iso(1.0, 0.5), _own_spheres(surfs, np.array([good, good])))
 
 
-def test_kernel_factors_check_every_sphere_in_one_call(bg_unit, monkeypatch):
-    # the samples of all spheres go through one _check_points call, and when
-    # one fails, the error is that of the first sphere that fails, whatever
-    # the later spheres hold
+def test_kernel_factors_raise_the_error_of_the_first_failing_sphere(bg_unit):
+    # the spheres are checked in order, so the error is that of the first
+    # sphere that fails, whatever the later spheres hold
     ys = voxelize(Ball(0.5), 1.0 / 6.0).centers
     s5, s04 = sphere_surface(5.0, 20), sphere_surface(0.4, 20)
     good, outside, nan = [[1.0, 0.0, 0.0]], [[0.0, 5.0, 0.0]], [[np.nan, 0.0, 0.0]]
-    calls = []
-    check = imaging._check_points
-
-    def spy(points):
-        calls.append(np.shape(points))
-        return check(points)
-
-    monkeypatch.setattr(imaging, "_check_points", spy)
     facs = imaging._kernel_factors(bg_unit, [(s5, good), (s5, np.zeros((0, 3))), (s5, good)], ys)
-    assert [fac.kind for fac in facs] == ["spectral"] * 3 and calls == [(2, 3)]
+    assert [fac.kind for fac in facs] == ["spectral"] * 3
     for spheres, match in (
             ([(s5, outside), (s5, nan)], "sample points must lie strictly inside"),
             ([(s5, good), (s5, nan), (s5, outside)], "sample points must be finite"),
             ([(s04, [[0.1, 0.0, 0.0]]), (s5, [[0.1, 0.0]])], "voxel centers must"),
             ([(s5, [[0.1, 0.0]]), (s04, [[0.1, 0.0, 0.0]])], r"must have shape \(Z, 3\)"),
-            ([(s5, outside), (s5, np.zeros((1, 1, 3)))], "sample points must lie strictly")):
+            ([(s5, outside), (s5, np.zeros((1, 1, 3)))], "sample points must lie strictly"),
+            ([(s5, outside), (s5, [[0.0, 0.0, 0.0], [1.0]])], "sample points must lie strictly")):
         with pytest.raises(ValueError, match=match):
             imaging._kernel_factors(bg_unit, spheres, ys)
 
