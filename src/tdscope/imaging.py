@@ -631,10 +631,24 @@ def _check_points(points):
 
 def _pair(b_z, t_m, m_z, h3):
     """-2 h^3 tr(M_z S(z)) per sample before Re, S(z) = b(z)^T T_m conj(b(z)),
-    for the factor b_z of shape (P, Z, 3) and its (P, P) response T_m."""
+    for the factor b_z of shape (P, Z, 3) and its (P, P) response T_m.
+
+    The samples are paired a chunk at a time, so a real factor is cast to
+    complex for zgemm one chunk at a time, and the product with T_m, about
+    _WAVE_CHUNK values, is held for one chunk only.  A chunk holds a
+    multiple of 8 samples: gemm kernels compute panels of up to 8 columns
+    alike, and a ragged last panel differently, so every chunk but the last
+    ends on a panel edge of the one product over every sample, and each
+    value keeps the bits of that product (the tests check it bitwise).
+    """
     p, nz = b_z.shape[:2]
-    s = np.einsum("pzi,pzj->zij", b_z, (t_m @ b_z.conj().reshape(p, -1)).reshape(p, nz, 3))
-    return -2.0 * h3 * np.einsum("ij,zji->z", m_z, s)
+    out = np.empty(nz, dtype=complex)
+    step = 8 * max(1, _WAVE_CHUNK // (24 * p))
+    for z0 in range(0, nz, step):
+        b = b_z[:, z0 : z0 + step]
+        s = np.einsum("pzi,pzj->zij", b, (t_m @ b.conj().reshape(p, -1)).reshape(p, -1, 3))
+        out[z0 : z0 + step] = -2.0 * h3 * np.einsum("ij,zji->z", m_z, s)
+    return out
 
 
 def _contract(sys, contrast, m_z, facs, pts):

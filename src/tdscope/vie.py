@@ -55,16 +55,18 @@ gathered, for every character (about N^2 / 2^s / |H| cell pairs), and
 combined by a Hadamard transform over the mirrors, a chunk of rows at a
 time; each chunk goes straight to the rows that each class's split reads,
 and the irrep blocks are formed from those rows through fixed small
-matrices per orbit type, one class at a time, each class's rows dropped
-before the next.  The rows of all 2^s characters are never held at once:
-on the ball at resolution 14 the gather's tracemalloc peak is 14.9 MB
-instead of 28.0 MB, at resolution 16 31.6 MB instead of 57.2 MB.  For
+matrices per orbit type, one class and a chunk of its rows at a time,
+each class's rows dropped before the next.  The rows of all 2^s
+characters are never held at once: on the ball at resolution 14 the
+gather's tracemalloc peak is 12.2 MB instead of 28.0 MB, at resolution 16
+24.3 MB instead of 57.2 MB.  For
 the ball at resolution 14 (3N = 4,416) that is 10 blocks of at most 290
 rows instead of 8 of 552.  Each block is factored and solved by one zsysv
 call (Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own
 memory: the right-hand sides are routed to the blocks that carry them (a
 column of definite parity under every mirror, such as a real regular wave
-about the lattice centre, to one class), solved in place and, by
+about the lattice centre, to one class), a chunk of columns at a time, so
+that only the reached shares are held, solved in place and, by
 solve_density, mapped back, and the factors are dropped.  The response
 1/2 F^H M_B F of P fields (_half_pairing) is paired inside the blocks
 instead: each block's solutions against its own projected fields, so only
@@ -264,16 +266,16 @@ class _Split:
     def project(self, sources):
         """Coordinates on every V_l of the rows of sources: (d, k, m) per irrep, C-ordered.
 
-        A source (x, ks, perm) stands for the rows ks of x (K, 3n) (all rows
-        if ks is None) with unknown u read at perm[u] (at u if perm is None);
-        the sources' rows follow one another.
+        A source (x, perm) stands for the rows of x (K, 3n) with unknown u
+        read at perm[u] (at u if perm is None); the sources' rows follow one
+        another.
         """
-        rows = [len(x) if ks is None else len(ks) for x, ks, _ in sources]
+        rows = [len(x) for x, _ in sources]
         out = [np.empty((d, sum(rows), m), dtype=complex) for d, m in zip(self.dims, self.sizes())]
         for t, ((e, _, _), (f, _)) in enumerate(zip(self.types, self.real)):
             start = 0
-            for (x, ks, perm), k in zip(sources, rows):
-                prod = (_take(x, ks, e if perm is None else perm[e]).view(float)
+            for (x, perm), k in zip(sources, rows):
+                prod = (np.take(x, e if perm is None else perm[e], axis=1).view(float)
                         .reshape(-1, f.shape[0]) @ f).view(complex).reshape(k, *e.shape)
                 for coords, d, types in zip(out, self.dims, self.layout):
                     n_t, w, off, sl = types[t]
@@ -284,24 +286,41 @@ class _Split:
         return out
 
     def blocks(self, rows):
-        """The irrep blocks B_rho from the rows (len(reps), 3n) of B at reps."""
+        """The irrep blocks B_rho from the rows (len(reps), 3n) of B at reps.
+
+        Block row (u, w) reads row u of B alone, so the rows are projected a
+        chunk at a time, and each chunk's block rows are written, type by
+        type, before the next chunk is projected: the projections of all rows
+        are never held at once.  A chunk holds about as many values as one
+        chunk of VieSystem._gather_blocks, _GATHER_CHUNK 3x3 blocks, and at
+        least two rows: NumPy multiplies a single row by F through gemv,
+        which rounds differently from gemm, and gemm gives a row the same
+        bits among any number of rows (the gather tests check the blocks
+        bitwise against those formed from every row at once).
+        """
         if len(self.names) == 1:
             return [rows]
-        bv = self.project([(rows, None, None)])  # B[u, :] V_l
-        out = []
-        for r, (m, types) in enumerate(zip(self.sizes(), self.layout)):
-            block = np.empty((m, m), dtype=complex)
-            start = 0
-            for (_, _, gs), (n_t, w, _, sl) in zip(self.types, types):
-                block[sl] = np.einsum("wl,lnm->nwm", gs[r], bv[r][:, start : start + n_t]
-                                      ).reshape(n_t * w, m)
-                start += n_t
-            out.append(block)
+        out = [np.empty((m, m), dtype=complex) for m in self.sizes()]
+        first = np.cumsum([0] + [e.shape[0] for e, _, _ in self.types])  # each type's first row
+        step = max(2, 9 * _GATHER_CHUNK // rows.shape[1])
+        stops = np.linspace(0, len(rows), max(1, len(rows) // step) + 1).astype(int)
+        for i0, i1 in zip(stops[:-1], stops[1:]):
+            bv = self.project([(rows[i0:i1], None)])  # B[u, :] V_l
+            for t, (_, _, gs) in enumerate(self.types):
+                j0, j1 = max(i0, first[t]), min(i1, first[t + 1])  # this type's rows in the chunk
+                if j0 >= j1:
+                    continue
+                for g, block, coords, types in zip(gs, out, bv, self.layout):
+                    _, w, _, sl = types[t]
+                    at = sl.start + (j0 - first[t]) * w
+                    block[at : at + (j1 - j0) * w] = np.einsum(
+                        "wl,lnm->nwm", g, coords[:, j0 - i0 : j1 - i0]).reshape(-1, len(block))
         return out
 
     def unproject(self, parts, targets):
-        """Write sum over irreps and rows l of V_l parts[r][l] to targets, the
-        inverse of project on sources of the same form."""
+        """Write sum over irreps and rows l of V_l parts[r][l] to targets (x,
+        ks, perm), the rows ks of x (K, 3n) with unknown u at perm[u]: the
+        inverse of project on the sources (x[ks], perm)."""
         k = parts[0].shape[1]
         for t, ((e, f, _), (_, f_t)) in enumerate(zip(self.types, self.real)):
             coords = np.empty((k, e.shape[0], f.shape[1]), dtype=complex)
@@ -314,13 +333,8 @@ class _Split:
             values = values.reshape(k, *e.shape)
             start = 0
             for x, ks, perm in targets:
-                idx = e if perm is None else perm[e]
-                stop = start + (len(x) if ks is None else len(ks))
-                if ks is None:
-                    x[:, idx] = values[start:stop]
-                else:
-                    x[ks[:, None, None], idx] = values[start:stop]
-                start = stop
+                x[ks[:, None, None], e if perm is None else perm[e]] = values[start : start + len(ks)]
+                start += len(ks)
 
 
 def _interleave(f):
@@ -328,12 +342,6 @@ def _interleave(f):
     out = np.zeros((2 * f.shape[0], 2 * f.shape[1]))
     out[0::2, 0::2] = out[1::2, 1::2] = f
     return out
-
-
-def _take(x, ks, idx):
-    """x[ks][:, idx] (all rows if ks is None) as a new C-ordered array."""
-    out = np.take(x, idx, axis=1) if ks is None else x[ks[:, None, None], idx]
-    return np.ascontiguousarray(out)
 
 
 class _Group:
@@ -502,7 +510,8 @@ def _orbits(index, A, left, right, diag):
 # character share is roundoff (about 1e-17 for a column of definite parity),
 # far below the 1e-10 residual probe, and is not solved
 _LEAK = 1e-14
-# values of y per chunk of _walsh's second axis (1 MiB of complex values)
+# values per chunk of _walsh's second axis and of the shares _route forms at
+# once (1 MiB of complex values)
 _WALSH_CHUNK = 1 << 16
 # cell pairs per chunk of VieSystem._gather_blocks (576 KiB of 3x3 blocks)
 _GATHER_CHUNK = 1 << 12
@@ -547,38 +556,53 @@ def _shares(group, cols, lift=None):
     return _walsh(y).reshape(len(y), k, -1)
 
 
-def _reach(flat):
-    """(reach, floor) of the shares flat (2^s, K, 3n): whether character c's
-    share of column k is solved, and each column's _LEAK floor on squared
-    norms."""
-    share = np.einsum("cki,cki->ck", flat.view(float), flat.view(float))
-    floor = _LEAK**2 * share.max(axis=0)
-    return share > floor, floor
+def _route(group, cols, lift=None, conj=False):
+    """The forward route of the columns cols (K, N, 3): (routes, parts, floors, conj_parts).
 
-
-def _route(group, flat, reach):
-    """The forward route of the shares flat (2^s, K, 3n): (routes, parts, origins).
-
-    routes holds per class its members' (b, ks, perm): character b, the
-    columns ks that reach it (None for all) and the map U_p of its unknowns
-    (None for the representative).  parts holds per block the (d, K_c, m)
-    coordinates of _Split.project, row l of the class's column j at [l, j],
-    the members' columns one after another; origins holds per block the
-    column of each j.
+    The character shares of _shares (with the lift) are formed a chunk of
+    about _WALSH_CHUNK values of columns at a time.  A share of a column at
+    most _LEAK times the column's largest character share is roundoff and
+    is not routed: of each chunk, each character keeps only the shares of
+    the columns that reach it, and once every chunk is in, each character
+    holds its reached columns as one compact (K_b, 3n) array, in column
+    order.  routes holds per class its members' (b, ks, perm): character b,
+    the columns ks that reach it and the map U_p of its unknowns (None for
+    the representative).  parts holds per block the (d, K_c, m) coordinates
+    of _Split.project, row l of the class's column j at [l, j], the members'
+    columns one after another, and floors per block the _LEAK floor on the
+    squared norm of each of its columns.  Each class's compact shares are
+    dropped once projected.  With conj, conj(cols) goes through the same
+    chunks with the reach of cols, and conj_parts holds its parts (else
+    None).
     """
-    k = flat.shape[1]
-    routes, parts, origins = [], [], []
+    size, k = len(group.cells), len(cols)
+    step = max(1, _WALSH_CHUNK // (3 * group.cells.size))
+    reach = np.empty((size, k), dtype=bool)
+    floor = np.empty(k)
+    kept = [[[] for _ in range(size)] for _ in range(1 + conj)]  # per character, chunk by chunk
+    for k0 in range(0, max(k, 1), step):
+        chunk = slice(k0, k0 + step)
+        y = _shares(group, cols[chunk], lift)
+        share = np.einsum("cki,cki->ck", y.view(float), y.view(float))
+        floor[chunk] = _LEAK**2 * share.max(axis=0)
+        reach[:, chunk] = share > floor[chunk]
+        for store, ys in zip(kept, [y, _shares(group, cols[chunk].conj(), lift)] if conj else [y]):
+            for pieces, rows, hit in zip(store, ys, reach[:, chunk]):
+                pieces.append(rows[hit])
+    routes, parts, floors, conj_parts = [], [], [], []
     for c, key, members in group.classes:
-        route = []
-        for b, h in [(c, 0)] + members:
-            ks = np.flatnonzero(reach[b])
-            route.append((b, None if len(ks) == k else ks, group.img[h] if h else None))
-        split_parts = group.splits[key].project([(flat[b], ks, perm) for b, ks, perm in route])
-        parts += split_parts
-        origins += [np.concatenate([np.arange(k) if ks is None else ks
-                                    for _, ks, _ in route])] * len(split_parts)
+        route = [(b, np.flatnonzero(reach[b]), group.img[h] if h else None)
+                 for b, h in [(c, 0)] + members]
+        split = group.splits[key]
+        for store, out in zip(kept, [parts, conj_parts]):
+            sources = []
+            for b, _, perm in route:
+                sources.append((np.concatenate(store[b]), perm))
+                store[b] = None
+            out += split.project(sources)
+        floors += [floor[np.concatenate([ks for _, ks, _ in route])]] * len(split.names)
         routes.append(route)
-    return routes, parts, origins
+    return routes, parts, floors, conj_parts if conj else None
 
 
 def _solve_blocks(blocks, group, parts, floors, what):
@@ -606,10 +630,11 @@ def _solve_blocks(blocks, group, parts, floors, what):
             part[keep] = b
 
 
-def _map_back(group, parts, routes, flat, cols):
-    """The backward route: unproject parts to the shares flat (2^s, K, 3n),
-    which hold zeros where no column was routed, and write
+def _map_back(group, parts, routes, cols):
+    """The backward route: unproject parts to zeroed shares (2^s, K, 3n),
+    allocated here, after the solves, and write
     2^-s sum_c chi_c(g) T_g x_c(r) to cols (K, N, 3) at each cell g r."""
+    flat = np.zeros((len(group.cells), len(cols), 3 * group.cells.shape[1]), dtype=complex)
     solved = iter(parts)
     for route, (_, key, _) in zip(routes, group.classes):
         split = group.splits[key]
@@ -637,22 +662,23 @@ def _blocked_solve(blocks, group, rhs, what):
     so U_p^T y_b is solved with B_c as further columns and x_b = U_p x.  Each
     class's columns are split by the irreps of its stabilizer
     (_Split.project), and each row l of an irrep is a further column of the
-    irrep's block (_route).  A share of a column at most _LEAK times the
-    column's largest character share is roundoff and is not solved: a
-    column of definite parity under every mirror reaches one class, one of
-    definite symmetry one block, and an all-zero column none.  Each block is
-    factored in its own memory and solves its columns in place in one zsysv
-    call, also when it carries none, so a singular block raises naming it,
-    before rhs is written (_solve_blocks).
+    irrep's block.  A share of a column at most _LEAK times the column's
+    largest character share is roundoff and is not solved: a column of
+    definite parity under every mirror reaches one class, one of definite
+    symmetry one block, and an all-zero column none.  The forward route
+    (_route) forms the shares a chunk of columns at a time and keeps only
+    the reached ones, so the shares of every character and column are
+    never held at once; the backward route allocates its full-layout shares
+    only after the solves.  Each block is factored in its own memory and
+    solves its columns in place in one zsysv call, also when it carries
+    none, so a singular block raises naming it, before rhs is written
+    (_solve_blocks).
     """
     x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
     cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
-    flat = _shares(group, cols)
-    reach, floor = _reach(flat)
-    routes, parts, origins = _route(group, flat, reach)
-    _solve_blocks(blocks, group, parts, [floor[o] for o in origins], what)
-    flat[~reach] = 0.0
-    _map_back(group, parts, routes, flat, cols)
+    routes, parts, floors, _ = _route(group, cols)
+    _solve_blocks(blocks, group, parts, floors, what)
+    _map_back(group, parts, routes, cols)
     return x.reshape(rhs.shape)
 
 
@@ -772,7 +798,8 @@ class VieSystem:
         never held at once.  Once every chunk is in, the offset table is
         dropped.  Class by class, the rows read through an axis permutation
         then have their columns permuted, and the split forms the irrep
-        blocks and drops the class's rows before the next class.  With no
+        blocks a chunk of rows at a time (_Split.blocks) and drops the
+        class's rows before the next class.  With no
         axis permutation every class is one character c, all rows are
         gathered and its block is B_c itself.  Each block is C-ordered.
         """
@@ -1147,13 +1174,16 @@ def _half_pairing(sys, contrast, fields):
     so this is 1/4 2^-s sum B^T X over the blocks and, within a block, over
     each (class member, irrep row) segment of its columns, B the block's
     projected lift conj(F) and X its solutions.  Only the first two stages of
-    _blocked_solve run: the forward route (_shares, _route) and the block
-    solves; for real F, B is a copy of the projected right-hand sides, for
-    complex F lift conj(F) goes through the same route.  The full-layout
-    right-hand sides and shares are dropped once projected, and of the P
-    solved columns only the seeded combination X r is mapped back
-    (_map_back), for the Freivalds probe of resolvent_solve and the residual
-    of solve_density, with their tolerances.  On the GMRES path the one
+    _blocked_solve run: the forward route (_route, which holds the shares
+    of one chunk of columns and the reached shares, never those of every
+    character and column) and the block solves; for real F, B is a copy of
+    the projected right-hand sides, for complex F lift conj(F) goes through
+    the same chunks with the reach of F.  Once routed, the fields are no
+    longer referenced here, so a caller's temporary F is freed before the
+    blocks are gathered.  Of the P solved columns only the seeded
+    combination X r is mapped back (_map_back), for the Freivalds probe of
+    resolvent_solve and the residual of solve_density, with their
+    tolerances.  On the GMRES path the one
     block is the full layout of the one-element group, whose coordinates are
     the unknowns themselves, and resolvent_solve gives X.  Pairs of columns
     that share no segment (waves of different mirror characters) are exact
@@ -1171,18 +1201,15 @@ def _half_pairing(sys, contrast, fields):
     dense = _dense_path(sys)
     if dense:
         group = _orbits(sys.index, sys.bg.A.matrix, *factors)
-        flat = _shares(group, g, lift)
-        reach, floor = _reach(flat)
-        routes, parts, origins = _route(group, flat, reach)
-        del flat
-        if np.iscomplexobj(g):
-            paired = _route(group, _shares(group, g.conj(), lift), reach)[1]
-        else:
+        routes, parts, floors, paired = _route(group, g, lift, np.iscomplexobj(g))
+        # the fields are routed: a caller's temporary is freed before the gather
+        del fields, g
+        if paired is None:
             paired = [part.copy() for part in parts]
-        _solve_blocks(sys._gather_blocks(group, *factors), group, parts,
-                      [floor[o] for o in origins], f"the system on {n} cells")
+        _solve_blocks(sys._gather_blocks(group, *factors), group, parts, floors,
+                      f"the system on {n} cells")
     else:
-        group, routes = _Group.trivial(n), [[(0, None, None)]]
+        group, routes = _Group.trivial(n), [[(0, np.arange(k), None)]]
         rows = g.reshape(k, -1)
         rhs = _lifted(rows, lift)
         # GMRES leaves its right-hand sides as they are
@@ -1198,16 +1225,16 @@ def _half_pairing(sys, contrast, fields):
             comb = np.empty((sol.shape[0], len(route), sol.shape[2]), dtype=complex)
             start = 0
             for i, (_, ks, _) in enumerate(route):
-                seg = slice(start, start + (k if ks is None else len(ks)))
-                at = slice(None) if ks is None else np.ix_(ks, ks)
-                out[at] += sum(bl @ xl.T for bl, xl in zip(left[:, seg], sol[:, seg]))
-                comb[:, i] = (r if ks is None else r[ks]) @ sol[:, seg]
+                seg = slice(start, start + len(ks))
+                out[np.ix_(ks, ks)] += sum(bl @ xl.T for bl, xl in zip(left[:, seg], sol[:, seg]))
+                comb[:, i] = r[ks] @ sol[:, seg]
                 start = seg.stop
             combined.append(comb)
     out *= 0.25 / len(group.cells)
     xr = np.empty((n, 3), dtype=complex)
-    _map_back(group, combined, [[(b, None, perm) for b, _, perm in route] for route in routes],
-              np.empty((len(group.cells), 1, 3 * group.cells.shape[1]), dtype=complex), xr[None])
+    only = np.zeros(1, dtype=int)  # the one combined column
+    _map_back(group, combined, [[(b, only, perm) for b, _, perm in route] for route in routes],
+              xr[None])
     if dense:
         _probe(sys, factors, xr.reshape(-1), _lifted(gr, lift).reshape(-1))
     _residual(sys, dA, xr @ factors[1].T, gr)

@@ -816,9 +816,9 @@ def test_half_pairing_maps_back_one_column(sys_h6, monkeypatch):
     calls = []
     map_back = vie._map_back
 
-    def spy(group, parts, routes, flat, cols):
+    def spy(group, parts, routes, cols):
         calls.append(cols.shape)
-        return map_back(group, parts, routes, flat, cols)
+        return map_back(group, parts, routes, cols)
 
     monkeypatch.setattr(vie, "_map_back", spy)
     waves = _real_basis(regular_wave_gradients(5, 1.0, sys_h6.grid.centers))
@@ -841,14 +841,75 @@ def test_pairing_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch)
 
 def test_half_pairing_peak_memory(sys_h6):
     # the pairing of the h6 ball's 196 real waves holds neither their complex
-    # right-hand sides in the full layout nor a full-layout solution: its
-    # tracemalloc peak stays below 2.4 times the waves' bytes in complex (the
-    # route through solve_density and a P x 3N product peaked at 2.97 times
-    # them, the block pairing at 1.77 times)
+    # right-hand sides in the full layout nor a full-layout solution, and the
+    # route holds the shares of one chunk of columns and the reached shares
+    # only: its tracemalloc peak stays below 1.55 times the waves' bytes in
+    # complex, 6% above the 1.46 times measured (the route through
+    # solve_density and a P x 3N product peaked at 2.97 times them, the block
+    # pairing from the shares of every character and column at 1.64 times)
     waves = _real_basis(regular_wave_gradients(13, 1.0, sys_h6.grid.centers))
     assert waves.shape == (196, sys_h6.n_cells, 3)
     _, peak = peak_bytes(vie._half_pairing, sys_h6, iso_contrast(1.0, 2.0), waves)
-    assert peak < 2.4 * 16 * waves.size
+    assert peak < 1.55 * 16 * waves.size
+
+
+def _route_full_layout(group, cols, lift, conj):
+    """The forward route from the shares (2^s, K, 3n) of every character and
+    column at once, as vie._route returns it: the reach and the _LEAK floors
+    come from the full-layout shares, and each member's reached columns are
+    cut from them."""
+    flat = vie._shares(group, cols, lift)
+    share = np.einsum("cki,cki->ck", flat.view(float), flat.view(float))
+    floor = vie._LEAK**2 * share.max(axis=0)
+    reach = share > floor
+    conj_flat = vie._shares(group, cols.conj(), lift) if conj else None
+    routes, parts, floors, conj_parts = [], [], [], []
+    for c, key, members in group.classes:
+        route = [(b, np.flatnonzero(reach[b]), group.img[h] if h else None)
+                 for b, h in [(c, 0)] + members]
+        split = group.splits[key]
+        parts += split.project([(flat[b][ks], perm) for b, ks, perm in route])
+        if conj:
+            conj_parts += split.project([(conj_flat[b][ks], perm) for b, ks, perm in route])
+        floors += [floor[np.concatenate([ks for _, ks, _ in route])]] * len(split.names)
+        routes.append(route)
+    return routes, parts, floors, conj_parts if conj else None
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "one_column", "seven_columns"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("case", ["centred_ball", "one_swap_ellipsoid", "off_centre_fields",
+                                  "no_mirror_axis"])
+def test_route_keeps_the_reached_shares_with_the_bits_of_the_full_layout(monkeypatch, case, kind,
+                                                                         chunk):
+    # the route forms the shares a chunk of columns at a time (one column, or
+    # seven of the 37, at the smaller chunks) and keeps each character's
+    # reached columns only: its routes, parts and floors, and for complex
+    # fields the parts of their conjugates, are bitwise those routed from the
+    # shares of every character and column at once.  An all-zero column
+    # reaches no character.
+    grid, bg, contrast, centre, _ = _pairing_cases()[case]
+    sys = assemble(grid, bg)
+    group, factors = _group_and_factors(sys, contrast)
+    waves = regular_wave_gradients(5, 1.0, grid.centers - np.asarray(centre))
+    fields = _real_basis(waves) if kind == "real" else waves
+    fields = np.concatenate([fields, np.zeros_like(fields[:1])])
+    if chunk is not None:
+        monkeypatch.setattr(vie, "_WALSH_CHUNK", chunk * 3 * sys.n_cells)
+    lift = -factors[0]
+    got = vie._route(group, fields, lift, kind == "complex")
+    want = _route_full_layout(group, fields, lift, kind == "complex")
+    for got_route, want_route in zip(got[0], want[0], strict=True):
+        for (b, ks, perm), (b_want, ks_want, perm_want) in zip(got_route, want_route, strict=True):
+            assert b == b_want and np.array_equal(ks, ks_want)
+            assert (perm is None) == (perm_want is None) and np.array_equal(perm, perm_want)
+    for got_arrays, want_arrays in zip(got[1:], want[1:]):
+        if want_arrays is None:
+            assert got_arrays is None
+            continue
+        assert len(got_arrays) == len(want_arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(got_arrays, want_arrays))
+    assert not any(len(fields) - 1 in ks for route in got[0] for _, ks, _ in route)
 
 
 def _gather_blocks_materialised(sys, group, left, right, diag):
@@ -877,9 +938,28 @@ def _gather_blocks_materialised(sys, group, left, right, diag):
         u0 = group.orbit_rep[split.reps]
         h_inv = group.inverse[np.argmax(group.img[:, u0] == split.reps, axis=0)]
         at = 3 * np.searchsorted(rows, u0 // 3) + u0 % 3
-        blocks += split.blocks(out[group.image[h_inv, c][:, None], at[:, None],
-                                   group.img[h_inv]])
+        blocks += _split_blocks_at_once(split, out[group.image[h_inv, c][:, None], at[:, None],
+                                                   group.img[h_inv]])
     return blocks
+
+
+def _split_blocks_at_once(split, rows):
+    """The irrep blocks of split from the rows (len(reps), 3n) of B at its
+    reps, every row projected at once: B_rho[(u, w), :] = sum_l G[w, l]
+    B[u, :] V_l."""
+    if len(split.names) == 1:
+        return [rows]
+    bv = split.project([(rows, None)])
+    out = []
+    for r, (m, types) in enumerate(zip(split.sizes(), split.layout)):
+        block = np.empty((m, m), dtype=complex)
+        start = 0
+        for (_, _, gs), (n_t, w, _, sl) in zip(split.types, types):
+            block[sl] = np.einsum("wl,lnm->nwm", gs[r], bv[r][:, start : start + n_t]
+                                  ).reshape(n_t * w, m)
+            start += n_t
+        out.append(block)
+    return out
 
 
 def _group_and_factors(sys, contrast):
@@ -891,11 +971,13 @@ def _group_and_factors(sys, contrast):
 @pytest.mark.parametrize("case", ["centred_ball", "one_swap_ellipsoid", "sigma_i_tensor_contrast",
                                   "distinct_axes_ellipsoid", "no_mirror_axis"])
 def test_gather_blocks_match_the_materialised_gather(monkeypatch, case, chunk):
-    # the class rows filled a chunk of gathered rows at a time (one row per
-    # chunk with chunk = 1) give bitwise the blocks cut from every gathered
-    # row at once: under the cube group, the mirrors and one swap (of the
-    # axes, and of the unknowns' rows with a tensor contrast), the mirrors
-    # alone and the one-element group
+    # the class rows filled a chunk of gathered rows at a time, and the irrep
+    # blocks formed from a chunk of those rows at a time (with chunk = 1, one
+    # gathered row per chunk and the blocks' least chunk, two rows), give
+    # bitwise the blocks cut from every gathered row at once and formed from
+    # every row at once: under the cube
+    # group, the mirrors and one swap (of the axes, and of the unknowns' rows
+    # with a tensor contrast), the mirrors alone and the one-element group
     if chunk is not None:
         monkeypatch.setattr(vie, "_GATHER_CHUNK", chunk)
     grid, bg, contrast, _, order = _pairing_cases()[case]
@@ -912,16 +994,18 @@ def test_gather_blocks_match_the_materialised_gather(monkeypatch, case, chunk):
 
 def test_gather_blocks_peak_memory_on_the_resolution_14_ball(bg_unit):
     # the gathered rows of all eight characters are never held: the class rows
-    # are filled a chunk at a time and each class's rows are dropped once its
-    # blocks are formed, so the tracemalloc peak stays below those rows plus
-    # the blocks (9.7 + 6.5 MB; the materialised gather peaked at 28.0 MB,
-    # the chunked one at 14.9 MB), with the same bits
+    # are filled a chunk at a time, each class's blocks are formed a chunk of
+    # its rows at a time, and its rows are dropped once its blocks are
+    # formed, so the tracemalloc peak stays below the class rows of every
+    # class plus the blocks (7.0 + 6.5 MB), 11% above the 12.2 MB measured
+    # (the materialised gather peaked at 28.0 MB, with every row of a class
+    # projected at once 14.9 MB), with the same bits
     sys = assemble(voxelize(Ball(0.5), 1.0 / 14.0), bg_unit)
     group, factors = _group_and_factors(sys, iso_contrast(1.0, 2.0))
     blocks, peak = peak_bytes(sys._gather_blocks, group, *factors)
     assert len(group.perm_axes) << len(group.axes) == 48
-    rows = 16 * len(group.cells) * 3 * len(group.rows) * 3 * group.cells.shape[1]
-    assert peak < rows + sum(block.nbytes for block in blocks)
+    class_rows = sum(len(group.splits[key].reps) for _, key, _ in group.classes)
+    assert peak < 16 * class_rows * 3 * group.cells.shape[1] + sum(b.nbytes for b in blocks)
     want = _gather_blocks_materialised(sys, group, *factors)
     assert all(np.array_equal(a, b) for a, b in zip(blocks, want))
 
