@@ -111,18 +111,30 @@ def grad_phi(bg, r):
     return fac[..., None] * (rm @ bg.inv_sqrt_A)
 
 
-def hess_phi(bg, r):
-    """Hessian of phi; shape (..., 3, 3).  Strongly singular kernel of grad W_kappa."""
+def _hess_profile(bg, r):
+    """The parts of hess_phi at r: g = grad rho = A^{-1/2} rm / rho, f''(rho)
+    and f'(rho) / rho of the radial profile f(rho) = e^{ik rho}/(4 pi rho).
+
+    H = (f'' g g^T + (f'/rho)(A^{-1} - g g^T)) / sqrt(det A); hess_phi forms
+    all nine entries, vie.assemble one packed entry at a time.
+    """
     rm, rho = _mapped(bg, r)
     k = bg.kappa
     e = np.exp(1j * k * rho)
-    # radial profile f(rho) = e^{ik rho}/(4 pi rho)
     fpp = e * (2.0 - 2j * k * rho - (k * rho) ** 2) / (4.0 * np.pi * rho**3)
     fp_over = e * (1j * k * rho - 1.0) / (4.0 * np.pi * rho**3)
-    # H = f'' g g^T + (f'/rho)(A^{-1} - g g^T), g = grad rho = A^{-1/2} rm / rho,
-    # formed in place: the peak memory of assembly is here
     g = rm @ bg.inv_sqrt_A
     g /= rho[..., None]
+    return g, fpp, fp_over
+
+
+def hess_phi(bg, r):
+    """Hessian of phi; shape (..., 3, 3).  Strongly singular kernel of grad W_kappa.
+
+    All nine entries from the profile of _hess_profile, which vie.assemble
+    shares to form the far blocks one packed entry at a time.
+    """
+    g, fpp, fp_over = _hess_profile(bg, r)
     gg = g[..., :, None] * g[..., None, :]
     H = fp_over[..., None, None] * (bg.inv_A - gg)
     H += fpp[..., None, None] * gg

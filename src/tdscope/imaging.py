@@ -69,11 +69,10 @@ from .polarization import PolarizationTensor, mz_ball_iso
 from .specfun_quad import (
     N_MAX,
     _degree_order,
-    _real_basis,
+    _real_wave_gradients,
     harmonics_table,
     legendre_p,
     log_odd_factorial,
-    regular_wave_gradients,
     sph_bessel_j,
     sph_hankel1,
     sphere_surface,
@@ -294,9 +293,9 @@ def _spectral_order(k, radius, reach_z, reach_y):
     return n if n <= N_MAX else None
 
 
-# (wave, point) pairs per regular_wave_gradients call of _SpectralFactor._waves:
-# about 1 MiB per complex temporary, and the voxel grids of the decay and
-# finite-delta studies (196 waves on 280 cells) in one call
+# (wave, point) pairs per _real_wave_gradients call of _SpectralFactor._waves:
+# about 1 MiB for the complex solid harmonics of a chunk, and the voxel grids
+# of the decay and finite-delta studies (196 waves on 280 cells) in one call
 _WAVE_CHUNK = 1 << 16
 
 
@@ -338,23 +337,19 @@ class _SpectralFactor:
         (P, len(pts), 3).
 
         grad u(x) = rho^(n-1) grad u'(x / rho), u' the wave of wavenumber
-        k rho: every factor stays of order one, whatever |x| and R are.  The
-        waves are written to one real array, a chunk of about _WAVE_CHUNK
-        (wave, point) pairs at a time, so the complex waves of
-        regular_wave_gradients and their temporaries are held for one chunk
-        only.  The array is made once the first chunk's call has returned,
-        so an input of one chunk peaks no higher than the call alone.  Each
-        point's waves are computed from that point alone, so the result is
-        bitwise that of one call on every point.
+        k rho: every factor stays of order one, whatever |x| and R are.
+        specfun_quad._real_wave_gradients writes them into one real array, a
+        chunk of about _WAVE_CHUNK (wave, point) pairs and one degree at a
+        time: Re of the rows m >= 0 and Im of the rows m < 0, no complex
+        wave of every degree.  Each point's waves are computed from that
+        point alone, so the result is bitwise that of one call on every
+        point.
         """
         x = (pts - self.center) / rho
+        out = np.empty((self.rank, len(x), 3))
         step = max(1, _WAVE_CHUNK // self.rank)
-        for i in range(0, max(len(x), 1), step):
-            waves = regular_wave_gradients(self.n_max, self.k * rho, x[i : i + step])
-            if i == 0:
-                out = np.empty((self.rank, len(x), 3))
-            _real_basis(waves, out=out[:, i : i + step])
-            del waves  # before the next chunk's call
+        for i in range(0, len(x), step):
+            _real_wave_gradients(self.n_max, self.k * rho, x[i : i + step], out[:, i : i + step])
         return out
 
     def __call__(self, pts):
@@ -672,7 +667,7 @@ def _contract(sys, contrast, m_z, facs, pts):
     by _pair; the samples of one factor share its truncation.  The
     spectral spheres are grouped by centre and n_max, which key the
     regular-wave response T_w cached on sys; per group one
-    regular_wave_gradients call gives the waves W(z), scaled by their reach
+    _real_wave_gradients call gives the waves W(z), scaled by their reach
     rho, and _pair contracts D W(z) against T_w, where
     D = c(R) (rho_grid rho)^(n-1) folds the two diagonals of D T_w D and
     D b(z).  Each node factor solves its K node fields once.  Each D is

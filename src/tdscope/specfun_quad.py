@@ -117,19 +117,22 @@ def _solid_harmonics(n_max, x):
     return out
 
 
-def _real_basis(rows, out=None):
-    """Packed rows f^0, sqrt(2) (-1)^m Re f^m (m > 0) and sqrt(2) (-1)^m Im f^|m|
-    (m < 0) of packed complex rows f; reads only rows.real and rows.imag.
-    Written to out, a real array of the shape of rows, when it is given."""
-    deg, order = _degree_order(math.isqrt(rows.shape[0]) - 1)
-    neg = order < 0
-    if out is None:
-        out = rows.real.copy()
-    else:
-        out[...] = rows.real
-    out[neg] = rows.imag[harmonic_index(deg, -order)[neg]]
-    sign = np.where(order == 0, 1.0, np.sqrt(2.0) * (-1.0) ** order)
+def _real_rows(n, rows, out):
+    """Write the real rows m = -n..n of degree n to out from its complex rows
+    f^m, m = 0..n: f^0, sqrt(2) (-1)^m Re f^m (m > 0) and sqrt(2) (-1)^m
+    Im f^|m| (m < 0).  Reads only rows.real and rows.imag."""
+    out[n:] = rows.real
+    out[:n] = rows.imag[:0:-1]
+    m = np.arange(-n, n + 1)
+    sign = np.where(m == 0, 1.0, np.sqrt(2.0) * (-1.0) ** m)
     out *= sign.reshape((-1,) + (1,) * (out.ndim - 1))
+
+
+def _real_basis(rows):
+    """The packed real rows (_real_rows) of packed complex rows f."""
+    out = np.empty(rows.shape)
+    for n in range(math.isqrt(rows.shape[0])):
+        _real_rows(n, rows[n * (n + 1) : (n + 1) ** 2], out[n * n : (n + 1) ** 2])
     return out
 
 
@@ -206,6 +209,44 @@ def _radial_factors(n_top, kr):
     return out
 
 
+def _wave_degrees(n_max, k, x):
+    """Gradients of the regular waves u_n^m of regular_wave_gradients, degree
+    by degree: yields, for n = 0..n_max, those of m = 0..n, (n + 1, npts, 3)
+    complex.  The rows m < 0 follow from u_n^-m = (-1)^m conj(u_n^m).
+
+    The ladder reads R_{n-1}^{m+1}, R_{n-1}^{m-1} and R_{n-1}^m of m = 0..n as
+    three slices of one window of degree n - 1, zero where |m +- 1| or m
+    exceeds n - 1; only the solid harmonics and one degree are held at once.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    npts = x.shape[0]
+    rows = _solid_harmonics(n_max, x)
+    r2 = np.einsum("pi,pi->p", x, x)
+    f = _radial_factors(n_max + 1, np.sqrt(r2) * k)
+    for n in range(n_max + 1):
+        # R_{n-1}^j for j = -1..n + 1; row (n - 1) n + j holds R_{n-1}^j, |j| < n
+        low = np.zeros((n + 3, npts), dtype=complex)
+        if n:
+            j = max(-1, 1 - n)
+            low[j + 1 : n + 1] = rows[(n - 1) * n + j : n * n]
+        up, down = low[2:], low[:-2]
+        radial = (k * k / (2 * n + 3)) * f[n + 1] * rows[n * (n + 1) : (n + 1) ** 2]
+        grad = np.empty((n + 1, npts, 3), dtype=complex)
+        grad[..., 0] = 0.5 * f[n] * (up - down) - radial * x[:, 0]
+        grad[..., 1] = -0.5j * f[n] * (down + up) - radial * x[:, 1]
+        grad[..., 2] = f[n] * low[1:-1] - radial * x[:, 2]
+        yield grad
+
+
+def _real_wave_gradients(n_max, k, x, out):
+    """The gradients of regular_wave_gradients in the real basis of
+    harmonics_table(kind="real"), written to out, a real
+    ((n_max + 1)^2, npts, 3) array, one degree at a time; no complex table
+    of every degree is made."""
+    for n, grad in enumerate(_wave_degrees(n_max, k, x)):
+        _real_rows(n, grad, out[n * n : (n + 1) ** 2])
+
+
 def regular_wave_gradients(n_max, k, x):
     """Gradients of the regular waves u_n^m(x) = F_n(|x|) R_n^m(x), n <= n_max.
 
@@ -219,31 +260,19 @@ def regular_wave_gradients(n_max, k, x):
     dR_n^m/dx = (R_{n-1}^{m+1} - R_{n-1}^{m-1}) / 2 and
     dR_n^m/dy = -(i/2) (R_{n-1}^{m-1} + R_{n-1}^{m+1}), with F_n' = -k^2 r F_{n+1} / (2n + 3),
     gives grad u = F_n grad R_n^m - k^2 / (2n + 3) F_{n+1} R_n^m x, with no pole and
-    no special case at x = 0.  At k = 0, u_n^m = R_n^m.
+    no special case at x = 0.  At k = 0, u_n^m = R_n^m.  _wave_degrees forms
+    the rows m >= 0 of each degree; the rows m < 0 are (-1)^m conj(u_n^|m|).
 
     x: (npts, 3) relative to the expansion centre; k >= 0.  Returns
     ((n_max + 1)^2, npts, 3), rows packed n (n + 1) + m like harmonics_table.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    npts = x.shape[0]
-    # packed R_n^m with one trailing zero row for the ladder's out-of-range reads
-    packed = np.vstack([_solid_harmonics(n_max, x), np.zeros((1, npts))])
-    deg, order = _degree_order(n_max)
-    r2 = np.einsum("pi,pi->p", x, x)
-
-    def lower(m):
-        ok = (deg >= 1) & (np.abs(m) <= deg - 1)
-        return packed[np.where(ok, (deg - 1) * deg + m, deg.size)]
-
-    up, down = lower(order + 1), lower(order - 1)
-    f = _radial_factors(n_max + 1, np.sqrt(r2) * k)
-    f_n = f[deg]
-    radial = (k * k / (2 * deg + 3))[:, None] * f[deg + 1] * packed[:-1]
-    grad = np.empty((deg.size, npts, 3), dtype=complex)
-    grad[..., 0] = 0.5 * f_n * (up - down) - radial * x[:, 0]
-    grad[..., 1] = -0.5j * f_n * (down + up) - radial * x[:, 1]
-    grad[..., 2] = f_n * lower(order) - radial * x[:, 2]
-    return grad
+    out = np.empty(((n_max + 1) ** 2, x.shape[0], 3), dtype=complex)
+    for n, grad in enumerate(_wave_degrees(n_max, k, x)):
+        c = n * (n + 1)
+        out[c : c + n + 1] = grad
+        out[c - n : c] = ((-1.0) ** np.arange(n, 0, -1))[:, None, None] * grad[:0:-1].conj()
+    return out
 
 
 def _check_rule(order, aperture):

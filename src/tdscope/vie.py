@@ -100,7 +100,7 @@ from scipy.sparse.linalg import (
     gmres,  # unused here; the traced benchmark wraps vie.gmres
 )
 
-from .greens import cell_self_term, grad_phi, hess_phi
+from .greens import _hess_profile, cell_self_term, grad_phi, hess_phi
 from .materials import _PACK, IsoContrast
 
 __all__ = [
@@ -123,9 +123,13 @@ _GMRES_BASIS = 200
 _GMRES_CYCLES = 100
 NEAR_SUBDIV = 4  # subcells per axis averaged over for touching-cell blocks
 # assemble makes the far blocks of at least this many box offsets at once.
-# NumPy reuses the memory of temporaries of 256 KiB and more, 2^14 complex
-# values, and such an in-place product rounds differently, so chunks of at
-# least 2^14 offsets keep the bits of one call on all of them.
+# greens._hess_profile forms e * (2 - 2ik rho - (k rho)^2) and e * (ik rho - 1),
+# e = exp(ik rho).  Once the parenthesised temporary holds 256 KiB (2^14
+# complex values), NumPy reuses it for the result and computes (...) * e; its
+# SIMD complex product fuses one of the two products of the imaginary part
+# into a multiply-add, so a * b and b * a can differ in the last bit of the
+# imaginary part.  Chunks of at least 2^14 offsets thus keep the bits of one
+# call on all of them; a box of at most 2^14 offsets is one chunk.
 _ASSEMBLE_CHUNK = 1 << 14
 _BOX_AXES = (-3, -2, -1)
 # row of kernel_hat holding entry (a, b) of the symmetric 3x3 symbol
@@ -873,8 +877,13 @@ def assemble(grid, bg):
     block is symmetric, so only its 6 distinct entries are transformed, in
     materials._PACK order, an off-diagonal one as 1/2 (K_ab + K_ba): the
     entry itself wherever the block is bitwise symmetric, as it is in an
-    isotropic background.  No dense matrix is formed here; each dense solve
-    gathers its mirror blocks from the table (VieSystem._gather_blocks).
+    isotropic background.  The far blocks are made _ASSEMBLE_CHUNK offsets at
+    a time from one greens._hess_profile per chunk, each packed entry by the
+    operations of hess_phi(...) * h^3 and the packing, straight into the
+    table's row: no 3x3 block of a chunk is held, and the table holds the
+    bits of the full blocks packed.  The table is transformed in place.  No
+    dense matrix is formed here; each dense solve gathers its mirror blocks
+    from the table (VieSystem._gather_blocks).
     """
     n = grid.n_cells
     if n == 0:
@@ -894,20 +903,37 @@ def assemble(grid, bg):
     def pack(blocks):
         return (0.5 * (blocks[:, a, b] + blocks[:, b, a])).T
 
+    def far_entry(profile, i, j):
+        # entry (i, j) of hess_phi(bg, r) * h**3 by hess_phi's own operations
+        g, fpp, fp_over = profile
+        gg = g[:, i] * g[:, j]
+        e = fp_over * (bg.inv_A[i, j] - gg)
+        e += fpp * gg
+        e /= sqrt_det
+        e *= h**3
+        return e
+
     m = offsets.shape[0]
     packed = np.empty((6, m), dtype=complex)
     # offset 0 is box position 0; the far blocks after it are made a chunk at
-    # a time and packed as they are made
+    # a time and packed one entry at a time, straight into their rows
     packed[:, :1] = pack(cell_self_term(bg, h)[None])
+    sqrt_det = np.sqrt(bg.det_A)
     stops = np.linspace(1, m, max(1, (m - 1) // _ASSEMBLE_CHUNK) + 1).astype(int)
     for i0, i1 in zip(stops[:-1], stops[1:]):
-        packed[:, i0:i1] = pack(hess_phi(bg, offsets[i0:i1] * h) * h**3)
+        profile = _hess_profile(bg, offsets[i0:i1] * h)
+        for row, (i, j) in enumerate(_PACK):
+            k_ij = far_entry(profile, i, j)
+            packed[row, i0:i1] = 0.5 * (k_ij + (k_ij if i == j else far_entry(profile, j, i)))
+        del profile, k_ij  # before the next chunk's profile
     t = ((np.arange(NEAR_SUBDIV) + 0.5) / NEAR_SUBDIV - 0.5) * h
     sub = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
     ring = np.flatnonzero(np.abs(offsets).max(axis=1) == 1)
     pts = offsets[ring, None, :] * h - sub[None, :, :]
     packed[:, ring] = pack(hess_phi(bg, pts).mean(axis=1) * h**3)
-    kernel_hat = np.fft.fftn(packed.reshape(6, *box), axes=_BOX_AXES)
+    del offsets, ring, pts
+    packed = packed.reshape(6, *box)
+    kernel_hat = np.fft.fftn(packed, axes=_BOX_AXES, out=packed)
     # the cells in apply's scatter layout (d0, d1, p2) = (dims[0], dims[1], box[2])
     flat = (index[:, 0] * dims[1] + index[:, 1]) * box[2] + index[:, 2]
     return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat, flat=flat)

@@ -526,9 +526,9 @@ def test_decay_study_evaluates_waves_once_per_window_exponent(monkeypatch):
     # one call for the grid's waves (one n_max), then one per window
     # exponent for the 2 x 8 samples of both rays
     calls = []
-    waves = harness.imaging.regular_wave_gradients
-    monkeypatch.setattr(harness.imaging, "regular_wave_gradients",
-                        lambda n, k, x: calls.append(len(x)) or waves(n, k, x))
+    waves = harness.imaging._real_wave_gradients
+    monkeypatch.setattr(harness.imaging, "_real_wave_gradients",
+                        lambda n, k, x, out: calls.append(len(x)) or waves(n, k, x, out))
     cfg = cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\nresolution = 6\n"
                    "rays = 1, 0, 0; 0, 1, 1\ntol_slope = 9\ntol_alpha_pair = 9\n")
     rep = run_study(cfg)

@@ -38,9 +38,9 @@ from tdscope import (
 )
 from tdscope import Ball, imaging, voxelize
 from tdscope.imaging import _scatter_matrix
-from tdscope.specfun_quad import _real_basis, harmonics_table, regular_wave_gradients
+from tdscope.specfun_quad import harmonics_table, regular_wave_gradients
 
-from conftest import peak_bytes
+from conftest import full_table_real_basis, full_table_wave_gradients, peak_bytes
 
 Z = np.array([1.5, -1.0, 2.0])
 Y = np.array([-2.0, 0.4, 0.8])
@@ -905,16 +905,19 @@ def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg
 
 
 def _one_call_waves(fac, pts, rho):
-    return _real_basis(regular_wave_gradients(fac.n_max, fac.k * rho, (pts - fac.center) / rho))
+    """The real waves of _SpectralFactor._waves from one complex table of every
+    degree on every point, the reference evaluation."""
+    x = (pts - fac.center) / rho
+    return full_table_real_basis(full_table_wave_gradients(fac.n_max, fac.k * rho, x))
 
 
 @pytest.mark.parametrize("chunk", [None, 49 * 6])
 @pytest.mark.parametrize("k", [0.0, 1.3])
 def test_spectral_waves_are_filled_in_chunks_with_the_bits_of_one_call(monkeypatch, k, chunk):
     # 1,001 points, the expansion centre among them, go through
-    # regular_wave_gradients a chunk at a time: 334 points per call at the
+    # _real_wave_gradients a chunk at a time: 334 points per call at the
     # default (196 waves), 6 with the smaller chunk (49 waves), neither a
-    # divisor of 1,001; the real waves are bitwise those of one call
+    # divisor of 1,001; the real waves are bitwise those of one full table
     n_max = 13 if chunk is None else 6
     if chunk is not None:
         monkeypatch.setattr(imaging, "_WAVE_CHUNK", chunk)
@@ -925,40 +928,56 @@ def test_spectral_waves_are_filled_in_chunks_with_the_bits_of_one_call(monkeypat
     pts[500] = fac.center
     rho = fac._rho(pts)
     calls = []
-    waves = imaging.regular_wave_gradients
+    waves = imaging._real_wave_gradients
 
-    def spy(n, kk, x):
+    def spy(n, kk, x, out):
         calls.append(len(x))
-        return waves(n, kk, x)
+        return waves(n, kk, x, out)
 
-    monkeypatch.setattr(imaging, "regular_wave_gradients", spy)
+    monkeypatch.setattr(imaging, "_real_wave_gradients", spy)
     got = fac._waves(pts, rho)
     step = 334 if chunk is None else 6
     assert calls == [step] * (1001 // step) + [1001 % step]
-    assert np.array_equal(got, _one_call_waves(fac, pts, rho))
+    want = _one_call_waves(fac, pts, rho)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 20])
+def test_spectral_waves_are_the_full_table_real_waves_bit_for_bit(n_max, k):
+    # degree by degree, the real waves keep the bits of the full complex
+    # table, signed zeros included: at the centre, on the axes and in the
+    # coordinate planes, where R_n^m has exact zero parts
+    fac = imaging._SpectralFactor(center=np.zeros(3), k=k, n_max=n_max,
+                                  half_log_c=np.zeros((n_max + 1) ** 2))
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (60, 3))
+    pts[:4] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.3, 0.0, 0.2], [-0.2, 0.0, 0.0]]
+    pts[4:8] = [[0.0, 0.5, 0.0], [0.0, -0.3, 0.1], [0.2, -0.2, 0.0], [-0.7, 0.0, -0.1]]
+    rho = fac._rho(pts)
+    got, want = fac._waves(pts, rho), _one_call_waves(fac, pts, rho)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("resolution", [14, 8])
 def test_spectral_waves_peak_memory(bg_unit, resolution):
     # the 196 real waves on the 1,472 cells of the resolution-14 ball (6.9 MB)
-    # never hold the complex waves of every point: the tracemalloc peak stays
-    # below 2.7 times the real waves (one call on every point peaked at 6.4
-    # times them, chunks of 334 points at 2.5 times, and at 2.9 times when a
-    # chunk's complex waves lived through the next call).  The 280 cells of
-    # the resolution-8 ball take one call, and the real array is made after
-    # it returns, so the peak is that of the one call (made before it, the
-    # array added its 1.3 MB)
+    # are written one chunk of 334 points and one degree at a time: the
+    # tracemalloc peak stays below 1.5 times the real waves (measured 1.32
+    # times; complex waves of every degree, a chunk at a time, peaked at 2.5
+    # times them, and one call on every point at 6.4 times).  The 280 cells
+    # of the resolution-8 ball are one chunk: the peak stays below half of
+    # one full complex table and its real copy (measured 3.2 against 8.5 MB)
     centers = voxelize(Ball(0.5), 1.0 / resolution).centers
     fac = KernelG(sphere_surface(5.0, 20), bg_unit).factor(centers, centers)
     rho = fac._rho(centers)
     waves, peak = peak_bytes(fac._waves, centers, rho)
-    want, one_call = peak_bytes(_one_call_waves, fac, centers, rho)
+    want, full_table = peak_bytes(_one_call_waves, fac, centers, rho)
     assert waves.shape == (196, len(centers), 3) and waves.dtype == float
-    assert np.array_equal(waves, want)
+    assert waves.tobytes() == want.tobytes()
     if resolution == 14:
-        assert peak < 2.7 * waves.nbytes
+        assert peak < 1.5 * waves.nbytes
     else:
-        assert peak < 1.01 * one_call
+        assert peak < 0.5 * full_table
 
 
 def _pair_at_once(b_z, t_m, m_z, h3):

@@ -23,6 +23,8 @@ from tdscope import (
 )
 from tdscope import specfun_quad
 
+from conftest import full_table_wave_gradients
+
 xs = st.floats(min_value=0.05, max_value=40.0, allow_nan=False)
 
 
@@ -269,6 +271,21 @@ def test_regular_wave_gradients_match_finite_differences(k):
                    for e in np.eye(3)], axis=-1)
     got = np.exp(log_norm)[:, None, None] * regular_wave_gradients(n_max, k, pts)
     assert np.abs(got - fd).max() < 1e-9 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("k", [0.0, 1.3])
+@pytest.mark.parametrize("n_max", [0, 1, 2, 7, 20])
+def test_regular_wave_gradients_are_the_full_table_evaluation(n_max, k):
+    # the rows m >= 0 come from the degree-by-degree kernel with the bits of
+    # one full complex table; the rows m < 0, (-1)^m conj(u_n^|m|), equal the
+    # table's own rows m < 0 up to the sign of zeros
+    pts = np.random.default_rng(7).uniform(-1.0, 1.0, (40, 3))
+    pts[:4] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.3, 0.0, 0.2], [0.0, -0.5, 0.0]]
+    got = regular_wave_gradients(n_max, k, pts)
+    want = full_table_wave_gradients(n_max, k, pts)
+    pos = specfun_quad._degree_order(n_max)[1] >= 0
+    assert got.shape == want.shape and got[pos].tobytes() == want[pos].tobytes()
+    assert np.array_equal(got, want)
 
 
 def test_regular_wave_gradients_at_the_origin():

@@ -31,6 +31,7 @@ from tdscope import (
     voxelize,
 )
 from tdscope import vie
+from tdscope.materials import _PACK
 from tdscope.specfun_quad import _real_basis, regular_wave_gradients
 from tdscope.vie import _system_factors
 
@@ -286,16 +287,61 @@ def test_assemble_in_chunks_keeps_the_bits_of_one_call(ball_grid_h6, bg_unit, mo
 
 def test_assemble_peak_memory_on_a_large_box(bg_unit, monkeypatch):
     # the 36^3 box of a resolution-18 ball (46,656 offsets) is made in two
-    # chunks, with the bits of one call and a tracemalloc peak below 5 times
-    # the symbol it keeps (one call on every offset peaked at 6.9 times it,
-    # two chunks at 3.8 times)
+    # chunks and one packed entry at a time, with the bits of one call and a
+    # tracemalloc peak below 2.5 times the symbol it keeps (measured 1.95
+    # times; every 3x3 block of a chunk at once peaked at 3.9 times it, and
+    # one call on every offset at 6.9 times)
     grid = voxelize(Ball(0.5), 1.0 / 18.0)
     sys, peak = peak_bytes(assemble, grid, bg_unit)
     kernel_hat = sys.kernel_hat
     assert kernel_hat.shape == (6, 36, 36, 36)
-    assert peak < 5 * kernel_hat.nbytes
+    assert peak < 2.5 * kernel_hat.nbytes
     monkeypatch.setattr(vie, "_ASSEMBLE_CHUNK", 1 << 30)
     assert np.array_equal(assemble(grid, bg_unit).kernel_hat, kernel_hat)
+
+
+def _packed_far_blocks(grid, bg, chunk):
+    """The far blocks of assemble's offset table from the full 3x3 blocks,
+    hess_phi(o h) h^3 packed as 1/2 (K_ab + K_ba), over the chunks of box
+    offsets that assemble makes; (6, box positions) and the mask of the far
+    positions (neither offset 0 nor the first neighbour ring)."""
+    h = grid.h
+    index = np.round((grid.centers - grid.centers.min(axis=0)) / h).astype(int)
+    dims = index.max(axis=0) + 1
+    axes = [(np.arange(2 * d) + d) % (2 * d) - d for d in dims]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    a, b = np.array(_PACK).T
+    m = len(offsets)
+    table = np.zeros((6, m), dtype=complex)
+    stops = np.linspace(1, m, max(1, (m - 1) // chunk) + 1).astype(int)
+    for i0, i1 in zip(stops[:-1], stops[1:]):
+        blocks = hess_phi(bg, offsets[i0:i1] * h) * h**3
+        table[:, i0:i1] = (0.5 * (blocks[:, a, b] + blocks[:, b, a])).T
+    return table, np.abs(offsets).max(axis=1) > 1
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 1 << 10], ids=["one_chunk", "21_chunks"])
+@pytest.mark.parametrize("bg", [Background.isotropic(a=1.0, kappa=0.0),
+                                Background.isotropic(a=2.0, kappa=1.0),
+                                dataclasses.replace(COUPLED_BG, kappa=0.0), COUPLED_BG],
+                         ids=["iso_k0", "iso_k1", "coupled_k0", "coupled_k15"])
+def test_assemble_packs_the_far_blocks_of_hess_phi_bit_for_bit(bg, chunk, monkeypatch):
+    # assemble writes each packed entry of a far block straight from the
+    # radial profile of hess_phi; the table it transforms holds the bits of
+    # the full 3x3 blocks packed, on the 28^3 box of the resolution-14 ball
+    # in one chunk and in 21 (the complex products of the profile round as
+    # (...) * e above 2^14 offsets and as e * (...) below, see _ASSEMBLE_CHUNK)
+    grid = voxelize(Ball(0.5), 1.0 / 14.0)
+    monkeypatch.setattr(vie, "_ASSEMBLE_CHUNK", chunk)
+    tables = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda x, *a, **k: tables.append(x.copy()) or fftn(x, *a, **k))
+    kernel_hat = assemble(grid, bg).kernel_hat
+    assert len(tables) == 1 and tables[0].shape == kernel_hat.shape == (6, 28, 28, 28)
+    want, far = _packed_far_blocks(grid, bg, chunk)
+    got = tables[0].reshape(6, -1)
+    assert got[:, far].tobytes() == want[:, far].tobytes()
+    assert kernel_hat.tobytes() == fftn(tables[0], axes=(-3, -2, -1)).tobytes()
 
 
 def test_solve_density_residual_recorded(sys_h6):
