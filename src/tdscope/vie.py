@@ -21,12 +21,13 @@ the lattice offset between its two cells, so gradW is block-Toeplitz.  It is
 stored as one table of 3x3 blocks per offset, circulant-embedded on a box of
 twice the grid's lattice extent, in Fourier space, where only the 6 distinct
 entries of each symmetric block are kept.  A product with gradW scatters the
-density to the first half of each box axis, transforms one axis at a time
-(the last axis only on the lines that hold data, the middle one only on the
-occupied slabs, the first one on the full box), multiplies by the 3x3
-symbol in place, one cache-sized slab of the first axis at a time,
-transforms back in the reverse order, skipping the half of each axis that
-is never read, and gathers: O(box log box) time and O(box) memory.  Each
+density to the first half of each axis of one zeroed box, transforms one
+axis at a time in place (the last axis only on the lines that hold data,
+the middle one only on the occupied slabs, the first one on the full box),
+multiplies by the 3x3 symbol in place, one cache-sized slab of the first
+axis at a time, transforms back in the reverse order, skipping the half of
+each axis that is never read, and gathers: O(box log box) time and one box
+of memory.  Each
 block is even in the offset and a symmetric Hessian, so gradW, R_kappa and
 the system matrix are complex symmetric for every contrast; reciprocity of
 scattered fields is exact for this discretization up to roundoff.
@@ -56,10 +57,13 @@ combined by a Hadamard transform over the mirrors, a chunk of rows at a
 time; each chunk goes straight to the rows that each class's split reads,
 and the irrep blocks are formed from those rows through fixed small
 matrices per orbit type, one class and a chunk of its rows at a time,
-each class's rows dropped before the next.  The rows of all 2^s
-characters are never held at once: on the ball at resolution 14 the
-gather's tracemalloc peak is 12.2 MB instead of 28.0 MB, at resolution 16
-24.3 MB instead of 57.2 MB.  For
+each class's rows dropped before the next, and the blocks are handed out
+one at a time (VieSystem._gather_blocks is a generator).  The rows of all
+2^s characters are never held at once, nor every block: on the ball at
+resolution 14 the gather's tracemalloc peak, consumed a block at a time,
+is 11.7 MB instead of 28.0 MB, at resolution 16 23.4 MB instead of 57.2
+MB; it is the one gather pass, the offset table and the rows of every
+class.  For
 the ball at resolution 14 (3N = 4,416) that is 10 blocks of at most 290
 rows instead of 8 of 552.  Each block is factored and solved by one zsysv
 call (Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own
@@ -67,9 +71,10 @@ memory: the right-hand sides are routed to the blocks that carry them (a
 column of definite parity under every mirror, such as a real regular wave
 about the lattice centre, to one class), a chunk of columns at a time, so
 that only the reached shares are held, solved in place and, by
-solve_density, mapped back, and the factors are dropped.  The response
-1/2 F^H M_B F of P fields (_half_pairing) is paired inside the blocks
-instead: each block's solutions against its own projected fields, so only
+solve_density, mapped back; each block is taken from the gather's stream
+just before its solve and dropped after it.  The response 1/2 F^H M_B F of
+P fields (_half_pairing) is paired inside the blocks instead: each block's
+solutions against its own projected fields, as the block comes, so only
 one seeded combination of the solved columns is mapped back, for the
 residual checks.  With no symmetry the one block is the whole system.
 
@@ -83,22 +88,14 @@ contrast (solve_density with a sequence, as the born study calls it).
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.linalg import (
-    eigvalsh_tridiagonal,
-    lu_factor,  # unused here; the traced benchmark wraps vie.lu_factor
-    lu_solve,  # unused here; the traced benchmark wraps vie.lu_solve
-    solve_triangular,
-)
+from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
 from scipy.linalg.lapack import zsysv, zsysv_lwork
-from scipy.sparse.linalg import (
-    LinearOperator,  # unused here; the traced benchmark wraps vie.LinearOperator
-    gmres,  # unused here; the traced benchmark wraps vie.gmres
-)
 
 from .greens import _hess_profile, cell_self_term, grad_phi, hess_phi
 from .materials import _PACK, IsoContrast
@@ -134,6 +131,20 @@ _ASSEMBLE_CHUNK = 1 << 14
 _BOX_AXES = (-3, -2, -1)
 # row of kernel_hat holding entry (a, b) of the symmetric 3x3 symbol
 _UNPACK = np.array([[_PACK.index((min(a, b), max(a, b))) for b in range(3)] for a in range(3)])
+# scipy names that vie never calls but the traced benchmark wraps as vie
+# attributes, by module; __getattr__ imports each on first access, so that a
+# run that does not ask for them never loads scipy.sparse
+_TRACED_NAMES = {"lu_factor": "scipy.linalg", "lu_solve": "scipy.linalg",
+                 "gmres": "scipy.sparse.linalg", "LinearOperator": "scipy.sparse.linalg"}
+
+
+def __getattr__(name):
+    """The scipy names of _TRACED_NAMES, imported on first access (PEP 562)."""
+    if name not in _TRACED_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_TRACED_NAMES[name]), name)
+    globals()[name] = value
+    return value
 
 
 @dataclass
@@ -609,29 +620,30 @@ def _route(group, cols, lift=None, conj=False):
     return routes, parts, floors, conj_parts if conj else None
 
 
-def _solve_blocks(blocks, group, parts, floors, what):
-    """Solve each block's parts in place, one zsysv call per block.
+def _solve_block(name, block, part, floor, what):
+    """Solve the block's part (d, K_c, m) in place, by one zsysv call that
+    factors the block in its own memory; name and what name it in errors.
 
-    floors holds per block the _LEAK floor of each of its columns; a column
-    whose share at or below it is roundoff is left out and its solution set to 0.
+    floor holds the _LEAK floor of each of the part's columns; a column whose
+    share at or below it is roundoff is left out and its solution set to 0.
     """
-    for (name, rows), block, part, floor in zip(group.block_names(), blocks, parts, floors):
-        if rows == 0:
-            continue
-        keep = np.einsum("lkm,lkm->lk", part.view(float), part.view(float)) > floor
-        every = keep.all()
-        # the columns to solve, in place: part itself or a C-ordered copy
-        b = part.reshape(-1, rows) if every else part[keep]
-        lwork, _ = zsysv_lwork(rows, lower=1)  # scipy's default lwork = n is unblocked
-        # the C-ordered symmetric block is its own transpose in Fortran order
-        *_, info = zsysv(block.T, b.T, lwork=int(lwork.real), lower=1, overwrite_a=1,
-                         overwrite_b=1)
-        if info > 0:
-            raise RuntimeError(f"the {name} block ({rows} rows) of {what} is singular: "
-                               f"LDL^T pivot {info} is exactly zero")
-        if not every:
-            part[~keep] = 0.0
-            part[keep] = b
+    rows = len(block)
+    if rows == 0:
+        return
+    keep = np.einsum("lkm,lkm->lk", part.view(float), part.view(float)) > floor
+    every = keep.all()
+    # the columns to solve, in place: part itself or a C-ordered copy
+    b = part.reshape(-1, rows) if every else part[keep]
+    lwork, _ = zsysv_lwork(rows, lower=1)  # scipy's default lwork = n is unblocked
+    # the C-ordered symmetric block is its own transpose in Fortran order
+    *_, info = zsysv(block.T, b.T, lwork=int(lwork.real), lower=1, overwrite_a=1,
+                     overwrite_b=1)
+    if info > 0:
+        raise RuntimeError(f"the {name} block ({rows} rows) of {what} is singular: "
+                           f"LDL^T pivot {info} is exactly zero")
+    if not every:
+        part[~keep] = 0.0
+        part[keep] = b
 
 
 def _map_back(group, parts, routes, cols):
@@ -653,11 +665,11 @@ def _map_back(group, parts, routes, cols):
 def _blocked_solve(blocks, group, rhs, what):
     """Solution of M X = rhs, block by block, for M that commutes with its _Group.
 
-    blocks are those of VieSystem._gather_blocks, in the order of
-    group.block_names(): for each class (c, stabilizer, members) the irrep
-    blocks of B_c = sum_g chi_c(g) M(r, g r') T_g over orbit representatives
-    r, r', with chi_c(g) = (-1)^popcount(c & g) row c of the Sylvester
-    Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is overwritten by
+    blocks are those of VieSystem._gather_blocks (a list or its stream), in
+    the order of group.block_names(): for each class (c, stabilizer,
+    members) the irrep blocks of B_c = sum_g chi_c(g) M(r, g r') T_g over
+    orbit representatives r, r', with chi_c(g) = (-1)^popcount(c & g) row c
+    of the Sylvester Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is overwritten by
     the solution when it is Fortran-ordered (or 1-D); what names M in errors.
     Three stages: the forward route, the block solves and the backward route.
     Character c's share of rhs is y_c = sum_g chi_c(g) T_g rhs(g r)
@@ -673,15 +685,19 @@ def _blocked_solve(blocks, group, rhs, what):
     (_route) forms the shares a chunk of columns at a time and keeps only
     the reached ones, so the shares of every character and column are
     never held at once; the backward route allocates its full-layout shares
-    only after the solves.  Each block is factored in its own memory and
-    solves its columns in place in one zsysv call, also when it carries
-    none, so a singular block raises naming it, before rhs is written
-    (_solve_blocks).
+    only after the solves.  blocks may be any iterable, such as the stream
+    of _gather_blocks: each block is taken from it just before its solve
+    and dropped after it, so at most one block is held here.  Each block is
+    factored in its own memory and solves its columns in place in one zsysv
+    call, also when it carries none, so a singular block raises naming it,
+    before rhs is written (_solve_block).
     """
     x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
     cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
     routes, parts, floors, _ = _route(group, cols)
-    _solve_blocks(blocks, group, parts, floors, what)
+    blocks = iter(blocks)
+    for (name, _), part, floor in zip(group.block_names(), parts, floors):
+        _solve_block(name, next(blocks), part, floor, what)
     _map_back(group, parts, routes, cols)
     return x.reshape(rhs.shape)
 
@@ -694,10 +710,9 @@ class VieSystem:
     holds the FFT over the box axes of the circulant-embedded block table,
     packed: the 6 distinct entries of the symmetric 3x3 symbol in the order
     of materials._PACK, shape (6, *box).  flat holds each cell's position in
-    the scatter layout of apply, the box's first halves (d0, d1) of the first
-    two axes by the whole last axis, flattened.  The system keeps scatterer
-    responses (imaging's regular-wave response T_w) per contrast and
-    caller-given key, never a dense factor.
+    the flattened box, where apply scatters and gathers.  The system keeps
+    scatterer responses (imaging's regular-wave response T_w) per contrast
+    and caller-given key, never a dense factor.
     """
 
     grid: object
@@ -716,16 +731,19 @@ class VieSystem:
 
         v has shape (3N,), (N,3) or (3N,K); the result has the same shape and
         v is not written to.  Omitted factors are the identity (left, right)
-        and zero (diag).  The density is scattered through flat into a
-        zeroed (3, K, d0, d1, p2) buffer, so the forward transform runs the
-        last axis in place on those d0*d1 lines, the middle axis on the d0
-        slabs and the first axis on the full box.  The symbol is applied in
-        place, a slab of the first box axis at a time: entry (a, b) is row
-        _UNPACK[a, b] of kernel_hat, and out_a = K_a0 x_0 + K_a1 x_1 + K_a2 x_2
-        is summed in that order.  The inverse transform runs the axes in
-        reverse order, dropping the half of each of the first two axes that
-        the gather does not read before transforming the next, and flat
-        gathers the result.
+        and zero (diag).  The density is scattered through flat into one
+        zeroed (3, K, p0, p1, p2) box, and every transform runs in place in
+        it (scipy's overwrite_x writes into a complex view), on the part
+        that holds data: the forward transform runs the last axis on the
+        d0*d1 lines of the view [:d0, :d1], the middle axis on the d0 slabs
+        of [:d0] and the first axis on the full box.  The symbol is applied
+        in place, a slab of the first box axis at a time: entry (a, b) is row
+        _UNPACK[a, b] of kernel_hat, and out_a = K_a0 x_0 + K_a1 x_1 + K_a2
+        x_2 is summed in that order.  The inverse transform runs the axes in
+        reverse order, on the full box, then on [:d0] and on [:d0, :d1],
+        skipping the half of each of the first two axes that the gather
+        does not read, and flat gathers the result.  No padded copy of the
+        box is made: the transforms hold the box alone.
         """
         x = v.reshape(self.n_cells, 3, -1)
         k = x.shape[2]
@@ -734,18 +752,18 @@ class VieSystem:
         d0, d1 = p0 // 2, p1 // 2
         xt = x.transpose(1, 2, 0).reshape(3, -1)
         src = xt if right is None else right @ xt
-        buf = np.zeros((3, k, d0 * d1 * p2), dtype=complex)
-        buf[:, :, self.flat] = src.reshape(3, k, -1)
-        buf = fft(buf.reshape(3, k, d0, d1, p2), axis=-1, overwrite_x=True)
-        buf = fft(buf, n=p1, axis=-2, overwrite_x=True)
-        buf = fft(buf, n=p0, axis=-3, overwrite_x=True)
+        box = np.zeros((3, k, p0, p1, p2), dtype=complex)
+        box.reshape(3, k, -1)[:, :, self.flat] = src.reshape(3, k, -1)
+        fft(box[:, :, :d0, :d1], axis=-1, overwrite_x=True)
+        fft(box[:, :, :d0], axis=-2, overwrite_x=True)
+        fft(box, axis=-3, overwrite_x=True)
         # slabs of about 2^13 box points per column keep their arrays in cache
         step = min(p0, max(1, (1 << 13) // (p1 * p2)))
         acc = np.empty((3, k, step, p1, p2), dtype=complex)
         tmp = np.empty_like(acc[0])
         for i0 in range(0, p0, step):
             i1 = min(i0 + step, p0)
-            xs, ks, ys = buf[:, :, i0:i1], kh[:, i0:i1], acc[:, :, : i1 - i0]
+            xs, ks, ys = box[:, :, i0:i1], kh[:, i0:i1], acc[:, :, : i1 - i0]
             t = tmp[:, : i1 - i0]
             for a, rows in enumerate(_UNPACK):
                 np.multiply(ks[rows[0]], xs[0], out=ys[a])
@@ -753,10 +771,11 @@ class VieSystem:
                     np.multiply(ks[rows[b]], xs[b], out=t)
                     ys[a] += t
             xs[...] = ys
-        out = ifft(buf, axis=-3, overwrite_x=True)[:, :, :d0]
-        out = ifft(out, axis=-2, overwrite_x=True)[:, :, :, :d1]
-        out = ifft(out, axis=-1, overwrite_x=True)
-        y = out.reshape(3, k, -1)[:, :, self.flat].reshape(3, -1)
+        ifft(box, axis=-3, overwrite_x=True)
+        ifft(box[:, :, :d0], axis=-2, overwrite_x=True)
+        ifft(box[:, :, :d0, :d1], axis=-1, overwrite_x=True)
+        y = box.reshape(3, k, -1)[:, :, self.flat].reshape(3, -1)
+        del box
         if left is not None:
             y = left @ y
         if diag is not None:
@@ -788,10 +807,11 @@ class VieSystem:
         left = eye if left is None else left
         right = eye if right is None else right
         diag = np.zeros((3, 3)) if diag is None else diag
-        return self._gather_blocks(_Group.trivial(self.n_cells), left, right, diag)[0]
+        return next(self._gather_blocks(_Group.trivial(self.n_cells), left, right, diag))
 
     def _gather_blocks(self, group, left, right, diag):
-        """The irrep blocks of M = diag + left gradW right under its _Group, in solve order.
+        """The irrep blocks of M = diag + left gradW right under its _Group,
+        handed out one at a time in solve order (a generator).
 
         The rows of B_c = sum_g chi_c(g) M(r, g r') T_g at the cells group.rows
         are gathered for every character c against every representative r'
@@ -800,12 +820,16 @@ class VieSystem:
         Each chunk's rows go straight to the rows that each class's _Split
         needs (_Group.class_rows), so the rows of all 2^s characters are
         never held at once.  Once every chunk is in, the offset table is
-        dropped.  Class by class, the rows read through an axis permutation
-        then have their columns permuted, and the split forms the irrep
-        blocks a chunk of rows at a time (_Split.blocks) and drops the
-        class's rows before the next class.  With no
-        axis permutation every class is one character c, all rows are
-        gathered and its block is B_c itself.  Each block is C-ordered.
+        dropped: this one pass holds the table and the rows of every class,
+        the gather's floor.  Class by class, the rows read through an axis
+        permutation then have their columns permuted, the split forms the
+        irrep blocks a chunk of rows at a time (_Split.blocks), the class's
+        rows are dropped, and its blocks are handed out one by one before the
+        next class is formed; the generator keeps no block it has handed out,
+        so a caller that drops each block after use holds one class's blocks
+        at most.  With no axis permutation every class is one character c,
+        all rows are gathered and its block is B_c itself.  Each block is
+        C-ordered.
         """
         table, box = self._offset_blocks(left, right)
         group_size, n = group.cells.shape
@@ -826,14 +850,15 @@ class VieSystem:
             for (b, p, h_inv), dest in zip(sources, class_rows):
                 j = np.flatnonzero((p >= 3 * i0) & (p < 3 * (i0 + len(at))))
                 dest[j] = m[b[j], p[j] - 3 * i0]
-        del table
-        blocks = []
+        del table, m
         for t, ((_, _, h_inv), (_, key, _)) in enumerate(zip(sources, group.classes)):
             class_rows[t], rows_c = None, class_rows[t]
             k = np.flatnonzero(h_inv)  # rows read through an axis permutation (0 is the identity)
             rows_c[k] = np.take_along_axis(rows_c[k], group.img[h_inv[k]], axis=1)
-            blocks += group.splits[key].blocks(rows_c)
-        return blocks
+            blocks = group.splits[key].blocks(rows_c)
+            del rows_c
+            while blocks:
+                yield blocks.pop(0)
 
     def _dense_solve(self, contrast, rhs):
         """_blocked_solve of the contrast's system matrix for rhs (3N,) or (3N, K);
@@ -934,8 +959,8 @@ def assemble(grid, bg):
     del offsets, ring, pts
     packed = packed.reshape(6, *box)
     kernel_hat = np.fft.fftn(packed, axes=_BOX_AXES, out=packed)
-    # the cells in apply's scatter layout (d0, d1, p2) = (dims[0], dims[1], box[2])
-    flat = (index[:, 0] * dims[1] + index[:, 1]) * box[2] + index[:, 2]
+    # the cells' positions in the flattened box, apply's scatter layout
+    flat = np.ravel_multi_index(index.T, box)
     return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat, flat=flat)
 
 
@@ -1202,12 +1227,17 @@ def _half_pairing(sys, contrast, fields):
     projected lift conj(F) and X its solutions.  Only the first two stages of
     _blocked_solve run: the forward route (_route, which holds the shares
     of one chunk of columns and the reached shares, never those of every
-    character and column) and the block solves; for real F, B is a copy of
-    the projected right-hand sides, for complex F lift conj(F) goes through
-    the same chunks with the reach of F.  Once routed, the fields are no
-    longer referenced here, so a caller's temporary F is freed before the
-    blocks are gathered.  Of the P solved columns only the seeded
-    combination X r is mapped back (_map_back), for the Freivalds probe of
+    character and column) and the block solves.  For complex F, lift
+    conj(F) goes through the same chunks with the reach of F.  Once routed,
+    the fields are no longer referenced here, so a caller's temporary F is
+    freed before the blocks are gathered.  The blocks then come one at a
+    time from the stream of VieSystem._gather_blocks, and each is worked
+    through before the next is taken: for real F, B is copied from the
+    block's projected right-hand sides just before its zsysv (_solve_block),
+    the block's segments are paired, its share of the seeded combination
+    X r is kept, and the block, B and X are dropped.  No two blocks, and no
+    two blocks' copies of B, are held at once.  Of the P solved columns only
+    X r is mapped back (_map_back), for the Freivalds probe of
     resolvent_solve and the residual of solve_density, with their
     tolerances.  On the GMRES path the one
     block is the full layout of the one-element group, whose coordinates are
@@ -1230,10 +1260,7 @@ def _half_pairing(sys, contrast, fields):
         routes, parts, floors, paired = _route(group, g, lift, np.iscomplexobj(g))
         # the fields are routed: a caller's temporary is freed before the gather
         del fields, g
-        if paired is None:
-            paired = [part.copy() for part in parts]
-        _solve_blocks(sys._gather_blocks(group, *factors), group, parts, floors,
-                      f"the system on {n} cells")
+        blocks, names = sys._gather_blocks(group, *factors), iter(group.block_names())
     else:
         group, routes = _Group.trivial(n), [[(0, np.arange(k), None)]]
         rows = g.reshape(k, -1)
@@ -1244,10 +1271,17 @@ def _half_pairing(sys, contrast, fields):
         del rhs
     out = np.zeros((k, k), dtype=complex)
     combined = []  # per block, row l of member i's share of X r at [l, i]
-    blocks = iter(zip(paired, parts))
+    at = 0  # the block's index in parts
     for route, (_, key, _) in zip(routes, group.classes):
         for _ in group.splits[key].names:
-            left, sol = next(blocks)
+            sol, parts[at] = parts[at], None
+            if paired is None:
+                left = sol.copy()  # real F: the projected right-hand sides themselves
+            else:
+                left, paired[at] = paired[at], None
+            if dense:
+                _solve_block(next(names)[0], next(blocks), sol, floors[at],
+                             f"the system on {n} cells")
             comb = np.empty((sol.shape[0], len(route), sol.shape[2]), dtype=complex)
             start = 0
             for i, (_, ks, _) in enumerate(route):
@@ -1256,6 +1290,8 @@ def _half_pairing(sys, contrast, fields):
                 comb[:, i] = r[ks] @ sol[:, seg]
                 start = seg.stop
             combined.append(comb)
+            del left, sol
+            at += 1
     out *= 0.25 / len(group.cells)
     xr = np.empty((n, 3), dtype=complex)
     only = np.zeros(1, dtype=int)  # the one combined column

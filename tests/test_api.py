@@ -49,3 +49,22 @@ def test_import_leaves_out_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_import_leaves_out_scipy_sparse_until_a_traced_name_is_read():
+    # vie's scipy names that only the traced benchmark wraps are imported on
+    # first access: a fresh `import tdscope` loads no scipy.sparse, and each
+    # name still resolves to scipy's own object
+    env = {**os.environ, "PYTHONPATH": str(Path(tdscope.__file__).resolve().parents[1])}
+    code = ("import sys, tdscope\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "from tdscope import vie\n"
+            "import scipy.linalg as la, scipy.sparse.linalg as sla\n"
+            "print(vie.gmres is sla.gmres, vie.LinearOperator is sla.LinearOperator,\n"
+            "      vie.lu_factor is la.lu_factor, vie.lu_solve is la.lu_solve)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"] + ["True"] * 4
+    from tdscope import vie
+
+    assert not hasattr(vie, "nothing")

@@ -523,19 +523,27 @@ def test_decay_study_solves_the_scatterer_once(monkeypatch):
 
 
 def test_decay_study_evaluates_waves_once_per_window_exponent(monkeypatch):
-    # one call for the grid's waves (one n_max), then one per window
-    # exponent for the 2 x 8 samples of both rays
+    # one evaluation of the grid's waves (one n_max), then one per window
+    # exponent for the 2 x 8 samples of both rays; each is split into calls
+    # of at most imaging._WAVE_CHUNK // rank points (today one call each:
+    # the 136 cells and the 16 samples)
     calls = []
     waves = harness.imaging._real_wave_gradients
     monkeypatch.setattr(harness.imaging, "_real_wave_gradients",
-                        lambda n, k, x, out: calls.append(len(x)) or waves(n, k, x, out))
+                        lambda n, k, x, out: calls.append((n, len(x))) or waves(n, k, x, out))
     cfg = cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\nresolution = 6\n"
                    "rays = 1, 0, 0; 0, 1, 1\ntol_slope = 9\ntol_alpha_pair = 9\n")
     rep = run_study(cfg)
     assert rep.results["kernel_factor"] == "spectral"
     assert "," not in rep.results["kernel_rank"]
+    n_max = int(np.sqrt(int(rep.results["kernel_rank"]))) - 1
+    step = max(1, harness.imaging._WAVE_CHUNK // (n_max + 1) ** 2)
+
+    def chunks(points):
+        return [(n_max, min(step, points - i)) for i in range(0, points, step)]
+
     n_cells = harness._grid(cfg).n_cells
-    assert calls == [n_cells, 16, 16, 16]
+    assert calls == chunks(n_cells) + chunks(16) * 3
 
 
 def test_decay_study_falls_back_to_single_maps(monkeypatch):
