@@ -42,41 +42,45 @@ itself and commutes with A and, up to the same move of the unknowns' rows,
 with the factors.  voxelize centres its lattice on the shape, so a ball in
 an isotropic background keeps all 48 signed permutations (the cube group),
 an ellipsoid with two equal semi-axes keeps the 8 mirrors and one swap, and
-one with three distinct semi-axes or a tensor contrast the 8 mirrors.  The
-mirrors Z2^s split the system into 2^s complex-symmetric blocks B_c of
-3n = 3N / 2^s rows, one per character c.  An axis permutation p maps c to
-p(c) with B_p(c) = U_p B_c U_p^T for a permutation U_p of the unknowns, so
-only one block per class of characters is formed, and a member's columns
-are solved by its class representative as further columns.  The stabilizer
-of the representative (all of S3, a swap, or nothing) splits its block
-again, one block per irreducible representation: A1, A2 and E (whose two
-rows share one block) for S3, even and odd for a swap (_Split).  Only the
-rows of the cells holding an orbit representative of the permutations are
-gathered, for every character (about N^2 / 2^s / |H| cell pairs), and
-combined by a Hadamard transform over the mirrors, a chunk of rows at a
-time; each chunk goes straight to the rows that each class's split reads,
-and the irrep blocks are formed from those rows through fixed small
-matrices per orbit type, one class and a chunk of its rows at a time,
-each class's rows dropped before the next, and the blocks are handed out
-one at a time (VieSystem._gather_blocks is a generator).  The rows of all
-2^s characters are never held at once, nor every block: on the ball at
-resolution 14 the gather's tracemalloc peak, consumed a block at a time,
-is 11.7 MB instead of 28.0 MB, at resolution 16 23.4 MB instead of 57.2
-MB; it is the one gather pass, the offset table and the rows of every
-class.  For
-the ball at resolution 14 (3N = 4,416) that is 10 blocks of at most 290
-rows instead of 8 of 552.  Each block is factored and solved by one zsysv
-call (Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own
-memory: the right-hand sides are routed to the blocks that carry them (a
-column of definite parity under every mirror, such as a real regular wave
-about the lattice centre, to one class), a chunk of columns at a time, so
-that only the reached shares are held, solved in place and, by
+one with three distinct semi-axes or a tensor contrast the 8 mirrors.
+
+The dense solve works in one real basis V of the unknowns (_Group), the
+symmetry-adapted basis of that group G (Fassler & Stiefel, Group
+Theoretical Methods and Their Applications, 1992, ch. 4-5): V^T V = 2^s I,
+and V^T M V / 2^s is block diagonal.  The mirrors Z2^s split the system by
+character c; an axis permutation p maps c to p(c) with B_p(c) = U_p B_c
+U_p^T for a permutation U_p of the unknowns, so one block is formed per
+class of characters; and the stabilizer of the class representative (all
+of S3, a swap, or nothing) splits it again, one complex-symmetric block B
+per irreducible representation: A1, A2 and E for S3, even and odd for a
+swap (_Split).  V's columns run block by block, in a block by class member
+and irrep row (the block's segments, each a further copy of B), and by
+coordinate.  A column of V reads one G-orbit of the unknowns only, so V is
+block diagonal over the orbits and is held as one small square real matrix
+per orbit, stacked per orbit size, and applied by a gather and a batched
+matmul in place (_Group.transform).  Every symmetry operation goes through
+V: the forward route V^T x (_forward), a chunk of columns at a time, keeps
+only the segments a column reaches (a column of definite parity under
+every mirror, such as a real regular wave about the lattice centre,
+reaches one class); the backward route is V y / 2^s (_backward); and each
+block is formed from the rows of M at one representative unknown per
+G-orbit times V, B[a, :] a fixed combination of the row of a's orbit
+(VieSystem._gather_blocks).  Those rows, about 3N^2 / |G| values, are the
+only part of M gathered from the table, in one pass from a 6-entry packed
+table of the 3x3 blocks, and the blocks are handed out one at a time (a
+generator), none kept after.  On the ball at resolution 14 (3N = 4,416,
+106 orbits) the gather's tracemalloc peak, consumed a block at a time, is
+10.6 MB, the pass itself: 7.5 MB of rows and 2.1 MB of table (at
+resolution 16 21.3 MB); the blocks are 10 of at most 290 rows instead of
+8 of 552.  Each block is factored and solved by one zsysv call
+(Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own memory,
+each routed segment a further column, solved in place and, by
 solve_density, mapped back; each block is taken from the gather's stream
 just before its solve and dropped after it.  The response 1/2 F^H M_B F of
-P fields (_half_pairing) is paired inside the blocks instead: each block's
-solutions against its own projected fields, as the block comes, so only
-one seeded combination of the solved columns is mapped back, for the
-residual checks.  With no symmetry the one block is the whole system.
+P fields (_half_pairing) is paired inside the blocks instead, one B^T X
+per block as the block comes, so only one seeded combination of the solved
+columns is mapped back, for the residual checks.  With no symmetry V = I
+and the one block is the whole system.
 
 Above the cap the solve is matrix-free GMRES (_gmres): modified
 Gram-Schmidt Arnoldi on the FFT apply, restarted after _GMRES_BASIS vectors.
@@ -201,40 +205,18 @@ class _Split:
     e_{h u}, nu = sqrt(|K| |H| / d), are orthonormal, and v_l is row l of
     one copy of rho: U(h) v_l = sum_l' D_l'l(h) v_l'.  Orbits whose
     representatives have the same stabilizer are of one type, held as
-    (E, F, G): the orbits' unknowns E (n_t, |O|) in the order in which h
-    first reaches them, the fixed small matrix F (|O|, columns) of every
-    v_l on them, irrep by irrep and row by row, and per irrep G = (|H| /
-    d nu) W^T (r, d) for the r vectors w.  A block B that commutes with
-    U(h) acts on the row-l vectors V_l of rho as one matrix B_rho =
-    V_0^T B V_0, and because (B v)(h u) = sum_l D_0l(h) (B v_l)(u) for a
-    row-0 v,
-
-        B_rho[(u, w), :] = sum_l G[w, l] B[u, :] V_l,
-
-    so only the representatives' rows of B are needed, those of reps.
+    (E, F, irrep, row, coord): the orbits' unknowns E (n_t, |O|) in the
+    order in which h first reaches them, the square matrix F (|O|, |O|) of
+    every v_l on them, irrep by irrep, row by row and w by w, and for each
+    column of F its irrep, its row l and (n_t, |O|) its coordinate on each
+    orbit in the irrep's block, whose coordinates run type by type, orbit
+    by orbit and w by w; sizes holds the rows of each irrep's block.
     """
 
     names: tuple
     dims: tuple
-    reps: np.ndarray  # the orbit representatives, type by type
     types: list
-    # per irrep, per type: (orbits n_t, vectors r, first column of F, the slice
-    # of the irrep's coordinates that the type holds, ordered by orbit, then w)
-    layout: list = field(init=False)
-    # per type: F and F^T acting on interleaved real and imaginary parts
-    real: list = field(init=False)
-
-    def __post_init__(self):
-        self.layout = [[] for _ in self.dims]
-        stops = [0] * len(self.dims)
-        for e, _, gs in self.types:
-            off = 0
-            for r, (d, g) in enumerate(zip(self.dims, gs)):
-                w = g.shape[0]
-                sl = slice(stops[r], stops[r] + w * e.shape[0])
-                self.layout[r].append((e.shape[0], w, off, sl))
-                stops[r], off = sl.stop, off + d * w
-        self.real = [(_interleave(f), _interleave(f.T)) for _, f, _ in self.types]
+    sizes: list
 
     @classmethod
     def of(cls, perm_axes, perm_cells, perm_comps):
@@ -254,15 +236,14 @@ class _Split:
         reps = np.flatnonzero(img.min(axis=1) == np.arange(3 * n))
         # the stabilizer of each representative, as the bits of its elements
         kind = (img[reps] == reps[:, None]) @ (1 << np.arange(order))
-        types, ordered = [], []
+        types, sizes = [], [0] * len(irreps)
         for key in np.unique(kind):
             stab = key >> np.arange(order) & 1 == 1
             sel = reps[kind == key]
-            ordered.append(sel)
             first = np.sort(np.unique(img[sel[0]], return_index=True)[1])
             slot = np.argmax(img[sel[0], :, None] == img[sel[0], first], axis=1)
-            fs, gs = [], []
-            for mat in irreps:
+            fs, cols = [], []
+            for r, mat in enumerate(irreps):
                 d = mat.shape[1]
                 val, vec = np.linalg.eigh(mat[stab].mean(axis=0))
                 w = vec[:, val > 0.5]
@@ -270,97 +251,18 @@ class _Split:
                 f = np.zeros((len(first), d, w.shape[1]))
                 np.add.at(f, slot, mat @ w / nu)
                 fs.append(f.reshape(len(first), -1))
-                gs.append(order / (d * nu) * w.T)
-            types.append((img[sel][:, first], np.concatenate(fs, axis=1), gs))
-        return cls(names, tuple(m.shape[1] for m in irreps), np.concatenate(ordered), types)
-
-    def sizes(self):
-        """Rows of each irrep's block."""
-        return [types[-1][3].stop for types in self.layout]
-
-    def project(self, sources):
-        """Coordinates on every V_l of the rows of sources: (d, k, m) per irrep, C-ordered.
-
-        A source (x, perm) stands for the rows of x (K, 3n) with unknown u
-        read at perm[u] (at u if perm is None); the sources' rows follow one
-        another.
-        """
-        rows = [len(x) for x, _ in sources]
-        out = [np.empty((d, sum(rows), m), dtype=complex) for d, m in zip(self.dims, self.sizes())]
-        for t, ((e, _, _), (f, _)) in enumerate(zip(self.types, self.real)):
-            start = 0
-            for (x, perm), k in zip(sources, rows):
-                prod = (np.take(x, e if perm is None else perm[e], axis=1).view(float)
-                        .reshape(-1, f.shape[0]) @ f).view(complex).reshape(k, *e.shape)
-                for coords, d, types in zip(out, self.dims, self.layout):
-                    n_t, w, off, sl = types[t]
-                    for l in range(d):
-                        coords[l, start : start + k, sl].reshape(k, n_t, w)[...] = (
-                            prod[:, :, off + l * w : off + (l + 1) * w])
-                start += k
-        return out
-
-    def blocks(self, rows):
-        """The irrep blocks B_rho from the rows (len(reps), 3n) of B at reps.
-
-        Block row (u, w) reads row u of B alone, so the rows are projected a
-        chunk at a time, and each chunk's block rows are written, type by
-        type, before the next chunk is projected: the projections of all rows
-        are never held at once.  A chunk holds about as many values as one
-        chunk of VieSystem._gather_blocks, _GATHER_CHUNK 3x3 blocks, and at
-        least two rows: NumPy multiplies a single row by F through gemv,
-        which rounds differently from gemm, and gemm gives a row the same
-        bits among any number of rows (the gather tests check the blocks
-        bitwise against those formed from every row at once).
-        """
-        if len(self.names) == 1:
-            return [rows]
-        out = [np.empty((m, m), dtype=complex) for m in self.sizes()]
-        first = np.cumsum([0] + [e.shape[0] for e, _, _ in self.types])  # each type's first row
-        step = max(2, 9 * _GATHER_CHUNK // rows.shape[1])
-        stops = np.linspace(0, len(rows), max(1, len(rows) // step) + 1).astype(int)
-        for i0, i1 in zip(stops[:-1], stops[1:]):
-            bv = self.project([(rows[i0:i1], None)])  # B[u, :] V_l
-            for t, (_, _, gs) in enumerate(self.types):
-                j0, j1 = max(i0, first[t]), min(i1, first[t + 1])  # this type's rows in the chunk
-                if j0 >= j1:
-                    continue
-                for g, block, coords, types in zip(gs, out, bv, self.layout):
-                    _, w, _, sl = types[t]
-                    at = sl.start + (j0 - first[t]) * w
-                    block[at : at + (j1 - j0) * w] = np.einsum(
-                        "wl,lnm->nwm", g, coords[:, j0 - i0 : j1 - i0]).reshape(-1, len(block))
-        return out
-
-    def unproject(self, parts, targets):
-        """Write sum over irreps and rows l of V_l parts[r][l] to targets (x,
-        ks, perm), the rows ks of x (K, 3n) with unknown u at perm[u]: the
-        inverse of project on the sources (x[ks], perm)."""
-        k = parts[0].shape[1]
-        for t, ((e, f, _), (_, f_t)) in enumerate(zip(self.types, self.real)):
-            coords = np.empty((k, e.shape[0], f.shape[1]), dtype=complex)
-            for part, d, types in zip(parts, self.dims, self.layout):
-                n_t, w, off, sl = types[t]
-                for l in range(d):
-                    coords[:, :, off + l * w : off + (l + 1) * w] = (
-                        part[l, :, sl].reshape(k, n_t, w))
-            values = (coords.view(float).reshape(-1, f_t.shape[0]) @ f_t).view(complex)
-            values = values.reshape(k, *e.shape)
-            start = 0
-            for x, ks, perm in targets:
-                x[ks[:, None, None], e if perm is None else perm[e]] = values[start : start + len(ks)]
-                start += len(ks)
-
-
-def _interleave(f):
-    """f acting on interleaved real and imaginary parts: kron(f, I_2)."""
-    out = np.zeros((2 * f.shape[0], 2 * f.shape[1]))
-    out[0::2, 0::2] = out[1::2, 1::2] = f
-    return out
+                k = w.shape[1]
+                cols.append((np.full(d * k, r), np.repeat(np.arange(d), k),
+                             sizes[r] + k * np.arange(len(sel))[:, None] + np.tile(np.arange(k), d)))
+                sizes[r] += len(sel) * k
+            irrep, row, coord = (np.concatenate(c, axis=-1) for c in zip(*cols))
+            types.append((img[sel][:, first], np.concatenate(fs, axis=1), irrep, row, coord))
+        return cls(names, tuple(m.shape[1] for m in irreps), types, sizes)
 
 
 class _Group:
-    """The signed-permutation group of a system: the mirrors Z2^s and the axis permutations H.
+    """The signed-permutation group G of a system, the mirrors Z2^s and the
+    axis permutations H, and its real basis V of the unknowns.
 
     axes, cells (2^s, n) and signs (2^s, 3) are the mirror group's (see
     _orbits).  perm_axes (|H|, 3), perm_cells (|H|, n) and perm_comps (|H|, 3)
@@ -371,9 +273,40 @@ class _Group:
     bit for axis p[k] is c's bit for axis k, and B_p(c) = U_p B_c U_p^T.
     classes holds one (c, stabilizer, members) per orbit of characters, with
     each member b = p(c) and the index h of one such p; splits holds the
-    _Split of each stabilizer.  Only the rows of the cells in rows, those
-    holding the smallest unknown of each H-orbit, are gathered, for every
-    character: row h u of B_c is row u of B_p^-1(c), permuted.
+    _Split of each stabilizer.
+
+    order is the group's number of elements.  V (3N x 3N, V^T V = 2^s I) is
+    the real change to the coordinates of the blocks, the commutant basis of
+    G.  Its columns run block by block (blocks holds name, first column,
+    segments D and rows m of each), within a block class member by class
+    member and irrep row by irrep row (D = members x d segments of m
+    columns), and within a segment in the
+    order of the block's rows.  With (g, u) = 3 cells[g, r] + i the unknown
+    of mirror g and representative unknown u = 3 r + i, the column of member
+    b = p(c) (h the index of p), row l and coordinate a of block (c, rho) is
+
+        V[(g, img[h, v]), (b, l, a)] = chi_b(g) T_g[img[h, v] % 3] F[v, (rho, l, a)]
+
+    on the unknowns v of the orbit E of coordinate a in the class's _Split,
+    with chi_b(g) = (-1)^popcount(b & g) the Hadamard character of b over
+    the mirrors, T_g the mirror's signs and F the irrep basis.  A column
+    reads only the unknowns of one G-orbit, so V is block diagonal over the
+    G-orbits, and it is held that way, in the orbit layout: unknown[q] is
+    the unknown at layout position q (orbit by orbit, by size and then by
+    the orbit's smallest unknown, ascending within an orbit), position[col]
+    the layout position of column col (ascending within an orbit), and
+    types holds per orbit size S (start, mats), the orbits from layout
+    position start on, with V[unknown[q], col] = mats[o][q - q_o,
+    position[col] - q_o] for the o-th of them, first position q_o.  reps
+    holds the first unknown of each G-orbit.  Each block also holds orbit
+    (m,) and coef (D, m), the orbit of each coordinate a and the weights
+    that form the block from the rows of M at reps,
+
+        B[a, :] = sum_j coef[j, a] (M V)[reps[orbit[a]], segment j],
+
+    which holds because M V_j = V_j B for each segment j of the block and
+    sum_j V[u, (j, a)] V[u, (j, a')] is 2^s D / |O| delta(a, a') at every
+    unknown u of the orbit (_gather_blocks).
     """
 
     def __init__(self, axes, cells, signs, perm_axes, perm_cells, perm_comps):
@@ -381,14 +314,11 @@ class _Group:
         self.perm_axes, self.perm_cells, self.perm_comps = perm_axes, perm_cells, perm_comps
         s = len(axes)
         order = len(perm_axes)
+        self.order = order << s
         bit = [[axes.index(p[k]) for k in axes] for p in perm_axes]
         self.image = np.array([[sum((c >> t & 1) << b[t] for t in range(s))
                                 for c in range(1 << s)] for b in bit])
         self.img = (3 * perm_cells[:, :, None] + perm_comps[:, None, :]).reshape(order, -1)
-        self.inverse = np.array([next(j for j, q in enumerate(perm_axes)
-                                      if np.array_equal(q[p], [0, 1, 2])) for p in perm_axes])
-        self.orbit_rep = self.img.min(axis=0)
-        self.rows = np.unique(self.orbit_rep // 3)
 
         def stab(c):
             return tuple(np.flatnonzero(self.image[:, c] == c).tolist())
@@ -408,22 +338,81 @@ class _Group:
             if key not in self.splits:
                 self.splits[key] = _Split.of(*(m[list(key)] for m in (
                     self.perm_axes, self.perm_cells, self.perm_comps)))
+        self._basis()
 
-    @classmethod
-    def trivial(cls, n):
-        """The one-element group of n cells."""
-        ident = np.arange(3)[None]
-        return cls((), np.arange(n)[None], np.ones((1, 3)), ident, np.arange(n)[None], ident)
+    def _basis(self):
+        """Build V in the orbit layout (see the class docstring)."""
+        size, n = self.cells.shape
+        unknown = (3 * self.cells[:, :, None] + np.arange(3)).reshape(size, 3 * n)  # of g, v
+        chi = (-1.0) ** np.array([[bin(b & g).count("1") for g in range(size)] for b in range(size)])
+        sign = self.signs[:, np.arange(3 * n) % 3]  # T_g at each representative unknown
+        # the G-orbit of each unknown, named by the smallest representative
+        # unknown of its H-orbit; orbits ordered by size, then by name
+        label = np.empty(size * 3 * n, dtype=int)
+        label[unknown] = self.img.min(axis=0)
+        names, orbit, count = np.unique(label, return_inverse=True, return_counts=True)
+        orbit, count = np.argsort(np.lexsort((names, count)))[orbit], np.sort(count)
+        self.unknown = np.argsort(orbit, kind="stable")
+        first = np.cumsum(count) - count  # each orbit's first layout position
+        # per class member and _Split type: the representative unknowns u
+        # (n_t, |O|) of its orbits, and V's columns of F on them
+        self.blocks, parts, start = [], [], 0
+        col_orbit = np.empty_like(orbit)
+        for c, key, members in self.classes:
+            split = self.splits[key]
+            route = [(b, self.img[h]) for b, h in [(c, 0)] + members]
+            parity = " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(self.axes))
+            begin = []
+            for name, d, m in zip(split.names, split.dims, split.sizes):
+                self.blocks.append([" ".join(filter(None, (parity, name))) or "single", start,
+                                    len(route) * d, m])
+                begin.append(start)
+                start += len(route) * d * m
+            begin, dims, sizes = np.array(begin), np.array(split.dims), np.array(split.sizes)
+            for e, f, irrep, row, coord in split.types:
+                for i, (b, perm) in enumerate(route):
+                    u = perm[e]
+                    cols = begin[irrep] + (i * dims[irrep] + row) * sizes[irrep] + coord
+                    col_orbit[cols] = orbit[unknown[0, u[:, :1]]]
+                    parts.append((b, u, cols, f))
+        self.position = np.argsort(np.argsort(col_orbit, kind="stable"))
+        row_at = np.argsort(self.unknown)
+        mat_at = np.cumsum(count**2) - count**2  # each orbit's first entry in flat
+        flat = np.zeros(np.sum(count**2))
+        for b, u, cols, f in parts:
+            o = orbit[unknown[0, u[:, 0]]]
+            rows = mat_at[o, None] + (row_at[unknown[:, u]] - first[o, None]) * count[o, None]
+            at = rows[..., None] + (self.position[cols] - first[o, None])[:, None]
+            flat[at] = (chi[b, :, None, None] * sign[:, u])[..., None] * f  # (g, n_t, |O|, |O|)
+        self.types = []
+        for k in np.unique(count):
+            o0, o1 = np.searchsorted(count, [k, k + 1])
+            self.types.append((first[o0], flat[mat_at[o0] : mat_at[o0] + (o1 - o0) * k * k]
+                               .reshape(o1 - o0, k, k)))
+        self.reps = self.unknown[first]
+        for block in self.blocks:
+            _, start, segs, m = block
+            col = start + np.arange(segs)[:, None] * m + np.arange(m)  # (D, m)
+            o = col_orbit[col[0]]
+            p = flat[mat_at[o] + self.position[col] - first[o]]  # V at each orbit's first unknown
+            block += [o, p / np.einsum("ja,ja->a", p, p)]
 
-    def class_rows(self, c, reps):
-        """Where rows reps of B_c lie in the gathered rows (2^s, 3 len(rows), 3n)
-        of every B_b: (b, pos, h_inv), row j is gathered[b[j], pos[j], img[h_inv[j]]]."""
-        u0 = self.orbit_rep[reps]
-        h = np.argmax(self.img[:, u0] == reps, axis=0)  # h u0 = u
-        h_inv = self.inverse[h]
-        pos = 3 * np.searchsorted(self.rows, u0 // 3) + u0 % 3
-        # B_c[h u0, w] = B_b[u0, h^-1 w] with b = h^-1(c)
-        return self.image[h_inv, c], pos, h_inv
+    def transform(self, buf, transpose=False):
+        """buf (3N, w), complex and C-ordered, in the orbit layout, multiplied
+        by the orbit blocks of V (transpose: of V^T) in place, a chunk of
+        about _ROUTE_CHUNK values of orbits at a time: V^T moves the rows at
+        the unknowns' positions to the coordinates at the columns' positions,
+        V moves them back."""
+        flat = buf.view(float)
+        w = flat.shape[1]
+        for start, mats in self.types:
+            n, size = mats.shape[:2]
+            step = max(1, 2 * _ROUTE_CHUNK // (size * w))
+            for o0 in range(0, n, step):
+                part = flat[start + o0 * size : start + min(n, o0 + step) * size]
+                part = part.reshape(-1, size, w)
+                m = mats[o0 : o0 + step]
+                part[...] = (m.transpose(0, 2, 1) if transpose else m) @ part
 
     def describe(self):
         """The group in words: its mirrors, its axis permutations and its order."""
@@ -433,19 +422,12 @@ class _Group:
         elif len(self.perm_axes) == 2:
             a, b = np.flatnonzero(self.perm_axes[1] != np.arange(3))
             words.append(f"the swap {'xyz'[a]} <-> {'xyz'[b]}")
-        order = len(self.perm_axes) << len(self.axes)
-        return f"{', '.join(words) or 'no symmetry'} ({order} elements)"
+        return f"{', '.join(words) or 'no symmetry'} ({self.order} elements)"
 
     def block_names(self):
         """(name, rows) of each block in solve order: the class representative's
         parity under each mirror and the irrep of its stabilizer."""
-        out = []
-        for c, key, _ in self.classes:
-            split = self.splits[key]
-            parity = " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(self.axes))
-            for name, rows in zip(split.names, split.sizes()):
-                out.append((" ".join(filter(None, (parity, name))) or "single", rows))
-        return out
+        return [(name, m) for name, _, _, m, *_ in self.blocks]
 
 
 def _orbits(index, A, left, right, diag):
@@ -521,184 +503,122 @@ def _orbits(index, A, left, right, diag):
                   *(np.array(m) for m in zip(*kept)))
 
 
-# a share of a column at or below this fraction of the column's largest
-# character share is roundoff (about 1e-17 for a column of definite parity),
-# far below the 1e-10 residual probe, and is not solved
+# a segment of a column at or below this fraction of the column's norm in
+# coordinates is roundoff (about 1e-17 for a column of definite parity), far
+# below the 1e-10 residual probe, and is not solved
 _LEAK = 1e-14
-# values per chunk of _walsh's second axis and of the shares _route forms at
-# once (1 MiB of complex values)
-_WALSH_CHUNK = 1 << 16
+# complex values per chunk of the columns that _forward routes at once, and of
+# the orbits that _Group.transform multiplies at once (512 KiB)
+_ROUTE_CHUNK = 1 << 15
 # cell pairs per chunk of VieSystem._gather_blocks (576 KiB of 3x3 blocks)
 _GATHER_CHUNK = 1 << 12
 
 
-def _walsh(y):
-    """y[c] <- sum_g chi_c(g) y[g] over the first axis of length 2^s, in place:
-    the Sylvester Hadamard transform in s butterfly passes.
+def _forward(group, cols, lift=None, conj=False):
+    """The forward route V^T x of the columns cols (K, N, 3): per block of
+    group.blocks, (part, seg, col, conj_part).
 
-    The passes run over chunks of the second axis of about _WALSH_CHUNK
-    values, so the butterfly's temporary holds at most half a chunk (or half
-    of one index of the second axis) and does not grow with that axis.  Each
-    value only meets additions and subtractions, in the same order, so the
-    result is bitwise that of one pass over the whole array.
+    The columns (with the 3x3 lift applied per voxel, see _lifted) go a chunk
+    of about _ROUTE_CHUNK values at a time to the orbit layout, where
+    _Group.transform multiplies them by V^T in place.  A segment of a
+    column, its m coordinates of one (member, irrep row) of a block, whose
+    squared norm is at most _LEAK^2 times that of all the column's
+    coordinates (2^s ||x||^2) is roundoff and is not kept: part (n, m) holds
+    the block's kept segments, segment seg[i] of column col[i] in row i,
+    chunk by chunk, in each chunk segment by segment.  A column of definite
+    parity under every mirror reaches one class, one of definite symmetry
+    one block, and an all-zero column none.  With conj, conj(cols) goes
+    through the same chunks with the segments of cols, and conj_part holds
+    them (else None).
     """
-    step = max(1, _WALSH_CHUNK // max(1, y[:, :1].size))
-    for k in range(0, y.shape[1], step):
-        part = y[:, k : k + step]
-        h = 1
-        while h < len(part):
-            for i in range(0, len(part), 2 * h):
-                a, b = part[i : i + h], part[i + h : i + 2 * h]
-                diff = a - b
-                a += b
-                b[...] = diff
-            h *= 2
-    return y
+    def segments(k0, chunk):
+        ys = []
+        for x in [chunk, chunk.conj()] if conj else [chunk]:
+            y = (x if lift is None else _lifted(x, lift)).reshape(len(x), -1).T[group.unknown]
+            group.transform(y, transpose=True)
+            ys.append(y[group.position])  # V^T x in V's column order
+        del y
+        v = ys[0].view(float)
+        norm = np.zeros((len(starts), len(chunk)))  # of each segment and column
+        norm[filled] = np.add.reduceat(v * v, starts[filled]).reshape(-1, len(chunk), 2).sum(axis=2)
+        keep = norm > _LEAK**2 * norm.sum(axis=0)
+        out, j = [], 0
+        for _, start, segs, m, *_ in group.blocks:
+            hit = keep[j : j + segs]
+            seg, col = np.nonzero(hit)
+            out.append([seg, col + k0] + [y[start : start + segs * m].reshape(segs, m, len(chunk))
+                                          .transpose(0, 2, 1)[hit] for y in ys])
+            j += segs
+        return out
+
+    starts = np.concatenate([start + m * np.arange(segs) for _, start, segs, m, *_ in group.blocks])
+    filled = np.diff(starts, append=group.unknown.size) > 0  # a segment of no coordinate has none
+    step = max(1, _ROUTE_CHUNK // group.unknown.size)
+    pieces = [segments(k0, cols[k0 : k0 + step]) for k0 in range(0, max(len(cols), 1), step)]
+    out = []
+    for i in range(len(group.blocks)):
+        seg, col, *parts = (np.concatenate(p) for p in zip(*(piece[i] for piece in pieces)))
+        for piece in pieces:
+            piece[i] = None
+        out.append((parts[0], seg, col, parts[1] if conj else None))
+    return out
 
 
-def _shares(group, cols, lift=None):
-    """The character shares (2^s, K, 3n) of the columns cols (K, N, 3): y_c =
-    sum_g chi_c(g) T_g cols(g r) over the orbit representatives r.  With a
-    3x3 lift, those of lift applied per voxel to cols (see _lifted), formed
-    one group element at a time."""
-    k = cols.shape[0]
-    y = np.empty((group.cells.shape[0], k, *group.cells.shape[1:], 3), dtype=complex)
-    for g, (cells, sign) in enumerate(zip(group.cells, group.signs)):
-        if lift is None:
-            np.multiply(cols[:, cells], sign, out=y[g])
-        else:
-            y[g] = _lifted(cols[:, cells], sign[:, None] * lift)
-    return _walsh(y).reshape(len(y), k, -1)
-
-
-def _route(group, cols, lift=None, conj=False):
-    """The forward route of the columns cols (K, N, 3): (routes, parts, floors, conj_parts).
-
-    The character shares of _shares (with the lift) are formed a chunk of
-    about _WALSH_CHUNK values of columns at a time.  A share of a column at
-    most _LEAK times the column's largest character share is roundoff and
-    is not routed: of each chunk, each character keeps only the shares of
-    the columns that reach it, and once every chunk is in, each character
-    holds its reached columns as one compact (K_b, 3n) array, in column
-    order.  routes holds per class its members' (b, ks, perm): character b,
-    the columns ks that reach it and the map U_p of its unknowns (None for
-    the representative).  parts holds per block the (d, K_c, m) coordinates
-    of _Split.project, row l of the class's column j at [l, j], the members'
-    columns one after another, and floors per block the _LEAK floor on the
-    squared norm of each of its columns.  Each class's compact shares are
-    dropped once projected.  With conj, conj(cols) goes through the same
-    chunks with the reach of cols, and conj_parts holds its parts (else
-    None).
-    """
-    size, k = len(group.cells), len(cols)
-    step = max(1, _WALSH_CHUNK // (3 * group.cells.size))
-    reach = np.empty((size, k), dtype=bool)
-    floor = np.empty(k)
-    kept = [[[] for _ in range(size)] for _ in range(1 + conj)]  # per character, chunk by chunk
-    for k0 in range(0, max(k, 1), step):
-        chunk = slice(k0, k0 + step)
-        y = _shares(group, cols[chunk], lift)
-        share = np.einsum("cki,cki->ck", y.view(float), y.view(float))
-        floor[chunk] = _LEAK**2 * share.max(axis=0)
-        reach[:, chunk] = share > floor[chunk]
-        for store, ys in zip(kept, [y, _shares(group, cols[chunk].conj(), lift)] if conj else [y]):
-            for pieces, rows, hit in zip(store, ys, reach[:, chunk]):
-                pieces.append(rows[hit])
-    routes, parts, floors, conj_parts = [], [], [], []
-    for c, key, members in group.classes:
-        route = [(b, np.flatnonzero(reach[b]), group.img[h] if h else None)
-                 for b, h in [(c, 0)] + members]
-        split = group.splits[key]
-        for store, out in zip(kept, [parts, conj_parts]):
-            sources = []
-            for b, _, perm in route:
-                sources.append((np.concatenate(store[b]), perm))
-                store[b] = None
-            out += split.project(sources)
-        floors += [floor[np.concatenate([ks for _, ks, _ in route])]] * len(split.names)
-        routes.append(route)
-    return routes, parts, floors, conj_parts if conj else None
-
-
-def _solve_block(name, block, part, floor, what):
-    """Solve the block's part (d, K_c, m) in place, by one zsysv call that
-    factors the block in its own memory; name and what name it in errors.
-
-    floor holds the _LEAK floor of each of the part's columns; a column whose
-    share at or below it is roundoff is left out and its solution set to 0.
-    """
+def _solve_block(name, block, part, what):
+    """Solve the block's routed segments part (n, m) in place, by one zsysv
+    call that factors the block in its own memory; name and what name it in
+    errors.  A block with no segment is factored all the same."""
     rows = len(block)
     if rows == 0:
         return
-    keep = np.einsum("lkm,lkm->lk", part.view(float), part.view(float)) > floor
-    every = keep.all()
-    # the columns to solve, in place: part itself or a C-ordered copy
-    b = part.reshape(-1, rows) if every else part[keep]
     lwork, _ = zsysv_lwork(rows, lower=1)  # scipy's default lwork = n is unblocked
-    # the C-ordered symmetric block is its own transpose in Fortran order
-    *_, info = zsysv(block.T, b.T, lwork=int(lwork.real), lower=1, overwrite_a=1,
+    # the C-ordered symmetric block is its own transpose in Fortran order, and
+    # so is the C-ordered part
+    *_, info = zsysv(block.T, part.T, lwork=int(lwork.real), lower=1, overwrite_a=1,
                      overwrite_b=1)
     if info > 0:
         raise RuntimeError(f"the {name} block ({rows} rows) of {what} is singular: "
                            f"LDL^T pivot {info} is exactly zero")
-    if not every:
-        part[~keep] = 0.0
-        part[keep] = b
 
 
-def _map_back(group, parts, routes, cols):
-    """The backward route: unproject parts to zeroed shares (2^s, K, 3n),
-    allocated here, after the solves, and write
-    2^-s sum_c chi_c(g) T_g x_c(r) to cols (K, N, 3) at each cell g r."""
-    flat = np.zeros((len(group.cells), len(cols), 3 * group.cells.shape[1]), dtype=complex)
-    solved = iter(parts)
-    for route, (_, key, _) in zip(routes, group.classes):
-        split = group.splits[key]
-        split.unproject([next(solved) for _ in split.names],
-                        [(flat[b], ks, perm) for b, ks, perm in route])
-    y = _walsh(flat.reshape(*flat.shape[:2], -1, 3))
-    y *= group.signs[:, None, None, :] / len(y)
-    for cells, part in zip(group.cells, y):
-        cols[:, cells] = part
+def _backward(group, coords, out):
+    """The backward route: V coords / 2^s written to out (3N, w) at the
+    unknowns, for coords (3N, w) in the orbit layout, which it overwrites."""
+    group.transform(coords)
+    coords /= len(group.cells)
+    out[group.unknown] = coords
 
 
 def _blocked_solve(blocks, group, rhs, what):
     """Solution of M X = rhs, block by block, for M that commutes with its _Group.
 
     blocks are those of VieSystem._gather_blocks (a list or its stream), in
-    the order of group.block_names(): for each class (c, stabilizer,
-    members) the irrep blocks of B_c = sum_g chi_c(g) M(r, g r') T_g over
-    orbit representatives r, r', with chi_c(g) = (-1)^popcount(c & g) row c
-    of the Sylvester Hadamard matrix.  rhs is complex, (3N,) or (3N, K), and is overwritten by
-    the solution when it is Fortran-ordered (or 1-D); what names M in errors.
-    Three stages: the forward route, the block solves and the backward route.
-    Character c's share of rhs is y_c = sum_g chi_c(g) T_g rhs(g r)
-    (_shares), and the solution is 2^-s sum_c chi_c(g) T_g x_c(r) at cell
-    g r (_map_back).  A member b = p(c) of a class has B_b = U_p B_c U_p^T,
-    so U_p^T y_b is solved with B_c as further columns and x_b = U_p x.  Each
-    class's columns are split by the irreps of its stabilizer
-    (_Split.project), and each row l of an irrep is a further column of the
-    irrep's block.  A share of a column at most _LEAK times the column's
-    largest character share is roundoff and is not solved: a column of
-    definite parity under every mirror reaches one class, one of definite
-    symmetry one block, and an all-zero column none.  The forward route
-    (_route) forms the shares a chunk of columns at a time and keeps only
-    the reached ones, so the shares of every character and column are
-    never held at once; the backward route allocates its full-layout shares
-    only after the solves.  blocks may be any iterable, such as the stream
-    of _gather_blocks: each block is taken from it just before its solve
-    and dropped after it, so at most one block is held here.  Each block is
-    factored in its own memory and solves its columns in place in one zsysv
-    call, also when it carries none, so a singular block raises naming it,
-    before rhs is written (_solve_block).
+    the order of group.blocks: with V the group's basis (V^T V = 2^s I),
+    V^T M V / 2^s is block diagonal, block B repeated once per segment
+    (class member and irrep row) of its columns, so M^-1 = V diag(B^-1) V^T
+    / 2^s.  rhs is complex, (3N,) or (3N, K), and is overwritten by the
+    solution when it is Fortran-ordered (or 1-D); what names M in errors.
+    Three stages: the forward route V^T rhs (_forward, which keeps only the
+    segments that a column reaches), the block solves, each segment a
+    further column of its block, and the backward route V X / 2^s
+    (_backward), whose full-layout coordinates are allocated only after the
+    solves.  blocks may be any iterable, such as the stream of
+    _gather_blocks: each block is taken from it just before its solve and
+    dropped after it, so at most one block is held here.  Each block is
+    factored in its own memory and solves its segments in place in one
+    zsysv call, also when it carries none, so a singular block raises
+    naming it, before rhs is written (_solve_block).
     """
     x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
-    cols = x.T.reshape(x.shape[1], -1, 3)  # (K, N, 3), a view of x
-    routes, parts, floors, _ = _route(group, cols)
+    routed = _forward(group, x.T.reshape(x.shape[1], -1, 3))
     blocks = iter(blocks)
-    for (name, _), part, floor in zip(group.block_names(), parts, floors):
-        _solve_block(name, next(blocks), part, floor, what)
-    _map_back(group, parts, routes, cols)
+    for (name, *_), (part, *_) in zip(group.blocks, routed):
+        _solve_block(name, next(blocks), part, what)
+    coords = np.zeros(x.shape, dtype=complex)
+    for i, (_, start, _, m, *_) in enumerate(group.blocks):
+        (part, seg, col, _), routed[i] = routed[i], None
+        coords[group.position[start + seg[:, None] * m + np.arange(m)], col[:, None]] = part
+    _backward(group, coords, x)
     return x.reshape(rhs.shape)
 
 
@@ -799,66 +719,90 @@ class VieSystem:
         return np.einsum("aco,cd->oad", table, right), self.kernel_hat.shape[1:]
 
     def dense(self, left=None, right=None, diag=None):
-        """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the table.
+        """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the
+        table a chunk of about _GATHER_CHUNK 3x3 blocks at a time.
 
         It is the one block of the one-element group (see _gather_blocks).
         """
         eye = np.eye(3)
-        left = eye if left is None else left
-        right = eye if right is None else right
-        diag = np.zeros((3, 3)) if diag is None else diag
-        return next(self._gather_blocks(_Group.trivial(self.n_cells), left, right, diag))
+        table, box = self._offset_blocks(eye if left is None else left,
+                                         eye if right is None else right)
+        if diag is not None:
+            table[0] += diag  # box position 0 is offset 0: each cell with itself
+        n = self.n_cells
+        out = np.empty((n, 3, n, 3), dtype=complex)
+        chunk = max(1, _GATHER_CHUNK // n)
+        for i0 in range(0, n, chunk):
+            diff = self.index[i0 : i0 + chunk, None, :] - self.index[None, :, :]
+            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
+            out[i0 : i0 + chunk] = table[off].transpose(0, 2, 1, 3)
+        return out.reshape(3 * n, 3 * n)
 
     def _gather_blocks(self, group, left, right, diag):
-        """The irrep blocks of M = diag + left gradW right under its _Group,
-        handed out one at a time in solve order (a generator).
+        """The blocks of M = diag + left gradW right under its _Group, handed
+        out one at a time in the order of group.blocks (a generator).
 
-        The rows of B_c = sum_g chi_c(g) M(r, g r') T_g at the cells group.rows
-        are gathered for every character c against every representative r'
-        from the offset table, a chunk of rows at a time, and combined by the
-        Hadamard transform over g; the diagonal term enters every block.
-        Each chunk's rows go straight to the rows that each class's _Split
-        needs (_Group.class_rows), so the rows of all 2^s characters are
-        never held at once.  Once every chunk is in, the offset table is
-        dropped: this one pass holds the table and the rows of every class,
-        the gather's floor.  Class by class, the rows read through an axis
-        permutation then have their columns permuted, the split forms the
-        irrep blocks a chunk of rows at a time (_Split.blocks), the class's
-        rows are dropped, and its blocks are handed out one by one before the
-        next class is formed; the generator keeps no block it has handed out,
-        so a caller that drops each block after use holds one class's blocks
-        at most.  With no axis permutation every class is one character c,
-        all rows are gathered and its block is B_c itself.  Each block is
-        C-ordered.
+        With V the group's basis, each block is B = V_0^T M V_0 / 2^s for the
+        block's first segment V_0 of V, and it is formed from the rows of M
+        at the G-orbit representatives group.reps only (see _Group).  M is
+        complex symmetric, as zsysv factors its blocks, so the table holds
+        the 6 distinct entries of each 3x3 block, diag added at offset 0,
+        made by one inverse FFT of the mixed packed symbol.  The rows are
+        gathered from it a chunk of about _GATHER_CHUNK 3x3 blocks at a
+        time, straight into one (3N, orbits) array in the orbit layout, and
+        the table is dropped: this one pass holds the table and the
+        representatives' rows, the gather's floor.  _Group.transform
+        multiplies the rows by V in place, and each block is formed from
+        those products, a segment and a chunk of its rows at a time, and
+        handed out before the next is formed; the rows are dropped before the
+        last block is handed out, and the generator keeps no block it has
+        handed out, so a caller that drops each block after use holds one
+        block at most.  The one-element group has V = I: its one block is M
+        itself (dense).  Each block is C-ordered.
         """
-        table, box = self._offset_blocks(left, right)
-        group_size, n = group.cells.shape
-        pos = self.index[group.cells]  # (2^s, n, 3)
-        rows = group.rows
-        sources = [group.class_rows(c, group.splits[key].reps) for c, key, _ in group.classes]
-        class_rows = [np.empty((len(p), 3 * n), dtype=complex) for _, p, _ in sources]
-        chunk = max(1, _GATHER_CHUNK // (group_size * n))
-        for i0 in range(0, len(rows), chunk):
-            at = rows[i0 : i0 + chunk]
-            diff = pos[0, at, None, :] - pos[:, None, :, :]
-            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
-            m = table[off]  # (2^s, chunk, n, 3, 3): M(r, g r') for r in the chunk
-            m *= group.signs[:, None, None, None, :]
-            m = _walsh(m).transpose(0, 1, 3, 2, 4)
-            m[:, np.arange(len(at)), :, at, :] += diag
-            m = m.reshape(group_size, 3 * len(at), 3 * n)
-            for (b, p, h_inv), dest in zip(sources, class_rows):
-                j = np.flatnonzero((p >= 3 * i0) & (p < 3 * (i0 + len(at))))
-                dest[j] = m[b[j], p[j] - 3 * i0]
-        del table, m
-        for t, ((_, _, h_inv), (_, key, _)) in enumerate(zip(sources, group.classes)):
-            class_rows[t], rows_c = None, class_rows[t]
-            k = np.flatnonzero(h_inv)  # rows read through an axis permutation (0 is the identity)
-            rows_c[k] = np.take_along_axis(rows_c[k], group.img[h_inv[k]], axis=1)
-            blocks = group.splits[key].blocks(rows_c)
-            del rows_c
-            while blocks:
-                yield blocks.pop(0)
+        if group.order == 1:
+            yield self.dense(left, right, diag)
+            return
+        # M is complex symmetric, as zsysv factors its blocks: row _UNPACK[a, b]
+        # of the table holds entry (a, b) of diag + left K(o) right, for every
+        # offset o (diag at o = 0, box position 0)
+        box = self.kernel_hat.shape[1:]
+        mix = np.zeros((6, 6), dtype=complex)
+        np.add.at(mix, (slice(None), _UNPACK),
+                  np.einsum("ac,db->abcd", left, right)[tuple(np.array(_PACK).T)])
+        table = (mix @ self.kernel_hat.reshape(6, -1)).reshape(6, *box)
+        table = np.fft.ifftn(table, axes=_BOX_AXES, out=table).reshape(6, -1)
+        table[:, 0] += diag[tuple(np.array(_PACK).T)]
+        table = table.reshape(-1)
+        reps = group.reps
+        cells, rep_cell = np.unique(reps // 3, return_inverse=True)
+        diff = self.index[None, cells, :] - self.index[:, None, :]
+        # int32 halves the index arrays that the pass holds beside the rows
+        off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap").astype(np.int32)
+        del diff
+        entry = (np.prod(box) * _UNPACK[:, reps % 3]).astype(np.int32)  # each component's row
+        rows = np.empty((self.index.size, len(reps)), dtype=complex)  # M[reps[o], unknown[q]]
+        chunk = max(1, 9 * _GATHER_CHUNK // len(reps))
+        for q0 in range(0, len(rows), chunk):
+            u = group.unknown[q0 : q0 + chunk]
+            np.take(table, off[u // 3][:, rep_cell] + entry[u % 3], out=rows[q0 : q0 + chunk],
+                    mode="clip")  # unbuffered
+        del table, off
+        group.transform(rows, transpose=True)  # rows[position[col], o] = (M V)[reps[o], col]
+        last = len(group.blocks) - 1
+        for i, (_, start, segs, m, orbit, coef) in enumerate(group.blocks):
+            block = np.zeros((m, m), dtype=complex)
+            step = max(1, 9 * _GATHER_CHUNK // max(m, 1))
+            for j in range(segs):
+                # part[a, b] = (M V)[reps[orbit[a]], column b of segment j], a chunk of a at a time
+                part = rows[group.position[start + j * m : start + (j + 1) * m]].T
+                for a0 in range(0, m, step):
+                    block[a0 : a0 + step] += coef[j, a0 : a0 + step, None] * part[orbit[a0 : a0 + step]]
+            del part
+            if i == last:
+                del rows  # the stream holds nothing once it has formed its last block
+            yield block
+            del block
 
     def _dense_solve(self, contrast, rhs):
         """_blocked_solve of the contrast's system matrix for rhs (3N,) or (3N, K);
@@ -1220,30 +1164,29 @@ def _half_pairing(sys, contrast, fields):
 
         1/2 F^H M_B F = 1/4 (lift conj(F))^T M^-1 (lift F).
 
-    The change to block coordinates (the Hadamard transform up to its 2^s,
-    the _Split bases and the members' permutations U_p) is real orthogonal,
-    so this is 1/4 2^-s sum B^T X over the blocks and, within a block, over
-    each (class member, irrep row) segment of its columns, B the block's
-    projected lift conj(F) and X its solutions.  Only the first two stages of
-    _blocked_solve run: the forward route (_route, which holds the shares
-    of one chunk of columns and the reached shares, never those of every
-    character and column) and the block solves.  For complex F, lift
-    conj(F) goes through the same chunks with the reach of F.  Once routed,
-    the fields are no longer referenced here, so a caller's temporary F is
-    freed before the blocks are gathered.  The blocks then come one at a
-    time from the stream of VieSystem._gather_blocks, and each is worked
-    through before the next is taken: for real F, B is copied from the
-    block's projected right-hand sides just before its zsysv (_solve_block),
-    the block's segments are paired, its share of the seeded combination
-    X r is kept, and the block, B and X are dropped.  No two blocks, and no
-    two blocks' copies of B, are held at once.  Of the P solved columns only
-    X r is mapped back (_map_back), for the Freivalds probe of
-    resolvent_solve and the residual of solve_density, with their
-    tolerances.  On the GMRES path the one
-    block is the full layout of the one-element group, whose coordinates are
-    the unknowns themselves, and resolvent_solve gives X.  Pairs of columns
-    that share no segment (waves of different mirror characters) are exact
-    zeros.
+    On the dense path M^-1 = V diag(B^-1) V^T / 2^s with V the real basis
+    of M's _Group (see _blocked_solve), so this is 1/4 2^-s sum B^T X over
+    the blocks, B the block's coordinates V^T lift conj(F) and X its
+    solutions, one (D m, P_b) by (D m, P_b) product per block over the P_b
+    fields that reach it (the segments a field does not reach are zeros
+    there).  Only the first two stages of _blocked_solve run: the forward
+    route (_forward, which holds one chunk of columns and the reached
+    segments, never every coordinate of every column) and the block
+    solves.  For complex F, lift conj(F) goes through the same chunks with
+    the segments of F.  Once routed, the fields are no longer referenced
+    here, so a caller's temporary F is freed before the blocks are gathered.
+    The blocks then come one at a time from the stream of
+    VieSystem._gather_blocks, and each is worked through before the next is
+    taken: for real F, B is copied from the block's routed right-hand sides
+    just before its zsysv (_solve_block), the block is paired, its share of
+    the seeded combination X r is kept, and the block, B and X are dropped.
+    No two blocks, and no two blocks' copies of B, are held at once, and the
+    (P, P) sum is allocated only once the first block has come, after the
+    gather's pass.  Of the P solved columns only X r is mapped back (_backward), for the Freivalds
+    probe of resolvent_solve and the residual of solve_density, with their
+    tolerances.  Pairs of fields that share no segment (waves of different
+    mirror characters) are exact zeros.  On the GMRES path resolvent_solve
+    gives X and the pairing is one product, with no basis.
     """
     g = _checked_fields(sys, fields)
     k, n = g.shape[0], sys.n_cells
@@ -1254,52 +1197,46 @@ def _half_pairing(sys, contrast, fields):
     lift = -factors[0]
     r = np.random.default_rng(0).standard_normal(k)
     gr = np.tensordot(r, g, axes=1)
-    dense = _dense_path(sys)
-    if dense:
-        group = _orbits(sys.index, sys.bg.A.matrix, *factors)
-        routes, parts, floors, paired = _route(group, g, lift, np.iscomplexobj(g))
-        # the fields are routed: a caller's temporary is freed before the gather
-        del fields, g
-        blocks, names = sys._gather_blocks(group, *factors), iter(group.block_names())
-    else:
-        group, routes = _Group.trivial(n), [[(0, np.arange(k), None)]]
+    xr = np.empty((3 * n, 1), dtype=complex)
+    if not _dense_path(sys):
         rows = g.reshape(k, -1)
         rhs = _lifted(rows, lift)
         # GMRES leaves its right-hand sides as they are
-        paired = [(_lifted(rows.conj(), lift) if np.iscomplexobj(g) else rhs)[None]]
-        parts = [resolvent_solve(sys, contrast, rhs.T).T[None]]
-        del rhs
-    out = np.zeros((k, k), dtype=complex)
-    combined = []  # per block, row l of member i's share of X r at [l, i]
-    at = 0  # the block's index in parts
-    for route, (_, key, _) in zip(routes, group.classes):
-        for _ in group.splits[key].names:
-            sol, parts[at] = parts[at], None
-            if paired is None:
-                left = sol.copy()  # real F: the projected right-hand sides themselves
-            else:
-                left, paired[at] = paired[at], None
-            if dense:
-                _solve_block(next(names)[0], next(blocks), sol, floors[at],
-                             f"the system on {n} cells")
-            comb = np.empty((sol.shape[0], len(route), sol.shape[2]), dtype=complex)
-            start = 0
-            for i, (_, ks, _) in enumerate(route):
-                seg = slice(start, start + len(ks))
-                out[np.ix_(ks, ks)] += sum(bl @ xl.T for bl, xl in zip(left[:, seg], sol[:, seg]))
-                comb[:, i] = r[ks] @ sol[:, seg]
-                start = seg.stop
-            combined.append(comb)
-            del left, sol
-            at += 1
-    out *= 0.25 / len(group.cells)
-    xr = np.empty((n, 3), dtype=complex)
-    only = np.zeros(1, dtype=int)  # the one combined column
-    _map_back(group, combined, [[(b, only, perm) for b, _, perm in route] for route in routes],
-              xr[None])
-    if dense:
-        _probe(sys, factors, xr.reshape(-1), _lifted(gr, lift).reshape(-1))
-    _residual(sys, dA, xr @ factors[1].T, gr)
+        left = _lifted(rows.conj(), lift) if np.iscomplexobj(g) else rhs
+        x = resolvent_solve(sys, contrast, rhs.T).T
+        out = 0.25 * (left @ x.T)
+        xr[:, 0] = r @ x
+    else:
+        group = _orbits(sys.index, sys.bg.A.matrix, *factors)
+        routed = _forward(group, g, lift, np.iscomplexobj(g))
+        # the fields are routed: a caller's temporary is freed before the gather
+        del fields, g
+        blocks = sys._gather_blocks(group, *factors)
+        for i, (name, start, segs, m, *_) in enumerate(group.blocks):
+            (part, seg, col, left), routed[i] = routed[i], None
+            block = next(blocks)
+            if i == 0:  # allocated after the gather's pass, which the first block ends
+                out = np.zeros((k, k), dtype=complex)
+                coords = np.zeros((3 * n, 1), dtype=complex)  # X r in the orbit layout
+            if left is None:
+                left = part.copy()  # real F: the routed right-hand sides themselves
+            _solve_block(name, block, part, f"the system on {n} cells")
+            del block
+            # B and X of the columns ks that reach the block, (ks, D m), zero
+            # on the segments a column does not reach
+            ks, at = np.unique(col, return_inverse=True)
+            b, x = (np.zeros((len(ks), segs * m), dtype=complex) for _ in range(2))
+            b.reshape(len(ks), segs, m)[at, seg] = left
+            del left
+            x.reshape(len(ks), segs, m)[at, seg] = part
+            del part
+            out[np.ix_(ks, ks)] += b @ x.T
+            coords[group.position[start : start + segs * m], 0] = r[ks] @ x
+            del b, x
+        out *= 0.25 / len(group.cells)
+        _backward(group, coords, xr)
+        _probe(sys, factors, xr[:, 0], _lifted(gr, lift).reshape(-1))
+    _residual(sys, dA, xr.reshape(n, 3) @ factors[1].T, gr)
     return out
 
 

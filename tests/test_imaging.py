@@ -899,9 +899,11 @@ def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg
     assert fac.rank == 196
     assert np.bincount(cls, minlength=8).tolist() == [28, 28, 28, 21, 28, 21, 21, 21]
     t_w = imaging._half_pairing(sys, iso_contrast(1.0, 2.0), waves)
-    # pairs of waves of different characters are never formed: exact zeros
+    # pairs of waves that share no segment of a block are never formed: exact
+    # zeros for waves of different characters (and for waves of one character
+    # in different irreps of its stabilizer), while each wave pairs with itself
     off = cls[:, None] != cls[None, :]
-    assert np.all(t_w[off] == 0.0) and np.all(t_w[~off] != 0.0)
+    assert np.all(t_w[off] == 0.0) and np.all(np.diag(t_w) != 0.0)
 
 
 def _one_call_waves(fac, pts, rho):

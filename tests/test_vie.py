@@ -855,21 +855,6 @@ def _walsh_one_pass(y):
     return y
 
 
-@pytest.mark.parametrize("chunk", [None, 1])
-def test_walsh_runs_in_chunks_with_the_bits_of_one_pass(rng, monkeypatch, chunk):
-    # the butterfly works a chunk of columns at a time: its extra memory stays
-    # below a sixteenth of y (a whole pass needed half of it) and the result is
-    # bitwise the one-pass transform
-    if chunk is not None:
-        monkeypatch.setattr(vie, "_WALSH_CHUNK", chunk)
-    shape = (8, 512, 64, 3)
-    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = _walsh_one_pass(y.copy())
-    got, peak = peak_bytes(vie._walsh, y)
-    assert got is y and np.array_equal(y, want)
-    assert peak < y.nbytes / 16
-
-
 def test_dense_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
@@ -902,6 +887,9 @@ def _pairing_cases():
         "off_centre_fields": (ball, iso, iso_contrast(1.0, 2.0), (0.2, -0.1, 0.15), 48),
         "no_mirror_axis": (dataclasses.replace(ball, centers=ball.centers[1:]), iso,
                            iso_contrast(1.0, 2.0), origin, 1),
+        # a 2 x 2 x 2 block of cells: the A2 blocks hold no row
+        "eight_cells": (dataclasses.replace(ball, centers=np.array(list(itertools.product(
+            (-0.5, 0.5), repeat=3))) / 6.0), iso, iso_contrast(1.0, 2.0), origin, 48),
     }
 
 
@@ -933,16 +921,16 @@ def test_half_pairing_maps_back_one_column(sys_h6, monkeypatch):
     # the solved columns stay in the blocks: only the seeded combination X r
     # goes back to the full layout, for the probe and the residual
     calls = []
-    map_back = vie._map_back
+    backward = vie._backward
 
-    def spy(group, parts, routes, cols):
-        calls.append(cols.shape)
-        return map_back(group, parts, routes, cols)
+    def spy(group, coords, out):
+        calls.append((coords.shape, out.shape))
+        return backward(group, coords, out)
 
-    monkeypatch.setattr(vie, "_map_back", spy)
+    monkeypatch.setattr(vie, "_backward", spy)
     waves = _real_basis(regular_wave_gradients(5, 1.0, sys_h6.grid.centers))
     vie._half_pairing(sys_h6, iso_contrast(1.0, 2.0), waves)
-    assert calls == [(1, sys_h6.n_cells, 3)]
+    assert calls == [((3 * sys_h6.n_cells, 1), (3 * sys_h6.n_cells, 1))]
 
 
 def test_pairing_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
@@ -961,29 +949,31 @@ def test_pairing_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch)
 def test_half_pairing_peak_memory(sys_h6):
     # the pairing of the h6 ball's 196 real waves holds neither their complex
     # right-hand sides in the full layout nor a full-layout solution, and the
-    # route holds the shares of one chunk of columns and the reached shares
-    # only: its tracemalloc peak, in the route, stays below 1.5 times the
-    # waves' bytes in complex, 3% above the 1.46 times measured (the route
-    # through solve_density and a P x 3N product peaked at 2.97 times them,
-    # the block pairing from the shares of every character and column at
-    # 1.64 times)
+    # forward route V^T x holds one chunk of columns and the reached segments
+    # only: its tracemalloc peak, in the gather, stays below 1.1 times the
+    # waves' bytes in complex, 5% above the 1.05 times measured (the route
+    # through the mirror-character shares of a chunk peaked at 1.46 times
+    # them, the route through solve_density and a P x 3N product at 2.97
+    # times, the block pairing from the shares of every character and column
+    # at 1.64 times)
     waves = _real_basis(regular_wave_gradients(13, 1.0, sys_h6.grid.centers))
     assert waves.shape == (196, sys_h6.n_cells, 3)
     _, peak = peak_bytes(vie._half_pairing, sys_h6, iso_contrast(1.0, 2.0), waves)
-    assert peak < 1.5 * 16 * waves.size
+    assert peak < 1.1 * 16 * waves.size
 
 
 def test_half_pairing_peak_memory_when_the_waves_reach_every_block(bg_unit, mb_reference,
                                                                    monkeypatch):
     # the finite-delta study's largest trial ball (radius 0.2 at (0.2, 0.05,
     # -0.1), 8 cells across) against the 196 real waves about the origin:
-    # every wave reaches every block, so the projected right-hand sides are
-    # as large as the waves.  Each block is taken from the gather's stream,
-    # its right-hand sides copied just before its solve, paired and dropped,
-    # so the tracemalloc peak stays below 2.25 times the waves' bytes in
-    # complex, 5% above the 2.13 times measured (copying every block's
-    # right-hand sides before the solves, beside the list of every block,
-    # peaked at 2.97 times them)
+    # every wave reaches every block, so the routed right-hand sides are as
+    # large as the waves.  Each block is taken from the gather's stream, its
+    # right-hand sides copied just before its solve, paired and dropped, so
+    # the tracemalloc peak, in the gather, stays below 2.15 times the waves'
+    # bytes in complex, 4% above the 2.07 times measured (2.13 times through
+    # the mirror-character shares; copying every block's right-hand sides
+    # before the solves, beside the list of every block, peaked at 2.97
+    # times them)
     grid = voxelize(Ball(0.2, center=(0.2, 0.05, -0.1)), 0.4 / 8)
     sys = assemble(grid, bg_unit)
     contrast = iso_contrast(1.0, 2.0)
@@ -996,83 +986,29 @@ def test_half_pairing_peak_memory_when_the_waves_reach_every_block(bg_unit, mb_r
         a, b, **kw))
     got, peak = peak_bytes(vie._half_pairing, sys, contrast, waves)
     assert len(columns) == 10 and min(columns) > 0
-    assert peak < 2.25 * 16 * waves.size
+    assert peak < 2.15 * 16 * waves.size
     p = len(waves)
     want = 0.5 * waves.reshape(p, -1) @ mb_reference(sys, contrast, waves).reshape(p, -1).T
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _route_full_layout(group, cols, lift, conj):
-    """The forward route from the shares (2^s, K, 3n) of every character and
-    column at once, as vie._route returns it: the reach and the _LEAK floors
-    come from the full-layout shares, and each member's reached columns are
-    cut from them."""
-    flat = vie._shares(group, cols, lift)
-    share = np.einsum("cki,cki->ck", flat.view(float), flat.view(float))
-    floor = vie._LEAK**2 * share.max(axis=0)
-    reach = share > floor
-    conj_flat = vie._shares(group, cols.conj(), lift) if conj else None
-    routes, parts, floors, conj_parts = [], [], [], []
-    for c, key, members in group.classes:
-        route = [(b, np.flatnonzero(reach[b]), group.img[h] if h else None)
-                 for b, h in [(c, 0)] + members]
-        split = group.splits[key]
-        parts += split.project([(flat[b][ks], perm) for b, ks, perm in route])
-        if conj:
-            conj_parts += split.project([(conj_flat[b][ks], perm) for b, ks, perm in route])
-        floors += [floor[np.concatenate([ks for _, ks, _ in route])]] * len(split.names)
-        routes.append(route)
-    return routes, parts, floors, conj_parts if conj else None
-
-
-@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "one_column", "seven_columns"])
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("case", ["centred_ball", "one_swap_ellipsoid", "off_centre_fields",
-                                  "no_mirror_axis"])
-def test_route_keeps_the_reached_shares_with_the_bits_of_the_full_layout(monkeypatch, case, kind,
-                                                                         chunk):
-    # the route forms the shares a chunk of columns at a time (one column, or
-    # seven of the 37, at the smaller chunks) and keeps each character's
-    # reached columns only: its routes, parts and floors, and for complex
-    # fields the parts of their conjugates, are bitwise those routed from the
-    # shares of every character and column at once.  An all-zero column
-    # reaches no character.
-    grid, bg, contrast, centre, _ = _pairing_cases()[case]
-    sys = assemble(grid, bg)
-    group, factors = _group_and_factors(sys, contrast)
-    waves = regular_wave_gradients(5, 1.0, grid.centers - np.asarray(centre))
-    fields = _real_basis(waves) if kind == "real" else waves
-    fields = np.concatenate([fields, np.zeros_like(fields[:1])])
-    if chunk is not None:
-        monkeypatch.setattr(vie, "_WALSH_CHUNK", chunk * 3 * sys.n_cells)
-    lift = -factors[0]
-    got = vie._route(group, fields, lift, kind == "complex")
-    want = _route_full_layout(group, fields, lift, kind == "complex")
-    for got_route, want_route in zip(got[0], want[0], strict=True):
-        for (b, ks, perm), (b_want, ks_want, perm_want) in zip(got_route, want_route, strict=True):
-            assert b == b_want and np.array_equal(ks, ks_want)
-            assert (perm is None) == (perm_want is None) and np.array_equal(perm, perm_want)
-    for got_arrays, want_arrays in zip(got[1:], want[1:]):
-        if want_arrays is None:
-            assert got_arrays is None
-            continue
-        assert len(got_arrays) == len(want_arrays)
-        assert all(np.array_equal(a, b) for a, b in zip(got_arrays, want_arrays))
-    assert not any(len(fields) - 1 in ks for route in got[0] for _, ks, _ in route)
-
-
 def _gather_blocks_materialised(sys, group, left, right, diag):
     """The irrep blocks of diag + left gradW right cut from the gathered rows
-    (2^s, 3 len(group.rows), 3n) of every character, formed all at once.
+    (2^s, 3 len(rows), 3n) of every character, formed all at once, by the
+    class and irrep arithmetic the gather used before the basis V.
 
-    Rows reps of B_c are read at B_b[u0, h^-1 w] with u0 the orbit
-    representative of u = h u0 and b = h^-1(c); with no axis permutation
-    block c is B_c itself.
+    rows are the cells holding the smallest unknown u0 of each orbit of the
+    axis permutations.  Rows reps of B_c are read at B_b[u0, h^-1 w] with u0
+    the orbit representative of u = h u0 and b = h^-1(c); with no axis
+    permutation block c is B_c itself.
     """
     table, box = sys._offset_blocks(left, right)
     group_size, n = group.cells.shape
     pos = sys.index[group.cells]
-    rows = group.rows
+    orbit_rep = group.img.min(axis=0)
+    rows = np.unique(orbit_rep // 3)
+    inverse = np.array([next(j for j, q in enumerate(group.perm_axes)
+                             if np.array_equal(q[p], [0, 1, 2])) for p in group.perm_axes])
     diff = pos[0, rows][None, :, None, :] - pos[:, None, :, :]
     m = table[np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")]
     m *= group.signs[:, None, None, None, :]
@@ -1084,31 +1020,74 @@ def _gather_blocks_materialised(sys, group, left, right, diag):
     blocks = []
     for c, key, _ in group.classes:
         split = group.splits[key]
-        u0 = group.orbit_rep[split.reps]
-        h_inv = group.inverse[np.argmax(group.img[:, u0] == split.reps, axis=0)]
+        reps = np.concatenate([e[:, 0] for e, *_ in split.types])
+        u0 = orbit_rep[reps]
+        h_inv = inverse[np.argmax(group.img[:, u0] == reps, axis=0)]
         at = 3 * np.searchsorted(rows, u0 // 3) + u0 % 3
         blocks += _split_blocks_at_once(split, out[group.image[h_inv, c][:, None], at[:, None],
                                                    group.img[h_inv]])
     return blocks
 
 
+def _widths(split, irrep):
+    """The number of vectors w of each irrep on a type of split, from the
+    irrep of each column of its F."""
+    return [np.count_nonzero(irrep == r) // d for r, d in enumerate(split.dims)]
+
+
+def _project(split, rows):
+    """The coordinates (d, K, m) per irrep of the rows (K, 3n) on the row-l
+    vectors V_l of split: type by type, orbit by orbit and w by w."""
+    out = [np.empty((d, len(rows), m), dtype=complex) for d, m in zip(split.dims, split.sizes)]
+    at = [0] * len(out)
+    for e, f, irrep, *_ in split.types:
+        prod = rows[:, e] @ f
+        off = 0
+        for r, (coords, d, w) in enumerate(zip(out, split.dims, _widths(split, irrep))):
+            for l in range(d):
+                coords[l, :, at[r] : at[r] + len(e) * w] = (
+                    prod[:, :, off + l * w : off + (l + 1) * w].reshape(len(rows), -1))
+            at[r] += len(e) * w
+            off += d * w
+    return out
+
+
 def _split_blocks_at_once(split, rows):
-    """The irrep blocks of split from the rows (len(reps), 3n) of B at its
-    reps, every row projected at once: B_rho[(u, w), :] = sum_l G[w, l]
-    B[u, :] V_l."""
+    """The irrep blocks of split from the rows of B at its orbit
+    representatives (type by type), every row projected at once:
+    B_rho[(u, w), :] = sum_l G[w, l] B[u, :] V_l, with G = |O| / d F[u, (l,
+    w)]^T read at the representative u of each orbit O of the type."""
     if len(split.names) == 1:
         return [rows]
-    bv = split.project([(rows, None)])
+    bv = _project(split, rows)
     out = []
-    for r, (m, types) in enumerate(zip(split.sizes(), split.layout)):
+    for r, (d, m) in enumerate(zip(split.dims, split.sizes)):
         block = np.empty((m, m), dtype=complex)
-        start = 0
-        for (_, _, gs), (n_t, w, _, sl) in zip(split.types, types):
-            block[sl] = np.einsum("wl,lnm->nwm", gs[r], bv[r][:, start : start + n_t]
-                                  ).reshape(n_t * w, m)
-            start += n_t
+        start = stop = 0
+        for e, f, irrep, *_ in split.types:
+            widths = _widths(split, irrep)
+            w = widths[r]
+            off = sum(dd * ww for dd, ww in zip(split.dims[:r], widths))
+            g = e.shape[1] / d * f[0, off : off + d * w].reshape(d, w).T
+            block[stop : stop + len(e) * w] = np.einsum(
+                "wl,lnm->nwm", g, bv[r][:, start : start + len(e)]).reshape(-1, m)
+            start += len(e)
+            stop += len(e) * w
         out.append(block)
     return out
+
+
+def _dense_basis(group):
+    """The group's basis V (3N, 3N) as one dense real matrix, from its orbit
+    blocks."""
+    n3 = group.unknown.size
+    column = np.argsort(group.position)  # the column of V at each layout position
+    v = np.zeros((n3, n3))
+    for start, mats in group.types:
+        at = slice(start, start + mats.shape[0] * mats.shape[1])
+        rows = group.unknown[at].reshape(mats.shape[:2])
+        v[rows[:, :, None], column[at].reshape(mats.shape[:2])[:, None, :]] = mats
+    return v
 
 
 def _group_and_factors(sys, contrast):
@@ -1116,55 +1095,101 @@ def _group_and_factors(sys, contrast):
     return vie._orbits(sys.index, sys.bg.A.matrix, *factors), factors
 
 
+# the five kinds of group of the dense solve: the cube group, the mirrors and
+# one swap (of the axes, and of the unknowns' rows with a tensor contrast),
+# the mirrors alone and the one-element group
+GROUP_CASES = ["centred_ball", "one_swap_ellipsoid", "sigma_i_tensor_contrast",
+               "distinct_axes_ellipsoid", "no_mirror_axis"]
+
+
 @pytest.mark.parametrize("chunk", [None, 1])
-@pytest.mark.parametrize("case", ["centred_ball", "one_swap_ellipsoid", "sigma_i_tensor_contrast",
-                                  "distinct_axes_ellipsoid", "no_mirror_axis"])
+@pytest.mark.parametrize("case", GROUP_CASES)
 def test_gather_blocks_match_the_materialised_gather(monkeypatch, case, chunk):
-    # the class rows filled a chunk of gathered rows at a time, and the irrep
-    # blocks formed from a chunk of those rows at a time (with chunk = 1, one
-    # gathered row per chunk and the blocks' least chunk, two rows), give
-    # bitwise the blocks cut from every gathered row at once and formed from
-    # every row at once: under the cube
-    # group, the mirrors and one swap (of the axes, and of the unknowns' rows
-    # with a tensor contrast), the mirrors alone and the one-element group
+    # the representatives' rows gathered a chunk at a time (with chunk = 1,
+    # one row per chunk), multiplied by V and combined into the blocks, give
+    # the blocks cut from every gathered row at once by the class and irrep
+    # arithmetic of before (within 1e-14 of each block's largest entry; the
+    # sums run in another order), and V_b^T M V_b / 2^s for the first
+    # segment V_b of each block's columns of V, with M the one-element
+    # group's gather.  On the one-element group V = I and the block is
+    # bitwise M.
     if chunk is not None:
         monkeypatch.setattr(vie, "_GATHER_CHUNK", chunk)
     grid, bg, contrast, _, order = _pairing_cases()[case]
     sys = assemble(grid, bg)
     group, factors = _group_and_factors(sys, contrast)
-    assert len(group.perm_axes) << len(group.axes) == order
+    assert group.order == order
     got = list(sys._gather_blocks(group, *factors))
     want = _gather_blocks_materialised(sys, group, *factors)
     assert [len(b) for b in got] == [rows for _, rows in group.block_names()]
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.flags.c_contiguous and np.array_equal(a, b)
+    mat, v = sys.dense(*factors), _dense_basis(group)
+    for a, b, (_, start, _, rows, *_) in zip(got, want, group.blocks):
+        assert a.flags.c_contiguous
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+        v_b = v[:, start : start + rows]
+        assert np.abs(a - v_b.T @ mat @ v_b / len(group.cells)).max() <= 1e-14 * np.abs(b).max()
+        if order == 1:
+            assert np.array_equal(a, b) and np.array_equal(a, mat)
 
 
 def test_gather_blocks_peak_memory_on_the_resolution_14_ball(bg_unit):
-    # the gathered rows of all eight characters are never held: the class rows
-    # are filled a chunk at a time, each class's blocks are formed a chunk of
-    # its rows at a time, its rows are dropped once its blocks are formed,
-    # and the blocks are handed out one at a time.  Consumed a block at a
-    # time, the stream's tracemalloc peak is the one gather pass: the offset
-    # table and the rows of every class (3.2 + 7.0 MB), with the chunk's
-    # temporaries.  It stays below 1.2 times those two, 4% above the 1.15
-    # times (11.7 MB) measured; the list of every block peaked at 12.4 MB,
-    # the materialised gather at 28.0 MB.  The blocks keep their bits.
+    # the rows of M at the 106 G-orbit representatives are gathered from the
+    # packed 6-entry offset table straight into one array, multiplied by V in
+    # place, and the blocks are formed from them one at a time, a chunk of
+    # block rows at a time.  Consumed a block at a time, the stream's
+    # tracemalloc peak is the one gather pass: the table and the
+    # representatives' rows (2.1 + 7.5 MB), with the chunk's temporaries.  It
+    # stays below 1.15 times those two, 3% above the 1.11 times (10.7 MB)
+    # measured; the class rows and the 9-entry table of the gather before the
+    # basis peaked at 11.7 MB, the materialised gather at 28.0 MB.  The blocks
+    # match the materialised gather.
     sys = assemble(voxelize(Ball(0.5), 1.0 / 14.0), bg_unit)
     group, factors = _group_and_factors(sys, iso_contrast(1.0, 2.0))
-    assert len(group.perm_axes) << len(group.axes) == 48
+    assert group.order == 48 and len(group.reps) == 106
     want = _gather_blocks_materialised(sys, group, *factors)
 
     def consume():
-        return [np.array_equal(a, b)
-                for a, b in zip(sys._gather_blocks(group, *factors), want, strict=True)]
+        blocks, same = sys._gather_blocks(group, *factors), []
+        for b in want:
+            a = next(blocks)
+            same.append(np.abs(a - b).max() <= 1e-14 * np.abs(b).max())
+            del a  # before the next block is formed
+        assert next(blocks, None) is None
+        return same
 
     same, peak = peak_bytes(consume)
     assert same and all(same)
-    class_rows = sum(len(group.splits[key].reps) for _, key, _ in group.classes)
-    table = 16 * 9 * np.prod(sys.kernel_hat.shape[1:])
-    assert peak < 1.2 * (16 * class_rows * 3 * group.cells.shape[1] + table)
+    rows = 16 * len(group.reps) * 3 * sys.n_cells
+    table = 16 * 6 * np.prod(sys.kernel_hat.shape[1:])
+    assert peak < 1.15 * (rows + table)
+
+
+@pytest.mark.parametrize("case", GROUP_CASES)
+def test_basis_is_real_orthogonal_and_block_diagonal_over_the_orbits(case):
+    # V is real with V^T V = 2^s I, each orbit block is square and holds one
+    # G-orbit of unknowns, and the blocks' columns, counted once per class
+    # member and irrep dimension, are the 3N unknowns
+    grid, bg, contrast, _, order = _pairing_cases()[case]
+    sys = assemble(grid, bg)
+    group, _ = _group_and_factors(sys, contrast)
+    n3 = 3 * sys.n_cells
+    v = _dense_basis(group)
+    assert v.dtype == float
+    assert np.abs(v.T @ v - len(group.cells) * np.eye(n3)).max() <= 1e-14 * len(group.cells)
+    for start, mats in group.types:
+        assert mats.shape[1] == mats.shape[2]
+        size = mats.shape[1]
+        for orbit in group.unknown[start : start + len(mats) * size].reshape(-1, size):
+            # the images of its first unknown (mirror g, representative
+            # unknown v) under every mirror and axis permutation
+            g, r = np.argwhere(group.cells == orbit[0] // 3)[0]
+            v = group.img[:, 3 * r + orbit[0] % 3]
+            assert set(orbit.tolist()) == set((3 * group.cells[:, v // 3] + v % 3).ravel().tolist())
+    assert sorted(group.unknown.tolist()) == list(range(n3))
+    total = sum((1 + len(members)) * d * rows for _, key, members in group.classes
+                for d, rows in zip(group.splits[key].dims, group.splits[key].sizes))
+    assert total == sum(segs * rows for _, _, segs, rows, *_ in group.blocks) == n3
 
 
 def _arrays_reachable(obj, seen=None):
@@ -1269,7 +1294,8 @@ def block_rhs(monkeypatch):
 
 def _blocked_solve_single(mat, rhs):
     """_blocked_solve of a symmetric mat on the one-element group."""
-    group = vie._Group.trivial(mat.shape[0] // 3)
+    n, ident = mat.shape[0] // 3, np.arange(3)[None]
+    group = vie._Group((), np.arange(n)[None], np.ones((1, 3)), ident, np.arange(n)[None], ident)
     return vie._blocked_solve([mat.copy()], group, rhs, "test matrix")
 
 
@@ -1452,7 +1478,7 @@ def test_blocked_solve_matches_dense_solve(rng, block_rhs, case, k):
         # each class solves for its members: the blocks' rows, counted once per
         # member and irrep dimension, are the 3N unknowns
         total = sum((1 + len(members)) * d * rows for _, key, members in group.classes
-                    for d, rows in zip(group.splits[key].dims, group.splits[key].sizes()))
+                    for d, rows in zip(group.splits[key].dims, group.splits[key].sizes))
         assert total == 3 * sys.n_cells
         assert max(rows for _, rows in group.block_names()) <= 3 * sys.n_cells // 2 ** len(axes)
 
