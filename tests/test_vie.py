@@ -855,6 +855,34 @@ def _walsh_one_pass(y):
     return y
 
 
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_transform_runs_in_chunks_with_the_bits_of_one_pass(rng, monkeypatch, bg_unit, chunk):
+    # V^T and V multiply a chunk of orbits at a time in place (two orbits of
+    # 48 unknowns at the default chunk, one with chunk = 1): the extra memory
+    # stays below a sixteenth of buf (0.044 and 0.018 times buf measured;
+    # one product of every orbit of a size at once peaked at 0.82 times it)
+    # and the result is bitwise the product of every orbit block at once.
+    # V V^T = 2^s I brings buf back.
+    if chunk is not None:
+        monkeypatch.setattr(vie, "_ROUTE_CHUNK", chunk)
+    sys = assemble(voxelize(Ball(0.5), 1.0 / 12.0), bg_unit)
+    group, _ = _group_and_factors(sys, iso_contrast(1.0, 2.0))
+    assert group.order == 48 and max(mats.shape[1] for _, mats in group.types) == 48
+    shape = (group.unknown.size, 256)
+    buf = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = buf.copy()
+    flat = want.view(float)
+    for start, mats in group.types:
+        part = flat[start : start + mats.shape[0] * mats.shape[1]].reshape(*mats.shape[:2], -1)
+        part[...] = mats.transpose(0, 2, 1) @ part
+    got = buf.copy()
+    _, peak = peak_bytes(group.transform, got, True)
+    assert np.array_equal(got, want)
+    assert peak < got.nbytes / 16
+    group.transform(got)
+    assert np.abs(got / len(group.cells) - buf).max() <= 1e-13
+
+
 def test_dense_residual_probe_catches_wrong_factorization(sys_h6, monkeypatch):
     c = iso_contrast(1.0, 2.0)
     g = unit_inc(sys_h6.n_cells)
@@ -990,6 +1018,86 @@ def test_half_pairing_peak_memory_when_the_waves_reach_every_block(bg_unit, mb_r
     p = len(waves)
     want = 0.5 * waves.reshape(p, -1) @ mb_reference(sys, contrast, waves).reshape(p, -1).T
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _route_full_layout(group, cols, lift, conj):
+    """The forward route of every column at once, as vie._forward returns it:
+    V^T x of all the columns in the full layout, one product per orbit size,
+    its segments' squared norms and the _LEAK floors taken from it, and each
+    block's reached segments cut from it."""
+    ys = []
+    for x in [cols, cols.conj()] if conj else [cols]:
+        y = vie._lifted(x, lift).reshape(len(x), -1).T[group.unknown]
+        flat = y.view(float)
+        for start, mats in group.types:
+            n, size = mats.shape[:2]
+            part = flat[start : start + n * size].reshape(n, size, -1)
+            part[...] = mats.transpose(0, 2, 1) @ part
+        ys.append(y[group.position])
+    out = []
+    for _, start, segs, m, *_ in group.blocks:
+        seg_y = [y[start : start + segs * m].reshape(segs, m, len(cols)).transpose(0, 2, 1)
+                 for y in ys]
+        norm = (seg_y[0].real**2 + seg_y[0].imag**2).sum(axis=2)
+        out.append((norm, seg_y))
+    total = sum(norm.sum(axis=0) for norm, _ in out)
+    routed = []
+    for norm, seg_y in out:
+        seg, col = np.nonzero(norm > vie._LEAK**2 * total)
+        routed.append((seg_y[0][seg, col], seg, col, seg_y[1][seg, col] if conj else None))
+    return routed
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7], ids=["default", "one_column", "seven_columns"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("case", ["centred_ball", "one_swap_ellipsoid", "off_centre_fields",
+                                  "no_mirror_axis"])
+def test_route_keeps_the_reached_shares_with_the_bits_of_the_full_layout(monkeypatch, case, kind,
+                                                                         chunk):
+    # the forward route V^T x runs a chunk of columns at a time (one column,
+    # or seven of the 37, at the smaller chunks) and keeps each block's
+    # reached segments only: its parts, segments and columns, and for complex
+    # fields the parts of their conjugates, are those routed from V^T x of
+    # every column at once (bitwise at the default chunk, which holds them
+    # all; within 1e-14 of the column's largest coordinate at the others,
+    # whose products are narrower), and V^T x is the dense basis's within
+    # 1e-14.  An all-zero column reaches no block.
+    grid, bg, contrast, centre, _ = _pairing_cases()[case]
+    sys = assemble(grid, bg)
+    group, factors = _group_and_factors(sys, contrast)
+    waves = regular_wave_gradients(5, 1.0, grid.centers - np.asarray(centre))
+    fields = _real_basis(waves) if kind == "real" else waves
+    fields = np.concatenate([fields, np.zeros_like(fields[:1])])
+    assert vie._ROUTE_CHUNK >= len(fields) * group.unknown.size
+    if chunk is not None:
+        monkeypatch.setattr(vie, "_ROUTE_CHUNK", chunk * group.unknown.size)
+    lift = -factors[0]
+    got = vie._forward(group, fields, lift, kind == "complex")
+    want = _route_full_layout(group, fields, lift, kind == "complex")
+    coords = vie._lifted(fields, lift).reshape(len(fields), -1) @ _dense_basis(group)
+    scale = np.abs(coords).max(axis=1)
+    assert len(got) == len(want) == len(group.blocks)
+    for (_, start, _, m, *_), g, w in zip(group.blocks, got, want):
+        # the route keeps the segments chunk by chunk, in a chunk segment by
+        # segment: taken column by column, they are the full layout's
+        g_at, w_at = np.lexsort(g[1:3]), np.lexsort(w[1:3])
+        if chunk is None:
+            assert np.array_equal(g_at, w_at)
+        assert np.array_equal(g[1][g_at], w[1][w_at]) and np.array_equal(g[2][g_at], w[2][w_at])
+        for a, b, x in [(g[0], w[0], coords), (g[3], w[3], coords.conj())]:
+            if b is None:
+                assert a is None
+                continue
+            a, b = a[g_at], b[w_at]
+            assert a.shape == b.shape
+            if chunk is None:
+                assert np.array_equal(a, b)
+            seg, col = g[1][g_at], g[2][g_at]
+            tol = 1e-14 * scale[col, None]
+            assert np.all(np.abs(a - b) <= tol)
+            dense = x[col[:, None], start + seg[:, None] * m + np.arange(m)]
+            assert np.all(np.abs(a - dense) <= tol)
+    assert not any(len(fields) - 1 in col for _, _, col, _ in got)
 
 
 def _gather_blocks_materialised(sys, group, left, right, diag):
