@@ -67,12 +67,13 @@ block is formed from the rows of M at one representative unknown per
 G-orbit times V, B[a, :] a fixed combination of the row of a's orbit
 (VieSystem._gather_blocks).  Those rows, about 3N^2 / |G| values, are the
 only part of M gathered from the table, in one pass from a 6-entry packed
-table of the 3x3 blocks, and the blocks are handed out one at a time (a
-generator), none kept after.  On the ball at resolution 14 (3N = 4,416,
-106 orbits) the gather's tracemalloc peak, consumed a block at a time, is
-10.6 MB, the pass itself: 7.5 MB of rows and 2.1 MB of table (at
-resolution 16 21.3 MB); the blocks are 10 of at most 290 rows instead of
-8 of 552.  Each block is factored and solved by one zsysv call
+table of the 3x3 blocks, each block's columns of them into an array of its
+own; the blocks are handed out one at a time (a generator), none kept
+after, and each block's rows are dropped once it is formed.  On the ball
+at resolution 14 (3N = 4,416, 106 orbits) the gather's tracemalloc peak,
+consumed a block at a time, is 10.6 MB, the pass itself: 7.5 MB of rows
+and 2.1 MB of table (at resolution 16 20.5 MB); the blocks are 10 of at
+most 290 rows instead of 8 of 552.  Each block is factored and solved by one zsysv call
 (Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own memory,
 each routed segment a further column, solved in place and, by
 solve_density, mapped back; each block is taken from the gather's stream
@@ -277,13 +278,12 @@ class _Group:
 
     order is the group's number of elements.  V (3N x 3N, V^T V = 2^s I) is
     the real change to the coordinates of the blocks, the commutant basis of
-    G.  Its columns run block by block (blocks holds name, first column,
-    segments D and rows m of each), within a block class member by class
+    G.  Its columns run block by block, within a block class member by class
     member and irrep row by irrep row (D = members x d segments of m
-    columns), and within a segment in the
-    order of the block's rows.  With (g, u) = 3 cells[g, r] + i the unknown
-    of mirror g and representative unknown u = 3 r + i, the column of member
-    b = p(c) (h the index of p), row l and coordinate a of block (c, rho) is
+    columns), and within a segment in the order of the block's rows.  With
+    (g, u) = 3 cells[g, r] + i the unknown of mirror g and representative
+    unknown u = 3 r + i, the column of member b = p(c) (h the index of p),
+    row l and coordinate a of block (c, rho) is
 
         V[(g, img[h, v]), (b, l, a)] = chi_b(g) T_g[img[h, v] % 3] F[v, (rho, l, a)]
 
@@ -293,14 +293,18 @@ class _Group:
     reads only the unknowns of one G-orbit, so V is block diagonal over the
     G-orbits, and it is held that way, in the orbit layout: unknown[q] is
     the unknown at layout position q (orbit by orbit, by size and then by
-    the orbit's smallest unknown, ascending within an orbit), position[col]
-    the layout position of column col (ascending within an orbit), and
-    types holds per orbit size S (start, mats), the orbits from layout
-    position start on, with V[unknown[q], col] = mats[o][q - q_o,
-    position[col] - q_o] for the o-th of them, first position q_o.  reps
-    holds the first unknown of each G-orbit.  Each block also holds orbit
-    (m,) and coef (D, m), the orbit of each coordinate a and the weights
-    that form the block from the rows of M at reps,
+    the orbit's smallest unknown, ascending within an orbit), and types
+    holds per orbit size S (start, mats), the orbits from layout position
+    start on, with V[unknown[q], col] = mats[o][q - q_o, p - q_o] for the
+    o-th of them, first position q_o, and p the layout position of the
+    column.  The orbit has as many columns as unknowns, one per character b
+    and unknown of img[h] E (the _Split pairs column j of F with unknown j
+    of each row of E), so the column of F's column j is placed at the
+    position of unknown (b, img[h, E[j]]).  V^T x is thus held at the
+    columns' positions.  blocks holds (name, at, orbit, coef) per block:
+    at (D, m) the layout position of each column, orbit (m,) the orbit of
+    each coordinate a, and coef (D, m) the weights that form the block
+    from the rows of M at reps, the first unknown of each G-orbit,
 
         B[a, :] = sum_j coef[j, a] (M V)[reps[orbit[a]], segment j],
 
@@ -354,65 +358,63 @@ class _Group:
         orbit, count = np.argsort(np.lexsort((names, count)))[orbit], np.sort(count)
         self.unknown = np.argsort(orbit, kind="stable")
         first = np.cumsum(count) - count  # each orbit's first layout position
-        # per class member and _Split type: the representative unknowns u
-        # (n_t, |O|) of its orbits, and V's columns of F on them
-        self.blocks, parts, start = [], [], 0
-        col_orbit = np.empty_like(orbit)
+        row_at = np.argsort(self.unknown)  # the layout position of each unknown
+        mat_at = np.cumsum(count**2) - count**2  # each orbit's first entry in flat
+        flat = np.zeros(np.sum(count**2))
+        blocks, start, position = [], 0, np.empty_like(orbit)  # of each column
         for c, key, members in self.classes:
             split = self.splits[key]
             route = [(b, self.img[h]) for b, h in [(c, 0)] + members]
             parity = " ".join("xyz"[k] + "+-"[c >> t & 1] for t, k in enumerate(self.axes))
             begin = []
             for name, d, m in zip(split.names, split.dims, split.sizes):
-                self.blocks.append([" ".join(filter(None, (parity, name))) or "single", start,
-                                    len(route) * d, m])
+                blocks.append((" ".join(filter(None, (parity, name))) or "single", start,
+                               len(route) * d, m))
                 begin.append(start)
                 start += len(route) * d * m
             begin, dims, sizes = np.array(begin), np.array(split.dims), np.array(split.sizes)
             for e, f, irrep, row, coord in split.types:
                 for i, (b, perm) in enumerate(route):
+                    # V on the orbits' unknowns (g, u) (n_t, |O| each, at their
+                    # positions q in the orbit), column j of F at q[b, :, j]
                     u = perm[e]
-                    cols = begin[irrep] + (i * dims[irrep] + row) * sizes[irrep] + coord
-                    col_orbit[cols] = orbit[unknown[0, u[:, :1]]]
-                    parts.append((b, u, cols, f))
-        self.position = np.argsort(np.argsort(col_orbit, kind="stable"))
-        row_at = np.argsort(self.unknown)
-        mat_at = np.cumsum(count**2) - count**2  # each orbit's first entry in flat
-        flat = np.zeros(np.sum(count**2))
-        for b, u, cols, f in parts:
-            o = orbit[unknown[0, u[:, 0]]]
-            rows = mat_at[o, None] + (row_at[unknown[:, u]] - first[o, None]) * count[o, None]
-            at = rows[..., None] + (self.position[cols] - first[o, None])[:, None]
-            flat[at] = (chi[b, :, None, None] * sign[:, u])[..., None] * f  # (g, n_t, |O|, |O|)
+                    o = orbit[unknown[0, u[:, 0]]]
+                    q = row_at[unknown[:, u]] - first[o, None]
+                    position[begin[irrep] + (i * dims[irrep] + row) * sizes[irrep] + coord] = (
+                        q[b] + first[o, None])
+                    at = (mat_at[o, None] + q * count[o, None])[..., None] + q[b][:, None, :]
+                    flat[at] = (chi[b, :, None, None] * sign[:, u])[..., None] * f  # (g, n_t, |O|, |O|)
         self.types = []
         for k in np.unique(count):
             o0, o1 = np.searchsorted(count, [k, k + 1])
             self.types.append((first[o0], flat[mat_at[o0] : mat_at[o0] + (o1 - o0) * k * k]
                                .reshape(o1 - o0, k, k)))
         self.reps = self.unknown[first]
-        for block in self.blocks:
-            _, start, segs, m = block
-            col = start + np.arange(segs)[:, None] * m + np.arange(m)  # (D, m)
-            o = col_orbit[col[0]]
-            p = flat[mat_at[o] + self.position[col] - first[o]]  # V at each orbit's first unknown
-            block += [o, p / np.einsum("ja,ja->a", p, p)]
+        of = np.repeat(np.arange(len(count)), count)  # the orbit at each layout position
+        self.blocks = []
+        for name, start, segs, m in blocks:
+            at = position[start : start + segs * m].reshape(segs, m)
+            o = of[at[0]]
+            p = flat[mat_at[o] + at - first[o]]  # V at each orbit's first unknown
+            self.blocks.append((name, at, o, p / np.einsum("ja,ja->a", p, p)))
+
+    def chunks(self, w, values=None):
+        """(q, mats) per chunk of orbits of about values (_ROUTE_CHUNK)
+        complex values of w columns: the slice q of the layout that the chunk
+        holds and its orbit blocks of V."""
+        for start, mats in self.types:
+            n, size = mats.shape[:2]
+            step = max(1, (values or _ROUTE_CHUNK) // (size * w))
+            for o0 in range(0, n, step):
+                yield slice(start + o0 * size, start + min(n, o0 + step) * size), mats[o0 : o0 + step]
 
     def transform(self, buf, transpose=False):
         """buf (3N, w), complex and C-ordered, in the orbit layout, multiplied
-        by the orbit blocks of V (transpose: of V^T) in place, a chunk of
-        about _ROUTE_CHUNK values of orbits at a time: V^T moves the rows at
-        the unknowns' positions to the coordinates at the columns' positions,
-        V moves them back."""
-        flat = buf.view(float)
-        w = flat.shape[1]
-        for start, mats in self.types:
-            n, size = mats.shape[:2]
-            step = max(1, 2 * _ROUTE_CHUNK // (size * w))
-            for o0 in range(0, n, step):
-                part = flat[start + o0 * size : start + min(n, o0 + step) * size]
-                part = part.reshape(-1, size, w)
-                m = mats[o0 : o0 + step]
-                part[...] = (m.transpose(0, 2, 1) if transpose else m) @ part
+        by the orbit blocks of V (transpose: of V^T) in place, a chunk at a
+        time (chunks): V^T moves the rows at the unknowns' positions to the
+        coordinates at the columns' positions, V moves them back."""
+        for q, mats in self.chunks(buf.shape[1]):
+            _orbit_product(buf[q], mats, transpose)
 
     def describe(self):
         """The group in words: its mirrors, its axis permutations and its order."""
@@ -427,7 +429,15 @@ class _Group:
     def block_names(self):
         """(name, rows) of each block in solve order: the class representative's
         parity under each mirror and the irrep of its stabilizer."""
-        return [(name, m) for name, _, _, m, *_ in self.blocks]
+        return [(name, at.shape[1]) for name, at, *_ in self.blocks]
+
+
+def _orbit_product(part, mats, transpose):
+    """part (S n, w), complex and C-ordered, the layout rows of n orbits of
+    size S, multiplied in place by their orbit blocks mats (n, S, S) of V
+    (transpose: of V^T)."""
+    flat = part.view(float).reshape(len(mats), mats.shape[1], -1)
+    flat[...] = (mats.transpose(0, 2, 1) if transpose else mats) @ flat
 
 
 def _orbits(index, A, left, right, diag):
@@ -520,39 +530,43 @@ def _forward(group, cols, lift=None, conj=False):
 
     The columns (with the 3x3 lift applied per voxel, see _lifted) go a chunk
     of about _ROUTE_CHUNK values at a time to the orbit layout, where
-    _Group.transform multiplies them by V^T in place.  A segment of a
-    column, its m coordinates of one (member, irrep row) of a block, whose
-    squared norm is at most _LEAK^2 times that of all the column's
-    coordinates (2^s ||x||^2) is roundoff and is not kept: part (n, m) holds
-    the block's kept segments, segment seg[i] of column col[i] in row i,
-    chunk by chunk, in each chunk segment by segment.  A column of definite
-    parity under every mirror reaches one class, one of definite symmetry
-    one block, and an all-zero column none.  With conj, conj(cols) goes
-    through the same chunks with the segments of cols, and conj_part holds
-    them (else None).
+    _Group.transform multiplies them by V^T in place, and on to V's column
+    order (block by block, segment by segment, from each block's layout
+    positions at).  A segment of a column, its m coordinates of one
+    (member, irrep row) of a block, whose squared norm is at most
+    _LEAK^2 times that of all the column's coordinates (2^s ||x||^2) is
+    roundoff and is not kept: part (n, m) holds the block's kept segments,
+    segment seg[i] of column col[i] in row i, chunk by chunk, in each chunk
+    segment by segment.  A column of definite parity under every mirror
+    reaches one class, one of definite symmetry one block, and an all-zero
+    column none.  With conj, conj(cols) goes through the same chunks with
+    the segments of cols, and conj_part holds them (else None).
     """
     def segments(k0, chunk):
         ys = []
         for x in [chunk, chunk.conj()] if conj else [chunk]:
             y = (x if lift is None else _lifted(x, lift)).reshape(len(x), -1).T[group.unknown]
             group.transform(y, transpose=True)
-            ys.append(y[group.position])  # V^T x in V's column order
+            ys.append(y[order])  # V^T x in V's column order
         del y
         v = ys[0].view(float)
         norm = np.zeros((len(starts), len(chunk)))  # of each segment and column
         norm[filled] = np.add.reduceat(v * v, starts[filled]).reshape(-1, len(chunk), 2).sum(axis=2)
         keep = norm > _LEAK**2 * norm.sum(axis=0)
-        out, j = [], 0
-        for _, start, segs, m, *_ in group.blocks:
-            hit = keep[j : j + segs]
+        out, j, b0 = [], 0, 0
+        for _, at, *_ in group.blocks:
+            (segs, m), hit = at.shape, keep[j : j + len(at)]
             seg, col = np.nonzero(hit)
-            out.append([seg, col + k0] + [y[start : start + segs * m].reshape(segs, m, len(chunk))
+            out.append([seg, col + k0] + [y[b0 : b0 + at.size].reshape(segs, m, len(chunk))
                                           .transpose(0, 2, 1)[hit] for y in ys])
-            j += segs
+            j, b0 = j + segs, b0 + at.size
         return out
 
-    starts = np.concatenate([start + m * np.arange(segs) for _, start, segs, m, *_ in group.blocks])
-    filled = np.diff(starts, append=group.unknown.size) > 0  # a segment of no coordinate has none
+    # V's columns block by block, segment by segment: the layout position of
+    # each, and the first of each segment (a segment of no coordinate has none)
+    order = np.concatenate([at.ravel() for _, at, *_ in group.blocks])
+    size = np.concatenate([[at.shape[1]] * len(at) for _, at, *_ in group.blocks])
+    starts, filled = np.cumsum(size) - size, size > 0
     step = max(1, _ROUTE_CHUNK // group.unknown.size)
     pieces = [segments(k0, cols[k0 : k0 + step]) for k0 in range(0, max(len(cols), 1), step)]
     out = []
@@ -601,13 +615,13 @@ def _blocked_solve(blocks, group, rhs, what):
     Three stages: the forward route V^T rhs (_forward, which keeps only the
     segments that a column reaches), the block solves, each segment a
     further column of its block, and the backward route V X / 2^s
-    (_backward), whose full-layout coordinates are allocated only after the
-    solves.  blocks may be any iterable, such as the stream of
-    _gather_blocks: each block is taken from it just before its solve and
-    dropped after it, so at most one block is held here.  Each block is
-    factored in its own memory and solves its segments in place in one
-    zsysv call, also when it carries none, so a singular block raises
-    naming it, before rhs is written (_solve_block).
+    (_backward), whose coordinates are allocated only after the solves.
+    blocks may be any iterable, such as the stream of _gather_blocks: each
+    block is taken from it just before its solve and dropped after it, so
+    at most one block is held here.  Each block is factored in its own
+    memory and solves its segments in place in one zsysv call, also when it
+    carries none, so a singular block raises naming it, before rhs is
+    written (_solve_block).
     """
     x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
     routed = _forward(group, x.T.reshape(x.shape[1], -1, 3))
@@ -615,9 +629,9 @@ def _blocked_solve(blocks, group, rhs, what):
     for (name, *_), (part, *_) in zip(group.blocks, routed):
         _solve_block(name, next(blocks), part, what)
     coords = np.zeros(x.shape, dtype=complex)
-    for i, (_, start, _, m, *_) in enumerate(group.blocks):
+    for i, (_, at, *_) in enumerate(group.blocks):
         (part, seg, col, _), routed[i] = routed[i], None
-        coords[group.position[start + seg[:, None] * m + np.arange(m)], col[:, None]] = part
+        coords[at[seg], col[:, None]] = part
     _backward(group, coords, x)
     return x.reshape(rhs.shape)
 
@@ -712,30 +726,34 @@ class VieSystem:
         right = np.eye(3) if right is None else right
         return self.apply(v, 2.0 * left @ Ah, Ah @ right, left @ right)
 
-    def _offset_blocks(self, left, right):
-        """(blocks, box): left K(o) right for every box offset o, flat (prod(box), 3, 3)."""
-        table = np.fft.ifftn(self.kernel_hat, axes=_BOX_AXES).reshape(6, -1)[_UNPACK]
-        table = np.tensordot(left, table, axes=(1, 0))
-        return np.einsum("aco,cd->oad", table, right), self.kernel_hat.shape[1:]
+    def _offset_blocks(self, left, right, diag, pairs):
+        """The table (len(pairs), prod(box)) of diag + left K(o) right: row e
+        holds its entry pairs[e] = (a, b) at every box offset o (diag at
+        o = 0, box position 0), by one inverse FFT of the packed symbol mixed
+        by the factors."""
+        a, b = np.array(pairs).T
+        mix = np.zeros((len(pairs), 6), dtype=complex)
+        np.add.at(mix, (slice(None), _UNPACK), np.einsum("ac,db->abcd", left, right)[a, b])
+        table = (mix @ self.kernel_hat.reshape(6, -1)).reshape(-1, *self.kernel_hat.shape[1:])
+        table = np.fft.ifftn(table, axes=_BOX_AXES, out=table).reshape(len(pairs), -1)
+        table[:, 0] += diag[a, b]
+        return table
 
     def dense(self, left=None, right=None, diag=None):
-        """The (3N, 3N) matrix of apply(., left, right, diag), gathered from the
-        table a chunk of about _GATHER_CHUNK 3x3 blocks at a time.
-
-        It is the one block of the one-element group (see _gather_blocks).
-        """
+        """The (3N, 3N) matrix of apply(., left, right, diag), gathered from
+        the 9-entry table (_offset_blocks) a chunk of about _GATHER_CHUNK 3x3
+        blocks at a time.  It is the one block of the one-element group (see
+        _gather_blocks)."""
         eye = np.eye(3)
-        table, box = self._offset_blocks(eye if left is None else left,
-                                         eye if right is None else right)
-        if diag is not None:
-            table[0] += diag  # box position 0 is offset 0: each cell with itself
+        table = self._offset_blocks(eye if left is None else left, eye if right is None else right,
+                                    0 * eye if diag is None else diag, list(np.ndindex(3, 3)))
         n = self.n_cells
         out = np.empty((n, 3, n, 3), dtype=complex)
         chunk = max(1, _GATHER_CHUNK // n)
         for i0 in range(0, n, chunk):
             diff = self.index[i0 : i0 + chunk, None, :] - self.index[None, :, :]
-            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
-            out[i0 : i0 + chunk] = table[off].transpose(0, 2, 1, 3)
+            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), self.kernel_hat.shape[1:], mode="wrap")
+            out[i0 : i0 + chunk] = table[:, off].reshape(3, 3, -1, n).transpose(2, 0, 3, 1)
         return out.reshape(3 * n, 3 * n)
 
     def _gather_blocks(self, group, left, right, diag):
@@ -746,34 +764,25 @@ class VieSystem:
         block's first segment V_0 of V, and it is formed from the rows of M
         at the G-orbit representatives group.reps only (see _Group).  M is
         complex symmetric, as zsysv factors its blocks, so the table holds
-        the 6 distinct entries of each 3x3 block, diag added at offset 0,
-        made by one inverse FFT of the mixed packed symbol.  The rows are
-        gathered from it a chunk of about _GATHER_CHUNK 3x3 blocks at a
-        time, straight into one (3N, orbits) array in the orbit layout, and
-        the table is dropped: this one pass holds the table and the
-        representatives' rows, the gather's floor.  _Group.transform
-        multiplies the rows by V in place, and each block is formed from
-        those products, a segment and a chunk of its rows at a time, and
-        handed out before the next is formed; the rows are dropped before the
-        last block is handed out, and the generator keeps no block it has
-        handed out, so a caller that drops each block after use holds one
-        block at most.  The one-element group has V = I: its one block is M
-        itself (dense).  Each block is C-ordered.
+        the 6 distinct entries of each 3x3 block (_offset_blocks).  The rows
+        are gathered from it a chunk of orbits at a time (_Group.chunks, in
+        the orbit layout), multiplied by the chunk's orbit blocks of V in
+        place and moved to one array per block, the block's columns of
+        M_reps V; then the table is dropped.  This one pass holds the table
+        and the representatives' rows, the gather's floor.  Each block is
+        formed from its own array, a segment and a chunk of its rows at a
+        time, the array is dropped, and the block is handed out before the
+        next is formed: the rows held fall block by block, and the
+        generator keeps no block it has handed out, so a caller that drops
+        each block after use holds one block at most.  The one-element group
+        has V = I: its one block is M itself (dense).  Each block is
+        C-ordered.
         """
         if group.order == 1:
             yield self.dense(left, right, diag)
             return
-        # M is complex symmetric, as zsysv factors its blocks: row _UNPACK[a, b]
-        # of the table holds entry (a, b) of diag + left K(o) right, for every
-        # offset o (diag at o = 0, box position 0)
+        table = self._offset_blocks(left, right, diag, _PACK).reshape(-1)
         box = self.kernel_hat.shape[1:]
-        mix = np.zeros((6, 6), dtype=complex)
-        np.add.at(mix, (slice(None), _UNPACK),
-                  np.einsum("ac,db->abcd", left, right)[tuple(np.array(_PACK).T)])
-        table = (mix @ self.kernel_hat.reshape(6, -1)).reshape(6, *box)
-        table = np.fft.ifftn(table, axes=_BOX_AXES, out=table).reshape(6, -1)
-        table[:, 0] += diag[tuple(np.array(_PACK).T)]
-        table = table.reshape(-1)
         reps = group.reps
         cells, rep_cell = np.unique(reps // 3, return_inverse=True)
         diff = self.index[None, cells, :] - self.index[:, None, :]
@@ -781,26 +790,29 @@ class VieSystem:
         off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap").astype(np.int32)
         del diff
         entry = (np.prod(box) * _UNPACK[:, reps % 3]).astype(np.int32)  # each component's row
-        rows = np.empty((self.index.size, len(reps)), dtype=complex)  # M[reps[o], unknown[q]]
-        chunk = max(1, 9 * _GATHER_CHUNK // len(reps))
-        for q0 in range(0, len(rows), chunk):
-            u = group.unknown[q0 : q0 + chunk]
-            np.take(table, off[u // 3][:, rep_cell] + entry[u % 3], out=rows[q0 : q0 + chunk],
-                    mode="clip")  # unbuffered
+        # rows[i][k, o] = (M V)[reps[o], the column of block i at layout position pos[i][k]]
+        pos = [np.sort(at.ravel()) for _, at, *_ in group.blocks]
+        rows = [np.empty((len(p), len(reps)), dtype=complex) for p in pos]
+        # half a route chunk: the pass holds a chunk's rows and their product
+        # with V beside the table and every block's rows
+        for q, mats in group.chunks(len(reps), _ROUTE_CHUNK // 2):
+            u = group.unknown[q]
+            part = np.take(table, off[u // 3][:, rep_cell] + entry[u % 3], mode="clip")  # unbuffered
+            _orbit_product(part, mats, True)
+            for p, block_rows in zip(pos, rows):
+                k0, k1 = p.searchsorted((q.start, q.stop))
+                block_rows[k0:k1] = part[p[k0:k1] - q.start]
         del table, off
-        group.transform(rows, transpose=True)  # rows[position[col], o] = (M V)[reps[o], col]
-        last = len(group.blocks) - 1
-        for i, (_, start, segs, m, orbit, coef) in enumerate(group.blocks):
+        for i, (_, at, orbit, coef) in enumerate(group.blocks):
+            m, block_rows, rows[i] = at.shape[1], rows[i], None
             block = np.zeros((m, m), dtype=complex)
             step = max(1, 9 * _GATHER_CHUNK // max(m, 1))
-            for j in range(segs):
+            for j, seg in enumerate(np.searchsorted(pos[i], at)):
                 # part[a, b] = (M V)[reps[orbit[a]], column b of segment j], a chunk of a at a time
-                part = rows[group.position[start + j * m : start + (j + 1) * m]].T
+                part = block_rows[seg].T
                 for a0 in range(0, m, step):
                     block[a0 : a0 + step] += coef[j, a0 : a0 + step, None] * part[orbit[a0 : a0 + step]]
-            del part
-            if i == last:
-                del rows  # the stream holds nothing once it has formed its last block
+            del part, block_rows
             yield block
             del block
 
@@ -1182,11 +1194,12 @@ def _half_pairing(sys, contrast, fields):
     the seeded combination X r is kept, and the block, B and X are dropped.
     No two blocks, and no two blocks' copies of B, are held at once, and the
     (P, P) sum is allocated only once the first block has come, after the
-    gather's pass.  Of the P solved columns only X r is mapped back (_backward), for the Freivalds
-    probe of resolvent_solve and the residual of solve_density, with their
-    tolerances.  Pairs of fields that share no segment (waves of different
-    mirror characters) are exact zeros.  On the GMRES path resolvent_solve
-    gives X and the pairing is one product, with no basis.
+    gather's pass.  Of the P solved columns only X r is mapped back
+    (_backward), for the Freivalds probe of resolvent_solve and the residual
+    of solve_density, with their tolerances.  Pairs of fields that share no
+    segment (waves of different mirror characters, or of one character in
+    different irreps of its stabilizer) are exact zeros.  On the GMRES path
+    resolvent_solve gives X and the pairing is one product, with no basis.
     """
     g = _checked_fields(sys, fields)
     k, n = g.shape[0], sys.n_cells
@@ -1212,7 +1225,7 @@ def _half_pairing(sys, contrast, fields):
         # the fields are routed: a caller's temporary is freed before the gather
         del fields, g
         blocks = sys._gather_blocks(group, *factors)
-        for i, (name, start, segs, m, *_) in enumerate(group.blocks):
+        for i, (name, at, *_) in enumerate(group.blocks):
             (part, seg, col, left), routed[i] = routed[i], None
             block = next(blocks)
             if i == 0:  # allocated after the gather's pass, which the first block ends
@@ -1224,14 +1237,14 @@ def _half_pairing(sys, contrast, fields):
             del block
             # B and X of the columns ks that reach the block, (ks, D m), zero
             # on the segments a column does not reach
-            ks, at = np.unique(col, return_inverse=True)
-            b, x = (np.zeros((len(ks), segs * m), dtype=complex) for _ in range(2))
-            b.reshape(len(ks), segs, m)[at, seg] = left
+            ks, which = np.unique(col, return_inverse=True)
+            b, x = (np.zeros((len(ks), at.size), dtype=complex) for _ in range(2))
+            b.reshape(len(ks), *at.shape)[which, seg] = left
             del left
-            x.reshape(len(ks), segs, m)[at, seg] = part
+            x.reshape(len(ks), *at.shape)[which, seg] = part
             del part
             out[np.ix_(ks, ks)] += b @ x.T
-            coords[group.position[start : start + segs * m], 0] = r[ks] @ x
+            coords[at.reshape(-1), 0] = r[ks] @ x
             del b, x
         out *= 0.25 / len(group.cells)
         _backward(group, coords, xr)

@@ -36,7 +36,7 @@ from tdscope import (
     truncation_order,
     surface_order_hint,
 )
-from tdscope import Ball, imaging, voxelize
+from tdscope import Ball, imaging, vie, voxelize
 from tdscope.imaging import _scatter_matrix
 from tdscope.specfun_quad import harmonics_table, regular_wave_gradients
 
@@ -877,7 +877,8 @@ def test_spectral_factor_is_real_and_factors_G(surface_r5, bg_unit):
     assert np.abs(g - gc).max() <= 1e-13 * np.abs(gc).max()
 
 
-def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg_unit):
+def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg_unit,
+                                                                 mb_reference):
     sys = assemble(ball_grid_h6, bg_unit)
     centers = sys.grid.centers
     fac = KernelG(sphere_surface(5.0, 20), bg_unit).factor(centers, centers)
@@ -898,12 +899,26 @@ def test_centred_ball_wave_response_is_block_diagonal_by_parity(ball_grid_h6, bg
         cls += (odd < even) << k
     assert fac.rank == 196
     assert np.bincount(cls, minlength=8).tolist() == [28, 28, 28, 21, 28, 21, 21, 21]
-    t_w = imaging._half_pairing(sys, iso_contrast(1.0, 2.0), waves)
-    # pairs of waves that share no segment of a block are never formed: exact
-    # zeros for waves of different characters (and for waves of one character
-    # in different irreps of its stabilizer), while each wave pairs with itself
+    contrast = iso_contrast(1.0, 2.0)
+    t_w = imaging._half_pairing(sys, contrast, waves)
+    # every pair is the dense reference's 1/2 W^T M_B W
+    p = len(waves)
+    want = 0.5 * waves.reshape(p, -1) @ mb_reference(sys, contrast, waves).reshape(p, -1).T
+    assert np.abs(t_w - want).max() <= 1e-12 * np.abs(want).max()
+    # a pair is formed, and nonzero, exactly when its two waves share a
+    # segment of a block (read from the forward route); the others are exact
+    # zeros: every pair of waves of different characters, and waves of one
+    # character in different irreps of its stabilizer.  Each wave pairs with
+    # itself.
+    factors = vie._system_factors(contrast, sys.bg)
+    group = vie._orbits(sys.index, sys.bg.A.matrix, *factors)
+    share = np.zeros((p, p), dtype=bool)
+    for _, seg, col, _ in vie._forward(group, waves, -factors[0]):
+        for s in np.unique(seg):
+            share[np.ix_(col[seg == s], col[seg == s])] = True
+    assert np.array_equal(t_w != 0.0, share)
     off = cls[:, None] != cls[None, :]
-    assert np.all(t_w[off] == 0.0) and np.all(np.diag(t_w) != 0.0)
+    assert not share[off].any() and share.diagonal().all() and share[~off].mean() < 1.0
 
 
 def _one_call_waves(fac, pts, rho):
