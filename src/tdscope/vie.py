@@ -57,8 +57,9 @@ swap (_Split).  V's columns run block by block, in a block by class member
 and irrep row (the block's segments, each a further copy of B), and by
 coordinate.  A column of V reads one G-orbit of the unknowns only, so V is
 block diagonal over the orbits and is held as one small square real matrix
-per orbit, stacked per orbit size, and applied by a gather and a batched
-matmul in place (_Group.transform).  Every symmetry operation goes through
+per kind of orbit (orbits whose blocks of V are equal share one), and
+applied kind by kind in place, one matmul broadcast over the kind's orbits
+(_Group.transform).  Every symmetry operation goes through
 V: the forward route V^T x (_forward), a chunk of columns at a time, keeps
 only the segments a column reaches (a column of definite parity under
 every mirror, such as a real regular wave about the lattice centre,
@@ -292,19 +293,22 @@ class _Group:
     the mirrors, T_g the mirror's signs and F the irrep basis.  A column
     reads only the unknowns of one G-orbit, so V is block diagonal over the
     G-orbits, and it is held that way, in the orbit layout: unknown[q] is
-    the unknown at layout position q (orbit by orbit, by size and then by
-    the orbit's smallest unknown, ascending within an orbit), and types
-    holds per orbit size S (start, mats), the orbits from layout position
-    start on, with V[unknown[q], col] = mats[o][q - q_o, p - q_o] for the
-    o-th of them, first position q_o, and p the layout position of the
-    column.  The orbit has as many columns as unknowns, one per character b
+    the unknown at layout position q, orbit by orbit, ascending within an
+    orbit.  The orbit has as many columns as unknowns, one per character b
     and unknown of img[h] E (the _Split pairs column j of F with unknown j
     of each row of E), so the column of F's column j is placed at the
-    position of unknown (b, img[h, E[j]]).  V^T x is thus held at the
-    columns' positions.  blocks holds (name, at, orbit, coef) per block:
-    at (D, m) the layout position of each column, orbit (m,) the orbit of
-    each coordinate a, and coef (D, m) the weights that form the block
-    from the rows of M at reps, the first unknown of each G-orbit,
+    position of unknown (b, img[h, E[j]]), and V^T x is held at the
+    columns' positions.  Orbits whose blocks of V are equal (of 106 on the
+    resolution-14 ball, 8 distinct) share one: types holds (start, n, mat)
+    per kind, the n orbits from layout position start on, each of size S =
+    len(mat), with V[unknown[q], col] = mat[q - q_o, p - q_o] for the orbit
+    at first position q_o and p the layout position of the column.  The
+    orbits are numbered by size and then by their smallest unknown, and
+    the layout takes them kind by kind in that order.  blocks holds (name,
+    at, orbit, coef) per block: at (D, m) the layout position of each
+    column, orbit (m,) the orbit number of each coordinate a, and coef
+    (D, m) the weights that form the block from the rows of M at reps, the
+    smallest unknown of each G-orbit in orbit order,
 
         B[a, :] = sum_j coef[j, a] (M V)[reps[orbit[a]], segment j],
 
@@ -384,37 +388,48 @@ class _Group:
                         q[b] + first[o, None])
                     at = (mat_at[o, None] + q * count[o, None])[..., None] + q[b][:, None, :]
                     flat[at] = (chi[b, :, None, None] * sign[:, u])[..., None] * f  # (g, n_t, |O|, |O|)
-        self.types = []
-        for k in np.unique(count):
-            o0, o1 = np.searchsorted(count, [k, k + 1])
-            self.types.append((first[o0], flat[mat_at[o0] : mat_at[o0] + (o1 - o0) * k * k]
-                               .reshape(o1 - o0, k, k)))
-        self.reps = self.unknown[first]
         of = np.repeat(np.arange(len(count)), count)  # the orbit at each layout position
+        self.reps = self.unknown[first]
         self.blocks = []
         for name, start, segs, m in blocks:
             at = position[start : start + segs * m].reshape(segs, m)
             o = of[at[0]]
             p = flat[mat_at[o] + at - first[o]]  # V at each orbit's first unknown
-            self.blocks.append((name, at, o, p / np.einsum("ja,ja->a", p, p)))
+            self.blocks.append([name, at, o, p / np.einsum("ja,ja->a", p, p)])
+        # orbits whose blocks of V are equal share one matrix, and the layout
+        # takes them kind by kind
+        kind, mats, seen = np.empty(len(count), dtype=int), [], {}
+        for o, k in enumerate(count):
+            mat = flat[mat_at[o] : mat_at[o] + k * k]
+            kind[o] = seen.setdefault(mat.tobytes(), len(seen))
+            if kind[o] == len(mats):
+                mats.append(mat.reshape(k, k).copy())
+        order = np.argsort(kind, kind="stable")
+        start = np.empty_like(first)
+        start[order] = np.cumsum(count[order]) - count[order]
+        moved = start[of] + np.arange(len(of)) - first[of]  # the new place of each position
+        self.unknown[moved] = self.unknown.copy()
+        for block in self.blocks:
+            block[1] = moved[block[1]]
+        n = np.bincount(kind)
+        self.types = list(zip(np.cumsum([0] + [len(m) * c for m, c in zip(mats, n)]), n, mats))
 
     def chunks(self, w, values=None):
-        """(q, mats) per chunk of orbits of about values (_ROUTE_CHUNK)
-        complex values of w columns: the slice q of the layout that the chunk
-        holds and its orbit blocks of V."""
-        for start, mats in self.types:
-            n, size = mats.shape[:2]
-            step = max(1, (values or _ROUTE_CHUNK) // (size * w))
+        """(q, mat) per chunk of orbits of one kind of about values
+        (_ROUTE_CHUNK) complex values of w columns: the slice q of the layout
+        that the chunk holds and the orbits' block of V."""
+        for start, n, mat in self.types:
+            step = max(1, (values or _ROUTE_CHUNK) // (len(mat) * w))
             for o0 in range(0, n, step):
-                yield slice(start + o0 * size, start + min(n, o0 + step) * size), mats[o0 : o0 + step]
+                yield slice(start + o0 * len(mat), start + min(n, o0 + step) * len(mat)), mat
 
     def transform(self, buf, transpose=False):
         """buf (3N, w), complex and C-ordered, in the orbit layout, multiplied
         by the orbit blocks of V (transpose: of V^T) in place, a chunk at a
         time (chunks): V^T moves the rows at the unknowns' positions to the
         coordinates at the columns' positions, V moves them back."""
-        for q, mats in self.chunks(buf.shape[1]):
-            _orbit_product(buf[q], mats, transpose)
+        for q, mat in self.chunks(buf.shape[1]):
+            buf[q] = _orbit_product(buf[q], mat, transpose)
 
     def describe(self):
         """The group in words: its mirrors, its axis permutations and its order."""
@@ -432,12 +447,12 @@ class _Group:
         return [(name, at.shape[1]) for name, at, *_ in self.blocks]
 
 
-def _orbit_product(part, mats, transpose):
+def _orbit_product(part, mat, transpose):
     """part (S n, w), complex and C-ordered, the layout rows of n orbits of
-    size S, multiplied in place by their orbit blocks mats (n, S, S) of V
-    (transpose: of V^T)."""
-    flat = part.view(float).reshape(len(mats), mats.shape[1], -1)
-    flat[...] = (mats.transpose(0, 2, 1) if transpose else mats) @ flat
+    size S that share the block mat (S, S) of V, multiplied by it
+    (transpose: by its transpose), as a new array of part's shape."""
+    flat = part.view(float).reshape(-1, len(mat), 2 * part.shape[1])
+    return ((mat.T if transpose else mat) @ flat).reshape(part.shape[0], -1).view(complex)
 
 
 def _orbits(index, A, left, right, diag):
@@ -795,10 +810,10 @@ class VieSystem:
         rows = [np.empty((len(p), len(reps)), dtype=complex) for p in pos]
         # half a route chunk: the pass holds a chunk's rows and their product
         # with V beside the table and every block's rows
-        for q, mats in group.chunks(len(reps), _ROUTE_CHUNK // 2):
+        for q, mat in group.chunks(len(reps), _ROUTE_CHUNK // 2):
             u = group.unknown[q]
             part = np.take(table, off[u // 3][:, rep_cell] + entry[u % 3], mode="clip")  # unbuffered
-            _orbit_product(part, mats, True)
+            part = _orbit_product(part, mat, True)
             for p, block_rows in zip(pos, rows):
                 k0, k1 = p.searchsorted((q.start, q.stop))
                 block_rows[k0:k1] = part[p[k0:k1] - q.start]

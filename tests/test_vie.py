@@ -868,14 +868,14 @@ def test_transform_runs_in_chunks_with_the_bits_of_one_pass(rng, monkeypatch, bg
         monkeypatch.setattr(vie, "_ROUTE_CHUNK", chunk)
     sys = assemble(voxelize(Ball(0.5), 1.0 / 12.0), bg_unit)
     group, _ = _group_and_factors(sys, iso_contrast(1.0, 2.0))
-    assert group.order == 48 and max(mats.shape[1] for _, mats in group.types) == 48
+    assert group.order == 48 and max(len(mat) for *_, mat in group.types) == 48
     shape = (group.unknown.size, 256)
     buf = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = buf.copy()
     flat = want.view(float)
-    for start, mats in group.types:
-        part = flat[start : start + mats.shape[0] * mats.shape[1]].reshape(*mats.shape[:2], -1)
-        part[...] = mats.transpose(0, 2, 1) @ part
+    for start, n, mat in group.types:
+        part = flat[start : start + n * len(mat)].reshape(n, len(mat), -1)
+        part[...] = mat.T @ part
     got = buf.copy()
     _, peak = peak_bytes(group.transform, got, True)
     assert np.array_equal(got, want)
@@ -1033,10 +1033,9 @@ def _route_full_layout(group, cols, lift, conj):
     for x in [cols, cols.conj()] if conj else [cols]:
         y = vie._lifted(x, lift).reshape(len(x), -1).T[group.unknown]
         flat = y.view(float)
-        for start, mats in group.types:
-            n, size = mats.shape[:2]
-            part = flat[start : start + n * size].reshape(n, size, -1)
-            part[...] = mats.transpose(0, 2, 1) @ part
+        for start, n, mat in group.types:
+            part = flat[start : start + n * len(mat)].reshape(n, len(mat), -1)
+            part[...] = mat.T @ part
         ys.append(y)
     total = (ys[0].real**2 + ys[0].imag**2).sum(axis=0)
     routed = []
@@ -1200,10 +1199,10 @@ def _dense_basis(group):
     # the column of V at each layout position
     column = np.argsort(np.concatenate([at.ravel() for _, at, *_ in group.blocks]))
     v = np.zeros((n3, n3))
-    for start, mats in group.types:
-        at = slice(start, start + mats.shape[0] * mats.shape[1])
-        rows = group.unknown[at].reshape(mats.shape[:2])
-        v[rows[:, :, None], column[at].reshape(mats.shape[:2])[:, None, :]] = mats
+    for start, n, mat in group.types:
+        at = slice(start, start + n * len(mat))
+        rows = group.unknown[at].reshape(n, len(mat))
+        v[rows[:, :, None], column[at].reshape(n, len(mat))[:, None, :]] = mat
     return v
 
 
@@ -1301,10 +1300,10 @@ def test_basis_is_real_orthogonal_and_block_diagonal_over_the_orbits(case):
     v = _dense_basis(group)
     assert v.dtype == float
     assert np.abs(v.T @ v - len(group.cells) * np.eye(n3)).max() <= 1e-14 * len(group.cells)
-    for start, mats in group.types:
-        assert mats.shape[1] == mats.shape[2]
-        size = mats.shape[1]
-        for orbit in group.unknown[start : start + len(mats) * size].reshape(-1, size):
+    for start, n, mat in group.types:
+        assert mat.shape == (len(mat), len(mat))
+        size = len(mat)
+        for orbit in group.unknown[start : start + n * size].reshape(-1, size):
             # the images of its first unknown (mirror g, representative
             # unknown v) under every mirror and axis permutation
             g, r = np.argwhere(group.cells == orbit[0] // 3)[0]
