@@ -455,7 +455,23 @@ def _orbit_product(part, mat, transpose):
     return ((mat.T if transpose else mat) @ flat).reshape(part.shape[0], -1).view(complex)
 
 
+# the last _Group that _orbits found, by its arguments: a study that pairs on
+# several systems of one grid and contrast (finite_delta's trial balls)
+# builds it once
+_LAST_GROUP = {}
+
+
 def _orbits(index, A, left, right, diag):
+    """The _Group of signed axis permutations of diag + left gradW right
+    (_find_group), kept for the next call with equal arguments."""
+    key = tuple((m.shape, m.dtype.str, m.tobytes()) for m in (index, A, left, right, diag))
+    if key not in _LAST_GROUP:
+        _LAST_GROUP.clear()
+        _LAST_GROUP[key] = _find_group(index, A, left, right, diag)
+    return _LAST_GROUP[key]
+
+
+def _find_group(index, A, left, right, diag):
     """The _Group of signed axis permutations of diag + left gradW right.
 
     Axis k is a mirror axis when reversing the lattice positions index (N, 3)

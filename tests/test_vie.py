@@ -1315,6 +1315,18 @@ def test_basis_is_real_orthogonal_and_block_diagonal_over_the_orbits(case):
     assert total == sum(at.size for _, at, *_ in group.blocks) == n3
 
 
+def test_orbits_keeps_the_last_group_for_equal_arguments(sys_h6):
+    # a study that pairs on several systems of one grid and contrast (the
+    # finite-delta trial balls) builds the group once; another contrast
+    # builds its own, and the last group found is the one kept
+    contrast = iso_contrast(1.0, 2.0)
+    group, _ = _group_and_factors(sys_h6, contrast)
+    again, _ = _group_and_factors(assemble(sys_h6.grid, sys_h6.bg), contrast)
+    assert again is group
+    other, _ = _group_and_factors(sys_h6, iso_contrast(1.0, 0.5))
+    assert other is not group and _group_and_factors(sys_h6, contrast)[0] is not group
+
+
 def _arrays_reachable(obj, seen=None):
     """Every ndarray reachable from obj through containers and instance attributes."""
     seen = set() if seen is None else seen
