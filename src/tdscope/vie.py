@@ -45,44 +45,43 @@ an ellipsoid with two equal semi-axes keeps the 8 mirrors and one swap, and
 one with three distinct semi-axes or a tensor contrast the 8 mirrors.
 
 The dense solve works in one real basis V of the unknowns (_Group), the
-symmetry-adapted basis of that group G (Fassler & Stiefel, Group
-Theoretical Methods and Their Applications, 1992, ch. 4-5): V^T V = 2^s I,
-and V^T M V / 2^s is block diagonal.  The mirrors Z2^s split the system by
-character c; an axis permutation p maps c to p(c) with B_p(c) = U_p B_c
-U_p^T for a permutation U_p of the unknowns, so one block is formed per
-class of characters; and the stabilizer of the class representative (all
-of S3, a swap, or nothing) splits it again, one complex-symmetric block B
-per irreducible representation: A1, A2 and E for S3, even and odd for a
-swap (_Split).  V's columns run block by block, in a block by class member
-and irrep row (the block's segments, each a further copy of B), and by
+symmetry-adapted basis of that group G (Fassler & Stiefel, Group Theoretical
+Methods and Their Applications, 1992, ch. 4-5): V^T V = 2^s I, and V^T M V
+/ 2^s is block diagonal.  The mirrors Z2^s split the system by character c;
+an axis permutation p maps c to p(c) with B_p(c) = U_p B_c U_p^T for a
+permutation U_p of the unknowns, so one block is formed per class of
+characters; and the stabilizer of the class representative (all of S3, a
+swap, or nothing) splits it again, one complex-symmetric block B per
+irreducible representation: A1, A2 and E for S3, even and odd for a swap
+(_Split).  V's columns run block by block, in a block by class member and
+irrep row (the block's segments, each a further copy of B), and by
 coordinate.  A column of V reads one G-orbit of the unknowns only, so V is
 block diagonal over the orbits and is held as one small square real matrix
 per kind of orbit (orbits whose blocks of V are equal share one), and
 applied kind by kind in place, one matmul broadcast over the kind's orbits
-(_Group.transform).  Every symmetry operation goes through
-V: the forward route V^T x (_forward), a chunk of columns at a time, keeps
-only the segments a column reaches (a column of definite parity under
-every mirror, such as a real regular wave about the lattice centre,
-reaches one class); the backward route is V y / 2^s (_backward); and each
-block is formed from the rows of M at one representative unknown per
-G-orbit times V, B[a, :] a fixed combination of the row of a's orbit
-(VieSystem._gather_blocks).  Those rows, about 3N^2 / |G| values, are the
-only part of M gathered from the table, in one pass from a 6-entry packed
-table of the 3x3 blocks, each block's columns of them into an array of its
-own; the blocks are handed out one at a time (a generator), none kept
-after, and each block's rows are dropped once it is formed.  On the ball
-at resolution 14 (3N = 4,416, 106 orbits) the gather's tracemalloc peak,
-consumed a block at a time, is 10.6 MB, the pass itself: 7.5 MB of rows
-and 2.1 MB of table (at resolution 16 20.5 MB); the blocks are 10 of at
-most 290 rows instead of 8 of 552.  Each block is factored and solved by one zsysv call
-(Bunch-Kaufman LDL^T, then LAPACK's level-3 zsytrs2) in its own memory,
-each routed segment a further column, solved in place and, by
-solve_density, mapped back; each block is taken from the gather's stream
-just before its solve and dropped after it.  The response 1/2 F^H M_B F of
-P fields (_half_pairing) is paired inside the blocks instead, one B^T X
-per block as the block comes, so only one seeded combination of the solved
-columns is mapped back, for the residual checks.  With no symmetry V = I
-and the one block is the whole system.
+(_Group.transform).  Every symmetry operation goes through V: the forward
+route V^T x (_forward), a chunk of columns at a time, keeps only the
+segments a column reaches (a column of definite parity under every mirror,
+such as a real regular wave about the lattice centre, reaches one class);
+the backward route is V y / 2^s (_backward); and each block is formed from
+the rows of M at one representative unknown per G-orbit times V, B[a, :] a
+fixed combination of the row of a's orbit (VieSystem._gather_blocks).  Those
+rows, about 3N^2 / |G| values, are the only part of M gathered from the
+table, in one pass from a 6-entry packed table of the 3x3 blocks, each
+block's columns of them into an array of its own; the blocks are handed out
+one at a time (a generator), none kept after, and each block's rows are
+dropped once it is formed.  On the ball at resolution 14 (3N = 4,416, 106
+orbits) the gather's tracemalloc peak, consumed a block at a time, is 10.6
+MB, the pass itself: 7.5 MB of rows and 2.1 MB of table (at resolution 16
+20.5 MB); the blocks are 10 of at most 290 rows instead of 8 of 552.  Each
+block is factored and solved by one zsysv call (Bunch-Kaufman LDL^T, then
+LAPACK's level-3 zsytrs2) in its own memory, each routed segment a further
+column, solved in place and, by solve_density, mapped back; each block is
+taken from the gather's stream just before its solve and dropped after it.
+The response 1/2 F^H M_B F of P fields (_half_pairing) is paired inside the
+blocks instead, one B^T X per block as the block comes, so only one seeded
+combination of the solved columns is mapped back, for the residual checks.
+With no symmetry V = I and the one block is the whole system.
 
 Above the cap the solve is matrix-free GMRES (_gmres): modified
 Gram-Schmidt Arnoldi on the FFT apply, restarted after _GMRES_BASIS vectors.
@@ -387,7 +386,8 @@ class _Group:
                     position[begin[irrep] + (i * dims[irrep] + row) * sizes[irrep] + coord] = (
                         q[b] + first[o, None])
                     at = (mat_at[o, None] + q * count[o, None])[..., None] + q[b][:, None, :]
-                    flat[at] = (chi[b, :, None, None] * sign[:, u])[..., None] * f  # (g, n_t, |O|, |O|)
+                    # (g, n_t, |O|, |O|)
+                    flat[at] = (chi[b, :, None, None] * sign[:, u])[..., None] * f
         of = np.repeat(np.arange(len(count)), count)  # the orbit at each layout position
         self.reps = self.unknown[first]
         self.blocks = []
@@ -778,12 +778,12 @@ class VieSystem:
         eye = np.eye(3)
         table = self._offset_blocks(eye if left is None else left, eye if right is None else right,
                                     0 * eye if diag is None else diag, list(np.ndindex(3, 3)))
-        n = self.n_cells
+        n, box = self.n_cells, self.kernel_hat.shape[1:]
         out = np.empty((n, 3, n, 3), dtype=complex)
         chunk = max(1, _GATHER_CHUNK // n)
         for i0 in range(0, n, chunk):
             diff = self.index[i0 : i0 + chunk, None, :] - self.index[None, :, :]
-            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), self.kernel_hat.shape[1:], mode="wrap")
+            off = np.ravel_multi_index(np.moveaxis(diff, -1, 0), box, mode="wrap")
             out[i0 : i0 + chunk] = table[:, off].reshape(3, 3, -1, n).transpose(2, 0, 3, 1)
         return out.reshape(3 * n, 3 * n)
 
@@ -842,7 +842,8 @@ class VieSystem:
                 # part[a, b] = (M V)[reps[orbit[a]], column b of segment j], a chunk of a at a time
                 part = block_rows[seg].T
                 for a0 in range(0, m, step):
-                    block[a0 : a0 + step] += coef[j, a0 : a0 + step, None] * part[orbit[a0 : a0 + step]]
+                    a = slice(a0, a0 + step)
+                    block[a] += coef[j, a, None] * part[orbit[a]]
             del part, block_rows
             yield block
             del block
