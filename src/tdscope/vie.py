@@ -85,10 +85,14 @@ With no symmetry V = I and the one block is the whole system.
 
 Above the cap the solve is matrix-free GMRES (_gmres): modified
 Gram-Schmidt Arnoldi on the FFT apply, restarted after _GMRES_BASIS vectors.
-One Krylov basis serves every shift alpha I + beta A of its operator, so a
-sequence of scalar contrasts of one background, (I - q_j R_kappa) y_j =
-A^{1/2} g, costs one basis of R_kappa per field instead of one run per
-contrast (solve_density with a sequence, as the born study calls it).
+A cycle holds only the basis vectors its steps have made (each one an
+apply's output, orthogonalised and normalised in place) and each shift's R
+factor a column per step, so its memory follows the steps it takes, not
+_GMRES_BASIS.  One Krylov basis serves every shift alpha I + beta A of its
+operator, so a sequence of scalar contrasts of one background,
+(I - q_j R_kappa) y_j = A^{1/2} g, costs one basis of R_kappa per field
+instead of one run per contrast (solve_density with a sequence, as the born
+study calls it).
 """
 
 from __future__ import annotations
@@ -908,10 +912,11 @@ def assemble(grid, bg):
     index = np.round((c - c.min(axis=0)) / h).astype(int)
     dims = index.max(axis=0) + 1
     box = tuple(2 * dims)
-    # signed offset held at each box position: o mod box, o in [-dims, dims)
-    axes = [(np.arange(p) + d) % p - d for p, d in zip(box, dims)]
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     a, b = np.array(_PACK).T
+
+    def offsets(pos):
+        # signed offset held at each flat box position: o mod box, o in [-dims, dims)
+        return (np.stack(np.unravel_index(pos, box), axis=-1) + dims) % box - dims
 
     def pack(blocks):
         return (0.5 * (blocks[:, a, b] + blocks[:, b, a])).T
@@ -926,7 +931,7 @@ def assemble(grid, bg):
         e *= h**3
         return e
 
-    m = offsets.shape[0]
+    m = int(np.prod(box))
     packed = np.empty((6, m), dtype=complex)
     # offset 0 is box position 0; the far blocks after it are made a chunk at
     # a time and packed one entry at a time, straight into their rows
@@ -934,17 +939,20 @@ def assemble(grid, bg):
     sqrt_det = np.sqrt(bg.det_A)
     stops = np.linspace(1, m, max(1, (m - 1) // _ASSEMBLE_CHUNK) + 1).astype(int)
     for i0, i1 in zip(stops[:-1], stops[1:]):
-        profile = _hess_profile(bg, offsets[i0:i1] * h)
+        profile = _hess_profile(bg, offsets(np.arange(i0, i1)) * h)
         for row, (i, j) in enumerate(_PACK):
             k_ij = far_entry(profile, i, j)
             packed[row, i0:i1] = 0.5 * (k_ij + (k_ij if i == j else far_entry(profile, j, i)))
         del profile, k_ij  # before the next chunk's profile
     t = ((np.arange(NEAR_SUBDIV) + 0.5) / NEAR_SUBDIV - 0.5) * h
     sub = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
-    ring = np.flatnonzero(np.abs(offsets).max(axis=1) == 1)
-    pts = offsets[ring, None, :] * h - sub[None, :, :]
+    # the box positions of the 26 touching offsets, in box order (an axis of
+    # box 2 holds +1 and -1 at one position)
+    near = np.stack(np.meshgrid(*3 * [[-1, 0, 1]], indexing="ij")).reshape(3, -1)
+    ring = np.unique(np.ravel_multi_index(near[:, near.any(axis=0)], box, mode="wrap"))
+    pts = offsets(ring)[:, None, :] * h - sub[None, :, :]
     packed[:, ring] = pack(hess_phi(bg, pts).mean(axis=1) * h**3)
-    del offsets, ring, pts
+    del ring, pts
     packed = packed.reshape(6, *box)
     kernel_hat = np.fft.fftn(packed, axes=_BOX_AXES, out=packed)
     # the cells' positions in the flattened box, apply's scatter layout
@@ -982,6 +990,14 @@ def _gmres(matvec, b, shifts):
     shift still above the tolerance then continues alone, restarted from its
     iterate with its true residual, for at most _GMRES_CYCLES cycles in all;
     past that it raises with the residual it reached.  b = 0 gives x = 0.
+
+    A cycle holds what its steps build and nothing in reserve: the basis is
+    a list of the vectors made so far, each new one matvec's output
+    orthogonalised and normalised in place, and each shift's R is a list of
+    its columns, one per step, set out as a triangle only for the final
+    solve.  x = sum_i y_i v_i is summed vector by vector over that list, with
+    no stacked copy of the basis.  So a cycle of k steps holds about k + 2S
+    vectors of b's size for S shifts, whatever _GMRES_BASIS allows.
     """
     size_b = np.linalg.norm(b)
     tol = 1e-10 * size_b
@@ -991,18 +1007,17 @@ def _gmres(matvec, b, shifts):
     def cycle(r, shifts):
         alpha, beta = np.array(shifts, dtype=complex).T[:, :, None]
         m = _GMRES_BASIS
-        basis = np.empty((m + 1, r.size), dtype=complex)
-        tri = np.zeros((len(alpha), m, m), dtype=complex)  # the R of each shift's QR
         rot = np.zeros((2, len(alpha), m), dtype=complex)  # cosine and sine of each rotation
         top = np.zeros((len(alpha), m + 1), dtype=complex)  # Q^H of each least-squares rhs
         top[:, 0] = np.linalg.norm(r)
-        basis[0] = r / top[0, 0]
+        basis = [r / top[0, 0]]  # the Arnoldi vectors made so far
+        cols = []  # column j of every shift's R (of its QR), (S, j + 1)
         for j in range(m):
             w = matvec(basis[j])
             h = np.empty(j + 2, dtype=complex)
-            for i in range(j + 1):
-                h[i] = np.vdot(basis[i], w)
-                w -= h[i] * basis[i]
+            for i, v in enumerate(basis):
+                h[i] = np.vdot(v, w)
+                w -= h[i] * v
             h[j + 1] = np.linalg.norm(w)
             col = beta * h
             col[:, j] += alpha[:, 0]
@@ -1016,17 +1031,24 @@ def _gmres(matvec, b, shifts):
             c = np.divide(mag_a, mag, out=np.ones_like(mag), where=mag > 0.0)
             s = np.divide(phase * d.conj(), mag, out=np.zeros_like(a), where=mag > 0.0)
             rot[:, :, j] = c, s
-            tri[:, : j + 1, j] = col[:, : j + 1]
-            tri[:, j, j] = phase * mag
+            col[:, j] = phase * mag
+            cols.append(col[:, : j + 1])
             top[:, j + 1] = -s.conj() * top[:, j]
             top[:, j] *= c
             res = np.abs(top[:, j + 1])
             if np.all(res <= tol):
                 break
-            basis[j + 1] = w / h[j + 1].real
+            w /= h[j + 1].real  # the apply's output becomes the next vector
+            basis.append(w)
         k = j + 1
-        y = np.array([solve_triangular(t[:k, :k], g[:k]) for t, g in zip(tri, top)])
-        return y @ basis[:k], res
+        tri = np.zeros((len(alpha), k, k), dtype=complex)
+        for i, col in enumerate(cols):
+            tri[:, : i + 1, i] = col
+        y = np.array([solve_triangular(t, g[:k]) for t, g in zip(tri, top)])
+        x = np.zeros((len(alpha), r.size), dtype=complex)
+        for yi, v in zip(y.T, basis):
+            x += yi[:, None] * v
+        return x, res
 
     x, res = cycle(b, shifts)
     for j in np.flatnonzero(res > tol):

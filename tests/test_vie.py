@@ -14,6 +14,7 @@ from tdscope import (
     Ball,
     DensityField,
     Ellipsoid,
+    ScattererGrid,
     SymTensor3,
     Union,
     VieSystem,
@@ -202,6 +203,10 @@ COUPLED_BG = Background(A=SymTensor3.from_matrix([[1.3, 0.2, 0.0], [0.2, 0.9, 0.
 # two small balls far apart along the (0, 1, 1) diagonal: a box of
 # (8, 48, 48), swept in slabs of 3, 3 and 2 of its first axis
 TWO_BALLS = Union((Ball(0.1, center=(0.0, -0.5, -0.5)), Ball(0.1, center=(0.0, 0.5, 0.5))))
+# a one-cell layer of 5 x 4 cells: its box is 2 along the last axis, where the
+# touching offsets +1 and -1 share one box position
+PLATE = ScattererGrid(centers=0.1 * np.array(list(np.ndindex(5, 4, 1)), dtype=float), h=0.1,
+                      shape=None)
 
 
 def _columns_and_factors(n, k, rng):
@@ -211,12 +216,13 @@ def _columns_and_factors(n, k, rng):
 
 
 @pytest.mark.parametrize("k", [1, 5])
-@pytest.mark.parametrize("case", ["ball_h8", "two_balls"])
+@pytest.mark.parametrize("case", ["ball_h8", "two_balls", "plate"])
 def test_apply_is_bitwise_the_nine_product_apply_in_isotropic_media(case, k, rng):
     # an isotropic block is bitwise symmetric, so its packed symbol holds the
     # very entries of the nine-entry one and the sweep sums them in the same order
-    shape = voxelize(Ball(0.5), 1.0 / 8.0) if case == "ball_h8" else voxelize(TWO_BALLS, 0.05)
-    sys = assemble(shape, Background.isotropic(a=1.0, kappa=1.0))
+    grid = {"ball_h8": lambda: voxelize(Ball(0.5), 1.0 / 8.0),
+            "two_balls": lambda: voxelize(TWO_BALLS, 0.05), "plate": lambda: PLATE}[case]()
+    sys = assemble(grid, Background.isotropic(a=1.0, kappa=1.0))
     kh = nine_entry_symbol(sys)
     np.testing.assert_array_equal(kh, np.swapaxes(kh, 0, 1))
     x, f = _columns_and_factors(sys.n_cells, k, rng)
@@ -362,9 +368,10 @@ def test_assemble_in_chunks_keeps_the_bits_of_one_call(ball_grid_h6, bg_unit, mo
 def test_assemble_peak_memory_on_a_large_box(bg_unit, monkeypatch):
     # the 36^3 box of a resolution-18 ball (46,656 offsets) is made in two
     # chunks and one packed entry at a time, with the bits of one call and a
-    # tracemalloc peak below 2.5 times the symbol it keeps (measured 1.95
-    # times; every 3x3 block of a chunk at once peaked at 3.9 times it, and
-    # one call on every offset at 6.9 times)
+    # tracemalloc peak below 2.5 times the symbol it keeps (measured 1.70
+    # times; holding the whole box's offsets peaked at 1.95 times it, every
+    # 3x3 block of a chunk at once at 3.9 times, and one call on every offset
+    # at 6.9 times)
     grid = voxelize(Ball(0.5), 1.0 / 18.0)
     sys, peak = peak_bytes(assemble, grid, bg_unit)
     kernel_hat = sys.kernel_hat
@@ -841,6 +848,28 @@ def test_gmres_stops_on_an_invariant_krylov_space():
     x = vie._gmres(lambda v: calls.append(1) or a * v, b, [(0.0, 1.0), (1.0, -0.1)])
     assert len(calls) == 3
     np.testing.assert_allclose(x, [b / a, b / (1.0 - 0.1 * a)], rtol=1e-13, atol=1e-15)
+
+
+def test_gmres_memory_follows_its_steps_not_the_basis_cap(rng, monkeypatch):
+    # a diagonal A with eigenvalues in [1, 1.3] converges in about ten steps;
+    # the basis holds only the vectors those steps make, so the traced peak
+    # is a few vectors above the step count, whatever _GMRES_BASIS allows
+    n = 20000
+    a = 1.0 + 0.3 * rng.random(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shifts = [(0.0, 1.0), (1.0, -0.5)]
+    vector = b.nbytes
+    peaks = []
+    for basis in (200, 20):
+        monkeypatch.setattr(vie, "_GMRES_BASIS", basis)
+        calls = []
+        x, peak = peak_bytes(vie._gmres, lambda v: calls.append(1) or a * v, b, shifts)
+        assert 5 <= len(calls) <= 15
+        for (alpha, beta), xj in zip(shifts, x, strict=True):
+            assert np.linalg.norm((alpha + beta * a) * xj - b) <= 1e-10 * np.linalg.norm(b)
+        assert peak < (len(calls) + 7) * vector  # measured steps + 5.1
+        peaks.append(peak)
+    assert abs(peaks[0] - peaks[1]) < vector / 4
 
 
 def _walsh_one_pass(y):
