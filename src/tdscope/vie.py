@@ -32,8 +32,12 @@ block is even in the offset and a symmetric Hessian, so gradW, R_kappa and
 the system matrix are complex symmetric for every contrast; reciprocity of
 scattered fields is exact for this discretization up to roundoff.
 
-Below DIRECT_CAP cells each solve gathers the system matrix from the table
-under the grid's group of signed axis permutations (_orbits).  An axis is a
+Each public solve derives its set-up once, in one plan of its system and
+contrast (_Plan), which every stage of the solve reads: At - A, the 3x3
+system factors, the path, the residual tolerance of that path and, on the
+dense path, the group.  At most DIRECT_CAP cells take the dense path: the
+solve gathers the system matrix from the table under the grid's group of
+signed axis permutations (_orbits).  An axis is a
 mirror axis when reversing the cells' lattice positions along it maps the
 cell set onto itself with no cell on the plane, and flipping the sign of
 that component commutes with A and, up to a sign per unknown, with the 3x3
@@ -100,6 +104,7 @@ from __future__ import annotations
 import importlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import fft, ifft
@@ -852,19 +857,14 @@ class VieSystem:
             yield block
             del block
 
-    def _dense_solve(self, contrast, rhs):
-        """_blocked_solve of the contrast's system matrix for rhs (3N,) or (3N, K);
-        the blocks are gathered for this call only and factored in place."""
-        factors = _system_factors(contrast, self.bg)
-        group = _orbits(self.index, self.bg.A.matrix, *factors)
-        blocks = self._gather_blocks(group, *factors)
-        return _blocked_solve(blocks, group, rhs, f"the system on {self.n_cells} cells")
-
     def symmetry(self, contrast):
-        """(group, blocks) of a dense solve for the contrast: the group that
-        _orbits finds, in words, and (name, rows) of each block it factors."""
-        group = _orbits(self.index, self.bg.A.matrix, *_system_factors(contrast, self.bg))
-        return group.describe(), group.block_names()
+        """(group, blocks) of a solve for the contrast, as its _Plan sets it
+        up.  On the dense path: the group that _orbits finds, in words, and
+        (name, rows) of each block the solve factors.  On the GMRES path the
+        path is named, no block is listed and no group is built."""
+        plan = _Plan(self, contrast)
+        return ((plan.group.describe(), plan.group.block_names()) if plan.dense
+                else ("none (the GMRES path)", []))
 
     def _response(self, contrast, key, solve):
         """solve() once per contrast and key; the read-only result is kept.
@@ -960,9 +960,29 @@ def assemble(grid, bg):
     return VieSystem(grid=grid, bg=bg, index=index, kernel_hat=kernel_hat, flat=flat)
 
 
-def _dense_path(sys):
-    """Whether resolvent_solve takes the dense path on this system, not GMRES."""
-    return sys.n_cells <= DIRECT_CAP
+class _Plan:
+    """The set-up of the solves of one system and contrast, derived once.
+
+    dA is At - A, factors the (L, Rm, D) of _system_factors, dense whether
+    the solve takes the dense path (at most DIRECT_CAP cells) rather than
+    GMRES, tol the residual bound of that path (1e-10 dense, 1e-8 GMRES)
+    and what names the system in errors.  group, the system matrix's
+    _Group (_orbits), is found on its first read, which only the dense path
+    makes.  Each public call makes one plan and hands it to every stage,
+    so that a residual check reads the path of the solve it checks.
+    """
+
+    def __init__(self, sys, contrast):
+        *_, self.dA = _contrast_parts(contrast, sys.bg)
+        self.factors = _system_factors(contrast, sys.bg)
+        self.dense = sys.n_cells <= DIRECT_CAP
+        self.tol = 1e-10 if self.dense else 1e-8
+        self.what = f"the system on {sys.n_cells} cells"
+        self._sys = sys
+
+    @cached_property
+    def group(self):
+        return _orbits(self._sys.index, self._sys.bg.A.matrix, *self.factors)
 
 
 def _probe(sys, factors, xr, br):
@@ -1070,30 +1090,34 @@ def resolvent_solve(sys, contrast, rhs):
 
     rhs: (3N,) or (3N, K), consumed: on the dense path a complex rhs in
     Fortran order (or 1-D) is overwritten by the solution, which is returned
-    in its memory.  Below the direct cap each irreducible block of the dense
+    in its memory.  The solve's _Plan decides its path, factors and group
+    once; contrast may also be the _Plan that a caller in this module has
+    made for its contrast.  On the dense path each irreducible block of the
     system matrix under its group of signed axis permutations (_orbits) is
-    factored with LDL^T, in place, for this call only; a singular block
-    raises naming its class and irrep, with rhs untouched.  Each dense batch
-    is checked by one seeded Freivalds probe ||M (X r) - B r|| / ||B r||
-    through the FFT apply, which also cross-checks the gathered blocks
-    against the table; B r is formed before the solve.  Above the cap each
-    column is solved by _gmres with the one shift (0, 1) on the system
-    matrix M, to a residual of 1e-10 ||b||, restarted after _GMRES_BASIS
-    vectors and raising after _GMRES_CYCLES cycles.
+    gathered (VieSystem._gather_blocks) and factored with LDL^T, in place,
+    for this call only (_blocked_solve); a singular block raises naming its
+    class and irrep, with rhs untouched.  Each dense batch is checked by one
+    seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT
+    apply, which also cross-checks the gathered blocks against the table;
+    B r is formed before the solve.  On the GMRES path each column is
+    solved by _gmres with the one shift (0, 1) on the system matrix M, to a
+    residual of 1e-10 ||b||, restarted after _GMRES_BASIS vectors and
+    raising after _GMRES_CYCLES cycles.
     """
+    plan = contrast if isinstance(contrast, _Plan) else _Plan(sys, contrast)
     rhs = np.asarray(rhs, dtype=complex)
     n3 = 3 * sys.n_cells
     cols = rhs.reshape(n3, -1)
-    factors = _system_factors(contrast, sys.bg)
-    if _dense_path(sys):
+    if plan.dense:
         r = np.random.default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
-        x = sys._dense_solve(contrast, rhs)
-        _probe(sys, factors, x.reshape(n3, -1) @ r, br)
+        blocks = sys._gather_blocks(plan.group, *plan.factors)
+        x = _blocked_solve(blocks, plan.group, rhs, plan.what)
+        _probe(sys, plan.factors, x.reshape(n3, -1) @ r, br)
         return x
     out = np.empty_like(cols)
     for k in range(cols.shape[1]):
-        out[:, k] = _gmres(lambda v: sys.apply(v, *factors), cols[:, k], [(0.0, 1.0)])[0]
+        out[:, k] = _gmres(lambda v: sys.apply(v, *plan.factors), cols[:, k], [(0.0, 1.0)])[0]
     return out.reshape(rhs.shape)
 
 
@@ -1135,16 +1159,15 @@ def _lifted(rows, lift):
     return out.reshape(rows.shape)
 
 
-def _residual(sys, dA, hr, gr):
+def _residual(sys, plan, hr, gr):
     """||T hr - (At - A) gr|| / ||(At - A) gr|| for one density hr (N, 3) and
-    its field gr; an error above 1e-10 on the dense path, 1e-8 on GMRES."""
-    target = gr @ dA.T
-    num = np.linalg.norm(hr - sys.apply(hr) @ dA.T - target)
+    its field gr, solved under the _Plan; an error above the plan's tol."""
+    target = gr @ plan.dA.T
+    num = np.linalg.norm(hr - sys.apply(hr) @ plan.dA.T - target)
     den = np.linalg.norm(target)
     res = float(num / den) if den > 0.0 else 0.0
-    tol = 1e-10 if _dense_path(sys) else 1e-8
-    if res > tol:
-        raise RuntimeError(f"VIE residual {res:.3e} exceeds {tol:.0e}")
+    if res > plan.tol:
+        raise RuntimeError(f"VIE residual {res:.3e} exceeds {plan.tol:.0e}")
     return res
 
 
@@ -1158,8 +1181,10 @@ def solve_density(sys, contrast, incident_grad):
     residual ||T (h r) - (At - A)(g r)|| / ||(At - A)(g r)|| of the
     unnormalized equation is taken for one seeded random combination r of the
     fields (r = 1 for a single field) and must stay below 1e-10 on the dense
-    path and 1e-8 on the GMRES path.  Real fields stay real: no complex copy
-    of them is made besides the right-hand sides.
+    path and 1e-8 on the GMRES path.  One _Plan per contrast decides the
+    path, this tolerance and the group once, for the solve and its residual
+    check alike.  Real fields stay real: no complex copy of them is made
+    besides the right-hand sides.
 
     contrast may also be a sequence of IsoContrasts of the system's
     background; the result is then a list of DensityFields, one per contrast.
@@ -1174,32 +1199,36 @@ def solve_density(sys, contrast, incident_grad):
     """
     if isinstance(contrast, Sequence):
         return _solve_contrasts(sys, contrast, incident_grad)
-    g = _checked_fields(sys, incident_grad)
-    *_, dA = _contrast_parts(contrast, sys.bg)
-    if not np.any(dA):
+    return _solve(sys, _Plan(sys, contrast), _checked_fields(sys, incident_grad))
+
+
+def _solve(sys, plan, g):
+    """solve_density of the checked fields g under the contrast's _Plan."""
+    if not np.any(plan.dA):
         return DensityField(values=np.zeros(g.shape, dtype=complex), grid=sys.grid,
                             residual=0.0)
-    left, right, _ = _system_factors(contrast, sys.bg)
+    left, right, _ = plan.factors
     rows = g.reshape(-1, 3 * sys.n_cells)
     # the (3N, K) right-hand sides are the transpose of (K, 3N) rows: Fortran
     # order, which the LDL^T solve overwrites without a reordering copy; they
     # are dropped before h is formed so that at most two K x 3N blocks are held
     rhs = _lifted(rows, -left)
-    x = resolvent_solve(sys, contrast, rhs.T).T
+    x = resolvent_solve(sys, plan, rhs.T).T
     del rhs
     h = (x.reshape(-1, 3) @ right.T).reshape(g.shape)
-    return _density(sys, dA, g, h)
+    return _density(sys, plan, g, h)
 
 
-def _density(sys, dA, g, h):
+def _density(sys, plan, g, h):
     """The DensityField of densities h for fields g, both (N, 3) or (K, N, 3),
-    with the residual of one seeded random combination (r = 1 for one field)."""
+    solved under the _Plan, with the residual of one seeded random
+    combination (r = 1 for one field)."""
     rows = g.reshape(-1, 3 * sys.n_cells)
     k = rows.shape[0]
     r = np.random.default_rng(0).standard_normal(k) if g.ndim == 3 else np.ones(1)
     gr = (r @ rows).reshape(-1, 3)
     hr = (r @ h.reshape(rows.shape)).reshape(-1, 3)
-    return DensityField(values=h, grid=sys.grid, residual=_residual(sys, dA, hr, gr))
+    return DensityField(values=h, grid=sys.grid, residual=_residual(sys, plan, hr, gr))
 
 
 def _solve_contrasts(sys, contrasts, incident_grad):
@@ -1208,17 +1237,17 @@ def _solve_contrasts(sys, contrasts, incident_grad):
         raise ValueError("a sequence of contrasts must hold at least one contrast")
     if not all(isinstance(c, IsoContrast) for c in contrasts):
         raise ValueError("a sequence of contrasts must hold IsoContrasts only")
-    d_as = [_contrast_parts(c, sys.bg)[3] for c in contrasts]
+    plans = [_Plan(sys, c) for c in contrasts]
     g = _checked_fields(sys, incident_grad)
-    if _dense_path(sys):
-        return [solve_density(sys, c, g) for c in contrasts]
+    if any(plan.dense for plan in plans):
+        return [_solve(sys, plan, g) for plan in plans]
     ah = sys.bg.sqrt_A
     shifts = [(1.0, -c.q) for c in contrasts]
     # y (contrasts, K, 3N): one shifted solve per field
     y = np.stack([_gmres(sys.r_apply, b, shifts)
                   for b in _lifted(g.reshape(-1, 3 * sys.n_cells), ah)], axis=1)
-    return [_density(sys, dA, g, (yc.reshape(-1, 3) @ (2.0 * c.q * ah).T).reshape(g.shape))
-            for c, dA, yc in zip(contrasts, d_as, y)]
+    return [_density(sys, plan, g, (yc.reshape(-1, 3) @ (2.0 * c.q * ah).T).reshape(g.shape))
+            for c, plan, yc in zip(contrasts, plans, y)]
 
 
 def _half_pairing(sys, contrast, fields):
@@ -1253,57 +1282,52 @@ def _half_pairing(sys, contrast, fields):
     of solve_density, with their tolerances.  Pairs of fields that share no
     segment (waves of different mirror characters, or of one character in
     different irreps of its stabilizer) are exact zeros.  On the GMRES path
-    resolvent_solve gives X and the pairing is one product, with no basis.
+    the pairing is one product, 1/2 F^H H, with no basis, of the densities
+    H = M_B F that solve_density gives with its residual check (_solve).
+    One _Plan decides the path, the factors, the group and the residual
+    tolerance, for the solve and its checks alike.
     """
     g = _checked_fields(sys, fields)
     k, n = g.shape[0], sys.n_cells
-    *_, dA = _contrast_parts(contrast, sys.bg)
-    if not np.any(dA):
+    plan = _Plan(sys, contrast)
+    if not np.any(plan.dA):
         return np.zeros((k, k), dtype=complex)
-    factors = _system_factors(contrast, sys.bg)
-    lift = -factors[0]
+    if not plan.dense:
+        h = _solve(sys, plan, g).values
+        return 0.5 * (g.conj().reshape(k, -1) @ h.reshape(k, -1).T)
+    group, lift = plan.group, -plan.factors[0]
     r = np.random.default_rng(0).standard_normal(k)
     gr = np.tensordot(r, g, axes=1)
+    routed = _forward(group, g, lift, np.iscomplexobj(g))
+    # the fields are routed: a caller's temporary is freed before the gather
+    del fields, g
+    blocks = sys._gather_blocks(group, *plan.factors)
+    for i, (name, at, *_) in enumerate(group.blocks):
+        (part, seg, col, left), routed[i] = routed[i], None
+        block = next(blocks)
+        if i == 0:  # allocated after the gather's pass, which the first block ends
+            out = np.zeros((k, k), dtype=complex)
+            coords = np.zeros((3 * n, 1), dtype=complex)  # X r in the orbit layout
+        if left is None:
+            left = part.copy()  # real F: the routed right-hand sides themselves
+        _solve_block(name, block, part, plan.what)
+        del block
+        # B and X of the columns ks that reach the block, (ks, D m), zero
+        # on the segments a column does not reach
+        ks, which = np.unique(col, return_inverse=True)
+        b, x = (np.zeros((len(ks), at.size), dtype=complex) for _ in range(2))
+        b.reshape(len(ks), *at.shape)[which, seg] = left
+        del left
+        x.reshape(len(ks), *at.shape)[which, seg] = part
+        del part
+        out[np.ix_(ks, ks)] += b @ x.T
+        coords[at.reshape(-1), 0] = r[ks] @ x
+        del b, x
+    out *= 0.25 / len(group.cells)
     xr = np.empty((3 * n, 1), dtype=complex)
-    if not _dense_path(sys):
-        rows = g.reshape(k, -1)
-        rhs = _lifted(rows, lift)
-        # GMRES leaves its right-hand sides as they are
-        left = _lifted(rows.conj(), lift) if np.iscomplexobj(g) else rhs
-        x = resolvent_solve(sys, contrast, rhs.T).T
-        out = 0.25 * (left @ x.T)
-        xr[:, 0] = r @ x
-    else:
-        group = _orbits(sys.index, sys.bg.A.matrix, *factors)
-        routed = _forward(group, g, lift, np.iscomplexobj(g))
-        # the fields are routed: a caller's temporary is freed before the gather
-        del fields, g
-        blocks = sys._gather_blocks(group, *factors)
-        for i, (name, at, *_) in enumerate(group.blocks):
-            (part, seg, col, left), routed[i] = routed[i], None
-            block = next(blocks)
-            if i == 0:  # allocated after the gather's pass, which the first block ends
-                out = np.zeros((k, k), dtype=complex)
-                coords = np.zeros((3 * n, 1), dtype=complex)  # X r in the orbit layout
-            if left is None:
-                left = part.copy()  # real F: the routed right-hand sides themselves
-            _solve_block(name, block, part, f"the system on {n} cells")
-            del block
-            # B and X of the columns ks that reach the block, (ks, D m), zero
-            # on the segments a column does not reach
-            ks, which = np.unique(col, return_inverse=True)
-            b, x = (np.zeros((len(ks), at.size), dtype=complex) for _ in range(2))
-            b.reshape(len(ks), *at.shape)[which, seg] = left
-            del left
-            x.reshape(len(ks), *at.shape)[which, seg] = part
-            del part
-            out[np.ix_(ks, ks)] += b @ x.T
-            coords[at.reshape(-1), 0] = r[ks] @ x
-            del b, x
-        out *= 0.25 / len(group.cells)
-        _backward(group, coords, xr)
-        _probe(sys, factors, xr[:, 0], _lifted(gr, lift).reshape(-1))
-    _residual(sys, dA, xr.reshape(n, 3) @ factors[1].T, gr)
+    _backward(group, coords, xr)
+    _probe(sys, plan.factors, xr[:, 0], _lifted(gr, lift).reshape(-1))
+    _residual(sys, plan, xr.reshape(n, 3) @ plan.factors[1].T, gr)
     return out
 
 

@@ -492,10 +492,63 @@ def test_stacked_residual_catches_a_wrong_field(sys_h6, rng, monkeypatch):
         solve_density(sys_h6, c, g)
 
 
-def test_zero_contrast_short_circuit(sys_h6):
-    dens = solve_density(sys_h6, iso_contrast(1.0, 1.0), unit_inc(sys_h6.n_cells))
+@pytest.fixture()
+def work(monkeypatch):
+    """The calls of vie._find_group and of VieSystem.apply so far, by name.
+    The kept group is cleared first, so each group a call needs is built."""
+    counts = {"_find_group": 0, "apply": 0}
+    monkeypatch.setattr(vie, "_LAST_GROUP", {})
+    for owner, name in ((vie, "_find_group"), (VieSystem, "apply")):
+        def counted(*args, _call=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_zero_contrast_short_circuit(sys_h6, work):
+    # neither the solve nor the pairing of a zero contrast builds a group or
+    # applies the operator
+    c = iso_contrast(1.0, 1.0)
+    dens = solve_density(sys_h6, c, unit_inc(sys_h6.n_cells))
     assert np.all(dens.values == 0.0)
     assert dens.residual == 0.0
+    waves = _real_basis(regular_wave_gradients(3, 1.0, sys_h6.grid.centers))
+    pairing = vie._half_pairing(sys_h6, c, waves)
+    assert pairing.shape == (len(waves), len(waves)) and not np.any(pairing)
+    assert work == {"_find_group": 0, "apply": 0}
+
+
+def test_dense_contrast_sequence_builds_one_group_per_contrast(sys_h6, work):
+    # each contrast's plan builds its group once and its solve reads it: three
+    # contrasts, three groups, and one probe and one residual apply each
+    solve_density(sys_h6, _halved_contrasts(0.5), unit_inc(sys_h6.n_cells))
+    assert work == {"_find_group": 3, "apply": 6}
+
+
+def test_symmetry_on_the_gmres_path_builds_no_group(sys_h6, monkeypatch, work):
+    # above DIRECT_CAP no solve factors a block: symmetry names the path,
+    # lists no block and finds no group
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    assert sys_h6.symmetry(iso_contrast(1.0, 2.0)) == ("none (the GMRES path)", [])
+    assert work["_find_group"] == 0
+
+
+def test_residual_tolerance_follows_the_plan_path(sys_h6, monkeypatch):
+    # a density off by 1e-9 relative fails the dense path's 1e-10 and passes
+    # the GMRES path's 1e-8; _residual reads the path of the plan it is
+    # given, not the cap at the time of the check
+    c = iso_contrast(1.0, 2.0)
+    g = unit_inc(sys_h6.n_cells)
+    h = solve_density(sys_h6, c, g).values * (1.0 + 1e-9)
+    dense = vie._Plan(sys_h6, c)
+    monkeypatch.setattr(vie, "DIRECT_CAP", 1)
+    gmres = vie._Plan(sys_h6, c)
+    assert dense.dense and not gmres.dense
+    with pytest.raises(RuntimeError, match="exceeds 1e-10"):
+        vie._residual(sys_h6, dense, h, g)
+    assert vie._residual(sys_h6, gmres, h, g) == pytest.approx(1e-9, rel=1e-3)
 
 
 @pytest.mark.parametrize("case", ["iso", "aniso"])
@@ -1496,7 +1549,7 @@ def test_factorization_overwrites_the_gathered_matrix(sys_h6, rng, monkeypatch, 
 
     monkeypatch.setattr(VieSystem, "_gather_blocks", keep)
     b = np.asfortranarray(rng.standard_normal((3 * sys_h6.n_cells, 1)) + 0j)
-    _, peak = peak_bytes(sys_h6._dense_solve, SYMMETRIC_SYSTEMS[case], b)
+    _, peak = peak_bytes(vie.resolvent_solve, sys_h6, SYMMETRIC_SYSTEMS[case], b)
     blocks = gathered
     assert len(block_rhs) == len(blocks)
     for block, call in zip(blocks, block_rhs):
@@ -1631,7 +1684,7 @@ def test_blocked_solve_matches_dense_solve(rng, block_rhs, case, k):
     shape = (3 * sys.n_cells, k)
     b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     want = np.linalg.solve(sys.dense(*factors), b)
-    x = sys._dense_solve(contrast, np.asfortranarray(b))
+    x = vie.resolvent_solve(sys, contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     shapes = [call.a.shape for call in block_rhs]
     assert shapes == [(rows, rows) for _, rows in group.block_names()]
@@ -1697,7 +1750,7 @@ def test_blocked_solve_routes_each_column_to_the_blocks_that_carry_it(rng, block
     fields = [fields[i] for i in order]
     b = np.stack([f.reshape(-1) for f in fields], axis=1)
     want = np.linalg.solve(sys.dense(*factors), b)
-    x = sys._dense_solve(contrast, np.asfortranarray(b))
+    x = vie.resolvent_solve(sys, contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert not np.any(x[:, order == len(fields) - 2])
     faint = order == len(fields) - 1
@@ -1733,7 +1786,7 @@ def test_group_solve_routes_a_member_column_through_its_class(sys_h6, rng, block
                                sys_h6.index, 1)
     b = field.reshape(-1, 1)
     want = np.linalg.solve(sys_h6.dense(*factors), b)
-    x = sys_h6._dense_solve(contrast, np.asfortranarray(b))
+    x = vie.resolvent_solve(sys_h6, contrast, np.asfortranarray(b))
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert [call.rhs.shape[1] for call in block_rhs] == [0, 0, 0, 1, 1, 0, 0, 0, 0, 0]
 
