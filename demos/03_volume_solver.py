@@ -58,8 +58,8 @@ print("same with a_tilde = 1.02:", rel_w, "(Born is a weak-contrast story)")
 
 # The moderate-size certificate: |q| times the resolvent kernel norm. The
 # sign claim only needs this product below one, far weaker than Born.
-nR = operator_norm(sys, which="R_kappa")
-nQR = operator_norm(sys, which="qR_kappa", contrast=c)
+nR = operator_norm(sys)
+nQR = operator_norm(sys, c)
 print("\noperator norm estimates: |R| =", nR, " |q R| =", nQR)
 print("moderate regime holds:", nQR < 1.0)
 

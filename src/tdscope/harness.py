@@ -437,25 +437,20 @@ def _sign_setup(cfg):
 def run_sign_study(cfg):
     """Sign heuristic: certificate plus full-map sign tally.
 
-    PASS needs certificate < 1 and every sample matching the predicted sign;
-    certificate >= 1 is INCONCLUSIVE (hypothesis unmet, no claim tested);
-    zero contrast is NEUTRAL.
+    The certificate is operator_norm(sys, contrast), ||q_mat R_kappa
+    q_mat^T||, as in the decay study; the map is td_map_general for the
+    trial, a scalar ball or a PolarizationTensor.  PASS needs certificate < 1
+    and every sample matching the predicted sign; certificate >= 1 is
+    INCONCLUSIVE (hypothesis unmet, no claim tested); zero contrast is
+    NEUTRAL.
     """
     t0 = time.monotonic()
     bg, contrast, trial, expected, grid, pts, surf = _sign_setup(cfg)
     sys = assemble(grid, bg)
-
-    if isinstance(trial, IsoContrast):
-        if isinstance(contrast, IsoContrast):
-            tmap = imaging.td_map_iso(sys, contrast, trial, surf, pts)
-        else:
-            tmap = imaging.td_map_aniso_iso(sys, contrast, trial, surf, pts)
-    else:
-        tmap = imaging.td_map_general(sys, contrast, trial, surf, pts)
-
+    cert = operator_norm(sys, contrast)
+    tmap = imaging.td_map_general(sys, contrast, trial, surf, pts)
     results = {
-        "certificate": tmap.certificate,
-        "certificate_kind": tmap.certificate_kind,
+        "certificate": cert,
         "expected_sign": float(expected),
         "imag_residue": tmap.imag_residue,
         "kernel_factor": tmap.kernel_factor,
@@ -466,13 +461,13 @@ def run_sign_study(cfg):
     if expected == 0.0:
         results["sign_tally"] = None
         return _report(cfg, "sign", "NEUTRAL", [], results, t0, tdmap=tmap)
-    if tmap.certificate >= 1.0:
-        checks = [_check("certificate<1", tmap.certificate, 1.0, False)]
+    if cert >= 1.0:
+        checks = [_check("certificate<1", cert, 1.0, False)]
         return _report(cfg, "sign", "INCONCLUSIVE", checks, results, t0, tdmap=tmap)
     tally = float(np.mean(np.sign(tmap.values) == expected))
     results["sign_tally"] = tally
     checks = [
-        _check("certificate<1", tmap.certificate, 1.0, tmap.certificate < 1.0),
+        _check("certificate<1", cert, 1.0, cert < 1.0),
         _check("sign_tally==1", tally, 1.0, tally == 1.0),
     ]
     return _report(cfg, "sign", _status_from_checks(checks), checks, results, t0,
@@ -535,7 +530,7 @@ def run_decay_study(cfg):
     t0 = time.monotonic()
     bg, contrast, trial, grid, sweeps = _decay_setup(cfg)
     sys = assemble(grid, bg)
-    cert = operator_norm(sys, which="qR_kappa", contrast=contrast)
+    cert = operator_norm(sys, contrast)
     m_z = imaging._ball_trial_mz(sys, trial, contrast)
     factors, ranks = set(), set()
 
@@ -602,7 +597,7 @@ def run_born_study(cfg):
     t0 = time.monotonic()
     bg, grid, contrasts = _born_setup(cfg)
     sys = assemble(grid, bg)
-    r_norm = operator_norm(sys, which="R_kappa")
+    r_norm = operator_norm(sys)
     centers = sys.grid.centers
     if cfg.kappa > 0:
         d = np.array([0.0, 0.0, 1.0])

@@ -40,8 +40,9 @@ regular waves is solved once and cached on the system, and the surface
 radius enters only through the diagonal D, so _contract maps samples on
 many spheres with one pairing against T_w per centre and n_max; a node
 factor solves its K node fields.
-Each map reports the moderate-scatterer certificate, the kernel factor it
-used, and the imaginary residue of the pre-Re pairing.
+Each map reports the kernel factor it used and the imaginary residue of the
+pre-Re pairing.  The maps do not certify: the moderate-scatterer
+certificate is vie.operator_norm, which the studies compute beside them.
 
 The finite-size check compares the misfit increment of an actual delta-ball
 against delta^3 T(z) through the same factor: both sides are pairings of
@@ -83,7 +84,7 @@ from . import vie
 from .vie import (
     _half_pairing,
     assemble,
-    operator_norm,
+    operator_norm,  # unused here; the traced benchmark wraps imaging.operator_norm
     radiation_matrix,
     resolvent_solve,  # unused here; the traced benchmark wraps imaging.resolvent_solve
     solve_density,
@@ -594,22 +595,20 @@ def e_apply(trace, surface, kappa):
 
 @dataclass(frozen=True)
 class TdMap:
-    """Sampled topological derivative with its certificates.
+    """Sampled topological derivative.
 
     values are the real parts of the pre-Re pairing; imag_residue records
     max |Im| / max |Re| over the samples (exactly zero in static problems,
     a small radiative remainder otherwise).  inside_B flags samples lying in
-    the true scatterer (they are evaluated, not excluded).  certificate is
-    the moderate-scatterer operator norm named by certificate_kind.
-    kernel_factor ('spectral' or 'nodes') and kernel_rank (P or the node
-    count K) name the factor of G the contraction used.
+    the true scatterer (they are evaluated, not excluded).  kernel_factor
+    ('spectral' or 'nodes') and kernel_rank (P or the node count K) name
+    the factor of G the contraction used.  A map carries no certificate:
+    that is operator_norm(sys, contrast).
     """
 
     points: np.ndarray
     values: np.ndarray
     inside_B: np.ndarray
-    certificate: float
-    certificate_kind: str
     imag_residue: float
     kernel_factor: str
     kernel_rank: int
@@ -700,12 +699,9 @@ def _contract(sys, contrast, m_z, facs, pts):
     return raw
 
 
-def _td_map(sys, contrast, surface, points, certificate, kind, m_z):
-    """The TdMap of one td_map_* regime's samples on one sphere, with the
-    certificate of operator_norm's operator kind computed when None."""
+def _td_map(sys, contrast, surface, points, m_z):
+    """The TdMap of one td_map_* call's samples on one sphere."""
     pts = _check_points(points)
-    if certificate is None:
-        certificate = operator_norm(sys, which=kind, contrast=contrast)
     fac, = _kernel_factors(sys.bg, [(surface, pts)], sys.grid.centers)
     raw = _contract(sys, contrast, m_z, [fac], [pts])
     re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
@@ -714,8 +710,6 @@ def _td_map(sys, contrast, surface, points, certificate, kind, m_z):
         points=pts,
         values=re,
         inside_B=np.asarray(sys.grid.shape.contains(pts), dtype=bool),
-        certificate=float(certificate),
-        certificate_kind=kind,
         imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
         kernel_factor=fac.kind,
         kernel_rank=int(fac.rank),
@@ -739,7 +733,17 @@ def _ball_trial_mz(sys, trial, contrast):
     return mz_ball_iso(a, trial.beta).M_z
 
 
-def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
+def _trial_mz(sys, trial, contrast):
+    """The trial's 3x3 M_z: a scalar ball trial's (_ball_trial_mz) or a
+    PolarizationTensor's own, which must be posed in the system's background."""
+    if not isinstance(trial, PolarizationTensor):
+        return _ball_trial_mz(sys, trial, contrast)
+    if not np.allclose(trial.A.matrix, sys.bg.A.matrix, rtol=0.0, atol=1e-12):
+        raise ValueError("trial background tensor must match the system")
+    return trial.M_z
+
+
+def td_map_iso(sys, contrast, trial, surface, points):
     """T(z) for a scalar scatterer and a scalar unit-ball trial inclusion.
 
     T(z) = -(16 pi a^2 q q_z / (3 - q_z)) h^3
@@ -751,11 +755,10 @@ def td_map_iso(sys, contrast, trial, surface, points, certificate=None):
     """
     if not isinstance(contrast, IsoContrast):
         raise TypeError("td_map_iso needs IsoContrast scatterer and trial")
-    return _td_map(sys, contrast, surface, points, certificate,
-                        "qR_kappa", _ball_trial_mz(sys, trial, contrast))
+    return _td_map(sys, contrast, surface, points, _ball_trial_mz(sys, trial, contrast))
 
 
-def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
+def td_map_aniso_iso(sys, contrast, trial, surface, points):
     """T(z) for an anisotropic scatterer in an isotropic background, scalar
     unit-ball trial.
 
@@ -767,26 +770,21 @@ def td_map_aniso_iso(sys, contrast, trial, surface, points, certificate=None):
 
     that is M_z = mz_ball_iso(a, beta_z).M_z in the shared contraction.
     """
-    return _td_map(sys, contrast, surface, points, certificate,
-                        "qRq", _ball_trial_mz(sys, trial, contrast))
+    return _td_map(sys, contrast, surface, points, _ball_trial_mz(sys, trial, contrast))
 
 
-def td_map_general(sys, contrast, trial, surface, points, certificate=None):
-    """T(z) for tensor scatterer and tensor trial data.
+def td_map_general(sys, contrast, trial, surface, points):
+    """T(z) for any scatterer and trial data.
 
     T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k >
 
-    with M_z = trial.M_z, any symmetric tensor (a mixed-sign contrast
-    included), and M_B the scatterer's solution operator.  trial is a
-    PolarizationTensor in the system's background.  For reversed surface
+    with M_B the scatterer's solution operator and M_z the trial's: a
+    PolarizationTensor's M_z, any symmetric tensor (a mixed-sign contrast
+    included), or a scalar unit-ball trial (IsoContrast) as in td_map_iso.
+    The trial lives in the system's background.  For reversed surface
     nesting pass the measurement sphere as the integration surface.
     """
-    if not isinstance(trial, PolarizationTensor):
-        raise TypeError("trial must be a PolarizationTensor")
-    if not np.allclose(trial.A.matrix, sys.bg.A.matrix, rtol=0.0, atol=1e-12):
-        raise ValueError("trial background tensor must match the system")
-    return _td_map(sys, contrast, surface, points, certificate,
-                        "qRq", trial.M_z)
+    return _td_map(sys, contrast, surface, points, _trial_mz(sys, trial, contrast))
 
 
 # ---------------------------------------------------------------------------

@@ -171,18 +171,18 @@ class DensityField:
 
 
 def _contrast_parts(contrast, bg):
-    """(Q, sigma, q_mat, dA) as 3x3 arrays: the contrast factor, its sign split
-    Q = q_mat^T sigma^2 q_mat, and At - A.  The contrast must live in bg."""
+    """(sigma, q_mat, dA) as 3x3 arrays: the sign split Q = q_mat^T sigma^2
+    q_mat of the contrast factor, and At - A.  The contrast must live in bg."""
     if isinstance(contrast, IsoContrast):
         a, q = contrast.a, contrast.q
         if bg.iso_a is None or abs(bg.iso_a - a) > 1e-12 * max(a, 1.0):
             raise ValueError("isotropic contrast requires background A = a I")
         eye = np.eye(3)
         sigma = np.eye(3, dtype=complex) * (1.0 if q >= 0.0 else 1j)
-        return q * eye, sigma, np.sqrt(abs(q)) * eye, a * contrast.beta * eye
+        return sigma, np.sqrt(abs(q)) * eye, a * contrast.beta * eye
     if not np.allclose(contrast.A.matrix, bg.A.matrix, rtol=0.0, atol=1e-12):
         raise ValueError("contrast.A must match the background tensor")
-    return contrast.Q, contrast.sigma, contrast.q_mat, contrast.A_tilde.matrix - contrast.A.matrix
+    return contrast.sigma, contrast.q_mat, contrast.A_tilde.matrix - contrast.A.matrix
 
 
 def _system_factors(contrast, bg):
@@ -191,7 +191,7 @@ def _system_factors(contrast, bg):
     L = -2 sigma q A^{1/2} is -2 Rm^T and D is symmetric, so the matrix is
     complex symmetric whenever gradW is.
     """
-    _, sig, qm, _ = _contrast_parts(contrast, bg)
+    sig, qm, _ = _contrast_parts(contrast, bg)
     Ah = bg.sqrt_A
     return -2.0 * sig @ qm @ Ah, Ah @ qm.T @ sig, np.eye(3) - sig @ qm @ qm.T @ sig
 
@@ -1363,11 +1363,13 @@ def scattered_field(sys, h, x):
     return complex(u[0]) if single else u
 
 
-def operator_norm(sys, which="R_kappa", contrast=None):
-    """Lower bound on the largest singular value of the selected operator.
+def operator_norm(sys, contrast=None):
+    """Lower bound on ||q_mat R_kappa q_mat^T||, the moderate-scatterer
+    certificate of the contrast (q_mat = I, ||R_kappa||, without one).
 
-    which: 'R_kappa' | 'qR_kappa' | 'qRq'.  The grid is uniform, so the
-    volume-weighted spectral norm coincides with the Euclidean one.
+    For a scalar contrast q_mat = sqrt|q| I, so the norm is |q| ||R_kappa||,
+    the ||q R_kappa|| of the sign and decay studies.  The grid is uniform, so
+    the volume-weighted spectral norm coincides with the Euclidean one.
     Golub-Kahan-Lanczos bidiagonalization from a seeded random vector v1: after
     k steps the estimate is sigma_max of the k x k upper-bidiagonal B_k, the
     largest ||M v|| / ||v|| over the Krylov space K_k(M^H M, v1).  It never
@@ -1379,23 +1381,14 @@ def operator_norm(sys, which="R_kappa", contrast=None):
     (the Krylov space is exhausted: the next step would divide by roundoff),
     and raises after 1000 steps.
     """
-    eye = np.eye(3)
-    if which == "R_kappa":
-        left, right = eye, eye
-    elif which in ("qR_kappa", "qRq"):
-        if contrast is None:
-            raise ValueError(f"{which} needs a contrast")
-        Q, _, qm, _ = _contrast_parts(contrast, sys.bg)
-        left, right = (Q, eye) if which == "qR_kappa" else (qm, qm.T)
-    else:
-        raise ValueError(f"unknown operator {which!r}")
+    qm = np.eye(3) if contrast is None else _contrast_parts(contrast, sys.bg)[1]
 
     def mv(v):
-        return sys.r_apply(v, left, right)
+        return sys.r_apply(v, qm, qm.T)
 
     def rmv(v):
-        # R_kappa is complex symmetric, so (left R right)^H v = conj(right^T R left^T conj(v))
-        return np.conj(sys.r_apply(np.conj(v), right.T, left.T))
+        # R_kappa is complex symmetric and q_mat real, so M^H v = conj(M conj(v))
+        return np.conj(mv(np.conj(v)))
 
     rng = np.random.default_rng(0)
     n3 = 3 * sys.n_cells

@@ -157,7 +157,7 @@ def test_criterion_06_static_physics():
     action = float(sys.apply(g)[:, 2].real.mean())
     eshelby_err = abs(action + 1.0 / 3.0) * 3.0
     closed = float(np.abs(eshelby_tensor(bg) - np.eye(3) / 3.0).max())
-    r0 = operator_norm(sys, which="R_kappa", contrast=c)
+    r0 = operator_norm(sys)
     ok = (
         factor_err < 0.02
         and eshelby_err < 0.02

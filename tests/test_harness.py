@@ -427,6 +427,19 @@ def test_sign_study_tensor_branches(lines, expected):
     assert rep.results["sign_tally"] == 1.0
 
 
+@pytest.mark.parametrize("lines", ["scatterer_a = 2.0", "scatterer_a = 0.5\ntrial_a = 1.5",
+                                   "scatterer_A = 2, 1.5, 3\ntrial_A = 2, 2.5, 1.5"],
+                         ids=["q_pos", "q_neg", "tensor"])
+def test_sign_study_certificate_is_the_operator_norm_of_its_contrast(lines):
+    # the one certificate form, ||q_mat R_kappa q_mat^T||, computed by the study
+    cfg = cfg_from(f"study = sign\n{lines}\nresolution = 8\ngrid_n = 3\n")
+    rep = run_study(cfg)
+    bg, contrast, _ = harness._media(cfg)
+    sys = harness.assemble(harness._grid(cfg), bg)
+    assert rep.results["certificate"] == vie.operator_norm(sys, contrast)
+    assert "certificate_kind" not in rep.results
+
+
 def test_sign_study_mixed_trial_raises_before_solving(monkeypatch):
     def no_system(*args):
         raise AssertionError("the system was assembled")
@@ -560,12 +573,12 @@ def test_decay_study_falls_back_to_single_maps(monkeypatch):
     bg = harness.Background.isotropic(1.0, 1.0)
     sys = harness.assemble(harness._grid(cfg), bg)
     contrast, trial = harness._contrast(cfg, bg), harness._trial(cfg, bg)
+    assert rep.results["certificate"] == vie.operator_norm(sys, contrast)
     etas = cfg.eta * 10.0 ** (-np.linspace(0.0, 1.0, 8) / (1.0 - cfg.alpha))
     kinds = []
     for etap, (dist, raw, _) in zip(etas, rep.rays[0]):
         tmap = harness.imaging.td_map_iso(sys, contrast, trial, harness._surface(cfg, 1.0 / etap, 0),
-                                          np.array([[0.5 + dist, 0.0, 0.0]]),
-                                          certificate=rep.results["certificate"])
+                                          np.array([[0.5 + dist, 0.0, 0.0]]))
         kinds.append(tmap.kernel_factor)
         assert raw == pytest.approx(abs(tmap.values[0]), rel=1e-12)
     assert kinds == ["nodes"] * 2 + ["spectral"] * 6
@@ -592,6 +605,8 @@ def test_born_study_small():
     rep = run_study(cfg_from("study = born\nresolution = 8\nborn_q0 = 0.5\nborn_halvings = 2\n"))
     assert rep.status == "PASS"
     assert rep.results["certificate"][0] < 1.0
+    # certificate[j] = |q_j| ||R_kappa||, the one R_kappa norm of the run
+    assert rep.results["certificate"] == [abs(q) * rep.results["R_norm"] for q in rep.results["q"]]
     assert rep.results["born_error"][0] > 0.2
     # each halving of q roughly halves the Born error
     errors = rep.results["born_error"]

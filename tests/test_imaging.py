@@ -26,6 +26,7 @@ from tdscope import (
     kernel_L_series,
     mz_ball_iso,
     mz_ellipsoid,
+    operator_norm,
     solve_density,
     sphere_surface,
     synthesize_trace,
@@ -246,8 +247,7 @@ def test_td_map_iso_fields_and_signs(sys_h6, small_map_setup):
     tmap = td_map_iso(sys_h6, c, iso_contrast(1.0, 2.0), surf, pts)
     assert isinstance(tmap, TdMap)
     assert tmap.values.shape == (4,)
-    assert tmap.certificate < 1.0
-    assert tmap.certificate_kind == "qR_kappa"
+    assert operator_norm(sys_h6, c) < 1.0
     assert np.all(tmap.values < 0.0)
     assert tmap.inside_B.tolist() == [True, True, False, False]
     assert 0.0 <= tmap.imag_residue < 0.1
@@ -278,6 +278,19 @@ def test_td_map_negative_contrast_regimes_agree(sys_h6, small_map_setup):
     np.testing.assert_allclose(mixed, base, rtol=1e-12)
 
 
+def test_td_maps_share_one_route_for_a_ball_trial(sys_h6, small_map_setup):
+    # a scalar scatterer and a ball trial: the three maps take the same M_z
+    # into the same contraction, bit for bit
+    surf, pts = small_map_setup
+    c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 0.5)
+    maps = [td_map(sys_h6, c, trial, surf, pts)
+            for td_map in (td_map_iso, td_map_aniso_iso, td_map_general)]
+    for tmap in maps[1:]:
+        assert tmap.values.tobytes() == maps[0].values.tobytes()
+        assert tmap.inside_B.tolist() == maps[0].inside_B.tolist()
+        assert tmap.imag_residue == maps[0].imag_residue
+
+
 A_TILDE = SymTensor3.from_matrix([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 3.0]])
 
 
@@ -288,7 +301,7 @@ def test_td_map_single_point_matches_map(sys_h6, small_map_setup):
     c = aniso_contrast(SymTensor3.identity(), A_TILDE)
     trial = iso_contrast(1.0, 2.0)
     full = td_map_aniso_iso(sys_h6, c, trial, surf, pts[:3])
-    one = td_map_aniso_iso(sys_h6, c, trial, surf, pts[1:2], certificate=full.certificate)
+    one = td_map_aniso_iso(sys_h6, c, trial, surf, pts[1:2])
     assert one.values[0] == pytest.approx(full.values[1], rel=1e-12)
 
 
@@ -377,6 +390,13 @@ def test_td_map_input_guards(sys_h6, small_map_setup):
     bad_pt = mz_ball_iso(2.0, 1.0)
     with pytest.raises(ValueError):
         td_map_general(sys_h6, a_tensor, bad_pt, surf, pts)
+    # a ball trial of another background, and the scalar maps' type checks
+    with pytest.raises(ValueError, match="contrast background coefficient must match"):
+        td_map_general(sys_h6, c, iso_contrast(2.0, 4.0), surf, pts)
+    with pytest.raises(TypeError):
+        td_map_iso(sys_h6, a_tensor, c, surf, pts)
+    with pytest.raises(TypeError):
+        td_map_aniso_iso(sys_h6, a_tensor, trial_pt, surf, pts)
 
 
 def test_nan_points_are_rejected(sys_h6, small_map_setup):
@@ -525,16 +545,15 @@ def iso_systems_h8(ball_grid_h8):
             for kappa, a, _ in FACTOR_CASES}
 
 
-def _regime_map(regime, sys, surf, pts, certificate=None):
+def _regime_map(regime, sys, surf, pts):
     a = sys.bg.iso_a
     if regime == "iso":
-        return td_map_iso(sys, iso_contrast(a, 2.0 * a), iso_contrast(a, 1.5 * a), surf, pts,
-                          certificate)
+        return td_map_iso(sys, iso_contrast(a, 2.0 * a), iso_contrast(a, 1.5 * a), surf, pts)
     c = aniso_contrast(SymTensor3.scaled_identity(a), SymTensor3.from_matrix(a * A_TILDE.matrix))
     if regime == "aniso_iso":
-        return td_map_aniso_iso(sys, c, iso_contrast(a, 0.5 * a), surf, pts, certificate)
+        return td_map_aniso_iso(sys, c, iso_contrast(a, 0.5 * a), surf, pts)
     trial = mz_ellipsoid(sys.bg.A, SymTensor3.diag(0.5 * a, 0.6 * a, 0.4 * a), (0.3, 0.25, 0.2))
-    return td_map_general(sys, c, trial, surf, pts, certificate)
+    return td_map_general(sys, c, trial, surf, pts)
 
 
 @pytest.mark.parametrize("regime", ["iso", "aniso_iso", "general"])
@@ -589,7 +608,7 @@ def test_single_point_map_matches_many_point_map(sys_h8):
     assert (full.kernel_factor, full.kernel_rank) == ("nodes", 128)
     assert full.kernel_rank < 3 * pts.shape[0]
     for k in (0, 37, 124):
-        one = td_map_iso(sys_h8, c, trial, surf, pts[k:k + 1], certificate=full.certificate)
+        one = td_map_iso(sys_h8, c, trial, surf, pts[k:k + 1])
         assert one.kernel_rank > 3
         assert one.values[0] == pytest.approx(full.values[k], rel=1e-13)
 
@@ -659,18 +678,18 @@ def test_map_on_a_used_system_matches_a_fresh_system(ball_grid_h8, monkeypatch, 
     ax = np.linspace(-0.9, 0.9, 3)
     pts = c + np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     used = assemble(ball_grid_h8, bg)
-    first = _regime_map(regime, used, sphere_surface(3.0, 20, center=c), pts, 1.0)
+    first = _regime_map(regime, used, sphere_surface(3.0, 20, center=c), pts)
     for radius in (5.0, 100.0, 1000.0):
         surf = sphere_surface(radius, 20, center=c)
-        reused = _regime_map(regime, used, surf, pts, 1.0)
+        reused = _regime_map(regime, used, surf, pts)
         assert reused.kernel_factor == "spectral"
         assert reused.kernel_rank != first.kernel_rank
         fresh_sys = assemble(ball_grid_h8, bg)
-        fresh = _regime_map(regime, fresh_sys, surf, pts, 1.0)
+        fresh = _regime_map(regime, fresh_sys, surf, pts)
         assert _rel_diff(reused, fresh) <= 1e-13
         with monkeypatch.context() as m:
             _force_nodes(m)
-            nodes = _regime_map(regime, fresh_sys, surf, pts, 1.0)
+            nodes = _regime_map(regime, fresh_sys, surf, pts)
         assert nodes.kernel_factor == "nodes"
         assert _rel_diff(fresh, nodes) <= 1e-12
 
@@ -690,8 +709,8 @@ def test_cached_response_is_keyed_by_contrast_centre_and_order(ball_grid_h8):
     ranks = []
     for c, s, p in ((c_a, surf, pts), (c_b, surf, pts), (c_a, surf, pts),
                     (c_a, surf_off, pts + off), (c_a, surf, far)):
-        got = td_map_iso(used, c, trial, s, p, certificate=1.0)
-        want = td_map_iso(assemble(ball_grid_h8, bg), c, trial, s, p, certificate=1.0)
+        got = td_map_iso(used, c, trial, s, p)
+        want = td_map_iso(assemble(ball_grid_h8, bg), c, trial, s, p)
         assert _rel_diff(got, want) <= 1e-13
         ranks.append(got.kernel_rank)
     assert ranks[3] == ranks[0] < ranks[4]
@@ -717,7 +736,7 @@ def _own_spheres(surfs, pts):
 
 
 def _per_sample(sys, contrast, trial, spheres):
-    maps = [td_map_iso(sys, contrast, trial, s, z[None, :], certificate=1.0)
+    maps = [td_map_iso(sys, contrast, trial, s, z[None, :])
             for s, zs in spheres for z in zs]
     return (np.array([m.values[0] for m in maps]),
             [(m.kernel_factor, m.kernel_rank) for m in maps])
@@ -1056,7 +1075,7 @@ def test_td_map_iso_matches_a_complex_basis_reference(ball_grid_h6, bg_unit, sma
     surf, pts = small_map_setup
     sys = assemble(ball_grid_h6, bg_unit)
     c, trial = iso_contrast(1.0, 2.0), iso_contrast(1.0, 1.5)
-    tmap = td_map_iso(sys, c, trial, surf, pts, certificate=1.0)
+    tmap = td_map_iso(sys, c, trial, surf, pts)
     assert tmap.kernel_factor == "spectral"
     fac = KernelG(surf, bg_unit).factor(pts, sys.grid.centers)
     b = _complex_factor(fac, sys.grid.centers)
