@@ -30,7 +30,7 @@ sys = assemble(grid, bg)
 c = iso_contrast(1.0, 2.0)
 
 # The dense solve splits the system by the grid's symmetry: a centred ball in
-# an isotropic background keeps all 48 signed axis permutations, and one LDL^T
+# an isotropic background keeps all 48 signed axis permutations, and one LU
 # factor per irreducible block replaces one factor of the 3N-row matrix.
 group, blocks = sys.symmetry(c)
 print("symmetry:", group)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import elliprd
 
 from .materials import SymTensor3
 
@@ -171,6 +170,39 @@ def pde_residual(bg, x, h=1e-3):
     return float(np.abs(res))
 
 
+def _carlson_rd(x, y, z):
+    """Carlson's symmetric integral R_D(x, y, z) = 3/2 int_0^inf dt /
+    ((t + z) sqrt((t + x)(t + y)(t + z)^3)), elementwise, x, y >= 0, z > 0.
+
+    Duplication (Carlson, Numer. Algorithms 10, 1995): each step maps
+    (x, y, z) to ((x + lam)/4, ...), lam = sqrt(x y) + sqrt(x z) + sqrt(y z),
+    and adds 4^-m / (sqrt(z) (z + lam)) to a sum, until 4^-m Q < |A_m| with
+    Q = (eps/4)^(-1/6) max |A_0 - x, y, z|; every element steps until the
+    last one is done, which only shrinks its remainder.  The remainder is
+    the fifth-order series in the scaled deviations X, Y, Z of A_m.
+    """
+    x, y, z = (np.array(v, dtype=float) for v in np.broadcast_arrays(x, y, z))
+    a0 = (x + y + 3.0 * z) / 5.0
+    dx, dy = a0 - x, a0 - y
+    q = (np.finfo(float).eps / 4.0) ** (-1.0 / 6.0) * np.maximum(
+        np.maximum(np.abs(dx), np.abs(dy)), np.abs(a0 - z))
+    a, total, scale = a0, np.zeros_like(a0), 1.0
+    while np.any(scale * q > np.abs(a)):
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        total += scale / (sz * (z + lam))
+        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
+        scale /= 4.0
+    X, Y = dx * scale / a, dy * scale / a
+    Z = -(X + Y) / 3.0
+    xy, z2 = X * Y, Z * Z
+    e2, e3 = xy - 6.0 * z2, (3.0 * xy - 8.0 * z2) * Z
+    e4, e5 = 3.0 * (xy - z2) * z2, xy * z2 * Z
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return scale * a**-1.5 * series + 3.0 * total
+
+
 def depolarization_factors(semi_axes):
     """Classical depolarization factors N_i of an ellipsoid (static, unit medium).
 
@@ -186,7 +218,7 @@ def depolarization_factors(semi_axes):
     if np.ptp(s) < 1e-12:
         return np.full(3, 1.0 / 3.0)
     s2 = s**2
-    return np.prod(s) / 3.0 * elliprd(np.roll(s2, -1), np.roll(s2, -2), s2)
+    return np.prod(s) / 3.0 * _carlson_rd(np.roll(s2, -1), np.roll(s2, -2), s2)
 
 
 def eshelby_tensor(bg, semi_axes=None, axes=None):

@@ -62,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .greens import Background, grad_phi, phi
 from .materials import IsoContrast
@@ -70,6 +69,7 @@ from .polarization import PolarizationTensor, mz_ball_iso
 from .specfun_quad import (
     N_MAX,
     _degree_order,
+    _log_factorial,
     _real_wave_gradients,
     harmonics_table,
     legendre_p,
@@ -396,7 +396,7 @@ def _half_log_c(n_max, k, a, radii):
     """
     radii = np.asarray(radii, dtype=float)
     n, m = _degree_order(n_max)
-    log_w = gammaln(n + m + 1.0) + gammaln(n - m + 1.0)
+    log_w = _log_factorial(n + m) + _log_factorial(n - m)
     if k > 0.0:
         h = np.abs(sph_hankel1(np.arange(n_max + 1)[:, None], k * radii))[n]
         log_c = (np.log((2.0 * n + 1.0) / (4.0 * np.pi * a * a))[:, None]

@@ -1,9 +1,9 @@
 """Special functions, sphere quadrature, and voxelization.
 
-Spherical Bessel/Hankel functions, Legendre polynomials, orthonormal
-spherical harmonics (real and complex bases), gradients of the regular
-waves j_n Y_n^m, product quadrature rules on spheres and spherical caps,
-and cell-center voxelization of scatterer shapes onto a uniform cubic
+Spherical Bessel/Hankel functions by recurrence, Legendre polynomials,
+orthonormal spherical harmonics (real and complex bases), gradients of the
+regular waves j_n Y_n^m, product quadrature rules on spheres and spherical
+caps, and cell-center voxelization of scatterer shapes onto a uniform cubic
 lattice.  The harmonics and the waves both come from one recurrence, that
 of the scaled regular solid harmonics R_n^m, in one packed (n, m) layout.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, spherical_jn, spherical_yn, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "N_MAX",
@@ -38,6 +38,92 @@ __all__ = [
 ]
 
 N_MAX = 60  # default order cap for series work; j_n tails are negligible far beyond kappa*R
+# orders above the highest one asked for at which Miller's recurrence starts:
+# for x <= n its relative error at order n is about prod_{k=n+1}^{N} (x/2k)^2
+# <= 4^-(N - n), below 1e-18 at N = n + 30
+_MILLER_EXTRA = 30
+
+
+def _sph_bessel_table(n_top, x, second=False):
+    """(j, y): j_k(x) and, with second, y_k(x) (else None) for k = 0..n_top,
+    each (n_top + 1, x.size), for x a flat array of finite x >= 0.
+
+    Rows k < x come from the upward recurrence f_{k+1} = (2k + 1)/x f_k -
+    f_{k-1} from j_0 = sin x / x and j_1 = (j_0 - cos x)/x, where it is stable
+    (DLMF §10.51).  Rows k >= x come from Miller's backward recurrence, from
+    f_{N+1} = 0, f_N = 1 at N = n_top + _MILLER_EXTRA down to f_0, normalised
+    by sum_k (2k + 1) j_k^2 = 1 (DLMF §10.60; Gautschi, SIAM Rev. 9, 1967).
+    It runs on g_k = f_k / 2^(s_{k+1} + ... + s_N), with 2^s_k > (2k + 1)/x +
+    1 taken from the exponents of x and of (2k + 1) / mantissa(x), so that g
+    never grows, each scaling is exact and no x > 0, subnormal included,
+    overflows; the sequence is positive at the top, where j_k > 0, so no
+    sign is lost.  y_k runs upward from y_0 = -cos x / x, where it is the
+    dominant solution; once it overflows it stays at -inf, with no nan.  At
+    x = 0: j_0 = 1, j_k = 0 and y_k = -inf.
+    """
+    pos = x > 0.0
+    xs = np.where(pos, x, 1.0)
+    s, c = np.sin(xs), np.cos(xs)
+    k = np.arange(n_top + 1)[:, None]
+    j = np.empty((n_top + 1, x.size))
+    j[0] = s / xs
+    y = np.empty((n_top + 1, x.size)) if second else None
+    # upward j past k = x is overwritten below; it may overflow on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        if second:
+            y[0] = -c / xs
+        if n_top:
+            j[1] = (j[0] - c) / xs
+            if second:
+                y[1] = (y[0] - s) / xs
+        for n in range(1, n_top):
+            j[n + 1] = (2 * n + 1) / xs * j[n] - j[n - 1]
+            if second:
+                y[n + 1] = np.where(np.isneginf(y[n]), -np.inf,
+                                    (2 * n + 1) / xs * y[n] - y[n - 1])
+    back = np.flatnonzero(pos & (x <= n_top))
+    if back.size:
+        xb = x[back]
+        top = n_top + _MILLER_EXTRA
+        # x = m 2^p, so (2k + 1)/x = u_k 2^-p, for k = 0..N + 1
+        m, p = np.frexp(xb)
+        u = (2 * np.arange(top + 2) + 1)[:, None] / m
+        sk = np.frexp(u + np.ldexp(1.0, p))[1] - p
+        alpha = np.ldexp(u, -(sk + p))  # (2k + 1)/x / 2^s_k
+        beta = np.ldexp(1.0, -(sk[:-1] + sk[1:]))  # 1 / 2^(s_k + s_{k+1})
+        g = np.zeros((top + 2, xb.size))
+        g[top] = 1.0
+        for n in range(top, 0, -1):
+            g[n - 1] = alpha[n] * g[n] - beta[n] * g[n + 1]
+        # f_k = g_k / 2^(s_1 + ... + s_k), up to a factor that puts f_0 in
+        # [1/2, 1), so that only the rows far below it underflow
+        f = np.ldexp(g[: top + 1], sk[0] - np.cumsum(sk[: top + 1], axis=0)
+                     - np.frexp(g[0])[1])
+        # summed row by row, so that a column's sum, and its values, do not
+        # depend on the columns beside it
+        norm = np.zeros(xb.size)
+        for n, row in enumerate(f):
+            norm += (2 * n + 1) * row * row
+        f /= np.sqrt(norm)
+        j[:, back] = np.where(k >= xb, f[: n_top + 1], j[:, back])
+    j[:, ~pos] = k == 0
+    if second:
+        y[:, ~pos] = -np.inf
+    return j, y
+
+
+def _sph_bessel(n, x, second=False):
+    """j_n(x), or (j_n(x), y_n(x)) with second, for orders n >= 0 and finite
+    x >= 0 broadcast together, read from one _sph_bessel_table of x."""
+    n = np.asarray(n)
+    x = np.asarray(x, dtype=float)
+    if np.any(n < 0):
+        raise ValueError("order must be >= 0")
+    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
+        raise ValueError("spherical Bessel functions require finite x >= 0")
+    j, y = _sph_bessel_table(int(n.max(initial=0)), x.ravel(), second)
+    cols = np.arange(x.size).reshape(x.shape)
+    return (j[n, cols], y[n, cols]) if second else j[n, cols]
 
 
 def sph_bessel_j(n, x, n_max=N_MAX):
@@ -45,18 +131,20 @@ def sph_bessel_j(n, x, n_max=N_MAX):
     n = np.asarray(n)
     if np.any(n < 0) or np.any(n > n_max):
         raise ValueError(f"order must lie in 0..{n_max}")
-    return spherical_jn(n, np.asarray(x, dtype=float))
+    return _sph_bessel(n, x)
 
 
 def sph_hankel1(n, x):
-    """Spherical Hankel function of the first kind, h_n = j_n + i y_n; x > 0."""
+    """Spherical Hankel function of the first kind, h_n = j_n + i y_n; x > 0.
+
+    y_n overflows to -inf for n >> x, where h_n = j_n - inf i, with no nan."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("sph_hankel1 requires finite x > 0")
-    n = np.asarray(n)
-    # y_n overflows to -inf for n >> x; keep |h_n| = inf without a nan warning
-    with np.errstate(invalid="ignore"):
-        return spherical_jn(n, x) + 1j * spherical_yn(n, x)
+    j, y = _sph_bessel(n, x, second=True)
+    h = np.array(j, dtype=complex)
+    h.imag = y
+    return h[()]
 
 
 def legendre_p(n, t):
@@ -158,7 +246,7 @@ def harmonics_table(n_max, dirs, kind="complex"):
     out = _solid_harmonics(n_max, dirs)
     n, m = _degree_order(n_max)
     out *= np.exp(0.5 * (np.log((2.0 * n + 1.0) / (4.0 * np.pi))
-                         + gammaln(n + m + 1.0) + gammaln(n - m + 1.0)))[:, None]
+                         + _log_factorial(n + m) + _log_factorial(n - m)))[:, None]
     return out if kind == "complex" else _real_basis(out)
 
 
@@ -176,10 +264,18 @@ def real_spherical_harmonics(n, m, dirs):
     return harmonics_table(n, dirs, kind="real")[harmonic_index(n, m)]
 
 
+def _log_factorial(k):
+    """log k! for integers k >= 0 (elementwise), by math.lgamma: one call per
+    value up to max(k)."""
+    k = np.asarray(k, dtype=int)
+    table = np.array([math.lgamma(i + 1.0) for i in range(int(k.max(initial=0)) + 1)])
+    return table[k]
+
+
 def log_odd_factorial(n):
-    """log (2n + 1)!! for n >= 0 (elementwise)."""
-    n = np.asarray(n, dtype=float)
-    return gammaln(2.0 * n + 2.0) - n * np.log(2.0) - gammaln(n + 1.0)
+    """log (2n + 1)!! for integers n >= 0 (elementwise)."""
+    n = np.asarray(n, dtype=int)
+    return _log_factorial(2 * n + 1) - n * np.log(2.0) - _log_factorial(n)
 
 
 def _radial_factors(n_top, kr):
@@ -204,7 +300,7 @@ def _radial_factors(n_top, kr):
     out[:, small] = series
     x = kr[~small]
     # (2n + 1)!! / x^n as a running product: exp of its log loses 1e-14
-    out[:, ~small] = spherical_jn(n, x) * np.cumprod(
+    out[:, ~small] = _sph_bessel_table(n_top, x)[0] * np.cumprod(
         np.maximum(2.0 * n + 1.0, 1.0) / np.where(n > 0, x, 1.0), axis=0)
     return out
 
@@ -297,7 +393,7 @@ def sphere_quadrature(order, aperture=None):
     the cap area.
     """
     theta_max = _check_rule(order, aperture)
-    xg, wg = roots_legendre(order)
+    xg, wg = leggauss(order)
     lo = np.cos(theta_max)
     ct = 0.5 * (xg + 1.0) * (1.0 - lo) + lo
     wc = wg * 0.5 * (1.0 - lo)

@@ -78,9 +78,9 @@ dropped once it is formed.  On the ball at resolution 14 (3N = 4,416, 106
 orbits) the gather's tracemalloc peak, consumed a block at a time, is 10.6
 MB, the pass itself: 7.5 MB of rows and 2.1 MB of table (at resolution 16
 20.5 MB); the blocks are 10 of at most 290 rows instead of 8 of 552.  Each
-block is factored and solved by one zsysv call (Bunch-Kaufman LDL^T, then
-LAPACK's level-3 zsytrs2) in its own memory, each routed segment a further
-column, solved in place and, by solve_density, mapped back; each block is
+block is factored and solved by one LU solve (np.linalg.solve, partial
+pivoting, in numpy's own LAPACK), each routed segment a further column,
+written back in place and, by solve_density, mapped back; each block is
 taken from the gather's stream just before its solve and dropped after it.
 The response 1/2 F^H M_B F of P fields (_half_pairing) is paired inside the
 blocks instead, one B^T X per block as the block comes, so only one seeded
@@ -107,9 +107,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import fft, ifft
-from scipy.linalg import eigvalsh_tridiagonal, solve_triangular
-from scipy.linalg.lapack import zsysv, zsysv_lwork
+# numpy imports these submodules on first use: loaded here, with the package,
+# they cost the first solve nothing
+from numpy.fft import fft, ifft
+from numpy.random import default_rng
 
 from .greens import _hess_profile, cell_self_term, grad_phi, hess_phi
 from .materials import _PACK, IsoContrast
@@ -145,11 +146,23 @@ _ASSEMBLE_CHUNK = 1 << 14
 _BOX_AXES = (-3, -2, -1)
 # row of kernel_hat holding entry (a, b) of the symmetric 3x3 symbol
 _UNPACK = np.array([[_PACK.index((min(a, b), max(a, b))) for b in range(3)] for a in range(3)])
+# 4 complex zeros that VieSystem.apply adds to themselves before its FFTs
+_SCRATCH = np.zeros(4, dtype=complex)
 # scipy names that vie never calls but the traced benchmark wraps as vie
 # attributes, by module; __getattr__ imports each on first access, so that a
-# run that does not ask for them never loads scipy.sparse
+# run that does not ask for them never loads scipy, which tdscope does not need
 _TRACED_NAMES = {"lu_factor": "scipy.linalg", "lu_solve": "scipy.linalg",
                  "gmres": "scipy.sparse.linalg", "LinearOperator": "scipy.sparse.linalg"}
+
+
+def _unique(a):
+    """The sorted distinct values of an integer array, as np.unique(a) gives
+    them.  np.unique without its optional outputs checks for a masked array,
+    which imports numpy.ma (about 30 ms) on first use."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def __getattr__(name):
@@ -247,7 +260,7 @@ class _Split:
         # the stabilizer of each representative, as the bits of its elements
         kind = (img[reps] == reps[:, None]) @ (1 << np.arange(order))
         types, sizes = [], [0] * len(irreps)
-        for key in np.unique(kind):
+        for key in _unique(kind):
             stab = key >> np.arange(order) & 1 == 1
             sel = reps[kind == key]
             first = np.sort(np.unique(img[sel[0]], return_index=True)[1])
@@ -619,20 +632,13 @@ def _forward(group, cols, lift=None, conj=False):
 
 
 def _solve_block(name, block, part, what):
-    """Solve the block's routed segments part (n, m) in place, by one zsysv
-    call that factors the block in its own memory; name and what name it in
-    errors.  A block with no segment is factored all the same."""
-    rows = len(block)
-    if rows == 0:
-        return
-    lwork, _ = zsysv_lwork(rows, lower=1)  # scipy's default lwork = n is unblocked
-    # the C-ordered symmetric block is its own transpose in Fortran order, and
-    # so is the C-ordered part
-    *_, info = zsysv(block.T, part.T, lwork=int(lwork.real), lower=1, overwrite_a=1,
-                     overwrite_b=1)
-    if info > 0:
-        raise RuntimeError(f"the {name} block ({rows} rows) of {what} is singular: "
-                           f"LDL^T pivot {info} is exactly zero")
+    """Solve the block's routed segments part (n, m) in place, by one LU
+    solve of the block (np.linalg.solve); name and what name it in errors.
+    A block with no segment is factored all the same."""
+    try:
+        part[...] = np.linalg.solve(block, part.T).T
+    except np.linalg.LinAlgError:
+        raise RuntimeError(f"the {name} block ({len(block)} rows) of {what} is singular") from None
 
 
 def _backward(group, coords, out):
@@ -658,10 +664,10 @@ def _blocked_solve(blocks, group, rhs, what):
     (_backward), whose coordinates are allocated only after the solves.
     blocks may be any iterable, such as the stream of _gather_blocks: each
     block is taken from it just before its solve and dropped after it, so
-    at most one block is held here.  Each block is factored in its own
-    memory and solves its segments in place in one zsysv call, also when it
-    carries none, so a singular block raises naming it, before rhs is
-    written (_solve_block).
+    at most one block is held here.  Each block is factored and solves its
+    segments in one LU solve, written back in place, also when it carries
+    none, so a singular block raises naming it, before rhs is written
+    (_solve_block).
     """
     x = np.asfortranarray(rhs.reshape(rhs.shape[0], -1))
     routed = _forward(group, x.T.reshape(x.shape[1], -1, 3))
@@ -707,8 +713,8 @@ class VieSystem:
         v is not written to.  Omitted factors are the identity (left, right)
         and zero (diag).  The density is scattered through flat into one
         zeroed (3, K, p0, p1, p2) box, and every transform runs in place in
-        it (scipy's overwrite_x writes into a complex view), on the part
-        that holds data: the forward transform runs the last axis on the
+        it (numpy.fft's out= writes into the complex view it reads), on the
+        part that holds data: the forward transform runs the last axis on the
         d0*d1 lines of the view [:d0, :d1], the middle axis on the d0 slabs
         of [:d0] and the first axis on the full box.  The symbol is applied
         in place, a slab of the first box axis at a time: entry (a, b) is row
@@ -728,9 +734,13 @@ class VieSystem:
         src = xt if right is None else right @ xt
         box = np.zeros((3, k, p0, p1, p2), dtype=complex)
         box.reshape(3, k, -1)[:, :, self.flat] = src.reshape(3, k, -1)
-        fft(box[:, :, :d0, :d1], axis=-1, overwrite_x=True)
-        fft(box[:, :, :d0], axis=-2, overwrite_x=True)
-        fft(box, axis=-3, overwrite_x=True)
+        # right @ xt may return from OpenBLAS with the upper halves of the
+        # vector registers in use, and numpy.fft's SSE code runs about a third
+        # slower until a vectorised ufunc clears them: one on 4 values does
+        # (r_apply on a 36^3 box, 3.60 -> 3.22 ms on a Xeon with AVX-512)
+        np.add(_SCRATCH, _SCRATCH, out=_SCRATCH)
+        for view, axis in ((box[:, :, :d0, :d1], -1), (box[:, :, :d0], -2), (box, -3)):
+            fft(view, axis=axis, out=view)
         # slabs of about 2^13 box points per column keep their arrays in cache
         step = min(p0, max(1, (1 << 13) // (p1 * p2)))
         acc = np.empty((3, k, step, p1, p2), dtype=complex)
@@ -745,9 +755,8 @@ class VieSystem:
                     np.multiply(ks[rows[b]], xs[b], out=t)
                     ys[a] += t
             xs[...] = ys
-        ifft(box, axis=-3, overwrite_x=True)
-        ifft(box[:, :, :d0], axis=-2, overwrite_x=True)
-        ifft(box[:, :, :d0, :d1], axis=-1, overwrite_x=True)
+        for view, axis in ((box, -3), (box[:, :, :d0], -2), (box[:, :, :d0, :d1], -1)):
+            ifft(view, axis=axis, out=view)
         y = box.reshape(3, k, -1)[:, :, self.flat].reshape(3, -1)
         del box
         if left is not None:
@@ -803,7 +812,7 @@ class VieSystem:
         With V the group's basis, each block is B = V_0^T M V_0 / 2^s for the
         block's first segment V_0 of V, and it is formed from the rows of M
         at the G-orbit representatives group.reps only (see _Group).  M is
-        complex symmetric, as zsysv factors its blocks, so the table holds
+        complex symmetric, and so is each block, so the table holds
         the 6 distinct entries of each 3x3 block (_offset_blocks).  The rows
         are gathered from it a chunk of orbits at a time (_Group.chunks, in
         the orbit layout), multiplied by the chunk's orbit blocks of V in
@@ -949,7 +958,7 @@ def assemble(grid, bg):
     # the box positions of the 26 touching offsets, in box order (an axis of
     # box 2 holds +1 and -1 at one position)
     near = np.stack(np.meshgrid(*3 * [[-1, 0, 1]], indexing="ij")).reshape(3, -1)
-    ring = np.unique(np.ravel_multi_index(near[:, near.any(axis=0)], box, mode="wrap"))
+    ring = _unique(np.ravel_multi_index(near[:, near.any(axis=0)], box, mode="wrap"))
     pts = offsets(ring)[:, None, :] * h - sub[None, :, :]
     packed[:, ring] = pack(hess_phi(bg, pts).mean(axis=1) * h**3)
     del ring, pts
@@ -1064,7 +1073,7 @@ def _gmres(matvec, b, shifts):
         tri = np.zeros((len(alpha), k, k), dtype=complex)
         for i, col in enumerate(cols):
             tri[:, : i + 1, i] = col
-        y = np.array([solve_triangular(t, g[:k]) for t, g in zip(tri, top)])
+        y = np.linalg.solve(tri, top[:, :k, None])[..., 0]
         x = np.zeros((len(alpha), r.size), dtype=complex)
         for yi, v in zip(y.T, basis):
             x += yi[:, None] * v
@@ -1094,8 +1103,8 @@ def resolvent_solve(sys, contrast, rhs):
     once; contrast may also be the _Plan that a caller in this module has
     made for its contrast.  On the dense path each irreducible block of the
     system matrix under its group of signed axis permutations (_orbits) is
-    gathered (VieSystem._gather_blocks) and factored with LDL^T, in place,
-    for this call only (_blocked_solve); a singular block raises naming its
+    gathered (VieSystem._gather_blocks) and factored with LU, for this
+    call only (_blocked_solve); a singular block raises naming its
     class and irrep, with rhs untouched.  Each dense batch is checked by one
     seeded Freivalds probe ||M (X r) - B r|| / ||B r|| through the FFT
     apply, which also cross-checks the gathered blocks against the table;
@@ -1109,7 +1118,7 @@ def resolvent_solve(sys, contrast, rhs):
     n3 = 3 * sys.n_cells
     cols = rhs.reshape(n3, -1)
     if plan.dense:
-        r = np.random.default_rng(0).standard_normal(cols.shape[1])
+        r = default_rng(0).standard_normal(cols.shape[1])
         br = cols @ r
         blocks = sys._gather_blocks(plan.group, *plan.factors)
         x = _blocked_solve(blocks, plan.group, rhs, plan.what)
@@ -1210,7 +1219,7 @@ def _solve(sys, plan, g):
     left, right, _ = plan.factors
     rows = g.reshape(-1, 3 * sys.n_cells)
     # the (3N, K) right-hand sides are the transpose of (K, 3N) rows: Fortran
-    # order, which the LDL^T solve overwrites without a reordering copy; they
+    # order, which the dense solve overwrites without a reordering copy; they
     # are dropped before h is formed so that at most two K x 3N blocks are held
     rhs = _lifted(rows, -left)
     x = resolvent_solve(sys, plan, rhs.T).T
@@ -1225,7 +1234,7 @@ def _density(sys, plan, g, h):
     combination (r = 1 for one field)."""
     rows = g.reshape(-1, 3 * sys.n_cells)
     k = rows.shape[0]
-    r = np.random.default_rng(0).standard_normal(k) if g.ndim == 3 else np.ones(1)
+    r = default_rng(0).standard_normal(k) if g.ndim == 3 else np.ones(1)
     gr = (r @ rows).reshape(-1, 3)
     hr = (r @ h.reshape(rows.shape)).reshape(-1, 3)
     return DensityField(values=h, grid=sys.grid, residual=_residual(sys, plan, hr, gr))
@@ -1273,7 +1282,7 @@ def _half_pairing(sys, contrast, fields):
     The blocks then come one at a time from the stream of
     VieSystem._gather_blocks, and each is worked through before the next is
     taken: for real F, B is copied from the block's routed right-hand sides
-    just before its zsysv (_solve_block), the block is paired, its share of
+    just before its LU solve (_solve_block), the block is paired, its share of
     the seeded combination X r is kept, and the block, B and X are dropped.
     No two blocks, and no two blocks' copies of B, are held at once, and the
     (P, P) sum is allocated only once the first block has come, after the
@@ -1296,7 +1305,7 @@ def _half_pairing(sys, contrast, fields):
         h = _solve(sys, plan, g).values
         return 0.5 * (g.conj().reshape(k, -1) @ h.reshape(k, -1).T)
     group, lift = plan.group, -plan.factors[0]
-    r = np.random.default_rng(0).standard_normal(k)
+    r = default_rng(0).standard_normal(k)
     gr = np.tensordot(r, g, axes=1)
     routed = _forward(group, g, lift, np.iscomplexobj(g))
     # the fields are routed: a caller's temporary is freed before the gather
@@ -1390,7 +1399,7 @@ def operator_norm(sys, contrast=None):
         # R_kappa is complex symmetric and q_mat real, so M^H v = conj(M conj(v))
         return np.conj(mv(np.conj(v)))
 
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)
     n3 = 3 * sys.n_cells
     v = rng.standard_normal(n3) + 1j * rng.standard_normal(n3)
     v /= np.linalg.norm(v)
@@ -1403,9 +1412,7 @@ def operator_norm(sys, contrast=None):
         u = mv(v) - beta * u
         alpha = np.linalg.norm(u)
         off.append(alpha)
-        top = len(off)
-        sig = float(eigvalsh_tridiagonal(np.zeros(top + 1), off, select="i",
-                                         select_range=(top, top))[0])
+        sig = float(np.linalg.eigvalsh(np.diag(off, 1), UPLO="U")[-1])
         if alpha <= 1e-12 * sig or abs(sig - sig_prev) <= 1e-4 * sig:
             return sig
         u /= alpha

@@ -1,5 +1,5 @@
 """Every exported name resolves, every demo imports only exported names, and the
-package imports no scipy subpackage it does not use."""
+package imports and runs on numpy alone, without scipy."""
 
 import ast
 import importlib
@@ -49,6 +49,26 @@ def test_import_leaves_out_integrate_and_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+def test_import_and_studies_leave_out_scipy():
+    # a fresh interpreter: `import tdscope`, a resolution-6 sign study and the
+    # shipped born study load no scipy module at all
+    env = {**os.environ, "PYTHONPATH": str(Path(tdscope.__file__).resolve().parents[1])}
+    born = Path(__file__).resolve().parents[1] / "demos" / "configs" / "born_moderate.cfg"
+    code = ("import sys, tdscope\n"
+            "def scipy_modules():\n"
+            "    print(sum(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+            "scipy_modules()\n"
+            "rep = tdscope.run_study(tdscope.parse_config('study = sign\\nresolution = 6\\n'))\n"
+            "print(rep.status)\n"
+            "scipy_modules()\n"
+            "rep = tdscope.run_study(tdscope.load_config(sys.argv[1]))\n"
+            "print(rep.status)\n"
+            "scipy_modules()\n")
+    out = subprocess.run([sys.executable, "-c", code, str(born)], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["0", "PASS", "0", "PASS", "0"]
 
 
 def test_import_leaves_out_scipy_sparse_until_a_traced_name_is_read():

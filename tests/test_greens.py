@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import elliprd
 
 from tdscope import (
     Background,
@@ -14,6 +15,7 @@ from tdscope import (
     pde_residual,
     phi,
 )
+from tdscope import greens
 
 
 def test_phi_isotropic_closed_form():
@@ -164,6 +166,26 @@ def test_depolarization_matches_the_defining_integral():
         got = depolarization_factors(axes)
         np.testing.assert_allclose(got, _depolarization_by_quadrature(axes),
                                    rtol=0.0, atol=1e-12, err_msg=str(axes))
+
+
+def test_carlson_rd_matches_scipy():
+    # the duplication algorithm against scipy's elliprd to 1e-14 relative:
+    # random arguments, x = 0, near-equal arguments down to equal ones, and the
+    # squared axis ratios that depolarization_factors passes
+    rng = np.random.default_rng(2)
+    cases = [(rng.uniform(0.0, 1.0, 4000) ** 3, rng.uniform(1e-3, 1.0, 4000),
+              rng.uniform(1e-3, 1.0, 4000)),
+             (np.zeros(200), rng.uniform(1e-3, 1.0, 200), rng.uniform(1e-3, 1.0, 200))]
+    base = rng.uniform(1e-2, 10.0, 500)
+    for eps in (0.0, 1e-16, 1e-12, 1e-8, 1e-4, 1e-2):
+        cases += [(base, base * (1.0 + eps), base * (1.0 - eps)),
+                  (base * (1.0 + eps), base, base)]
+    s = np.geomspace(0.02, 1.0, 25)
+    axes = np.stack(np.meshgrid(s, s, s), axis=-1).reshape(-1, 3) ** 2
+    cases.append(tuple(axes.T))
+    for x, y, z in cases:
+        want = elliprd(x, y, z)
+        np.testing.assert_allclose(greens._carlson_rd(x, y, z), want, rtol=1e-14, atol=0.0)
 
 
 def test_eshelby_ball_is_third_identity():

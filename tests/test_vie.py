@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -733,7 +734,7 @@ def test_operator_norm_is_abs_q_times_the_r_kappa_norm(sys_h6, r_applies, a_tild
     assert len(r_applies) == 2 * steps
 
 
-# solve_density (sign-split system, LDL^T) against the dense direct form of the
+# solve_density (sign-split system, block LU) against the dense direct form of the
 # test-side reference: q > 0; q < 0, where sigma = i I while the direct form
 # stays real; and a mixed-sign tensor contrast in an anisotropic background,
 # where sigma has 1 and i entries and I - Q R_kappa is not symmetric
@@ -1094,10 +1095,10 @@ def test_half_pairing_peak_memory_when_the_waves_reach_every_block(bg_unit, mb_r
     assert sys.symmetry(contrast)[0].endswith("(48 elements)")
     waves = _real_basis(regular_wave_gradients(13, 1.0, grid.centers))
     assert waves.shape == (196, 280, 3)
-    columns = []  # per zsysv call, the columns it solves
-    zsysv = vie.zsysv
-    monkeypatch.setattr(vie, "zsysv", lambda a, b, **kw: columns.append(b.shape[1]) or zsysv(
-        a, b, **kw))
+    columns = []  # per block solve, the columns it solves
+    solve = vie._solve_block
+    monkeypatch.setattr(vie, "_solve_block", lambda name, block, part, what: columns.append(
+        len(part)) or solve(name, block, part, what))
     got, peak = peak_bytes(vie._half_pairing, sys, contrast, waves)
     assert len(columns) == 10 and min(columns) > 0
     assert peak < 2.1 * 16 * waves.size
@@ -1450,7 +1451,7 @@ def test_resolvent_solve_dense_path_solves_in_place(sys_h6, rng, k):
     assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-# the complex-symmetric system of each kind of contrast, factored with LDL^T:
+# the complex-symmetric system of each kind of contrast, factored block by block:
 # q > 0, q < 0 with sigma = i I (symmetric, not Hermitian), and a non-scalar Q
 SYMMETRIC_SYSTEMS = {
     "q_pos": iso_contrast(1.0, 2.0),
@@ -1459,7 +1460,7 @@ SYMMETRIC_SYSTEMS = {
 }
 
 
-# the LDL^T solve against a dense solve of a reference matrix: "sigma" is the
+# the blocked solve against a dense solve of a reference matrix: "sigma" is the
 # gathered sign-split system itself, "direct" is I - Q R_kappa, which for a
 # scalar q of either sign is the same matrix
 LDLT_SOLVE_CASES = {
@@ -1494,20 +1495,19 @@ def test_ldlt_solve_matches_dense_solve(sys_h6, rng, case, k):
 
 @pytest.fixture()
 def block_rhs(monkeypatch):
-    """One record per zsysv call: the block a, its right-hand sides b (3n, k), a
-    copy of b taken before the call, the lwork passed, and the pivots ipiv and
-    solution x returned."""
+    """One record per block solve (vie._solve_block): the block a, its
+    right-hand sides b (3n, k), a copy of b taken before the solve, and the
+    solution x, which the solve writes into b."""
     calls = []
-    zsysv = vie.zsysv
+    solve = vie._solve_block
 
-    def spy(a, b, **kwargs):
-        call = SimpleNamespace(a=a, b=b, rhs=b.copy(), lwork=kwargs.get("lwork"))
+    def spy(name, block, part, what):
+        call = SimpleNamespace(a=block, b=part.T, rhs=part.T.copy())
         calls.append(call)
-        out = zsysv(a, b, **kwargs)
-        call.ipiv, call.x = out[1], out[2]
-        return out
+        solve(name, block, part, what)
+        call.x = part.T
 
-    monkeypatch.setattr(vie, "zsysv", spy)
+    monkeypatch.setattr(vie, "_solve_block", spy)
     return calls
 
 
@@ -1519,7 +1519,7 @@ def _blocked_solve_single(mat, rhs):
 
 
 def test_ldlt_two_by_two_pivots(rng, block_rhs):
-    # a zero diagonal forces Bunch-Kaufman into 2x2 blocks of D
+    # a zero diagonal: the block's LU solve must exchange rows
     n = 12
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = a + a.T
@@ -1530,46 +1530,39 @@ def test_ldlt_two_by_two_pivots(rng, block_rhs):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     got = _blocked_solve_single(a, b[:, 0].copy())
     assert np.linalg.norm(got - want[:, 0]) <= 1e-12 * np.linalg.norm(want)
-    # a 2x2 block of D is marked by negative pivots
     assert [call.rhs.shape for call in block_rhs] == [(n, 3), (n, 1)]
-    assert all(np.any(call.ipiv < 0) for call in block_rhs)
 
 
 @pytest.mark.parametrize("case", sorted(SYMMETRIC_SYSTEMS))
-def test_factorization_overwrites_the_gathered_matrix(sys_h6, rng, monkeypatch, block_rhs,
-                                                     case):
-    # each block is factored in the memory of its gathered block and solves its
-    # columns in the memory of its right-hand sides, and no 3N x 3N array is
-    # allocated besides the blocks: the ball's ten blocks hold far less than one
-    gathered = []
-    gather = VieSystem._gather_blocks
+def test_factorization_overwrites_the_gathered_matrix(sys_h6, rng, monkeypatch, case):
+    # each streamed block is solved once, in the order of the stream, and
+    # dropped before the next is taken: at each solve the block solved is
+    # the one streamed block alive, and no 3N x 3N array is allocated
+    # besides the blocks: the ball's ten blocks hold far less than one
+    streamed = []  # (id, weak reference, bytes) of each block
+    solved = []  # (id, streamed blocks alive) at each solve
+    gather, solve = VieSystem._gather_blocks, vie._solve_block
 
     def keep(self, *args):
         for block in gather(self, *args):
-            gathered.append(block)
+            streamed.append((id(block), weakref.ref(block), block.nbytes))
             yield block
+            del block
+
+    def spy(name, block, part, what):
+        solved.append((id(block), sum(ref() is not None for _, ref, _ in streamed)))
+        solve(name, block, part, what)
 
     monkeypatch.setattr(VieSystem, "_gather_blocks", keep)
+    monkeypatch.setattr(vie, "_solve_block", spy)
     b = np.asfortranarray(rng.standard_normal((3 * sys_h6.n_cells, 1)) + 0j)
     _, peak = peak_bytes(vie.resolvent_solve, sys_h6, SYMMETRIC_SYSTEMS[case], b)
-    blocks = gathered
-    assert len(block_rhs) == len(blocks)
-    for block, call in zip(blocks, block_rhs):
-        assert np.shares_memory(call.a, block)
-        assert np.shares_memory(call.x, call.b)
+    assert solved == [(i, 1) for i, _, _ in streamed]
+    assert all(ref() is None for _, ref, _ in streamed)
     full = 16 * (3 * sys_h6.n_cells) ** 2
-    assert peak < sum(block.nbytes for block in blocks) + full
+    assert peak < sum(nbytes for *_, nbytes in streamed) + full
     if case != "aniso":
-        assert len(blocks) == 10 and peak < full
-
-
-def test_blocked_factor_gets_its_workspace(sys_h6, block_rhs):
-    # scipy's default lwork = n runs the unblocked factor, about half as fast
-    solve_density(sys_h6, iso_contrast(1.0, 2.0), unit_inc(sys_h6.n_cells))
-    assert len(block_rhs) == 10
-    for call in block_rhs:
-        lwork, info = vie.zsysv_lwork(call.a.shape[0], lower=1)
-        assert info == 0 and call.lwork is not None and call.lwork >= lwork.real
+        assert len(streamed) == 10 and peak < full
 
 
 BLOCK_3x4x4 = np.stack(np.meshgrid(np.arange(3), np.arange(4), np.arange(4), indexing="ij"),
@@ -1835,7 +1828,7 @@ def test_singular_system_raises_before_solve(sys_h6, rng, monkeypatch, diag):
     (name, rows), *_ = vie._orbits(sys_h6.index, np.eye(3), zero, zero, diag).block_names()
     assert (name, rows) == ("x+ y+ z+ A1", 11)
     want = (rf"the x\+ y\+ z\+ A1 block \(11 rows\) of the system on "
-            rf"{sys_h6.n_cells} cells is singular: LDL\^T pivot 1 is exactly zero")
+            rf"{sys_h6.n_cells} cells is singular$")
     with pytest.raises(RuntimeError, match=want):
         vie.resolvent_solve(sys_h6, iso_contrast(1.0, 2.0), rhs)
     np.testing.assert_array_equal(rhs, b)
