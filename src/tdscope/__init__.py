@@ -29,8 +29,6 @@ from .specfun_quad import (
     legendre_p,
     harmonics_table,
     regular_wave_gradients,
-    real_spherical_harmonics,
-    complex_spherical_harmonics,
     sphere_quadrature,
     sphere_surface,
     voxelize,

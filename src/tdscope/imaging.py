@@ -498,23 +498,15 @@ class _NodeFactor:
 class KernelG:
     """G(z, y) over a fixed surface and background, through its kernel factor.
 
-    factor gives b with G(z, y) = sum_p conj(b_p(z)) (x) b_p(y), and bundle
-    the all-pairs table from it.  The node quadrature kernel_G is the
-    oracle; the closed forms kernel_G_farfield and kernel_G_asymptotic are
-    evaluated directly.
+    bundle gives the all-pairs table from the factor b of G(z, y) = sum_p
+    conj(b_p(z)) (x) b_p(y) that _kernel_factors picks.  The node quadrature
+    kernel_G is the oracle; the closed forms kernel_G_farfield and
+    kernel_G_asymptotic are evaluated directly.
     """
 
     surface: object
     bg: object
     mode = "quadrature"  # unused here; the traced benchmark's pair counter reads it
-
-    def factor(self, zs, ys):
-        """The factor b of G(z, y) = sum_p conj(b_p(z)) (x) b_p(y) for z in zs, y in ys.
-
-        Returns a callable b(pts) -> (rank, npts, 3) with attributes kind and
-        rank, as _kernel_factors picks it.
-        """
-        return _kernel_factors(self.bg, [(self.surface, zs)], ys)[0]
 
     def bundle(self, zs, ys):
         """All-pairs table (3Z, 3N): row 3m+i holds G_i.(z_m, y_.) over ys.
@@ -523,7 +515,7 @@ class KernelG:
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        fac = self.factor(zs, ys)
+        fac, = _kernel_factors(self.bg, [(self.surface, zs)], ys)
         bz = fac(zs).reshape(fac.rank, -1)
         return bz.conj().T @ fac(ys).reshape(fac.rank, -1)
 
@@ -543,9 +535,6 @@ class HarmonicTrace:
 
     coeffs: np.ndarray
     n_max: int
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
 
 
 def harmonic_trace(surface, values, n_max=None):
@@ -847,7 +836,7 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
     identity E[grad Phi(. - y)] = -conj grad Phi(. - y), which turns the
     node data into (E u)_mq = 2 h^3 (T_m)_mq / sqrt(w_m w_q) for the node
     factor of G, with T_m = 1/2 b^H M b the response of a grid.  The pairing
-    depends on G alone, so for one factor b of KernelG.factor over z and
+    depends on G alone, so for one factor b of _kernel_factors over z and
     every ball cell,
 
         LHS(delta) = -4 h_B^3 h_delta^3 Re sum_pq conj(T_m^delta)_pq (T_m^B)_pq,
@@ -869,7 +858,7 @@ def td_finite_delta_check(sys, contrast, trial, surface, z, deltas,
     z = _require_inside(surface, z, "z")
     balls = _trial_balls(z, deltas, cells_across)
     pts = np.vstack([z[None, :], *(g.centers for g in balls)])
-    fac = KernelG(surface=surface, bg=sys.bg).factor(pts, sys.grid.centers)
+    fac, = _kernel_factors(sys.bg, [(surface, pts)], sys.grid.centers)
     h_b = sys.grid.cell_volume
     t_b = fac.response(sys, contrast)
     t_val = float(_pair(fac(z[None, :]), t_b, m_z, h_b)[0].real)

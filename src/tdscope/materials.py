@@ -36,12 +36,12 @@ class SymTensor3:
     packed: tuple
 
     @classmethod
-    def from_matrix(cls, m, sym_tol=1e-12):
+    def from_matrix(cls, m):
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError("expected a 3x3 matrix")
         scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.T).max() > sym_tol * scale:
+        if np.abs(m - m.T).max() > 1e-12 * scale:
             raise ValueError("matrix is not symmetric")
         m = 0.5 * (m + m.T)
         return cls(tuple(m[i, j] for i, j in _PACK))
@@ -66,32 +66,10 @@ class SymTensor3:
             m[j, i] = v
         return m
 
-    def eigvals(self):
-        return np.linalg.eigvalsh(self.matrix)
-
-    def is_positive_definite(self):
-        return bool(self.eigvals()[0] > 0.0)
-
     def require_spd(self, name="tensor"):
-        if not self.is_positive_definite():
+        if not np.linalg.eigvalsh(self.matrix)[0] > 0.0:
             raise ValueError(f"{name} must be positive definite")
         return self
-
-    def sqrt(self):
-        """Unique SPD square root, via symmetric eigendecomposition."""
-        w, v = np.linalg.eigh(self.matrix)
-        if w[0] <= 0.0:
-            raise ValueError("square root requires a positive definite tensor")
-        return SymTensor3.from_matrix((v * np.sqrt(w)) @ v.T)
-
-    def inv(self):
-        w, v = np.linalg.eigh(self.matrix)
-        if np.min(np.abs(w)) == 0.0:
-            raise ValueError("singular tensor")
-        return SymTensor3.from_matrix((v / w) @ v.T)
-
-    def det(self):
-        return float(np.linalg.det(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -152,11 +130,11 @@ def iso_contrast(a, a_tilde):
     return IsoContrast(a=a, beta=beta, q=q)
 
 
-def factor_Q(Q, zero_tol=1e-14):
+def factor_Q(Q):
     """Factor a symmetric Q as q_mat^T sigma2 q_mat.
 
     Q = V diag(lam) V^T gives sigma2 = diag(sign lam) and
-    q_mat = diag(sqrt|lam|) V^T.  Eigenvalues below zero_tol * max|lam| are
+    q_mat = diag(sqrt|lam|) V^T.  Eigenvalues below 1e-14 max|lam| are
     treated as exactly zero: the sigma2 entry is 0 and the corresponding row
     of q_mat is zeroed, so rank-deficient contrasts carry no contribution in
     the factored direction.
@@ -165,7 +143,7 @@ def factor_Q(Q, zero_tol=1e-14):
     if Q.shape != (3, 3) or np.abs(Q - Q.T).max() > 1e-12 * max(np.abs(Q).max(), 1.0):
         raise ValueError("Q must be a symmetric 3x3 matrix")
     lam, V = np.linalg.eigh(0.5 * (Q + Q.T))
-    cut = zero_tol * max(np.abs(lam).max(), 0.0)
+    cut = 1e-14 * max(np.abs(lam).max(), 0.0)
     signs = np.where(np.abs(lam) <= cut, 0.0, np.sign(lam))
     mags = np.where(np.abs(lam) <= cut, 0.0, np.sqrt(np.abs(lam)))
     q_mat = mags[:, None] * V.T

@@ -27,8 +27,6 @@ __all__ = [
     "sph_bessel_j",
     "sph_hankel1",
     "legendre_p",
-    "real_spherical_harmonics",
-    "complex_spherical_harmonics",
     "harmonics_table",
     "harmonic_index",
     "regular_wave_gradients",
@@ -37,7 +35,9 @@ __all__ = [
     "voxelize",
 ]
 
-N_MAX = 60  # default order cap for series work; j_n tails are negligible far beyond kappa*R
+# order cap of sph_bessel_j and of the series work; j_n tails are negligible
+# far beyond kappa*R
+N_MAX = 60
 # orders above the highest one asked for at which Miller's recurrence starts:
 # for x <= n its relative error at order n is about prod_{k=n+1}^{N} (x/2k)^2
 # <= 4^-(N - n), below 1e-18 at N = n + 30
@@ -126,11 +126,11 @@ def _sph_bessel(n, x, second=False):
     return (j[n, cols], y[n, cols]) if second else j[n, cols]
 
 
-def sph_bessel_j(n, x, n_max=N_MAX):
+def sph_bessel_j(n, x):
     """Spherical Bessel function j_n(x) for n >= 0, x >= 0."""
     n = np.asarray(n)
-    if np.any(n < 0) or np.any(n > n_max):
-        raise ValueError(f"order must lie in 0..{n_max}")
+    if np.any(n < 0) or np.any(n > N_MAX):
+        raise ValueError(f"order must lie in 0..{N_MAX}")
     return _sph_bessel(n, x)
 
 
@@ -248,20 +248,6 @@ def harmonics_table(n_max, dirs, kind="complex"):
     out *= np.exp(0.5 * (np.log((2.0 * n + 1.0) / (4.0 * np.pi))
                          + _log_factorial(n + m) + _log_factorial(n - m)))[:, None]
     return out if kind == "complex" else _real_basis(out)
-
-
-def complex_spherical_harmonics(n, m, dirs):
-    """Y_n^m at unit direction(s), complex orthonormal basis."""
-    if abs(m) > n:
-        raise ValueError("|m| must not exceed n")
-    return harmonics_table(n, dirs, kind="complex")[harmonic_index(n, m)]
-
-
-def real_spherical_harmonics(n, m, dirs):
-    """Y_n^m at unit direction(s), real orthonormal basis."""
-    if abs(m) > n:
-        raise ValueError("|m| must not exceed n")
-    return harmonics_table(n, dirs, kind="real")[harmonic_index(n, m)]
 
 
 def _log_factorial(k):
@@ -450,10 +436,6 @@ class SphereSurface:
     def nodes(self):
         return self.center[None, :] + self.radius * self.dirs
 
-    @property
-    def area(self):
-        return float(np.sum(self.weights))
-
 
 def sphere_surface(radius, order, center=(0.0, 0.0, 0.0), aperture=None):
     """Build a SphereSurface of given radius with a product rule of given order."""
@@ -574,10 +556,6 @@ class ScattererGrid:
     @property
     def volume(self):
         return self.n_cells * self.h**3
-
-    @property
-    def centroid(self):
-        return self.centers.mean(axis=0)
 
 
 def voxelize(shape, h=None, cap=None):

@@ -23,10 +23,6 @@ def random_spd(rng, lo=0.2, hi=5.0):
 def test_symtensor_roundtrip():
     t = SymTensor3.diag(1.0, 2.0, 3.0)
     np.testing.assert_allclose(t.matrix, np.diag([1.0, 2.0, 3.0]))
-    s = t.sqrt().matrix
-    np.testing.assert_allclose(s @ s, t.matrix, atol=1e-14)
-    np.testing.assert_allclose(t.inv().matrix @ t.matrix, np.eye(3), atol=1e-14)
-    assert t.det() == pytest.approx(6.0)
 
 
 def test_symtensor_rejects_asymmetric():

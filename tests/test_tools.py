@@ -1,5 +1,6 @@
 """tools/code_lines.py: the code-line count of Python source; tools/import_cost.py:
-the time, memory and packages of `import tdscope`."""
+the time, memory and packages of `import tdscope`; tools/unreached.py: the
+package functions that no traced run called."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +57,21 @@ def test_import_cost_reports_numpy_as_the_only_package(capsys):
     assert lines[1] == "third-party packages loaded: numpy"
     with pytest.raises(ValueError):
         import_cost.measure(runs=0)
+
+
+_UNREACHED_SPEC = importlib.util.spec_from_file_location(
+    "unreached", Path(__file__).resolve().parents[1] / "tools" / "unreached.py")
+unreached = importlib.util.module_from_spec(_UNREACHED_SPEC)
+_UNREACHED_SPEC.loader.exec_module(unreached)
+
+
+def test_unreached_lists_what_a_sign_study_never_calls(capsys):
+    # a resolution-6 sign study assembles its system and never checks the
+    # Green's function against its PDE
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "sign_full.cfg"
+    assert unreached.main([f"{config},resolution=6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{len(lines) - 1} functions never ran:"
+    names = [line.strip() for line in lines[1:]]
+    assert "greens.pde_residual" in names
+    assert "vie.assemble" not in names
