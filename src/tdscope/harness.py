@@ -523,33 +523,34 @@ def run_decay_study(cfg):
     kappa = 0 it removes the pure R^-4 dilution of a growing non-radiating
     sphere, leaving the distance dependence the study is after.
 
-    All samples of one window exponent are mapped by one call of
-    imaging._contract, which pairs the one solved wave response of the
-    scatterer against the waves of every sample at once.
+    The samples of every window exponent (alpha, then each alpha_pair
+    value) are mapped by one call of imaging._contract, which solves the
+    wave response of the scatterer once per distinct centre and n_max and
+    pairs it against the waves of every sample at once; the values are
+    then sliced per exponent for its fit.
     """
     t0 = time.monotonic()
     bg, contrast, trial, grid, sweeps = _decay_setup(cfg)
     sys = assemble(grid, bg)
     cert = operator_norm(sys, contrast)
     m_z = imaging._ball_trial_mz(sys, trial, contrast)
-    factors, ranks = set(), set()
-
-    def slope_for(dists, scale, facs, pts):
-        values = imaging._contract(sys, contrast, m_z, facs, pts)
-        factors.update(fac.kind for fac in facs)
-        ranks.update(fac.rank for fac in facs)
+    facs = [fac for sweep in sweeps for fac in sweep[2]]
+    pts = [p for sweep in sweeps for p in sweep[3]]
+    values = np.abs(imaging._contract(sys, contrast, m_z, facs, pts).real).reshape(len(pts), -1)
+    ends, fits = np.cumsum([len(dists) for dists, *_ in sweeps]), []
+    for (dists, scale, _, _), rows in zip(sweeps, np.split(values, ends[:-1])):
         per_ray = [[(float(dist), float(raw), float(raw / sc))
                     for dist, raw, sc in zip(dists, row, scale)]
-                   for row in np.abs(values.real).reshape(len(pts), -1).T]
-        usable = [(d, v) for rows in per_ray for d, _, v in rows if v > 0.0]
+                   for row in rows.T]
+        usable = [(d, v) for ray in per_ray for d, _, v in ray if v > 0.0]
         if len(usable) < 8:
             raise ValueError("decay study has fewer than 8 usable points")
         logd = np.log([d for d, _ in usable])
         logv = np.log([v for _, v in usable])
         (slope, _), cov = np.polyfit(logd, logv, 1, cov=True)
-        return float(slope), float(np.sqrt(cov[0, 0])), per_ray
+        fits.append((float(slope), float(np.sqrt(cov[0, 0])), per_ray))
 
-    slope, stderr, per_ray = slope_for(*sweeps[0])
+    slope, stderr, per_ray = fits[0]
     expected = -2.0 if cfg.kappa > 0 else 0.0
     checks = [_check(f"slope in {expected}+-{cfg.tol_slope}", slope, cfg.tol_slope,
                      abs(slope - expected) <= cfg.tol_slope)]
@@ -561,10 +562,9 @@ def run_decay_study(cfg):
         "slope_stderr": stderr,
         "expected_slope": expected,
     }
-    pair = [{"alpha": al, "slope": slope_for(*sweep)[0]}
-            for al, sweep in zip(cfg.alpha_pair, sweeps[1:])]
-    results["kernel_factor"] = ",".join(sorted(factors))
-    results["kernel_rank"] = ",".join(str(r) for r in sorted(ranks))
+    pair = [{"alpha": al, "slope": fit[0]} for al, fit in zip(cfg.alpha_pair, fits[1:])]
+    results["kernel_factor"] = ",".join(sorted({fac.kind for fac in facs}))
+    results["kernel_rank"] = ",".join(str(r) for r in sorted({fac.rank for fac in facs}))
     if len(pair) >= 2:
         gap = abs(pair[0]["slope"] - pair[1]["slope"])
         results["alpha_pair"] = pair

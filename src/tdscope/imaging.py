@@ -36,10 +36,10 @@ maps differ only in the trial's M_z.  S(z) = b(z)^T T_m conj(b(z)) with
 the factor's response T_m = 1/2 b^H M_B b of its P fields on the voxel
 grid, which vie._half_pairing forms inside the blocks of the dense solve.
 The spectral factor takes T_m = D T_w D: the response T_w of the unscaled
-regular waves is solved once and cached on the system, and the surface
-radius enters only through the diagonal D, so _contract maps samples on
-many spheres with one pairing against T_w per centre and n_max; a node
-factor solves its K node fields.
+regular waves does not depend on the surface radius, which enters only
+through the diagonal D, so one _contract call maps samples on many spheres
+with one solve of T_w per centre and n_max; a node factor solves its K node
+fields.
 Each map reports the kernel factor it used and the imaginary residue of the
 pre-Re pairing.  The maps do not certify: the moderate-scatterer
 certificate is vie.operator_norm, which the studies compute beside them.
@@ -361,23 +361,21 @@ class _SpectralFactor:
         """T_w = 1/2 W^H M_B W of the unscaled waves W on the voxel grid,
         scaled by the grid's reach from the centre.
 
-        T_w does not depend on the surface radius; it is solved once per
-        system, contrast, centre, k and n_max (the grid fixes its reach) and
-        kept on sys.  vie._half_pairing pairs the waves inside the blocks of
-        the dense solve: about the grid's centre each real wave reaches the
-        blocks of one mirror character, and pairs of waves of different
-        characters are exact zeros.
+        T_w does not depend on the surface radius, so _contract solves it
+        once for every sphere of one centre and n_max.  vie._half_pairing
+        pairs the waves inside the blocks of the dense solve: about the
+        grid's centre each real wave reaches the blocks of one mirror
+        character, and pairs of waves of different characters are exact
+        zeros.
         """
         centers = sys.grid.centers
-        key = ("regular waves", tuple(self.center), self.k, self.n_max)
-        return sys._response(contrast, key, lambda: _half_pairing(
-            sys, contrast, self._waves(centers, self._rho(centers))))
+        return _half_pairing(sys, contrast, self._waves(centers, self._rho(centers)))
 
     def response(self, sys, contrast):
         """T_m = 1/2 b^H M_B b on the voxel grid, as D T_w D.
 
-        T_w is the cached response of wave_response; the surface radius
-        enters only through D.  _contract pairs T_w itself against waves
+        T_w is solved by wave_response; the surface radius enters only
+        through D.  _contract pairs T_w itself against waves
         that carry both diagonals, c (rho_grid rho_z)^(n-1).
         """
         d = self._scale(self._rho(sys.grid.centers))
@@ -618,7 +616,9 @@ def _pair(b_z, t_m, m_z, h3):
 
     The samples are paired a chunk at a time, so a real factor is cast to
     complex for zgemm one chunk at a time, and the product with T_m, about
-    _WAVE_CHUNK values, is held for one chunk only.  A chunk holds a
+    _WAVE_CHUNK / 2 values, is held for one chunk only: the cast and the
+    product of 48 samples of decay_full's 196 waves add less to the peak
+    than the solve before them.  A chunk holds a
     multiple of 8 samples: gemm kernels compute panels of up to 8 columns
     alike, and a ragged last panel differently, so every chunk but the last
     ends on a panel edge of the one product over every sample, and each
@@ -626,7 +626,7 @@ def _pair(b_z, t_m, m_z, h3):
     """
     p, nz = b_z.shape[:2]
     out = np.empty(nz, dtype=complex)
-    step = 8 * max(1, _WAVE_CHUNK // (24 * p))
+    step = 8 * max(1, _WAVE_CHUNK // (48 * p))
     for z0 in range(0, nz, step):
         b = b_z[:, z0 : z0 + step]
         s = np.einsum("pzi,pzj->zij", b, (t_m @ b.conj().reshape(p, -1)).reshape(p, -1, 3))
@@ -653,10 +653,10 @@ def _contract(sys, contrast, m_z, facs, pts):
     _kernel_factors, of rank P, S(z) = b(z)^T T_m conj(b(z)) through the
     factor's response T_m = 1/2 b^H M_B b (P x P) on the voxel grid, paired
     by _pair; the samples of one factor share its truncation.  The
-    spectral spheres are grouped by centre and n_max, which key the
-    regular-wave response T_w cached on sys; per group one
-    _real_wave_gradients call gives the waves W(z), scaled by their reach
-    rho, and _pair contracts D W(z) against T_w, where
+    spectral spheres are grouped by centre and n_max, which fix the
+    regular-wave response T_w; per group T_w is solved once, one _waves call
+    gives the waves W(z) of every sample, scaled by their reach rho, and
+    _pair contracts D W(z) against T_w, where
     D = c(R) (rho_grid rho)^(n-1) folds the two diagonals of D T_w D and
     D b(z).  Each node factor solves its K node fields once.  Each D is
     checked before its group's solve: one not finite, or zero at degree 1
@@ -683,26 +683,12 @@ def _contract(sys, contrast, m_z, facs, pts):
                              "for the sample spheres")
         t_w = fac.wave_response(sys, contrast)
         d = np.repeat(d, [len(pts[i]) for i in members], axis=1)[:, :, None]
-        # the sample waves only after the solve, whose fields are then freed
-        raw[at] = _pair(fac._waves(zs[at], rho) * d, t_w, m_z, h3)
+        # the sample waves only after the solve, whose fields are then freed,
+        # and scaled in place: every sample's waves are held once
+        w = fac._waves(zs[at], rho)
+        w *= d
+        raw[at] = _pair(w, t_w, m_z, h3)
     return raw
-
-
-def _td_map(sys, contrast, surface, points, m_z):
-    """The TdMap of one td_map_* call's samples on one sphere."""
-    pts = _check_points(points)
-    fac, = _kernel_factors(sys.bg, [(surface, pts)], sys.grid.centers)
-    raw = _contract(sys, contrast, m_z, [fac], [pts])
-    re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
-    scale = float(np.abs(re).max()) if re.size else 0.0
-    return TdMap(
-        points=pts,
-        values=re,
-        inside_B=np.asarray(sys.grid.shape.contains(pts), dtype=bool),
-        imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
-        kernel_factor=fac.kind,
-        kernel_rank=int(fac.rank),
-    )
 
 
 def _ball_trial_mz(sys, trial, contrast):
@@ -732,48 +718,42 @@ def _trial_mz(sys, trial, contrast):
     return trial.M_z
 
 
-def td_map_iso(sys, contrast, trial, surface, points):
-    """T(z) for a scalar scatterer and a scalar unit-ball trial inclusion.
-
-    T(z) = -(16 pi a^2 q q_z / (3 - q_z)) h^3
-           Re sum_i < g_i(z), (I - q R_kappa)^{-1} g_i(z) >,
-
-    with g_i the rows of G(z, .) sampled on the voxel grid and the conjugate
-    on the left slot of the pairing; the trial enters through
-    M_z = mz_ball_iso(a, beta_z).M_z.
-    """
-    if not isinstance(contrast, IsoContrast):
-        raise TypeError("td_map_iso needs IsoContrast scatterer and trial")
-    return _td_map(sys, contrast, surface, points, _ball_trial_mz(sys, trial, contrast))
-
-
-def td_map_aniso_iso(sys, contrast, trial, surface, points):
-    """T(z) for an anisotropic scatterer in an isotropic background, scalar
-    unit-ball trial.
-
-    The scatterer side equals the sign-split form: with
-    w_i = sigma q_mat A^{1/2} g_i and the barred bundle using conj(sigma),
-
-    T(z) = -(16 pi a q_z / (3 - q_z)) h^3
-           Re sum_i < wbar_i, (I - sigma q R q^T sigma)^{-1} w_i >,
-
-    that is M_z = mz_ball_iso(a, beta_z).M_z in the shared contraction.
-    """
-    return _td_map(sys, contrast, surface, points, _ball_trial_mz(sys, trial, contrast))
-
-
 def td_map_general(sys, contrast, trial, surface, points):
     """T(z) for any scatterer and trial data.
 
     T(z) = -h^3 Re sum_ik (M_z)_ik < g_i, M_B g_k >
 
-    with M_B the scatterer's solution operator and M_z the trial's: a
+    with g_i the rows of G(z, .) sampled on the voxel grid, the conjugate
+    on the left slot of the pairing, M_B the scatterer's solution operator
+    (a scalar or tensor contrast) and M_z the trial's: a
     PolarizationTensor's M_z, any symmetric tensor (a mixed-sign contrast
-    included), or a scalar unit-ball trial (IsoContrast) as in td_map_iso.
+    included), or mz_ball_iso(a, beta_z).M_z of a scalar unit-ball trial
+    (IsoContrast).  For a scalar scatterer and a ball trial this is
+
+    T(z) = -(16 pi a^2 q q_z / (3 - q_z)) h^3
+           Re sum_i < g_i(z), (I - q R_kappa)^{-1} g_i(z) >.
+
     The trial lives in the system's background.  For reversed surface
     nesting pass the measurement sphere as the integration surface.
     """
-    return _td_map(sys, contrast, surface, points, _trial_mz(sys, trial, contrast))
+    m_z = _trial_mz(sys, trial, contrast)
+    pts = _check_points(points)
+    fac, = _kernel_factors(sys.bg, [(surface, pts)], sys.grid.centers)
+    raw = _contract(sys, contrast, m_z, [fac], [pts])
+    re = raw.real + 0.0  # a vanishing T(z) (matched media) is +0.0, never -0.0
+    scale = float(np.abs(re).max()) if re.size else 0.0
+    return TdMap(
+        points=pts,
+        values=re,
+        inside_B=np.asarray(sys.grid.shape.contains(pts), dtype=bool),
+        imag_residue=float(np.abs(raw.imag).max() / scale) if scale > 0.0 else 0.0,
+        kernel_factor=fac.kind,
+        kernel_rank=int(fac.rank),
+    )
+
+
+# one map under the three public names; perfbench/spans.py binds all three
+td_map_iso = td_map_aniso_iso = td_map_general
 
 
 # ---------------------------------------------------------------------------

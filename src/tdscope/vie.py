@@ -104,7 +104,7 @@ from __future__ import annotations
 
 import importlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -685,15 +685,14 @@ def _blocked_solve(blocks, group, rhs, what):
 
 @dataclass
 class VieSystem:
-    """grad W_kappa on a voxel grid as an FFT offset table, plus cached responses.
+    """grad W_kappa on a voxel grid as an FFT offset table.
 
     index holds each cell's integer lattice position (N, 3).  kernel_hat
     holds the FFT over the box axes of the circulant-embedded block table,
     packed: the 6 distinct entries of the symmetric 3x3 symbol in the order
     of materials._PACK, shape (6, *box).  flat holds each cell's position in
-    the flattened box, where apply scatters and gathers.  The system keeps
-    scatterer responses (imaging's regular-wave response T_w) per contrast
-    and caller-given key, never a dense factor.
+    the flattened box, where apply scatters and gathers.  The system holds
+    the operator alone: no response and no dense factor.
     """
 
     grid: object
@@ -701,7 +700,6 @@ class VieSystem:
     index: np.ndarray
     kernel_hat: np.ndarray
     flat: np.ndarray
-    _response_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_cells(self):
@@ -875,20 +873,6 @@ class VieSystem:
         plan = _Plan(self, contrast)
         return ((plan.group.describe(), plan.group.block_names()) if plan.dense
                 else ("none (the GMRES path)", []))
-
-    def _response(self, contrast, key, solve):
-        """solve() once per contrast and key; the read-only result is kept.
-
-        The contrast enters the key as the bytes of its split matrices, which
-        are all that a solve reads of it; key must name everything else the
-        response depends on.
-        """
-        key = (*(m.tobytes() for m in _contrast_parts(contrast, self.bg)), *key)
-        if key not in self._response_cache:
-            out = solve()
-            out.setflags(write=False)
-            self._response_cache[key] = out
-        return self._response_cache[key]
 
 
 def assemble(grid, bg):

@@ -535,11 +535,11 @@ def test_decay_study_solves_the_scatterer_once(monkeypatch):
     assert calls[0][0] == int(rep.results["kernel_rank"])
 
 
-def test_decay_study_evaluates_waves_once_per_window_exponent(monkeypatch):
-    # one evaluation of the grid's waves (one n_max), then one per window
-    # exponent for the 2 x 8 samples of both rays; each is split into calls
-    # of at most imaging._WAVE_CHUNK // rank points (today one call each:
-    # the 136 cells and the 16 samples)
+def test_decay_study_evaluates_the_waves_of_every_sample_at_once(monkeypatch):
+    # one evaluation of the grid's waves (one n_max), then one for the
+    # 3 x 2 x 8 samples of every window exponent and both rays; each is
+    # split into calls of at most imaging._WAVE_CHUNK // rank points (today
+    # one call each: the 136 cells and the 48 samples)
     calls = []
     waves = harness.imaging._real_wave_gradients
     monkeypatch.setattr(harness.imaging, "_real_wave_gradients",
@@ -556,7 +556,7 @@ def test_decay_study_evaluates_waves_once_per_window_exponent(monkeypatch):
         return [(n_max, min(step, points - i)) for i in range(0, points, step)]
 
     n_cells = harness._grid(cfg).n_cells
-    assert calls == chunks(n_cells) + chunks(16) * 3
+    assert calls == chunks(n_cells) + chunks(48)
 
 
 def test_decay_study_falls_back_to_single_maps(monkeypatch):
@@ -582,6 +582,15 @@ def test_decay_study_falls_back_to_single_maps(monkeypatch):
         kinds.append(tmap.kernel_factor)
         assert raw == pytest.approx(abs(tmap.values[0]), rel=1e-12)
     assert kinds == ["nodes"] * 2 + ["spectral"] * 6
+
+
+def test_decay_study_needs_8_usable_points(monkeypatch):
+    # T vanishing at every sample leaves nothing to fit
+    monkeypatch.setattr(harness.imaging, "_contract",
+                        lambda sys, contrast, m_z, facs, pts: np.zeros(sum(map(len, pts)), complex))
+    cfg = cfg_from("study = decay\neta = 0.05\npoints_per_decade = 8\nresolution = 6\n")
+    with pytest.raises(ValueError, match="decay study has fewer than 8 usable points"):
+        harness.run_decay_study(cfg)
 
 
 @pytest.mark.parametrize("key", ["scatterer_a", "trial_a"])
@@ -614,6 +623,24 @@ def test_born_study_small():
     ratios = rep.results["halving_ratios"]
     assert len(ratios) == 2
     assert all(1.5 <= r <= 3.0 for r in ratios)
+
+
+def test_born_study_static_incident_field_is_e_z():
+    # at kappa = 0 the incident gradient is the constant e_z on every cell;
+    # the ellipsoid's short z axis tells it from e_x and e_y
+    cfg = cfg_from("study = born\nkappa = 0\nresolution = 8\nborn_q0 = 0.5\nborn_halvings = 2\n"
+                   "scatterer_shape = ellipsoid\nscatterer_semi_axes = 0.5, 0.5, 0.3\n")
+    rep = harness.run_born_study(cfg)
+    bg, grid, contrasts = harness._born_setup(cfg)
+    sys = harness.assemble(grid, bg)
+    g = np.zeros((grid.n_cells, 3), dtype=complex)
+    g[:, 2] = 1.0
+    want = []
+    for _, contrast in contrasts:
+        full = harness.solve_density(sys, contrast, g).values
+        born = vie.born_density(contrast, g).values
+        want.append(np.linalg.norm(born - full) / np.linalg.norm(full))
+    assert rep.results["born_error"] == pytest.approx(want, rel=1e-10)
 
 
 def test_born_study_solves_every_contrast_in_one_call(monkeypatch):

@@ -152,6 +152,17 @@ def test_kernel_G_asymptotic_overlap():
     assert np.abs(asym - quad).max() / np.linalg.norm(quad) < 5.0 * eta**alpha
 
 
+@pytest.mark.parametrize("kappa, y", [(1.5, [0.1, 0.2, -0.3]), (0.0, [0.4, -0.2, 0.1])],
+                         ids=["coincident", "static"])
+def test_kernel_G_asymptotic_leading_term_alone(kappa, y):
+    # at y = z, and at kappa = 0 for y != z, only j0 = 1 of the leading term
+    # survives: ((1 + (kappa R)^2) / (12 pi R^2)) I, with no correction
+    R, z = 20.0, np.array([0.1, 0.2, -0.3])
+    asym = kernel_G_asymptotic(R, kappa, z, np.array(y))
+    np.testing.assert_allclose(asym, (1.0 + (kappa * R) ** 2) / (12.0 * np.pi * R**2) * np.eye(3),
+                               rtol=1e-15, atol=0.0)
+
+
 def test_kernel_bundle_matches_loop(surface_r5, bg_unit):
     k = KernelG(surface_r5, bg_unit)
     zs = np.array([[0.5, 0.0, 0.0], [0.0, -0.8, 0.3]])
@@ -390,18 +401,13 @@ def test_td_map_input_guards(sys_h6, small_map_setup):
         td_map_iso(sys_h6, c, iso_contrast(2.0, 4.0), surf, pts)  # trial bg mismatch
     with pytest.raises(ValueError):
         td_map_iso(sys_h6, c, c, surf, np.array([[6.0, 0.0, 0.0]]))  # outside surface
-    trial_pt = mz_ball_iso(1.0, 1.0)
     a_tensor = aniso_contrast(SymTensor3.identity(), SymTensor3.scaled_identity(2.0))
     bad_pt = mz_ball_iso(2.0, 1.0)
     with pytest.raises(ValueError):
         td_map_general(sys_h6, a_tensor, bad_pt, surf, pts)
-    # a ball trial of another background, and the scalar maps' type checks
+    # a ball trial of another background
     with pytest.raises(ValueError, match="contrast background coefficient must match"):
         td_map_general(sys_h6, c, iso_contrast(2.0, 4.0), surf, pts)
-    with pytest.raises(TypeError):
-        td_map_iso(sys_h6, a_tensor, c, surf, pts)
-    with pytest.raises(TypeError):
-        td_map_aniso_iso(sys_h6, a_tensor, trial_pt, surf, pts)
 
 
 def test_nan_points_are_rejected(sys_h6, small_map_setup):
@@ -662,8 +668,8 @@ def test_spectral_truncation_on_a_sphere_past_r_squared_overflow(sys_h6):
 
 
 # ---------------------------------------------------------------------------
-# the regular-wave response T_w, solved once per system and reused; every
-# system here is assembled in the test, so no response cached elsewhere leaks in
+# the regular-wave response T_w, solved by each map on its own: a system
+# that served other maps gives the same map as a fresh one
 
 
 def _rel_diff(got, want):
@@ -676,8 +682,8 @@ def _rel_diff(got, want):
 def test_map_on_a_used_system_matches_a_fresh_system(ball_grid_h8, monkeypatch, regime,
                                                      kappa, a, center):
     # the used system first serves a map of another n_max (R = 3), then the
-    # radii in turn, which share one cached response; each map must equal the
-    # map on a fresh system, and that one the node-factor map
+    # radii in turn, which share one n_max; each map must equal the map on a
+    # fresh system, and that one the node-factor map
     bg = Background.isotropic(a, kappa)
     c = np.zeros(3) if center is None else np.asarray(center)
     ax = np.linspace(-0.9, 0.9, 3)
@@ -697,6 +703,25 @@ def test_map_on_a_used_system_matches_a_fresh_system(ball_grid_h8, monkeypatch, 
             nodes = _regime_map(regime, fresh_sys, surf, pts)
         assert nodes.kernel_factor == "nodes"
         assert _rel_diff(fresh, nodes) <= 1e-12
+
+
+def test_maps_leave_the_system_as_they_found_it(ball_grid_h6, bg_unit, small_map_setup):
+    # a map, a finite-size check and a map with another contrast: the system
+    # keeps its attribute names and objects, and no array or container grows
+    surf, pts = small_map_setup
+    sys = assemble(ball_grid_h6, bg_unit)
+    before = dict(vars(sys))
+    sizes = {k: np.shape(v) if isinstance(v, np.ndarray) else len(v)
+             for k, v in before.items() if hasattr(v, "__len__")}
+    trial = iso_contrast(1.0, 1.5)
+    td_map_general(sys, iso_contrast(1.0, 2.0), trial, surf, pts)
+    td_finite_delta_check(sys, iso_contrast(1.0, 2.0), trial, surf, pts[1], deltas=(0.2,),
+                          cells_across=4)
+    td_map_general(sys, iso_contrast(1.0, 0.5), trial, surf, pts)
+    assert list(vars(sys)) == list(before)
+    assert all(vars(sys)[k] is v for k, v in before.items())
+    assert sizes == {k: np.shape(v) if isinstance(v, np.ndarray) else len(v)
+                     for k, v in vars(sys).items() if hasattr(v, "__len__")}
 
 
 def test_cached_response_is_keyed_by_contrast_centre_and_order(ball_grid_h8):
@@ -1031,7 +1056,7 @@ def _pair_at_once(b_z, t_m, m_z, h3):
 @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "eight_samples"])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_pair_runs_in_sample_chunks_with_the_bits_of_one_product(monkeypatch, kind, chunk):
-    # 729 samples of 196 waves: 104 samples per chunk at the default, 8 (the
+    # 729 samples of 196 waves: 48 samples per chunk at the default, 8 (the
     # least) at the smaller chunk, neither a divisor of 729; a real factor
     # (the spectral waves) and a complex one (the node fields) pair bitwise
     # as in one product over every sample

@@ -582,6 +582,22 @@ def test_born_limit(sys_h6):
         assert 0.0 < rel < band
 
 
+def test_born_density_of_a_tensor_contrast(rng):
+    # (At - A) g per cell: for A = I and At = 2I the scalar contrast's value,
+    # for full tensors the product with At - A built from the two matrices
+    g = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    iso = born_density(iso_contrast(1.0, 2.0), g).values
+    scaled = born_density(aniso_contrast(SymTensor3.identity(), SymTensor3.scaled_identity(2.0)),
+                          g).values
+    np.testing.assert_allclose(scaled, iso, rtol=1e-15, atol=0.0)
+    A = SymTensor3.from_matrix([[2.0, 0.3, -0.1], [0.3, 1.5, 0.2], [-0.1, 0.2, 1.0]])
+    A_t = SymTensor3.from_matrix([[3.0, -0.4, 0.5], [-0.4, 2.5, 0.1], [0.5, 0.1, 4.0]])
+    dens = born_density(aniso_contrast(A, A_t), g)
+    want = np.einsum("ij,nj->ni", A_t.matrix - A.matrix, g)
+    np.testing.assert_allclose(dens.values, want, rtol=1e-14, atol=0.0)
+    assert dens.residual is None
+
+
 def test_static_interior_gradient_factor(sys_static_h8):
     # uniform incident gradient in a coefficient-2 ball: interior factor 3/(2+a_t)
     c = iso_contrast(1.0, 2.0)
@@ -1882,6 +1898,14 @@ def test_radiation_matrix_rejects_non_finite_points(sys_h6, bad):
         radiation_matrix(sys_h6, pts)
     with pytest.raises(ValueError, match="evaluation points must be finite"):
         scattered_field(sys_h6, dens, pts[1])
+
+
+def test_radiation_matrix_rejects_points_inside_a_voxel(sys_h6):
+    # a point within half a cell of a voxel centre, on every axis, is inside
+    # the scatterer grid, where the point-source kernel is singular
+    inside = sys_h6.grid.centers[5] + 0.4 * sys_h6.grid.h * np.array([1.0, -1.0, 0.5])
+    with pytest.raises(ValueError, match="evaluation point inside the scatterer grid"):
+        radiation_matrix(sys_h6, np.array([[2.0, 0.5, -1.0], inside]))
 
 
 def test_point_source_reciprocity(sys_h6, bg_unit):
